@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race bench bench-json bench-gate load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
+.PHONY: all build test short race fuzz-smoke bench bench-json bench-gate load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -27,6 +27,32 @@ short:
 
 race:
 	$(GO) test -race -short ./...
+
+# Fuzz smoke: every fuzz target for FUZZTIME apiece (go test takes one
+# package and one target per run) — the decoders of everything that
+# arrives as untrusted bytes, and FuzzVerifyProof, which carries accepted
+# decodes on through client verification. Minimising each new corpus entry
+# is capped so a ten-second lane spends its time fuzzing.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	./internal/mht:FuzzDecodeProof \
+	./internal/core:FuzzDecodeDIJProof \
+	./internal/core:FuzzDecodeFULLProof \
+	./internal/core:FuzzDecodeLDMProof \
+	./internal/core:FuzzDecodeHYPProof \
+	./internal/core:FuzzRegistryDecodeProof \
+	./internal/core:FuzzDecodeProofBatch \
+	./internal/core:FuzzVerifyProof \
+	./internal/core:FuzzReadProviderSet \
+	./internal/cert:FuzzDecodeCertificate \
+	./internal/snapshot:FuzzReader \
+	./internal/snapshot:FuzzScan \
+	./internal/snapshot:FuzzFile
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "== fuzz $${t%%:*} $${t##*:} ($(FUZZTIME))"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s; \
+	done
 
 # Benchmark smoke: one iteration of every benchmark with -benchmem, no
 # tests — catches benchmarks that stopped compiling or started failing.

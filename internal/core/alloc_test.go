@@ -93,11 +93,49 @@ func batchItemsCycled(t *testing.T, w *testWorld, m Method, n int) []BatchItem {
 	return pb.Items()
 }
 
-// TestVerifyBatchAllocBudget is the allocation half of the batch-verify
-// acceptance gate: one VerifyBatch over a 64-proof single-root response
-// must allocate at least 5× less than 64 individual VerifyProof calls, for
-// every registered method. (The latency half lives in the benchjson verify
-// lanes.)
+// Steady-state allocation budgets for client verification. What is left
+// after the tuple table is the signature check (crypto/rsa: 9 allocations
+// a check) and, for the two methods with a second authenticated structure,
+// its reconstruction — measured 9 (DIJ, LDM), 26 (HYP), 27 (FULL) per
+// proof, against 230 to 580 with a map per fact. The budgets leave a pooled
+// scratch being dropped by a GC mid-measurement some room.
+const (
+	verifyAllocBudget = 32
+
+	// One VerifyBatch over a 64-item response (12 distinct proofs under one
+	// signed root). Measured 23 (DIJ, LDM) to 142 (FULL); the shared-digest
+	// batch path this replaces measured 1,455 to 3,075 on the same items.
+	verifyBatch64AllocBudget = 200
+)
+
+// TestVerifyAllocBudget pins a single VerifyProof, after warm-up, to a
+// small constant: nothing per record, per Merkle node or per search step.
+func TestVerifyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats scratch pooling")
+	}
+	w := world(t)
+	v := w.owner.Verifier()
+	q := w.queries[0]
+	for _, m := range Methods() {
+		pr, err := testProvider(t, w, m).QueryProof(q.S, q.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify := func() {
+			if err := VerifyProof(v, m, q.S, q.T, pr); err != nil {
+				t.Fatalf("%s verify: %v", m, err)
+			}
+		}
+		verify()
+		if got := testing.AllocsPerRun(20, verify); got > verifyAllocBudget {
+			t.Errorf("%s verification allocates %.0f/op, budget %d", m, got, verifyAllocBudget)
+		}
+	}
+}
+
+// TestVerifyBatchAllocBudget pins one VerifyBatch over a 64-proof
+// single-root response the same way.
 func TestVerifyBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 64 proofs per method")
@@ -106,28 +144,16 @@ func TestVerifyBatchAllocBudget(t *testing.T) {
 	v := w.owner.Verifier()
 	for _, m := range Methods() {
 		items := batchItemsCycled(t, w, m, 64)
-		for i, err := range VerifyBatch(v, m, items) {
-			if err != nil {
-				t.Fatalf("%s item %d: %v", m, i, err)
+		verify := func() {
+			for i, err := range VerifyBatch(v, m, items) {
+				if err != nil {
+					t.Fatalf("%s item %d: %v", m, i, err)
+				}
 			}
 		}
-		single := testing.AllocsPerRun(3, func() {
-			for _, it := range items {
-				if err := VerifyProof(v, m, it.VS, it.VT, it.Proof); err != nil {
-					t.Fatalf("%s single verify: %v", m, err)
-				}
-			}
-		})
-		batch := testing.AllocsPerRun(3, func() {
-			for _, err := range VerifyBatch(v, m, items) {
-				if err != nil {
-					t.Fatalf("%s batch verify: %v", m, err)
-				}
-			}
-		})
-		t.Logf("%s: 64 singles %.0f allocs, batch %.0f allocs (%.1f×)", m, single, batch, single/batch)
-		if batch*5 > single {
-			t.Errorf("%s: batch of 64 allocates %.0f, singles allocate %.0f — want ≥5× reduction", m, batch, single)
+		verify()
+		if got := testing.AllocsPerRun(5, verify); got > verifyBatch64AllocBudget {
+			t.Errorf("%s: batch of 64 allocates %.0f, budget %d", m, got, verifyBatch64AllocBudget)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/mbt"
+	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -497,4 +500,133 @@ func TestAllMethodsRejectReplayedSignatureAcrossMethods(t *testing.T) {
 	dp.RootSig, lp.RootSig = lp.RootSig, dp.RootSig
 	wantRejected(t, "DIJ with LDM sig", VerifyDIJ(w.owner.Verifier(), q.S, q.T, dp))
 	wantRejected(t, "LDM with DIJ sig", VerifyLDM(w.owner.Verifier(), q.S, q.T, lp))
+}
+
+// --- unauthenticated bytes ---
+
+// bothVerdicts verifies one proof through both client entry points.
+func bothVerdicts(t *testing.T, m Method, vs, vt graph.NodeID, pr Proof) map[string]error {
+	t.Helper()
+	v := world(t).owner.Verifier()
+	return map[string]error{
+		"VerifyProof": VerifyProof(v, m, vs, vt, pr),
+		"VerifyBatch": VerifyBatch(v, m, []BatchItem{{VS: vs, VT: vt, Proof: pr}})[0],
+	}
+}
+
+// wantMalformed demands that both entry points reject a tampered proof as
+// malformed.
+func wantMalformed(t *testing.T, name string, m Method, vs, vt graph.NodeID, pr Proof) {
+	t.Helper()
+	for entry, err := range bothVerdicts(t, m, vs, vt, pr) {
+		wantRejected(t, name+" via "+entry, err)
+		if !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("%s via %s: got %v, want ErrMalformedProof", name, entry, err)
+		}
+	}
+}
+
+// TestLDMAttackDuplicateRecordForgedPayload: the provider appends a second
+// record for a node already in the proof — same base tuple, forged landmark
+// payload. A verifier that skipped the repeat after parsing it (the first
+// record having authenticated the node) would let the forged payload steer
+// the A* lower bounds without ever being hashed.
+func TestLDMAttackDuplicateRecordForgedPayload(t *testing.T) {
+	w := world(t)
+	q := w.queries[0]
+	proof, err := w.ldm.Query(q.S, q.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range proof.Tuples {
+		tup, n, err := graph.DecodeTuple(r.Bytes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, _, _ := landmark.DecodePayload(r.Bytes[n:], proof.Params.C, proof.Params.Bits); !payload.HasVec {
+			continue
+		}
+		// Zero the node's landmark vector: every bound through it collapses.
+		forged := append([]byte(nil), r.Bytes[:n+1]...)
+		forged = append(forged, make([]byte, len(r.Bytes)-n-1)...)
+		bad := *proof
+		bad.Tuples = append(append([]tupleRecord(nil), proof.Tuples...), tupleRecord{Pos: r.Pos, Bytes: forged})
+		wantMalformed(t, fmt.Sprintf("LDM forged payload repeat of node %d (record %d)", tup.ID, i), LDM, q.S, q.T, &bad)
+		return
+	}
+	t.Fatal("no vector-carrying record to forge")
+}
+
+// TestHYPAttackDuplicateRecordForgedBorderFlag: the same attack on HYP's
+// annotation — a repeat record flipping a node's border flag, which decides
+// whether the cell search may skip the node's absent neighbors.
+func TestHYPAttackDuplicateRecordForgedBorderFlag(t *testing.T) {
+	w := world(t)
+	q := w.queries[0]
+	proof, err := w.hyp.Query(q.S, q.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, len(proof.Tuples) - 1} {
+		r := proof.Tuples[i]
+		forged := append([]byte(nil), r.Bytes...)
+		forged[len(forged)-1] ^= 1
+		bad := *proof
+		bad.Tuples = append(append([]tupleRecord(nil), proof.Tuples...), tupleRecord{Pos: r.Pos, Bytes: forged})
+		wantMalformed(t, fmt.Sprintf("HYP forged border flag repeat of record %d", i), HYP, q.S, q.T, &bad)
+	}
+}
+
+// TestAttackRepeatedLeafPosition: two different nodes claiming one leaf
+// position cannot both be what the owner put there.
+func TestAttackRepeatedLeafPosition(t *testing.T) {
+	w := world(t)
+	q := w.queries[0]
+	proof, err := w.dij.Query(q.S, q.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof.Tuples[1].Pos = proof.Tuples[0].Pos
+	wantMalformed(t, "DIJ repeated leaf position", DIJ, q.S, q.T, proof)
+}
+
+// TestAttackMaskingEntry: the provider forges a tuple and covers it with
+// the true digest of one of its ancestors — at the limit the signed root
+// itself, handed back as a proof entry. Reconstruction that let an entry
+// stand in for a subtree whose leaves the client holds would reach the
+// signed root without the forged tuple ever being hashed into it, for every
+// method alike.
+func TestAttackMaskingEntry(t *testing.T) {
+	w := world(t)
+	q := w.queries[0]
+	for _, m := range Methods() {
+		p := testProvider(t, w, m)
+		lv := p.adsRef().tree.Levels()
+		for l := 1; l < len(lv); l++ {
+			pr, err := p.QueryProof(q.S, q.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp := partsOf(pr)
+			rec := &(*pp.tuples)[0]
+			forged := append([]byte(nil), rec.Bytes...)
+			forged[8] ^= 0x01 // an x-coordinate bit: the tuple still parses
+			rec.Bytes = forged
+			// Position of the forged leaf's ancestor at level l: exactly one
+			// level-l digest differs between the true tree and a tree with
+			// that leaf's digest replaced.
+			dirty, err := p.adsRef().tree.UpdateLeaves(map[int][]byte{int(rec.Pos): (*pp.mht).Alg.Sum(forged)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := 0
+			for bytes.Equal(dirty.Levels()[l][idx], lv[l][idx]) {
+				idx++
+			}
+			(*pp.mht).Entries = append((*pp.mht).Entries, mht.Entry{Level: uint8(l), Index: uint32(idx), Digest: lv[l][idx]})
+			for entry, err := range bothVerdicts(t, m, q.S, q.T, pr) {
+				wantRejected(t, fmt.Sprintf("%s forged tuple masked at level %d via %s", m, l, entry), err)
+			}
+		}
+	}
 }

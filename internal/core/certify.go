@@ -17,10 +17,10 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// certifier is an optional MethodImpl capability, like snapshotStreamer
-// and BatchVerifier: a method that implements it can emit its slice of a
-// snapshot certificate at outsourcing time and audit a loaded provider
-// against that slice in linear time. Methods without the capability are
+// certifier is an optional MethodImpl capability, like snapshotStreamer:
+// a method that implements it can emit its slice of a snapshot
+// certificate at outsourcing time and audit a loaded provider against
+// that slice in linear time. Methods without the capability are
 // rejected cleanly by Owner.Certify and ProviderSet.AuditMethod — a
 // registered third-party method never silently passes an audit it did not
 // implement.

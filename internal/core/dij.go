@@ -109,37 +109,43 @@ func VerifyDIJ(verifier sigVerifier, vs, vt graph.NodeID, proof *DIJProof) error
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, nil)
-	if err != nil {
-		return reject(err)
-	}
-	if err := verifyTupleRoot(parsed, proof.MHT, dijSigCtx, proof.RootSig, verifier); err != nil {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	if err := s.authenticate(verifier, proof.Tuples, plainTuples, proof.MHT, dijSigCtx, proof.RootSig); err != nil {
 		return err
 	}
 	// Path structure: endpoints, real edges (certified by tuples), length.
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := s.tab.checkClaimedPath(proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
 	// Re-run Dijkstra over the proof subgraph (Lemma 1).
-	recomputed, err := tupleDijkstra(parsed.tuples, vs, vt, claimed)
+	recomputed, err := s.tupleDijkstra(vs, vt, claimed)
 	if err != nil {
 		return reject(err)
 	}
 	return checkOptimal(recomputed, claimed)
 }
 
-// checkClaimedPath validates the reported path against authenticated
-// tuples: endpoints match the query, every hop is a certified edge, and the
-// claimed distance equals the path's weight sum. It returns the verified
-// path length.
-func checkClaimedPath(tuples map[graph.NodeID]graph.Tuple, path graph.Path, vs, vt graph.NodeID, claimed float64) (float64, error) {
+// checkClaimedPath validates the reported path against the authenticated
+// tuples: endpoints match the query, every hop is an edge certified by its
+// tail's tuple (a tuple carries full adjacency), and the claimed distance
+// equals the path's weight sum. It returns the verified path length.
+func (t *tupleTable) checkClaimedPath(path graph.Path, vs, vt graph.NodeID, claimed float64) (float64, error) {
 	if len(path) < 2 || path.Source() != vs || path.Target() != vt {
 		return 0, reject(fmt.Errorf("%w: endpoints", ErrPathMismatch))
 	}
-	sum, err := path.DistInTuples(tuples)
-	if err != nil {
-		return 0, reject(fmt.Errorf("%w: %v", ErrPathMismatch, err))
+	sum := 0.0
+	for i := 1; i < len(path); i++ {
+		tail := t.slot(path[i-1])
+		if tail < 0 {
+			return 0, reject(fmt.Errorf("%w: no tuple for node %d", ErrPathMismatch, path[i-1]))
+		}
+		w, ok := graph.Tuple{Adj: t.adj(tail)}.Weight(path[i])
+		if !ok {
+			return 0, reject(fmt.Errorf("%w: tuple %d has no edge to %d", ErrPathMismatch, path[i-1], path[i]))
+		}
+		sum += w
 	}
 	if !distEqual(sum, claimed) || math.IsNaN(claimed) {
 		return 0, reject(fmt.Errorf("%w: claimed distance %g, path sums to %g", ErrPathMismatch, claimed, sum))
@@ -216,6 +222,6 @@ func DecodeDIJProof(buf []byte) (*DIJProof, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.RootSig = append([]byte(nil), rootSig...)
+	pr.RootSig = rootSig
 	return pr, off + n, nil
 }

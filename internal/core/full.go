@@ -165,21 +165,18 @@ func VerifyFULL(verifier sigVerifier, vs, vt graph.NodeID, proof *FULLProof) err
 	if err != nil {
 		return reject(fmt.Errorf("%w: %v", ErrIncompleteProof, err))
 	}
-	msg := append(append([]byte(nil), fullDistCtx...), distRoot...)
-	if err := verifier.Verify(msg, proof.DistSig); err != nil {
-		return reject(ErrBadSignature)
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	if err := s.checkSig(verifier, fullDistCtx, distRoot, proof.DistSig); err != nil {
+		return err
 	}
 	trueDist := proof.DistVO.Entry.Value
 
 	// Network ADS over the path tuples.
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, nil)
-	if err != nil {
-		return reject(err)
-	}
-	if err := verifyTupleRoot(parsed, proof.MHT, fullNetCtx, proof.NetSig, verifier); err != nil {
+	if err := s.authenticate(verifier, proof.Tuples, plainTuples, proof.MHT, fullNetCtx, proof.NetSig); err != nil {
 		return err
 	}
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := s.tab.checkClaimedPath(proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
@@ -246,12 +243,12 @@ func DecodeFULLProof(buf []byte) (*FULLProof, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.NetSig = append([]byte(nil), netSig...)
+	pr.NetSig = netSig
 	off += n
 	distSig, n, err := decodeBytes(buf[off:])
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.DistSig = append([]byte(nil), distSig...)
+	pr.DistSig = distSig
 	return pr, off + n, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"runtime"
 	"testing"
 
 	"github.com/authhints/spv/internal/digest"
@@ -10,6 +12,10 @@ import (
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/mht"
+	"github.com/authhints/spv/internal/netgen"
+	"github.com/authhints/spv/internal/sig"
+	"github.com/authhints/spv/internal/sp"
+	"github.com/authhints/spv/internal/workload"
 )
 
 // seedDIJWire builds structurally valid DIJ proof encodings for the fuzz
@@ -238,6 +244,94 @@ func FuzzRegistryDecodeProof(f *testing.F) {
 		re := pr.AppendBinary(nil)
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("%s: decode/encode not identity: %d in, %d out", m, n, len(re))
+		}
+	})
+}
+
+// FuzzVerifyProof drives the whole client — registry decode, then
+// VerifyProof under a fixed owner key — with mutated wires. The corpus is
+// seeded with honest proofs of every method (under the golden key: signing is
+// deterministic, so every fuzz worker regenerates the very same bytes). Whatever the
+// input: no panic; memory bounded by the bytes presented, never by a count
+// they claim; the verdict class the reference verifier (ref_test.go)
+// reaches; and, the property the protocol exists for, nothing is accepted
+// but the truth — an accepted path is a real path of the owner's graph
+// between the queried endpoints, as short as any.
+//
+// (Acceptance cannot be pinned to byte-equality with a seed: a proof is a
+// set, and the verifier accepts its records in any order.)
+func FuzzVerifyProof(f *testing.F) {
+	// A world small enough that a (coverage-instrumented) fuzz worker has
+	// outsourced all four methods within a second of starting.
+	g, err := netgen.Synthesize(60, 66, 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keyPEM, err := os.ReadFile(goldenKeyFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	signer, err := sig.ParseSignerPEM(keyPEM)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Landmarks, cfg.Cells = 4, 4
+	owner, err := NewOwnerWithSigner(g, cfg, signer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	qs, err := workload.Generate(g, 6, 2000, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v := owner.Verifier()
+	ms := RegisteredMethods()
+	for mi, m := range ms {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, q := range qs {
+			pr, err := p.QueryProof(q.S, q.T)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(mi, int32(q.S), int32(q.T), pr.AppendBinary(nil))
+		}
+	}
+	f.Fuzz(func(t *testing.T, mi int, s, d int32, data []byte) {
+		m := ms[uint(mi)%uint(len(ms))]
+		vs, vt := graph.NodeID(s), graph.NodeID(d)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pr, _, err := DecodeProof(m, data)
+		var verdict error
+		if err == nil {
+			verdict = VerifyProof(v, m, vs, vt, pr)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(256*len(data)+1<<20) {
+			t.Fatalf("%s: %d input bytes made decode+verify allocate %d", m, len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if got, want := errClass(verdict), errClass(refVerify(v, vs, vt, pr)); got != want {
+			t.Fatalf("%s (%d→%d): verdict %q, reference %q", m, vs, vt, got, want)
+		}
+		if verdict != nil {
+			return
+		}
+		if vs < 0 || vt < 0 || int(vs) >= g.NumNodes() || int(vt) >= g.NumNodes() {
+			t.Fatalf("%s: accepted endpoints (%d, %d) outside the graph", m, vs, vt)
+		}
+		path, dist := pr.Result()
+		walked, err := path.DistIn(g)
+		best, _ := sp.DijkstraTo(g, vs, vt)
+		if err != nil || path.Source() != vs || path.Target() != vt || !distEqual(walked, dist) || !distEqual(dist, best) {
+			t.Fatalf("%s (%d→%d): accepted path %v of claimed length %g (walks %g, err %v); shortest is %g",
+				m, vs, vt, path, dist, walked, err, best)
 		}
 	})
 }

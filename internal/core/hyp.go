@@ -169,132 +169,79 @@ func borderPairKeys(h *hiti.Hyper, cs, ct geom.CellID) []mbt.Key {
 	return keys
 }
 
-// hypMeta is the client-side view of a tuple's authenticated HYP
-// annotations.
-type hypMeta struct {
-	cell     geom.CellID
-	isBorder bool
-}
-
 // VerifyHYP is the client side of §V-B.
 func VerifyHYP(verifier sigVerifier, vs, vt graph.NodeID, proof *HYPProof) error {
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
-	meta := make(map[graph.NodeID]hypMeta)
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, func(t *graph.Tuple, rest []byte) (int, error) {
-		cell, isBorder, err := hiti.DecodeExtra(rest)
-		if err != nil {
-			return 0, err
-		}
-		meta[t.ID] = hypMeta{cell: cell, isBorder: isBorder}
-		return hiti.ExtraSize, nil
-	})
-	if err != nil {
-		return reject(err)
-	}
-	if err := verifyTupleRoot(parsed, proof.MHT, hypNetCtx, proof.NetSig, verifier); err != nil {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	if err := s.authenticate(verifier, proof.Tuples, hypTuples, proof.MHT, hypNetCtx, proof.NetSig); err != nil {
 		return err
 	}
 	// Authenticate the hyper-edge entries (if any) and index them.
-	hyperW := make(map[mbt.Key]float64)
+	clear(s.hyperW)
 	if proof.Hyper != nil {
 		distRoot, err := proof.Hyper.Root()
 		if err != nil {
 			return reject(fmt.Errorf("%w: %v", ErrIncompleteProof, err))
 		}
-		msg := append(append([]byte(nil), hypDistCtx...), distRoot...)
-		if err := verifier.Verify(msg, proof.DistSig); err != nil {
-			return reject(ErrBadSignature)
+		if err := s.checkSig(verifier, hypDistCtx, distRoot, proof.DistSig); err != nil {
+			return err
 		}
 		for _, e := range proof.Hyper.Entries {
-			hyperW[e.Key] = e.Value
+			s.hyperW[e.Key] = e.Value
 		}
 	}
-
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := s.tab.checkClaimedPath(proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
-
-	return hypCoarse(newCellSearchScratch(), parsed.tuples, meta, hyperW, vs, vt, claimed)
+	return s.hypCoarse(vs, vt, claimed)
 }
 
-// cellSearchScratch is the search state hypCoarse's two intra-cell
-// Dijkstras run on. The single verifier allocates a fresh one per proof;
-// batch verification reuses one pooled instance across a whole batch.
-type cellSearchScratch struct {
-	distS, distT map[graph.NodeID]float64
-	doneS, doneT map[graph.NodeID]bool
-	h            *sp.Heap
-}
-
-func newCellSearchScratch() *cellSearchScratch {
-	return &cellSearchScratch{
-		distS: map[graph.NodeID]float64{},
-		distT: map[graph.NodeID]float64{},
-		doneS: map[graph.NodeID]bool{},
-		doneT: map[graph.NodeID]bool{},
-		h:     sp.NewHeap(16),
-	}
-}
-
-func (sc *cellSearchScratch) reset() {
-	clear(sc.distS)
-	clear(sc.distT)
-	clear(sc.doneS)
-	clear(sc.doneT)
-	sc.h.Reset()
-}
-
-// hypCoarse is the coarse re-computation of Theorem 2 — intra-cell searches
-// from both endpoints stitched through authenticated hyper-edge weights —
-// shared verbatim by the single and batch HYP verifiers so their verdicts
-// cannot diverge.
-func hypCoarse(sc *cellSearchScratch, tuples map[graph.NodeID]graph.Tuple, meta map[graph.NodeID]hypMeta,
-	hyperW map[mbt.Key]float64, vs, vt graph.NodeID, claimed float64) error {
-	msMeta, ok := meta[vs]
-	if !ok {
+// hypCoarse is the coarse re-computation of Theorem 2: intra-cell searches
+// from both endpoints, stitched through the authenticated hyper-edge
+// weights between the two cells' settled border nodes.
+func (s *verifyScratch) hypCoarse(vs, vt graph.NodeID, claimed float64) error {
+	t := &s.tab
+	from, to := t.slot(vs), t.slot(vt)
+	if from < 0 {
 		return reject(fmt.Errorf("%w: no tuple for source %d", ErrIncompleteProof, vs))
 	}
-	mtMeta, ok := meta[vt]
-	if !ok {
+	if to < 0 {
 		return reject(fmt.Errorf("%w: no tuple for target %d", ErrIncompleteProof, vt))
 	}
-	sc.reset()
-	dS, err := cellDijkstraInto(sc.distS, sc.doneS, sc.h, tuples, meta, vs)
-	if err != nil {
+	if err := s.cellDijkstra(from); err != nil {
 		return reject(err)
 	}
-	sc.h.Reset()
-	dT, err := cellDijkstraInto(sc.distT, sc.doneT, sc.h, tuples, meta, vt)
-	if err != nil {
-		return reject(err)
-	}
-
 	coarse := math.MaxFloat64
-	if msMeta.cell == mtMeta.cell {
-		if d, ok := dS[vt]; ok && d < coarse {
-			coarse = d
+	if t.cell[from] == t.cell[to] && s.mark[to] == markDone {
+		coarse = s.dist[to]
+	}
+	s.borders = s.borders[:0]
+	for b, m := range s.mark {
+		if m == markDone && t.border[b] {
+			s.borders = append(s.borders, borderDist{int32(b), s.dist[b]})
 		}
 	}
-	for bs, ds := range dS {
-		if !meta[bs].isBorder {
+	if err := s.cellDijkstra(to); err != nil {
+		return reject(err)
+	}
+	for bt, m := range s.mark {
+		if m != markDone || !t.border[bt] {
 			continue
 		}
-		for bt, dt := range dT {
-			if !meta[bt].isBorder {
-				continue
-			}
-			w, ok := hyperW[hiti.HyperKey(bs, bt, meta[bs].cell, meta[bt].cell)]
+		for _, bs := range s.borders {
+			w, ok := s.hyperW[hiti.HyperKey(t.ids[bs.slot], t.ids[bt], t.cell[bs.slot], t.cell[bt])]
 			if !ok {
 				return reject(fmt.Errorf("%w: hyper-edge (%d, %d) missing from proof",
-					ErrIncompleteProof, bs, bt))
+					ErrIncompleteProof, t.ids[bs.slot], t.ids[bt]))
 			}
 			if w == sp.Unreachable {
 				continue
 			}
-			if c := ds + w + dt; c < coarse {
+			if c := bs.dist + w + s.dist[bt]; c < coarse {
 				coarse = c
 			}
 		}
@@ -386,12 +333,12 @@ func DecodeHYPProof(buf []byte) (*HYPProof, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.NetSig = append([]byte(nil), netSig...)
+	pr.NetSig = netSig
 	off += n
 	distSig, n, err := decodeBytes(buf[off:])
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.DistSig = append([]byte(nil), distSig...)
+	pr.DistSig = distSig
 	return pr, off + n, nil
 }

@@ -20,8 +20,10 @@ import (
 // root under altered parameters.
 var ldmSigCtxBase = []byte("spv/LDM/network/v1\x00")
 
-func ldmSigCtx(p landmark.Params) []byte {
-	buf := append([]byte(nil), ldmSigCtxBase...)
+func ldmSigCtx(p landmark.Params) []byte { return appendLDMSigCtx(nil, p) }
+
+func appendLDMSigCtx(buf []byte, p landmark.Params) []byte {
+	buf = append(buf, ldmSigCtxBase...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.C))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Bits))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.Lambda))
@@ -162,26 +164,22 @@ func VerifyLDM(verifier sigVerifier, vs, vt graph.NodeID, proof *LDMProof) error
 		proof.Params.Lambda <= 0 || math.IsNaN(proof.Params.Lambda) || math.IsInf(proof.Params.Lambda, 0) {
 		return reject(fmt.Errorf("%w: bad hint parameters %+v", ErrMalformedProof, proof.Params))
 	}
-	resolver := landmark.NewResolver(proof.Params)
-	parsed, err := parseTuples(proof.MHT.Alg, proof.Tuples, func(t *graph.Tuple, rest []byte) (int, error) {
-		payload, n, err := landmark.DecodePayload(rest, proof.Params.C, proof.Params.Bits)
-		if err != nil {
-			return 0, err
-		}
-		resolver.Add(t.ID, payload)
-		return n, nil
-	})
-	if err != nil {
-		return reject(err)
-	}
-	if err := verifyTupleRoot(parsed, proof.MHT, ldmSigCtx(proof.Params), proof.RootSig, verifier); err != nil {
+	s := acquireVerifyScratch()
+	defer releaseVerifyScratch(s)
+	var ctxBuf [48]byte // base + 16 bytes of parameters: stays on the stack
+	ctx := appendLDMSigCtx(ctxBuf[:0], proof.Params)
+	if err := s.authenticate(verifier, proof.Tuples, tupleExtra{ldm: proof.Params}, proof.MHT, ctx, proof.RootSig); err != nil {
 		return err
 	}
-	claimed, err := checkClaimedPath(parsed.tuples, proof.Path, vs, vt, proof.Dist)
+	claimed, err := s.tab.checkClaimedPath(proof.Path, vs, vt, proof.Dist)
 	if err != nil {
 		return err
 	}
-	recomputed, err := tupleAStar(parsed.tuples, vs, vt, resolver.LB, claimed)
+	target := s.tab.slot(vt)
+	if target < 0 {
+		return reject(fmt.Errorf("%w: no payload for target %d", ErrIncompleteProof, vt))
+	}
+	recomputed, err := s.tupleAStar(vs, vt, func(u int32) (float64, error) { return s.tab.lb(u, target) }, claimed)
 	if err != nil {
 		return reject(err)
 	}
@@ -255,6 +253,6 @@ func DecodeLDMProof(buf []byte) (*LDMProof, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	pr.RootSig = append([]byte(nil), rootSig...)
+	pr.RootSig = rootSig
 	return pr, off + n, nil
 }

@@ -254,7 +254,12 @@ func providerAs[T Provider](m Method, p Provider) (T, error) {
 	return cp, nil
 }
 
-// DecodeProof parses a proof of method m via the registry.
+// DecodeProof parses a proof of method m via the registry. A decoded proof
+// aliases buf: tuple records, Merkle digests and signatures are slices of
+// it (decoding a 40 KB proof copies nothing but its path), so the caller
+// must leave buf unmodified while the proof is in use. This holds for every
+// decoder in the package — Decode<Method>Proof, DecodeProofBatch — and is
+// stated here once.
 func DecodeProof(m Method, buf []byte) (Proof, int, error) {
 	impl, ok := LookupMethod(m)
 	if !ok {

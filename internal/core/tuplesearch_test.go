@@ -3,20 +3,30 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"github.com/authhints/spv/internal/geom"
+	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/sp"
 )
 
-// tuplesOf extracts the full tuple map of a graph — the "perfect proof".
-func tuplesOf(g *graph.Graph) map[graph.NodeID]graph.Tuple {
-	out := make(map[graph.NodeID]graph.Tuple, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		out[graph.NodeID(v)] = g.TupleOf(graph.NodeID(v))
+// tableOf loads a graph's tuples — the "perfect proof" — into a fresh
+// verification scratch, minus the dropped nodes. extra, when non-nil,
+// supplies each node's method annotation bytes for the given kind.
+func tableOf(t *testing.T, g *graph.Graph, kind tupleExtra, extra func(graph.NodeID) []byte, drop ...graph.NodeID) *verifyScratch {
+	t.Helper()
+	var recs []tupleRecord
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if !slices.Contains(drop, v) {
+			recs = append(recs, tupleRecord{Pos: uint32(v), Bytes: encodeTupleMsg(g, v, extra, nil)})
+		}
 	}
-	return out
+	s := &verifyScratch{}
+	if err := s.tab.load(digest.SHA1, recs, kind); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // searchFixture builds a small random connected graph and a query pair.
@@ -51,7 +61,7 @@ func searchFixture(t *testing.T, seed int64) (*graph.Graph, graph.NodeID, graph.
 func TestTupleDijkstraMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g, vs, vt, want := searchFixture(t, seed)
-		got, err := tupleDijkstra(tuplesOf(g), vs, vt, want)
+		got, err := tableOf(t, g, plainTuples, nil).tupleDijkstra(vs, vt, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -63,7 +73,6 @@ func TestTupleDijkstraMatchesOracle(t *testing.T) {
 
 func TestTupleDijkstraDetectsMissingRequiredNode(t *testing.T) {
 	g, vs, vt, want := searchFixture(t, 3)
-	tuples := tuplesOf(g)
 	// Remove a node strictly inside the bound (not the endpoints).
 	tree, settled := sp.DijkstraBounded(g, vs, want)
 	var victim graph.NodeID = graph.Invalid
@@ -76,8 +85,7 @@ func TestTupleDijkstraDetectsMissingRequiredNode(t *testing.T) {
 	if victim == graph.Invalid {
 		t.Skip("no interior node to drop")
 	}
-	delete(tuples, victim)
-	_, err := tupleDijkstra(tuples, vs, vt, want)
+	_, err := tableOf(t, g, plainTuples, nil, victim).tupleDijkstra(vs, vt, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("missing node not detected: %v", err)
 	}
@@ -89,7 +97,7 @@ func TestTupleDijkstraUnreachableTarget(t *testing.T) {
 	g.AddNode(1, 0)
 	g.AddNode(2, 0)
 	g.MustAddEdge(0, 1, 1)
-	got, err := tupleDijkstra(tuplesOf(g), 0, 2, 100)
+	got, err := tableOf(t, g, plainTuples, nil).tupleDijkstra(0, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +106,12 @@ func TestTupleDijkstraUnreachableTarget(t *testing.T) {
 	}
 }
 
+func zeroLB(int32) (float64, error) { return 0, nil }
+
 func TestTupleAStarMatchesOracleWithZeroLB(t *testing.T) {
-	zero := func(u, v graph.NodeID) (float64, error) { return 0, nil }
 	for seed := int64(0); seed < 10; seed++ {
 		g, vs, vt, want := searchFixture(t, seed)
-		got, err := tupleAStar(tuplesOf(g), vs, vt, zero, want)
+		got, err := tableOf(t, g, plainTuples, nil).tupleAStar(vs, vt, zeroLB, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -123,13 +132,15 @@ func TestTupleAStarWithInconsistentAdmissibleLB(t *testing.T) {
 		for i := range scale {
 			scale[i] = rng.Float64()
 		}
-		lb := func(u, _ graph.NodeID) (float64, error) {
+		s := tableOf(t, g, plainTuples, nil)
+		lb := func(slot int32) (float64, error) {
+			u := s.tab.ids[slot]
 			if toT.Dist[u] == sp.Unreachable {
 				return 0, nil
 			}
 			return toT.Dist[u] * scale[u], nil
 		}
-		got, err := tupleAStar(tuplesOf(g), vs, vt, lb, want)
+		got, err := s.tupleAStar(vs, vt, lb, want)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -142,8 +153,8 @@ func TestTupleAStarWithInconsistentAdmissibleLB(t *testing.T) {
 func TestTupleAStarPropagatesLBErrors(t *testing.T) {
 	g, vs, vt, want := searchFixture(t, 5)
 	bad := errors.New("payload missing")
-	lb := func(u, v graph.NodeID) (float64, error) { return 0, bad }
-	_, err := tupleAStar(tuplesOf(g), vs, vt, lb, want)
+	lb := func(int32) (float64, error) { return 0, bad }
+	_, err := tableOf(t, g, plainTuples, nil).tupleAStar(vs, vt, lb, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("LB error not mapped to incomplete proof: %v", err)
 	}
@@ -151,33 +162,30 @@ func TestTupleAStarPropagatesLBErrors(t *testing.T) {
 
 func TestTupleAStarMissingNeighborDetected(t *testing.T) {
 	g, vs, vt, want := searchFixture(t, 7)
-	tuples := tuplesOf(g)
 	// Drop a neighbor of the source: A* must refuse on first expansion.
 	nbr := g.Neighbors(vs)[0].To
 	if nbr == vt {
 		t.Skip("degenerate layout")
 	}
-	delete(tuples, nbr)
-	zero := func(u, v graph.NodeID) (float64, error) { return 0, nil }
-	_, err := tupleAStar(tuples, vs, vt, zero, want)
+	_, err := tableOf(t, g, plainTuples, nil, nbr).tupleAStar(vs, vt, zeroLB, want)
 	if !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("missing neighbor not detected: %v", err)
 	}
 }
 
-func TestCellDijkstraRequiresSourceTuple(t *testing.T) {
-	g, vs, _, _ := searchFixture(t, 9)
-	tuples := tuplesOf(g)
-	meta := map[graph.NodeID]hypMeta{}
-	// No meta at all: source lookup must fail cleanly.
-	if _, err := cellDijkstra(tuples, meta, vs); !errors.Is(err, ErrIncompleteProof) {
-		t.Errorf("missing source meta not detected: %v", err)
+func TestHypCoarseRequiresEndpointTuples(t *testing.T) {
+	g, vs, vt, _ := searchFixture(t, 9)
+	oneCell := func(graph.NodeID) []byte { return hyperExtra(0, false) }
+	for _, gone := range []graph.NodeID{vs, vt} {
+		if err := tableOf(t, g, hypTuples, oneCell, gone).hypCoarse(vs, vt, 1); !errors.Is(err, ErrIncompleteProof) {
+			t.Errorf("missing endpoint %d not detected: %v", gone, err)
+		}
 	}
 }
 
-func TestCellDijkstraHonorsCellBoundaries(t *testing.T) {
-	// A 6-node line graph split into two "cells": the intra-cell search
-	// from one end must settle exactly its own cell's nodes.
+// twoCellLine is a 6-node line graph split into two "cells" of three, nodes
+// 2 and 3 (the cut edge's endpoints) being the borders.
+func twoCellLine() (*graph.Graph, func(graph.NodeID) []byte) {
 	g := graph.New(6)
 	for i := 0; i < 6; i++ {
 		g.AddNode(float64(i), 0)
@@ -185,77 +193,74 @@ func TestCellDijkstraHonorsCellBoundaries(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
 	}
-	tuples := tuplesOf(g)
-	meta := map[graph.NodeID]hypMeta{}
-	for i := 0; i < 6; i++ {
-		cell := 0
-		if i >= 3 {
-			cell = 1
-		}
-		// Border nodes: 2 and 3 (the cut edge endpoints).
-		meta[graph.NodeID(i)] = hypMeta{
-			cell:     geomCell(cell),
-			isBorder: i == 2 || i == 3,
-		}
-	}
-	dist, err := cellDijkstra(tuples, meta, 0)
-	if err != nil {
+	return g, func(v graph.NodeID) []byte { return hyperExtra(uint32(v/3), v == 2 || v == 3) }
+}
+
+func TestCellDijkstraHonorsCellBoundaries(t *testing.T) {
+	// The intra-cell search from one end must settle exactly its own
+	// cell's nodes.
+	g, extra := twoCellLine()
+	s := tableOf(t, g, hypTuples, extra)
+	if err := s.cellDijkstra(s.tab.slot(0)); err != nil {
 		t.Fatal(err)
 	}
-	for v, d := range dist {
+	settled := 0
+	for slot, m := range s.mark {
+		if m != markDone {
+			continue
+		}
+		settled++
+		v := s.tab.ids[slot]
 		if v >= 3 {
 			t.Errorf("node %d outside cell was settled", v)
 		}
-		if want := float64(v); d != want {
-			t.Errorf("dist[%d] = %v, want %v", v, d, want)
+		if want := float64(v); s.dist[slot] != want {
+			t.Errorf("dist[%d] = %v, want %v", v, s.dist[slot], want)
 		}
 	}
-	if len(dist) != 3 {
-		t.Errorf("settled %d nodes, want 3", len(dist))
+	if settled != 3 {
+		t.Errorf("settled %d nodes, want 3", settled)
 	}
 }
 
 func TestCellDijkstraDetectsPrunedNonBorderNeighbor(t *testing.T) {
-	// Same line graph, but node 1 (non-border, in cell 0) is pruned: the
-	// search from node 0 (non-border) must reject.
-	g := graph.New(6)
-	for i := 0; i < 6; i++ {
-		g.AddNode(float64(i), 0)
-	}
-	for i := 0; i < 5; i++ {
-		g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
-	}
-	tuples := tuplesOf(g)
-	meta := map[graph.NodeID]hypMeta{}
-	for i := 0; i < 6; i++ {
-		cell := 0
-		if i >= 3 {
-			cell = 1
-		}
-		meta[graph.NodeID(i)] = hypMeta{cell: geomCell(cell), isBorder: i == 2 || i == 3}
-	}
-	delete(tuples, 1)
-	delete(meta, 1)
-	if _, err := cellDijkstra(tuples, meta, 0); !errors.Is(err, ErrIncompleteProof) {
+	// Node 1 (non-border, in cell 0) is pruned: the search from node 0
+	// (non-border) must reject.
+	g, extra := twoCellLine()
+	s := tableOf(t, g, hypTuples, extra, 1)
+	if err := s.cellDijkstra(s.tab.slot(0)); !errors.Is(err, ErrIncompleteProof) {
 		t.Errorf("pruned non-border neighbor not detected: %v", err)
 	}
 	// Pruning across the border (node 4, reached only via border 3) is
 	// legal: border nodes skip absent neighbors.
-	tuples2 := tuplesOf(g)
-	meta2 := map[graph.NodeID]hypMeta{}
-	for i := 0; i < 6; i++ {
-		cell := 0
-		if i >= 3 {
-			cell = 1
-		}
-		meta2[graph.NodeID(i)] = hypMeta{cell: geomCell(cell), isBorder: i == 2 || i == 3}
-	}
-	delete(tuples2, 4)
-	delete(meta2, 4)
-	if _, err := cellDijkstra(tuples2, meta2, 0); err != nil {
+	s = tableOf(t, g, hypTuples, extra, 4)
+	if err := s.cellDijkstra(s.tab.slot(0)); err != nil {
 		t.Errorf("legal cross-border absence rejected: %v", err)
 	}
 }
 
-// geomCell adapts an int to the geom.CellID type used in hypMeta.
-func geomCell(c int) geom.CellID { return geom.CellID(c) }
+// TestCheckClaimedPath: the path check sums certified edge weights, needs
+// the tuple of every hop's tail (and only those), and holds the claimed
+// distance to the sum.
+func TestCheckClaimedPath(t *testing.T) {
+	g, vs, vt, want := searchFixture(t, 11)
+	_, path := sp.DijkstraTo(g, vs, vt)
+	tab := &tableOf(t, g, plainTuples, nil, vt).tab // the head of the last hop certifies nothing
+	if got, err := tab.checkClaimedPath(path, vs, vt, want); err != nil || !distEqual(got, want) {
+		t.Errorf("checkClaimedPath = %v, %v; want %v, nil", got, err, want)
+	}
+	for name, err := range map[string]error{
+		"wrong source":     second(tab.checkClaimedPath(path[1:], vs, vt, want)),
+		"wrong target":     second(tab.checkClaimedPath(path[:len(path)-1], vs, vt, want)),
+		"fabricated edge":  second(tab.checkClaimedPath(graph.Path{vs, vs, vt}, vs, vt, want)),
+		"inflated claim":   second(tab.checkClaimedPath(path, vs, vt, want*1.01)),
+		"missing tail":     second(tableOf(t, g, plainTuples, nil, path[len(path)-2]).tab.checkClaimedPath(path, vs, vt, want)),
+		"single-node path": second(tab.checkClaimedPath(graph.Path{vs}, vs, vs, 0)),
+	} {
+		if !errors.Is(err, ErrPathMismatch) || !errors.Is(err, ErrRejected) {
+			t.Errorf("%s: got %v, want a rejected path mismatch", name, err)
+		}
+	}
+}
+
+func second(_ float64, err error) error { return err }

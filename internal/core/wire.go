@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
-	"github.com/authhints/spv/internal/mht"
 )
 
 // tupleRecord is one authenticated tuple on the wire: its Merkle leaf
@@ -110,74 +108,6 @@ func decodeTupleBlock(buf []byte) ([]tupleRecord, int, error) {
 		off += size
 	}
 	return recs, off, nil
-}
-
-// parsedTuples is the client-side view of an authenticated tuple set.
-type parsedTuples struct {
-	tuples map[graph.NodeID]graph.Tuple
-	known  map[int][]byte // leaf position → digest, for root reconstruction
-}
-
-// parseTuples decodes each record into a tuple, checking full consumption
-// and rejecting records that disagree about a node. parseExtra, when
-// non-nil, is given the bytes after the base tuple and returns how many it
-// consumed.
-func parseTuples(alg digest.Alg, recs []tupleRecord, parseExtra func(t *graph.Tuple, rest []byte) (int, error)) (*parsedTuples, error) {
-	out := &parsedTuples{
-		tuples: make(map[graph.NodeID]graph.Tuple, len(recs)),
-		known:  make(map[int][]byte, len(recs)),
-	}
-	for i, r := range recs {
-		t, n, err := graph.DecodeTuple(r.Bytes, 0)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrMalformedProof, i, err)
-		}
-		if parseExtra != nil {
-			used, err := parseExtra(&t, r.Bytes[n:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d extra: %v", ErrMalformedProof, i, err)
-			}
-			n += used
-		}
-		if n != len(r.Bytes) {
-			return nil, fmt.Errorf("%w: record %d has %d trailing bytes", ErrMalformedProof, i, len(r.Bytes)-n)
-		}
-		if prev, dup := out.tuples[t.ID]; dup {
-			if !tupleEqual(prev, t) {
-				return nil, fmt.Errorf("%w: conflicting tuples for node %d", ErrMalformedProof, t.ID)
-			}
-			continue
-		}
-		out.tuples[t.ID] = t
-		out.known[int(r.Pos)] = alg.Sum(r.Bytes)
-	}
-	return out, nil
-}
-
-func tupleEqual(a, b graph.Tuple) bool {
-	if a.ID != b.ID || a.X != b.X || a.Y != b.Y || len(a.Adj) != len(b.Adj) {
-		return false
-	}
-	for i := range a.Adj {
-		if a.Adj[i] != b.Adj[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// verifyTupleRoot reconstructs the Merkle root from parsed tuples plus the
-// integrity proof and checks the owner's signature over the given context.
-func verifyTupleRoot(p *parsedTuples, proof *mht.Proof, sigCtx []byte, signature []byte, v sigVerifier) error {
-	root, err := mht.Reconstruct(proof, p.known)
-	if err != nil {
-		return reject(fmt.Errorf("%w: %v", ErrIncompleteProof, err))
-	}
-	msg := append(append([]byte(nil), sigCtx...), root...)
-	if err := v.Verify(msg, signature); err != nil {
-		return reject(ErrBadSignature)
-	}
-	return nil
 }
 
 // sigVerifier is the historical package-local name for SigVerifier (the

@@ -70,5 +70,22 @@ func (a Alg) Sum(parts ...[]byte) []byte {
 	return h.Sum(nil)
 }
 
+// AppendSum appends H(msg) to dst and returns the extended slice. The hash
+// state lives on the stack, so a verifier hashing thousands of leaves and
+// internal nodes per proof allocates nothing (New costs one hash.Hash per
+// call).
+func (a Alg) AppendSum(dst, msg []byte) []byte {
+	switch a {
+	case SHA1:
+		d := sha1.Sum(msg)
+		return append(dst, d[:]...)
+	case SHA256:
+		d := sha256.Sum256(msg)
+		return append(dst, d[:]...)
+	default:
+		panic(fmt.Sprintf("digest: unknown algorithm %d", a))
+	}
+}
+
 // Valid reports whether a names a known algorithm.
 func (a Alg) Valid() bool { return a == SHA1 || a == SHA256 }

@@ -297,23 +297,6 @@ func TestPathOperations(t *testing.T) {
 	}
 }
 
-func TestPathDistInTuples(t *testing.T) {
-	g := paperFig1(t)
-	p := Path{0, 2, 4, 5, 3}
-	tuples := map[NodeID]Tuple{}
-	for _, v := range p {
-		tuples[v] = g.TupleOf(v)
-	}
-	d, err := p.DistInTuples(tuples)
-	if err != nil || d != 8 {
-		t.Errorf("DistInTuples = %v, %v; want 8, nil", d, err)
-	}
-	delete(tuples, 4)
-	if _, err := p.DistInTuples(tuples); err == nil {
-		t.Error("missing tuple should fail")
-	}
-}
-
 func TestEmptyGraph(t *testing.T) {
 	g := New(0)
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {

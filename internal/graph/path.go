@@ -55,29 +55,6 @@ func (p Path) DistIn(g *Graph) (float64, error) {
 	return total, nil
 }
 
-// DistInTuples computes the path distance using only a set of authenticated
-// extended-tuples, the client-side view of the graph. Every interior hop
-// must have its tail tuple present (a tuple carries full adjacency, so the
-// tail suffices to certify each edge). It fails on missing tuples or edges.
-func (p Path) DistInTuples(tuples map[NodeID]Tuple) (float64, error) {
-	if len(p) == 0 {
-		return 0, fmt.Errorf("%w: empty", ErrNotAPath)
-	}
-	total := 0.0
-	for i := 1; i < len(p); i++ {
-		t, ok := tuples[p[i-1]]
-		if !ok {
-			return 0, fmt.Errorf("%w: no tuple for node %d", ErrNotAPath, p[i-1])
-		}
-		w, ok := t.Weight(p[i])
-		if !ok {
-			return 0, fmt.Errorf("%w: tuple %d has no edge to %d", ErrNotAPath, p[i-1], p[i])
-		}
-		total += w
-	}
-	return total, nil
-}
-
 // Validate checks that p is a simple path in g from vs to vt: endpoints
 // match, every hop is an existing edge, and no node repeats.
 func (p Path) Validate(g *Graph, vs, vt NodeID) error {

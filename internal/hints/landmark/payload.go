@@ -66,30 +66,38 @@ func (p Payload) AppendBinary(bits int, buf []byte) []byte {
 // DecodePayload parses a payload for c landmarks at b bits, returning the
 // payload and the number of bytes consumed.
 func DecodePayload(buf []byte, c, bits int) (Payload, int, error) {
+	p, _, n, err := DecodePayloadInto(nil, buf, c, bits)
+	return p, n, err
+}
+
+// DecodePayloadInto is DecodePayload with a vector payload's units appended
+// to arena (returned extended; Units aliases its tail) instead of allocated
+// per payload — the form a client decoding hundreds of payloads per proof
+// uses. Units are only unpacked once the buffer is known to hold all c of
+// them, so a lying c cannot grow the arena past the bytes present.
+func DecodePayloadInto(arena []uint32, buf []byte, c, bits int) (Payload, []uint32, int, error) {
 	if len(buf) < 1 {
-		return Payload{}, 0, fmt.Errorf("landmark: payload truncated")
+		return Payload{}, arena, 0, fmt.Errorf("landmark: payload truncated")
 	}
 	switch buf[0] {
 	case tagVector:
 		need := 1 + (c*bits+7)/8
 		if len(buf) < need {
-			return Payload{}, 0, fmt.Errorf("landmark: vector payload truncated (%d of %d bytes)", len(buf), need)
+			return Payload{}, arena, 0, fmt.Errorf("landmark: vector payload truncated (%d of %d bytes)", len(buf), need)
 		}
-		units, err := unpack(buf[1:need], c, bits)
-		if err != nil {
-			return Payload{}, 0, err
-		}
-		return Payload{HasVec: true, Units: units}, need, nil
+		at := len(arena)
+		arena = appendUnpacked(arena, buf[1:need], c, bits)
+		return Payload{HasVec: true, Units: arena[at:len(arena):len(arena)]}, arena, need, nil
 	case tagCompressed:
 		if len(buf) < CompressedPayloadSize {
-			return Payload{}, 0, fmt.Errorf("landmark: compressed payload truncated")
+			return Payload{}, arena, 0, fmt.Errorf("landmark: compressed payload truncated")
 		}
 		return Payload{
 			Ref: graph.NodeID(binary.BigEndian.Uint32(buf[1:])),
 			Eps: binary.BigEndian.Uint32(buf[5:]),
-		}, CompressedPayloadSize, nil
+		}, arena, CompressedPayloadSize, nil
 	default:
-		return Payload{}, 0, fmt.Errorf("landmark: unknown payload tag %#x", buf[0])
+		return Payload{}, arena, 0, fmt.Errorf("landmark: unknown payload tag %#x", buf[0])
 	}
 }
 
@@ -111,13 +119,9 @@ func appendPacked(buf []byte, units []uint32, bits int) []byte {
 	return buf
 }
 
-// unpack reverses appendPacked for c units of the given width.
-func unpack(buf []byte, c, bits int) ([]uint32, error) {
-	need := (c*bits + 7) / 8
-	if len(buf) < need {
-		return nil, fmt.Errorf("landmark: packed stream has %d bytes, need %d", len(buf), need)
-	}
-	units := make([]uint32, c)
+// appendUnpacked reverses appendPacked for c units of the given width,
+// appending them to dst. buf must hold at least ⌈c·bits/8⌉ bytes.
+func appendUnpacked(dst []uint32, buf []byte, c, bits int) []uint32 {
 	var acc uint64
 	var nbits, pos int
 	for i := 0; i < c; i++ {
@@ -127,9 +131,9 @@ func unpack(buf []byte, c, bits int) ([]uint32, error) {
 			nbits += 8
 		}
 		nbits -= bits
-		units[i] = uint32(acc>>nbits) & ((1 << bits) - 1)
+		dst = append(dst, uint32(acc>>nbits)&((1<<bits)-1))
 	}
-	return units, nil
+	return dst
 }
 
 // Params are the global hint parameters a client needs to interpret
@@ -155,20 +159,6 @@ func NewResolver(p Params) *Resolver {
 
 // Add registers node v's payload.
 func (r *Resolver) Add(v graph.NodeID, p Payload) { r.payloads[v] = p }
-
-// Reset empties the resolver and re-arms it for the given parameters,
-// keeping its map storage. Batch verification resolves one proof after
-// another on a single pooled resolver instead of allocating one per proof.
-func (r *Resolver) Reset(p Params) {
-	r.Params = p
-	clear(r.payloads)
-}
-
-// Has reports whether v's payload is registered.
-func (r *Resolver) Has(v graph.NodeID) bool {
-	_, ok := r.payloads[v]
-	return ok
-}
 
 // vector resolves the quantized vector and ε for node v, following the
 // reference indirection at most one level (representatives always carry
@@ -209,6 +199,13 @@ func (r *Resolver) LB(u, v graph.NodeID) (float64, error) {
 	if len(vu) != len(vv) {
 		return 0, fmt.Errorf("landmark: vector length mismatch (%d vs %d)", len(vu), len(vv))
 	}
+	return LowerBound(vu, vv, eu, ev, r.Lambda), nil
+}
+
+// LowerBound evaluates Lemma 4 on two equal-length quantized landmark
+// vectors and their owners' compression errors (0 for a node carrying its
+// own vector), at quantization step lambda.
+func LowerBound(vu, vv []uint32, eu, ev uint32, lambda float64) float64 {
 	var maxDiff uint32
 	for i := range vu {
 		var d uint32
@@ -224,12 +221,12 @@ func (r *Resolver) LB(u, v graph.NodeID) (float64, error) {
 	// distLB^loose = (maxDiff − 1)·λ if maxDiff > 1 else 0 (Eq. 6);
 	// subtract the compression penalty (Lemma 4), clamp at zero.
 	if maxDiff <= 1 {
-		return 0, nil
+		return 0
 	}
-	loose := float64(maxDiff-1) * r.Lambda
-	penalty := float64(eu+ev) * r.Lambda
+	loose := float64(maxDiff-1) * lambda
+	penalty := float64(eu+ev) * lambda
 	if loose <= penalty {
-		return 0, nil
+		return 0
 	}
-	return loose - penalty, nil
+	return loose - penalty
 }

@@ -275,33 +275,19 @@ func (p *ForestProof) Root() ([]byte, error) {
 		return nil, errors.New("mbt: forest proof missing parts")
 	}
 	i, j := p.Entry.Key.Split()
+	var s mht.Scratch
 	leaf := p.Row.Alg.Sum(p.Entry.AppendBinary(nil))
-	rowRoot, err := mht.Reconstruct(p.Row, map[int][]byte{int(j): leaf})
+	rowRoot, err := s.Reconstruct(p.Row, []mht.Known{{Index: j, Digest: leaf}})
 	if err != nil {
 		return nil, fmt.Errorf("mbt: row reconstruction: %w", err)
 	}
-	topRoot, err := mht.Reconstruct(p.Top, map[int][]byte{int(i): rowRoot})
+	// The row root aliases the scratch the top fold is about to reuse.
+	rowRoot = append([]byte(nil), rowRoot...)
+	topRoot, err := s.Reconstruct(p.Top, []mht.Known{{Index: i, Digest: rowRoot}})
 	if err != nil {
 		return nil, fmt.Errorf("mbt: top reconstruction: %w", err)
 	}
 	return topRoot, nil
-}
-
-// RowLeaf reconstructs only the row half of the proof: the row subtree
-// root (the top-tree leaf for source i) plus that leaf's position. Batch
-// verifiers reconstruct rows per proof — each source's row differs — then
-// audit all the top-tree proofs jointly via mht.ReconstructSet.
-func (p *ForestProof) RowLeaf() (int, []byte, error) {
-	if p.Row == nil || p.Top == nil {
-		return 0, nil, errors.New("mbt: forest proof missing parts")
-	}
-	i, j := p.Entry.Key.Split()
-	leaf := p.Row.Alg.Sum(p.Entry.AppendBinary(nil))
-	rowRoot, err := mht.Reconstruct(p.Row, map[int][]byte{int(j): leaf})
-	if err != nil {
-		return 0, nil, fmt.Errorf("mbt: row reconstruction: %w", err)
-	}
-	return int(i), rowRoot, nil
 }
 
 // Verify checks the proof against the trusted forest root. On success,

@@ -238,45 +238,18 @@ func (p *Proof) Root() ([]byte, error) {
 	if p.MHT == nil {
 		return nil, errors.New("mbt: proof missing Merkle part")
 	}
-	known := make(map[int][]byte, len(p.Entries))
+	// Entries claiming one leaf twice are settled by Reconstruct: equal
+	// digests fold once, differing ones are a conflict.
+	size := p.MHT.Alg.Size()
+	known := make([]mht.Known, len(p.Entries))
+	digests := make([]byte, 0, len(p.Entries)*size)
 	var buf []byte
-	for _, e := range p.Entries {
+	for i, e := range p.Entries {
 		buf = e.Entry.AppendBinary(buf[:0])
-		d := p.MHT.Alg.Sum(buf)
-		if prev, dup := known[int(e.Index)]; dup && !bytes.Equal(prev, d) {
-			return nil, fmt.Errorf("mbt: conflicting entries at leaf %d", e.Index)
-		}
-		known[int(e.Index)] = d
+		digests = p.MHT.Alg.AppendSum(digests, buf)
+		known[i] = mht.Known{Index: e.Index, Digest: digests[i*size : (i+1)*size]}
 	}
 	return mht.Reconstruct(p.MHT, known)
-}
-
-// MergeLeafDigests hashes the proof's entries and merges them into known —
-// the shared leaf view of a batch audit (mht.ReconstructSet) — returning
-// the leaf positions this proof contributes. A digest that byte-differs
-// from one already merged for the same position means the proofs do not
-// describe one tree: the error wraps mht.ErrInconsistentSet, and batch
-// verifiers fall back to per-proof verification (which reports the precise
-// per-proof failure).
-func (p *Proof) MergeLeafDigests(known map[int][]byte) ([]int, error) {
-	if p.MHT == nil {
-		return nil, errors.New("mbt: proof missing Merkle part")
-	}
-	leaves := make([]int, 0, len(p.Entries))
-	var buf []byte
-	for _, e := range p.Entries {
-		buf = e.Entry.AppendBinary(buf[:0])
-		d := p.MHT.Alg.Sum(buf)
-		if prev, dup := known[int(e.Index)]; dup {
-			if !bytes.Equal(prev, d) {
-				return nil, fmt.Errorf("%w: conflicting entries at leaf %d", mht.ErrInconsistentSet, e.Index)
-			}
-		} else {
-			known[int(e.Index)] = d
-		}
-		leaves = append(leaves, int(e.Index))
-	}
-	return leaves, nil
 }
 
 // Verify reconstructs the root from the proof and compares it to the

@@ -14,6 +14,7 @@ package mht
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -415,10 +416,50 @@ func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
 // tree, so the root cannot be reconstructed.
 var ErrIncomplete = errors.New("mht: proof incomplete")
 
+// Known is one digest the verifier vouches for itself: the hash of a
+// message it holds, at leaf position Index.
+type Known struct {
+	Index  uint32
+	Digest []byte
+}
+
+// Scratch is the reusable storage of Reconstruct. A zero value is ready; a
+// scratch reused across proofs reaches zero steady-state allocations. Not
+// safe for concurrent use.
+type Scratch struct {
+	cur, next []Known // computed digests of the level being folded / built
+	arena     []byte  // backing of every computed digest
+	buf       []byte  // one group's child digests, concatenated for hashing
+	sorted    []Entry // re-sorted copy of out-of-order proof entries
+}
+
+// maxHeight bounds the level count of any tree a proof can describe:
+// NumLeaves < 2³² and every level at least halves.
+const maxHeight = 33
+
 // Reconstruct computes the root digest from the verifier's own leaf digests
-// (keyed by leaf index) and the proof entries, without access to the tree.
-// It fails if any needed digest is missing or the shape is inconsistent.
-func Reconstruct(p *Proof, known map[int][]byte) ([]byte, error) {
+// and the proof entries, without access to the tree. See Scratch.Reconstruct.
+func Reconstruct(p *Proof, known []Known) ([]byte, error) {
+	var s Scratch
+	return s.Reconstruct(p, known)
+}
+
+// Reconstruct folds the verifier's leaf digests and the proof entries to the
+// root, level by level: each level's digests — those computed from the level
+// below, merged by index with the proof entries of that level — are cut into
+// the parent groups of the declared shape, and each group hashed once. Cost
+// is one hash per touched internal node and nothing else.
+//
+// Every digest handed in must reach the root: a group with a child missing
+// fails with ErrIncomplete even when an entry supplies the parent's digest,
+// and an entry at a position the fold also computes must equal the computed
+// value. (An entry may therefore never stand in for a subtree the verifier
+// holds leaves of — those leaves would be left unauthenticated.) Two digests
+// claimed for one position must agree byte for byte.
+//
+// known is sorted by Index in place. The returned root aliases s and is
+// valid until its next use.
+func (s *Scratch) Reconstruct(p *Proof, known []Known) ([]byte, error) {
 	if !p.Alg.Valid() {
 		return nil, fmt.Errorf("mht: invalid algorithm %d in proof", p.Alg)
 	}
@@ -433,65 +474,135 @@ func Reconstruct(p *Proof, known map[int][]byte) ([]byte, error) {
 	size := p.Alg.Size()
 
 	// Number of positions per level for the declared shape.
-	var widths []int
+	var widths [maxHeight]int
+	top := 0
 	for w := n; ; w = groupLevel(w, fanout).groups {
-		widths = append(widths, w)
+		widths[top] = w
 		if w == 1 {
 			break
 		}
+		top++
 	}
-	have := make([]map[uint32][]byte, len(widths))
-	for l := range have {
-		have[l] = make(map[uint32][]byte)
+
+	byIndex := func(a, b Known) int { return cmp.Compare(a.Index, b.Index) }
+	if !slices.IsSortedFunc(known, byIndex) {
+		slices.SortStableFunc(known, byIndex)
 	}
-	for idx, d := range known {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("mht: known leaf %d out of range", idx)
+	for _, k := range known {
+		if int(k.Index) >= n {
+			return nil, fmt.Errorf("mht: known leaf %d out of range", k.Index)
 		}
-		if len(d) != size {
-			return nil, fmt.Errorf("mht: known leaf %d digest size %d, want %d", idx, len(d), size)
+		if len(k.Digest) != size {
+			return nil, fmt.Errorf("mht: known leaf %d digest size %d, want %d", k.Index, len(k.Digest), size)
 		}
-		have[0][uint32(idx)] = d
 	}
-	for _, e := range p.Entries {
-		if int(e.Level) >= len(widths) || int(e.Index) >= widths[e.Level] {
+	entries := p.Entries
+	inOrder := true
+	for i, e := range entries {
+		if int(e.Level) > top || int(e.Index) >= widths[e.Level] {
 			return nil, fmt.Errorf("mht: proof entry (%d,%d) outside tree shape", e.Level, e.Index)
 		}
 		if len(e.Digest) != size {
 			return nil, fmt.Errorf("mht: proof entry (%d,%d) digest size %d, want %d", e.Level, e.Index, len(e.Digest), size)
 		}
-		if prev, dup := have[e.Level][e.Index]; dup && !bytes.Equal(prev, e.Digest) {
-			return nil, fmt.Errorf("mht: conflicting digests at (%d,%d)", e.Level, e.Index)
+		if i > 0 && entryOrder(entries[i-1], e) > 0 {
+			inOrder = false
 		}
-		have[e.Level][e.Index] = e.Digest
+	}
+	if !inOrder {
+		// Provers emit entries in (level, index) order; tolerate any other
+		// order at the price of a copy.
+		s.sorted = append(s.sorted[:0], entries...)
+		slices.SortStableFunc(s.sorted, entryOrder)
+		entries = s.sorted
 	}
 
-	var compute func(level int, index uint32) ([]byte, error)
-	compute = func(level int, index uint32) ([]byte, error) {
-		if d, ok := have[level][index]; ok {
+	// A fold over k claims computes about k digests (exactly k-1 when every
+	// group holds two or more); size for that once instead of by doubling.
+	if k := len(known) + len(entries); cap(s.next) < k {
+		s.cur, s.next = make([]Known, 0, k), make([]Known, 0, k)
+		s.arena = make([]byte, 0, k*size)
+		s.buf = make([]byte, 0, fanout*size)
+	}
+	s.arena = s.arena[:0]
+	cur := known
+	for l := 0; ; l++ {
+		lvl := entries
+		for k, e := range entries {
+			if int(e.Level) != l {
+				lvl = entries[:k]
+				break
+			}
+		}
+		entries = entries[len(lvl):]
+		// take pops every digest claimed for position c off the two sorted
+		// heads, returning nil when there is none.
+		i, j := 0, 0
+		take := func(c uint32) ([]byte, error) {
+			var d []byte
+			for ; i < len(cur) && cur[i].Index == c; i++ {
+				if d != nil && !bytes.Equal(d, cur[i].Digest) {
+					return nil, fmt.Errorf("mht: conflicting digests at (%d,%d)", l, c)
+				}
+				d = cur[i].Digest
+			}
+			for ; j < len(lvl) && lvl[j].Index == c; j++ {
+				if d != nil && !bytes.Equal(d, lvl[j].Digest) {
+					return nil, fmt.Errorf("mht: conflicting digests at (%d,%d)", l, c)
+				}
+				d = lvl[j].Digest
+			}
 			return d, nil
 		}
-		if level == 0 {
-			return nil, fmt.Errorf("%w: missing leaf %d", ErrIncomplete, index)
-		}
-		childLevel := level - 1
-		first, last := groupLevel(widths[childLevel], fanout).childRange(int(index))
-		if first >= last {
-			return nil, fmt.Errorf("%w: empty group at (%d,%d)", ErrIncomplete, level, index)
-		}
-		h := p.Alg.New()
-		for c := first; c < last; c++ {
-			d, err := compute(childLevel, uint32(c))
+		if l == top {
+			root, err := take(0)
 			if err != nil {
 				return nil, err
 			}
-			h.Write(d)
+			if root == nil {
+				return nil, fmt.Errorf("%w: nothing reaches the root", ErrIncomplete)
+			}
+			return root, nil
 		}
-		d := h.Sum(nil)
-		have[level][index] = d
-		return d, nil
+		grp := groupLevel(widths[l], fanout)
+		next := s.next[:0]
+		for i < len(cur) || j < len(lvl) {
+			var head uint32
+			switch {
+			case j == len(lvl) || (i < len(cur) && cur[i].Index <= lvl[j].Index):
+				head = cur[i].Index
+			default:
+				head = lvl[j].Index
+			}
+			parent := grp.parentOf(int(head))
+			first, last := grp.childRange(parent)
+			s.buf = s.buf[:0]
+			for c := first; c < last; c++ {
+				d, err := take(uint32(c))
+				if err != nil {
+					return nil, err
+				}
+				if d == nil {
+					return nil, fmt.Errorf("%w: missing (%d,%d)", ErrIncomplete, l, c)
+				}
+				s.buf = append(s.buf, d...)
+			}
+			s.arena = p.Alg.AppendSum(s.arena, s.buf)
+			next = append(next, Known{Index: uint32(parent), Digest: s.arena[len(s.arena)-size:]})
+		}
+		// The level just folded is dead; its buffer (ours from level 1 up —
+		// level 0 reads the caller's slice) takes the level after next.
+		s.next, s.cur = s.cur[:0], next
+		cur = next
 	}
-	return compute(len(widths)-1, 0)
+}
+
+// entryOrder is the (level, index) order provers emit entries in.
+func entryOrder(a, b Entry) int {
+	if c := cmp.Compare(a.Level, b.Level); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // EncodedSize returns the byte size of the serialized proof: this is the
@@ -522,7 +633,7 @@ func (p *Proof) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeProof parses a proof serialized by AppendBinary, returning the proof
-// and the number of bytes consumed.
+// and the number of bytes consumed. Entry digests alias buf.
 func DecodeProof(buf []byte) (*Proof, int, error) {
 	const head = 1 + 2 + 4 + 4
 	if len(buf) < head {
@@ -548,7 +659,7 @@ func DecodeProof(buf []byte) (*Proof, int, error) {
 		p.Entries[i] = Entry{
 			Level:  buf[off],
 			Index:  binary.BigEndian.Uint32(buf[off+1:]),
-			Digest: append([]byte(nil), buf[off+5:off+5+size]...),
+			Digest: buf[off+5 : off+5+size : off+5+size],
 		}
 		off += 5 + size
 	}

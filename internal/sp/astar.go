@@ -41,7 +41,7 @@ func BiDijkstra(g graph.View, src, dst graph.NodeID) (float64, graph.Path) {
 			dist:   make([]float64, n),
 			parent: make([]graph.NodeID, n),
 			done:   make([]bool, n),
-			heap:   NewHeap(64),
+			heap:   NewHeap(n),
 		}
 		for i := range s.dist {
 			s.dist[i] = Unreachable

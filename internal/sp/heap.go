@@ -7,13 +7,17 @@ package sp
 
 import "github.com/authhints/spv/internal/graph"
 
-// Heap is an indexed binary min-heap of nodes keyed by float64 priorities.
-// It supports decrease-key in O(log n) via a position index, which keeps
-// Dijkstra at the textbook O((V+E) log V). It is shared by the graph-side
-// searches here and the client-side tuple searches in the core package.
+// Heap is an indexed binary min-heap over the dense ID range [0, n), keyed
+// by float64 priorities. Decrease-key runs in O(log n) through a position
+// array (no map), which keeps Dijkstra at the textbook O((V+E) log V)
+// without a per-search allocation. It is the one heap in the tree: the
+// graph-side searches (Workspace, BiDijkstra) index it by node ID, the
+// client-side proof searches in the core package by tuple-table slot —
+// never by an attacker-chosen ID, so the dense array cannot be used to
+// amplify allocations.
 type Heap struct {
 	items []heapItem
-	pos   map[graph.NodeID]int
+	pos   []int32 // pos[v] = 1 + index of v in items; 0 ⇔ not queued
 }
 
 type heapItem struct {
@@ -21,10 +25,23 @@ type heapItem struct {
 	key  float64
 }
 
-func NewHeap(capacity int) *Heap {
-	return &Heap{
-		items: make([]heapItem, 0, capacity),
-		pos:   make(map[graph.NodeID]int, capacity),
+// NewHeap returns an empty heap for IDs in [0, n).
+func NewHeap(n int) *Heap {
+	h := &Heap{}
+	h.Reset(n)
+	return h
+}
+
+// Reset empties the heap for reuse over IDs in [0, n), keeping its
+// storage. Only the positions of still-queued IDs need clearing (Pop
+// clears its own), so a reset costs O(queued), not O(n).
+func (h *Heap) Reset(n int) {
+	for _, it := range h.items {
+		h.pos[it.node] = 0
+	}
+	h.items = h.items[:0]
+	if n > len(h.pos) {
+		h.pos = make([]int32, n)
 	}
 }
 
@@ -34,7 +51,7 @@ func (h *Heap) Len() int { return len(h.items) }
 func (h *Heap) Push(node graph.NodeID, key float64) {
 	h.items = append(h.items, heapItem{node, key})
 	i := len(h.items) - 1
-	h.pos[node] = i
+	h.pos[node] = int32(i + 1)
 	h.up(i)
 }
 
@@ -44,7 +61,7 @@ func (h *Heap) Pop() (graph.NodeID, float64) {
 	last := len(h.items) - 1
 	h.swap(0, last)
 	h.items = h.items[:last]
-	delete(h.pos, top.node)
+	h.pos[top.node] = 0
 	if last > 0 {
 		h.down(0)
 	}
@@ -55,11 +72,11 @@ func (h *Heap) Pop() (graph.NodeID, float64) {
 // Len() > 0.
 func (h *Heap) Peek() float64 { return h.items[0].key }
 
-// DecreaseKey lowers the key of an existing node. It is a no-op if the new
-// key is not smaller.
+// DecreaseKey lowers the key of a queued node. It is a no-op if the node
+// is not queued or the new key is not smaller.
 func (h *Heap) DecreaseKey(node graph.NodeID, key float64) {
-	i, ok := h.pos[node]
-	if !ok || h.items[i].key <= key {
+	i := int(h.pos[node]) - 1
+	if i < 0 || h.items[i].key <= key {
 		return
 	}
 	h.items[i].key = key
@@ -68,8 +85,7 @@ func (h *Heap) DecreaseKey(node graph.NodeID, key float64) {
 
 // Contains reports whether node is currently queued.
 func (h *Heap) Contains(node graph.NodeID) bool {
-	_, ok := h.pos[node]
-	return ok
+	return int(node) < len(h.pos) && h.pos[node] != 0
 }
 
 func (h *Heap) up(i int) {
@@ -104,14 +120,6 @@ func (h *Heap) down(i int) {
 
 func (h *Heap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].node] = i
-	h.pos[h.items[j].node] = j
-}
-
-// Reset empties the heap for reuse, keeping its storage. Batch clients run
-// many searches in sequence on one pooled heap instead of allocating one
-// per proof.
-func (h *Heap) Reset() {
-	h.items = h.items[:0]
-	clear(h.pos)
+	h.pos[h.items[i].node] = int32(i + 1)
+	h.pos[h.items[j].node] = int32(j + 1)
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // Workspace is the reusable, allocation-free state of one graph search: the
-// distance/parent labels, the settled set, and an indexed binary min-heap
-// whose position index is a dense []int32 array instead of a map.
+// distance/parent labels, the settled set, and the dense indexed min-heap.
 //
 // All per-node arrays are cleared lazily via epoch stamps: each search bumps
 // the workspace epoch, and a label is valid only when its stamp equals the
@@ -32,13 +31,7 @@ type Workspace struct {
 
 	settled []graph.NodeID // settle-order scratch for bounded searches
 
-	// Indexed min-heap: items is the binary heap, pos[v] the index of v in
-	// items (valid when posStamp[v]==epoch and pos[v]>=0; popped nodes get
-	// pos -1). Same ordering and swap discipline as the map-indexed Heap,
-	// so searches settle nodes in the identical order.
-	items    []heapItem
-	pos      []int32
-	posStamp []uint32
+	heap Heap
 
 	want []uint32 // target-set stamps for DijkstraToTargets
 }
@@ -61,14 +54,12 @@ func (w *Workspace) Reset(n int) {
 		// copying of old labels is needed.
 		w.seen = make([]uint32, n)
 		w.done = make([]uint32, n)
-		w.posStamp = make([]uint32, n)
 		w.want = make([]uint32, n)
 		w.dist = make([]float64, n)
 		w.parent = make([]graph.NodeID, n)
-		w.pos = make([]int32, n)
 	}
 	w.n = n
-	w.items = w.items[:0]
+	w.heap.Reset(n)
 	w.settled = w.settled[:0]
 	w.epoch++
 	if w.epoch == 0 {
@@ -76,7 +67,6 @@ func (w *Workspace) Reset(n int) {
 		// collide, so pay one full clear and restart at 1.
 		clearStamps(w.seen)
 		clearStamps(w.done)
-		clearStamps(w.posStamp)
 		clearStamps(w.want)
 		w.epoch = 1
 	}
@@ -154,9 +144,9 @@ func (w *Workspace) label(v graph.NodeID, d float64, parent graph.NodeID) {
 func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float64, collect bool) {
 	w.Reset(g.NumNodes())
 	w.label(src, 0, graph.Invalid)
-	w.heapPush(src, 0)
-	for len(w.items) > 0 {
-		v, d := w.heapPop()
+	w.heap.Push(src, 0)
+	for w.heap.Len() > 0 {
+		v, d := w.heap.Pop()
 		if d > bound {
 			break
 		}
@@ -174,10 +164,10 @@ func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float
 			nd := d + e.W
 			if w.seen[e.To] != w.epoch {
 				w.label(e.To, nd, v)
-				w.heapPush(e.To, nd)
+				w.heap.Push(e.To, nd)
 			} else if nd < w.dist[e.To] {
 				w.label(e.To, nd, v)
-				w.heapDecrease(e.To, nd)
+				w.heap.DecreaseKey(e.To, nd)
 			}
 		}
 	}
@@ -216,9 +206,9 @@ func (w *Workspace) DijkstraToTargets(g graph.View, src graph.NodeID, targets []
 		}
 	}
 	w.label(src, 0, graph.Invalid)
-	w.heapPush(src, 0)
-	for len(w.items) > 0 && remaining > 0 {
-		v, d := w.heapPop()
+	w.heap.Push(src, 0)
+	for w.heap.Len() > 0 && remaining > 0 {
+		v, d := w.heap.Pop()
 		w.done[v] = w.epoch
 		if w.want[v] == w.epoch {
 			w.want[v] = 0 // epoch is never 0, so this unmarks
@@ -231,10 +221,10 @@ func (w *Workspace) DijkstraToTargets(g graph.View, src graph.NodeID, targets []
 			nd := d + e.W
 			if w.seen[e.To] != w.epoch {
 				w.label(e.To, nd, v)
-				w.heapPush(e.To, nd)
+				w.heap.Push(e.To, nd)
 			} else if nd < w.dist[e.To] {
 				w.label(e.To, nd, v)
-				w.heapDecrease(e.To, nd)
+				w.heap.DecreaseKey(e.To, nd)
 			}
 		}
 	}
@@ -307,16 +297,16 @@ func (w *Workspace) DijkstraRowTree(g graph.View, src graph.NodeID, row []float6
 func (w *Workspace) AStar(g graph.View, src, dst graph.NodeID, lb LowerBound) (float64, graph.Path) {
 	w.Reset(g.NumNodes())
 	w.label(src, 0, graph.Invalid)
-	w.heapPush(src, lb(src))
+	w.heap.Push(src, lb(src))
 
 	best := Unreachable
-	for len(w.items) > 0 {
+	for w.heap.Len() > 0 {
 		// Once every queued f-value is at least the best target distance,
 		// no improvement is possible (admissibility).
-		if best < Unreachable && w.items[0].key >= best {
+		if best < Unreachable && w.heap.Peek() >= best {
 			break
 		}
-		v, _ := w.heapPop()
+		v, _ := w.heap.Pop()
 		if v == dst {
 			best = w.dist[v]
 			continue
@@ -329,10 +319,10 @@ func (w *Workspace) AStar(g graph.View, src, dst graph.NodeID, lb LowerBound) (f
 			}
 			w.label(e.To, nd, v)
 			f := nd + lb(e.To)
-			if w.heapContains(e.To) {
-				w.heapDecrease(e.To, f)
+			if w.heap.Contains(e.To) {
+				w.heap.DecreaseKey(e.To, f)
 			} else {
-				w.heapPush(e.To, f) // also re-opens closed nodes
+				w.heap.Push(e.To, f) // also re-opens closed nodes
 			}
 		}
 	}
@@ -366,83 +356,4 @@ func (w *Workspace) tree(src graph.NodeID, settledOnly bool) *Tree {
 		}
 	}
 	return t
-}
-
-// --- dense-index binary heap ---
-// Same shape as the map-indexed Heap in heap.go (which the client-side
-// tuple searches keep using: decoded tuple IDs are attacker-chosen, so a
-// dense array would be an allocation amplification vector there). Ordering,
-// tie-breaking and swap discipline are identical, which keeps settle order
-// — and therefore proof bytes — unchanged.
-
-func (w *Workspace) heapPush(node graph.NodeID, key float64) {
-	w.items = append(w.items, heapItem{node, key})
-	i := len(w.items) - 1
-	w.pos[node] = int32(i)
-	w.posStamp[node] = w.epoch
-	w.heapUp(i)
-}
-
-func (w *Workspace) heapPop() (graph.NodeID, float64) {
-	top := w.items[0]
-	last := len(w.items) - 1
-	w.heapSwap(0, last)
-	w.items = w.items[:last]
-	w.pos[top.node] = -1 // stamped but popped ⇒ not queued
-	if last > 0 {
-		w.heapDown(0)
-	}
-	return top.node, top.key
-}
-
-func (w *Workspace) heapDecrease(node graph.NodeID, key float64) {
-	if w.posStamp[node] != w.epoch {
-		return
-	}
-	i := w.pos[node]
-	if i < 0 || w.items[i].key <= key {
-		return
-	}
-	w.items[i].key = key
-	w.heapUp(int(i))
-}
-
-func (w *Workspace) heapContains(node graph.NodeID) bool {
-	return w.posStamp[node] == w.epoch && w.pos[node] >= 0
-}
-
-func (w *Workspace) heapUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if w.items[parent].key <= w.items[i].key {
-			break
-		}
-		w.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-func (w *Workspace) heapDown(i int) {
-	n := len(w.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && w.items[l].key < w.items[small].key {
-			small = l
-		}
-		if r < n && w.items[r].key < w.items[small].key {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		w.heapSwap(i, small)
-		i = small
-	}
-}
-
-func (w *Workspace) heapSwap(i, j int) {
-	w.items[i], w.items[j] = w.items[j], w.items[i]
-	w.pos[w.items[i].node] = int32(i)
-	w.pos[w.items[j].node] = int32(j)
 }

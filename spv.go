@@ -127,9 +127,11 @@ type Provider = core.Provider
 type Proof = core.Proof
 
 // DecodeProof parses a proof wire encoding of method m via the method
-// registry, returning the proof and the bytes consumed. The typed
-// Decode<Method>Proof functions remain for callers that need concrete
-// proof structs.
+// registry, returning the proof and the bytes consumed. The proof aliases
+// buf — tuple bytes, Merkle digests and signatures are slices of it, not
+// copies — so buf must stay unmodified for as long as the proof is in use
+// (the typed Decode<Method>Proof functions and DecodeProofBatch likewise).
+// The typed functions remain for callers that need concrete proof structs.
 func DecodeProof(m Method, buf []byte) (Proof, int, error) {
 	return core.DecodeProof(m, buf)
 }
