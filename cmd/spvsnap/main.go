@@ -296,7 +296,7 @@ func runAudit(args []string, out io.Writer) (int, error) {
 	}
 
 	rep := cert.Audit(set, c, v)
-	fmt.Fprintf(out, "%s: certificate epoch %d, %d method(s) covered\n", path, c.Epoch, len(c.Methods))
+	fmt.Fprintf(out, "%s: certificate epoch %d, %d method(s) covered\n", path, c.Epoch(), len(c.Methods))
 	for _, mr := range rep.Methods {
 		verdict := "OK"
 		if mr.Err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -77,12 +78,12 @@ func TestRunAuditExitCodes(t *testing.T) {
 	t.Run("rejected", func(t *testing.T) {
 		// A certificate whose rows lie about a distance: the container is
 		// intact (CRCs pass), so only the audit itself can catch it.
-		bad, err := cert.DecodeCertificate(c.AppendBinary(nil))
+		bad, err := cert.DecodeCertificate(bytes.Clone(c.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := bad.Methods[0].Rows
-		rows[0].Dists[len(rows[0].Dists)-1] *= 2
+		row := bad.Methods[0].Row(0)
+		row.SetDist(row.N()-1, 2*row.Dist(row.N()-1))
 		path := write("tampered.spv", bad)
 		code, err := runAudit([]string{path}, io.Discard)
 		if code != auditExitRejected || err == nil {

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/mht"
+	"github.com/authhints/spv/internal/par"
 )
 
 // unreachable mirrors sp.Unreachable: the distance label stored for nodes
@@ -34,24 +33,17 @@ func distEqual(a, b float64) bool {
 	return diff <= limit
 }
 
-// Scratch is the audit's pooled working memory: parent-edge coverage
-// marks, forest-walk states, and an encode buffer for row hashing. One
-// scratch serves an entire audit; reuse across rows never re-allocates
-// once grown to the node count.
+// Scratch is one audit worker's pooled working memory: parent-edge coverage
+// marks, forest-walk states, and a decoded-distance buffer for the one check
+// that needs a row as numbers. Reuse across rows never re-allocates once
+// grown to the node count.
 type Scratch struct {
-	seen  []bool  // parent edge of node v witnessed in the edge pass
-	state []uint8 // parent-forest walk: 0 unvisited, 1 on path, 2 done
-	buf   []byte  // canonical row encoding scratch for hashing
+	seen  []bool    // parent edge of node v witnessed in the edge pass
+	state []uint8   // parent-forest walk: 0 unvisited, 1 on path, 2 done
+	dists []float64 // Dists' result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// AcquireScratch returns a pooled scratch; pass it back via
-// ReleaseScratch when the audit completes.
-func AcquireScratch() *Scratch { return scratchPool.Get().(*Scratch) }
-
-// ReleaseScratch returns s to the pool.
-func ReleaseScratch(s *Scratch) { scratchPool.Put(s) }
 
 func (s *Scratch) reset(n int) {
 	if cap(s.seen) < n {
@@ -64,8 +56,19 @@ func (s *Scratch) reset(n int) {
 	clear(s.state)
 }
 
-// AuditRow checks that row is the true shortest-path labelling from
-// row.Src over g, in one pass over the edges (O(V+E), no Dijkstra):
+// Dists decodes row's distances into the scratch; the result is valid until
+// the next call.
+func (s *Scratch) Dists(row Row) []float64 {
+	s.dists = s.dists[:0]
+	for v, n := 0, row.N(); v < n; v++ {
+		s.dists = append(s.dists, row.Dist(v))
+	}
+	return s.dists
+}
+
+// AuditRow checks that row is the true shortest-path labelling from its
+// source over g, in one pass over the edges (O(V+E), no Dijkstra), reading
+// every label from the wire where it lies:
 //
 //  1. d[src] = 0, parent[src] = Invalid; every d finite-or-∞, never
 //     negative or NaN; every reachable non-source has an in-range parent,
@@ -79,29 +82,28 @@ func (s *Scratch) reset(n int) {
 // Soundness: (2) makes every d[v] a lower bound on no path and an upper
 // bound via the tight parent chain, so with (1) and (3) d equals the true
 // distance labelling exactly (up to the shared float tolerance).
-func AuditRow(g *graph.Graph, row *Row, s *Scratch) error {
+func AuditRow(g *graph.Graph, row Row, s *Scratch) error {
 	n := g.NumNodes()
-	if len(row.Dists) != n || len(row.Parents) != n {
-		return fmt.Errorf("%w: row has %d dists / %d parents, want %d",
-			ErrEncoding, len(row.Dists), len(row.Parents), n)
+	if row.N() != n {
+		return fmt.Errorf("%w: row labels %d nodes, want %d", ErrEncoding, row.N(), n)
 	}
-	if row.Src < 0 || int(row.Src) >= n {
-		return fmt.Errorf("%w: row source %d out of range", ErrEncoding, row.Src)
+	src := row.Src()
+	if src < 0 || int(src) >= n {
+		return fmt.Errorf("%w: row source %d out of range", ErrEncoding, src)
 	}
-	d, p := row.Dists, row.Parents
-	src := row.Src
-	if d[src] != 0 {
-		return fmt.Errorf("%w: d[src=%d] = %g, want 0", ErrDistance, src, d[src])
+	d, p := row.dists(), row.parents()
+	if d0 := distAt(d, int(src)); d0 != 0 {
+		return fmt.Errorf("%w: d[src=%d] = %g, want 0", ErrDistance, src, d0)
 	}
-	if p[src] != graph.Invalid {
-		return fmt.Errorf("%w: source %d has parent %d", ErrParent, src, p[src])
+	if p0 := parentAt(p, int(src)); p0 != graph.Invalid {
+		return fmt.Errorf("%w: source %d has parent %d", ErrParent, src, p0)
 	}
 	for v := 0; v < n; v++ {
-		dv := d[v]
+		dv := distAt(d, v)
 		if math.IsNaN(dv) || dv < 0 {
 			return fmt.Errorf("%w: d[%d] = %g", ErrDistance, v, dv)
 		}
-		pv := p[v]
+		pv := parentAt(p, v)
 		if dv >= unreachable {
 			if pv != graph.Invalid {
 				return fmt.Errorf("%w: unreachable node %d has parent %d", ErrParent, v, pv)
@@ -122,35 +124,36 @@ func AuditRow(g *graph.Graph, row *Row, s *Scratch) error {
 	// The single edge pass: each directed half of every undirected edge is
 	// visited exactly once — O(1) amortized work per edge.
 	for u := 0; u < n; u++ {
-		du := d[u]
+		du := distAt(d, u)
 		uReach := du < unreachable
 		for _, e := range g.Neighbors(graph.NodeID(u)) {
-			v := e.To
+			v := int(e.To)
+			dv := distAt(d, v)
 			if uReach {
 				duw := du + e.W
-				if dv := d[v]; dv > duw && !distEqual(dv, duw) {
+				if dv > duw && !distEqual(dv, duw) {
 					return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
 						ErrDistance, v, dv, u, duw)
 				}
 			}
-			if p[v] == graph.NodeID(u) {
+			if parentAt(p, v) == graph.NodeID(u) {
 				if !uReach {
 					return fmt.Errorf("%w: node %d parented to unreachable %d", ErrParent, v, u)
 				}
-				if !distEqual(d[v], du+e.W) {
+				if !distEqual(dv, du+e.W) {
 					return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
-						ErrParent, u, v, v, d[v], u, du+e.W)
+						ErrParent, u, v, v, dv, u, du+e.W)
 				}
 				s.seen[v] = true
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
-		if graph.NodeID(v) == src || d[v] >= unreachable {
+		if graph.NodeID(v) == src || distAt(d, v) >= unreachable {
 			continue
 		}
 		if !s.seen[v] {
-			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", ErrParent, p[v], v)
+			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", ErrParent, parentAt(p, v), v)
 		}
 	}
 	// Parent-forest acyclicity: follow each chain once, marking the path
@@ -162,7 +165,7 @@ func AuditRow(g *graph.Graph, row *Row, s *Scratch) error {
 		x := graph.NodeID(v)
 		for {
 			s.state[x] = 1
-			nxt := p[x]
+			nxt := parentAt(p, int(x))
 			if nxt == graph.Invalid || s.state[nxt] == 2 {
 				break
 			}
@@ -174,54 +177,26 @@ func AuditRow(g *graph.Graph, row *Row, s *Scratch) error {
 		x = graph.NodeID(v)
 		for s.state[x] == 1 {
 			s.state[x] = 2
-			if p[x] == graph.Invalid {
+			if x = parentAt(p, int(x)); x == graph.Invalid {
 				break
 			}
-			x = p[x]
 		}
 	}
 	return nil
 }
 
 // ForEachRow runs fn over row indices 0..n-1 across GOMAXPROCS workers,
-// each with its own pooled scratch. Rows are independent (the linear
+// each call holding a pooled scratch. Rows are independent (the linear
 // pass reads the shared graph and its own row only), so fan-out changes
 // wall time, not the verdict: the lowest-index error is returned — the
 // same rejection a sequential sweep would produce.
 func ForEachRow(n int, fn func(i int, sc *Scratch) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sc := AcquireScratch()
-		defer ReleaseScratch(sc)
-		for i := 0; i < n; i++ {
-			if err := fn(i, sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := AcquireScratch()
-			defer ReleaseScratch(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i, sc)
-			}
-		}()
-	}
-	wg.Wait()
+	par.Work(n, func(i int) {
+		sc := scratchPool.Get().(*Scratch)
+		errs[i] = fn(i, sc)
+		scratchPool.Put(sc)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -230,11 +205,12 @@ func ForEachRow(n int, fn func(i int, sc *Scratch) error) error {
 	return nil
 }
 
-// CheckRowDigest recomputes row's digest over its canonical body and
-// compares it to the one the certificate carries.
-func CheckRowDigest(alg digest.Alg, row *Row, s *Scratch) error {
-	if !bytes.Equal(RowDigest(alg, row, s), row.Digest) {
-		return fmt.Errorf("%w: row %d digest mismatch", ErrRowDigest, row.Src)
+// CheckRowDigest hashes row's body where it lies and compares the result
+// to the digest the row carries.
+func CheckRowDigest(alg digest.Alg, row Row) error {
+	sum := alg.AppendSum(make([]byte, 0, 64), row.body()) // 64 holds any digest, on the stack
+	if !bytes.Equal(sum, row.Digest()) {
+		return fmt.Errorf("%w: row %d digest mismatch", ErrRowDigest, row.Src())
 	}
 	return nil
 }
@@ -252,9 +228,10 @@ func AuditTree(t *mht.Tree, wantRoot []byte, what string) error {
 	return nil
 }
 
-// SigVerifier verifies owner signatures; satisfied by sig.Verifier.
+// SigVerifier verifies an owner signature over the concatenation of parts,
+// without materializing it; satisfied by sig.Verifier.
 type SigVerifier interface {
-	Verify(msg, signature []byte) error
+	VerifyParts(signature []byte, parts ...[]byte) error
 }
 
 // View is what the audit runs against — implemented by core.ProviderSet.
@@ -266,7 +243,7 @@ type View interface {
 	AuditEpoch() int64
 	AuditMethods() []string
 	AuditCoreDigest(alg digest.Alg, methods []string) ([]byte, error)
-	AuditMethod(mc *MethodCert, v SigVerifier, s *Scratch) error
+	AuditMethod(mc *MethodCert, v SigVerifier) error
 }
 
 // MethodResult is one method's audit verdict.
@@ -312,59 +289,46 @@ func (r *Report) OK() bool { return r.Err() == nil }
 
 // Audit checks a loaded snapshot view against certificate c under the
 // owner's verifier v, in one linear pass per certified row plus one fold
-// per stored Merkle level. It never panics on adversarial certificates;
-// every rejection is typed (see the Err* classes). The returned report
-// always carries per-method verdicts for whatever could be checked.
+// per stored Merkle level. It never panics on adversarial certificates:
+// the wire is re-validated as it now lies (cheap — the index is a few
+// fields per method), so a certificate edited after decoding is judged
+// exactly as if it had arrived that way. Every rejection is typed (see the
+// Err* classes). The returned report always carries per-method verdicts
+// for whatever could be checked.
 func Audit(view View, c *Certificate, v SigVerifier) *Report {
 	r := &Report{}
 	if c == nil || v == nil {
 		r.Global = fmt.Errorf("%w: nil certificate or verifier", ErrEncoding)
 		return r
 	}
-	r.Epoch = c.Epoch
-	if !c.Alg.Valid() || len(c.CoreDigest) != c.Alg.Size() {
-		r.Global = fmt.Errorf("%w: bad algorithm or core digest size", ErrEncoding)
+	if c, r.Global = DecodeCertificate(c.wire); r.Global != nil {
 		return r
 	}
-	seen := map[string]bool{}
-	for i := range c.Methods {
-		if seen[c.Methods[i].Method] {
-			r.Global = fmt.Errorf("%w: duplicate method slice %q", ErrEncoding, c.Methods[i].Method)
-			return r
-		}
-		seen[c.Methods[i].Method] = true
-	}
+	r.Epoch = c.Epoch()
 	for _, m := range view.AuditMethods() {
-		if !seen[m] {
+		if c.Method(m) == nil {
 			r.Uncovered = append(r.Uncovered, m)
 		}
 	}
-	if got, want := view.AuditEpoch(), c.Epoch; got != want {
+	if got, want := view.AuditEpoch(), c.Epoch(); got != want {
 		r.Global = fmt.Errorf("%w: snapshot epoch %d, certificate epoch %d", ErrEpochMismatch, got, want)
 		return r
 	}
-	names := c.MethodNames()
-	cd, err := view.AuditCoreDigest(c.Alg, names)
+	cd, err := view.AuditCoreDigest(c.Alg(), c.MethodNames())
 	if err != nil {
 		r.Global = err
 		return r
 	}
-	if !bytes.Equal(cd, c.CoreDigest) {
+	if !bytes.Equal(cd, c.CoreDigest()) {
 		r.Global = fmt.Errorf("%w: core sections (config/graph/ordering) differ from certificate", ErrRowDigest)
 		return r
 	}
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
 	for i := range c.Methods {
 		mc := &c.Methods[i]
-		r.Methods = append(r.Methods, MethodResult{
-			Method: mc.Method,
-			Err:    view.AuditMethod(mc, v, s),
-		})
+		r.Methods = append(r.Methods, MethodResult{Method: mc.Method, Err: view.AuditMethod(mc, v)})
 	}
-	// Certificate signature, last (see Report.SigErr).
-	msg := append(append([]byte(nil), SigContext...), c.SigningBytes()...)
-	if err := v.Verify(msg, c.Sig); err != nil {
+	// Certificate signature, last (see Report.SigErr), over the wire itself.
+	if err := v.VerifyParts(c.Sig(), SigContext, c.wire[:c.signed]); err != nil {
 		r.SigErr = fmt.Errorf("%w: certificate signature: %v", ErrSignature, err)
 	}
 	return r

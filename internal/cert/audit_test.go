@@ -2,6 +2,7 @@ package cert_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -54,12 +55,12 @@ func certWorld(t testing.TB) (*core.Owner, *core.ProviderSet, *cert.Certificate)
 	return owner, set, c
 }
 
-// reDecode deep-clones a certificate through its wire encoding, so tamper
-// subtests never corrupt each other's copy — and every tampered structure
-// is one an adversary could actually have encoded.
+// reDecode decodes a private copy of c's wire, so tamper subtests never
+// corrupt each other's copy. Every tamper below is a byte edit of that wire
+// through the view — the certificate an adversary would actually send.
 func reDecode(t *testing.T, c *cert.Certificate) *cert.Certificate {
 	t.Helper()
-	c2, err := cert.DecodeCertificate(c.AppendBinary(nil))
+	c2, err := cert.DecodeCertificate(bytes.Clone(c.Bytes()))
 	if err != nil {
 		t.Fatalf("re-decode: %v", err)
 	}
@@ -72,17 +73,17 @@ func reDecode(t *testing.T, c *cert.Certificate) *cert.Certificate {
 // falsify, and inflating an interior node's distance would trip the
 // tightness check at its children (ErrParent) before any triangle check,
 // blurring the distance class.
-func tamperIndex(t *testing.T, r *cert.Row) int {
+func tamperIndex(t *testing.T, r cert.Row) int {
 	t.Helper()
-	isParent := make([]bool, len(r.Parents))
-	for _, p := range r.Parents {
-		if p != graph.Invalid {
+	isParent := make([]bool, r.N())
+	for v := range isParent {
+		if p := r.Parent(v); p != graph.Invalid {
 			isParent[p] = true
 		}
 	}
-	for v := range r.Dists {
-		if graph.NodeID(v) != r.Src && r.Parents[v] != graph.Invalid &&
-			!isParent[v] && r.Dists[v] > 0 && r.Dists[v] < math.MaxFloat64 {
+	for v := range isParent {
+		if graph.NodeID(v) != r.Src() && r.Parent(v) != graph.Invalid &&
+			!isParent[v] && r.Dist(v) > 0 && r.Dist(v) < math.MaxFloat64 {
 			return v
 		}
 	}
@@ -115,7 +116,7 @@ func TestCertifyAuditClean(t *testing.T) {
 	if embedded == nil {
 		t.Fatal("snapshot carries no certificate")
 	}
-	if !bytes.Equal(embedded.AppendBinary(nil), c.AppendBinary(nil)) {
+	if !bytes.Equal(embedded.Bytes(), c.Bytes()) {
 		t.Fatal("embedded certificate differs from the issued one")
 	}
 	rep := cert.Audit(set, embedded, set.Verifier)
@@ -140,22 +141,22 @@ func TestAuditTamperMatrix(t *testing.T) {
 
 	classes := []struct {
 		name   string
-		tamper func(r *cert.Row, idx int)
+		tamper func(r cert.Row, idx int)
 		want   error
 	}{
-		{"distance", func(r *cert.Row, idx int) { r.Dists[idx] = inflate(r.Dists[idx]) }, cert.ErrDistance},
-		{"parent", func(r *cert.Row, idx int) { r.Parents[idx] ^= 0x40000000 }, cert.ErrParent},
-		{"rowdigest", func(r *cert.Row, idx int) { r.Digest[0] ^= 0x01 }, cert.ErrRowDigest},
+		{"distance", func(r cert.Row, idx int) { r.SetDist(idx, inflate(r.Dist(idx))) }, cert.ErrDistance},
+		{"parent", func(r cert.Row, idx int) { r.SetParent(idx, r.Parent(idx)^0x40000000) }, cert.ErrParent},
+		{"rowdigest", func(r cert.Row, idx int) { r.Digest()[0] ^= 0x01 }, cert.ErrRowDigest},
 	}
 	for _, m := range core.RegisteredMethods() {
 		for _, tc := range classes {
 			t.Run(string(m)+"/"+tc.name, func(t *testing.T) {
 				c2 := reDecode(t, c)
 				mc := c2.Method(string(m))
-				if mc == nil || len(mc.Rows) == 0 {
+				if mc == nil || mc.NumRows() == 0 {
 					t.Fatalf("certificate has no %s rows", m)
 				}
-				row := &mc.Rows[0]
+				row := mc.Row(0)
 				tc.tamper(row, tamperIndex(t, row))
 				rep := cert.Audit(set, c2, set.Verifier)
 				err := rep.Err()
@@ -180,7 +181,7 @@ func TestAuditTamperMatrix(t *testing.T) {
 
 	t.Run("signature", func(t *testing.T) {
 		c2 := reDecode(t, c)
-		c2.Sig[0] ^= 0x01
+		c2.Sig()[0] ^= 0x01
 		rep := cert.Audit(set, c2, set.Verifier)
 		if !errors.Is(rep.Err(), cert.ErrSignature) {
 			t.Fatalf("flipped signature byte: got %v, want ErrSignature", rep.Err())
@@ -193,14 +194,15 @@ func TestAuditTamperMatrix(t *testing.T) {
 	})
 	t.Run("epoch", func(t *testing.T) {
 		c2 := reDecode(t, c)
-		c2.Epoch++
+		// The epoch follows magic, version and algorithm in the wire.
+		binary.BigEndian.PutUint64(c2.Bytes()[4+1+1:], uint64(c2.Epoch()+1))
 		if err := cert.Audit(set, c2, set.Verifier).Err(); !errors.Is(err, cert.ErrEpochMismatch) {
 			t.Fatalf("bumped epoch: got %v, want ErrEpochMismatch", err)
 		}
 	})
 	t.Run("coredigest", func(t *testing.T) {
 		c2 := reDecode(t, c)
-		c2.CoreDigest[0] ^= 0x01
+		c2.CoreDigest()[0] ^= 0x01
 		if err := cert.Audit(set, c2, set.Verifier).Err(); !errors.Is(err, cert.ErrRowDigest) {
 			t.Fatalf("flipped core digest byte: got %v, want ErrRowDigest", err)
 		}

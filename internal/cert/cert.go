@@ -67,40 +67,57 @@ var (
 )
 
 // SigContext domain-separates certificate signatures from every root
-// signature context; the signed message is SigContext ‖ SigningBytes(c).
+// signature context; the signed message is SigContext ‖ the wire up to its
+// trailing signature frame.
 var SigContext = []byte("spv/CERT/v1\x00")
 
-// Row is one certified shortest-path labelling: distances and parent
-// pointers from Src over the whole node set, plus the digest of the row's
-// canonical encoding (the per-row integrity handle the tamper matrix
-// targets independently of the certificate signature).
-type Row struct {
-	Src     graph.NodeID
-	Dists   []float64
-	Parents []graph.NodeID
-	Digest  []byte
-}
-
-// MethodCert is one method's slice of the certificate: the Merkle roots
-// its stored structures must reproduce, the labelling rows the audit
-// checks, and a method-defined parameter blob (e.g. HYP's row-form flag).
-type MethodCert struct {
-	Method string
-	Aux    []byte
-	Roots  [][]byte
-	Rows   []Row
-}
-
-// Certificate is the owner's signed statement for one epoch. CoreDigest
-// binds the snapshot's core sections (config, graph, leaf ordering), so a
+// Certificate is the owner's signed statement for one epoch, held as the
+// bytes the owner signed and the replica stores — its canonical wire
+//
+//	"SPVC" | version u8 | alg u8 | epoch u64 | coreDigest bytes |
+//	numMethods u16 | methods × (
+//	  method str | aux bytes | numRoots u16 | roots × bytes |
+//	  numRows u32 | rows × (src u32 | n u32 | n×f64 | n×u32 | digest bytes)
+//	) | sig bytes
+//
+// (`bytes`/`str` are u32-length-prefixed, integers big-endian, parents
+// encode graph.Invalid as 0xFFFFFFFF) — plus an index of where each method
+// slice lies. Nothing is decoded beside it: accessors read the wire, the
+// slices they return alias it, the signature and the row digests are
+// checked over it where it lies, and saving writes it. CoreDigest binds
+// the snapshot's core sections (config, graph, leaf ordering), so a
 // certificate cannot be replayed against a different world.
 type Certificate struct {
-	Alg        digest.Alg
-	Epoch      int64
-	CoreDigest []byte
-	Methods    []MethodCert
-	Sig        []byte
+	wire    []byte
+	signed  int // wire[:signed] is what the signature covers; its frame follows
+	Methods []MethodCert
 }
+
+// Offsets of the fixed-position header fields.
+const (
+	algOff   = 5
+	epochOff = 6
+	coreOff  = 14 // the core digest's length prefix
+)
+
+// Bytes returns the canonical wire. It is the certificate, not a copy.
+func (c *Certificate) Bytes() []byte { return c.wire }
+
+// Alg returns the digest algorithm of the row digests and roots.
+func (c *Certificate) Alg() digest.Alg { return digest.Alg(c.wire[algOff]) }
+
+// Epoch returns the owner epoch the certificate was issued for.
+func (c *Certificate) Epoch() int64 {
+	return int64(binary.BigEndian.Uint64(c.wire[epochOff:]))
+}
+
+// CoreDigest returns the digest of the snapshot's core sections.
+func (c *Certificate) CoreDigest() []byte {
+	return c.wire[coreOff+4 : coreOff+4+c.Alg().Size()]
+}
+
+// Sig returns the owner's signature over SigContext ‖ wire[:signed].
+func (c *Certificate) Sig() []byte { return c.wire[c.signed+4:] }
 
 // Method returns the slice for the named method, or nil.
 func (c *Certificate) Method(name string) *MethodCert {
@@ -121,135 +138,182 @@ func (c *Certificate) MethodNames() []string {
 	return names
 }
 
+// MethodCert is one method's slice of the certificate: the Merkle roots
+// its stored structures must reproduce, a method-defined parameter blob
+// (e.g. HYP's row-form flag) and the labelling rows the audit checks.
+// Every row of a slice covers the same node count, so the rows are one
+// run of equal-size slots.
+type MethodCert struct {
+	Method string
+	Aux    []byte
+	Roots  [][]byte
+	rows   []byte // NumRows slots
+	slot   int    // bytes per slot, never 0
+}
+
+// NumRows returns the number of labelling rows in the slice.
+func (m *MethodCert) NumRows() int { return len(m.rows) / m.slot }
+
+// Row returns the i-th labelling row.
+func (m *MethodCert) Row(i int) Row {
+	return Row{m.rows[i*m.slot : (i+1)*m.slot : (i+1)*m.slot]}
+}
+
+// Row is one certified shortest-path labelling where it lies in the wire:
+// src, the node count n, n distances and n parent pointers from src over
+// the whole node set, then the digest of all of that (the per-row
+// integrity handle the tamper matrix targets independently of the
+// certificate signature). The setters write the wire.
+type Row struct{ slot []byte }
+
+// slotSize is the wire size of a row over n nodes under a size-byte digest.
+func slotSize(n, size int) int { return 8 + 12*n + 4 + size }
+
+// Src returns the labelling's source node.
+func (r Row) Src() graph.NodeID { return graph.NodeID(int32(binary.BigEndian.Uint32(r.slot))) }
+
+// N returns the number of nodes the row labels.
+func (r Row) N() int { return int(binary.BigEndian.Uint32(r.slot[4:])) }
+
+func (r Row) dists() []byte   { return r.slot[8 : 8+8*r.N()] }
+func (r Row) parents() []byte { return r.slot[8+8*r.N() : 8+12*r.N()] }
+
+// body is the digest preimage: everything but the digest frame.
+func (r Row) body() []byte { return r.slot[:8+12*r.N()] }
+
+// Digest returns the digest the row carries.
+func (r Row) Digest() []byte { return r.slot[8+12*r.N()+4:] }
+
+// Dist returns the certified distance of node v.
+func (r Row) Dist(v int) float64 { return distAt(r.dists(), v) }
+
+// Parent returns the certified shortest-path-tree parent of node v.
+func (r Row) Parent(v int) graph.NodeID { return parentAt(r.parents(), v) }
+
+// SetDist writes node v's distance.
+func (r Row) SetDist(v int, d float64) {
+	binary.BigEndian.PutUint64(r.dists()[8*v:], math.Float64bits(d))
+}
+
+// SetParent writes node v's parent.
+func (r Row) SetParent(v int, p graph.NodeID) {
+	binary.BigEndian.PutUint32(r.parents()[4*v:], uint32(p))
+}
+
+// Seal hashes the row's body where it lies into its digest frame.
+func (r Row) Seal(alg digest.Alg) { alg.AppendSum(r.Digest()[:0], r.body()) }
+
+func distAt(b []byte, v int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(b[8*v:]))
+}
+
+func parentAt(b []byte, v int) graph.NodeID {
+	return graph.NodeID(int32(binary.BigEndian.Uint32(b[4*v:])))
+}
+
+// Spec declares one method slice to New: everything but the labellings.
+type Spec struct {
+	Method string
+	Aux    []byte
+	Roots  [][]byte
+	Srcs   []graph.NodeID // one row per source, in order
+}
+
+// New lays out the wire of a certificate over the given slices, every row
+// sized for n nodes and the signature frame for sigSize bytes: framing,
+// roots and row sources in place, labellings, row digests and signature
+// still zero. Slots are disjoint, so rows can be filled concurrently
+// (SetDist/SetParent, then Seal) before Sign completes the certificate.
+func New(alg digest.Alg, epoch int64, coreDigest []byte, n, sigSize int, specs []Spec) (*Certificate, error) {
+	if !alg.Valid() {
+		return nil, fmt.Errorf("%w: bad digest algorithm %d", ErrEncoding, alg)
+	}
+	size := alg.Size()
+	total := coreOff + 4 + len(coreDigest) + 2 + 4 + sigSize
+	for _, s := range specs {
+		total += 4 + len(s.Method) + 4 + len(s.Aux) + 2 + 4 + len(s.Srcs)*slotSize(n, size)
+		for _, r := range s.Roots {
+			total += 4 + len(r)
+		}
+	}
+	buf := make([]byte, 0, total)
+	buf = append(buf, certMagic...)
+	buf = append(buf, certVersion, byte(alg))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(epoch))
+	buf = appendCertBytes(buf, coreDigest)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(specs)))
+	for _, s := range specs {
+		buf = appendCertBytes(buf, []byte(s.Method))
+		buf = appendCertBytes(buf, s.Aux)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Roots)))
+		for _, r := range s.Roots {
+			buf = appendCertBytes(buf, r)
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Srcs)))
+		for _, src := range s.Srcs {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(src))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+			buf = buf[:len(buf)+12*n]
+			buf = binary.BigEndian.AppendUint32(buf, uint32(size))
+			buf = buf[:len(buf)+size]
+		}
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(sigSize))
+	return DecodeCertificate(buf[:len(buf)+sigSize])
+}
+
+// Sign completes a certificate laid out by New: sign receives the context
+// and the signed span of the wire as they lie, and its signature is written
+// into the reserved frame.
+func (c *Certificate) Sign(sign func(parts ...[]byte) ([]byte, error)) error {
+	sig, err := sign(SigContext, c.wire[:c.signed])
+	if err != nil {
+		return err
+	}
+	if len(sig) != len(c.Sig()) {
+		return fmt.Errorf("%w: %d-byte signature for a %d-byte frame", ErrEncoding, len(sig), len(c.Sig()))
+	}
+	copy(c.Sig(), sig)
+	return nil
+}
+
 // certMagic guards against feeding arbitrary sections to the decoder.
 var certMagic = []byte("SPVC")
 
 const certVersion = 1
 
-// AppendBinary appends the canonical certificate wire:
-//
-//	"SPVC" | version u8 | alg u8 | epoch u64 | coreDigest bytes |
-//	numMethods u16 | methods × (
-//	  method str | aux bytes | numRoots u16 | roots × bytes |
-//	  numRows u32 | rows × (src u32 | n u32 | n×f64 | n×u32 | digest bytes)
-//	) | sig bytes
-//
-// where `bytes`/`str` are u32-length-prefixed and all integers are
-// big-endian. Parents encode graph.Invalid as 0xFFFFFFFF.
-func (c *Certificate) AppendBinary(buf []byte) []byte {
-	buf = c.appendSigned(buf)
-	return appendCertBytes(buf, c.Sig)
-}
-
-// SigningBytes returns the canonical bytes the certificate signature
-// covers: the full wire minus the trailing signature field.
-func (c *Certificate) SigningBytes() []byte { return c.appendSigned(nil) }
-
-func (c *Certificate) appendSigned(buf []byte) []byte {
-	buf = append(buf, certMagic...)
-	buf = append(buf, certVersion, byte(c.Alg))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(c.Epoch))
-	buf = appendCertBytes(buf, c.CoreDigest)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Methods)))
-	for i := range c.Methods {
-		m := &c.Methods[i]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Method)))
-		buf = append(buf, m.Method...)
-		buf = appendCertBytes(buf, m.Aux)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Roots)))
-		for _, r := range m.Roots {
-			buf = appendCertBytes(buf, r)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Rows)))
-		for j := range m.Rows {
-			buf = m.Rows[j].appendBinary(buf)
-		}
-	}
-	return buf
-}
-
-func (r *Row) appendBinary(buf []byte) []byte {
-	buf = r.appendBody(buf)
-	return appendCertBytes(buf, r.Digest)
-}
-
-// appendBody is the digest preimage: everything but the digest itself.
-func (r *Row) appendBody(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Src))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Dists)))
-	for _, d := range r.Dists {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d))
-	}
-	for _, p := range r.Parents {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(p))
-	}
-	return buf
-}
-
-// RowDigest computes the digest a Row must carry: H over the row's
-// canonical body. scratch, when non-nil, provides the encode buffer.
-func RowDigest(alg digest.Alg, r *Row, s *Scratch) []byte {
-	var buf []byte
-	if s != nil {
-		buf = s.buf[:0]
-	}
-	buf = r.appendBody(buf)
-	if s != nil {
-		s.buf = buf
-	}
-	h := alg.New()
-	h.Write(buf)
-	return h.Sum(nil)
-}
-
-// maxCertMethods bounds decode allocation; the registry caps out far
-// below this.
+// maxCertMethods bounds the index; the registry caps out far below this.
 const maxCertMethods = 64
 
-// DecodeCertificate parses a certificate wire. Every length is validated
-// against the remaining input before allocation, so lying lengths error
-// instead of over-allocating; decode→re-encode of an accepted wire is
-// byte-identical (no trailing bytes tolerated).
+// DecodeCertificate validates the structure of a certificate wire and
+// indexes it. The result aliases buf: keep buf unmodified while the
+// certificate is in use. Every length is checked against the remaining
+// input, all rows of a slice must be the same size, slots tile the wire
+// exactly and no trailing bytes are tolerated; what is allocated is the
+// index alone — bounded by maxCertMethods, whatever the input's size or
+// the counts it claims.
 func DecodeCertificate(buf []byte) (*Certificate, error) {
-	c, off, err := decodeCertificate(buf)
-	if err != nil {
-		return nil, err
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(buf)-off)
-	}
-	return c, nil
-}
-
-func decodeCertificate(buf []byte) (*Certificate, int, error) {
 	d := certDecoder{buf: buf}
 	if string(d.take(4)) != string(certMagic) {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrEncoding)
+		return nil, fmt.Errorf("%w: bad magic", ErrEncoding)
 	}
 	if v := d.u8(); v != certVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported certificate version %d", ErrEncoding, v)
+		return nil, fmt.Errorf("%w: unsupported certificate version %d", ErrEncoding, v)
 	}
-	c := &Certificate{Alg: digest.Alg(d.u8())}
-	if d.err == nil && !c.Alg.Valid() {
-		return nil, 0, fmt.Errorf("%w: bad digest algorithm %d", ErrEncoding, c.Alg)
+	alg := digest.Alg(d.u8())
+	if !alg.Valid() {
+		return nil, fmt.Errorf("%w: bad digest algorithm %d", ErrEncoding, alg)
 	}
-	size := 0
-	if c.Alg.Valid() {
-		size = c.Alg.Size()
-	}
-	c.Epoch = int64(d.u64())
-	c.CoreDigest = d.bytes(size)
+	size := alg.Size()
+	d.take(8) // epoch
+	d.bytes(size)
 	nm := int(d.u16())
 	if nm > maxCertMethods {
-		return nil, 0, fmt.Errorf("%w: %d method slices", ErrEncoding, nm)
+		return nil, fmt.Errorf("%w: %d method slices", ErrEncoding, nm)
 	}
-	if d.err == nil {
-		c.Methods = make([]MethodCert, 0, nm)
-	}
+	c := &Certificate{wire: buf, Methods: make([]MethodCert, 0, nm)}
 	for i := 0; i < nm && d.err == nil; i++ {
-		var m MethodCert
-		m.Method = string(d.str())
-		m.Aux = d.bytes(-1)
+		m := MethodCert{Method: d.str(), Aux: d.bytes(-1)}
 		nr := int(d.u16())
 		if nr > maxCertMethods {
 			d.fail("too many roots")
@@ -258,35 +322,23 @@ func decodeCertificate(buf []byte) (*Certificate, int, error) {
 		for j := 0; j < nr && d.err == nil; j++ {
 			m.Roots = append(m.Roots, d.bytes(size))
 		}
-		rows := int(d.u32())
-		// A row is at least 8 bytes of header + the digest frame: bound
-		// the claimed count by what the remaining input could hold.
-		if d.err == nil && rows > d.remaining()/12 {
-			d.fail("row count exceeds input")
-			break
-		}
-		if d.err == nil && rows > 0 {
-			m.Rows = make([]Row, 0, rows)
-		}
-		for j := 0; j < rows && d.err == nil; j++ {
-			m.Rows = append(m.Rows, d.row(size))
-		}
-		if d.err == nil {
-			c.Methods = append(c.Methods, m)
-		}
+		d.rows(&m, size)
+		c.Methods = append(c.Methods, m)
 	}
-	c.Sig = d.bytes(-1)
+	c.signed = d.off
+	d.bytes(-1) // signature
 	if d.err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrEncoding, d.err)
+		return nil, fmt.Errorf("%w: %v", ErrEncoding, d.err)
 	}
-	seen := map[string]bool{}
+	if d.off != len(buf) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(buf)-d.off)
+	}
 	for i := range c.Methods {
-		if seen[c.Methods[i].Method] {
-			return nil, 0, fmt.Errorf("%w: duplicate method slice %q", ErrEncoding, c.Methods[i].Method)
+		if c.Method(c.Methods[i].Method) != &c.Methods[i] {
+			return nil, fmt.Errorf("%w: duplicate method slice %q", ErrEncoding, c.Methods[i].Method)
 		}
-		seen[c.Methods[i].Method] = true
 	}
-	return c, d.off, nil
+	return c, nil
 }
 
 // certDecoder is a sticky-error cursor over a certificate wire.
@@ -304,109 +356,75 @@ func (d *certDecoder) fail(msg string) {
 	}
 }
 
+// take returns the next n bytes where they lie or, once the input has run
+// out, zero bytes enough for any fixed-width read (up to 8), so callers
+// read through and test err once.
 func (d *certDecoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.remaining() < n {
+	if d.err == nil && d.remaining() < n {
 		d.fail("truncated")
-		return nil
 	}
-	b := d.buf[d.off : d.off+n]
+	if d.err != nil {
+		return make([]byte, min(n, 8))
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
 }
 
-func (d *certDecoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
+func (d *certDecoder) u8() byte    { return d.take(1)[0] }
+func (d *certDecoder) u16() uint16 { return binary.BigEndian.Uint16(d.take(2)) }
+func (d *certDecoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
 
-func (d *certDecoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *certDecoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *certDecoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// bytes reads a u32-length-prefixed string; want >= 0 additionally pins
-// the exact length (digest fields must be alg-sized).
+// bytes reads a u32-length-prefixed field where it lies; want >= 0
+// additionally pins the exact length (digest fields must be alg-sized).
 func (d *certDecoder) bytes(want int) []byte {
 	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if want >= 0 && n != want {
+	if d.err == nil && want >= 0 && n != want {
 		d.fail(fmt.Sprintf("field is %d bytes, want %d", n, want))
-		return nil
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return d.take(n)
 }
 
 const maxMethodName = 16
 
-func (d *certDecoder) str() []byte {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n == 0 || n > maxMethodName {
+func (d *certDecoder) str() string {
+	b := d.bytes(-1)
+	if d.err == nil && (len(b) == 0 || len(b) > maxMethodName) {
 		d.fail("bad method name length")
-		return nil
 	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return string(b)
 }
 
-func (d *certDecoder) row(digestSize int) Row {
-	var r Row
-	r.Src = graph.NodeID(d.u32())
-	n := int(d.u32())
-	if d.err != nil {
-		return r
+// rows indexes a slice's labelling rows: a count, then that many slots of
+// the size the first one declares. The claimed node and row counts are
+// bounded by what the remaining input could hold before anything is walked.
+func (d *certDecoder) rows(m *MethodCert, digestSize int) {
+	count, n := int(d.u32()), 0
+	m.slot = slotSize(0, digestSize)
+	if d.err != nil || count == 0 {
+		return
 	}
-	// 8 bytes of dist + 4 bytes of parent per node must still fit.
+	if d.remaining() >= 8 {
+		n = int(binary.BigEndian.Uint32(d.buf[d.off+4:]))
+	}
 	if n > d.remaining()/12 {
 		d.fail("row length exceeds input")
-		return r
+		return
 	}
-	r.Dists = make([]float64, n)
-	for i := range r.Dists {
-		r.Dists[i] = math.Float64frombits(d.u64())
+	m.slot = slotSize(n, digestSize)
+	if count > d.remaining()/m.slot {
+		d.fail("row count exceeds input")
+		return
 	}
-	r.Parents = make([]graph.NodeID, n)
-	for i := range r.Parents {
-		r.Parents[i] = graph.NodeID(int32(d.u32()))
+	m.rows = d.take(count * m.slot)
+	for i := 0; i < count; i++ {
+		r := m.Row(i)
+		if r.N() != n {
+			d.fail(fmt.Sprintf("row %d covers %d nodes, row 0 covers %d", i, r.N(), n))
+		} else if got := binary.BigEndian.Uint32(r.slot[8+12*n:]); int(got) != digestSize {
+			d.fail(fmt.Sprintf("field is %d bytes, want %d", got, digestSize))
+		}
 	}
-	r.Digest = d.bytes(digestSize)
-	return r
 }
 
 func appendCertBytes(buf, b []byte) []byte {

@@ -1,6 +1,14 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"github.com/authhints/spv/internal/cert"
+	"github.com/authhints/spv/internal/netgen"
+)
 
 // Steady-state allocation budgets for the cold query path. The measured
 // numbers (PR 2) are ~15 allocs/op for DIJ and ~17 for LDM on the bench
@@ -155,5 +163,100 @@ func TestVerifyBatchAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(5, verify); got > verifyBatch64AllocBudget {
 			t.Errorf("%s: batch of 64 allocates %.0f, budget %d", m, got, verifyBatch64AllocBudget)
 		}
+	}
+}
+
+// totalAlloc returns the bytes fn allocates (cumulative, so the collector
+// running in between does not matter).
+func totalAlloc(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCertPathAllocBudget gates the certificate path on a work counter
+// instead of wall time: bytes allocated, against the size of the
+// certificate, on a world whose certificate (152 rows over 1,500 nodes,
+// 2.7 MB) outweighs everything else DIJ, LDM and HYP providers hold. The
+// certificate is its wire, so issuing allocates that wire once (1.03× its
+// size), saving adds nothing for it (+0 B), and decode plus audit allocate
+// the index, per-worker scratch, the HYP hyper-edge list and the Merkle
+// level folds (0.37×) — work that follows the stored structures, not the
+// certificate. At the parent commit, which kept decoded rows and re-encoded
+// them on every use, the same calls read 11.7×, +4.9× and 7.9×.
+func TestCertPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats workspace and scratch pooling")
+	}
+	g, err := netgen.Synthesize(1500, 1650, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Landmarks = 8
+	cfg.Cells = 16
+	owner, err := NewOwner(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var provs []Provider
+	for _, m := range []Method{DIJ, LDM, HYP} {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		provs = append(provs, p)
+	}
+	save := func(c *cert.Certificate) uint64 {
+		return totalAlloc(func() {
+			if _, err := owner.WriteSnapshotCert(io.Discard, c, provs...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	save(nil) // warm pools and lazily built state
+	plain := save(nil)
+
+	var c *cert.Certificate
+	if _, err := owner.Certify(provs...); err != nil { // warm the search workspaces
+		t.Fatal(err)
+	}
+	issue := totalAlloc(func() { c, err = owner.Certify(provs...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(len(c.Bytes()))
+	perWorker := uint64(runtime.GOMAXPROCS(0) * g.NumNodes() * 64)
+	if limit := size*5/4 + perWorker; issue > limit {
+		t.Errorf("Certify allocated %d bytes for a %d-byte certificate, budget %d", issue, size, limit)
+	}
+
+	if certified := save(c); certified > plain+size/8 {
+		t.Errorf("saving with a %d-byte certificate allocated %d bytes, %d without one", size, certified, plain)
+	}
+
+	var buf bytes.Buffer
+	if _, err := owner.WriteSnapshotCert(&buf, c, provs...); err != nil {
+		t.Fatal(err)
+	}
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := bytes.Clone(c.Bytes())
+	var rep *cert.Report
+	audit := totalAlloc(func() {
+		var dc *cert.Certificate
+		if dc, err = cert.DecodeCertificate(wire); err == nil {
+			rep = cert.Audit(set, dc, set.Verifier)
+		}
+	})
+	if err != nil || rep.Err() != nil {
+		t.Fatalf("decode %v, audit %v", err, rep.Err())
+	}
+	if limit := size/2 + perWorker; audit > limit {
+		t.Errorf("decode + audit of a %d-byte certificate allocated %d bytes, budget %d", size, audit, limit)
 	}
 }

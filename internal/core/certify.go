@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -14,30 +12,45 @@ import (
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/order"
+	"github.com/authhints/spv/internal/par"
 	"github.com/authhints/spv/internal/sp"
 )
 
 // certifier is an optional MethodImpl capability, like snapshotStreamer:
-// a method that implements it can emit its slice of a snapshot
+// a method that implements it can declare its slice of a snapshot
 // certificate at outsourcing time and audit a loaded provider against
 // that slice in linear time. Methods without the capability are
 // rejected cleanly by Owner.Certify and ProviderSet.AuditMethod — a
 // registered third-party method never silently passes an audit it did not
 // implement.
 type certifier interface {
-	buildCert(o *Owner, p Provider) (*cert.MethodCert, error)
-	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error
+	planCert(p Provider) (certPlan, error)
+	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error
+}
+
+// certPlan is one method's slice before its rows are computed: the framing
+// cert.New lays out, the view row i's Dijkstra from Srcs[i] searches, and —
+// for methods whose stored hint rows are the certified distances (LDM) —
+// those rows, which then pair with the search's parents.
+type certPlan struct {
+	cert.Spec
+	view  graph.View
+	dists [][]float64
 }
 
 // Certify issues a snapshot certificate for the given outsourced
 // providers at the owner's current epoch: per-method labelling rows and
 // Merkle roots, a digest binding the core sections (config, graph, leaf
-// ordering), and the owner's signature over the canonical wire. The same
-// ownership and staleness guards as WriteSnapshot apply — a certificate
-// must describe exactly the state a snapshot of these providers would
-// carry. Attach the result via ProviderSet.SetCertificate (or hold it in
-// a serve.Deployment, which re-issues per epoch) so it rides along in the
-// snapshot's CERT section.
+// ordering), and the owner's signature over the canonical wire. The wire
+// is laid out first (row slots are fixed-size), then each row is searched,
+// written big-endian into its own slot and digested there by whichever
+// worker claims it — the bytes are the same at any GOMAXPROCS — and the
+// signature hashes the finished wire where it lies.
+// The same ownership and staleness guards as WriteSnapshot apply — a
+// certificate must describe exactly the state a snapshot of these
+// providers would carry. Attach the result via ProviderSet.SetCertificate
+// (or hold it in a serve.Deployment, which re-issues per epoch) so it rides
+// along in the snapshot's CERT section.
 func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	o.mu.Lock()
 	frozen := o.frozen
@@ -63,8 +76,11 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	if len(byMethod) == 0 {
 		return nil, errors.New("core: certify needs at least one provider")
 	}
-	c := &cert.Certificate{Alg: o.cfg.Hash, Epoch: epoch}
-	var ord *order.Ordering
+	var (
+		ord   *order.Ordering
+		plans []certPlan
+		specs []cert.Spec
+	)
 	for _, impl := range defaultRegistry.Impls() {
 		p := byMethod[impl.Method()]
 		if p == nil {
@@ -79,11 +95,12 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 				ord = a.ord
 			}
 		}
-		mc, err := cf.buildCert(o, p)
+		plan, err := cf.planCert(p)
 		if err != nil {
 			return nil, err
 		}
-		c.Methods = append(c.Methods, *mc)
+		plans = append(plans, plan)
+		specs = append(specs, plan.Spec)
 	}
 	if ord == nil {
 		return nil, errors.New("core: certify needs a provider with a leaf ordering")
@@ -92,12 +109,31 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.CoreDigest = cd
-	sig, err := o.signRoot(cert.SigContext, c.SigningBytes())
+	n := o.g.NumNodes()
+	c, err := cert.New(o.cfg.Hash, epoch, cd, n, o.signer.SignatureSize(), specs)
 	if err != nil {
 		return nil, err
 	}
-	c.Sig = sig
+	for m, plan := range plans {
+		par.Work(len(plan.Srcs), func(i int) {
+			row := c.Methods[m].Row(i)
+			ws := sp.AcquireWorkspace(n)
+			ws.DijkstraBounded(plan.view, plan.Srcs[i], sp.Unreachable) // every reachable node settles
+			for v := 0; v < n; v++ {
+				d := ws.DistOf(graph.NodeID(v))
+				if plan.dists != nil {
+					d = plan.dists[i][v]
+				}
+				row.SetDist(v, d)
+				row.SetParent(v, ws.ParentOf(graph.NodeID(v)))
+			}
+			row.Seal(o.cfg.Hash)
+			sp.ReleaseWorkspace(ws)
+		})
+	}
+	if err := c.Sign(o.signer.Sign); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -170,7 +206,7 @@ func (s *ProviderSet) AuditCoreDigest(alg digest.Alg, methods []string) ([]byte,
 // AuditMethod implements cert.View: dispatch one certificate slice to its
 // method's certifier. Hydrating the provider (lazy sets) touches exactly
 // this method's snapshot section.
-func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
+func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier) error {
 	m := Method(mc.Method)
 	impl, ok := LookupMethod(m)
 	if !ok {
@@ -183,27 +219,15 @@ func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier, sc *c
 	if !ok {
 		return fmt.Errorf("%w (%s)", cert.ErrUnsupported, m)
 	}
-	return cf.auditCert(s, mc, v, sc)
+	return cf.auditCert(s, mc, v)
 }
 
 // --- shared certifier helpers ---
 
-// certRow runs one owner-side Dijkstra and packages the labelling as a
-// certificate row (certify-time only; audits never run searches).
-func certRow(alg digest.Alg, view graph.View, n int, src graph.NodeID) cert.Row {
-	ws := sp.AcquireWorkspace(n)
-	defer sp.ReleaseWorkspace(ws)
-	dist, parent := ws.DijkstraRowTree(view, src, make([]float64, n), make([]graph.NodeID, n))
-	r := cert.Row{Src: src, Dists: dist, Parents: parent}
-	r.Digest = cert.RowDigest(alg, &r, nil)
-	return r
-}
-
 // checkRootSig verifies a stored root signature against its context —
 // the same message clients verify per query, checked once per audit.
 func checkRootSig(v cert.SigVerifier, ctx, root, sig []byte, what string) error {
-	msg := append(append([]byte(nil), ctx...), root...)
-	if err := v.Verify(msg, sig); err != nil {
+	if err := v.VerifyParts(sig, ctx, root); err != nil {
 		return fmt.Errorf("%w: stored %s root signature: %v", cert.ErrSignature, what, err)
 	}
 	return nil
@@ -222,39 +246,40 @@ func certProvider[T Provider](s *ProviderSet, m Method) (T, error) {
 
 // --- DIJ ---
 
-// buildCert for DIJ: the network root plus one canonical labelling row
+// planCert for DIJ: the network root plus one canonical labelling row
 // (from the ordering's first leaf), giving DIJ — which stores no hint
 // rows — a certified distance/parent witness over the published graph.
-func (dijImpl) buildCert(o *Owner, p Provider) (*cert.MethodCert, error) {
+func (dijImpl) planCert(p Provider) (certPlan, error) {
 	dp, err := providerAs[*DIJProvider](DIJ, p)
 	if err != nil {
-		return nil, err
+		return certPlan{}, err
 	}
-	src := dp.ads.ord.Seq[0]
-	return &cert.MethodCert{
+	return certPlan{view: dp.view, Spec: cert.Spec{
 		Method: string(DIJ),
 		Roots:  [][]byte{dp.ads.Root()},
-		Rows:   []cert.Row{certRow(o.cfg.Hash, dp.view, o.g.NumNodes(), src)},
-	}, nil
+		Srcs:   dp.ads.ord.Seq[:1],
+	}}, nil
 }
 
-func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
+func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
 	dp, err := certProvider[*DIJProvider](s, DIJ)
 	if err != nil {
 		return err
 	}
-	if len(mc.Roots) != 1 || len(mc.Rows) != 1 {
+	if len(mc.Roots) != 1 || mc.NumRows() != 1 {
 		return fmt.Errorf("%w: DIJ slice wants 1 root and 1 row, got %d/%d",
-			cert.ErrEncoding, len(mc.Roots), len(mc.Rows))
+			cert.ErrEncoding, len(mc.Roots), mc.NumRows())
 	}
-	row := &mc.Rows[0]
-	if want := dp.ads.ord.Seq[0]; row.Src != want {
-		return fmt.Errorf("%w: DIJ row source %d, want canonical leaf %d", cert.ErrEncoding, row.Src, want)
-	}
-	if err := cert.AuditRow(s.Graph, row, sc); err != nil {
-		return err
-	}
-	if err := cert.CheckRowDigest(s.Cfg.Hash, row, sc); err != nil {
+	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
+		row := mc.Row(i)
+		if want := dp.ads.ord.Seq[0]; row.Src() != want {
+			return fmt.Errorf("%w: DIJ row source %d, want canonical leaf %d", cert.ErrEncoding, row.Src(), want)
+		}
+		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
+			return err
+		}
+		return cert.CheckRowDigest(s.Cfg.Hash, row)
+	}); err != nil {
 		return err
 	}
 	if err := cert.AuditTree(dp.ads.tree, mc.Roots[0], "DIJ network tree"); err != nil {
@@ -265,34 +290,23 @@ func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 
 // --- LDM ---
 
-// buildCert for LDM: the network root plus one row per landmark — the
+// planCert for LDM: the network root plus one row per landmark — the
 // stored exact distance rows (the hints' source of truth) paired with
 // freshly derived shortest-path-tree parents, so the audit can certify
 // every stored row without a Dijkstra of its own.
-func (ldmImpl) buildCert(o *Owner, p Provider) (*cert.MethodCert, error) {
+func (ldmImpl) planCert(p Provider) (certPlan, error) {
 	lp, err := providerAs[*LDMProvider](LDM, p)
 	if err != nil {
-		return nil, err
+		return certPlan{}, err
 	}
-	h := lp.hints
-	n := o.g.NumNodes()
-	ws := sp.AcquireWorkspace(n)
-	defer sp.ReleaseWorkspace(ws)
-	rows := make([]cert.Row, h.C())
-	for i, lm := range h.Landmarks {
-		_, parent := ws.DijkstraRowTree(lp.view, lm, make([]float64, n), make([]graph.NodeID, n))
-		r := cert.Row{Src: lm, Dists: slices.Clone(h.Dists[i]), Parents: parent}
-		r.Digest = cert.RowDigest(o.cfg.Hash, &r, nil)
-		rows[i] = r
-	}
-	return &cert.MethodCert{
+	return certPlan{view: lp.view, dists: lp.hints.Dists, Spec: cert.Spec{
 		Method: string(LDM),
 		Roots:  [][]byte{lp.ads.Root()},
-		Rows:   rows,
-	}, nil
+		Srcs:   lp.hints.Landmarks,
+	}}, nil
 }
 
-func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
+func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
 	lp, err := certProvider[*LDMProvider](s, LDM)
 	if err != nil {
 		return err
@@ -301,30 +315,30 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	if len(mc.Roots) != 1 {
 		return fmt.Errorf("%w: LDM slice wants 1 root, got %d", cert.ErrEncoding, len(mc.Roots))
 	}
-	if len(mc.Rows) != h.C() {
-		return fmt.Errorf("%w: LDM slice has %d rows, hints have %d landmarks", cert.ErrEncoding, len(mc.Rows), h.C())
+	if mc.NumRows() != h.C() {
+		return fmt.Errorf("%w: LDM slice has %d rows, hints have %d landmarks", cert.ErrEncoding, mc.NumRows(), h.C())
 	}
 	// The landmark rows are independent, so the expensive part — the
 	// linear pass and the digest re-hash — fans out across workers.
-	if err := cert.ForEachRow(len(mc.Rows), func(i int, sc *cert.Scratch) error {
-		row := &mc.Rows[i]
-		if row.Src != h.Landmarks[i] {
-			return fmt.Errorf("%w: LDM row %d source %d, want landmark %d", cert.ErrEncoding, i, row.Src, h.Landmarks[i])
+	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
+		row := mc.Row(i)
+		if row.Src() != h.Landmarks[i] {
+			return fmt.Errorf("%w: LDM row %d source %d, want landmark %d", cert.ErrEncoding, i, row.Src(), h.Landmarks[i])
 		}
 		stored := h.Dists[i]
-		if len(row.Dists) != len(stored) {
-			return fmt.Errorf("%w: LDM row %d has %d dists, stored row has %d", cert.ErrEncoding, i, len(row.Dists), len(stored))
+		if row.N() != len(stored) {
+			return fmt.Errorf("%w: LDM row %d has %d dists, stored row has %d", cert.ErrEncoding, i, row.N(), len(stored))
 		}
 		for x := range stored {
-			if stored[x] != row.Dists[x] && !distEqual(stored[x], row.Dists[x]) {
+			if d := row.Dist(x); stored[x] != d && !distEqual(stored[x], d) {
 				return fmt.Errorf("%w: stored landmark row %d differs from certificate at node %d (%g vs %g)",
-					cert.ErrDistance, i, x, stored[x], row.Dists[x])
+					cert.ErrDistance, i, x, stored[x], d)
 			}
 		}
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err
 		}
-		return cert.CheckRowDigest(s.Cfg.Hash, row, sc)
+		return cert.CheckRowDigest(s.Cfg.Hash, row)
 	}); err != nil {
 		return err
 	}
@@ -341,34 +355,29 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 // post-update form) rather than the compact border-to-border matrix.
 const hypAuxFull = 1
 
-// buildCert for HYP: both roots plus one full labelling row per border
+// planCert for HYP: both roots plus one full labelling row per border
 // node. The stored rows — W* border-to-border or full — are the values at
 // the corresponding positions of these rows, so one triangle pass per
 // border certifies every stored hyper-distance.
-func (hypImpl) buildCert(o *Owner, p Provider) (*cert.MethodCert, error) {
+func (hypImpl) planCert(p Provider) (certPlan, error) {
 	hp, err := providerAs[*HYPProvider](HYP, p)
 	if err != nil {
-		return nil, err
+		return certPlan{}, err
 	}
-	hy := hp.hyper
-	full, _ := hy.Rows()
 	aux := []byte{0}
-	if full {
+	if full, _ := hp.hyper.Rows(); full {
 		aux[0] = hypAuxFull
-	}
-	n := o.g.NumNodes()
-	rows := make([]cert.Row, hy.NumBorders())
-	for i, b := range hy.Borders {
-		rows[i] = certRow(o.cfg.Hash, hp.view, n, b)
 	}
 	roots := [][]byte{hp.ads.Root()}
 	if hp.distMBT != nil {
 		roots = append(roots, hp.distMBT.Root())
 	}
-	return &cert.MethodCert{Method: string(HYP), Aux: aux, Roots: roots, Rows: rows}, nil
+	return certPlan{view: hp.view, Spec: cert.Spec{
+		Method: string(HYP), Aux: aux, Roots: roots, Srcs: hp.hyper.Borders,
+	}}, nil
 }
 
-func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
+func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
 	hp, err := certProvider[*HYPProvider](s, HYP)
 	if err != nil {
 		return err
@@ -382,8 +391,8 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	if len(mc.Aux) != 1 || mc.Aux[0] != wantAux {
 		return fmt.Errorf("%w: HYP row-form flag disagrees with stored rows", cert.ErrEncoding)
 	}
-	if len(mc.Rows) != hy.NumBorders() {
-		return fmt.Errorf("%w: HYP slice has %d rows, partition has %d borders", cert.ErrEncoding, len(mc.Rows), hy.NumBorders())
+	if mc.NumRows() != hy.NumBorders() {
+		return fmt.Errorf("%w: HYP slice has %d rows, partition has %d borders", cert.ErrEncoding, mc.NumRows(), hy.NumBorders())
 	}
 	wantRoots := 1
 	if hp.distMBT != nil {
@@ -395,27 +404,26 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	n := s.Graph.NumNodes()
 	// One border row per worker slot: with B ≈ √(n·cells) borders this is
 	// the audit's widest fan-out.
-	if err := cert.ForEachRow(len(hy.Borders), func(i int, sc *cert.Scratch) error {
-		b := hy.Borders[i]
-		row := &mc.Rows[i]
-		if row.Src != b {
-			return fmt.Errorf("%w: HYP row %d source %d, want border %d", cert.ErrEncoding, i, row.Src, b)
+	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
+		row := mc.Row(i)
+		if row.Src() != hy.Borders[i] {
+			return fmt.Errorf("%w: HYP row %d source %d, want border %d", cert.ErrEncoding, i, row.Src(), hy.Borders[i])
 		}
-		if len(row.Dists) != n {
-			return fmt.Errorf("%w: HYP row %d has %d dists, want %d", cert.ErrEncoding, i, len(row.Dists), n)
+		if row.N() != n {
+			return fmt.Errorf("%w: HYP row %d has %d dists, want %d", cert.ErrEncoding, i, row.N(), n)
 		}
 		// Stored hyper-rows against the certified labelling: every stored
 		// value must be the certified distance at its position.
 		if full {
 			for x := range stored[i] {
-				if stored[i][x] != row.Dists[x] && !distEqual(stored[i][x], row.Dists[x]) {
+				if d := row.Dist(x); stored[i][x] != d && !distEqual(stored[i][x], d) {
 					return fmt.Errorf("%w: stored HYP row %d differs from certificate at node %d (%g vs %g)",
-						cert.ErrDistance, i, x, stored[i][x], row.Dists[x])
+						cert.ErrDistance, i, x, stored[i][x], d)
 				}
 			}
 		} else {
 			for j, ob := range hy.Borders {
-				if got, want := stored[i][j], row.Dists[ob]; got != want && !distEqual(got, want) {
+				if got, want := stored[i][j], row.Dist(int(ob)); got != want && !distEqual(got, want) {
 					return fmt.Errorf("%w: stored HYP W*[%d][%d] differs from certificate (%g vs %g)",
 						cert.ErrDistance, i, j, got, want)
 				}
@@ -424,7 +432,7 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err
 		}
-		return cert.CheckRowDigest(s.Cfg.Hash, row, sc)
+		return cert.CheckRowDigest(s.Cfg.Hash, row)
 	}); err != nil {
 		return err
 	}
@@ -442,16 +450,16 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	// (B² small entries, cheap) closes the leaf↔row binding before the
 	// interior fold pins the leaves to the root.
 	entries := hy.Entries()
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
+	mbt.SortEntries(entries)
 	mt := hp.distMBT.MHT()
 	if mt.NumLeaves() != len(entries) {
 		return fmt.Errorf("%w: HYP distance tree has %d leaves, %d hyper-edges derived", cert.ErrRowDigest, mt.NumLeaves(), len(entries))
 	}
-	var buf []byte
 	halg := s.Cfg.Hash
+	buf, sum := make([]byte, 0, 16), make([]byte, 0, halg.Size())
 	for i, e := range entries {
 		buf = e.AppendBinary(buf[:0])
-		if !bytes.Equal(halg.Sum(buf), mt.Leaf(i)) {
+		if !bytes.Equal(halg.AppendSum(sum, buf), mt.Leaf(i)) {
 			return fmt.Errorf("%w: HYP distance leaf %d does not hash from its hyper-edge entry", cert.ErrRowDigest, i)
 		}
 	}
@@ -483,25 +491,19 @@ func certSampleSources(seq []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-func (fullImpl) buildCert(o *Owner, p Provider) (*cert.MethodCert, error) {
+func (fullImpl) planCert(p Provider) (certPlan, error) {
 	fp, err := providerAs[*FULLProvider](FULL, p)
 	if err != nil {
-		return nil, err
+		return certPlan{}, err
 	}
-	n := o.g.NumNodes()
-	srcs := certSampleSources(fp.ads.ord.Seq)
-	rows := make([]cert.Row, len(srcs))
-	for i, src := range srcs {
-		rows[i] = certRow(o.cfg.Hash, fp.view, n, src)
-	}
-	return &cert.MethodCert{
+	return certPlan{view: fp.view, Spec: cert.Spec{
 		Method: string(FULL),
 		Roots:  [][]byte{fp.ads.Root(), fp.forest.Top().Root()},
-		Rows:   rows,
-	}, nil
+		Srcs:   certSampleSources(fp.ads.ord.Seq),
+	}}, nil
 }
 
-func (fullImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier, sc *cert.Scratch) error {
+func (fullImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
 	fp, err := certProvider[*FULLProvider](s, FULL)
 	if err != nil {
 		return err
@@ -510,28 +512,27 @@ func (fullImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifie
 		return fmt.Errorf("%w: FULL slice has %d roots, want 2", cert.ErrEncoding, len(mc.Roots))
 	}
 	srcs := certSampleSources(fp.ads.ord.Seq)
-	if len(mc.Rows) != len(srcs) {
-		return fmt.Errorf("%w: FULL slice has %d rows, want %d sampled", cert.ErrEncoding, len(mc.Rows), len(srcs))
+	if mc.NumRows() != len(srcs) {
+		return fmt.Errorf("%w: FULL slice has %d rows, want %d sampled", cert.ErrEncoding, mc.NumRows(), len(srcs))
 	}
 	n := s.Graph.NumNodes()
 	top := fp.forest.Top()
 	if err := cert.ForEachRow(len(srcs), func(i int, sc *cert.Scratch) error {
-		src := srcs[i]
-		row := &mc.Rows[i]
-		if row.Src != src {
-			return fmt.Errorf("%w: FULL row %d source %d, want sample %d", cert.ErrEncoding, i, row.Src, src)
+		src, row := srcs[i], mc.Row(i)
+		if row.Src() != src {
+			return fmt.Errorf("%w: FULL row %d source %d, want sample %d", cert.ErrEncoding, i, row.Src(), src)
 		}
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err
 		}
-		rr, err := mbt.RowRoot(s.Cfg.Hash, s.Cfg.Fanout, n, int(row.Src), row.Dists)
+		rr, err := mbt.RowRoot(s.Cfg.Hash, s.Cfg.Fanout, n, int(src), sc.Dists(row))
 		if err != nil {
 			return fmt.Errorf("%w: FULL row %d: %v", cert.ErrEncoding, i, err)
 		}
-		if !bytes.Equal(rr, top.Leaf(int(row.Src))) {
-			return fmt.Errorf("%w: FULL sampled row %d does not match the stored forest row root", cert.ErrRowDigest, row.Src)
+		if !bytes.Equal(rr, top.Leaf(int(src))) {
+			return fmt.Errorf("%w: FULL sampled row %d does not match the stored forest row root", cert.ErrRowDigest, src)
 		}
-		return cert.CheckRowDigest(s.Cfg.Hash, row, sc)
+		return cert.CheckRowDigest(s.Cfg.Hash, row)
 	}); err != nil {
 		return err
 	}

@@ -138,7 +138,7 @@ func TestGoldenByteCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s certify: %v", phase, err)
 		}
-		got[phase+"/cert"] = sha(c.AppendBinary(nil))
+		got[phase+"/cert"] = sha(c.Bytes())
 		var buf bytes.Buffer
 		if _, err := owner.WriteSnapshot(&buf, all...); err != nil {
 			t.Fatalf("%s snapshot: %v", phase, err)

@@ -100,6 +100,5 @@ func (o *Owner) Verifier() *sig.Verifier { return o.signer.Verifier() }
 // public parameters, so a root signed for one method or parameterization can
 // never authenticate another.
 func (o *Owner) signRoot(ctx, root []byte) ([]byte, error) {
-	msg := append(append([]byte(nil), ctx...), root...)
-	return o.signer.Sign(msg)
+	return o.signer.Sign(ctx, root)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	cryptorand "crypto/rand"
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 
@@ -88,6 +90,42 @@ func TestParallelOutsourceByteIdentical(t *testing.T) {
 	} {
 		if !bytes.Equal(pair.a, pair.b) {
 			t.Errorf("%s differs between GOMAXPROCS=1 and GOMAXPROCS=8", pair.what)
+		}
+	}
+}
+
+// TestCertifyDeterministicAcrossProcs pins the same guarantee for the
+// certificate: every row is searched, encoded and digested by whichever
+// worker claims it, into a slot fixed before any worker starts, so the
+// wire at GOMAXPROCS 1, 2 and 8 is the golden world's pre-update
+// certificate, byte for byte. The race lane runs this test too.
+func TestCertifyDeterministicAcrossProcs(t *testing.T) {
+	owner, _, _ := goldenWorld(t)
+	var provs []Provider
+	for _, m := range RegisteredMethods() {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			t.Fatalf("outsource %s: %v", m, err)
+		}
+		provs = append(provs, p)
+	}
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]string
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		c, err := owner.Certify(provs...)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if got := sha(c.Bytes()); got != golden["pre/cert"] {
+			t.Errorf("GOMAXPROCS=%d: certificate digest %s, want golden %s", procs, got, golden["pre/cert"])
 		}
 	}
 }

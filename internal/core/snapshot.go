@@ -222,8 +222,8 @@ func (o *Owner) WriteSnapshotCert(w io.Writer, c *cert.Certificate, provs ...Pro
 	set := &ProviderSet{
 		Cfg: o.cfg, Graph: o.g, Verifier: o.Verifier(), Epoch: o.Epoch(),
 	}
-	if c != nil && c.Epoch != set.Epoch {
-		return 0, fmt.Errorf("core: certificate epoch %d does not match owner epoch %d — re-issue with Certify", c.Epoch, set.Epoch)
+	if c != nil && c.Epoch() != set.Epoch {
+		return 0, fmt.Errorf("core: certificate epoch %d does not match owner epoch %d — re-issue with Certify", c.Epoch(), set.Epoch)
 	}
 	set.cert = c
 	// The current frozen view, if one exists: every provider outsourced
@@ -315,9 +315,10 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	// The certificate rides last: it describes the method sections above,
-	// and replicas that audit lazily never need to seek past it.
+	// and replicas that audit lazily never need to seek past it. Its
+	// section is the bytes it already is.
 	if s.cert != nil {
-		if err := sw.Section(snapKindCert, s.cert.AppendBinary(nil)); err != nil {
+		if err := sw.Section(snapKindCert, s.cert.Bytes()); err != nil {
 			return sw.Bytes(), err
 		}
 	}

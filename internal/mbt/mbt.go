@@ -16,10 +16,12 @@ package mbt
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/authhints/spv/internal/digest"
@@ -62,6 +64,12 @@ func decodeEntry(buf []byte) (Entry, error) {
 	}, nil
 }
 
+// SortEntries orders entries by key in place — the leaf order of a tree
+// built over them.
+func SortEntries(entries []Entry) {
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
+}
+
 // Tree is an in-memory Merkle B-tree over an explicit sorted key set.
 type Tree struct {
 	keys []Key
@@ -75,8 +83,8 @@ func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	if len(entries) == 0 {
 		return nil, errors.New("mbt: no entries")
 	}
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
+	sorted := slices.Clone(entries)
+	SortEntries(sorted)
 	t := &Tree{
 		keys: make([]Key, len(sorted)),
 		vals: make([]float64, len(sorted)),
@@ -153,8 +161,8 @@ func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
 	if len(entries) != mt.NumLeaves() {
 		return nil, fmt.Errorf("mbt: %d entries for %d leaves", len(entries), mt.NumLeaves())
 	}
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Key < sorted[b].Key })
+	sorted := slices.Clone(entries)
+	SortEntries(sorted)
 	t := &Tree{
 		keys: make([]Key, len(sorted)),
 		vals: make([]float64, len(sorted)),

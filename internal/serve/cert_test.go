@@ -101,10 +101,10 @@ func TestCertificateMetamorphic(t *testing.T) {
 		t.Fatal(err)
 	}
 	postCert := dep.Certificate()
-	if postCert == nil || postCert.Epoch != sum.Epoch {
+	if postCert == nil || postCert.Epoch() != sum.Epoch {
 		t.Fatalf("ApplyUpdates did not re-issue the certificate at epoch %d", sum.Epoch)
 	}
-	if postCert.Epoch == preCert.Epoch {
+	if postCert.Epoch() == preCert.Epoch() {
 		t.Fatal("post-update certificate kept the pre-update epoch")
 	}
 

@@ -48,11 +48,11 @@ func (s *Signer) Verifier() *Verifier { return &Verifier{key: &s.key.PublicKey} 
 // SignatureSize returns the signature length in bytes (the modulus size).
 func (s *Signer) SignatureSize() int { return s.key.Size() }
 
-// Sign signs a message (an ADS root digest, possibly concatenated with
-// context bytes). The message is hashed with SHA-256 before signing, per
-// PKCS#1 v1.5.
-func (s *Signer) Sign(msg []byte) ([]byte, error) {
-	h := sha256.Sum256(msg)
+// Sign signs the concatenation of parts (context bytes, then an ADS root
+// digest or a certificate wire) without materializing it. The message is
+// hashed with SHA-256 before signing, per PKCS#1 v1.5.
+func (s *Signer) Sign(parts ...[]byte) ([]byte, error) {
+	h := sum(parts)
 	sigBytes, err := rsa.SignPKCS1v15(rand.Reader, s.key, crypto.SHA256, h[:])
 	if err != nil {
 		return nil, fmt.Errorf("sig: signing: %w", err)
@@ -73,11 +73,31 @@ func (v *Verifier) Equal(o *Verifier) bool {
 // Verify checks a signature over msg. A nil error means the signature is
 // authentic.
 func (v *Verifier) Verify(msg, signature []byte) error {
-	h := sha256.Sum256(msg)
+	return v.VerifyParts(signature, msg)
+}
+
+// VerifyParts is Verify over the concatenation of parts, hashed where they
+// lie — the counterpart of a multi-part Sign.
+func (v *Verifier) VerifyParts(signature []byte, parts ...[]byte) error {
+	h := sum(parts)
 	if err := rsa.VerifyPKCS1v15(v.key, crypto.SHA256, h[:], signature); err != nil {
 		return fmt.Errorf("sig: invalid signature: %w", err)
 	}
 	return nil
+}
+
+// sum is SHA-256 over the concatenation of parts. One part — every
+// client-side root check — hashes on the stack, allocating nothing.
+func sum(parts [][]byte) (h [sha256.Size]byte) {
+	if len(parts) == 1 {
+		return sha256.Sum256(parts[0])
+	}
+	d := sha256.New()
+	for _, p := range parts {
+		d.Write(p)
+	}
+	d.Sum(h[:0])
+	return h
 }
 
 // Key persistence: the data owner's private key and the clients' public key

@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -28,6 +29,35 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	}
 	if err := v.Verify(msg, sigBytes); err != nil {
 		t.Errorf("valid signature rejected: %v", err)
+	}
+}
+
+// TestPartsAreTheirConcatenation pins the multi-part forms to the
+// one-message forms: signing or verifying parts is signing or verifying
+// their concatenation, however it is split.
+func TestPartsAreTheirConcatenation(t *testing.T) {
+	s, err := GenerateKey(testRand(), DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.Verifier()
+	ctx, root := []byte("spv/CTX/v1\x00"), []byte("merkle root digest bytes")
+	whole, err := s.Sign(append(append([]byte(nil), ctx...), root...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := s.Sign(ctx, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole, split) {
+		t.Error("Sign(ctx, root) differs from Sign(ctx‖root)")
+	}
+	if err := v.VerifyParts(whole, ctx[:3], ctx[3:], nil, root); err != nil {
+		t.Errorf("valid signature rejected over a different split: %v", err)
+	}
+	if err := v.VerifyParts(whole, root, ctx); err == nil {
+		t.Error("signature accepted over reordered parts")
 	}
 }
 

@@ -48,7 +48,7 @@
 // # Robustness
 //
 // Readers never trust a declared length: sequential reads grow payload
-// buffers in bounded chunks as bytes actually arrive, and File validates
+// buffers only as bytes actually arrive, and File validates
 // every index offset and length against the real file size before
 // allocating, so a lying length field cannot translate into a giant
 // speculative allocation. Corruption — flipped payload bytes, truncated
@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Version is the current snapshot format version. Writers emit it;
@@ -115,9 +116,9 @@ const (
 	endSize   = sectionHeadSize + 8 + 4
 )
 
-// readChunk bounds how much a reader allocates ahead of verified bytes:
-// payloads grow in readChunk steps as data actually arrives, so a lying
-// length field cannot translate into a giant speculative allocation.
+// readChunk is the least a sequential reader allocates ahead of verified
+// bytes: payloads grow as data actually arrives (see readBounded), so a
+// lying length field cannot translate into a giant speculative allocation.
 const readChunk = 1 << 20
 
 // SectionInfo describes one section without retaining its payload: its
@@ -561,24 +562,24 @@ func parseIndex(payload []byte) ([]SectionInfo, error) {
 	return entries, nil
 }
 
-// readBounded reads exactly length bytes, growing the buffer chunk by
-// chunk so a lying length cannot force a giant allocation.
+// readBounded reads exactly length bytes straight into the tail of the
+// payload it returns. Each step asks for as many bytes as have already
+// arrived (at least one readChunk), so the buffer doubles — a payload is
+// copied about once in total however long it is — and never extends past
+// twice the verified bytes plus a chunk: a lying length cannot force a
+// giant allocation.
 func readBounded(r io.Reader, length uint64) ([]byte, error) {
-	var out []byte
-	for remaining := length; remaining > 0; {
-		step := remaining
-		if step > readChunk {
-			step = readChunk
+	out := []byte{}
+	for uint64(len(out)) < length {
+		step := max(len(out), readChunk)
+		if rest := length - uint64(len(out)); rest < uint64(step) {
+			step = int(rest)
 		}
 		start := len(out)
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
-			return out[:start], fmt.Errorf("truncated (%d of %d bytes): %v", uint64(start), length, err)
+		out = slices.Grow(out, step)[:start+step]
+		if n, err := io.ReadFull(r, out[start:]); err != nil {
+			return out[:start+n], fmt.Errorf("truncated (%d of %d bytes): %v", start+n, length, err)
 		}
-		remaining -= step
-	}
-	if out == nil {
-		out = []byte{}
 	}
 	return out, nil
 }
