@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race fuzz-smoke bench bench-json bench-gate bench-restart load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
+.PHONY: all build test short race fuzz-smoke bench bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -154,13 +154,18 @@ snap-verify:
 audit:
 	$(GO) run ./cmd/spvsnap audit $(SNAP)
 
-# The repository benchmark's `restart` workload with its layer trace: an
-# origin that certifies and saves, replicas booted lazily and audited. The
-# trace (benchmark/out/trace.json, uploaded by CI's snapshot lane) carries
-# cert.issue_ms, snapshot.save_ms, cert.audit_ms and the load timings, so
-# the snapshot/certificate path has a number on every PR.
-bench-restart:
-	$(GO) run ./benchmark -workload restart -seconds 4 -trace 1
+# The repository benchmark's `cold` and `restart` workloads, four seconds
+# each, with the layer trace: every miss builds a proof, an origin
+# certifies and saves, replicas boot lazily and audited. The trace
+# (benchmark/out/trace.json, uploaded by CI's snapshot lane) carries
+# core.prove_us.*, core.prove_allocs.*, snapshot.first_proof_ms.*,
+# cert.issue_ms, snapshot.save_ms and cert.audit_ms, so the query, snapshot
+# and certificate paths have a number on every PR. bench-restart is the
+# target's old name.
+bench-smoke:
+	$(GO) run ./benchmark -workload cold,restart -seconds 4 -trace 1
+
+bench-restart: bench-smoke
 
 # Large-snapshot lane: build a 10⁵-node grid world, snapshot DIJ+LDM,
 # then restart a replica both ways under a GOMEMLIMIT that would make

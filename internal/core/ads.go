@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/authhints/spv/internal/graph"
@@ -109,13 +110,14 @@ func buildNetworkADS(g *graph.Graph, cfg Config, extraFn func(graph.NodeID) []by
 // earlier than mht's default threshold.
 const adsParallelThreshold = 512
 
-// encodeTupleMsg builds the canonical leaf message of node v.
+// encodeTupleMsg builds the canonical leaf message of node v, encoding
+// straight from the graph's adjacency into one exactly-sized allocation.
 func encodeTupleMsg(g *graph.Graph, v graph.NodeID, extraFn func(graph.NodeID) []byte, buf []byte) []byte {
 	t := g.TupleOf(v)
 	if extraFn != nil {
 		t.Extra = extraFn(v)
 	}
-	return t.AppendBinary(buf)
+	return t.AppendBinary(slices.Grow(buf, t.EncodedSize()))
 }
 
 // patched returns a copy-on-write networkADS with the given leaf messages
@@ -168,10 +170,11 @@ func (a *networkADS) Records(nodes []graph.NodeID) []tupleRecord {
 // always yields one byte-identical wire encoding — the property the serving
 // layer's proof cache and singleflight deduplication rely on.
 func (a *networkADS) Canonical(nodes []graph.NodeID) []graph.NodeID {
-	sort.Slice(nodes, func(i, j int) bool { return a.ord.Pos[nodes[i]] < a.ord.Pos[nodes[j]] })
+	pos := a.ord.Pos
+	slices.SortFunc(nodes, func(u, v graph.NodeID) int { return cmp.Compare(pos[u], pos[v]) })
 	out := nodes[:0]
 	for i, v := range nodes {
-		if i == 0 || a.ord.Pos[v] != a.ord.Pos[nodes[i-1]] {
+		if i == 0 || pos[v] != pos[nodes[i-1]] {
 			out = append(out, v)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/netgen"
+	"github.com/authhints/spv/internal/workload"
 )
 
 // Steady-state allocation budgets for the cold query path. The measured
@@ -54,6 +55,62 @@ func TestQueryAllocBudget(t *testing.T) {
 	warm(ldm)
 	if got := testing.AllocsPerRun(20, func() { ldm() }); got > ldmAllocBudget {
 		t.Errorf("LDM query allocates %.0f/op, budget %d", got, ldmAllocBudget)
+	}
+}
+
+// HYP's budgets are per QueryProof on a 1,500-node world under the default
+// configuration (100 cells, 294 borders, 43,365 distance-tree leaves).
+// Measured: 24 allocs and 8.4 KB a proof, nearly all of it the proof itself.
+// The bytes budget is the one that matters: a Merkle coverage scratch sized
+// to the distance tree and allocated per query cost 376 KB and 83 allocs a
+// proof here, and on the benchmark world 1.7 MB against 106 allocs — a size
+// that grows with the tree behind a count that barely moves.
+const (
+	hypAllocBudget = 48
+	hypBytesBudget = 64 << 10
+)
+
+// TestHYPQueryAllocBudget holds a HYP proof to what it touches: the two
+// cells' tuples and the few dozen hyper-edge leaves between them, not the
+// distance tree.
+func TestHYPQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats scratch pooling")
+	}
+	g, err := netgen.Synthesize(1500, 1650, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyp, err := owner.OutsourceHYP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.Generate(g, 8, 4000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() {
+		for _, q := range qs {
+			if _, err := hyp.QueryProof(q.S, q.T); err != nil {
+				t.Fatalf("HYP %d→%d: %v", q.S, q.T, err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		sweep()
+	}
+	allocs := testing.AllocsPerRun(10, sweep) / float64(len(qs))
+	size := totalAlloc(sweep) / uint64(len(qs))
+	t.Logf("%d borders, %d distance-tree leaves: %.1f allocs/op, %d B/op", hyp.NumBorders(), hyp.distMBT.Len(), allocs, size)
+	if allocs > hypAllocBudget {
+		t.Errorf("HYP query allocates %.1f/op, budget %d", allocs, hypAllocBudget)
+	}
+	if size > hypBytesBudget {
+		t.Errorf("HYP query allocates %d B/op, budget %d", size, hypBytesBudget)
 	}
 }
 

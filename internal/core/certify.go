@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -449,19 +450,30 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	// from the stored rows — just re-derived above — so re-hashing them
 	// (B² small entries, cheap) closes the leaf↔row binding before the
 	// interior fold pins the leaves to the root.
-	entries := hy.Entries()
-	mbt.SortEntries(entries)
+	entries := hy.Entries() // leaf order
 	mt := hp.distMBT.MHT()
 	if mt.NumLeaves() != len(entries) {
 		return fmt.Errorf("%w: HYP distance tree has %d leaves, %d hyper-edges derived", cert.ErrRowDigest, mt.NumLeaves(), len(entries))
 	}
 	halg := s.Cfg.Hash
-	buf, sum := make([]byte, 0, 16), make([]byte, 0, halg.Size())
-	for i, e := range entries {
-		buf = e.AppendBinary(buf[:0])
-		if !bytes.Equal(halg.AppendSum(sum, buf), mt.Leaf(i)) {
-			return fmt.Errorf("%w: HYP distance leaf %d does not hash from its hyper-edge entry", cert.ErrRowDigest, i)
+	var mu sync.Mutex
+	bad := -1 // lowest leaf that does not hash from its entry
+	par.Chunks(len(entries), 0, func(lo, hi int) {
+		buf, sum := make([]byte, 0, 16), make([]byte, 0, halg.Size())
+		for i := lo; i < hi; i++ {
+			buf = entries[i].AppendBinary(buf[:0])
+			if !bytes.Equal(halg.AppendSum(sum, buf), mt.Leaf(i)) {
+				mu.Lock()
+				if bad < 0 || i < bad {
+					bad = i
+				}
+				mu.Unlock()
+				return
+			}
 		}
+	})
+	if bad >= 0 {
+		return fmt.Errorf("%w: HYP distance leaf %d does not hash from its hyper-edge entry", cert.ErrRowDigest, bad)
 	}
 	if err := cert.AuditTree(mt, mc.Roots[1], "HYP distance tree"); err != nil {
 		return err

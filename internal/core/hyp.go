@@ -133,9 +133,8 @@ func (p *HYPProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*HYPProof
 		NetSig:  p.netSig,
 		DistSig: p.distSig,
 	}
-	keys := borderPairKeys(p.hyper, cs, ct)
-	if len(keys) > 0 {
-		proof.Hyper, err = p.distMBT.ProveKeys(keys)
+	if leaves := borderPairLeaves(s, p.hyper, cs, ct); len(leaves) > 0 {
+		proof.Hyper, err = p.distMBT.Prove(leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -143,30 +142,27 @@ func (p *HYPProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*HYPProof
 	return proof, nil
 }
 
-// borderPairKeys enumerates the canonical hyper-edge keys between the
-// borders of the source and target cells (all pairs within one cell when
-// the cells coincide). Distinct cells have disjoint border sets, so keys
-// are unique by construction; for a shared cell the i ≤ j triangle covers
-// each unordered pair (and self-pair) exactly once — no dedup map needed.
-func borderPairKeys(h *hiti.Hyper, cs, ct geom.CellID) []mbt.Key {
+// borderPairLeaves enumerates, into s.indices, the distance-tree leaves of
+// the hyper-edges between the borders of the source and target cells (all
+// pairs within one cell when the cells coincide). Distinct cells have
+// disjoint border sets, so leaves are unique by construction; for a shared
+// cell the i ≤ j triangle covers each unordered pair (and self-pair)
+// exactly once — no dedup needed. Source-cell-major order is the order the
+// proof lists its entries in.
+func borderPairLeaves(s *queryScratch, h *hiti.Hyper, cs, ct geom.CellID) []int {
 	bs := h.BordersOf(cs)
-	if cs == ct {
-		keys := make([]mbt.Key, 0, len(bs)*(len(bs)+1)/2)
-		for i, a := range bs {
-			for _, b := range bs[i:] {
-				keys = append(keys, hiti.HyperKey(a, b, cs, cs))
-			}
+	idx := s.indices[:0]
+	for i, a := range bs {
+		bt := h.BordersOf(ct)
+		if cs == ct {
+			bt = bs[i:]
 		}
-		return keys
-	}
-	bt := h.BordersOf(ct)
-	keys := make([]mbt.Key, 0, len(bs)*len(bt))
-	for _, a := range bs {
 		for _, b := range bt {
-			keys = append(keys, hiti.HyperKey(a, b, cs, ct))
+			idx = append(idx, h.LeafIndex(a, b))
 		}
 	}
-	return keys
+	s.indices = idx
+	return idx
 }
 
 // VerifyHYP is the client side of §V-B.

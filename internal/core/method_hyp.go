@@ -206,11 +206,7 @@ func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 	}
 	rows := make([][]float64, 0, numRows)
 	for i := 0; i < numRows && c.err == nil; i++ {
-		row := make([]float64, rowLen)
-		for j := 0; j < rowLen && c.err == nil; j++ {
-			row[j] = c.f64()
-		}
-		rows = append(rows, row)
+		rows = append(rows, c.f64s(rowLen))
 	}
 	hasDist := c.u8()
 	var distTree *mht.Tree
@@ -230,8 +226,7 @@ func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 	}
 	p2 := &HYPProvider{g: env.Graph, view: env.View, hyper: hyper, netSig: netSig, distSig: distSig}
 	if distTree != nil {
-		entries := hyper.Entries()
-		p2.distMBT, err = mbt.RehydrateTree(entries, distTree)
+		p2.distMBT, err = mbt.RehydrateTree(hyper.Entries(), distTree)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}

@@ -196,11 +196,7 @@ func (ldmImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 	}
 	dists := make([][]float64, 0, nl)
 	for i := 0; i < nl && c.err == nil; i++ {
-		row := make([]float64, n)
-		for j := 0; j < n && c.err == nil; j++ {
-			row[j] = c.f64()
-		}
-		dists = append(dists, row)
+		dists = append(dists, c.f64s(n))
 	}
 	tree := c.tree()
 	if err := c.finish("LDM"); err != nil {

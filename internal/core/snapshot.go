@@ -855,6 +855,20 @@ func (c *snapCursor) u64() uint64 {
 
 func (c *snapCursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
+// f64s reads n floats under one bounds check — hint rows are the bulk of a
+// section.
+func (c *snapCursor) f64s(n int) []float64 {
+	b := c.raw(8 * n)
+	if b == nil {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
 func (c *snapCursor) bytes() []byte {
 	n := int(c.u32())
 	if c.err != nil {

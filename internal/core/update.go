@@ -581,7 +581,7 @@ func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
 	var rows []int
-	var entries []mbt.Entry
+	var entries []mbt.ProvenEntry
 	if !hyper.HasFullRows() {
 		// First update against this provider: materialize full rows on the
 		// post-update network (one row rebuild — static deployments never
@@ -589,7 +589,11 @@ func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error
 		// are incremental.
 		hyper = hyper.WithFullRows(b.newView)
 		st.RowsRecomputed = len(hyper.Borders)
-		entries = hyper.Entries()
+		all := hyper.Entries() // in leaf order: entry i is leaf i
+		entries = make([]mbt.ProvenEntry, len(all))
+		for i, e := range all {
+			entries[i] = mbt.ProvenEntry{Entry: e, Index: uint32(i)}
+		}
 		st.StaleCover = make([]int, len(hyper.Borders))
 		for k, bn := range hyper.Borders {
 			st.StaleCover[k] = p.ads.ord.Pos[bn]

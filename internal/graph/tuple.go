@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,13 +28,21 @@ type Tuple struct {
 	Extra []byte
 }
 
-// TupleOf builds the extended-tuple of node v. The adjacency is copied and
-// canonically sorted so the encoding is deterministic.
+// TupleOf builds the extended-tuple of node v. AddEdge keeps every adjacency
+// list in ascending neighbor order, so Adj is the graph's own list, not a
+// copy — read-only, like Neighbors. Only a list found out of order (internals
+// manipulated directly) is copied and sorted, so the encoding stays
+// deterministic either way.
 func (g *Graph) TupleOf(v NodeID) Tuple {
-	adj := append([]Edge(nil), g.adj[v]...)
-	sort.Slice(adj, func(i, j int) bool { return adj[i].To < adj[j].To })
+	adj := g.adj[v]
+	if !slices.IsSortedFunc(adj, byNeighbor) {
+		adj = slices.Clone(adj)
+		slices.SortFunc(adj, byNeighbor)
+	}
 	return Tuple{ID: v, X: g.xs[v], Y: g.ys[v], Adj: adj}
 }
+
+func byNeighbor(a, b Edge) int { return cmp.Compare(a.To, b.To) }
 
 // AppendBinary appends the canonical binary encoding of Φ(v) to buf and
 // returns the extended slice. The layout is:

@@ -30,7 +30,14 @@ type Hyper struct {
 	IsBorder []bool         // border flag per node
 	Borders  []graph.NodeID // all border nodes, ascending
 
-	borderIdx map[graph.NodeID]int // node → row in W
+	// row[v] is border v's row in W* (its index in Borders) and slot[v] its
+	// index among its own cell's borders; both are -1 for non-borders.
+	row, slot []int32
+	// Leaf order of the hyper-edge tree (see HyperKey), per cell c:
+	// before[c] borders live in lower cells, and first[c] is the leaf index
+	// of the cell's first entry. Both carry one slot past the last cell, so
+	// cell c holds before[c+1]-before[c] borders.
+	before, first []int
 	// Static builds hold W* border-indexed: wb[i][j] = dist(Borders[i],
 	// Borders[j]), O(B²) memory. The first incremental update upgrades to
 	// full rows w[i][x] (indexed by node, O(B·|V|) memory, wb dropped):
@@ -39,10 +46,10 @@ type Hyper struct {
 	// fresh searches — a cost only update-serving deployments pay.
 	wb        [][]float64
 	w         [][]float64
-	cellNodes map[geom.CellID][]graph.NodeID
+	cellNodes [][]graph.NodeID // per cell, ascending
 	// cellBorders caches each cell's border nodes (ascending) so the query
 	// hot path never re-scans cell membership.
-	cellBorders map[geom.CellID][]graph.NodeID
+	cellBorders [][]graph.NodeID
 }
 
 // Build partitions g into approximately p grid cells and materializes all
@@ -84,13 +91,17 @@ func partition(g *graph.Graph, p int) (*Hyper, error) {
 	if grid.NumCells() > MaxCells {
 		return nil, fmt.Errorf("hiti: %d cells exceed key capacity %d", grid.NumCells(), MaxCells)
 	}
-	n := g.NumNodes()
+	n, cells := g.NumNodes(), grid.NumCells()
 	h := &Hyper{
-		Grid:      grid,
-		CellOf:    make([]geom.CellID, n),
-		IsBorder:  make([]bool, n),
-		borderIdx: make(map[graph.NodeID]int),
-		cellNodes: make(map[geom.CellID][]graph.NodeID),
+		Grid:        grid,
+		CellOf:      make([]geom.CellID, n),
+		IsBorder:    make([]bool, n),
+		row:         make([]int32, n),
+		slot:        make([]int32, n),
+		before:      make([]int, cells+1),
+		first:       make([]int, cells+1),
+		cellNodes:   make([][]graph.NodeID, cells),
+		cellBorders: make([][]graph.NodeID, cells),
 	}
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
@@ -105,15 +116,20 @@ func partition(g *graph.Graph, p int) (*Hyper, error) {
 				break
 			}
 		}
+		h.row[v], h.slot[v] = -1, -1
 		if h.IsBorder[v] {
+			c := h.CellOf[v]
+			h.row[v], h.slot[v] = int32(len(h.Borders)), int32(len(h.cellBorders[c]))
 			h.Borders = append(h.Borders, graph.NodeID(v))
+			h.cellBorders[c] = append(h.cellBorders[c], graph.NodeID(v))
 		}
 	}
-	h.cellBorders = make(map[geom.CellID][]graph.NodeID)
-	for i, b := range h.Borders {
-		h.borderIdx[b] = i
-		c := h.CellOf[b]
-		h.cellBorders[c] = append(h.cellBorders[c], b)
+	// A cell with k borders opens with its own k(k+1)/2 triangle, then one
+	// k×k' block per higher cell — k × (borders in higher cells) in all.
+	for c, bs := range h.cellBorders {
+		k := len(bs)
+		h.before[c+1] = h.before[c] + k
+		h.first[c+1] = h.first[c] + k*(k+1)/2 + k*(len(h.Borders)-h.before[c+1])
 	}
 	return h, nil
 }
@@ -167,7 +183,7 @@ func (h *Hyper) value(i int, x graph.NodeID) float64 {
 	if h.w != nil {
 		return h.w[i][x]
 	}
-	return h.wb[i][h.borderIdx[x]]
+	return h.wb[i][h.row[x]]
 }
 
 // HasFullRows reports whether full distance rows have been materialized
@@ -235,59 +251,53 @@ func (h *Hyper) WithUpdatedRows(view graph.View, rows []int) *Hyper {
 	return &nh
 }
 
-// CrossingEntries returns the canonical entries for border pairs that
-// straddle the given node partition (inF[x] = x on the far side). Across a
-// bridge only straddling pairs can change value, so the update pipeline
-// diffs exactly these instead of all B² pairs.
-func (h *Hyper) CrossingEntries(inF []bool) []mbt.Entry {
-	var bf, bc []int
-	for i, bn := range h.Borders {
+// CrossingEntries returns the hyper-edge entries, each with its leaf index,
+// for border pairs that straddle the given node partition (inF[x] = x on the
+// far side). Across a bridge only straddling pairs can change value, so the
+// update pipeline diffs exactly these instead of all B² pairs.
+func (h *Hyper) CrossingEntries(inF []bool) []mbt.ProvenEntry {
+	var bf, bc []graph.NodeID
+	for _, bn := range h.Borders {
 		if inF[bn] {
-			bf = append(bf, i)
+			bf = append(bf, bn)
 		} else {
-			bc = append(bc, i)
+			bc = append(bc, bn)
 		}
 	}
-	out := make([]mbt.Entry, 0, len(bf)*len(bc))
-	for _, i := range bf {
-		for _, j := range bc {
-			lo, hi := i, j
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			u, v := h.Borders[lo], h.Borders[hi]
-			out = append(out, mbt.Entry{
-				Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-				Value: h.value(lo, v),
-			})
+	out := make([]mbt.ProvenEntry, 0, len(bf)*len(bc))
+	for _, u := range bf {
+		for _, v := range bc {
+			out = append(out, h.proven(u, v))
 		}
 	}
 	return out
 }
 
-// RowEntries returns the canonical hyper-edge entries whose values derive
-// from border row i — the (i, j ≥ i) triangle Entries materializes. Patch
-// paths recompute exactly these after re-running row i.
-func (h *Hyper) RowEntries(i int) []mbt.Entry {
-	b := len(h.Borders)
-	out := make([]mbt.Entry, 0, b-i)
-	u := h.Borders[i]
-	for j := i; j < b; j++ {
-		v := h.Borders[j]
-		out = append(out, mbt.Entry{
-			Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-			Value: h.value(i, v),
-		})
+// RowEntries returns the hyper-edge entries whose values derive from border
+// row i — the pairs (Borders[i], Borders[j ≥ i]) — each with its leaf index.
+// Patch paths recompute exactly these after re-running row i.
+func (h *Hyper) RowEntries(i int) []mbt.ProvenEntry {
+	out := make([]mbt.ProvenEntry, 0, len(h.Borders)-i)
+	for _, v := range h.Borders[i:] {
+		out = append(out, h.proven(h.Borders[i], v))
 	}
 	return out
 }
 
-// BorderIndex returns border b's row index in W*, or -1 for non-borders.
-func (h *Hyper) BorderIndex(b graph.NodeID) int {
-	if i, ok := h.borderIdx[b]; ok {
-		return i
+// entry is the tree entry of the border pair {u, v}. The value is read from
+// the lower-ID border's row: dist(u, v) and dist(v, u) come from different
+// searches and may differ in their last bits, and the signed leaves have
+// always carried that row's.
+func (h *Hyper) entry(u, v graph.NodeID) mbt.Entry {
+	if v < u {
+		u, v = v, u
 	}
-	return -1
+	return mbt.Entry{Key: HyperKey(u, v, h.CellOf[u], h.CellOf[v]), Value: h.value(int(h.row[u]), v)}
+}
+
+// proven is entry plus the pair's leaf index.
+func (h *Hyper) proven(u, v graph.NodeID) mbt.ProvenEntry {
+	return mbt.ProvenEntry{Entry: h.entry(u, v), Index: uint32(h.LeafIndex(u, v))}
 }
 
 // NumBorders returns the number of border nodes.
@@ -309,14 +319,10 @@ func (h *Hyper) NodesOf(c geom.CellID) []graph.NodeID {
 // HyperEdge returns W*(u, v) for two border nodes, or false if either is not
 // a border node.
 func (h *Hyper) HyperEdge(u, v graph.NodeID) (float64, bool) {
-	i, ok := h.borderIdx[u]
-	if !ok {
+	if h.row[u] < 0 || h.row[v] < 0 {
 		return 0, false
 	}
-	if _, ok := h.borderIdx[v]; !ok {
-		return 0, false
-	}
-	return h.value(i, v), true
+	return h.value(int(h.row[u]), v), true
 }
 
 // Hyper-edge key layout: the distance Merkle B-tree is keyed cell-pair
@@ -330,6 +336,12 @@ func (h *Hyper) HyperEdge(u, v graph.NodeID) (float64, bool) {
 // collapses to a near-single path of sibling digests. This is a provider-
 // side layout choice the client never has to trust: keys are reconstructed
 // from authenticated cell annotations and bound by the root signature.
+//
+// Sorted by key, the entries of cell c form one run per cell d ≥ c: first
+// the triangle of c's own k border pairs (u ≤ v, row-major), then for each
+// higher cell a k×k' block, c's border major. Run lengths depend on border
+// counts alone, so a pair's leaf index is arithmetic (LeafIndex) and Entries
+// emits the tree's leaf order without a sort.
 const (
 	cellBits = 10
 	nodeBits = 22
@@ -351,21 +363,44 @@ func HyperKey(u, v graph.NodeID, cu, cv geom.CellID) mbt.Key {
 		uint64(v))
 }
 
-// Entries materializes all hyper-edges as Merkle B-tree entries under
-// canonical keys, including self-pairs (weight 0) so that border sets of
-// size one still yield a provable key set.
-func (h *Hyper) Entries() []mbt.Entry {
-	b := len(h.Borders)
-	out := make([]mbt.Entry, 0, b*(b+1)/2)
-	for i := 0; i < b; i++ {
-		for j := i; j < b; j++ {
-			u, v := h.Borders[i], h.Borders[j]
-			out = append(out, mbt.Entry{
-				Key:   HyperKey(u, v, h.CellOf[u], h.CellOf[v]),
-				Value: h.value(i, v),
-			})
-		}
+// LeafIndex returns the position of border pair {u, v}'s entry in key
+// order, i.e. its leaf in the distance tree. Both must be border nodes.
+func (h *Hyper) LeafIndex(u, v graph.NodeID) int {
+	cu, cv := h.CellOf[u], h.CellOf[v]
+	if cv < cu || (cv == cu && v < u) {
+		u, v = v, u
+		cu, cv = cv, cu
 	}
+	a, b := int(h.slot[u]), int(h.slot[v])
+	k := h.before[cu+1] - h.before[cu]
+	if cu == cv {
+		return h.first[cu] + a*k - a*(a-1)/2 + b - a
+	}
+	block := h.first[cu] + k*(k+1)/2 + k*(h.before[cv]-h.before[cu+1])
+	return block + a*(h.before[cv+1]-h.before[cv]) + b
+}
+
+// Entries materializes all hyper-edges as Merkle B-tree entries in strictly
+// increasing key order, including self-pairs (weight 0) so that border sets
+// of size one still yield a provable key set. Cell c's entries start at
+// first[c], so cells are filled in parallel.
+func (h *Hyper) Entries() []mbt.Entry {
+	out := make([]mbt.Entry, h.NumHyperEdges())
+	par.Work(len(h.cellBorders), func(c int) {
+		bc, k := h.cellBorders[c], h.first[c]
+		for d := c; d < len(h.cellBorders) && len(bc) > 0; d++ {
+			for i, u := range bc {
+				bd := h.cellBorders[d]
+				if d == c {
+					bd = bc[i:] // own cell: the u ≤ v triangle
+				}
+				for _, v := range bd {
+					out[k] = h.entry(u, v)
+					k++
+				}
+			}
+		}
+	})
 	return out
 }
 

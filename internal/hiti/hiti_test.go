@@ -365,3 +365,82 @@ func TestNodesOfPartition(t *testing.T) {
 		t.Errorf("cells cover %d nodes, want %d", total, g.NumNodes())
 	}
 }
+
+// TestLeafOrderClosedForm is the property the sort-free tree rests on: over
+// random networks and cell counts, Entries is strictly increasing by
+// HyperKey, and LeafIndex — in either argument order — is each pair's
+// position in it. The sweep must meet the layout's corner cases (one cell,
+// cells with no border, cells with exactly one, pairs inside one cell) or
+// it fails for lack of coverage. RowEntries and CrossingEntries, which
+// carry indices to the patch path, are held to the same positions.
+func TestLeafOrderClosedForm(t *testing.T) {
+	var emptyCells, singleCells, sameCellPairs, oneCellWorlds int
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := spatialGraph(rng, 2+rng.Intn(140))
+		p := []int{1, 2, 4, 9, 16, 49, 100, 400}[seed%8]
+		h, err := Build(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Grid.NumCells() == 1 {
+			oneCellWorlds++
+		}
+		for c := 0; c < h.Grid.NumCells(); c++ {
+			switch len(h.BordersOf(geom.CellID(c))) {
+			case 0:
+				emptyCells++
+			case 1:
+				singleCells++
+			}
+		}
+		entries := h.Entries()
+		if len(entries) != h.NumHyperEdges() {
+			t.Fatalf("seed %d p=%d: %d entries, want %d", seed, p, len(entries), h.NumHyperEdges())
+		}
+		for i := 1; i < len(entries); i++ {
+			if entries[i].Key <= entries[i-1].Key {
+				t.Fatalf("seed %d p=%d: entry %d key %d does not follow %d", seed, p, i, entries[i].Key, entries[i-1].Key)
+			}
+		}
+		for i, u := range h.Borders {
+			for _, v := range h.Borders[i:] {
+				pos := h.LeafIndex(u, v)
+				if rev := h.LeafIndex(v, u); rev != pos {
+					t.Fatalf("seed %d p=%d: LeafIndex(%d,%d)=%d but (%d,%d)=%d", seed, p, u, v, pos, v, u, rev)
+				}
+				if pos < 0 || pos >= len(entries) {
+					t.Fatalf("seed %d p=%d: LeafIndex(%d,%d)=%d outside [0,%d)", seed, p, u, v, pos, len(entries))
+				}
+				want := HyperKey(u, v, h.CellOf[u], h.CellOf[v])
+				if entries[pos].Key != want {
+					t.Fatalf("seed %d p=%d: leaf %d holds key %d, pair (%d,%d) has key %d", seed, p, pos, entries[pos].Key, u, v, want)
+				}
+				// u is the lower ID: the value is its row's, bit for bit.
+				if got, row := entries[pos].Value, h.value(i, v); math.Float64bits(got) != math.Float64bits(row) {
+					t.Fatalf("seed %d p=%d: leaf %d value %v, row %d says %v", seed, p, pos, got, i, row)
+				}
+				if u != v && h.CellOf[u] == h.CellOf[v] {
+					sameCellPairs++
+				}
+			}
+		}
+		inF := make([]bool, g.NumNodes())
+		for v := range inF {
+			inF[v] = rng.Intn(2) == 0
+		}
+		patch := h.CrossingEntries(inF)
+		for i := range h.Borders {
+			patch = append(patch, h.RowEntries(i)...)
+		}
+		for _, e := range patch {
+			if int(e.Index) >= len(entries) || entries[e.Index] != e.Entry {
+				t.Fatalf("seed %d p=%d: patch entry %+v is not leaf %d", seed, p, e.Entry, e.Index)
+			}
+		}
+	}
+	if oneCellWorlds == 0 || emptyCells == 0 || singleCells == 0 || sameCellPairs == 0 {
+		t.Errorf("sweep missed a corner: %d one-cell worlds, %d empty cells, %d single-border cells, %d same-cell pairs",
+			oneCellWorlds, emptyCells, singleCells, sameCellPairs)
+	}
+}

@@ -16,16 +16,16 @@ package mbt
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
+	"github.com/authhints/spv/internal/par"
 )
 
 // Key is the composite (vi.id, vj.id) search key.
@@ -64,12 +64,6 @@ func decodeEntry(buf []byte) (Entry, error) {
 	}, nil
 }
 
-// SortEntries orders entries by key in place — the leaf order of a tree
-// built over them.
-func SortEntries(entries []Entry) {
-	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
-}
-
 // Tree is an in-memory Merkle B-tree over an explicit sorted key set.
 type Tree struct {
 	keys []Key
@@ -77,52 +71,64 @@ type Tree struct {
 	mt   *mht.Tree
 }
 
-// Build constructs a tree from entries (sorted internally; duplicate keys
-// are rejected).
+// columns splits entries, which must be strictly increasing by key, into a
+// tree's key and value columns. The one comparison rejects out-of-order and
+// duplicate keys alike: callers own the leaf order and emit it by
+// construction, so nothing here clones or sorts.
+func columns(entries []Entry) (*Tree, error) {
+	t := &Tree{keys: make([]Key, len(entries)), vals: make([]float64, len(entries))}
+	for i, e := range entries {
+		if i > 0 && e.Key <= entries[i-1].Key {
+			return nil, fmt.Errorf("mbt: key %d at entry %d does not follow key %d", e.Key, i, entries[i-1].Key)
+		}
+		t.keys[i], t.vals[i] = e.Key, e.Value
+	}
+	return t, nil
+}
+
+// Build constructs a tree from entries, which must be strictly increasing
+// by key. Leaf digests are hashed in parallel into one slab.
 func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	if len(entries) == 0 {
 		return nil, errors.New("mbt: no entries")
 	}
-	sorted := slices.Clone(entries)
-	SortEntries(sorted)
-	t := &Tree{
-		keys: make([]Key, len(sorted)),
-		vals: make([]float64, len(sorted)),
+	if !alg.Valid() {
+		return nil, fmt.Errorf("mbt: invalid hash algorithm %d", alg)
 	}
-	leaves := make([][]byte, len(sorted))
-	var buf []byte
-	for i, e := range sorted {
-		if i > 0 && e.Key == sorted[i-1].Key {
-			return nil, fmt.Errorf("mbt: duplicate key %d", e.Key)
-		}
-		t.keys[i] = e.Key
-		t.vals[i] = e.Value
-		buf = e.AppendBinary(buf[:0])
-		leaves[i] = alg.Sum(buf)
-	}
-	mt, err := mht.Build(alg, fanout, leaves)
+	t, err := columns(entries)
 	if err != nil {
 		return nil, err
 	}
-	t.mt = mt
+	size := alg.Size()
+	slab := make([]byte, len(entries)*size)
+	leaves := make([][]byte, len(entries))
+	par.Chunks(len(entries), 0, func(lo, hi int) {
+		var buf [entrySize]byte
+		for i := lo; i < hi; i++ {
+			leaves[i] = alg.AppendSum(slab[i*size:i*size:(i+1)*size], entries[i].AppendBinary(buf[:0]))
+		}
+	})
+	if t.mt, err = mht.Build(alg, fanout, leaves); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// UpdateValues returns a tree in which each entry's value is replaced by
-// the one given (keys must already exist; the key set never changes under
-// edge re-weighting), plus the number of leaves actually rewritten.
-// Entries whose value is bit-identical are skipped, and only the dirty
-// Merkle paths are rehashed — the receiver stays valid for concurrent
+// UpdateValues returns a tree in which each given entry's value replaces
+// the one at its leaf index (the key there must match; the key set never
+// changes under edge re-weighting), plus the number of leaves actually
+// rewritten. Entries whose value is bit-identical are skipped, and only the
+// dirty Merkle paths are rehashed — the receiver stays valid for concurrent
 // readers. Byte-identical to Build over the patched entry set.
-func (t *Tree) UpdateValues(entries []Entry) (*Tree, int, error) {
+func (t *Tree) UpdateValues(entries []ProvenEntry) (*Tree, int, error) {
 	alg := t.mt.Alg()
 	dirty := make(map[int][]byte, len(entries))
 	var vals []float64
 	var buf []byte
 	for _, e := range entries {
-		i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= e.Key })
+		i := int(e.Index)
 		if i >= len(t.keys) || t.keys[i] != e.Key {
-			return nil, 0, fmt.Errorf("mbt: key %d not present", e.Key)
+			return nil, 0, fmt.Errorf("mbt: key %d is not at leaf %d", e.Key, i)
 		}
 		if math.Float64bits(t.vals[i]) == math.Float64bits(e.Value) {
 			continue
@@ -131,7 +137,7 @@ func (t *Tree) UpdateValues(entries []Entry) (*Tree, int, error) {
 			vals = append([]float64(nil), t.vals...)
 		}
 		vals[i] = e.Value
-		buf = e.AppendBinary(buf[:0])
+		buf = e.Entry.AppendBinary(buf[:0])
 		dirty[i] = alg.Sum(buf)
 	}
 	if len(dirty) == 0 {
@@ -148,12 +154,12 @@ func (t *Tree) UpdateValues(entries []Entry) (*Tree, int, error) {
 // (dehydration); pair with RehydrateTree. Read-only.
 func (t *Tree) MHT() *mht.Tree { return t.mt }
 
-// RehydrateTree reconstructs a Tree from its entries and an already
-// rehydrated Merkle tree, without re-hashing any leaf — the snapshot load
-// path. Entries are sorted internally; duplicates are rejected and the
-// entry count must match the tree's leaf count. Digest values are trusted
-// (see mht.Rehydrate): a lying snapshot produces proofs that fail client
-// verification, nothing worse.
+// RehydrateTree reconstructs a Tree from its entries — strictly increasing
+// by key, as for Build — and an already rehydrated Merkle tree, without
+// re-hashing any leaf: the snapshot load path. The entry count must match
+// the tree's leaf count. Digest values are trusted (see mht.Rehydrate): a
+// lying snapshot produces proofs that fail client verification, nothing
+// worse.
 func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
 	if mt == nil {
 		return nil, errors.New("mbt: nil merkle tree")
@@ -161,20 +167,11 @@ func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
 	if len(entries) != mt.NumLeaves() {
 		return nil, fmt.Errorf("mbt: %d entries for %d leaves", len(entries), mt.NumLeaves())
 	}
-	sorted := slices.Clone(entries)
-	SortEntries(sorted)
-	t := &Tree{
-		keys: make([]Key, len(sorted)),
-		vals: make([]float64, len(sorted)),
-		mt:   mt,
+	t, err := columns(entries)
+	if err != nil {
+		return nil, err
 	}
-	for i, e := range sorted {
-		if i > 0 && e.Key == sorted[i-1].Key {
-			return nil, fmt.Errorf("mbt: duplicate key %d", e.Key)
-		}
-		t.keys[i] = e.Key
-		t.vals[i] = e.Value
-	}
+	t.mt = mt
 	return t, nil
 }
 
@@ -184,10 +181,12 @@ func (t *Tree) Root() []byte { return t.mt.Root() }
 // Len returns the number of entries.
 func (t *Tree) Len() int { return len(t.keys) }
 
+// Index returns the leaf index of key.
+func (t *Tree) Index(key Key) (int, bool) { return slices.BinarySearch(t.keys, key) }
+
 // Lookup returns the value stored under key.
 func (t *Tree) Lookup(key Key) (float64, bool) {
-	i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= key })
-	if i < len(t.keys) && t.keys[i] == key {
+	if i, ok := t.Index(key); ok {
 		return t.vals[i], true
 	}
 	return 0, false
@@ -207,34 +206,31 @@ type Proof struct {
 	MHT     *mht.Proof
 }
 
-// ProveKeys builds a proof for the given keys. All keys must exist.
-func (t *Tree) ProveKeys(keys []Key) (*Proof, error) {
-	if len(keys) == 0 {
-		return nil, errors.New("mbt: no keys to prove")
+// provePool recycles Merkle coverage scratch across queries, trees and
+// epochs: its stamps are epoch-tagged and it regrows to any tree's shape,
+// so a proof costs the leaves it touches, not the tree.
+var provePool = sync.Pool{New: func() any { return new(mht.ProveScratch) }}
+
+// Prove builds a proof for the entries at the given leaf indices, in the
+// order given. Callers that know the key layout compute indices directly;
+// Index serves those that hold only a key.
+func (t *Tree) Prove(indices []int) (*Proof, error) {
+	if len(indices) == 0 {
+		return nil, errors.New("mbt: no leaves to prove")
 	}
-	seen := make(map[Key]bool, len(keys))
-	p := &Proof{}
-	var indices []int
-	for _, k := range keys {
-		if seen[k] {
-			continue
+	p := &Proof{Entries: make([]ProvenEntry, len(indices))}
+	for n, i := range indices {
+		if i < 0 || i >= len(t.keys) {
+			return nil, fmt.Errorf("mbt: leaf index %d out of range [0, %d)", i, len(t.keys))
 		}
-		seen[k] = true
-		i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= k })
-		if i >= len(t.keys) || t.keys[i] != k {
-			return nil, fmt.Errorf("mbt: key %d not present", k)
-		}
-		p.Entries = append(p.Entries, ProvenEntry{
-			Entry: Entry{Key: k, Value: t.vals[i]},
-			Index: uint32(i),
-		})
-		indices = append(indices, i)
+		p.Entries[n] = ProvenEntry{Entry: Entry{Key: t.keys[i], Value: t.vals[i]}, Index: uint32(i)}
 	}
-	mp, err := t.mt.Prove(indices)
-	if err != nil {
+	s := provePool.Get().(*mht.ProveScratch)
+	defer provePool.Put(s)
+	var err error
+	if p.MHT, err = t.mt.ProveWith(s, indices); err != nil {
 		return nil, err
 	}
-	p.MHT = mp
 	return p, nil
 }
 

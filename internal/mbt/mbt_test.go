@@ -2,7 +2,10 @@ package mbt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +18,20 @@ func testEntries(n int) []Entry {
 		out = append(out, Entry{Key: MakeKey(uint32(i/7), uint32(i%7)), Value: float64(i) * 1.5})
 	}
 	return out
+}
+
+// proveKeys proves keys through their leaf indices, as callers without a
+// closed-form layout would.
+func proveKeys(tr *Tree, keys []Key) (*Proof, error) {
+	idx := make([]int, len(keys))
+	for n, k := range keys {
+		i, ok := tr.Index(k)
+		if !ok {
+			return nil, fmt.Errorf("key %d not present", k)
+		}
+		idx[n] = i
+	}
+	return tr.Prove(idx)
 }
 
 func TestMakeKeySplit(t *testing.T) {
@@ -38,9 +55,71 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(digest.SHA1, 4, nil); err == nil {
 		t.Error("empty entries accepted")
 	}
-	dup := []Entry{{Key: 1, Value: 2}, {Key: 1, Value: 3}}
-	if _, err := Build(digest.SHA1, 4, dup); err == nil {
-		t.Error("duplicate keys accepted")
+	if _, err := Build(digest.Alg(99), 4, testEntries(3)); err == nil {
+		t.Error("invalid hash algorithm accepted")
+	}
+}
+
+// TestLeafOrderIsTheCallers pins the ordering contract: Build and
+// RehydrateTree take entries strictly increasing by key and reject anything
+// else — a duplicate or a descent, near the front, at the back or in between —
+// instead of sorting behind the caller's back.
+func TestLeafOrderIsTheCallers(t *testing.T) {
+	good := testEntries(40)
+	tr, err := Build(digest.SHA1, 4, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RehydrateTree(good, tr.MHT()); err != nil {
+		t.Fatalf("ordered entries rejected on rehydrate: %v", err)
+	}
+	for _, at := range []int{2, 20, 39} {
+		for name, key := range map[string]Key{"duplicate": good[at-1].Key, "descending": good[at-1].Key - 1} {
+			bad := slices.Clone(good)
+			bad[at].Key = key
+			if _, err := Build(digest.SHA1, 4, bad); err == nil {
+				t.Errorf("Build accepted a %s key at entry %d", name, at)
+			}
+			if _, err := RehydrateTree(bad, tr.MHT()); err == nil {
+				t.Errorf("RehydrateTree accepted a %s key at entry %d", name, at)
+			}
+		}
+	}
+	if _, err := RehydrateTree(good[:39], tr.MHT()); err == nil {
+		t.Error("RehydrateTree accepted fewer entries than leaves")
+	}
+}
+
+// TestUpdateValuesMatchesRebuild patches values by leaf index and compares
+// against a fresh build; an index that does not hold the entry's key is
+// refused.
+func TestUpdateValuesMatchesRebuild(t *testing.T) {
+	entries := testEntries(60)
+	tr, _ := Build(digest.SHA1, 4, entries)
+	patch := []ProvenEntry{
+		{Entry: Entry{Key: entries[7].Key, Value: 99}, Index: 7},
+		{Entry: entries[30], Index: 30}, // bit-identical: skipped
+		{Entry: Entry{Key: entries[59].Key, Value: -1}, Index: 59},
+	}
+	nt, changed, err := tr.UpdateValues(patch)
+	if err != nil || changed != 2 {
+		t.Fatalf("UpdateValues: %d changed, %v", changed, err)
+	}
+	entries[7].Value, entries[59].Value = 99, -1
+	want, _ := Build(digest.SHA1, 4, entries)
+	if !bytes.Equal(nt.Root(), want.Root()) {
+		t.Error("patched root differs from a rebuild")
+	}
+	if v, _ := tr.Lookup(entries[7].Key); v == 99 {
+		t.Error("the receiver was modified")
+	}
+	for _, bad := range []ProvenEntry{
+		{Entry: Entry{Key: entries[7].Key, Value: 1}, Index: 8},
+		{Entry: Entry{Key: entries[7].Key, Value: 1}, Index: 60},
+	} {
+		if _, _, err := tr.UpdateValues([]ProvenEntry{bad}); err == nil {
+			t.Errorf("key %d accepted at leaf %d", bad.Key, bad.Index)
+		}
 	}
 }
 
@@ -63,7 +142,7 @@ func TestLookup(t *testing.T) {
 
 func TestProveVerifySingleKey(t *testing.T) {
 	tr, _ := Build(digest.SHA1, 4, testEntries(50))
-	p, err := tr.ProveKeys([]Key{MakeKey(3, 2)})
+	p, err := proveKeys(tr, []Key{MakeKey(3, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +168,7 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 		for i := range keys {
 			keys[i] = entries[rng.Intn(len(entries))].Key
 		}
-		p, err := tr.ProveKeys(keys)
+		p, err := proveKeys(tr, keys)
 		if err != nil {
 			t.Logf("prove: %v", err)
 			return false
@@ -112,14 +191,54 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 	}
 }
 
-func TestProveKeysRejectsMissing(t *testing.T) {
+func TestProveRejectsBadIndices(t *testing.T) {
 	tr, _ := Build(digest.SHA1, 4, testEntries(10))
-	if _, err := tr.ProveKeys([]Key{MakeKey(42, 42)}); err == nil {
-		t.Error("proof for absent key succeeded")
+	for _, idx := range [][]int{nil, {10}, {-1}, {3, 11}} {
+		if _, err := tr.Prove(idx); err == nil {
+			t.Errorf("leaf set %v accepted", idx)
+		}
 	}
-	if _, err := tr.ProveKeys(nil); err == nil {
-		t.Error("empty key set accepted")
+	if _, ok := tr.Index(MakeKey(42, 42)); ok {
+		t.Error("absent key has a leaf index")
 	}
+}
+
+// TestProveSharedScratchAcrossTrees proves against two trees of different
+// heights and widths from concurrent goroutines, each alternating between
+// them: the scratch pool is shared by every tree in the process
+// (deployments, update epochs), so a scratch last shaped for one tree must
+// serve the other. Run under -race.
+func TestProveSharedScratchAcrossTrees(t *testing.T) {
+	small, _ := Build(digest.SHA1, 16, testEntries(40))
+	large, _ := Build(digest.SHA1, 2, testEntries(3000))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 200; n++ {
+				tr := small
+				if (n+int(seed))%2 == 0 {
+					tr = large
+				}
+				idx := make([]int, 1+rng.Intn(12))
+				for i := range idx {
+					idx[i] = rng.Intn(tr.Len())
+				}
+				p, err := tr.Prove(idx)
+				if err != nil {
+					t.Errorf("prove %v: %v", idx, err)
+					return
+				}
+				if err := p.Verify(tr.Root()); err != nil {
+					t.Errorf("proof of %v over %d leaves rejected: %v", idx, tr.Len(), err)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 func TestProofTamperDetection(t *testing.T) {
@@ -127,25 +246,25 @@ func TestProofTamperDetection(t *testing.T) {
 	key := MakeKey(4, 4)
 
 	// Inflated distance value.
-	p, _ := tr.ProveKeys([]Key{key})
+	p, _ := proveKeys(tr, []Key{key})
 	p.Entries[0].Value += 1
 	if err := p.Verify(tr.Root()); err == nil {
 		t.Error("tampered value verified")
 	}
 	// Re-pointed key: claim the proven entry is for a different pair.
-	p2, _ := tr.ProveKeys([]Key{key})
+	p2, _ := proveKeys(tr, []Key{key})
 	p2.Entries[0].Key = MakeKey(5, 5)
 	if err := p2.Verify(tr.Root()); err == nil {
 		t.Error("re-keyed entry verified")
 	}
 	// Index shifting.
-	p3, _ := tr.ProveKeys([]Key{key})
+	p3, _ := proveKeys(tr, []Key{key})
 	p3.Entries[0].Index++
 	if err := p3.Verify(tr.Root()); err == nil {
 		t.Error("index-shifted entry verified")
 	}
 	// Foreign root.
-	p4, _ := tr.ProveKeys([]Key{key})
+	p4, _ := proveKeys(tr, []Key{key})
 	other, _ := Build(digest.SHA1, 4, testEntries(63))
 	if err := p4.Verify(other.Root()); err == nil {
 		t.Error("proof verified against foreign root")
@@ -154,7 +273,7 @@ func TestProofTamperDetection(t *testing.T) {
 
 func TestProofSerializationRoundTrip(t *testing.T) {
 	tr, _ := Build(digest.SHA256, 4, testEntries(100))
-	p, _ := tr.ProveKeys([]Key{MakeKey(0, 0), MakeKey(14, 1)})
+	p, _ := proveKeys(tr, []Key{MakeKey(0, 0), MakeKey(14, 1)})
 	enc := p.AppendBinary(nil)
 	if len(enc) != p.EncodedSize() {
 		t.Errorf("encoded %d bytes, EncodedSize %d", len(enc), p.EncodedSize())
@@ -349,7 +468,7 @@ func TestForestMatchesExplicitTree(t *testing.T) {
 		if err := fp.Verify(f.Root()); err != nil {
 			t.Fatal(err)
 		}
-		tp, err := tr.ProveKeys([]Key{MakeKey(uint32(i), uint32(j))})
+		tp, err := proveKeys(tr, []Key{MakeKey(uint32(i), uint32(j))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,33 +322,37 @@ type Proof struct {
 }
 
 // ProveScratch is reusable coverage state for ProveWith. A zero value is
-// ready to use; a scratch reused across proofs on the same tree (the
-// provider steady state) never re-allocates. Not safe for concurrent use.
+// ready to use; a scratch reused across proofs (the provider steady state)
+// stops allocating once it has seen its largest tree. Not safe for
+// concurrent use.
 type ProveScratch struct {
-	epoch   uint32
-	stamp   [][]uint32 // per level: stamp[l][i]==epoch ⇒ subtree (l,i) holds a proven leaf
+	epoch   uint8
+	stamp   [][]uint8  // per level: stamp[l][i]==epoch ⇒ subtree (l,i) holds a proven leaf
 	covered [][]uint32 // per level: positions stamped this epoch, in marking order
 }
 
 // reset sizes the scratch for t's shape and invalidates prior coverage in
-// O(levels) via the epoch stamp.
+// O(levels) via the epoch stamp. Storage only ever grows, so a scratch
+// shared between trees of different shapes settles at the largest. A stamp
+// is one byte — a pooled scratch is resident for the life of the process,
+// a quarter the size it would be with word stamps — at the price of one
+// clear every 255 proofs (a memclr of a byte per tree position, amortized
+// to nothing).
 func (s *ProveScratch) reset(t *Tree) {
-	if len(s.stamp) != len(t.levels) {
-		s.stamp = make([][]uint32, len(t.levels))
-		s.covered = make([][]uint32, len(t.levels))
+	for len(s.stamp) < len(t.levels) {
+		s.stamp = append(s.stamp, nil)
+		s.covered = append(s.covered, nil)
 	}
 	for l, lvl := range t.levels {
 		if len(s.stamp[l]) < len(lvl) {
-			s.stamp[l] = make([]uint32, len(lvl))
+			s.stamp[l] = make([]uint8, len(lvl))
 		}
 		s.covered[l] = s.covered[l][:0]
 	}
 	s.epoch++
 	if s.epoch == 0 {
 		for l := range s.stamp {
-			for i := range s.stamp[l] {
-				s.stamp[l][i] = 0
-			}
+			clear(s.stamp[l])
 		}
 		s.epoch = 1
 	}

@@ -586,3 +586,42 @@ func TestReconstructMatchesReference(t *testing.T) {
 		t.Errorf("%d of 4000 cases accepted: the mutation mix no longer exercises both verdicts", accepted)
 	}
 }
+
+// TestProveScratchReuseAcrossTreesAndWraps drives one scratch through 700
+// proofs — past two wraps of its one-byte epoch — alternating between a
+// short wide tree and a tall narrow one, and holds every proof to what a
+// fresh scratch produces. A stamp surviving a wrap, or a level left sized
+// for the other tree, would show up as a missing or an extra entry.
+func TestProveScratchReuseAcrossTreesAndWraps(t *testing.T) {
+	wide, err := BuildFromMessages(digest.SHA1, 16, msgs(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tall, err := BuildFromMessages(digest.SHA1, 2, msgs(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	var s ProveScratch
+	for n := 0; n < 700; n++ {
+		tr := wide
+		if n%2 == 1 {
+			tr = tall
+		}
+		idx := make([]int, 1+rng.Intn(9))
+		for i := range idx {
+			idx[i] = rng.Intn(tr.NumLeaves())
+		}
+		got, err := tr.ProveWith(&s, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tr.Prove(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+			t.Fatalf("proof %d of leaves %v over %d leaves differs from a fresh scratch's", n, idx, tr.NumLeaves())
+		}
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"mime"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/authhints/spv/internal/core"
@@ -17,7 +19,8 @@ import (
 // service provider. Endpoints:
 //
 //	GET/POST /query    one query; JSON reply, or the raw proof encoding
-//	                   with ?format=binary (headers carry the metadata)
+//	                   with ?format=binary or an Accept header listing
+//	                   application/octet-stream (headers carry the metadata)
 //	POST     /batch    {"queries": [...]}  →  {"answers": [...]}
 //	GET      /verifier the owner's public key, PEM (clients bootstrap
 //	                   verification from this, out of band from proofs)
@@ -174,8 +177,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	if r.URL.Query().Get("format") == "binary" ||
-		r.Header.Get("Accept") == "application/octet-stream" {
+	if r.URL.Query().Get("format") == "binary" || acceptsBinary(r.Header) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-SPV-Method", string(a.Query.Method))
 		w.Header().Set("X-SPV-Dist", strconv.FormatFloat(a.Dist, 'g', -1, 64))
@@ -185,6 +187,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, toWire(a))
+}
+
+// acceptsBinary reports whether the Accept header asks for the raw proof:
+// application/octet-stream is listed with a non-zero q, at least as high as
+// application/json's if that is listed too. Wildcard ranges alone keep the
+// JSON default (curl and browsers send */*).
+func acceptsBinary(h http.Header) bool {
+	var binary, jsonQ float64
+	for _, line := range h.Values("Accept") {
+		for _, part := range strings.Split(line, ",") {
+			mt, params, err := mime.ParseMediaType(part)
+			if err != nil {
+				continue
+			}
+			q := 1.0
+			if v, ok := params["q"]; ok {
+				if q, err = strconv.ParseFloat(v, 64); err != nil {
+					continue
+				}
+			}
+			switch mt {
+			case "application/octet-stream":
+				binary = max(binary, q)
+			case "application/json":
+				jsonQ = max(jsonQ, q)
+			}
+		}
+	}
+	return binary > 0 && binary >= jsonQ
 }
 
 // parseBudget reads the request's latency budget from the X-SPV-Budget

@@ -103,6 +103,61 @@ func TestHTTPQueryJSON(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryAcceptNegotiation pins the Accept handling of /query: a
+// client that lists application/octet-stream gets the raw proof however
+// the header is spelled (other ranges beside it, a q parameter, a second
+// header line), and one that does not — or that ranks JSON above it, or
+// refuses it with q=0 — gets JSON.
+func TestHTTPQueryAcceptNegotiation(t *testing.T) {
+	w, _, ts := testServer(t)
+	q := w.queries[0]
+	url := fmt.Sprintf("%s/query?method=DIJ&vs=%d&vt=%d", ts.URL, q.S, q.T)
+	for _, tc := range []struct {
+		accept []string
+		binary bool
+	}{
+		{[]string{"application/octet-stream"}, true},
+		{[]string{"application/octet-stream, */*"}, true},
+		{[]string{"application/octet-stream;q=0.9"}, true},
+		{[]string{"text/html, Application/Octet-Stream; q=0.5, */*;q=0.1"}, true},
+		{[]string{"text/html", "application/octet-stream"}, true},
+		{[]string{"application/json;q=0.5, application/octet-stream"}, true},
+		{nil, false},
+		{[]string{"*/*"}, false},
+		{[]string{"application/json"}, false},
+		{[]string{"application/octet-stream;q=0"}, false},
+		{[]string{"application/json, application/octet-stream;q=0.5"}, false},
+		{[]string{"application/octet-streamx"}, false},
+	} {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range tc.accept {
+			req.Header.Add("Accept", a)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: status %d: %s", tc.accept, resp.StatusCode, body)
+		}
+		ct := resp.Header.Get("Content-Type")
+		if tc.binary {
+			if ct != "application/octet-stream" {
+				t.Errorf("Accept %q: Content-Type %q, want the raw proof", tc.accept, ct)
+			} else if _, n, err := core.DecodeDIJProof(body); err != nil || n != len(body) {
+				t.Errorf("Accept %q: body is not one DIJ proof: %v", tc.accept, err)
+			}
+		} else if !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("Accept %q: Content-Type %q, want JSON", tc.accept, ct)
+		}
+	}
+}
+
 func TestHTTPQueryErrors(t *testing.T) {
 	_, _, ts := testServer(t)
 	for _, tc := range []struct {
