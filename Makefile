@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race fuzz-smoke bench bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
+.PHONY: all build test short race fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -58,6 +58,15 @@ fuzz-smoke:
 # tests — catches benchmarks that stopped compiling or started failing.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
+
+# The Merkle-slab and search micro-benchmarks, one iteration each with
+# allocations reported: mht's Build, Prove, Rehydrate and UpdateLeaves on a
+# 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's distance tree in the
+# repository benchmark's world) and sp's single-search Ball. CI's full lane
+# runs this so they cannot rot.
+bench-micro:
+	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
+	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 
 # Machine-readable hot-path numbers (ns/op, B/op, allocs/op) for the
 # standard world → BENCH_PR10.json, with the committed PR7 snapshot embedded

@@ -91,14 +91,12 @@ func buildNetworkADS(g *graph.Graph, cfg Config, extraFn func(graph.NodeID) []by
 	}
 	n := g.NumNodes()
 	msgs := make([][]byte, n)
-	leaves := make([][]byte, n)
 	par.Chunks(n, adsParallelThreshold, func(lo, hi int) {
 		for pos := lo; pos < hi; pos++ {
 			msgs[pos] = encodeTupleMsg(g, ord.Seq[pos], extraFn, nil)
 		}
 	})
-	mht.HashMessages(cfg.Hash, msgs, leaves)
-	tree, err := mht.Build(cfg.Hash, cfg.Fanout, leaves)
+	tree, err := mht.BuildFromMessages(cfg.Hash, cfg.Fanout, msgs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +127,15 @@ func (a *networkADS) patched(dirtyMsgs map[int][]byte) (*networkADS, int, error)
 	if len(dirtyMsgs) == 0 {
 		return a, 0, nil
 	}
-	h := a.tree.Alg().New()
+	alg := a.tree.Alg()
 	a.materialize()
 	msgs := append([][]byte(nil), a.msgs...)
 	dirtyLeaves := make(map[int][]byte, len(dirtyMsgs))
+	digests := make([]byte, 0, len(dirtyMsgs)*alg.Size())
 	for pos, msg := range dirtyMsgs {
 		msgs[pos] = msg
-		h.Reset()
-		h.Write(msg)
-		dirtyLeaves[pos] = h.Sum(nil)
+		digests = alg.AppendSum(digests, msg)
+		dirtyLeaves[pos] = digests[len(digests)-alg.Size():]
 	}
 	tree, err := a.tree.UpdateLeaves(dirtyLeaves)
 	if err != nil {
@@ -181,24 +179,23 @@ func (a *networkADS) Canonical(nodes []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// Prove builds the integrity proof for a node set (duplicates tolerated —
-// mht coverage marking dedups). Hot paths use ProveWith instead.
+// Prove builds the integrity proof for a node set (any order, duplicates
+// tolerated). Hot paths use ProveWith instead.
 func (a *networkADS) Prove(nodes []graph.NodeID) (*mht.Proof, error) {
 	s := &queryScratch{}
 	return a.ProveWith(s, nodes)
 }
 
-// ProveWith is Prove against caller scratch: the leaf-index translation and
-// the Merkle coverage marking both reuse s, so a steady-state query
+// ProveWith is Prove against caller scratch: the leaf-index translation
+// lands in the Merkle fold's own working set, so a steady-state query
 // allocates only the returned proof.
 func (a *networkADS) ProveWith(s *queryScratch, nodes []graph.NodeID) (*mht.Proof, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("core: no nodes to prove")
 	}
-	idx := s.indices[:0]
-	for _, v := range nodes {
-		idx = append(idx, a.ord.Pos[v])
+	idx := s.prove.Indices(len(nodes))
+	for i, v := range nodes {
+		idx[i] = a.ord.Pos[v]
 	}
-	s.indices = idx
 	return a.tree.ProveWith(&s.prove, idx)
 }

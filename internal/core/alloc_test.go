@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"runtime"
 	"testing"
 
 	"github.com/authhints/spv/internal/cert"
+	"github.com/authhints/spv/internal/digest"
+	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/netgen"
 	"github.com/authhints/spv/internal/workload"
 )
@@ -60,7 +63,7 @@ func TestQueryAllocBudget(t *testing.T) {
 
 // HYP's budgets are per QueryProof on a 1,500-node world under the default
 // configuration (100 cells, 294 borders, 43,365 distance-tree leaves).
-// Measured: 24 allocs and 8.4 KB a proof, nearly all of it the proof itself.
+// Measured: 15 allocs and 7.2 KB a proof, nearly all of it the proof itself.
 // The bytes budget is the one that matters: a Merkle coverage scratch sized
 // to the distance tree and allocated per query cost 376 KB and 83 allocs a
 // proof here, and on the benchmark world 1.7 MB against 106 allocs — a size
@@ -111,6 +114,56 @@ func TestHYPQueryAllocBudget(t *testing.T) {
 	}
 	if size > hypBytesBudget {
 		t.Errorf("HYP query allocates %d B/op, budget %d", size, hypBytesBudget)
+	}
+}
+
+// TestSnapTreeDecodeAllocBudget: loading a Merkle tree from a section costs
+// its levels — one copy each — not its digests, and never more bytes than
+// the payload holds, whatever widths the payload claims.
+func TestSnapTreeDecodeAllocBudget(t *testing.T) {
+	leaves := make([]byte, 20000*digest.SHA1.Size())
+	for i := range leaves {
+		leaves[i] = byte(i * 7)
+	}
+	tree, err := mht.Build(digest.SHA1, 2, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	s := newSnapStream(&buf)
+	s.tree(tree)
+	if err := s.flush(); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	if uint64(len(payload)) != snapTreeSize(tree) {
+		t.Fatalf("streamed %d bytes, snapTreeSize says %d", len(payload), snapTreeSize(tree))
+	}
+	decode := func() {
+		c := &snapCursor{buf: payload}
+		got := c.tree()
+		if err := c.finish("tree"); err != nil || !bytes.Equal(got.Root(), tree.Root()) {
+			t.Fatalf("decode: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, decode); allocs > float64(tree.Height()+4) {
+		t.Errorf("decoding %d levels allocates %.0f times, want ≤ levels+4", tree.Height(), allocs)
+	}
+	// (One copy of each level, rounded up to the allocator's size classes.)
+	if size := totalAlloc(decode); size > uint64(len(payload))*21/20+4096 {
+		t.Errorf("decoding a %d-byte tree allocates %d bytes", len(payload), size)
+	}
+	// A width that claims more digests than bytes remain fails before
+	// anything is allocated for it.
+	lying := bytes.Clone(payload[:64])
+	binary.BigEndian.PutUint32(lying[7:], 1<<30) // level 0's width
+	if size := totalAlloc(func() {
+		c := &snapCursor{buf: lying}
+		if c.tree() != nil || c.err == nil {
+			t.Error("a width beyond the payload was accepted")
+		}
+	}); size > 4096 {
+		t.Errorf("a lying width allocated %d bytes ahead of the payload", size)
 	}
 }
 

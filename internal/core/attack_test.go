@@ -601,8 +601,8 @@ func TestAttackMaskingEntry(t *testing.T) {
 	q := w.queries[0]
 	for _, m := range Methods() {
 		p := testProvider(t, w, m)
-		lv := p.adsRef().tree.Levels()
-		for l := 1; l < len(lv); l++ {
+		tree := p.adsRef().tree
+		for l := 1; l < tree.Height(); l++ {
 			pr, err := p.QueryProof(q.S, q.T)
 			if err != nil {
 				t.Fatal(err)
@@ -615,15 +615,15 @@ func TestAttackMaskingEntry(t *testing.T) {
 			// Position of the forged leaf's ancestor at level l: exactly one
 			// level-l digest differs between the true tree and a tree with
 			// that leaf's digest replaced.
-			dirty, err := p.adsRef().tree.UpdateLeaves(map[int][]byte{int(rec.Pos): (*pp.mht).Alg.Sum(forged)})
+			dirty, err := tree.UpdateLeaves(map[int][]byte{int(rec.Pos): (*pp.mht).Alg.Sum(forged)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			idx := 0
-			for bytes.Equal(dirty.Levels()[l][idx], lv[l][idx]) {
+			for bytes.Equal(treeDigest(dirty, l, idx), treeDigest(tree, l, idx)) {
 				idx++
 			}
-			(*pp.mht).Entries = append((*pp.mht).Entries, mht.Entry{Level: uint8(l), Index: uint32(idx), Digest: lv[l][idx]})
+			(*pp.mht).Entries = append((*pp.mht).Entries, mht.Entry{Level: uint8(l), Index: uint32(idx), Digest: treeDigest(tree, l, idx)})
 			for entry, err := range bothVerdicts(t, m, q.S, q.T, pr) {
 				wantRejected(t, fmt.Sprintf("%s forged tuple masked at level %d via %s", m, l, entry), err)
 			}

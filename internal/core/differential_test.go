@@ -179,10 +179,10 @@ func mutateProof(rng *rand.Rand, w *testWorld, p Provider, pr Proof, vs, vt *gra
 	case op == 11:
 		// The true digest of a random position: redundant where the fold
 		// computes it too, incomplete-making where it shadows a leaf.
-		lv := p.adsRef().tree.Levels()
-		l := rng.Intn(len(lv))
-		i := rng.Intn(len(lv[l]))
-		mp.Entries = append(mp.Entries, mht.Entry{Level: uint8(l), Index: uint32(i), Digest: lv[l][i]})
+		tree := p.adsRef().tree
+		l := rng.Intn(tree.Height())
+		i := rng.Intn(len(tree.Levels()[l]) / tree.Alg().Size())
+		mp.Entries = append(mp.Entries, mht.Entry{Level: uint8(l), Index: uint32(i), Digest: treeDigest(tree, l, i)})
 		return "true digest added as entry"
 	case op == 12 && ei >= 0:
 		mp.Entries[ei].Index += uint32(1 + rng.Intn(2))
@@ -346,4 +346,11 @@ func authenticVariant(t *testing.T, rng *rand.Rand, w *testWorld, p Provider, pr
 	}
 	*pp.tuples, *pp.mht = ads.Records(nodes), mp
 	return pr, desc
+}
+
+// treeDigest is digest i of level l of a provider-side tree: a level is one
+// slab, |H| bytes a digest.
+func treeDigest(t *mht.Tree, l, i int) []byte {
+	size := t.Alg().Size()
+	return t.Levels()[l][i*size : (i+1)*size]
 }

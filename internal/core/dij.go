@@ -73,11 +73,10 @@ func (p *DIJProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*DIJProof
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}
-	dist, path := s.ws.DijkstraTo(p.view, vs, vt)
+	dist, path, settled := s.ws.DijkstraBall(p.view, vs, vt, providerSlack)
 	if path == nil {
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoPath, vs, vt)
 	}
-	settled := s.ws.DijkstraBounded(p.view, vs, dist*providerSlack)
 	mhtProof, err := p.ads.ProveWith(s, settled)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
@@ -133,36 +132,13 @@ func (p *HYPProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*HYPProof
 		NetSig:  p.netSig,
 		DistSig: p.distSig,
 	}
-	if leaves := borderPairLeaves(s, p.hyper, cs, ct); len(leaves) > 0 {
-		proof.Hyper, err = p.distMBT.Prove(leaves)
+	if edges := p.hyper.CellPairEntries(cs, ct); len(edges) > 0 {
+		proof.Hyper, err = p.distMBT.Prove(&s.prove, edges)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return proof, nil
-}
-
-// borderPairLeaves enumerates, into s.indices, the distance-tree leaves of
-// the hyper-edges between the borders of the source and target cells (all
-// pairs within one cell when the cells coincide). Distinct cells have
-// disjoint border sets, so leaves are unique by construction; for a shared
-// cell the i ≤ j triangle covers each unordered pair (and self-pair)
-// exactly once — no dedup needed. Source-cell-major order is the order the
-// proof lists its entries in.
-func borderPairLeaves(s *queryScratch, h *hiti.Hyper, cs, ct geom.CellID) []int {
-	bs := h.BordersOf(cs)
-	idx := s.indices[:0]
-	for i, a := range bs {
-		bt := h.BordersOf(ct)
-		if cs == ct {
-			bt = bs[i:]
-		}
-		for _, b := range bt {
-			idx = append(idx, h.LeafIndex(a, b))
-		}
-	}
-	s.indices = idx
-	return idx
 }
 
 // VerifyHYP is the client side of §V-B.

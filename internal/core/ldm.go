@@ -112,12 +112,11 @@ func (p *LDMProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*LDMProof
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}
-	dist, path := s.ws.DijkstraTo(p.view, vs, vt)
+	dist, path, settled := s.ws.DijkstraBall(p.view, vs, vt, providerSlack)
 	if path == nil {
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoPath, vs, vt)
 	}
 	bound := dist * providerSlack
-	settled := s.ws.DijkstraBounded(p.view, vs, bound)
 
 	s.resetMark(p.view.NumNodes())
 	for _, v := range settled {

@@ -97,16 +97,7 @@ func (dijImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error) 
 
 func (dijImpl) SnapshotKind() uint32 { return snapKindDIJ }
 
-// AppendSnapshot encodes: rootSig bytes | network tree.
-func (dijImpl) AppendSnapshot(buf []byte, p Provider) ([]byte, error) {
-	dp, err := providerAs[*DIJProvider](DIJ, p)
-	if err != nil {
-		return nil, err
-	}
-	return appendSnapTree(appendBytes(buf, dp.rootSig), dp.ads.tree), nil
-}
-
-// StreamSnapshot writes the same bytes as AppendSnapshot, streamed.
+// StreamSnapshot encodes: rootSig bytes | network tree.
 func (dijImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	dp, err := providerAs[*DIJProvider](DIJ, p)
 	if err != nil {

@@ -100,19 +100,7 @@ func (fullImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error)
 
 func (fullImpl) SnapshotKind() uint32 { return snapKindFULL }
 
-// AppendSnapshot encodes: netSig | distSig | network tree | top tree.
-func (fullImpl) AppendSnapshot(buf []byte, p Provider) ([]byte, error) {
-	fp, err := providerAs[*FULLProvider](FULL, p)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendBytes(buf, fp.netSig)
-	buf = appendBytes(buf, fp.distSig)
-	buf = appendSnapTree(buf, fp.ads.tree)
-	return appendSnapTree(buf, fp.forest.Top()), nil
-}
-
-// StreamSnapshot writes the same bytes as AppendSnapshot, streamed.
+// StreamSnapshot encodes: netSig | distSig | network tree | top tree.
 func (fullImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	fp, err := providerAs[*FULLProvider](FULL, p)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/authhints/spv/internal/graph"
@@ -103,46 +102,11 @@ func (hypImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error) 
 
 func (hypImpl) SnapshotKind() uint32 { return snapKindHYP }
 
-// AppendSnapshot encodes: netSig | distSig | fullRows u8 | rows u32 |
+// StreamSnapshot encodes: netSig | distSig | fullRows u8 | rows u32 |
 // rowLen u32 | rows × rowLen × f64 | hasDist u8 [| dist tree] | network
 // tree. The partition (grid, cells, borders) is re-derived at load; the
-// materialized W* rows are the stored truth and the hyper-edge entry set
-// is re-derived from them.
-func (hypImpl) AppendSnapshot(buf []byte, p Provider) ([]byte, error) {
-	hp, err := providerAs[*HYPProvider](HYP, p)
-	if err != nil {
-		return nil, err
-	}
-	buf = appendBytes(buf, hp.netSig)
-	buf = appendBytes(buf, hp.distSig)
-	full, rows := hp.hyper.Rows()
-	if full {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	rowLen := 0
-	if len(rows) > 0 {
-		rowLen = len(rows[0])
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rows)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(rowLen))
-	for _, row := range rows {
-		for _, d := range row {
-			buf = appendFloat(buf, d)
-		}
-	}
-	if hp.distMBT != nil {
-		buf = append(buf, 1)
-		buf = appendSnapTree(buf, hp.distMBT.MHT())
-	} else {
-		buf = append(buf, 0)
-	}
-	return appendSnapTree(buf, hp.ads.tree), nil
-}
-
-// StreamSnapshot writes the same bytes as AppendSnapshot, streamed — the
-// materialized W* rows are HYP's dominant payload.
+// materialized W* rows are the stored truth — and HYP's dominant payload,
+// hence streamed — and the hyper-edge entries are a function of them.
 func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	hp, err := providerAs[*HYPProvider](HYP, p)
 	if err != nil {
@@ -226,7 +190,7 @@ func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 	}
 	p2 := &HYPProvider{g: env.Graph, view: env.View, hyper: hyper, netSig: netSig, distSig: distSig}
 	if distTree != nil {
-		p2.distMBT, err = mbt.RehydrateTree(hyper.Entries(), distTree)
+		p2.distMBT, err = mbt.RehydrateTree(distTree, hyper.NumHyperEdges())
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 
@@ -102,39 +101,13 @@ func (ldmImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error) 
 
 func (ldmImpl) SnapshotKind() uint32 { return snapKindLDM }
 
-// AppendSnapshot encodes: rootSig | bits u32 | lambda f64 | c u32 |
+// StreamSnapshot encodes: rootSig | bits u32 | lambda f64 | c u32 |
 // c × landmark u32 | c × n × dist f64 | network tree. The exact distance
 // rows are the stored truth; quantization, compression and payloads are
 // re-derived at load (deterministically, λ pinned), exactly as the
-// incremental update pipeline derives them.
-func (ldmImpl) AppendSnapshot(buf []byte, p Provider) ([]byte, error) {
-	lp, err := providerAs[*LDMProvider](LDM, p)
-	if err != nil {
-		return nil, err
-	}
-	h := lp.hints
-	if h.Dists == nil {
-		return nil, errors.New("core: LDM provider retains no distance rows; cannot snapshot")
-	}
-	buf = appendBytes(buf, lp.rootSig)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Bits))
-	buf = appendFloat(buf, h.Lambda)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(h.Landmarks)))
-	for _, l := range h.Landmarks {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(l))
-	}
-	for _, row := range h.Dists {
-		for _, d := range row {
-			buf = appendFloat(buf, d)
-		}
-	}
-	return appendSnapTree(buf, lp.ads.tree), nil
-}
-
-// StreamSnapshot writes the same bytes as AppendSnapshot, streamed — the
-// c × n exact distance rows are a large snapshot's dominant payload, and
-// streaming them row by row keeps the owner from holding the section
-// twice.
+// incremental update pipeline derives them. The rows are a large snapshot's
+// dominant payload, and streaming them row by row keeps the owner from
+// holding the section twice.
 func (ldmImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	lp, err := providerAs[*LDMProvider](LDM, p)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/order"
+	"github.com/authhints/spv/internal/snapshot"
 )
 
 // This file is the method dispatch spine: one MethodImpl per verification
@@ -96,10 +97,12 @@ type MethodImpl interface {
 	// SnapshotKind is the method's snapshot container section kind
 	// (unique across the registry, append-only across versions).
 	SnapshotKind() uint32
-	// AppendSnapshot serializes the provider's snapshot section payload:
-	// stored truth only (Merkle levels, hint rows, signatures); cheap
-	// deterministic derivations are re-derived at load.
-	AppendSnapshot(buf []byte, p Provider) ([]byte, error)
+	// StreamSnapshot writes the provider's snapshot section into the
+	// container (streamSection, with the exact length declared up front so
+	// hint rows never sit in memory twice): stored truth only (Merkle
+	// levels, hint rows, signatures); cheap deterministic derivations are
+	// re-derived at load.
+	StreamSnapshot(sw *snapshot.Writer, p Provider) error
 	// DecodeSnapshot rehydrates a provider from a section payload and
 	// the shared core state, without recomputing a hash or running a
 	// search.

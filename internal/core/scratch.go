@@ -10,8 +10,8 @@ import (
 )
 
 // queryScratch is the reusable per-query state of the provider hot paths:
-// a search workspace, an epoch-stamped node include-set, the Merkle prove
-// scratch and the leaf-index scratch. Acquired from a pool per Query call,
+// a search workspace, an epoch-stamped node include-set and the Merkle prove
+// scratch. Acquired from a pool per Query call,
 // so steady-state serving touches a small recycled set of workspaces
 // instead of allocating O(|V|) state per request (the serving layer's
 // worker pool calls Query concurrently; each call gets its own scratch).
@@ -19,9 +19,8 @@ import (
 // Nothing reachable from a scratch may be retained by a returned proof:
 // proofs must stay valid after the scratch is released and reused.
 type queryScratch struct {
-	ws      *sp.Workspace
-	prove   mht.ProveScratch
-	indices []int
+	ws    *sp.Workspace
+	prove mht.ProveScratch
 
 	// Forest prove scratch for FULL: the per-query row subtree rebuild was
 	// the cold-FULL allocation outlier (O(|V|) digests per proof) before it

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -296,21 +297,7 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 		if p == nil {
 			continue
 		}
-		// Methods that can declare their section size up front stream it
-		// (hint-row payloads dominate a large snapshot; materializing them
-		// would briefly double the owner's resident set); others fall back
-		// to the buffered AppendSnapshot contract.
-		if streamer, ok := impl.(snapshotStreamer); ok {
-			if err := streamer.StreamSnapshot(sw, p); err != nil {
-				return sw.Bytes(), err
-			}
-			continue
-		}
-		payload, err := impl.AppendSnapshot(nil, p)
-		if err != nil {
-			return sw.Bytes(), err
-		}
-		if err := sw.Section(impl.SnapshotKind(), payload); err != nil {
+		if err := impl.StreamSnapshot(sw, p); err != nil {
 			return sw.Bytes(), err
 		}
 	}
@@ -326,16 +313,6 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 		return sw.Bytes(), err
 	}
 	return sw.Bytes(), nil
-}
-
-// snapshotStreamer is an optional MethodImpl capability: write the
-// method's snapshot section by streaming into the container writer
-// (snapshot.Writer.BeginSection with a precomputed exact length) instead
-// of materializing the whole payload for AppendSnapshot. The streamed
-// bytes must be identical to AppendSnapshot's — the round-trip and golden
-// fixtures pin that equivalence. All four built-in methods implement it.
-type snapshotStreamer interface {
-	StreamSnapshot(sw *snapshot.Writer, p Provider) error
 }
 
 // snapStream adapts a streaming section writer to the append-style
@@ -383,17 +360,20 @@ func (s *snapStream) bytes(b []byte) {
 	s.write(b)
 }
 
-// tree streams a Merkle tree in appendSnapTree's exact layout.
+// tree streams a Merkle tree, every level verbatim:
+//
+//	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
+//
+// A level on disk is the slab it is in memory, so it goes out in one write
+// (and comes back in one copy, snapCursor.tree).
 func (s *snapStream) tree(t *mht.Tree) {
-	levels := t.Levels()
+	levels, size := t.Levels(), t.Alg().Size()
 	s.u8(byte(t.Alg()))
 	s.u16(uint16(t.Fanout()))
 	s.u32(uint32(len(levels)))
 	for _, lvl := range levels {
-		s.u32(uint32(len(lvl)))
-		for _, d := range lvl {
-			s.write(d)
-		}
+		s.u32(uint32(len(lvl) / size))
+		s.write(lvl)
 	}
 }
 
@@ -405,14 +385,13 @@ func (s *snapStream) flush() error {
 }
 
 // snapBytesSize and snapTreeSize are the size arithmetic behind streaming
-// sections: they must match appendBytes/appendSnapTree byte for byte.
+// sections: what snapStream.bytes and snapStream.tree will write.
 func snapBytesSize(b []byte) uint64 { return 4 + uint64(len(b)) }
 
 func snapTreeSize(t *mht.Tree) uint64 {
 	total := uint64(1 + 2 + 4)
-	size := uint64(t.Alg().Size())
 	for _, lvl := range t.Levels() {
-		total += 4 + uint64(len(lvl))*size
+		total += 4 + uint64(len(lvl))
 	}
 	return total
 }
@@ -701,23 +680,6 @@ func decodeSnapOrdering(buf []byte, numNodes int) (*order.Ordering, error) {
 	return ord, nil
 }
 
-// appendSnapTree encodes a Merkle tree, every level verbatim:
-//
-//	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
-func appendSnapTree(buf []byte, t *mht.Tree) []byte {
-	levels := t.Levels()
-	buf = append(buf, byte(t.Alg()))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(t.Fanout()))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(levels)))
-	for _, lvl := range levels {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(lvl)))
-		for _, d := range lvl {
-			buf = append(buf, d...)
-		}
-	}
-	return buf
-}
-
 func (c *snapCursor) tree() *mht.Tree {
 	alg := digestAlg(c.u8())
 	if c.err == nil && !alg.Valid() {
@@ -730,7 +692,7 @@ func (c *snapCursor) tree() *mht.Tree {
 	// Cap the up-front allocation: a fanout-2 tree over 2^32 leaves has 33
 	// levels, so any honest level count fits in 64; a lying one must not
 	// allocate ahead of the bytes that back it.
-	levels := make([][][]byte, 0, min(numLevels, 64))
+	levels := make([][]byte, 0, min(numLevels, 64))
 	for l := 0; l < numLevels && c.err == nil; l++ {
 		width := int(c.u32())
 		if c.err != nil {
@@ -740,16 +702,11 @@ func (c *snapCursor) tree() *mht.Tree {
 			c.fail("tree level %d width %d exceeds payload", l, width)
 			break
 		}
-		// Copy the level's digest region out of the section payload: the
+		// One copy takes the level's slab out of the section payload: the
 		// tree retains its levels for the provider's lifetime, and
 		// sub-slicing would pin the whole payload — dominated by hint rows
 		// that were already parsed into their own storage — in memory.
-		region := append([]byte(nil), c.raw(width*size)...)
-		lvl := make([][]byte, width)
-		for i := range lvl {
-			lvl[i] = region[i*size : (i+1)*size : (i+1)*size]
-		}
-		levels = append(levels, lvl)
+		levels = append(levels, bytes.Clone(c.raw(width*size)))
 	}
 	if c.err != nil {
 		return nil

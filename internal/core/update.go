@@ -575,8 +575,9 @@ func (b *UpdateBatch) PatchLDM(p *LDMProvider) (*LDMProvider, *PatchStats, error
 
 // PatchHYP derives an updated HYP provider: the grid partition and border
 // sets never change under re-weighting, so the patch re-runs only the
-// affected border rows, rewrites the hyper-edge entries whose values moved,
-// and patches the endpoints' tuples.
+// affected border rows, rewrites the hyper-edge entries whose values moved
+// — hiti's rows are the values' one home, so "moved" is the old Hyper
+// against the new, bit for bit — and patches the endpoints' tuples.
 func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error) {
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
@@ -599,8 +600,8 @@ func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error
 			st.StaleCover[k] = p.ads.ord.Pos[bn]
 		}
 	} else if b.fast != nil {
-		// Bridge: every border row resums with O(|V|) additions; the
-		// bitwise diff in UpdateValues keeps only entries that moved.
+		// Bridge: every border row resums with O(|V|) additions; only pairs
+		// straddling the bridge can have moved.
 		hyper = p.hyper.WithPatchedRows(func(src graph.NodeID, row []float64) {
 			b.fast.resum(src, row)
 		})
@@ -638,17 +639,14 @@ func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error
 	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
 
 	distMBT, distSig := p.distMBT, p.distSig
+	entries = hyper.MovedFrom(p.hyper, entries)
 	if distMBT != nil && len(entries) > 0 {
-		nt, changed, err := distMBT.UpdateValues(entries)
-		if err != nil {
+		if distMBT, err = distMBT.UpdateValues(entries); err != nil {
 			return nil, nil, err
 		}
-		st.DistLeavesPatched = changed
-		if changed > 0 {
-			distMBT = nt
-			if distSig, err = b.owner.signRoot(hypDistCtx, nt.Root()); err != nil {
-				return nil, nil, err
-			}
+		st.DistLeavesPatched = len(entries)
+		if distSig, err = b.owner.signRoot(hypDistCtx, distMBT.Root()); err != nil {
+			return nil, nil, err
 		}
 	}
 	netSig := p.netSig

@@ -15,6 +15,7 @@ package hiti
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
@@ -284,15 +285,60 @@ func (h *Hyper) RowEntries(i int) []mbt.ProvenEntry {
 	return out
 }
 
-// entry is the tree entry of the border pair {u, v}. The value is read from
-// the lower-ID border's row: dist(u, v) and dist(v, u) come from different
-// searches and may differ in their last bits, and the signed leaves have
-// always carried that row's.
-func (h *Hyper) entry(u, v graph.NodeID) mbt.Entry {
+// CellPairEntries returns, each with its leaf index, the hyper-edges between
+// the borders of cells cs and ct (all pairs within one cell when the cells
+// coincide) — what a query between the two cells proves. Distinct cells
+// have disjoint border sets, so pairs are unique by construction; for a
+// shared cell the i ≤ j triangle covers each unordered pair (and self-pair)
+// exactly once. cs-major order is the order the proof lists them in. The
+// slice is the caller's.
+func (h *Hyper) CellPairEntries(cs, ct geom.CellID) []mbt.ProvenEntry {
+	bs, bt := h.cellBorders[cs], h.cellBorders[ct]
+	n := len(bs) * len(bt)
+	if cs == ct {
+		n = len(bs) * (len(bs) + 1) / 2
+	}
+	out := make([]mbt.ProvenEntry, 0, n)
+	for i, a := range bs {
+		if cs == ct {
+			bt = bs[i:]
+		}
+		for _, b := range bt {
+			out = append(out, h.proven(a, b))
+		}
+	}
+	return out
+}
+
+// MovedFrom filters entries, which the receiver produced, down to those
+// whose value differs bitwise from old's for the same border pair: the
+// leaves an update has to rewrite. old must share the receiver's partition.
+// In place.
+func (h *Hyper) MovedFrom(old *Hyper, entries []mbt.ProvenEntry) []mbt.ProvenEntry {
+	moved := entries[:0]
+	for _, e := range entries {
+		u, v := graph.NodeID(e.Key>>nodeBits&(MaxNodes-1)), graph.NodeID(e.Key&(MaxNodes-1))
+		if math.Float64bits(old.weight(u, v)) != math.Float64bits(e.Value) {
+			moved = append(moved, e)
+		}
+	}
+	return moved
+}
+
+// weight is W* of the border pair {u, v} as the tree carries it: read from
+// the lower-ID border's row, since dist(u, v) and dist(v, u) come from
+// different searches and may differ in their last bits, and the signed
+// leaves have always carried that row's.
+func (h *Hyper) weight(u, v graph.NodeID) float64 {
 	if v < u {
 		u, v = v, u
 	}
-	return mbt.Entry{Key: HyperKey(u, v, h.CellOf[u], h.CellOf[v]), Value: h.value(int(h.row[u]), v)}
+	return h.value(int(h.row[u]), v)
+}
+
+// entry is the tree entry of the border pair {u, v}.
+func (h *Hyper) entry(u, v graph.NodeID) mbt.Entry {
+	return mbt.Entry{Key: HyperKey(u, v, h.CellOf[u], h.CellOf[v]), Value: h.weight(u, v)}
 }
 
 // proven is entry plus the pair's leaf index.

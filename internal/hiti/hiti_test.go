@@ -8,6 +8,7 @@ import (
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -442,5 +443,86 @@ func TestLeafOrderClosedForm(t *testing.T) {
 	if oneCellWorlds == 0 || emptyCells == 0 || singleCells == 0 || sameCellPairs == 0 {
 		t.Errorf("sweep missed a corner: %d one-cell worlds, %d empty cells, %d single-border cells, %d same-cell pairs",
 			oneCellWorlds, emptyCells, singleCells, sameCellPairs)
+	}
+}
+
+// TestCellPairAndMovedEntries holds the two entry producers the values'
+// single home serves: CellPairEntries lists, for any two cells, exactly the
+// leaves of the pairs between their borders — cs-major, each once — with
+// the values Entries carries; MovedFrom keeps exactly the entries whose
+// value differs, bit for bit, from another Hyper's over the same partition,
+// whichever storage form that one has.
+func TestCellPairAndMovedEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := spatialGraph(rng, 120)
+	h, err := Build(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := h.Entries()
+	cells := h.Grid.NumCells()
+	for cs := 0; cs < cells; cs++ {
+		for ct := 0; ct < cells; ct++ {
+			bs, bt := h.BordersOf(geom.CellID(cs)), h.BordersOf(geom.CellID(ct))
+			want := len(bs) * len(bt)
+			if cs == ct {
+				want = len(bs) * (len(bs) + 1) / 2
+			}
+			got := h.CellPairEntries(geom.CellID(cs), geom.CellID(ct))
+			if len(got) != want {
+				t.Fatalf("cells (%d,%d): %d entries, want %d", cs, ct, len(got), want)
+			}
+			seen := map[uint32]bool{}
+			for _, e := range got {
+				if seen[e.Index] || entries[e.Index] != e.Entry {
+					t.Fatalf("cells (%d,%d): entry %+v repeats or is not leaf %d", cs, ct, e.Entry, e.Index)
+				}
+				seen[e.Index] = true
+			}
+			if want > 0 && got[0].Index != uint32(h.LeafIndex(bs[0], bt[0])) {
+				t.Fatalf("cells (%d,%d): not source-cell-major", cs, ct)
+			}
+		}
+	}
+
+	all := func(h *Hyper) []mbt.ProvenEntry {
+		var out []mbt.ProvenEntry
+		for i := range h.Borders {
+			out = append(out, h.RowEntries(i)...)
+		}
+		return out
+	}
+	full := h.WithFullRows(g.Freeze())
+	if moved := full.MovedFrom(h, all(full)); len(moved) != 0 {
+		t.Fatalf("upgrading the storage form moved %d values", len(moved))
+	}
+	// Stretch two border rows: the moved entries are exactly the reachable
+	// pairs those rows are the lower-ID side of.
+	changed := map[graph.NodeID]bool{full.Borders[1]: true, full.Borders[len(full.Borders)-2]: true}
+	patched := full.WithPatchedRows(func(src graph.NodeID, row []float64) {
+		if changed[src] {
+			for x := range row {
+				if x != int(src) && row[x] != sp.Unreachable {
+					row[x] += 0.5
+				}
+			}
+		}
+	})
+	moved := patched.MovedFrom(h, all(patched))
+	want := 0
+	for i, u := range patched.Borders {
+		for _, v := range patched.Borders[i+1:] {
+			if w, _ := h.HyperEdge(u, v); changed[u] && w != sp.Unreachable {
+				want++
+			}
+		}
+	}
+	if len(moved) != want || want == 0 {
+		t.Fatalf("%d entries moved, want %d", len(moved), want)
+	}
+	for _, e := range moved {
+		if old := entries[e.Index]; old.Key != e.Key || old.Value+0.5 != e.Value {
+			t.Fatalf("moved entry %+v against old %+v", e.Entry, old)
+		}
 	}
 }

@@ -31,8 +31,9 @@ type ForestBuilder struct {
 	alg      digest.Alg
 	fanout   int
 	n        int
-	next     int      // rows consumed by AddRow
-	rowRoots [][]byte // dense, indexed by source
+	next     int    // rows consumed by AddRow
+	rowRoots []byte // the top tree's leaf slab: row i's root at [i·|H|, (i+1)·|H|)
+	folded   []bool // per row: root written
 }
 
 // NewForestBuilder prepares a builder for an n×n matrix.
@@ -46,7 +47,10 @@ func NewForestBuilder(alg digest.Alg, fanout, n int) (*ForestBuilder, error) {
 	if fanout < 2 || fanout > mht.MaxFanout {
 		return nil, fmt.Errorf("mbt: fanout %d out of range", fanout)
 	}
-	return &ForestBuilder{alg: alg, fanout: fanout, n: n, rowRoots: make([][]byte, n)}, nil
+	return &ForestBuilder{
+		alg: alg, fanout: fanout, n: n,
+		rowRoots: make([]byte, n*alg.Size()), folded: make([]bool, n),
+	}, nil
 }
 
 // AddRow folds row i (which must arrive in order: 0, 1, 2, ...) into its
@@ -74,25 +78,30 @@ func (b *ForestBuilder) SetRow(i int, vals []float64) error {
 	if len(vals) != b.n {
 		return fmt.Errorf("mbt: row %d has %d values, want %d", i, len(vals), b.n)
 	}
-	t, err := rowTree(b.alg, b.fanout, b.n, i, vals)
+	t, err := rowTree(b.alg, b.fanout, i, vals)
 	if err != nil {
 		return err
 	}
-	b.rowRoots[i] = t.Root()
+	copy(b.rowRoots[i*b.alg.Size():], t.Root())
+	b.folded[i] = true
 	return nil
+}
+
+// appendRowLeaves appends the leaf digests of row i's entries ⟨i, j, vals[j]⟩
+// to dst.
+func appendRowLeaves(dst []byte, alg digest.Alg, i int, vals []float64) []byte {
+	var buf [entrySize]byte
+	for j, v := range vals {
+		e := Entry{Key: MakeKey(uint32(i), uint32(j)), Value: v}
+		dst = alg.AppendSum(dst, e.AppendBinary(buf[:0]))
+	}
+	return dst
 }
 
 // rowTree builds the subtree over row i's entries. Standalone (no shared
 // scratch) so builder workers and proof regeneration can run concurrently.
-func rowTree(alg digest.Alg, fanout, n, i int, vals []float64) (*mht.Tree, error) {
-	leaves := make([][]byte, n)
-	var buf []byte
-	for j := 0; j < n; j++ {
-		e := Entry{Key: MakeKey(uint32(i), uint32(j)), Value: vals[j]}
-		buf = e.AppendBinary(buf[:0])
-		leaves[j] = alg.Sum(buf)
-	}
-	return mht.Build(alg, fanout, leaves)
+func rowTree(alg digest.Alg, fanout, i int, vals []float64) (*mht.Tree, error) {
+	return mht.Build(alg, fanout, appendRowLeaves(make([]byte, 0, len(vals)*alg.Size()), alg, i, vals))
 }
 
 // RowRoot computes the subtree root of row i of an n×n forest — the leaf
@@ -102,7 +111,7 @@ func RowRoot(alg digest.Alg, fanout, n, i int, vals []float64) ([]byte, error) {
 	if len(vals) != n {
 		return nil, fmt.Errorf("mbt: row %d has %d values, want %d", i, len(vals), n)
 	}
-	t, err := rowTree(alg, fanout, n, i, vals)
+	t, err := rowTree(alg, fanout, i, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +122,8 @@ func RowRoot(alg digest.Alg, fanout, n, i int, vals []float64) ([]byte, error) {
 // proof generation (it is the provider's half; clients never need it).
 // Every row must have been folded via AddRow or SetRow.
 func (b *ForestBuilder) Finish(rowFn func(i int) []float64) (*Forest, error) {
-	for i, r := range b.rowRoots {
-		if r == nil {
+	for i, ok := range b.folded {
+		if !ok {
 			return nil, fmt.Errorf("mbt: row %d never folded", i)
 		}
 	}
@@ -189,20 +198,16 @@ func (f *Forest) Prove(i, j int) (*ForestProof, error) {
 	return f.ProveWith(&s, i, j)
 }
 
-// ForestScratch is reusable storage for ProveWith: the row's leaf digests,
-// the transient row subtree, and the coverage state of both Merkle proofs.
+// ForestScratch is reusable storage for ProveWith: the row's leaf slab, the
+// transient row subtree, and the working set of both Merkle proofs.
 // A zero value is ready; a scratch reused across proofs on one forest (the
 // FULL provider steady state) reaches near-zero allocations per proof,
 // where the standalone path pays O(|V|) digest allocations to rebuild the
 // row subtree. Not safe for concurrent use.
 type ForestScratch struct {
-	leaves   [][]byte
-	arena    []byte // leaf digest bytes, appended by one reused hasher
-	entry    []byte
-	ts       mht.TreeScratch
-	rowProve mht.ProveScratch
-	topProve mht.ProveScratch
-	idx      [1]int
+	leaves []byte
+	ts     mht.TreeScratch
+	prove  mht.ProveScratch
 }
 
 // ProveWith is Prove with caller-provided scratch. The returned proof is
@@ -219,21 +224,8 @@ func (f *Forest) ProveWith(s *ForestScratch, i, j int) (*ForestProof, error) {
 		return nil, fmt.Errorf("mbt: row function returned %d values, want %d", len(vals), f.n)
 	}
 	size := f.alg.Size()
-	if cap(s.leaves) < f.n {
-		s.leaves = make([][]byte, f.n)
-	}
-	leaves := s.leaves[:f.n]
-	s.arena = s.arena[:0]
-	h := f.alg.New()
-	for c := 0; c < f.n; c++ {
-		e := Entry{Key: MakeKey(uint32(i), uint32(c)), Value: vals[c]}
-		s.entry = e.AppendBinary(s.entry[:0])
-		h.Reset()
-		h.Write(s.entry)
-		s.arena = h.Sum(s.arena)
-		leaves[c] = s.arena[len(s.arena)-size:]
-	}
-	rt, err := mht.BuildInto(&s.ts, f.alg, f.fanout, leaves)
+	s.leaves = appendRowLeaves(s.leaves[:0], f.alg, i, vals)
+	rt, err := mht.BuildInto(&s.ts, f.alg, f.fanout, s.leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +235,7 @@ func (f *Forest) ProveWith(s *ForestScratch, i, j int) (*ForestProof, error) {
 	if !bytes.Equal(rt.Root(), f.top.Leaf(i)) {
 		return nil, fmt.Errorf("mbt: row %d regenerated with different contents", i)
 	}
-	s.idx[0] = j
-	rowProof, err := rt.ProveWith(&s.rowProve, s.idx[:])
+	rowProof, err := rt.ProveWith(&s.prove, []int{j})
 	if err != nil {
 		return nil, err
 	}
@@ -256,8 +247,7 @@ func (f *Forest) ProveWith(s *ForestScratch, i, j int) (*ForestProof, error) {
 		block = append(block, rowProof.Entries[ei].Digest...)
 		rowProof.Entries[ei].Digest = block[len(block)-size:]
 	}
-	s.idx[0] = i
-	topProof, err := f.top.ProveWith(&s.topProve, s.idx[:])
+	topProof, err := f.top.ProveWith(&s.prove, []int{i})
 	if err != nil {
 		return nil, err
 	}

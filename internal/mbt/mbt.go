@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
@@ -64,30 +62,31 @@ func decodeEntry(buf []byte) (Entry, error) {
 	}, nil
 }
 
-// Tree is an in-memory Merkle B-tree over an explicit sorted key set.
+// Tree is the Merkle B-tree over an explicit key set: the Merkle tree alone.
+// The (key, value) pairs have one home, the caller's — HYP's are a function
+// of hiti's border rows — so proofs and patches take the entries together
+// with their leaf indices and nothing here mirrors them.
 type Tree struct {
-	keys []Key
-	vals []float64
-	mt   *mht.Tree
+	mt *mht.Tree
 }
 
-// columns splits entries, which must be strictly increasing by key, into a
-// tree's key and value columns. The one comparison rejects out-of-order and
-// duplicate keys alike: callers own the leaf order and emit it by
-// construction, so nothing here clones or sorts.
-func columns(entries []Entry) (*Tree, error) {
-	t := &Tree{keys: make([]Key, len(entries)), vals: make([]float64, len(entries))}
-	for i, e := range entries {
-		if i > 0 && e.Key <= entries[i-1].Key {
-			return nil, fmt.Errorf("mbt: key %d at entry %d does not follow key %d", e.Key, i, entries[i-1].Key)
+// leafSlab hashes entries into a leaf slab, in parallel for large inputs.
+func leafSlab(alg digest.Alg, n int, entry func(i int) Entry) []byte {
+	size := alg.Size()
+	slab := make([]byte, n*size)
+	par.Chunks(n, 0, func(lo, hi int) {
+		var buf [entrySize]byte
+		for i := lo; i < hi; i++ {
+			alg.AppendSum(slab[i*size:i*size:(i+1)*size], entry(i).AppendBinary(buf[:0]))
 		}
-		t.keys[i], t.vals[i] = e.Key, e.Value
-	}
-	return t, nil
+	})
+	return slab
 }
 
 // Build constructs a tree from entries, which must be strictly increasing
-// by key. Leaf digests are hashed in parallel into one slab.
+// by key: callers own the leaf order and emit it by construction, so the
+// one comparison rejects out-of-order and duplicate keys alike and nothing
+// here clones or sorts.
 func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	if len(entries) == 0 {
 		return nil, errors.New("mbt: no entries")
@@ -95,102 +94,65 @@ func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	if !alg.Valid() {
 		return nil, fmt.Errorf("mbt: invalid hash algorithm %d", alg)
 	}
-	t, err := columns(entries)
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Key <= entries[i-1].Key {
+			return nil, fmt.Errorf("mbt: key %d at entry %d does not follow key %d", entries[i].Key, i, entries[i-1].Key)
+		}
+	}
+	mt, err := mht.Build(alg, fanout, leafSlab(alg, len(entries), func(i int) Entry { return entries[i] }))
 	if err != nil {
 		return nil, err
 	}
-	size := alg.Size()
-	slab := make([]byte, len(entries)*size)
-	leaves := make([][]byte, len(entries))
-	par.Chunks(len(entries), 0, func(lo, hi int) {
-		var buf [entrySize]byte
-		for i := lo; i < hi; i++ {
-			leaves[i] = alg.AppendSum(slab[i*size:i*size:(i+1)*size], entries[i].AppendBinary(buf[:0]))
-		}
-	})
-	if t.mt, err = mht.Build(alg, fanout, leaves); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return &Tree{mt: mt}, nil
 }
 
-// UpdateValues returns a tree in which each given entry's value replaces
-// the one at its leaf index (the key there must match; the key set never
-// changes under edge re-weighting), plus the number of leaves actually
-// rewritten. Entries whose value is bit-identical are skipped, and only the
-// dirty Merkle paths are rehashed — the receiver stays valid for concurrent
-// readers. Byte-identical to Build over the patched entry set.
-func (t *Tree) UpdateValues(entries []ProvenEntry) (*Tree, int, error) {
-	alg := t.mt.Alg()
-	dirty := make(map[int][]byte, len(entries))
-	var vals []float64
-	var buf []byte
-	for _, e := range entries {
-		i := int(e.Index)
-		if i >= len(t.keys) || t.keys[i] != e.Key {
-			return nil, 0, fmt.Errorf("mbt: key %d is not at leaf %d", e.Key, i)
-		}
-		if math.Float64bits(t.vals[i]) == math.Float64bits(e.Value) {
-			continue
-		}
-		if vals == nil {
-			vals = append([]float64(nil), t.vals...)
-		}
-		vals[i] = e.Value
-		buf = e.Entry.AppendBinary(buf[:0])
-		dirty[i] = alg.Sum(buf)
+// UpdateValues returns a tree in which each given entry replaces the one at
+// its leaf index; callers hand over only entries whose value moved (the key
+// set never changes under edge re-weighting). Only the dirty Merkle paths
+// are rehashed and the receiver stays valid for concurrent readers.
+// Byte-identical to Build over the patched entry set.
+func (t *Tree) UpdateValues(entries []ProvenEntry) (*Tree, error) {
+	if len(entries) == 0 {
+		return t, nil
 	}
-	if len(dirty) == 0 {
-		return t, 0, nil
+	alg := t.mt.Alg()
+	slab := leafSlab(alg, len(entries), func(i int) Entry { return entries[i].Entry })
+	size := alg.Size()
+	dirty := make(map[int][]byte, len(entries))
+	for n, e := range entries {
+		dirty[int(e.Index)] = slab[n*size : (n+1)*size]
 	}
 	mt, err := t.mt.UpdateLeaves(dirty)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return &Tree{keys: t.keys, vals: vals, mt: mt}, len(dirty), nil
+	return &Tree{mt: mt}, nil
 }
 
 // MHT exposes the underlying Merkle tree for snapshot serialization
 // (dehydration); pair with RehydrateTree. Read-only.
 func (t *Tree) MHT() *mht.Tree { return t.mt }
 
-// RehydrateTree reconstructs a Tree from its entries — strictly increasing
-// by key, as for Build — and an already rehydrated Merkle tree, without
-// re-hashing any leaf: the snapshot load path. The entry count must match
-// the tree's leaf count. Digest values are trusted (see mht.Rehydrate): a
-// lying snapshot produces proofs that fail client verification, nothing
-// worse.
-func RehydrateTree(entries []Entry, mt *mht.Tree) (*Tree, error) {
+// RehydrateTree wraps an already rehydrated Merkle tree — the snapshot load
+// path, which hashes nothing and touches no entry. n is the entry count the
+// caller's key layout implies and must match the tree's leaf count. Digest
+// values are trusted (see mht.Rehydrate): a lying snapshot produces proofs
+// that fail client verification, nothing worse.
+func RehydrateTree(mt *mht.Tree, n int) (*Tree, error) {
 	if mt == nil {
 		return nil, errors.New("mbt: nil merkle tree")
 	}
-	if len(entries) != mt.NumLeaves() {
-		return nil, fmt.Errorf("mbt: %d entries for %d leaves", len(entries), mt.NumLeaves())
+	if n != mt.NumLeaves() {
+		return nil, fmt.Errorf("mbt: %d entries for %d leaves", n, mt.NumLeaves())
 	}
-	t, err := columns(entries)
-	if err != nil {
-		return nil, err
-	}
-	t.mt = mt
-	return t, nil
+	return &Tree{mt: mt}, nil
 }
 
 // Root returns the signed-root digest of the tree.
 func (t *Tree) Root() []byte { return t.mt.Root() }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return len(t.keys) }
-
-// Index returns the leaf index of key.
-func (t *Tree) Index(key Key) (int, bool) { return slices.BinarySearch(t.keys, key) }
-
-// Lookup returns the value stored under key.
-func (t *Tree) Lookup(key Key) (float64, bool) {
-	if i, ok := t.Index(key); ok {
-		return t.vals[i], true
-	}
-	return 0, false
-}
+func (t *Tree) Len() int { return t.mt.NumLeaves() }
 
 // ProvenEntry is an entry plus its leaf position, as carried in proofs.
 type ProvenEntry struct {
@@ -206,32 +168,23 @@ type Proof struct {
 	MHT     *mht.Proof
 }
 
-// provePool recycles Merkle coverage scratch across queries, trees and
-// epochs: its stamps are epoch-tagged and it regrows to any tree's shape,
-// so a proof costs the leaves it touches, not the tree.
-var provePool = sync.Pool{New: func() any { return new(mht.ProveScratch) }}
-
-// Prove builds a proof for the entries at the given leaf indices, in the
-// order given. Callers that know the key layout compute indices directly;
-// Index serves those that hold only a key.
-func (t *Tree) Prove(indices []int) (*Proof, error) {
-	if len(indices) == 0 {
+// Prove builds a proof for the given entries, which the caller derives from
+// its key layout (value and leaf index both) and which the proof retains,
+// in the order given. An entry that is not what its leaf was built from is
+// not detected here: it fails the client's root check.
+func (t *Tree) Prove(s *mht.ProveScratch, entries []ProvenEntry) (*Proof, error) {
+	if len(entries) == 0 {
 		return nil, errors.New("mbt: no leaves to prove")
 	}
-	p := &Proof{Entries: make([]ProvenEntry, len(indices))}
-	for n, i := range indices {
-		if i < 0 || i >= len(t.keys) {
-			return nil, fmt.Errorf("mbt: leaf index %d out of range [0, %d)", i, len(t.keys))
-		}
-		p.Entries[n] = ProvenEntry{Entry: Entry{Key: t.keys[i], Value: t.vals[i]}, Index: uint32(i)}
+	idx := s.Indices(len(entries))
+	for n, e := range entries {
+		idx[n] = int(e.Index)
 	}
-	s := provePool.Get().(*mht.ProveScratch)
-	defer provePool.Put(s)
-	var err error
-	if p.MHT, err = t.mt.ProveWith(s, indices); err != nil {
+	mp, err := t.mt.ProveWith(s, idx)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Proof{Entries: entries, MHT: mp}, nil
 }
 
 // Root reconstructs the tree root implied by the proof's entries and Merkle

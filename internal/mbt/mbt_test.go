@@ -2,14 +2,15 @@ package mbt
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"github.com/authhints/spv/internal/digest"
+	"github.com/authhints/spv/internal/mht"
 )
 
 func testEntries(n int) []Entry {
@@ -20,18 +21,28 @@ func testEntries(n int) []Entry {
 	return out
 }
 
-// proveKeys proves keys through their leaf indices, as callers without a
-// closed-form layout would.
-func proveKeys(tr *Tree, keys []Key) (*Proof, error) {
+// proven pairs entries with their leaf indices: the tests' key layout is
+// "entry i is leaf i", the role hiti.LeafIndex plays for HYP.
+func proven(entries []Entry, idx ...int) []ProvenEntry {
+	out := make([]ProvenEntry, len(idx))
+	for n, i := range idx {
+		out[n] = ProvenEntry{Entry: entries[i], Index: uint32(i)}
+	}
+	return out
+}
+
+// proveKeys proves keys of the entries tr was built from, as a caller
+// without a closed-form layout would: by searching its own entry list.
+func proveKeys(tr *Tree, entries []Entry, keys []Key) (*Proof, error) {
 	idx := make([]int, len(keys))
 	for n, k := range keys {
-		i, ok := tr.Index(k)
+		i, ok := slices.BinarySearchFunc(entries, k, func(e Entry, k Key) int { return cmp.Compare(e.Key, k) })
 		if !ok {
 			return nil, fmt.Errorf("key %d not present", k)
 		}
 		idx[n] = i
 	}
-	return tr.Prove(idx)
+	return tr.Prove(new(mht.ProveScratch), proven(entries, idx...))
 }
 
 func TestMakeKeySplit(t *testing.T) {
@@ -60,18 +71,19 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestLeafOrderIsTheCallers pins the ordering contract: Build and
-// RehydrateTree take entries strictly increasing by key and reject anything
-// else — a duplicate or a descent, near the front, at the back or in between —
-// instead of sorting behind the caller's back.
+// TestLeafOrderIsTheCallers pins the ordering contract: Build takes entries
+// strictly increasing by key and rejects anything else — a duplicate or a
+// descent, near the front, at the back or in between — instead of sorting
+// behind the caller's back; RehydrateTree holds the caller's layout to the
+// tree's leaf count.
 func TestLeafOrderIsTheCallers(t *testing.T) {
 	good := testEntries(40)
 	tr, err := Build(digest.SHA1, 4, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RehydrateTree(good, tr.MHT()); err != nil {
-		t.Fatalf("ordered entries rejected on rehydrate: %v", err)
+	if re, err := RehydrateTree(tr.MHT(), len(good)); err != nil || re.Len() != 40 || !bytes.Equal(re.Root(), tr.Root()) {
+		t.Fatalf("matching leaf count rejected on rehydrate: %v", err)
 	}
 	for _, at := range []int{2, 20, 39} {
 		for name, key := range map[string]Key{"duplicate": good[at-1].Key, "descending": good[at-1].Key - 1} {
@@ -80,69 +92,55 @@ func TestLeafOrderIsTheCallers(t *testing.T) {
 			if _, err := Build(digest.SHA1, 4, bad); err == nil {
 				t.Errorf("Build accepted a %s key at entry %d", name, at)
 			}
-			if _, err := RehydrateTree(bad, tr.MHT()); err == nil {
-				t.Errorf("RehydrateTree accepted a %s key at entry %d", name, at)
-			}
 		}
 	}
-	if _, err := RehydrateTree(good[:39], tr.MHT()); err == nil {
+	if _, err := RehydrateTree(tr.MHT(), 39); err == nil {
 		t.Error("RehydrateTree accepted fewer entries than leaves")
+	}
+	if _, err := RehydrateTree(nil, 40); err == nil {
+		t.Error("RehydrateTree accepted a nil Merkle tree")
 	}
 }
 
 // TestUpdateValuesMatchesRebuild patches values by leaf index and compares
-// against a fresh build; an index that does not hold the entry's key is
-// refused.
+// against a fresh build; the receiver keeps proving the old values, and a
+// leaf index outside the tree is refused.
 func TestUpdateValuesMatchesRebuild(t *testing.T) {
 	entries := testEntries(60)
 	tr, _ := Build(digest.SHA1, 4, entries)
+	oldRoot := bytes.Clone(tr.Root())
 	patch := []ProvenEntry{
 		{Entry: Entry{Key: entries[7].Key, Value: 99}, Index: 7},
-		{Entry: entries[30], Index: 30}, // bit-identical: skipped
 		{Entry: Entry{Key: entries[59].Key, Value: -1}, Index: 59},
 	}
-	nt, changed, err := tr.UpdateValues(patch)
-	if err != nil || changed != 2 {
-		t.Fatalf("UpdateValues: %d changed, %v", changed, err)
+	nt, err := tr.UpdateValues(patch)
+	if err != nil {
+		t.Fatalf("UpdateValues: %v", err)
 	}
-	entries[7].Value, entries[59].Value = 99, -1
-	want, _ := Build(digest.SHA1, 4, entries)
+	patched := slices.Clone(entries)
+	patched[7].Value, patched[59].Value = 99, -1
+	want, _ := Build(digest.SHA1, 4, patched)
 	if !bytes.Equal(nt.Root(), want.Root()) {
 		t.Error("patched root differs from a rebuild")
 	}
-	if v, _ := tr.Lookup(entries[7].Key); v == 99 {
-		t.Error("the receiver was modified")
+	var s mht.ProveScratch
+	if p, err := nt.Prove(&s, proven(patched, 7, 8, 59)); err != nil || p.Verify(want.Root()) != nil {
+		t.Errorf("patched tree does not prove the patched entries: %v", err)
 	}
-	for _, bad := range []ProvenEntry{
-		{Entry: Entry{Key: entries[7].Key, Value: 1}, Index: 8},
-		{Entry: Entry{Key: entries[7].Key, Value: 1}, Index: 60},
-	} {
-		if _, _, err := tr.UpdateValues([]ProvenEntry{bad}); err == nil {
-			t.Errorf("key %d accepted at leaf %d", bad.Key, bad.Index)
-		}
+	if p, err := tr.Prove(&s, proven(entries, 7, 59)); err != nil || p.Verify(oldRoot) != nil {
+		t.Errorf("the receiver was modified: %v", err)
 	}
-}
-
-func TestLookup(t *testing.T) {
-	tr, err := Build(digest.SHA1, 4, testEntries(50))
-	if err != nil {
-		t.Fatal(err)
+	if same, err := tr.UpdateValues(nil); err != nil || same != tr {
+		t.Error("an empty patch should return the receiver")
 	}
-	if tr.Len() != 50 {
-		t.Errorf("Len = %d, want 50", tr.Len())
-	}
-	v, ok := tr.Lookup(MakeKey(2, 3)) // entry 17 → value 25.5
-	if !ok || v != 25.5 {
-		t.Errorf("Lookup = %v, %v; want 25.5, true", v, ok)
-	}
-	if _, ok := tr.Lookup(MakeKey(99, 99)); ok {
-		t.Error("absent key found")
+	if _, err := tr.UpdateValues([]ProvenEntry{{Entry: entries[7], Index: 60}}); err == nil {
+		t.Error("leaf 60 of 60 accepted")
 	}
 }
 
 func TestProveVerifySingleKey(t *testing.T) {
 	tr, _ := Build(digest.SHA1, 4, testEntries(50))
-	p, err := proveKeys(tr, []Key{MakeKey(3, 2)})
+	p, err := proveKeys(tr, testEntries(tr.Len()), []Key{MakeKey(3, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +166,7 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 		for i := range keys {
 			keys[i] = entries[rng.Intn(len(entries))].Key
 		}
-		p, err := proveKeys(tr, keys)
+		p, err := proveKeys(tr, entries, keys)
 		if err != nil {
 			t.Logf("prove: %v", err)
 			return false
@@ -177,10 +175,9 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 			t.Logf("verify: %v", err)
 			return false
 		}
-		for _, key := range keys {
-			want, _ := tr.Lookup(key)
+		for n, key := range keys {
 			got, err := p.Value(key)
-			if err != nil || got != want {
+			if err != nil || got != p.Entries[n].Value {
 				return false
 			}
 		}
@@ -192,53 +189,44 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 }
 
 func TestProveRejectsBadIndices(t *testing.T) {
-	tr, _ := Build(digest.SHA1, 4, testEntries(10))
-	for _, idx := range [][]int{nil, {10}, {-1}, {3, 11}} {
-		if _, err := tr.Prove(idx); err == nil {
+	entries := testEntries(10)
+	tr, _ := Build(digest.SHA1, 4, entries)
+	var s mht.ProveScratch
+	for _, idx := range [][]uint32{nil, {10}, {1 << 31}, {3, 11}} {
+		ask := make([]ProvenEntry, len(idx))
+		for n, i := range idx {
+			ask[n] = ProvenEntry{Entry: entries[3], Index: i}
+		}
+		if _, err := tr.Prove(&s, ask); err == nil {
 			t.Errorf("leaf set %v accepted", idx)
 		}
 	}
-	if _, ok := tr.Index(MakeKey(42, 42)); ok {
-		t.Error("absent key has a leaf index")
-	}
 }
 
-// TestProveSharedScratchAcrossTrees proves against two trees of different
-// heights and widths from concurrent goroutines, each alternating between
-// them: the scratch pool is shared by every tree in the process
-// (deployments, update epochs), so a scratch last shaped for one tree must
-// serve the other. Run under -race.
-func TestProveSharedScratchAcrossTrees(t *testing.T) {
-	small, _ := Build(digest.SHA1, 16, testEntries(40))
-	large, _ := Build(digest.SHA1, 2, testEntries(3000))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for n := 0; n < 200; n++ {
-				tr := small
-				if (n+int(seed))%2 == 0 {
-					tr = large
-				}
-				idx := make([]int, 1+rng.Intn(12))
-				for i := range idx {
-					idx[i] = rng.Intn(tr.Len())
-				}
-				p, err := tr.Prove(idx)
-				if err != nil {
-					t.Errorf("prove %v: %v", idx, err)
-					return
-				}
-				if err := p.Verify(tr.Root()); err != nil {
-					t.Errorf("proof of %v over %d leaves rejected: %v", idx, tr.Len(), err)
-					return
-				}
-			}
-		}(int64(g))
+// TestProveBindsEntriesToTheirLeaves: Prove takes the caller's word for an
+// entry, and the root check is what holds the caller to it — a value or an
+// index that is not the leaf's fails verification.
+func TestProveBindsEntriesToTheirLeaves(t *testing.T) {
+	entries := testEntries(50)
+	tr, _ := Build(digest.SHA1, 4, entries)
+	var s mht.ProveScratch
+	honest, err := tr.Prove(&s, proven(entries, 4, 5, 40))
+	if err != nil || honest.Verify(tr.Root()) != nil {
+		t.Fatalf("honest entries rejected: %v", err)
 	}
-	wg.Wait()
+	wrongValue := proven(entries, 4, 5, 40)
+	wrongValue[1].Value++
+	wrongLeaf := proven(entries, 4, 5, 40)
+	wrongLeaf[2].Index = 41
+	for name, ask := range map[string][]ProvenEntry{"value": wrongValue, "leaf": wrongLeaf} {
+		p, err := tr.Prove(&s, ask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Verify(tr.Root()) == nil {
+			t.Errorf("an entry with the wrong %s verified", name)
+		}
+	}
 }
 
 func TestProofTamperDetection(t *testing.T) {
@@ -246,25 +234,25 @@ func TestProofTamperDetection(t *testing.T) {
 	key := MakeKey(4, 4)
 
 	// Inflated distance value.
-	p, _ := proveKeys(tr, []Key{key})
+	p, _ := proveKeys(tr, testEntries(tr.Len()), []Key{key})
 	p.Entries[0].Value += 1
 	if err := p.Verify(tr.Root()); err == nil {
 		t.Error("tampered value verified")
 	}
 	// Re-pointed key: claim the proven entry is for a different pair.
-	p2, _ := proveKeys(tr, []Key{key})
+	p2, _ := proveKeys(tr, testEntries(tr.Len()), []Key{key})
 	p2.Entries[0].Key = MakeKey(5, 5)
 	if err := p2.Verify(tr.Root()); err == nil {
 		t.Error("re-keyed entry verified")
 	}
 	// Index shifting.
-	p3, _ := proveKeys(tr, []Key{key})
+	p3, _ := proveKeys(tr, testEntries(tr.Len()), []Key{key})
 	p3.Entries[0].Index++
 	if err := p3.Verify(tr.Root()); err == nil {
 		t.Error("index-shifted entry verified")
 	}
 	// Foreign root.
-	p4, _ := proveKeys(tr, []Key{key})
+	p4, _ := proveKeys(tr, testEntries(tr.Len()), []Key{key})
 	other, _ := Build(digest.SHA1, 4, testEntries(63))
 	if err := p4.Verify(other.Root()); err == nil {
 		t.Error("proof verified against foreign root")
@@ -273,7 +261,7 @@ func TestProofTamperDetection(t *testing.T) {
 
 func TestProofSerializationRoundTrip(t *testing.T) {
 	tr, _ := Build(digest.SHA256, 4, testEntries(100))
-	p, _ := proveKeys(tr, []Key{MakeKey(0, 0), MakeKey(14, 1)})
+	p, _ := proveKeys(tr, testEntries(tr.Len()), []Key{MakeKey(0, 0), MakeKey(14, 1)})
 	enc := p.AppendBinary(nil)
 	if len(enc) != p.EncodedSize() {
 		t.Errorf("encoded %d bytes, EncodedSize %d", len(enc), p.EncodedSize())
@@ -468,7 +456,7 @@ func TestForestMatchesExplicitTree(t *testing.T) {
 		if err := fp.Verify(f.Root()); err != nil {
 			t.Fatal(err)
 		}
-		tp, err := proveKeys(tr, []Key{MakeKey(uint32(i), uint32(j))})
+		tp, err := proveKeys(tr, entries, []Key{MakeKey(uint32(i), uint32(j))})
 		if err != nil {
 			t.Fatal(err)
 		}

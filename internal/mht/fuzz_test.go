@@ -13,9 +13,9 @@ import (
 func FuzzDecodeProof(f *testing.F) {
 	// Seed with real proofs over a few tree shapes.
 	for _, n := range []int{1, 5, 33} {
-		leaves := make([][]byte, n)
-		for i := range leaves {
-			leaves[i] = digest.SHA1.Sum([]byte{byte(i)})
+		var leaves []byte
+		for i := 0; i < n; i++ {
+			leaves = digest.SHA1.AppendSum(leaves, []byte{byte(i)})
 		}
 		t, err := Build(digest.SHA1, 3, leaves)
 		if err != nil {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/par"
@@ -28,9 +27,11 @@ import (
 // MaxFanout bounds the tree fanout; the paper evaluates 2..32.
 const MaxFanout = 256
 
-// Tree is an immutable Merkle hash tree. levels[0] holds the leaf digests;
-// levels[len-1] holds the single root digest. Each internal digest is
-// H(child_0 ◦ ... ◦ child_{k-1}) over its (up to fanout) children.
+// Tree is an immutable Merkle hash tree. A level is one contiguous slab of
+// digests — digest i of level l is levels[l][i·|H| : (i+1)·|H|] — with
+// levels[0] the leaves and levels[len-1] the single root. Each internal
+// digest is H(child_0 ◦ ... ◦ child_{k-1}) over its (up to fanout) children,
+// which are adjacent in the slab below, so a parent hashes one run of bytes.
 //
 // Children are grouped B⁺-tree style: a level of w nodes forms ⌈w/f⌉ groups
 // with sizes as equal as possible, so no group is less than half full. This
@@ -39,7 +40,8 @@ const MaxFanout = 256
 type Tree struct {
 	alg    digest.Alg
 	fanout int
-	levels [][][]byte
+	size   int // alg.Size()
+	levels [][]byte
 }
 
 // grouping describes how one level of w nodes is partitioned into parent
@@ -76,119 +78,117 @@ func (g grouping) parentOf(c int) int {
 	return g.rem + (c-boundary)/g.base
 }
 
-// Build constructs a tree over the given leaf digests. The leaf slice is
-// retained (not copied); callers must not mutate it afterwards.
-func Build(alg digest.Alg, fanout int, leaves [][]byte) (*Tree, error) {
+// checkShape validates the parameters every constructor takes and returns
+// the leaf count of a leaf slab.
+func checkShape(alg digest.Alg, fanout int, leaves []byte) (int, error) {
 	if !alg.Valid() {
-		return nil, fmt.Errorf("mht: invalid hash algorithm %d", alg)
+		return 0, fmt.Errorf("mht: invalid hash algorithm %d", alg)
 	}
 	if fanout < 2 || fanout > MaxFanout {
-		return nil, fmt.Errorf("mht: fanout %d out of range [2, %d]", fanout, MaxFanout)
+		return 0, fmt.Errorf("mht: fanout %d out of range [2, %d]", fanout, MaxFanout)
 	}
 	if len(leaves) == 0 {
-		return nil, errors.New("mht: no leaves")
+		return 0, errors.New("mht: no leaves")
 	}
-	for i, l := range leaves {
-		if len(l) != alg.Size() {
-			return nil, fmt.Errorf("mht: leaf %d has %d bytes, want %d", i, len(l), alg.Size())
-		}
+	if len(leaves)%alg.Size() != 0 {
+		return 0, fmt.Errorf("mht: leaf slab of %d bytes is not a multiple of the %d-byte digest", len(leaves), alg.Size())
 	}
-	t := &Tree{alg: alg, fanout: fanout}
-	t.levels = append(t.levels, leaves)
-	for len(t.levels[len(t.levels)-1]) > 1 {
-		cur := t.levels[len(t.levels)-1]
-		grp := groupLevel(len(cur), fanout)
-		next := make([][]byte, grp.groups)
-		hashLevel(alg, cur, grp, next)
-		t.levels = append(t.levels, next)
+	return len(leaves) / alg.Size(), nil
+}
+
+// Build constructs a tree over the given leaf digests, one slab of
+// len/|H| digests. The slab is retained (not copied); callers must not
+// mutate it afterwards. One allocation per level.
+func Build(alg digest.Alg, fanout int, leaves []byte) (*Tree, error) {
+	n, err := checkShape(alg, fanout, leaves)
+	if err != nil {
+		return nil, err
+	}
+	size := alg.Size()
+	height := 1
+	for w := n; w > 1; w = groupLevel(w, fanout).groups {
+		height++
+	}
+	t := &Tree{alg: alg, fanout: fanout, size: size, levels: make([][]byte, 1, height)}
+	t.levels[0] = leaves
+	// One closure for every level: it hashes the newest level from the one
+	// below it.
+	hash := func(lo, hi int) {
+		cur, next := t.levels[len(t.levels)-2], t.levels[len(t.levels)-1]
+		hashGroups(alg, cur, groupLevel(len(cur)/size, fanout), next, lo, hi)
+	}
+	for w := n; w > 1; {
+		w = groupLevel(w, fanout).groups
+		t.levels = append(t.levels, make([]byte, w*size))
+		par.Chunks(w, 0, hash)
 	}
 	return t, nil
 }
 
-// hashLevel computes one level of parent digests, fanning wide levels out
-// across GOMAXPROCS workers (each parent digest depends only on its own
-// child range).
-func hashLevel(alg digest.Alg, cur [][]byte, grp grouping, next [][]byte) {
-	par.Chunks(grp.groups, 0, func(lo, hi int) {
-		hashGroups(alg, cur, grp, next, lo, hi)
-	})
-}
-
-// hashGroups hashes parents [lo, hi), reusing one hasher across the range.
-func hashGroups(alg digest.Alg, cur [][]byte, grp grouping, next [][]byte, lo, hi int) {
-	h := alg.New()
+// hashGroups writes the digests of parents [lo, hi) into their slots of
+// next. A parent's children are one contiguous run of cur, hashed in one
+// call with the state on the stack.
+func hashGroups(alg digest.Alg, cur []byte, grp grouping, next []byte, lo, hi int) {
+	size := alg.Size()
 	for p := lo; p < hi; p++ {
 		first, last := grp.childRange(p)
-		h.Reset()
-		for _, child := range cur[first:last] {
-			h.Write(child)
-		}
-		next[p] = h.Sum(nil)
+		alg.AppendSum(next[p*size:p*size:(p+1)*size], cur[first*size:last*size])
 	}
 }
 
-// BuildFromMessages hashes each message and builds the tree over the
-// digests. Message hashing is fanned out like level hashing: it dominates
-// owner outsourcing of large networks.
+// BuildFromMessages hashes each message straight into the leaf slab —
+// digest i is H(msgs[i]) — and builds the tree over it. Message hashing is
+// fanned out like level hashing: it dominates owner outsourcing of large
+// networks.
 func BuildFromMessages(alg digest.Alg, fanout int, msgs [][]byte) (*Tree, error) {
-	leaves := make([][]byte, len(msgs))
-	HashMessages(alg, msgs, leaves)
-	return Build(alg, fanout, leaves)
-}
-
-// HashMessages fills digests[i] with the hash of msgs[i], in parallel for
-// large inputs. len(digests) must equal len(msgs).
-func HashMessages(alg digest.Alg, msgs [][]byte, digests [][]byte) {
-	par.Chunks(len(msgs), 0, func(lo, hi int) {
-		hashMessageRange(alg, msgs, digests, lo, hi)
-	})
-}
-
-func hashMessageRange(alg digest.Alg, msgs, digests [][]byte, lo, hi int) {
-	h := alg.New()
-	for i := lo; i < hi; i++ {
-		h.Reset()
-		h.Write(msgs[i])
-		digests[i] = h.Sum(nil)
+	if !alg.Valid() {
+		return nil, fmt.Errorf("mht: invalid hash algorithm %d", alg)
 	}
+	size := alg.Size()
+	slab := make([]byte, len(msgs)*size)
+	par.Chunks(len(msgs), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			alg.AppendSum(slab[i*size:i*size:(i+1)*size], msgs[i])
+		}
+	})
+	return Build(alg, fanout, slab)
 }
 
 // UpdateLeaves returns a new tree in which leaf i carries digest d for
 // every (i, d) in dirty, rehashing only the O(k·log n) internal digests on
-// the dirty leaves' root paths. The receiver is left untouched and remains
-// fully usable — clean digests are shared between the two trees, so
-// concurrent readers of the old tree (in-flight proof constructions) never
-// observe the patch. The result is byte-identical to Build over the patched
-// leaf slice.
+// the dirty leaves' root paths. Copy-on-write is per level: each level is
+// copied once (one pointer-free memmove) and the dirty paths are rehashed
+// in place in the copy, so the receiver's bytes are never written and it
+// remains fully usable by concurrent readers (in-flight proof
+// constructions). The result is byte-identical to Build over the patched
+// leaf slab.
 func (t *Tree) UpdateLeaves(dirty map[int][]byte) (*Tree, error) {
 	if len(dirty) == 0 {
 		return t, nil
 	}
-	n := t.NumLeaves()
+	n, size := t.NumLeaves(), t.size
 	for i, d := range dirty {
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("mht: dirty leaf %d out of range [0, %d)", i, n)
 		}
-		if len(d) != t.alg.Size() {
-			return nil, fmt.Errorf("mht: dirty leaf %d digest has %d bytes, want %d", i, len(d), t.alg.Size())
+		if len(d) != size {
+			return nil, fmt.Errorf("mht: dirty leaf %d digest has %d bytes, want %d", i, len(d), size)
 		}
 	}
-	nt := &Tree{alg: t.alg, fanout: t.fanout, levels: make([][][]byte, len(t.levels))}
-	// Copy the outer slice of each level (pointer copies only) so digests
-	// can be replaced without touching the shared backing arrays.
+	nt := &Tree{alg: t.alg, fanout: t.fanout, size: size, levels: make([][]byte, len(t.levels))}
 	for l, lvl := range t.levels {
-		nt.levels[l] = append([][]byte(nil), lvl...)
+		nt.levels[l] = bytes.Clone(lvl)
 	}
 	// Dirty positions at the current level, ascending and deduplicated.
 	pos := make([]int, 0, len(dirty))
 	for i, d := range dirty {
-		nt.levels[0][i] = d
+		copy(nt.levels[0][i*size:], d)
 		pos = append(pos, i)
 	}
-	sort.Ints(pos)
-	h := t.alg.New()
+	slices.Sort(pos)
 	for l := 0; l+1 < len(nt.levels); l++ {
-		grp := groupLevel(len(nt.levels[l]), t.fanout)
+		cur, next := nt.levels[l], nt.levels[l+1]
+		grp := groupLevel(t.width(l), t.fanout)
 		parents := pos[:0]
 		for _, p := range pos {
 			pp := grp.parentOf(p)
@@ -196,87 +196,78 @@ func (t *Tree) UpdateLeaves(dirty map[int][]byte) (*Tree, error) {
 				continue // ascending children share ascending parents
 			}
 			parents = append(parents, pp)
-		}
-		for _, p := range parents {
-			first, last := grp.childRange(p)
-			h.Reset()
-			for _, child := range nt.levels[l][first:last] {
-				h.Write(child)
-			}
-			nt.levels[l+1][p] = h.Sum(nil)
+			hashGroups(t.alg, cur, grp, next, pp, pp+1)
 		}
 		pos = parents
 	}
 	return nt, nil
 }
 
-// Levels exposes the tree's digest levels — levels[0] the leaves,
-// levels[len-1] the single root — for snapshot serialization (the
-// dehydration half of the persistence hooks; Rehydrate is the other). The
-// returned slices are the tree's own storage: callers must treat them as
-// read-only and must not retain them across a tree mutation.
-func (t *Tree) Levels() [][][]byte { return t.levels }
+// Levels exposes the tree's level slabs — levels[0] the leaves, levels[len-1]
+// the single root digest — for snapshot serialization (the dehydration half
+// of the persistence hooks; Rehydrate is the other). The returned slices are
+// the tree's own storage: read-only.
+func (t *Tree) Levels() [][]byte { return t.levels }
 
-// Rehydrate reconstructs a Tree from previously exported levels without
+// Rehydrate reconstructs a Tree from previously exported level slabs without
 // recomputing a single hash — the snapshot load path, where interior
 // digests were already paid for at outsourcing time. The level shape is
-// validated exactly (widths must follow the B⁺-style grouping chain and
-// every digest must be alg-sized), but digest *values* are trusted: a
-// snapshot is provider-side state, and a wrong digest surfaces as a root
-// mismatch at client verification, never as unsoundness. The levels slice
-// is retained, not copied.
-func Rehydrate(alg digest.Alg, fanout int, levels [][][]byte) (*Tree, error) {
-	if !alg.Valid() {
-		return nil, fmt.Errorf("mht: invalid hash algorithm %d", alg)
-	}
-	if fanout < 2 || fanout > MaxFanout {
-		return nil, fmt.Errorf("mht: fanout %d out of range [2, %d]", fanout, MaxFanout)
-	}
-	if len(levels) == 0 || len(levels[0]) == 0 {
+// validated exactly, in O(levels): the leaf slab must be a whole number of
+// digests and every level above exactly as long as the B⁺-style grouping of
+// the one below makes it, down to a single root. Digest *values* are
+// trusted: a snapshot is provider-side state, and a wrong digest surfaces
+// as a root mismatch at client verification, never as unsoundness. The
+// slabs are retained, not copied.
+func Rehydrate(alg digest.Alg, fanout int, levels [][]byte) (*Tree, error) {
+	if len(levels) == 0 {
 		return nil, errors.New("mht: no levels")
+	}
+	if _, err := checkShape(alg, fanout, levels[0]); err != nil {
+		return nil, err
 	}
 	size := alg.Size()
 	for l, lvl := range levels {
-		for i, d := range lvl {
-			if len(d) != size {
-				return nil, fmt.Errorf("mht: level %d digest %d has %d bytes, want %d", l, i, len(d), size)
-			}
-		}
-		last := l == len(levels)-1
+		width, last := len(lvl)/size, l == len(levels)-1
 		switch {
-		case last && len(lvl) != 1:
-			return nil, fmt.Errorf("mht: top level has %d digests, want 1", len(lvl))
+		case last && width != 1:
+			return nil, fmt.Errorf("mht: top level has %d digests, want 1", width)
+		case !last && width == 1:
+			return nil, fmt.Errorf("mht: level %d is a premature root", l)
 		case !last:
-			want := groupLevel(len(lvl), fanout).groups
-			if len(levels[l+1]) != want {
-				return nil, fmt.Errorf("mht: level %d has %d digests, want %d under fanout %d",
+			if want := groupLevel(width, fanout).groups; len(levels[l+1]) != want*size {
+				return nil, fmt.Errorf("mht: level %d has %d bytes, want %d digests under fanout %d",
 					l+1, len(levels[l+1]), want, fanout)
-			}
-			if len(lvl) == 1 {
-				return nil, fmt.Errorf("mht: level %d is a premature root", l)
 			}
 		}
 	}
-	return &Tree{alg: alg, fanout: fanout, levels: levels}, nil
+	return &Tree{alg: alg, fanout: fanout, size: size, levels: levels}, nil
 }
 
 // AuditLevels re-derives every interior level from the level below it and
-// compares the result digest-by-digest against the stored levels — the
-// verification Rehydrate deliberately skips at load time. A pass means the
-// stored interior digests are exactly the fold of the stored leaves, so
-// under collision resistance a root match against an externally trusted
-// value extends that trust down to every leaf digest, without re-hashing a
-// single leaf message. Cost is one hash per interior node (≈ n/(fanout-1)
-// hashes), fanned out across GOMAXPROCS workers like Build.
+// compares it against the stored slab — the verification Rehydrate
+// deliberately skips at load time. A pass means the stored interior digests
+// are exactly the fold of the stored leaves, so under collision resistance
+// a root match against an externally trusted value extends that trust down
+// to every leaf digest, without re-hashing a single leaf message. Cost is
+// one hash per interior node (≈ n/(fanout-1) hashes), fanned out across
+// GOMAXPROCS workers like Build, into one scratch slab the size of level 1;
+// a level is compared whole, and only a mismatch is searched for its index.
 func (t *Tree) AuditLevels() error {
+	if len(t.levels) == 1 {
+		return nil
+	}
+	size := t.size
+	scratch := make([]byte, len(t.levels[1]))
 	for l := 0; l+1 < len(t.levels); l++ {
-		cur := t.levels[l]
-		grp := groupLevel(len(cur), t.fanout)
-		next := make([][]byte, grp.groups)
-		hashLevel(t.alg, cur, grp, next)
-		stored := t.levels[l+1]
-		for i := range next {
-			if !bytes.Equal(next[i], stored[i]) {
+		cur, stored := t.levels[l], t.levels[l+1]
+		grp := groupLevel(t.width(l), t.fanout)
+		next := scratch[:len(stored)]
+		par.Chunks(grp.groups, 0, func(lo, hi int) { hashGroups(t.alg, cur, grp, next, lo, hi) })
+		if bytes.Equal(next, stored) {
+			continue
+		}
+		for i := 0; ; i++ {
+			if !bytes.Equal(next[i*size:(i+1)*size], stored[i*size:(i+1)*size]) {
 				return fmt.Errorf("mht: stored digest (%d,%d) does not fold from level %d", l+1, i, l)
 			}
 		}
@@ -284,11 +275,15 @@ func (t *Tree) AuditLevels() error {
 	return nil
 }
 
-// Root returns the root digest.
-func (t *Tree) Root() []byte { return t.levels[len(t.levels)-1][0] }
+// Root returns the root digest. Like Leaf and every proof entry, it aliases
+// the tree's slab.
+func (t *Tree) Root() []byte { return t.levels[len(t.levels)-1][:t.size:t.size] }
 
 // NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return len(t.levels[0]) }
+func (t *Tree) NumLeaves() int { return t.width(0) }
+
+// width returns the number of digests on level l.
+func (t *Tree) width(l int) int { return len(t.levels[l]) / t.size }
 
 // Fanout returns the tree fanout.
 func (t *Tree) Fanout() int { return t.fanout }
@@ -299,8 +294,14 @@ func (t *Tree) Alg() digest.Alg { return t.alg }
 // Height returns the number of levels including leaves.
 func (t *Tree) Height() int { return len(t.levels) }
 
-// Leaf returns the digest of leaf i.
-func (t *Tree) Leaf(i int) []byte { return t.levels[0][i] }
+// Leaf returns the digest of leaf i, aliasing the leaf slab.
+func (t *Tree) Leaf(i int) []byte { return t.digest(0, i) }
+
+// digest returns digest i of level l, capped so an append cannot run into
+// its neighbour.
+func (t *Tree) digest(l, i int) []byte {
+	return t.levels[l][i*t.size : (i+1)*t.size : (i+1)*t.size]
+}
 
 // Entry is one hash entry of an integrity proof: the digest at (Level,
 // Index) in the tree, where Level 0 is the leaf level.
@@ -321,97 +322,80 @@ type Proof struct {
 	Entries   []Entry
 }
 
-// ProveScratch is reusable coverage state for ProveWith. A zero value is
-// ready to use; a scratch reused across proofs (the provider steady state)
-// stops allocating once it has seen its largest tree. Not safe for
-// concurrent use.
-type ProveScratch struct {
-	epoch   uint8
-	stamp   [][]uint8  // per level: stamp[l][i]==epoch ⇒ subtree (l,i) holds a proven leaf
-	covered [][]uint32 // per level: positions stamped this epoch, in marking order
+// ProveScratch is the reusable working set of ProveWith: the touched
+// positions of the level being emitted, O(proven leaves) whatever the
+// tree. A zero value is ready to use. Not safe for concurrent use.
+type ProveScratch struct{ pos []int }
+
+// Indices returns a length-n buffer backed by the scratch, for callers that
+// compute leaf indices themselves: fill it and hand it to ProveWith, which
+// then copies nothing.
+func (s *ProveScratch) Indices(n int) []int {
+	s.pos = slices.Grow(s.pos[:0], n)[:n]
+	return s.pos
 }
 
-// reset sizes the scratch for t's shape and invalidates prior coverage in
-// O(levels) via the epoch stamp. Storage only ever grows, so a scratch
-// shared between trees of different shapes settles at the largest. A stamp
-// is one byte — a pooled scratch is resident for the life of the process,
-// a quarter the size it would be with word stamps — at the price of one
-// clear every 255 proofs (a memclr of a byte per tree position, amortized
-// to nothing).
-func (s *ProveScratch) reset(t *Tree) {
-	for len(s.stamp) < len(t.levels) {
-		s.stamp = append(s.stamp, nil)
-		s.covered = append(s.covered, nil)
-	}
-	for l, lvl := range t.levels {
-		if len(s.stamp[l]) < len(lvl) {
-			s.stamp[l] = make([]uint8, len(lvl))
-		}
-		s.covered[l] = s.covered[l][:0]
-	}
-	s.epoch++
-	if s.epoch == 0 {
-		for l := range s.stamp {
-			clear(s.stamp[l])
-		}
-		s.epoch = 1
-	}
-}
-
-// Prove builds the proof for the given in-range leaf indices (duplicates
-// tolerated), applying the paper's two conditions to select entries.
+// Prove builds the proof for the given in-range leaf indices (any order,
+// duplicates tolerated), applying the paper's two conditions to select
+// entries.
 func (t *Tree) Prove(indices []int) (*Proof, error) {
 	var s ProveScratch
 	return t.ProveWith(&s, indices)
 }
 
-// ProveWith is Prove with caller-provided scratch, for query hot paths that
-// build many proofs against one tree: coverage marking is O(touched), not
-// O(tree), and nothing but the returned Proof is allocated.
+// ProveWith is Prove with caller-provided scratch, for query hot paths:
+// nothing but the returned Proof is allocated. The proof is a sorted fold.
+// The touched positions of a level, ascending, are cut into parent groups;
+// every child of a touched group that is not itself touched is an entry
+// (its subtree holds no proven leaf, its parent's does — the paper's two
+// conditions), and the group's parent is touched on the level above.
+// Parents of ascending positions come out ascending, so only the leaf
+// indices are ever sorted (and not even those when the caller hands them
+// over in order), and entries are emitted in (level, index) order.
 func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
 	if len(indices) == 0 {
 		return nil, errors.New("mht: empty index set")
 	}
-	s.reset(t)
-	for _, idx := range indices {
-		if idx < 0 || idx >= t.NumLeaves() {
-			return nil, fmt.Errorf("mht: leaf index %d out of range [0, %d)", idx, t.NumLeaves())
+	n := t.NumLeaves()
+	pos := append(s.pos[:0], indices...) // a self-copy when indices came from s.Indices
+	s.pos = pos
+	ascending := true
+	for i, idx := range pos {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("mht: leaf index %d out of range [0, %d)", idx, n)
 		}
-		pos := idx
-		for l := 0; l < len(t.levels); l++ {
-			if s.stamp[l][pos] == s.epoch {
-				break
-			}
-			s.stamp[l][pos] = s.epoch
-			s.covered[l] = append(s.covered[l], uint32(pos))
-			if l+1 < len(t.levels) {
-				pos = groupLevel(len(t.levels[l]), t.fanout).parentOf(pos)
-			}
+		if i > 0 && idx < pos[i-1] {
+			ascending = false
 		}
 	}
+	if !ascending {
+		slices.Sort(pos)
+	}
+	pos = slices.Compact(pos)
 	p := &Proof{
 		Alg:       t.alg,
 		Fanout:    uint16(t.fanout),
-		NumLeaves: uint32(t.NumLeaves()),
+		NumLeaves: uint32(n),
+		// One root path's worth, plus room for a scattered set's extra
+		// siblings; append grows it in the rare case that is not enough.
+		Entries: make([]Entry, 0, (len(t.levels)-1)*(t.fanout-1)+len(pos)/4),
 	}
-	// An entry is emitted when its subtree is unproven but its parent's is
-	// proven (condition (ii) ⇔ the entry's parent is covered): exactly the
-	// uncovered children of covered parents. Walking covered parents in
-	// ascending index order yields entries already sorted by (level, index),
-	// since child ranges are monotone in the parent index.
-	for l := 0; l < len(t.levels)-1; l++ {
-		parents := s.covered[l+1]
-		slices.Sort(parents)
-		grp := groupLevel(len(t.levels[l]), t.fanout)
-		for _, par := range parents {
-			first, last := grp.childRange(int(par))
+	for l := 0; l+1 < len(t.levels); l++ {
+		grp := groupLevel(t.width(l), t.fanout)
+		parents := pos[:0] // in place: group k is written after k+1 positions were read
+		for i := 0; i < len(pos); {
+			parent := grp.parentOf(pos[i])
+			first, last := grp.childRange(parent)
 			for c := first; c < last; c++ {
-				if s.stamp[l][c] == s.epoch {
+				if i < len(pos) && pos[i] == c {
+					i++
 					continue
 				}
-				p.Entries = append(p.Entries, Entry{Level: uint8(l), Index: uint32(c), Digest: t.levels[l][c]})
+				p.Entries = append(p.Entries, Entry{Level: uint8(l), Index: uint32(c), Digest: t.digest(l, c)})
 			}
+			parents = append(parents, parent)
 		}
+		pos = parents
 	}
 	return p, nil
 }

@@ -46,7 +46,7 @@ func (t *Tree) PathTo(v graph.NodeID) graph.Path {
 func Dijkstra(g graph.View, src graph.NodeID) *Tree {
 	w := AcquireWorkspace(g.NumNodes())
 	defer ReleaseWorkspace(w)
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false)
+	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
 	return w.tree(src, false)
 }
 

@@ -50,19 +50,18 @@ func (h *Heap) Len() int { return len(h.items) }
 // Push inserts node with the given key. The node must not be present.
 func (h *Heap) Push(node graph.NodeID, key float64) {
 	h.items = append(h.items, heapItem{node, key})
-	i := len(h.items) - 1
-	h.pos[node] = int32(i + 1)
-	h.up(i)
+	h.up(len(h.items) - 1)
 }
 
 // Pop removes and returns the minimum-key node.
 func (h *Heap) Pop() (graph.NodeID, float64) {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.swap(0, last)
+	moved := h.items[last]
 	h.items = h.items[:last]
 	h.pos[top.node] = 0
 	if last > 0 {
+		h.items[0] = moved
 		h.down(0)
 	}
 	return top.node, top.key
@@ -88,38 +87,44 @@ func (h *Heap) Contains(node graph.NodeID) bool {
 	return int(node) < len(h.pos) && h.pos[node] != 0
 }
 
+// up and down sift a hole, not swaps: the moving item is carried, each
+// displaced item is written (with its position) once, and the carried item
+// lands once at the end. The comparisons, and their order, are those of the
+// swapping sift, so pop order — ties included — is unchanged.
 func (h *Heap) up(i int) {
+	it := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].key <= h.items[i].key {
+		if h.items[parent].key <= it.key {
 			break
 		}
-		h.swap(i, parent)
+		h.items[i] = h.items[parent]
+		h.pos[h.items[i].node] = int32(i + 1)
 		i = parent
 	}
+	h.items[i] = it
+	h.pos[it.node] = int32(i + 1)
 }
 
 func (h *Heap) down(i int) {
 	n := len(h.items)
+	it := h.items[i]
 	for {
 		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.items[l].key < h.items[small].key {
-			small = l
+		small, key := i, it.key
+		if l < n && h.items[l].key < key {
+			small, key = l, h.items[l].key
 		}
-		if r < n && h.items[r].key < h.items[small].key {
+		if r < n && h.items[r].key < key {
 			small = r
 		}
 		if small == i {
-			return
+			break
 		}
-		h.swap(i, small)
+		h.items[i] = h.items[small]
+		h.pos[h.items[i].node] = int32(i + 1)
 		i = small
 	}
-}
-
-func (h *Heap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].node] = int32(i + 1)
-	h.pos[h.items[j].node] = int32(j + 1)
+	h.items[i] = it
+	h.pos[it.node] = int32(i + 1)
 }

@@ -138,10 +138,10 @@ func (w *Workspace) label(v graph.NodeID, d float64, parent graph.NodeID) {
 	w.parent[v] = parent
 }
 
-// dijkstra is the shared search core, mirroring the package-level dijkstra:
-// stop early once stopAt settles, never settle beyond bound, record settle
-// order when collect is set.
-func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float64, collect bool) {
+// dijkstra is the shared search core: never settle beyond bound, record
+// settle order when collect is set, and once stopAt settles either stop
+// (slack 0) or carry on with the bound drawn in to slack times its distance.
+func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float64, collect bool, slack float64) {
 	w.Reset(g.NumNodes())
 	w.label(src, 0, graph.Invalid)
 	w.heap.Push(src, 0)
@@ -155,7 +155,10 @@ func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float
 			w.settled = append(w.settled, v)
 		}
 		if v == stopAt {
-			break
+			if slack == 0 {
+				break
+			}
+			bound = d * slack
 		}
 		for _, e := range g.Neighbors(v) {
 			if w.done[e.To] == w.epoch {
@@ -173,10 +176,24 @@ func (w *Workspace) dijkstra(g graph.View, src, stopAt graph.NodeID, bound float
 	}
 }
 
+// DijkstraBall is DijkstraTo(src, dst) followed by DijkstraBounded(src,
+// dist·slack) in one search — the first is a strict prefix of the second:
+// it settles dst, fixes the bound there, and keeps settling up to it. Same
+// settle order, same parents, same distances as the two searches; the path
+// is the caller's, the settled slice the workspace's (valid until the next
+// search). A dst out of reach yields (Unreachable, nil, nil). slack ≥ 1.
+func (w *Workspace) DijkstraBall(g graph.View, src, dst graph.NodeID, slack float64) (float64, graph.Path, []graph.NodeID) {
+	w.dijkstra(g, src, dst, Unreachable, true, slack)
+	if w.done[dst] != w.epoch {
+		return Unreachable, nil, nil
+	}
+	return w.dist[dst], w.PathTo(dst), w.settled
+}
+
 // DijkstraTo runs Dijkstra from src with early termination once dst is
 // settled, allocating only the returned path.
 func (w *Workspace) DijkstraTo(g graph.View, src, dst graph.NodeID) (float64, graph.Path) {
-	w.dijkstra(g, src, dst, Unreachable, false)
+	w.dijkstra(g, src, dst, Unreachable, false, 0)
 	if w.seen[dst] != w.epoch {
 		return Unreachable, nil
 	}
@@ -188,7 +205,7 @@ func (w *Workspace) DijkstraTo(g graph.View, src, dst graph.NodeID) (float64, gr
 // slice is owned by the workspace and valid until the next search; read
 // distances with DistOf.
 func (w *Workspace) DijkstraBounded(g graph.View, src graph.NodeID, bound float64) []graph.NodeID {
-	w.dijkstra(g, src, graph.Invalid, bound, true)
+	w.dijkstra(g, src, graph.Invalid, bound, true, 0)
 	return w.settled
 }
 
@@ -245,7 +262,7 @@ func (w *Workspace) DijkstraToTargets(g graph.View, src graph.NodeID, targets []
 // is caller-owned — the shape hint-construction and all-pairs pipelines
 // need, since they retain rows beyond the next search.
 func (w *Workspace) DijkstraRow(g graph.View, src graph.NodeID, row []float64) []float64 {
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false)
+	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
 	n := w.n
 	if cap(row) < n {
 		row = make([]float64, n)
@@ -267,7 +284,7 @@ func (w *Workspace) DijkstraRow(g graph.View, src graph.NodeID, row []float64) [
 // The owner's update probes use the parents to resum rows across bridge
 // edges without re-running searches.
 func (w *Workspace) DijkstraRowTree(g graph.View, src graph.NodeID, row []float64, parent []graph.NodeID) ([]float64, []graph.NodeID) {
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false)
+	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
 	n := w.n
 	if cap(row) < n {
 		row = make([]float64, n)
