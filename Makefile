@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap fmt fmt-check vet lint clean
+.PHONY: all build test short race fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -25,6 +25,8 @@ test:
 short:
 	$(GO) test -short ./...
 
+# The race lane is also the one that runs the update-swap hammer
+# (serve.TestQueriesRaceUpdates, with and without latency budgets).
 race:
 	$(GO) test -race -short ./...
 
@@ -112,9 +114,9 @@ load:
 		-out load.json
 
 # Client-side latency gate: the same friendly-pool run as `make load`
-# (shipped server defaults, micro-batching pipeline on) written to
-# LOAD_CURRENT.json, then compared against the committed per-CPU baseline
-# of client-observed latency. `benchjson loadgate` applies the bench
+# (shipped server defaults) written to LOAD_CURRENT.json, then compared
+# against the committed per-CPU baseline of client-observed latency.
+# `benchjson loadgate` applies the bench
 # gate's honesty rules: cross-CPU-count comparisons are refused with a
 # visible skip, and any errors, drops or sheds in the current run fail
 # outright. No baseline for this host's CPU count skips with a warning —
@@ -186,6 +188,15 @@ bench-restart: bench-smoke
 # the CI artifact.
 large-snap:
 	SPV_LARGE_SNAPSHOT=1 GOMEMLIMIT=512MiB $(GO) test -run 'TestLargeSnapshot' -v . | tee large-snapshot.txt
+
+# Non-test Go lines (wc -l) per package and in total, benchmark/ apart:
+# the unit ROADMAP.md and the simplicity issues state their targets in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; n[d] += $$1; \
+		if (d ~ /^benchmark/) b += $$1; else t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total outside benchmark/\n%7d  benchmark/\n", t, b }'
 
 fmt:
 	gofmt -l -w .

@@ -406,13 +406,10 @@ func benchLoad(r *Report, g *spv.Graph, rate float64, dur time.Duration) error {
 	if err != nil {
 		return err
 	}
-	// Coalesce matches spvserve's shipped default: the load lanes measure
-	// the server operators actually run, micro-batching pipeline included.
-	dep, err := spv.NewDeployment(owner, spv.ServeOptions{Coalesce: true}, servedMethods...)
+	dep, err := spv.NewDeployment(owner, spv.ServeOptions{}, servedMethods...)
 	if err != nil {
 		return err
 	}
-	defer dep.Engine().Close()
 	srv, err := spv.NewUpdatableServer(dep)
 	if err != nil {
 		return err

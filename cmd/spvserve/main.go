@@ -34,8 +34,8 @@
 //	curl localhost:8080/stats
 //	curl -X POST localhost:8080/snapshot        # persist current state (needs -save)
 //
-// Clients verify with spv.Decode<Method>Proof + spv.Verify<Method> against
-// the /verifier key; the daemon holds the private key only long enough to
+// Clients verify with spv.DecodeProof + spv.VerifyProof against the
+// /verifier key; the daemon holds the private key only long enough to
 // sign ADS roots at startup (or loads a persisted key with -key, keeping
 // key custody out of the serving process's long-term state). Snapshot
 // replicas never see the private key at all — the snapshot carries only
@@ -77,11 +77,7 @@ func main() {
 		audit    = flag.Bool("audit-on-load", false, "with -snapshot: audit the embedded certificate before serving; methods that fail (or are uncovered) are refused")
 		saveFile = flag.String("save", "", "write a snapshot here after startup and enable POST /snapshot")
 		drain    = flag.Duration("drain", 10*time.Second, "in-flight drain timeout on SIGINT/SIGTERM before forced exit")
-		coalesce = flag.Bool("coalesce", true, "adaptive micro-batching pipeline: coalesce concurrent /query traffic into shared flushes")
-		flushSz  = flag.Int("flush-size", 0, "max queries per pipeline flush (0 = default)")
-		flushWt  = flag.Duration("flush-wait", 0, "max adaptive accumulation window (0 = default, negative = none)")
-		queueCap = flag.Int("queue-cap", 0, "per-method admission queue bound; arrivals beyond it are shed with 503 (0 = default)")
-		deadline = flag.Duration("deadline-default", 0, "latency budget applied to queries that carry no X-SPV-Budget header (0 = none)")
+		deadline = flag.Duration("deadline-default", 0, "latency budget applied to queries that carry no X-SPV-Budget header; one that cannot be met is shed with 503 (0 = none)")
 	)
 	flag.Parse()
 	set := map[string]bool{}
@@ -91,8 +87,7 @@ func main() {
 		seed: *seed, methods: *methods, workers: *workers, cache: *cache,
 		keyFile: *keyFile, landmarks: *landmark, cells: *cells, updates: *updates,
 		snapFile: *snapFile, saveFile: *saveFile, eager: *eager, auditOnLoad: *audit,
-		drain: *drain, coalesce: *coalesce, flushSize: *flushSz, flushWait: *flushWt,
-		queueCap: *queueCap, deadline: *deadline, explicit: set,
+		drain: *drain, deadline: *deadline, explicit: set,
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "spvserve: %v\n", err)
@@ -108,9 +103,8 @@ type serveFlags struct {
 	scale                                               float64
 	nodes, edges, workers, landmarks, cells             int
 	seed, cache                                         int64
-	updates, eager, auditOnLoad, coalesce               bool
-	flushSize, queueCap                                 int
-	drain, flushWait, deadline                          time.Duration
+	updates, eager, auditOnLoad                         bool
+	drain, deadline                                     time.Duration
 	explicit                                            map[string]bool
 }
 
@@ -138,9 +132,7 @@ func run(fl serveFlags) error {
 		return fmt.Errorf("-audit-on-load only applies to a key-less -snapshot replica boot")
 	}
 	serveOpts := spv.ServeOptions{
-		Workers: fl.workers, CacheBytes: fl.cache,
-		Coalesce: fl.coalesce, FlushSize: fl.flushSize, FlushWait: fl.flushWait,
-		QueueCap: fl.queueCap, DefaultBudget: fl.deadline,
+		Workers: fl.workers, CacheBytes: fl.cache, DefaultBudget: fl.deadline,
 	}
 	var (
 		engine   *spv.QueryEngine
@@ -249,11 +241,7 @@ func run(fl serveFlags) error {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	err = serveUntilSignal(hs, fl.drain)
-	// Drain the micro-batching pipeline after the HTTP drain: any answer
-	// still queued behind a flush is delivered before the process exits.
-	engine.Close()
-	return err
+	return serveUntilSignal(hs, fl.drain)
 }
 
 // serveUntilSignal runs the HTTP server until SIGINT/SIGTERM, then drains:

@@ -64,12 +64,6 @@ type DIJProof struct {
 func (p *DIJProvider) Query(vs, vt graph.NodeID) (*DIJProof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	return p.queryWith(s, vs, vt)
-}
-
-// queryWith is Query against caller-provided scratch (already reset for
-// this graph); QueryProofBatch threads one scratch through many calls.
-func (p *DIJProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*DIJProof, error) {
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}

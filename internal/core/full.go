@@ -116,12 +116,6 @@ type FULLProof struct {
 func (p *FULLProvider) Query(vs, vt graph.NodeID) (*FULLProof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	return p.queryWith(s, vs, vt)
-}
-
-// queryWith is Query against caller-provided scratch (already reset for
-// this graph); QueryProofBatch threads one scratch through many calls.
-func (p *FULLProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*FULLProof, error) {
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}

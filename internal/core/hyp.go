@@ -91,12 +91,6 @@ func (p *HYPProvider) NumBorders() int { return p.hyper.NumBorders() }
 func (p *HYPProvider) Query(vs, vt graph.NodeID) (*HYPProof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	return p.queryWith(s, vs, vt)
-}
-
-// queryWith is Query against caller-provided scratch (already reset for
-// this graph); QueryProofBatch threads one scratch through many calls.
-func (p *HYPProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*HYPProof, error) {
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}

@@ -69,15 +69,6 @@ func (lp *lazyProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	return p.QueryProof(vs, vt)
 }
 
-// queryProofWith hydrates on first use, like QueryProof.
-func (lp *lazyProvider) queryProofWith(s *queryScratch, vs, vt graph.NodeID) (Proof, error) {
-	p, err := lp.hydrate()
-	if err != nil {
-		return nil, err
-	}
-	return p.queryProofWith(s, vs, vt)
-}
-
 // graphRef and viewRef answer from the shared core state — the staleness
 // guard and the serving layer must not force hydration just to identity-
 // compare pointers.

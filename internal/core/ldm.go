@@ -103,12 +103,6 @@ type LDMProof struct {
 func (p *LDMProvider) Query(vs, vt graph.NodeID) (*LDMProof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	return p.queryWith(s, vs, vt)
-}
-
-// queryWith is Query against caller-provided scratch (already reset for
-// this graph); QueryProofBatch threads one scratch through many calls.
-func (p *LDMProvider) queryWith(s *queryScratch, vs, vt graph.NodeID) (*LDMProof, error) {
 	if err := checkEndpoints(p.g, vs, vt); err != nil {
 		return nil, err
 	}

@@ -24,15 +24,6 @@ func (p *FULLProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	return pr, nil
 }
 
-// queryProofWith answers behind the erased face against caller scratch.
-func (p *FULLProvider) queryProofWith(s *queryScratch, vs, vt graph.NodeID) (Proof, error) {
-	pr, err := p.queryWith(s, vs, vt)
-	if err != nil {
-		return nil, err
-	}
-	return pr, nil
-}
-
 func (p *FULLProvider) graphRef() *graph.Graph {
 	if p == nil {
 		return nil

@@ -26,15 +26,6 @@ func (p *HYPProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	return pr, nil
 }
 
-// queryProofWith answers behind the erased face against caller scratch.
-func (p *HYPProvider) queryProofWith(s *queryScratch, vs, vt graph.NodeID) (Proof, error) {
-	pr, err := p.queryWith(s, vs, vt)
-	if err != nil {
-		return nil, err
-	}
-	return pr, nil
-}
-
 func (p *HYPProvider) graphRef() *graph.Graph {
 	if p == nil {
 		return nil

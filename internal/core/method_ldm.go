@@ -25,15 +25,6 @@ func (p *LDMProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	return pr, nil
 }
 
-// queryProofWith answers behind the erased face against caller scratch.
-func (p *LDMProvider) queryProofWith(s *queryScratch, vs, vt graph.NodeID) (Proof, error) {
-	pr, err := p.queryWith(s, vs, vt)
-	if err != nil {
-		return nil, err
-	}
-	return pr, nil
-}
-
 func (p *LDMProvider) graphRef() *graph.Graph {
 	if p == nil {
 		return nil

@@ -58,10 +58,6 @@ type Provider interface {
 	graphRef() *graph.Graph
 	adsRef() *networkADS
 	viewRef() *graph.CSR
-	// queryProofWith is QueryProof against caller-provided scratch, the
-	// hook QueryProofBatch threads one pooled scratch through — proofs are
-	// byte-identical to QueryProof's (same code path underneath).
-	queryProofWith(s *queryScratch, vs, vt graph.NodeID) (Proof, error)
 }
 
 // SigVerifier is the slice of sig.Verifier client-side verification

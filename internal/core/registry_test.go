@@ -76,6 +76,3 @@ func (badProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) { return nil, 
 func (badProvider) graphRef() *graph.Graph                        { return nil }
 func (badProvider) adsRef() *networkADS                           { return nil }
 func (badProvider) viewRef() *graph.CSR                           { return nil }
-func (badProvider) queryProofWith(*queryScratch, graph.NodeID, graph.NodeID) (Proof, error) {
-	return nil, nil
-}

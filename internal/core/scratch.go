@@ -41,16 +41,9 @@ var scratchPool = sync.Pool{New: func() any { return &queryScratch{ws: sp.NewWor
 // acquireScratch returns a pooled scratch ready for a graph of n nodes.
 func acquireScratch(n int) *queryScratch {
 	s := scratchPool.Get().(*queryScratch)
-	s.resetFor(n)
-	return s
-}
-
-// resetFor readies the scratch for a fresh query over an n-node graph —
-// exactly the state acquireScratch hands out. QueryProofBatch calls it
-// between items so one pooled acquisition serves a whole flush.
-func (s *queryScratch) resetFor(n int) {
 	s.ws.Reset(n)
 	s.resetMark(n)
+	return s
 }
 
 // releaseScratch returns s to the pool; the caller must not touch s (or the

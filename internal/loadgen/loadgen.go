@@ -107,8 +107,8 @@ type Config struct {
 	// already built; this is documentation, not behavior).
 	Locality workload.Locality
 	// Budget, when positive, is sent as the X-SPV-Budget header on every
-	// /query: the server sheds the request with 503 instead of answering
-	// late when its admission queue cannot meet the budget. Shed responses
+	// /query and /batch: the server sheds the request with 503 instead of
+	// answering late when admission cannot meet the budget. Shed responses
 	// form their own ledger class (PhaseStats.Shed) — they are neither
 	// completions nor errors, and their turnaround never enters the latency
 	// histograms (a fast refusal is not service).
@@ -378,9 +378,7 @@ func (r *run) doQuery(ctx context.Context, q serve.Query, measured bool) error {
 	if err != nil {
 		return err
 	}
-	if r.cfg.Budget > 0 {
-		req.Header.Set("X-SPV-Budget", r.cfg.Budget.String())
-	}
+	r.setBudget(req)
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
@@ -453,8 +451,6 @@ func (r *run) doBatch(ctx context.Context, qs []serve.Query, measured bool) erro
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable {
-		// /batch takes the direct path today, but classify a 503 as shed
-		// here too so the ledger stays honest if batches ever coalesce.
 		io.Copy(io.Discard, resp.Body)
 		return errShed
 	}
@@ -535,7 +531,16 @@ func (r *run) post(ctx context.Context, path string, body []byte) (*http.Respons
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	r.setBudget(req)
 	return r.client.Do(req)
+}
+
+// setBudget stamps the run's latency budget, if any, on a request; only
+// /query and /batch read the header.
+func (r *run) setBudget(req *http.Request) {
+	if r.cfg.Budget > 0 {
+		req.Header.Set("X-SPV-Budget", r.cfg.Budget.String())
+	}
 }
 
 // updateLoop fires one update batch per tick, closed-loop, cycling the

@@ -17,10 +17,6 @@ import (
 // enabled) behind httptest and returns its base URL plus the pieces a
 // load config needs.
 func liveServer(t *testing.T) (string, *workload.Pool, [][]core.EdgeUpdate) {
-	return liveServerOpts(t, serve.Options{})
-}
-
-func liveServerOpts(t *testing.T, opts serve.Options) (string, *workload.Pool, [][]core.EdgeUpdate) {
 	t.Helper()
 	g, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.01})
 	if err != nil {
@@ -33,7 +29,7 @@ func liveServerOpts(t *testing.T, opts serve.Options) (string, *workload.Pool, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := serve.NewDeployment(owner, opts, core.DIJ, core.LDM, core.HYP)
+	dep, err := serve.NewDeployment(owner, serve.Options{}, core.DIJ, core.LDM, core.HYP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,15 +176,16 @@ func TestRunCountsServerErrors(t *testing.T) {
 	}
 }
 
-// TestRunShedLedger drives a coalescing server with an unmeetable 1ns
-// budget: (nearly) every query is shed with 503, and the harness must
-// book those as their own ledger class — never errors, never latency
-// samples — while Completed+Errors+Dropped+Shed == Offered stays pinned.
+// TestRunShedLedger drives a server with an unmeetable 1ns budget: every
+// query and batch after the first answered one (which seeds admission's
+// service-time estimate) is shed with 503, and the harness must book those
+// as their own ledger class — never errors, never latency samples — while
+// Completed+Errors+Dropped+Shed == Offered stays pinned.
 func TestRunShedLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load run takes ~1s of wall clock")
 	}
-	url, pool, _ := liveServerOpts(t, serve.Options{Coalesce: true})
+	url, pool, _ := liveServer(t)
 	mix, err := ParseMix("DIJ=1,LDM=1")
 	if err != nil {
 		t.Fatal(err)
@@ -200,11 +197,18 @@ func TestRunShedLedger(t *testing.T) {
 		Mix:      mix,
 		Pool:     pool,
 		Locality: workload.Friendly,
-		Budget:   time.Nanosecond, // expires in queue before any flush can start
+		Budget:   time.Nanosecond, // below any service-time estimate
 		Seed:     4,
+
+		BatchFraction: 0.2,
+		BatchSize:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b := rep.Phases[PhaseBatch]; b.Shed == 0 || b.Errors != 0 || b.Completed+b.Dropped+b.Shed != b.Offered {
+		t.Errorf("batch phase: offered %d = completed %d + errors %d + dropped %d + shed %d, want shed > 0 and no errors",
+			b.Offered, b.Completed, b.Errors, b.Dropped, b.Shed)
 	}
 	q := rep.Phases[PhaseQuery]
 	if q.Shed == 0 {

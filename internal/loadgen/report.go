@@ -119,8 +119,8 @@ func delta(before, after serve.Snapshot) StatsDelta {
 		Before:           before,
 		After:            after,
 	}
-	// The shed counters live on the optional pipeline block; a server
-	// without coalescing (or an older one) simply reports zero shed.
+	// The shed counters live on the admission ("pipeline") block of
+	// /stats; a server too old to send one simply reports zero shed.
 	if after.Pipeline != nil {
 		d.Shed = after.Pipeline.Shed
 		if before.Pipeline != nil {

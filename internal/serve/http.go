@@ -22,6 +22,8 @@ import (
 //	                   with ?format=binary or an Accept header listing
 //	                   application/octet-stream (headers carry the metadata)
 //	POST     /batch    {"queries": [...]}  →  {"answers": [...]}
+//	                   (both honour an X-SPV-Budget latency budget and
+//	                   answer 503 + Retry-After when admission sheds them)
 //	GET      /verifier the owner's public key, PEM (clients bootstrap
 //	                   verification from this, out of band from proofs)
 //	GET      /stats    engine counter snapshot, JSON (includes the graph
@@ -33,10 +35,11 @@ import (
 //	                   403 unless EnableSnapshot wired a save function
 //	GET      /healthz  liveness
 //
-// Proof bytes decode with spv.Decode<Method>Proof and verify against the
-// /verifier key — the server never holds the owner's private key (the
-// optional update path holds it by construction: re-signing roots is the
-// owner's half, so /update only exists on owner-co-hosted daemons).
+// Proof bytes decode with spv.DecodeProof and verify with spv.VerifyProof
+// against the /verifier key, both keyed by the answer's method — the
+// server never holds the owner's private key (the optional update path
+// holds it by construction: re-signing roots is the owner's half, so
+// /update only exists on owner-co-hosted daemons).
 //
 // A Server is immutable after construction and wiring (EnableUpdates /
 // EnableSnapshot must run before it is shared); ServeHTTP is safe for any
@@ -169,12 +172,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	a, err := s.engine.QueryBudget(q, budget)
 	if err != nil {
-		if errors.Is(err, ErrShed) {
-			// Shed under load: tell the client to back off briefly rather
-			// than hammer a saturated admission queue.
-			w.Header().Set("Retry-After", "1")
-		}
-		http.Error(w, err.Error(), statusFor(err))
+		writeQueryErr(w, err)
 		return
 	}
 	if r.URL.Query().Get("format") == "binary" || acceptsBinary(r.Header) {
@@ -187,6 +185,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, toWire(a))
+}
+
+// writeQueryErr answers a failed /query or a shed /batch. Shed under load:
+// tell the client to back off briefly rather than hammer a saturated
+// server.
+func writeQueryErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrShed) {
+		w.Header().Set("Retry-After", "1")
+	}
+	http.Error(w, err.Error(), statusFor(err))
 }
 
 // acceptsBinary reports whether the Accept header asks for the raw proof:
@@ -294,7 +302,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	answers := s.engine.QueryBatch(req.Queries)
+	budget, err := parseBudget(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	answers, err := s.engine.queryBatch(req.Queries, budget)
+	if err != nil {
+		writeQueryErr(w, err)
+		return
+	}
 	out := struct {
 		Answers []wireAnswer `json:"answers"`
 		Batches []wireBatch  `json:"proof_batches,omitempty"`

@@ -235,6 +235,7 @@ func TestHTTPBatchAndStats(t *testing.T) {
 	if snap.Queries != 4 || snap.Misses != 3 || snap.Errors != 1 {
 		t.Errorf("stats = %+v, want 4 queries / 3 misses / 1 error", snap)
 	}
+	assertLedger(t, snap)
 }
 
 func TestHTTPBatchTooLarge(t *testing.T) {

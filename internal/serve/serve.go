@@ -1,8 +1,8 @@
 // Package serve is the provider-side serving layer: it wraps the four
 // verification methods' providers (core.DIJProvider &c.) behind one
-// thread-safe, batched query engine, the piece that turns the library into
-// the outsourced service of the paper's deployment model (owner → provider
-// → many untrusting clients).
+// thread-safe query engine, the piece that turns the library into the
+// outsourced service of the paper's deployment model (owner → provider →
+// many untrusting clients).
 //
 // The engine exploits two properties of the core providers:
 //
@@ -14,11 +14,13 @@
 //     exact encoding is cacheable and one in-flight construction can serve
 //     every concurrent requester.
 //
-// Three mechanisms stack on top: a worker-pool fan-out for QueryBatch, an
-// LRU cache keyed by (method, vs, vt) holding exact wire encodings, and
+// Every query takes one path: admission (admit: a bounded in-flight gauge
+// and an optional latency budget, refusals shed as their own class), then
+// an LRU cache keyed by (method, vs, vt) holding exact wire encodings, then
 // singleflight deduplication so concurrent identical queries build one
-// proof. cmd/spvserve exposes the engine over HTTP; spv.NewServer is the
-// public construction surface.
+// proof, then the provider. QueryBatch is a loop over that path on a
+// bounded worker pool. cmd/spvserve exposes the engine over HTTP;
+// spv.NewServer is the public construction surface.
 package serve
 
 import (
@@ -40,6 +42,18 @@ import (
 // for.
 var ErrUnknownMethod = errors.New("serve: no provider registered for method")
 
+// ErrShed is the base class of admission refusals; HTTP maps it to 503 so
+// clients can tell "refused under load, back off or retry elsewhere" from
+// real failures.
+var ErrShed = errors.New("serve: request shed")
+
+// ErrShedQueue reports an arrival that found the in-flight bound reached.
+var ErrShedQueue = fmt.Errorf("%w: too many queries in flight", ErrShed)
+
+// ErrShedDeadline reports an arrival whose latency budget is shorter than
+// the estimated time to answer it.
+var ErrShedDeadline = fmt.Errorf("%w: latency budget cannot be met", ErrShed)
+
 // Query names one shortest path query against a served method.
 type Query struct {
 	Method core.Method  `json:"method"`
@@ -49,11 +63,11 @@ type Query struct {
 
 // Answer is the provider's reply: the verified-path distance, the hop
 // count of the reported path (edges, i.e. one less than its node count),
-// and the proof's exact wire encoding (decodable with
-// core.Decode<Method>Proof and verifiable with core.Verify<Method>). The
-// Proof slice is owned by the caller — the engine never retains or reuses
-// it. Cached marks answers served from the proof cache; queries coalesced
-// onto an in-flight construction report Cached=false and count in
+// and the proof's exact wire encoding (decodable with core.DecodeProof and
+// verifiable with core.VerifyProof, both keyed by Query.Method). The Proof
+// slice is owned by the caller — the engine never retains or reuses it.
+// Cached marks answers served from the proof cache; queries that joined
+// another caller's in-flight construction report Cached=false and count in
 // Snapshot.Deduped.
 type Answer struct {
 	Query  Query   `json:"query"`
@@ -76,25 +90,14 @@ type Options struct {
 	// capacity with a predictable memory footprint. Default (0):
 	// DefaultCacheBytes. Negative: caching disabled.
 	CacheBytes int64
-
-	// Coalesce enables the adaptive micro-batching pipeline (coalesce.go,
-	// DESIGN.md §15): concurrently-arriving single queries per method are
-	// executed as shared flushes. Off by default — the zero Options keeps
-	// the classic direct path.
-	Coalesce bool
-	// FlushSize caps the items one pipeline flush executes.
-	// Default: DefaultFlushSize.
-	FlushSize int
-	// FlushWait bounds the pipeline's adaptive accumulation window
-	// (scaled by observed queue depth; zero wait when idle).
-	// Default (0): DefaultFlushWait. Negative: no accumulation wait.
-	FlushWait time.Duration
-	// QueueCap bounds each method's admission queue; arrivals beyond it
-	// are shed with ErrShedQueue. Default: DefaultQueueCap.
-	QueueCap int
 	// DefaultBudget is the latency budget applied to queries that carry
-	// none (QueryBudget with budget <= 0, plain Query). Zero: no deadline.
+	// none (QueryBudget with budget <= 0, Query, QueryBatch). Zero: no
+	// deadline.
 	DefaultBudget time.Duration
+	// Coalesce is accepted and ignored: the micro-batching pipeline it
+	// switched is gone, and benchmark/trace.go:126 (which this repository's
+	// benchmark rules freeze) still sets it.
+	Coalesce bool
 }
 
 // DefaultCacheBytes is the proof-cache byte budget when Options leaves
@@ -133,16 +136,6 @@ type queryFn func(vs, vt graph.NodeID) (dist float64, hops int, wire []byte, cov
 type methodSlot struct {
 	fn  atomic.Pointer[queryFn]
 	gen atomic.Int64
-	// prov is the registered provider behind fn (nil for raw test
-	// closures); the pipeline's flush path batch-proves through it.
-	prov atomic.Pointer[core.Provider]
-	// pipe is the method's micro-batching pipeline, nil when coalescing
-	// is disabled. Set at Register time, before the engine is shared.
-	pipe *pipe
-	// coalesced counts items served by flushes of ≥2; solo counts
-	// single-item flushes (pipeline /stats gauges).
-	coalesced atomic.Int64
-	solo      atomic.Int64
 	// lat is the method's server-observed latency histogram (whole query
 	// path: cache lookup through answer materialization, hits and colds
 	// alike). It survives hot-swaps — latency is a property of serving the
@@ -152,7 +145,7 @@ type methodSlot struct {
 	lat hist.Histogram
 }
 
-// Engine is a thread-safe, batched front-end over one or more outsourced
+// Engine is a thread-safe front-end over one or more outsourced
 // providers. Construct with NewEngine, attach providers with Register
 // (before sharing), then share freely across goroutines; Swap hot-swaps a
 // registered method's provider at any time. Any core.Provider serves —
@@ -165,14 +158,12 @@ type Engine struct {
 	flights flightGroup
 	stats   engineStats
 
-	// Pipeline state (coalesce.go). opts is retained so Register can
-	// build per-method pipes; wg tracks transient executor goroutines for
-	// Close; closed routes post-Close queries to the direct path.
-	opts          Options
-	coalesce      bool
+	// Admission state (admit): the in-flight bound (4096 outside tests — one
+	// MaxBatch-sized /batch fits), the budget applied to queries that bring
+	// none, and an EWMA of recent per-query service time.
+	maxInFlight   int64
 	defaultBudget time.Duration
-	closed        atomic.Bool
-	wg            sync.WaitGroup
+	svcNanos      atomic.Int64
 }
 
 // engineStats is the engine's atomic counter block (see Snapshot for
@@ -191,13 +182,10 @@ type engineStats struct {
 	leavesPatched    atomic.Int64
 	cacheInvalidated atomic.Int64
 
-	// Pipeline counters (coalesce.go): shed classes, the in-flight gauge,
-	// and the flush-size histogram.
+	// Admission counters (admit): the in-flight gauge and the shed classes.
+	inFlight     atomic.Int64
 	shedQueue    atomic.Int64
 	shedDeadline atomic.Int64
-	inFlight     atomic.Int64
-	flushes      atomic.Int64
-	flushSizes   hist.Histogram
 }
 
 // Snapshot is a point-in-time copy of the engine's counters.
@@ -208,7 +196,7 @@ type Snapshot struct {
 	Hits int64 `json:"hits"`
 	// Misses counts cold proof constructions actually executed.
 	Misses int64 `json:"misses"`
-	// Deduped counts queries coalesced onto another caller's in-flight
+	// Deduped counts queries that joined another caller's in-flight
 	// construction (Hits + Misses + Deduped + Errors == Queries).
 	Deduped int64 `json:"deduped"`
 	// Errors counts failed queries.
@@ -242,41 +230,31 @@ type Snapshot struct {
 	// client-observed numbers from a load run can be cross-checked against
 	// what the server itself saw. Keys follow Methods.
 	Latency map[core.Method]LatencySummary `json:"latency,omitempty"`
-	// Pipeline reports the micro-batching pipeline's live gauges and
-	// counters; nil when coalescing is disabled.
+	// Pipeline is the admission block (the name is the deleted pipeline's,
+	// kept with the fields below for benchmark/results.go); never nil.
 	Pipeline *PipelineSnapshot `json:"pipeline,omitempty"`
 }
 
-// PipelineSnapshot is the micro-batching pipeline's /stats block: the
-// queueing that used to be invisible server-side.
+// PipelineSnapshot is admission control's /stats block.
 type PipelineSnapshot struct {
-	// QueueDepth is the current total admission-queue length across
-	// methods; InFlight the number of items inside executing flushes.
-	QueueDepth int64 `json:"queue_depth"`
-	InFlight   int64 `json:"in_flight"`
-	// Shed totals requests rejected by admission control; ShedQueue of
-	// those found the queue full, ShedDeadline could not (or did not)
-	// make their latency budget. Shed requests are not Queries.
+	// InFlight is the number of admitted, unanswered queries.
+	InFlight int64 `json:"in_flight"`
+	// Shed totals queries refused by admit (a refused /batch counts each
+	// item); ShedQueue of those found the in-flight bound reached,
+	// ShedDeadline could not make their latency budget. Shed queries are
+	// not Queries.
 	Shed         int64 `json:"shed"`
 	ShedQueue    int64 `json:"shed_queue"`
 	ShedDeadline int64 `json:"shed_deadline"`
-	// Flushes counts executed flushes; the Flush* fields summarize the
-	// flush-size histogram (items per flush).
-	Flushes   int64   `json:"flushes"`
-	FlushMean float64 `json:"flush_mean"`
-	FlushP50  int64   `json:"flush_p50"`
-	FlushP99  int64   `json:"flush_p99"`
-	FlushMax  int64   `json:"flush_max"`
-	// Methods reports, per method, how many items were served by shared
-	// flushes (≥2 items) vs solo flushes — the coalescing rate.
-	Methods map[core.Method]PipeMethodStats `json:"methods,omitempty"`
+	// Residue of the deleted pipeline, always zero: benchmark/results.go,
+	// frozen, reads these four names.
+	Flushes   int64                           `json:"flushes,omitempty"`
+	FlushMean float64                         `json:"flush_mean,omitempty"`
+	Methods   map[core.Method]PipeMethodStats `json:"methods,omitempty"`
 }
 
-// PipeMethodStats is one method's coalesced-vs-solo split.
-type PipeMethodStats struct {
-	Coalesced int64 `json:"coalesced"`
-	Solo      int64 `json:"solo"`
-}
+// PipeMethodStats is part of PipelineSnapshot's residue.
+type PipeMethodStats struct{ Coalesced, Solo int64 }
 
 // LatencySummary condenses one method's latency histogram for /stats.
 // Quantiles come from a fixed-bucket log-linear histogram (internal/hist)
@@ -298,8 +276,7 @@ func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		workers:       workers,
 		run:           make(map[core.Method]*methodSlot),
-		opts:          opts,
-		coalesce:      opts.Coalesce,
+		maxInFlight:   4096,
 		defaultBudget: opts.DefaultBudget,
 	}
 	switch {
@@ -353,32 +330,22 @@ func providerFn(p core.Provider) queryFn {
 // replaces the provider. Must run before the engine is shared: the run
 // map itself is read without locking on the hot path (only the slot
 // pointers swap).
-func (e *Engine) Register(p core.Provider) { e.registerSlot(p.Method(), providerFn(p), p) }
+func (e *Engine) Register(p core.Provider) { e.register(p.Method(), providerFn(p)) }
 
 // register attaches a raw queryFn under m (tests inject failing methods
 // through it).
-func (e *Engine) register(m core.Method, fn queryFn) { e.registerSlot(m, fn, nil) }
-
-func (e *Engine) registerSlot(m core.Method, fn queryFn, p core.Provider) {
+func (e *Engine) register(m core.Method, fn queryFn) {
 	sl, ok := e.run[m]
 	if !ok {
 		sl = &methodSlot{}
 		e.run[m] = sl
 	}
 	sl.fn.Store(&fn)
-	if p != nil {
-		sl.prov.Store(&p)
-	} else {
-		sl.prov.Store(nil)
-	}
-	if e.coalesce && sl.pipe == nil {
-		sl.pipe = newPipe(e, m, sl, e.opts)
-	}
 }
 
 // Swap hot-swaps p.Method()'s provider for a patched one; see swap.
 func (e *Engine) Swap(p core.Provider, st *core.PatchStats) error {
-	return e.swapSlot(p.Method(), providerFn(p), p, st)
+	return e.swap(p.Method(), providerFn(p), st)
 }
 
 // swap atomically replaces a registered method's provider closure, then
@@ -390,21 +357,12 @@ func (e *Engine) Swap(p core.Provider, st *core.PatchStats) error {
 // simply verify under the root they were signed with. In-flight queries
 // race the pointer swap benignly — every proof is self-consistent.
 func (e *Engine) swap(m core.Method, fn queryFn, st *core.PatchStats) error {
-	return e.swapSlot(m, fn, nil, st)
-}
-
-func (e *Engine) swapSlot(m core.Method, fn queryFn, p core.Provider, st *core.PatchStats) error {
 	sl, ok := e.run[m]
 	if !ok {
 		return fmt.Errorf("%w %q", ErrUnknownMethod, m)
 	}
-	sl.gen.Add(1) // before the stores: builds that saw the old fn must not cache
+	sl.gen.Add(1) // before the store: builds that saw the old fn must not cache
 	sl.fn.Store(&fn)
-	if p != nil {
-		sl.prov.Store(&p)
-	} else {
-		sl.prov.Store(nil)
-	}
 	if e.cache == nil || st == nil {
 		return nil
 	}
@@ -461,21 +419,77 @@ func (e *Engine) Methods() []core.Method {
 	return out
 }
 
-// Query answers one query. Safe for concurrent use; identical concurrent
-// queries share one proof construction. With coalescing enabled the query
-// rides the micro-batching pipeline under the server's default budget —
-// QueryBudget is the explicit-budget variant.
+// admit is admission control, the one door every query enters by. n queries
+// arrive together (1, or a batch's length) under a latency budget (<= 0:
+// the engine default, which may be none). The arrival is shed — refused
+// before any work, counted in its own class and never as a query, an error
+// or a latency sample — if it would take the in-flight gauge past its bound
+// (ErrShedQueue), or if it has a budget and the gauge, itself included,
+// drained by the workers at the recent per-query service time would outlast
+// it (ErrShedDeadline; a budget under one service time always sheds). There
+// is no queue: an admitted caller runs at once on its own goroutine, and
+// returns its n units of the gauge when it has its answer.
+func (e *Engine) admit(n int, budget time.Duration) error {
+	if budget <= 0 {
+		budget = e.defaultBudget
+	}
+	in, w := e.stats.inFlight.Add(int64(n)), int64(e.workers)
+	var err error
+	switch {
+	case in > e.maxInFlight:
+		err = ErrShedQueue
+		e.stats.shedQueue.Add(int64(n))
+	case budget > 0 && time.Duration((in+w-1)/w*e.svcNanos.Load()) > budget:
+		err = ErrShedDeadline
+		e.stats.shedDeadline.Add(int64(n))
+	default:
+		return nil
+	}
+	e.stats.inFlight.Add(-int64(n))
+	return err
+}
+
+// Query answers one query under the engine's default budget. Safe for
+// concurrent use; identical concurrent queries share one proof
+// construction.
 func (e *Engine) Query(q Query) (Answer, error) {
 	return e.QueryBudget(q, 0)
 }
 
-// QueryBatch answers a batch with worker-pool fan-out, preserving order.
-// Per-item failures land in Answer.Err; the batch itself always completes.
+// QueryBudget is Query under an explicit latency budget (<= 0: the engine
+// default): admit, then cache, singleflight, provider. A shed query
+// returns an error wrapping ErrShed and touches no other counter.
+func (e *Engine) QueryBudget(q Query, budget time.Duration) (Answer, error) {
+	if err := e.admit(1, budget); err != nil {
+		return Answer{Query: q, Err: err}, err
+	}
+	defer e.stats.inFlight.Add(-1)
+	a := e.query(q)
+	return a, a.Err
+}
+
+// QueryBatch answers a batch with worker-pool fan-out, preserving order,
+// under the engine's default budget. Per-item failures land in Answer.Err;
+// a batch shed whole carries the shed error in every item.
 func (e *Engine) QueryBatch(qs []Query) []Answer {
+	out, _ := e.queryBatch(qs, 0)
+	return out
+}
+
+// queryBatch is QueryBatch under an explicit budget, admitted as one
+// arrival of len(qs) queries; err is non-nil exactly when it was shed.
+func (e *Engine) queryBatch(qs []Query, budget time.Duration) ([]Answer, error) {
 	out := make([]Answer, len(qs))
 	if len(qs) == 0 {
-		return out
+		return out, nil
 	}
+	if err := e.admit(len(qs), budget); err != nil {
+		for i, q := range qs {
+			out[i] = Answer{Query: q, Err: err}
+		}
+		return out, err
+	}
+	defer e.stats.inFlight.Add(-int64(len(qs)))
 	workers := e.workers
 	if workers > len(qs) {
 		workers = len(qs)
@@ -484,7 +498,7 @@ func (e *Engine) QueryBatch(qs []Query) []Answer {
 		for i, q := range qs {
 			out[i] = e.query(q)
 		}
-		return out
+		return out, nil
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -502,8 +516,11 @@ func (e *Engine) QueryBatch(qs []Query) []Answer {
 	}
 	close(next)
 	wg.Wait()
-	return out
+	return out, nil
 }
+
+// Close is a no-op (nothing queues) that benchmark/trace.go still calls.
+func (e *Engine) Close() {}
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Snapshot {
@@ -544,34 +561,9 @@ func (e *Engine) Stats() Snapshot {
 		s.CacheBytes = e.cache.Bytes()
 		s.CacheBytesEvicted = e.cache.EvictedBytes()
 	}
-	if e.coalesce {
-		fh := e.stats.flushSizes.Snapshot()
-		p := &PipelineSnapshot{
-			InFlight:     e.stats.inFlight.Load(),
-			ShedQueue:    e.stats.shedQueue.Load(),
-			ShedDeadline: e.stats.shedDeadline.Load(),
-			Flushes:      e.stats.flushes.Load(),
-			FlushMean:    fh.Mean(),
-			FlushP50:     fh.Quantile(0.50),
-			FlushP99:     fh.Quantile(0.99),
-			FlushMax:     fh.MaxValue(),
-		}
-		p.Shed = p.ShedQueue + p.ShedDeadline
-		for _, m := range s.Methods {
-			sl := e.run[m]
-			if sl.pipe == nil {
-				continue
-			}
-			p.QueueDepth += int64(sl.pipe.depth())
-			if p.Methods == nil {
-				p.Methods = make(map[core.Method]PipeMethodStats, len(s.Methods))
-			}
-			p.Methods[m] = PipeMethodStats{
-				Coalesced: sl.coalesced.Load(),
-				Solo:      sl.solo.Load(),
-			}
-		}
-		s.Pipeline = p
+	sq, sd := e.stats.shedQueue.Load(), e.stats.shedDeadline.Load()
+	s.Pipeline = &PipelineSnapshot{
+		InFlight: e.stats.inFlight.Load(), Shed: sq + sd, ShedQueue: sq, ShedDeadline: sd,
 	}
 	return s
 }
@@ -607,7 +599,17 @@ func (e *Engine) query(q Query) (ans Answer) {
 		return Answer{Query: q, Err: fmt.Errorf("%w %q", ErrUnknownMethod, q.Method)}
 	}
 	start := time.Now()
-	defer func() { sl.lat.Record(int64(time.Since(start))) }()
+	defer func() {
+		d := int64(time.Since(start))
+		sl.lat.Record(d)
+		// admit's service-time estimate: an EWMA (α = 1/8, seeded by the
+		// first sample); a lost update under contention only slows it.
+		if old := e.svcNanos.Load(); old == 0 {
+			e.svcNanos.Store(d)
+		} else {
+			e.svcNanos.Store(old + (d-old)/8)
+		}
+	}()
 	gen := sl.gen.Load() // read before fn: conservative under a racing swap
 	fn := *sl.fn.Load()
 	key := cacheKey{m: q.Method, vs: q.VS, vt: q.VT}

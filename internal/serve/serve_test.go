@@ -371,9 +371,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	if s.Errors != 0 {
 		t.Errorf("errors = %d, want 0", s.Errors)
 	}
-	if s.Hits+s.Misses+s.Deduped != total {
-		t.Errorf("hits %d + misses %d + deduped %d != %d", s.Hits, s.Misses, s.Deduped, total)
-	}
+	assertLedger(t, s)
 	// Singleflight + cache guarantee exactly one cold build per distinct key.
 	if s.Misses != int64(len(distinct)) {
 		t.Errorf("misses = %d, want %d (one cold build per distinct query)", s.Misses, len(distinct))
@@ -404,8 +402,8 @@ func TestEnginePanicContainedPerQuery(t *testing.T) {
 	}
 	verifyAnswer(t, w.verifier, out[2])
 	s := e.Stats()
-	if s.Errors != 1 || s.Queries != 3 {
-		t.Errorf("stats = %+v, want 3 queries / 1 error", s)
+	if s.Errors != 1 || s.Queries != 3 || s.Pipeline.InFlight != 0 {
+		t.Errorf("stats = %+v, want 3 queries / 1 error / 0 in flight", s)
 	}
 }
 
@@ -492,7 +490,9 @@ func TestEngineBatchConcurrentWithSingles(t *testing.T) {
 	for err := range fail {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.Misses != int64(len(batch)) {
+	s := e.Stats()
+	if s.Misses != int64(len(batch)) {
 		t.Errorf("misses = %d, want %d", s.Misses, len(batch))
 	}
+	assertLedger(t, s)
 }

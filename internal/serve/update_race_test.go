@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/authhints/spv/internal/core"
 	"github.com/authhints/spv/internal/graph"
@@ -17,8 +19,17 @@ import (
 // providers. Every returned proof must pass full client verification —
 // each proof carries the root signature it was built under, so answers
 // racing a swap verify against whichever root they were signed under.
-// Run with -race, this also pins the swap path's memory safety.
+// Run with -race, this also pins the swap path's memory safety. The second
+// pass gives every query a latency budget: admission may then shed some,
+// and the counters must still add up — answered queries in the ledger,
+// shed ones in their own class only.
 func TestQueriesRaceUpdates(t *testing.T) {
+	for _, budget := range []time.Duration{0, 50 * time.Millisecond} {
+		t.Run("budget="+budget.String(), func(t *testing.T) { raceUpdates(t, budget) })
+	}
+}
+
+func raceUpdates(t *testing.T, budget time.Duration) {
 	g, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.01, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +55,7 @@ func TestQueriesRaceUpdates(t *testing.T) {
 
 	const batches = 8
 	var stop atomic.Bool
+	var answered, shed atomic.Int64
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
 	for w := 0; w < 4; w++ {
@@ -53,7 +65,12 @@ func TestQueriesRaceUpdates(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				q := qs[rng.Intn(len(qs))]
-				a, err := engine.Query(Query{Method: methods[rng.Intn(len(methods))], VS: q.S, VT: q.T})
+				a, err := engine.QueryBudget(Query{Method: methods[rng.Intn(len(methods))], VS: q.S, VT: q.T}, budget)
+				if errors.Is(err, ErrShed) {
+					shed.Add(1)
+					continue
+				}
+				answered.Add(1)
 				if err != nil {
 					select {
 					case errCh <- err:
@@ -100,6 +117,14 @@ func TestQueriesRaceUpdates(t *testing.T) {
 	}
 	if s.LastUpdate <= 0 {
 		t.Error("last-update latency not recorded")
+	}
+	assertLedger(t, s)
+	if s.Queries != answered.Load() || s.Pipeline.Shed != shed.Load() || s.Pipeline.InFlight != 0 {
+		t.Errorf("queries %d (answered %d), shed %d (refused %d), in flight %d",
+			s.Queries, answered.Load(), s.Pipeline.Shed, shed.Load(), s.Pipeline.InFlight)
+	}
+	if budget == 0 && shed.Load() != 0 {
+		t.Errorf("%d queries shed with no budget", shed.Load())
 	}
 }
 

@@ -383,10 +383,11 @@ func ShortestPath(g *Graph, vs, vt NodeID) (float64, Path) {
 type ServeQuery = serve.Query
 
 // ServeAnswer is the engine's reply: distance, hop count, and the proof's
-// exact wire encoding (decodable with Decode<Method>Proof).
+// exact wire encoding (decodable with DecodeProof, checked by VerifyProof).
 type ServeAnswer = serve.Answer
 
-// ServeOptions configures the engine's worker pool and proof cache.
+// ServeOptions configures the engine's worker pool, proof cache and default
+// latency budget.
 type ServeOptions = serve.Options
 
 // ServeStats is a snapshot of an engine's hit/miss/dedup counters.
