@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
+.PHONY: all build test short race purego fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -30,6 +30,13 @@ short:
 race:
 	$(GO) test -race -short ./...
 
+# The packages that hash, built without the SHA-NI SHA-1 kernel
+# (internal/digest's only assembly): crypto/sha1 must keep passing
+# TestGoldenByteCompat, the attack matrix and TestVerifyMatchesReference,
+# because it is what runs off amd64 and on CPUs without the SHA extensions.
+purego:
+	$(GO) test -tags purego ./internal/digest ./internal/mht ./internal/mbt ./internal/cert ./internal/core
+
 # Fuzz smoke: every fuzz target for FUZZTIME apiece (go test takes one
 # package and one target per run) — the decoders of everything that
 # arrives as untrusted bytes, and FuzzVerifyProof, which carries accepted
@@ -37,6 +44,7 @@ race:
 # is capped so a ten-second lane spends its time fuzzing.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
+	./internal/digest:FuzzSHA1Kernel \
 	./internal/mht:FuzzDecodeProof \
 	./internal/core:FuzzDecodeDIJProof \
 	./internal/core:FuzzDecodeFULLProof \
@@ -61,12 +69,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# The Merkle-slab and search micro-benchmarks, one iteration each with
-# allocations reported: mht's Build, Prove, Rehydrate and UpdateLeaves on a
-# 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's distance tree in the
-# repository benchmark's world) and sp's single-search Ball. CI's full lane
-# runs this so they cannot rot.
+# The hash, Merkle-slab and search micro-benchmarks, one iteration each with
+# allocations reported: digest's AppendSum at 40 B / 58 B / 1 KiB / one
+# certificate row for both algorithms, mht's Build, Prove, Rehydrate and
+# UpdateLeaves on a 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's
+# distance tree in the repository benchmark's world) and sp's single-search
+# Ball. CI's full lane runs this so they cannot rot.
 bench-micro:
+	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 

@@ -323,12 +323,16 @@ func Audit(view View, c *Certificate, v SigVerifier) *Report {
 		r.Global = fmt.Errorf("%w: core sections (config/graph/ordering) differ from certificate", ErrRowDigest)
 		return r
 	}
+	// Certificate signature, over the wire itself: one SHA-256 pass over
+	// every row, run beside the method loop and joined — and reported —
+	// last (see Report.SigErr).
+	sigErr := make(chan error, 1)
+	go func() { sigErr <- v.VerifyParts(c.Sig(), SigContext, c.wire[:c.signed]) }()
 	for i := range c.Methods {
 		mc := &c.Methods[i]
 		r.Methods = append(r.Methods, MethodResult{Method: mc.Method, Err: view.AuditMethod(mc, v)})
 	}
-	// Certificate signature, last (see Report.SigErr), over the wire itself.
-	if err := v.VerifyParts(c.Sig(), SigContext, c.wire[:c.signed]); err != nil {
+	if err := <-sigErr; err != nil {
 		r.SigErr = fmt.Errorf("%w: certificate signature: %v", ErrSignature, err)
 	}
 	return r

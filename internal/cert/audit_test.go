@@ -192,6 +192,23 @@ func TestAuditTamperMatrix(t *testing.T) {
 			}
 		}
 	})
+	// The signature check runs beside the method loop; with a row byte and
+	// a signature byte both flipped the row's class is still what Err
+	// reports, and the signature verdict is still filled in behind it.
+	t.Run("row+signature", func(t *testing.T) {
+		c2 := reDecode(t, c)
+		row := c2.Method(string(core.DIJ)).Row(0)
+		idx := tamperIndex(t, row)
+		row.SetDist(idx, inflate(row.Dist(idx)))
+		c2.Sig()[0] ^= 0x01
+		rep := cert.Audit(set, c2, set.Verifier)
+		if err := rep.Err(); !errors.Is(err, cert.ErrDistance) || errors.Is(err, cert.ErrSignature) {
+			t.Fatalf("row and signature flipped: Err() = %v, want the row's ErrDistance first", err)
+		}
+		if !errors.Is(rep.SigErr, cert.ErrSignature) {
+			t.Fatalf("row and signature flipped: SigErr = %v, want ErrSignature", rep.SigErr)
+		}
+	})
 	t.Run("epoch", func(t *testing.T) {
 		c2 := reDecode(t, c)
 		// The epoch follows magic, version and algorithm in the wire.

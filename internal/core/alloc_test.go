@@ -211,15 +211,17 @@ func batchItemsCycled(t *testing.T, w *testWorld, m Method, n int) []BatchItem {
 	return pb.Items()
 }
 
-// Steady-state allocation budgets for client verification. What is left
-// after the tuple table is the signature check (crypto/rsa: 9 allocations
-// a check) and, for the two methods with a second authenticated structure,
-// its reconstruction — measured 9 (DIJ, LDM), 26 (HYP), 27 (FULL) per
-// proof, against 230 to 580 with a map per fact. The budgets leave a pooled
+// Steady-state allocation budgets for client verification. The signature
+// check is a hit in the verifier's memo after the first proof of a root
+// (crypto/rsa's 9 allocations a check are paid once), so what is left after
+// the tuple table is, for the two methods with a second authenticated
+// structure, its reconstruction — measured 0 (DIJ, LDM), 8 (HYP), 6 (FULL,
+// 9 before its forest leaf was hashed into a local buffer) per proof,
+// against 230 to 580 with a map per fact. The budgets leave a pooled
 // scratch being dropped by a GC mid-measurement some room.
-const (
-	verifyAllocBudget = 32
+var verifyAllocBudget = map[Method]float64{DIJ: 8, LDM: 8, HYP: 16, FULL: 12}
 
+const (
 	// One VerifyBatch over a 64-item response (12 distinct proofs under one
 	// signed root). Measured 23 (DIJ, LDM) to 142 (FULL); the shared-digest
 	// batch path this replaces measured 1,455 to 3,075 on the same items.
@@ -246,8 +248,8 @@ func TestVerifyAllocBudget(t *testing.T) {
 			}
 		}
 		verify()
-		if got := testing.AllocsPerRun(20, verify); got > verifyAllocBudget {
-			t.Errorf("%s verification allocates %.0f/op, budget %d", m, got, verifyAllocBudget)
+		if got := testing.AllocsPerRun(20, verify); got > verifyAllocBudget[m] {
+			t.Errorf("%s verification allocates %.0f/op, budget %.0f", m, got, verifyAllocBudget[m])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 
@@ -9,16 +8,15 @@ import (
 )
 
 // This file implements batch verification: VerifyBatch checks a set of
-// proofs of one method together, exploiting the two things proofs from one
-// provider epoch share wholesale — the signed root (one public-key
-// operation instead of one per proof) and, in real /batch traffic, whole
-// repeated answers (each distinct query-proof pair is verified once).
+// proofs of one method together, exploiting what real /batch traffic
+// repeats wholesale — whole answers (each distinct query-proof pair is
+// verified once). The other thing proofs of one provider epoch share, the
+// signed root, is sig.Verifier's memo: one public-key operation for the
+// epoch, batch or not.
 //
 // Every distinct item goes through the method's own VerifyProof, on the
 // same pooled scratch as a single verification, so batch verdicts are the
-// per-proof verdicts by construction; the only state shared across items
-// is the memo of signature checks, and a signature verdict is a pure
-// function of the (message, signature) pair it is keyed by.
+// per-proof verdicts by construction.
 
 // BatchItem is one query-proof pair in a batch.
 type BatchItem struct {
@@ -40,10 +38,9 @@ func VerifyBatch(v SigVerifier, m Method, items []BatchItem) []error {
 		return errs
 	}
 	uniq, mapTo := dedupBatch(items)
-	memo := &sigMemo{v: v}
 	verdicts := make([]error, len(uniq))
 	for k, i := range uniq {
-		verdicts[k] = impl.VerifyProof(memo, items[i].VS, items[i].VT, items[i].Proof)
+		verdicts[k] = impl.VerifyProof(v, items[i].VS, items[i].VT, items[i].Proof)
 	}
 	for i := range items {
 		errs[i] = verdicts[mapTo[i]]
@@ -78,29 +75,4 @@ func dedupBatch(items []BatchItem) (uniq, mapTo []int) {
 		uniq = append(uniq, i)
 	}
 	return uniq, mapTo
-}
-
-// sigMemo is a SigVerifier that remembers its verdicts for the length of
-// one batch, so proofs sharing a signed root cost a single public-key
-// operation between them.
-type sigMemo struct {
-	v    SigVerifier
-	seen []sigVerdict
-}
-
-type sigVerdict struct {
-	msg, sig []byte
-	err      error
-}
-
-func (m *sigMemo) Verify(msg, sig []byte) error {
-	for _, s := range m.seen {
-		if bytes.Equal(s.msg, msg) && bytes.Equal(s.sig, sig) {
-			return s.err
-		}
-	}
-	err := m.v.Verify(msg, sig)
-	// msg lives in the caller's scratch; sig belongs to a proof of the batch.
-	m.seen = append(m.seen, sigVerdict{msg: bytes.Clone(msg), sig: sig, err: err})
-	return err
 }

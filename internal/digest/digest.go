@@ -73,11 +73,12 @@ func (a Alg) Sum(parts ...[]byte) []byte {
 // AppendSum appends H(msg) to dst and returns the extended slice. The hash
 // state lives on the stack, so a verifier hashing thousands of leaves and
 // internal nodes per proof allocates nothing (New costs one hash.Hash per
-// call).
+// call). SHA-1 runs on the SHA-NI kernel where the CPU has one (sumSHA1);
+// crypto/sha256 dispatches to the SHA extensions itself.
 func (a Alg) AppendSum(dst, msg []byte) []byte {
 	switch a {
 	case SHA1:
-		d := sha1.Sum(msg)
+		d := sumSHA1(msg)
 		return append(dst, d[:]...)
 	case SHA256:
 		d := sha256.Sum256(msg)

@@ -266,7 +266,9 @@ func (p *ForestProof) Root() ([]byte, error) {
 	}
 	i, j := p.Entry.Key.Split()
 	var s mht.Scratch
-	leaf := p.Row.Alg.Sum(p.Entry.AppendBinary(nil))
+	var msg [entrySize]byte
+	var sum [32]byte // either algorithm's digest
+	leaf := p.Row.Alg.AppendSum(sum[:0], p.Entry.AppendBinary(msg[:0]))
 	rowRoot, err := s.Reconstruct(p.Row, []mht.Known{{Index: j, Digest: leaf}})
 	if err != nil {
 		return nil, fmt.Errorf("mbt: row reconstruction: %w", err)

@@ -3,6 +3,7 @@ package sig
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -162,4 +163,134 @@ func TestKeyPEMRejectsGarbage(t *testing.T) {
 	if _, err := ParseVerifierPEM(s.MarshalPEM()); err == nil {
 		t.Error("private PEM parsed as public key")
 	}
+}
+
+// memoEntries counts the memo slots holding a pair: how many accepting full
+// checks v has stored (up to the slot count).
+func memoEntries(v *Verifier) (n int) {
+	for i := range v.memo {
+		if v.memo[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMemoAcceptsOnlyWhatTheFullCheckAccepted: after a hit, a flipped root
+// byte, context byte or signature byte is rejected; a rejection stores
+// nothing; and a repeat of an accepted pair skips the public-key operation
+// (its allocations are crypto/rsa's, so a hit allocates nothing).
+func TestMemoAcceptsOnlyWhatTheFullCheckAccepted(t *testing.T) {
+	s, err := GenerateKey(testRand(), DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.Verifier()
+	ctx, root := []byte("spv/CTX/v1\x00"), []byte("merkle root digest!!")
+	sigBytes, err := s.Sign(ctx, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(b []byte) []byte { c := bytes.Clone(b); c[len(c)/2] ^= 0x01; return c }
+	if err := v.VerifyParts(flip(sigBytes), ctx, root); err == nil {
+		t.Fatal("flipped signature accepted before any hit")
+	}
+	if n := memoEntries(v); n != 0 {
+		t.Fatalf("a rejected check stored %d memo entries", n)
+	}
+	for i := 0; i < 3; i++ {
+		if err := v.VerifyParts(sigBytes, ctx, root); err != nil {
+			t.Fatalf("valid signature rejected on check %d: %v", i, err)
+		}
+	}
+	if n := memoEntries(v); n != 1 {
+		t.Fatalf("three checks of one pair hold %d memo entries, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { v.VerifyParts(sigBytes, ctx, root) }); n != 0 {
+		t.Errorf("a memo hit allocates %v times, want 0 (the full check ran)", n)
+	}
+	for name, err := range map[string]error{
+		"root byte":      v.VerifyParts(sigBytes, ctx, flip(root)),
+		"context byte":   v.VerifyParts(sigBytes, flip(ctx), root),
+		"signature byte": v.VerifyParts(flip(sigBytes), ctx, root),
+		"short sig":      v.VerifyParts(sigBytes[:len(sigBytes)-1], ctx, root),
+	} {
+		if err == nil {
+			t.Errorf("flipped %s accepted after a hit", name)
+		}
+	}
+	if err := v.VerifyParts(sigBytes, ctx, root); err != nil {
+		t.Errorf("the accepted pair rejected after the flips: %v", err)
+	}
+	// The memo copies the signature it keeps: the caller's buffer changing
+	// later (a decoded proof aliases its wire) must not change a verdict.
+	sigBytes[0] ^= 0x01
+	if err := v.VerifyParts(sigBytes, ctx, root); err == nil {
+		t.Error("a signature edited in place after its hit was accepted")
+	}
+}
+
+// TestMemoIsPerVerifier: a pair one Verifier accepted is nothing to another,
+// whether it holds the same key or a foreign one.
+func TestMemoIsPerVerifier(t *testing.T) {
+	s1, err := GenerateKey(testRand(), DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := GenerateKey(rand.New(rand.NewSource(2)), DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("root")
+	sigBytes, err := s1.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, same, foreign := s1.Verifier(), s1.Verifier(), s2.Verifier()
+	if err := v1.Verify(msg, sigBytes); err != nil {
+		t.Fatal(err)
+	}
+	if memoEntries(same) != 0 || memoEntries(foreign) != 0 {
+		t.Fatal("one Verifier's accepted pair appeared in another's memo")
+	}
+	if err := foreign.Verify(msg, sigBytes); err == nil {
+		t.Error("another owner's Verifier accepted a pair the first had memoised")
+	}
+}
+
+// TestMemoConcurrent hammers one Verifier from several goroutines with more
+// distinct valid pairs than the memo has slots, plus forgeries of each: run
+// under -race; every valid pair must verify and every forgery fail whatever
+// the slots hold at that instant.
+func TestMemoConcurrent(t *testing.T) {
+	s, err := GenerateKey(testRand(), DefaultBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.Verifier()
+	msgs := make([][]byte, len(v.memo)+3)
+	sigs := make([][]byte, len(msgs))
+	for i := range msgs {
+		msgs[i] = []byte{'r', 'o', 'o', 't', byte(i)}
+		if sigs[i], err = s.Sign(msgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (g + n) % len(msgs)
+				if err := v.Verify(msgs[i], sigs[i]); err != nil {
+					t.Errorf("valid pair %d rejected: %v", i, err)
+				}
+				if err := v.Verify(msgs[i], sigs[(i+1)%len(sigs)]); err == nil {
+					t.Errorf("pair %d accepted under pair %d's signature", i, (i+1)%len(sigs))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
