@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race purego fuzz-smoke bench bench-micro bench-json bench-gate bench-smoke bench-restart load load-gate snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
+.PHONY: all build test short race purego fuzz-smoke bench bench-micro bench-smoke snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -80,80 +80,6 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 
-# Machine-readable hot-path numbers (ns/op, B/op, allocs/op) for the
-# standard world → BENCH_PR10.json, with the committed PR7 snapshot embedded
-# as the baseline, plus the open-loop load lanes. CI uploads this as an
-# artifact so perf regressions are visible in PR checks.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -baseline BENCH_PR7.json -load-duration 4s
-
-# Regression gate: measure now, then compare against the committed
-# per-CPU-count baseline. benchjson compare exits non-zero when a lane
-# regresses past the threshold; a missing baseline for this host's CPU
-# count (or a CPU-count mismatch inside compare) skips the gate with a
-# visible warning instead of false-failing — commit the emitted candidate
-# as BENCH_BASELINE_<n>cpu.json to arm it.
-BENCH_THRESHOLD ?= 0.50
-bench-gate:
-	$(GO) run ./cmd/benchjson -out BENCH_CURRENT.json -load-duration 4s
-	@cpus=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN); \
-	base=BENCH_BASELINE_$${cpus}cpu.json; \
-	if [ -f $$base ]; then \
-		$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) $$base BENCH_CURRENT.json; \
-	else \
-		echo "GATE SKIPPED: no $$base committed for this $${cpus}-CPU host."; \
-		echo "Review BENCH_CURRENT.json and commit it as $$base to arm the gate."; \
-	fi
-
-# Open-loop load run against a locally started spvserve (DE @ 0.05, the
-# standard world): mixed method traffic with concurrent updates and one
-# snapshot save, report to load.json. The server is torn down via
-# SIGTERM, exercising the graceful drain path.
-load:
-	$(GO) build -o /tmp/spv-load-serve ./cmd/spvserve
-	$(GO) build -o /tmp/spv-load-drive ./cmd/spvload
-	@set -e; \
-	/tmp/spv-load-serve -dataset DE -scale 0.05 -methods DIJ,LDM,HYP \
-		-updates -save /tmp/spv-load-world.spv -addr 127.0.0.1:8099 & \
-	pid=$$!; trap "kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null" EXIT; \
-	for i in $$(seq 1 120); do \
-		curl -sf http://127.0.0.1:8099/healthz >/dev/null 2>&1 && break; sleep 0.5; done; \
-	/tmp/spv-load-drive -url http://127.0.0.1:8099 -dataset DE -scale 0.05 \
-		-rate 200 -duration 10s -warmup 2s -mix DIJ=1,LDM=2,HYP=1 \
-		-batch-frac 0.1 -batch-size 8 -update-every 500ms -snapshot-at 5s \
-		-out load.json
-
-# Client-side latency gate: the same friendly-pool run as `make load`
-# (shipped server defaults) written to LOAD_CURRENT.json, then compared
-# against the committed per-CPU baseline of client-observed latency.
-# `benchjson loadgate` applies the bench
-# gate's honesty rules: cross-CPU-count comparisons are refused with a
-# visible skip, and any errors, drops or sheds in the current run fail
-# outright. No baseline for this host's CPU count skips with a warning —
-# commit the emitted LOAD_CURRENT.json as LOAD_BASELINE_<n>cpu.json to
-# arm it.
-load-gate:
-	$(GO) build -o /tmp/spv-load-serve ./cmd/spvserve
-	$(GO) build -o /tmp/spv-load-drive ./cmd/spvload
-	@set -e; \
-	/tmp/spv-load-serve -dataset DE -scale 0.05 -methods DIJ,LDM,HYP \
-		-updates -save /tmp/spv-load-world.spv -addr 127.0.0.1:8098 & \
-	pid=$$!; trap "kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null" EXIT; \
-	for i in $$(seq 1 120); do \
-		curl -sf http://127.0.0.1:8098/healthz >/dev/null 2>&1 && break; sleep 0.5; done; \
-	/tmp/spv-load-drive -url http://127.0.0.1:8098 -dataset DE -scale 0.05 \
-		-rate 200 -duration 10s -warmup 2s -mix DIJ=1,LDM=2,HYP=1 \
-		-batch-frac 0.1 -batch-size 8 -update-every 500ms -snapshot-at 5s \
-		-out LOAD_CURRENT.json
-	@cpus=$$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN); \
-	base=LOAD_BASELINE_$${cpus}cpu.json; \
-	if [ -f $$base ]; then \
-		$(GO) run ./cmd/benchjson loadgate -threshold $(BENCH_THRESHOLD) $$base LOAD_CURRENT.json; \
-	else \
-		echo "GATE SKIPPED: no $$base committed for this $${cpus}-CPU host."; \
-		echo "Review LOAD_CURRENT.json and commit it as $$base to arm the gate."; \
-	fi
-
 # Persistent ADS snapshot of the standard world (spvserve's default served
 # set), written via the public save path.
 snap:
@@ -175,18 +101,16 @@ snap-verify:
 audit:
 	$(GO) run ./cmd/spvsnap audit $(SNAP)
 
-# The repository benchmark's `cold` and `restart` workloads, four seconds
-# each, with the layer trace: every miss builds a proof, an origin
-# certifies and saves, replicas boot lazily and audited. The trace
-# (benchmark/out/trace.json, uploaded by CI's snapshot lane) carries
-# core.prove_us.*, core.prove_allocs.*, snapshot.first_proof_ms.*,
-# cert.issue_ms, snapshot.save_ms and cert.audit_ms, so the query, snapshot
-# and certificate paths have a number on every PR. bench-restart is the
-# target's old name.
+# The repository benchmark, all four workloads (cold, hot, churn, restart)
+# at four seconds each with the layer trace: a verifying client against a
+# real spvserve over loopback. The trace (benchmark/out/trace.json,
+# uploaded by CI's bench lane) carries a number for every layer — search,
+# Merkle proof, encode, HTTP, client decode and verify, update, snapshot
+# save/load, certificate issue and audit (BENCHMARK.json lists the names).
+# A smoke, not a claim: a claim is ten alternating parent/change pairs at
+# the default 16 s window.
 bench-smoke:
-	$(GO) run ./benchmark -workload cold,restart -seconds 4 -trace 1
-
-bench-restart: bench-smoke
+	$(GO) run ./benchmark -seconds 4 -trace 1
 
 # Large-snapshot lane: build a 10⁵-node grid world, snapshot DIJ+LDM,
 # then restart a replica both ways under a GOMEMLIMIT that would make

@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (ICDE 2010, §VI): one
-// testing.B benchmark per figure/table, plus per-method micro-benchmarks of
-// the provider (proof generation) and client (verification) hot paths.
+// testing.B benchmark per figure/table, plus BenchmarkClientVerify, the
+// profiling entry point for client verification.
 //
 // The figure benchmarks run the full harness once per iteration and report
 // the headline series as custom metrics, so `go test -bench=. -benchmem`
@@ -14,7 +14,6 @@
 package spv_test
 
 import (
-	"fmt"
 	"testing"
 
 	spv "github.com/authhints/spv"
@@ -68,25 +67,14 @@ func BenchmarkVerifyLatency(b *testing.B)    { runFigure(b, "verify", "DIJ-clien
 func BenchmarkExtAQuantBits(b *testing.B)    { runFigure(b, "extA", "b4-total-KB", 1) }
 func BenchmarkExtBCompression(b *testing.B)  { runFigure(b, "extB", "xi0-total-KB", 1) }
 
-// --- per-method micro-benchmarks: provider and client hot paths ---
+// --- client verification: the -cpuprofile entry point ---
 
-type microWorld struct {
-	g    *spv.Graph
-	v    *spv.Verifier
-	dij  *spv.DIJProvider
-	full *spv.FULLProvider
-	ldm  *spv.LDMProvider
-	hyp  *spv.HYPProvider
-	qs   []spv.Query
-}
-
-var micro *microWorld
-
-func microSetup(b *testing.B) *microWorld {
-	b.Helper()
-	if micro != nil {
-		return micro
-	}
+// BenchmarkClientVerify verifies one proof per method over and over on a
+// DE 0.05 world: `go test -run '^$' -bench ClientVerify -cpuprofile` is
+// where ROADMAP item 1 and PR 21 sized the client's hashing floor. Every
+// other hot-path number — proving, serving, batch verification, outsourcing
+// — comes from `go run ./benchmark -trace 1`.
+func BenchmarkClientVerify(b *testing.B) {
 	g, err := spv.GenerateNetwork(spv.DE, spv.NetworkConfig{Scale: 0.05})
 	if err != nil {
 		b.Fatal(err)
@@ -95,317 +83,23 @@ func microSetup(b *testing.B) *microWorld {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := &microWorld{g: g, v: owner.Verifier()}
-	if m.dij, err = owner.OutsourceDIJ(); err != nil {
-		b.Fatal(err)
-	}
-	if m.full, err = owner.OutsourceFULL(); err != nil {
-		b.Fatal(err)
-	}
-	if m.ldm, err = owner.OutsourceLDM(); err != nil {
-		b.Fatal(err)
-	}
-	if m.hyp, err = owner.OutsourceHYP(); err != nil {
-		b.Fatal(err)
-	}
-	if m.qs, err = spv.GenerateWorkload(g, 16, 4000, 9); err != nil {
-		b.Fatal(err)
-	}
-	micro = m
-	return m
-}
-
-func BenchmarkProviderQuery(b *testing.B) {
-	m := microSetup(b)
-	for _, method := range spv.Methods() {
-		b.Run(string(method), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := m.qs[i%len(m.qs)]
-				var err error
-				switch method {
-				case spv.DIJ:
-					_, err = m.dij.Query(q.S, q.T)
-				case spv.FULL:
-					_, err = m.full.Query(q.S, q.T)
-				case spv.LDM:
-					_, err = m.ldm.Query(q.S, q.T)
-				case spv.HYP:
-					_, err = m.hyp.Query(q.S, q.T)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkClientVerify(b *testing.B) {
-	m := microSetup(b)
-	q := m.qs[0]
-	dp, err := m.dij.Query(q.S, q.T)
+	qs, err := spv.GenerateWorkload(g, 16, 4000, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp, err := m.full.Query(q.S, q.T)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lp, err := m.ldm.Query(q.S, q.T)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hp, err := m.hyp.Query(q.S, q.T)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("DIJ", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := spv.VerifyDIJ(m.v, q.S, q.T, dp); err != nil {
-				b.Fatal(err)
-			}
+	q, v := qs[0], owner.Verifier()
+	for _, m := range spv.Methods() {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("FULL", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := spv.VerifyFULL(m.v, q.S, q.T, fp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("LDM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := spv.VerifyLDM(m.v, q.S, q.T, lp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HYP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := spv.VerifyHYP(m.v, q.S, q.T, hp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// microBatch builds a 64-proof single-root response for one method by
-// cycling the workload pool — the shape of real /batch traffic, where
-// queries repeat — and round-trips it through the shared batch wire, so
-// the items are exactly what a client decodes: repeated answers share one
-// proof pointer, record bytes share the table backing.
-func microBatch(b *testing.B, m *microWorld, method spv.Method) []spv.BatchItem {
-	b.Helper()
-	var p spv.Provider
-	switch method {
-	case spv.DIJ:
-		p = m.dij
-	case spv.FULL:
-		p = m.full
-	case spv.LDM:
-		p = m.ldm
-	case spv.HYP:
-		p = m.hyp
-	default:
-		b.Fatalf("unknown method %s", method)
-	}
-	items := make([]spv.BatchItem, 0, 64)
-	for i := 0; i < 64; i++ {
-		q := m.qs[i%len(m.qs)]
 		pr, err := p.QueryProof(q.S, q.T)
 		if err != nil {
 			b.Fatal(err)
 		}
-		items = append(items, spv.BatchItem{VS: q.S, VT: q.T, Proof: pr})
-	}
-	wire, err := spv.AppendProofBatch(nil, method, items)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pb, _, err := spv.DecodeProofBatch(wire)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return pb.Items()
-}
-
-// BenchmarkVerifySingle64 is the baseline lane for the batch-verify gate:
-// 64 proofs of one epoch verified one at a time. Compare against
-// BenchmarkVerifyBatch64 — the batch lane must be ≥3× faster per response.
-func BenchmarkVerifySingle64(b *testing.B) {
-	m := microSetup(b)
-	for _, method := range spv.Methods() {
-		items := microBatch(b, m, method)
-		b.Run(string(method), func(b *testing.B) {
+		b.Run(string(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, it := range items {
-					if err := spv.VerifyProof(m.v, method, it.VS, it.VT, it.Proof); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyBatch64 verifies the same 64-proof response in one
-// VerifyBatch call: one signature check per signed root, each shared
-// Merkle digest hashed once, pooled search state.
-func BenchmarkVerifyBatch64(b *testing.B) {
-	m := microSetup(b)
-	for _, method := range spv.Methods() {
-		items := microBatch(b, m, method)
-		b.Run(string(method), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, err := range spv.VerifyBatch(m.v, method, items) {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- serving layer: throughput and cache amortization ---
-
-// serveEngine builds one engine over the shared micro world's providers.
-func serveEngine(b *testing.B, opts spv.ServeOptions) *spv.QueryEngine {
-	b.Helper()
-	m := microSetup(b)
-	e := spv.NewRawEngine(opts)
-	for _, p := range []spv.Provider{m.dij, m.full, m.ldm, m.hyp} {
-		e.Register(p)
-	}
-	return e
-}
-
-// BenchmarkServeQPS measures end-to-end engine throughput (proof served per
-// op, qps metric) under parallel load with a mixed repeated-query workload
-// — the serving layer's headline number.
-func BenchmarkServeQPS(b *testing.B) {
-	for _, method := range []spv.Method{spv.FULL, spv.LDM, spv.HYP} {
-		b.Run(string(method), func(b *testing.B) {
-			m := microSetup(b)
-			e := serveEngine(b, spv.ServeOptions{})
-			// Warm the cache so the steady state measures serving, not the
-			// first cold constructions.
-			for _, q := range m.qs {
-				if _, err := e.Query(spv.ServeQuery{Method: method, VS: q.S, VT: q.T}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					q := m.qs[i%len(m.qs)]
-					i++
-					if _, err := e.Query(spv.ServeQuery{Method: method, VS: q.S, VT: q.T}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)/secs, "qps")
-			}
-		})
-	}
-}
-
-// BenchmarkServeColdVsCached quantifies the proof cache: "cold" disables
-// caching so every op pays full proof construction; "cached" serves the
-// same query out of the LRU. The cached lane must be ≥ 5× faster — run
-// both and compare ns/op.
-func BenchmarkServeColdVsCached(b *testing.B) {
-	m := microSetup(b)
-	q := spv.ServeQuery{Method: spv.LDM, VS: m.qs[0].S, VT: m.qs[0].T}
-	b.Run("cold", func(b *testing.B) {
-		e := serveEngine(b, spv.ServeOptions{CacheBytes: -1})
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		e := serveEngine(b, spv.ServeOptions{})
-		if _, err := e.Query(q); err != nil { // warm
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a, err := e.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !a.Cached {
-				b.Fatal("expected cache hit")
-			}
-		}
-	})
-}
-
-// BenchmarkServeBatch measures worker-pool fan-out with one 64-query mixed
-// batch per op — 16 workload pairs × 4 methods, all distinct keys. The
-// cold lane disables the cache so every op pays 64 real constructions; the
-// warm lane is the steady state where the batch is served from cache.
-func BenchmarkServeBatch(b *testing.B) {
-	m := microSetup(b)
-	batch := make([]spv.ServeQuery, 0, 64)
-	for _, method := range []spv.Method{spv.DIJ, spv.FULL, spv.LDM, spv.HYP} {
-		for _, q := range m.qs {
-			batch = append(batch, spv.ServeQuery{Method: method, VS: q.S, VT: q.T})
-		}
-	}
-	runBatch := func(b *testing.B, e *spv.QueryEngine) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			for _, a := range e.QueryBatch(batch) {
-				if a.Err != nil {
-					b.Fatal(a.Err)
-				}
-			}
-		}
-	}
-	b.Run("cold64", func(b *testing.B) {
-		runBatch(b, serveEngine(b, spv.ServeOptions{CacheBytes: -1}))
-	})
-	b.Run("warm64", func(b *testing.B) {
-		e := serveEngine(b, spv.ServeOptions{})
-		e.QueryBatch(batch) // warm the cache outside the timer
-		b.ResetTimer()
-		runBatch(b, e)
-		s := e.Stats()
-		b.ReportMetric(float64(s.Hits)/float64(s.Queries), "hit-rate")
-	})
-}
-
-func BenchmarkOutsourcing(b *testing.B) {
-	g, err := spv.GenerateNetwork(spv.DE, spv.NetworkConfig{Scale: 0.02})
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner, err := spv.NewOwner(g, spv.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, method := range spv.Methods() {
-		b.Run(fmt.Sprintf("%s/n=%d", method, g.NumNodes()), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				switch method {
-				case spv.DIJ:
-					_, err = owner.OutsourceDIJ()
-				case spv.FULL:
-					_, err = owner.OutsourceFULL()
-				case spv.LDM:
-					_, err = owner.OutsourceLDM()
-				case spv.HYP:
-					_, err = owner.OutsourceHYP()
-				}
-				if err != nil {
+				if err := spv.VerifyProof(v, m, q.S, q.T, pr); err != nil {
 					b.Fatal(err)
 				}
 			}

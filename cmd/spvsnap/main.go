@@ -178,7 +178,7 @@ func auditIndex(path string) error {
 				i, core.SnapshotSectionName(s.Kind), e.Kind, e.Offset, e.Length, e.CRC, s.Kind, s.Offset, s.Length, s.CRC)
 		}
 	}
-	mode := "frame walk (v1/no index)"
+	mode := "frame walk (no usable index)"
 	if f.Indexed() {
 		mode = "index"
 	}

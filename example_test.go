@@ -59,8 +59,8 @@ func ExampleLoadEngine() {
 	origin, _ := dep.Engine().Query(q)
 	answer, _ := replica.Query(q)
 
-	proof, _, _ := spv.DecodeLDMProof(answer.Proof)
-	verified := spv.VerifyLDM(set.Verifier, q.VS, q.VT, proof) == nil
+	proof, _, _ := spv.DecodeProof(q.Method, answer.Proof)
+	verified := spv.VerifyProof(set.Verifier, q.Method, q.VS, q.VT, proof) == nil
 	fmt.Println("byte-identical:", bytes.Equal(origin.Proof, answer.Proof), "verified:", verified)
 	// Output:
 	// byte-identical: true verified: true

@@ -68,7 +68,7 @@ func main() {
 			}
 		}
 
-		err = spv.VerifyHYP(clientKey, d.S, d.T, proof)
+		err = spv.VerifyProof(clientKey, spv.HYP, d.S, d.T, proof)
 		switch {
 		case err == nil && !malicious:
 			verified++

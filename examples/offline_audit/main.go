@@ -80,9 +80,9 @@ func main() {
 	verifier := owner.Verifier()
 	flagged := 0
 	for i, r := range records {
-		proof, _, err := spv.DecodeFULLProof(r.Proof)
+		proof, _, err := spv.DecodeProof(spv.FULL, r.Proof)
 		if err == nil {
-			err = spv.VerifyFULL(verifier, r.S, r.T, proof)
+			err = spv.VerifyProof(verifier, spv.FULL, r.S, r.T, proof)
 		}
 		if err != nil {
 			kind, wasTampered := tampered[i]

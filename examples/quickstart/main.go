@@ -24,14 +24,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("owner: road network with %d nodes, %d edges\n",
-		network.NumNodes(), network.NumEdges())
+	fmt.Printf("owner: road network with %d nodes, %d edges\n", network.NumNodes(), network.NumEdges())
 
 	owner, err := spv.NewOwner(network, spv.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	provider, err := owner.OutsourceLDM() // hints + Merkle tree + signature
+	provider, err := owner.Outsource(spv.LDM) // hints + Merkle tree + signature
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,28 +44,29 @@ func main() {
 	vs, vt := queries[0].S, queries[0].T
 
 	// --- Service provider answers ----------------------------------------
-	proof, err := provider.Query(vs, vt)
+	proof, err := provider.QueryProof(vs, vt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	path, dist := proof.Result()
 	stats := proof.Stats()
-	fmt.Printf("provider: path %d→%d, %d hops, distance %.1f\n",
-		vs, vt, proof.Path.Hops(), proof.Dist)
+	fmt.Printf("provider: path %d→%d, %d hops, distance %.1f\n", vs, vt, path.Hops(), dist)
 	fmt.Printf("provider: proof is %.1f KB (ΓS %.1f KB + ΓT %.1f KB, %d items)\n",
 		stats.KBytes(), float64(stats.SBytes)/1024, float64(stats.TBytes)/1024,
 		stats.TotalItems())
 
 	// --- Client verifies ---------------------------------------------------
-	if err := spv.VerifyLDM(owner.Verifier(), vs, vt, proof); err != nil {
+	if err := spv.VerifyProof(owner.Verifier(), spv.LDM, vs, vt, proof); err != nil {
 		log.Fatalf("client: REJECTED: %v", err)
 	}
 	fmt.Println("client: verified — the path is authentic and optimal ✓")
 
-	// A tampered answer is caught immediately.
-	proof.Dist += 100
-	if err := spv.VerifyLDM(owner.Verifier(), vs, vt, proof); err != nil {
-		fmt.Println("client: tampered answer rejected ✓")
-	} else {
+	// A tampered answer is caught immediately: flip one bit on the wire.
+	wire := proof.AppendBinary(nil)
+	wire[len(wire)/2] ^= 0x01
+	if tampered, _, err := spv.DecodeProof(spv.LDM, wire); err == nil &&
+		spv.VerifyProof(owner.Verifier(), spv.LDM, vs, vt, tampered) == nil {
 		log.Fatal("client: tampered answer was accepted!")
 	}
+	fmt.Println("client: tampered answer rejected ✓")
 }

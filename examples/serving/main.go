@@ -53,23 +53,13 @@ func main() {
 		if a.Err != nil {
 			log.Fatalf("%v: %v", a.Query, a.Err)
 		}
-		switch a.Query.Method {
-		case spv.LDM:
-			pr, _, err := spv.DecodeLDMProof(a.Proof)
-			if err == nil {
-				err = spv.VerifyLDM(verifier, a.Query.VS, a.Query.VT, pr)
-			}
-			if err != nil {
-				log.Fatalf("LDM %d→%d: %v", a.Query.VS, a.Query.VT, err)
-			}
-		case spv.HYP:
-			pr, _, err := spv.DecodeHYPProof(a.Proof)
-			if err == nil {
-				err = spv.VerifyHYP(verifier, a.Query.VS, a.Query.VT, pr)
-			}
-			if err != nil {
-				log.Fatalf("HYP %d→%d: %v", a.Query.VS, a.Query.VT, err)
-			}
+		q := a.Query
+		pr, _, err := spv.DecodeProof(q.Method, a.Proof)
+		if err == nil {
+			err = spv.VerifyProof(verifier, q.Method, q.VS, q.VT, pr)
+		}
+		if err != nil {
+			log.Fatalf("%s %d→%d: %v", q.Method, q.VS, q.VT, err)
 		}
 	}
 	fmt.Printf("verified %d proofs across %d queries\n", len(answers), len(batch))

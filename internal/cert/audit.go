@@ -235,7 +235,7 @@ type SigVerifier interface {
 }
 
 // View is what the audit runs against — implemented by core.ProviderSet.
-// AuditMethod dispatches one method slice to its certifier (hydrating a
+// AuditMethod dispatches one method slice to its method (hydrating a
 // lazily loaded provider touches exactly that method's section);
 // AuditCoreDigest recomputes the digest of the core sections, consulting
 // only providers named in methods when it needs one.

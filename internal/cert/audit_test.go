@@ -48,7 +48,7 @@ func certWorld(t testing.TB) (*core.Owner, *core.ProviderSet, *cert.Certificate)
 	if _, err := owner.WriteSnapshotCert(&buf, c, provs...); err != nil {
 		t.Fatal(err)
 	}
-	set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

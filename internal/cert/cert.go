@@ -61,9 +61,6 @@ var (
 	// ErrMethodMissing: the certificate covers a method the snapshot does
 	// not carry (or the view cannot resolve).
 	ErrMethodMissing = fmt.Errorf("%w: method missing", ErrAudit)
-	// ErrUnsupported: the method exists but has no certifier — the
-	// registry fallback for third-party methods without the capability.
-	ErrUnsupported = fmt.Errorf("%w: method does not support certification", ErrAudit)
 )
 
 // SigContext domain-separates certificate signatures from every root

@@ -23,11 +23,12 @@ type networkADS struct {
 	msgs [][]byte // canonical tuple encoding per leaf position
 	// lazy, when non-nil, fills msgs on demand: leaf encodings are a
 	// deterministic function of the graph and the method's extra bytes, so
-	// a lazily opened snapshot defers them until a query actually covers a
-	// leaf. All msgs reads must go through msg() (or materialize() for
-	// whole-table access) — the per-chunk sync.Once is what publishes the
-	// writes to concurrent readers.
-	lazy *lazyTuples
+	// an ADS loaded from a snapshot defers them until a query actually
+	// covers a leaf (or an eager load materializes the table). All msgs
+	// reads must go through msg() (or materialize() for whole-table
+	// access) — the per-chunk sync.Once is what publishes the writes to
+	// concurrent readers.
+	lazy *tupleFill
 }
 
 // tupleChunk is the lazy-encoding granularity: one first-touch encodes
@@ -36,8 +37,8 @@ type networkADS struct {
 // sync.Once bookkeeping disappears against encoding cost.
 const tupleChunk = 1024
 
-// lazyTuples is the on-demand encoder behind a lazily opened networkADS.
-type lazyTuples struct {
+// tupleFill is the on-demand encoder behind a snapshot-loaded networkADS.
+type tupleFill struct {
 	g       *graph.Graph
 	extraFn func(graph.NodeID) []byte
 	chunks  []sync.Once

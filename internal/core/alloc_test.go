@@ -353,7 +353,7 @@ func TestCertPathAllocBudget(t *testing.T) {
 	if _, err := owner.WriteSnapshotCert(&buf, c, provs...); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,6 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// certifier is an optional MethodImpl capability, like snapshotStreamer:
-// a method that implements it can declare its slice of a snapshot
-// certificate at outsourcing time and audit a loaded provider against
-// that slice in linear time. Methods without the capability are
-// rejected cleanly by Owner.Certify and ProviderSet.AuditMethod — a
-// registered third-party method never silently passes an audit it did not
-// implement.
-type certifier interface {
-	planCert(p Provider) (certPlan, error)
-	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error
-}
-
 // certPlan is one method's slice before its rows are computed: the framing
 // cert.New lays out, the view row i's Dijkstra from Srcs[i] searches, and —
 // for methods whose stored hint rows are the certified distances (LDM) —
@@ -87,16 +75,12 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 		if p == nil {
 			continue
 		}
-		cf, ok := impl.(certifier)
-		if !ok {
-			return nil, fmt.Errorf("core: method %s does not support certification", impl.Method())
-		}
 		if ord == nil {
 			if a := p.adsRef(); a != nil {
 				ord = a.ord
 			}
 		}
-		plan, err := cf.planCert(p)
+		plan, err := impl.planCert(p)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +189,7 @@ func (s *ProviderSet) AuditCoreDigest(alg digest.Alg, methods []string) ([]byte,
 }
 
 // AuditMethod implements cert.View: dispatch one certificate slice to its
-// method's certifier. Hydrating the provider (lazy sets) touches exactly
+// method's auditCert. Hydrating the provider (lazy sets) touches exactly
 // this method's snapshot section.
 func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier) error {
 	m := Method(mc.Method)
@@ -216,14 +200,10 @@ func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier) error
 	if s.Provider(m) == nil {
 		return fmt.Errorf("%w: snapshot carries no %s provider", cert.ErrMethodMissing, m)
 	}
-	cf, ok := impl.(certifier)
-	if !ok {
-		return fmt.Errorf("%w (%s)", cert.ErrUnsupported, m)
-	}
-	return cf.auditCert(s, mc, v)
+	return impl.auditCert(s, mc, v)
 }
 
-// --- shared certifier helpers ---
+// --- shared planCert / auditCert helpers ---
 
 // checkRootSig verifies a stored root signature against its context —
 // the same message clients verify per query, checked once per audit.

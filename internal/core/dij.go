@@ -98,7 +98,7 @@ func checkEndpoints(g *graph.Graph, vs, vt graph.NodeID) error {
 // Dijkstra over it, and check that the reported path is a real path whose
 // length equals the re-computed shortest distance. A nil error means the
 // path is verified correct (authentic and optimal).
-func VerifyDIJ(verifier sigVerifier, vs, vt graph.NodeID, proof *DIJProof) error {
+func VerifyDIJ(verifier SigVerifier, vs, vt graph.NodeID, proof *DIJProof) error {
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}

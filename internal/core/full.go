@@ -145,7 +145,7 @@ func (p *FULLProvider) Query(vs, vt graph.NodeID) (*FULLProof, error) {
 // VerifyFULL is the client side of §IV-B: authenticate the materialized
 // distance, authenticate the path tuples, and check the reported path sums
 // to exactly that distance.
-func VerifyFULL(verifier sigVerifier, vs, vt graph.NodeID, proof *FULLProof) error {
+func VerifyFULL(verifier SigVerifier, vs, vt graph.NodeID, proof *FULLProof) error {
 	if proof == nil || proof.DistVO == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}

@@ -136,7 +136,7 @@ func (p *HYPProvider) Query(vs, vt graph.NodeID) (*HYPProof, error) {
 }
 
 // VerifyHYP is the client side of §V-B.
-func VerifyHYP(verifier sigVerifier, vs, vt graph.NodeID, proof *HYPProof) error {
+func VerifyHYP(verifier SigVerifier, vs, vt graph.NodeID, proof *HYPProof) error {
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}

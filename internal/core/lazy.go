@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	"github.com/authhints/spv/internal/graph"
@@ -9,25 +10,26 @@ import (
 	"github.com/authhints/spv/internal/snapshot"
 )
 
-// This file is the lazy half of the snapshot loader: OpenProviderSetLazy
-// opens a snapshot through the container's random-access File handle,
-// decodes only the core sections (config, graph, verifier, ordering —
-// small, needed before any proof), and defers every method section to
-// first use. A replica booted this way answers its first query after
-// O(core sections) work regardless of how many methods — and how many
-// gigabytes of hint rows — the file carries, and a method nobody queries
-// costs no resident bytes beyond a table entry.
+// This file is the snapshot loader: one section loop (lazySetFromFile)
+// over the container's random-access File handle, behind three entry
+// points. OpenProviderSetLazy decodes only the core sections (config,
+// graph, verifier, ordering — small, needed before any proof) and defers
+// every method section to first use: a replica booted this way answers its
+// first query after O(core sections) work regardless of how many methods —
+// and how many gigabytes of hint rows — the file carries, and a method
+// nobody queries costs no resident bytes beyond a table entry.
+// OpenProviderSet and ReadProviderSet are the same open followed by
+// hydrateAll — every deferred step taken now — so "eager" names when the
+// loader hydrates, not a second loader.
 //
 // Laziness is layered: each method's section decodes behind a sync.Once
 // on first QueryProof (Merkle levels, signatures, hint rows), and the
 // decoded provider's tuple table fills chunk by chunk as queries touch
-// leaves (see networkADS.msg). Hydration is the same DecodeSnapshot the
-// eager loader runs, against the same frozen view, so a lazily served
-// proof is byte-identical to an eagerly served one — the round-trip
-// contract does not weaken, and neither does client verification, which
-// only ever trusts the owner's signed roots. Corruption in a deferred
-// section (the container CRC-verifies payloads on first touch) surfaces
-// as a clean error from the first query that needs it, not a panic.
+// leaves (see networkADS.msg). Client verification only ever trusts the
+// owner's signed roots, so when a section hydrates changes no proof byte.
+// Corruption in a deferred section (the container CRC-verifies payloads on
+// first touch) surfaces as a clean error from the first query that needs
+// it — or from the eager load, which touches everything — never a panic.
 
 // lazyProvider is the method-erased shell of a not-yet-decoded method
 // section. It satisfies Provider; the registry's generic paths
@@ -100,11 +102,10 @@ func unwrapProvider(p Provider) (Provider, error) {
 // byte-identical to OpenProviderSet's and obeys the same concurrency
 // contract; it holds the file open for on-demand reads until Close.
 //
-// Integrity: the container index (or, for v1 files and corrupt indexes, a
-// sequential frame walk) is validated at open; deferred payloads are
-// CRC-checked on first touch, so corruption surfaces as a clean query
-// error, never a panic. Semantic validation of a deferred section also
-// runs at first touch — OpenProviderSet remains the strict
+// Integrity: the container index (or, when it is corrupt, a sequential
+// frame walk) is validated at open; deferred payloads are CRC-checked and
+// semantically validated on first touch, so corruption surfaces as a clean
+// query error, never a panic. OpenProviderSet is the
 // validate-everything-now path.
 func OpenProviderSetLazy(path string) (*ProviderSet, error) {
 	f, err := snapshot.Open(path)
@@ -119,7 +120,75 @@ func OpenProviderSetLazy(path string) (*ProviderSet, error) {
 	return set, nil
 }
 
-// lazySetFromFile builds the lazily hydrated set over an open container.
+// OpenProviderSet loads a snapshot file completely — the strict cold-start
+// path: the lazy open, then every method section, the certificate and
+// every tuple table hydrated before it returns, so anything corrupt or
+// malformed anywhere in the file fails the load, not a later query. No
+// hash is recomputed and no search is run: Merkle levels, hint rows and
+// signatures come from the file; tuple encodings, quantization,
+// compression and partitions are re-derived in parallel from the loaded
+// graph. All providers share one frozen CSR view.
+//
+// Round-trip contract (pinned by TestSnapshotRoundTrip): every loaded
+// provider emits proof wire encodings byte-identical to the provider it
+// was saved from, for every query and method.
+func OpenProviderSet(path string) (*ProviderSet, error) {
+	f, err := snapshot.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return loadAll(f)
+}
+
+// ReadProviderSet is OpenProviderSet over any positioned reader of the
+// given size (a snapshot held in memory, a section of a larger file).
+func ReadProviderSet(ra io.ReaderAt, size int64) (*ProviderSet, error) {
+	f, err := snapshot.NewFile(ra, size)
+	if err != nil {
+		return nil, err
+	}
+	return loadAll(f)
+}
+
+// loadAll is the eager load: the lazy open plus hydrateAll.
+func loadAll(f *snapshot.File) (*ProviderSet, error) {
+	set, err := lazySetFromFile(f)
+	if err != nil {
+		return nil, err
+	}
+	if err := set.hydrateAll(); err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// hydrateAll takes every step a lazy open deferred — method sections,
+// certificate, tuple tables — and lets go of the file, leaving the set
+// holding concrete providers only. An eager load is also strict about the
+// container: an index so damaged that the open fell back to the frame walk
+// fails it, as it would fail a sequential read.
+func (s *ProviderSet) hydrateAll() error {
+	if !s.file.Indexed() {
+		return fmt.Errorf("%w: section index unusable", snapshot.ErrCorrupt)
+	}
+	for _, m := range s.Methods() {
+		p, err := unwrapProvider(s.provs[m])
+		if err != nil {
+			return err
+		}
+		p.adsRef().materialize()
+		s.provs[m] = p
+	}
+	if _, err := s.Certificate(); err != nil {
+		return fmt.Errorf("core: snapshot certificate: %w", err)
+	}
+	s.file = nil
+	return nil
+}
+
+// lazySetFromFile builds the lazily hydrated set over an open container —
+// the one section loop every load runs.
 func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	set := &ProviderSet{Epoch: f.Epoch(), file: f}
 	if set.Epoch < 0 {
@@ -132,9 +201,8 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 		}
 		seen[e.Kind] = true
 		if _, ok := defaultRegistry.lookupKind(e.Kind); !ok && e.Kind > snapKindOrdering && e.Kind != snapKindCert {
-			// Same refusal as the eager loader: unknown kinds are state this
-			// loader does not understand, and a lazy boot must not promise
-			// sections it could never serve.
+			// Unknown kinds are state this loader does not understand —
+			// refusing beats silently serving less than the snapshot promises.
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrBadSnapshot, e.Kind)
 		}
 	}
@@ -162,7 +230,7 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	if payload, err = coreSection(f, snapKindOrdering); err != nil {
 		return nil, err
 	}
-	env := &SnapshotEnv{Graph: set.Graph, Cfg: set.Cfg, lazyTuples: true}
+	env := &SnapshotEnv{Graph: set.Graph, Cfg: set.Cfg}
 	if env.Ord, err = decodeSnapOrdering(payload, set.Graph.NumNodes()); err != nil {
 		return nil, err
 	}
@@ -197,7 +265,7 @@ func coreSection(f *snapshot.File, kind uint32) ([]byte, error) {
 
 // Close releases the snapshot file a lazy open holds. Hydration of a
 // still-cold method fails after Close; decoded providers keep serving.
-// No-op for eagerly loaded sets.
+// No-op for eagerly loaded sets, which hold no file.
 func (s *ProviderSet) Close() error {
 	if s.file == nil {
 		return nil

@@ -31,7 +31,7 @@ func writeSnapshotFile(t *testing.T, owner *Owner, provs ...Provider) (string, [
 // TestLazyRoundTrip is the lazy loader's acceptance pin: a lazily opened
 // set serves proofs byte-identical to the in-process originals for every
 // method, and those proofs verify against the embedded public key. This
-// is the same contract TestSnapshotRoundTrip pins for the eager loader —
+// is the same contract TestSnapshotRoundTrip pins for an eager load —
 // laziness must be invisible to clients.
 func TestLazyRoundTrip(t *testing.T) {
 	owner, dij, full, ldm, hyp := snapshotWorld(t, 220, 300)
@@ -176,6 +176,11 @@ func TestLazyCorruptIndexFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// An eager load is strict about the container, as a sequential read
+	// would be: recovery is for the replica that must come up regardless.
+	if _, err := OpenProviderSet(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("eager load of a corrupt index: %v", err)
+	}
 	set, err := OpenProviderSetLazy(path)
 	if err != nil {
 		t.Fatalf("corrupt index should fall back to the frame walk: %v", err)

@@ -149,7 +149,7 @@ func (p *LDMProvider) Query(vs, vt graph.NodeID) (*LDMProof, error) {
 // VerifyLDM is the client side of §V-A: authenticate the subgraph (payloads
 // included), then re-run A* with the compressed landmark lower bound and
 // compare against the reported path.
-func VerifyLDM(verifier sigVerifier, vs, vt graph.NodeID, proof *LDMProof) error {
+func VerifyLDM(verifier SigVerifier, vs, vt graph.NodeID, proof *LDMProof) error {
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}

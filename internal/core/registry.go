@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/order"
 	"github.com/authhints/spv/internal/snapshot"
@@ -103,6 +104,13 @@ type MethodImpl interface {
 	// the shared core state, without recomputing a hash or running a
 	// search.
 	DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error)
+
+	// planCert declares the method's slice of a snapshot certificate at
+	// issue time; auditCert checks a loaded provider against that slice in
+	// linear time (certify.go). Unexported, like Provider's hooks: a method
+	// lives in this package, and none passes an audit it did not implement.
+	planCert(p Provider) (certPlan, error)
+	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error
 }
 
 // SnapshotEnv is the shared core state every method section decoder
@@ -113,10 +121,6 @@ type SnapshotEnv struct {
 	View  *graph.CSR
 	Ord   *order.Ordering
 	Cfg   Config
-	// lazyTuples marks an env built by a lazy open: rehydrateADS defers
-	// leaf tuple encoding to first query touch instead of encoding every
-	// node up front.
-	lazyTuples bool
 }
 
 // Registry maps methods to implementations with a fixed canonical

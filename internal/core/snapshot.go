@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"github.com/authhints/spv/internal/cert"
@@ -17,7 +16,6 @@ import (
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/order"
-	"github.com/authhints/spv/internal/par"
 	"github.com/authhints/spv/internal/sig"
 	"github.com/authhints/spv/internal/snapshot"
 )
@@ -111,12 +109,13 @@ type ProviderSet struct {
 	Epoch int64
 
 	provs map[Method]Provider
-	// view is the frozen CSR every loaded provider searches (set by
-	// ReadProviderSet); RestoreOwner adopts it so the staleness guard's
+	// view is the frozen CSR every loaded provider searches (set by the
+	// loader); RestoreOwner adopts it so the staleness guard's
 	// pointer-identity test holds across a restore.
 	view *graph.CSR
 	// file backs a lazily opened set (OpenProviderSetLazy): method
-	// sections hydrate from it on demand until Close. Nil for eager loads.
+	// sections hydrate from it on demand until Close. Nil once an eager
+	// load has hydrated everything.
 	file *snapshot.File
 	// ord is the loaded leaf-ordering section, retained so a certificate
 	// audit can recompute the core digest without hydrating any provider.
@@ -440,117 +439,6 @@ func (s *ProviderSet) sharedOrdering() (*order.Ordering, error) {
 	return ord, nil
 }
 
-// OpenProviderSet loads a snapshot file — the provider cold-start path.
-func OpenProviderSet(path string) (*ProviderSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadProviderSet(f)
-}
-
-// ReadProviderSet deserializes a snapshot written by WriteSnapshot /
-// WriteTo. No hash is recomputed and no search is run: Merkle levels,
-// hint rows and signatures come from the file; tuple encodings,
-// quantization, compression and partitions are re-derived in parallel
-// from the loaded graph. All providers share one frozen CSR view. Method
-// sections dispatch to their MethodImpl by section kind.
-//
-// Round-trip contract (pinned by TestSnapshotRoundTrip): every loaded
-// provider emits proof wire encodings byte-identical to the provider it
-// was saved from, for every query and method.
-func ReadProviderSet(r io.Reader) (*ProviderSet, error) {
-	sr, err := snapshot.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	set := &ProviderSet{Epoch: sr.Epoch()}
-	env := &SnapshotEnv{}
-	var (
-		haveCfg bool
-		seen    = map[uint32]bool{}
-	)
-	coreReady := func() bool {
-		return haveCfg && set.Graph != nil && set.Verifier != nil && env.Ord != nil
-	}
-	for {
-		sec, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if seen[sec.Kind] {
-			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrBadSnapshot, sec.Kind)
-		}
-		seen[sec.Kind] = true
-		if impl, ok := defaultRegistry.lookupKind(sec.Kind); ok {
-			if !coreReady() {
-				return nil, fmt.Errorf("%w: method section %d before core sections", ErrBadSnapshot, sec.Kind)
-			}
-			if env.View == nil {
-				env.View = set.Graph.Freeze()
-				set.view = env.View
-			}
-			env.Graph, env.Cfg = set.Graph, set.Cfg
-			p, err := impl.DecodeSnapshot(sec.Payload, env)
-			if err != nil {
-				return nil, err
-			}
-			set.SetProvider(p)
-			continue
-		}
-		switch sec.Kind {
-		case snapKindConfig:
-			if set.Cfg, err = decodeSnapConfig(sec.Payload); err != nil {
-				return nil, err
-			}
-			haveCfg = true
-		case snapKindGraph:
-			g, err := graph.ReadBytes(sec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: graph: %v", ErrBadSnapshot, err)
-			}
-			set.Graph = g
-		case snapKindVerifier:
-			v, err := sig.ParseVerifierPEM(sec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: verifier: %v", ErrBadSnapshot, err)
-			}
-			set.Verifier = v
-		case snapKindOrdering:
-			if set.Graph == nil {
-				return nil, fmt.Errorf("%w: ordering section before graph", ErrBadSnapshot)
-			}
-			if env.Ord, err = decodeSnapOrdering(sec.Payload, set.Graph.NumNodes()); err != nil {
-				return nil, err
-			}
-			set.ord = env.Ord
-		case snapKindCert:
-			if set.cert, err = cert.DecodeCertificate(sec.Payload); err != nil {
-				return nil, fmt.Errorf("%w: certificate: %v", ErrBadSnapshot, err)
-			}
-		default:
-			// Unknown kinds within a known version are state this loader
-			// does not understand — refusing beats silently serving less
-			// than the snapshot promises.
-			return nil, fmt.Errorf("%w: unknown section kind %d", ErrBadSnapshot, sec.Kind)
-		}
-	}
-	if !coreReady() {
-		return nil, fmt.Errorf("%w: missing core sections", ErrBadSnapshot)
-	}
-	if len(set.provs) == 0 {
-		return nil, fmt.Errorf("%w: no method sections", ErrBadSnapshot)
-	}
-	if set.Epoch < 0 {
-		return nil, fmt.Errorf("%w: negative epoch %d", ErrBadSnapshot, set.Epoch)
-	}
-	return set, nil
-}
-
 // RestoreOwner rebuilds an owner around a persisted private key and a
 // loaded snapshot's graph, config and epoch, so that subsequent
 // ApplyUpdates batches continue the snapshot's epoch sequence. The caller
@@ -722,29 +610,18 @@ func (c *snapCursor) tree() *mht.Tree {
 // rehydrateADS rebuilds a networkADS from the loaded graph, ordering and
 // tree for a method section decoder: the tree digests come from the
 // snapshot; leaf messages are re-encoded (deterministic in the graph and
-// the method's extra bytes) — in parallel up front on the eager path, or
-// chunk by chunk on first query touch when the env came from a lazy open,
-// so a freshly opened replica's first proof encodes only the tuples it
-// actually covers.
+// the method's extra bytes) chunk by chunk on first query touch, so a
+// freshly opened replica's first proof encodes only the tuples it actually
+// covers. An eager load materializes the table right after (hydrateAll).
 func (env *SnapshotEnv) rehydrateADS(tree *mht.Tree, extraFn func(graph.NodeID) []byte) (*networkADS, error) {
-	g, ord := env.Graph, env.Ord
-	n := g.NumNodes()
+	g, n := env.Graph, env.Graph.NumNodes()
 	if tree.NumLeaves() != n {
 		return nil, fmt.Errorf("%w: network tree has %d leaves for %d nodes", ErrBadSnapshot, tree.NumLeaves(), n)
 	}
-	msgs := make([][]byte, n)
-	if env.lazyTuples {
-		return &networkADS{ord: ord, tree: tree, msgs: msgs, lazy: &lazyTuples{
-			g: g, extraFn: extraFn,
-			chunks: make([]sync.Once, (n+tupleChunk-1)/tupleChunk),
-		}}, nil
-	}
-	par.Chunks(n, adsParallelThreshold, func(lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			msgs[pos] = encodeTupleMsg(g, ord.Seq[pos], extraFn, nil)
-		}
-	})
-	return &networkADS{ord: ord, tree: tree, msgs: msgs}, nil
+	return &networkADS{ord: env.Ord, tree: tree, msgs: make([][]byte, n), lazy: &tupleFill{
+		g: g, extraFn: extraFn,
+		chunks: make([]sync.Once, (n+tupleChunk-1)/tupleChunk),
+	}}, nil
 }
 
 // --- decode cursor ---

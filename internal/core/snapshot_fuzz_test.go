@@ -60,7 +60,7 @@ func FuzzReadProviderSet(f *testing.F) {
 	f.Add(lying)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, err := ReadProviderSet(bytes.NewReader(data))
+		set, err := ReadProviderSet(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/authhints/spv/internal/graph"
@@ -76,12 +78,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := set.Methods(); len(got) != 4 {
 		t.Fatalf("loaded methods %v, want all four", got)
+	}
+	// Eager means hydrated: no shell left to decode later, no file held.
+	for _, m := range set.Methods() {
+		if _, shell := set.Provider(m).(*lazyProvider); shell || set.file != nil {
+			t.Fatalf("eager load left %s behind a lazy shell (file held: %v)", m, set.file != nil)
+		}
 	}
 	if set.Epoch != 0 {
 		t.Fatalf("epoch = %d, want 0", set.Epoch)
@@ -157,7 +165,7 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij, full, ldm, hyp); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +199,7 @@ func TestSnapshotSubset(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij, hyp); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +263,119 @@ func TestSnapshotCorruption(t *testing.T) {
 	for off := 8; off < len(data); off += 97 {
 		bad := append([]byte(nil), data...)
 		bad[off] ^= 0x20
-		if _, err := ReadProviderSet(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadProviderSet(bytes.NewReader(bad), int64(len(bad))); err == nil {
 			t.Fatalf("flip at %d loaded cleanly", off)
 		}
 	}
 	for _, n := range []int{0, 10, len(data) / 2, len(data) - 1} {
-		if _, err := ReadProviderSet(bytes.NewReader(data[:n])); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := ReadProviderSet(bytes.NewReader(data[:n]), int64(n)); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("truncation at %d: %v", n, err)
 		}
+	}
+}
+
+// resection rewrites a snapshot through the container writer, emitting
+// each section copies(kind) times and then the extra sections — a
+// well-framed, correctly indexed file whose section list is wrong.
+func resection(t *testing.T, data []byte, copies func(kind uint32) int, extra ...snapshot.Section) []byte {
+	t.Helper()
+	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := snapshot.NewWriter(&out, f.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(kind uint32, payload []byte) {
+		if err := w.Section(kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range f.Sections() {
+		payload, err := f.Section(e.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < copies(e.Kind); i++ {
+			emit(e.Kind, payload)
+		}
+	}
+	for _, x := range extra {
+		emit(x.Kind, x.Payload)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestSnapshotLoadRefusals pins what the one loader refuses, and when.
+// Anything wrong with the section list — a duplicate, an unknown or a
+// missing kind — and any other format version fail every open, lazy
+// included. A byte flipped inside a method section's payload fails an
+// eager load at load; a lazy open succeeds and the damaged method's first
+// query fails instead.
+func TestSnapshotLoadRefusals(t *testing.T) {
+	owner, dij, _, ldm, _ := snapshotWorld(t, 100, 140)
+	_, data := writeSnapshotFile(t, owner, dij, ldm)
+	once := func(uint32) int { return 1 }
+
+	v1 := bytes.Clone(data)
+	binary.BigEndian.PutUint32(v1[8:], 1)
+	if _, err := snapshot.NewReader(bytes.NewReader(v1)); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+		t.Errorf("sequential reader, version-1 header: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		data []byte
+		is   error
+		msg  string
+	}{
+		{"version-1 header", v1, snapshot.ErrCorrupt, "unsupported version"},
+		{"duplicate section", resection(t, data, func(k uint32) int {
+			if k == snapKindLDM {
+				return 2
+			}
+			return 1
+		}), ErrBadSnapshot, "duplicate section kind 7"},
+		{"unknown section", resection(t, data, once, snapshot.Section{Kind: 77, Payload: []byte("?")}),
+			ErrBadSnapshot, "unknown section kind 77"},
+		{"missing core section", resection(t, data, func(k uint32) int {
+			if k == snapKindOrdering {
+				return 0
+			}
+			return 1
+		}), ErrBadSnapshot, "missing core sections"},
+	} {
+		if _, err := ReadProviderSet(bytes.NewReader(c.data), int64(len(c.data))); !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s, eager: %v", c.name, err)
+		}
+		f, err := snapshot.NewFile(bytes.NewReader(c.data), int64(len(c.data)))
+		if err == nil {
+			_, err = lazySetFromFile(f)
+		}
+		if !errors.Is(err, c.is) || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s, lazy: %v", c.name, err)
+		}
+	}
+
+	path := corruptSection(t, data, snapKindLDM)
+	if _, err := OpenProviderSet(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("flipped LDM payload byte, eager: %v", err)
+	}
+	set, err := OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatalf("flipped LDM payload byte, lazy open: %v", err)
+	}
+	defer set.Close()
+	if _, err := set.Provider(DIJ).QueryProof(1, 50); err != nil {
+		t.Errorf("intact DIJ section beside the damaged one: %v", err)
+	}
+	if _, err := set.Provider(LDM).QueryProof(1, 50); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("flipped LDM payload byte, first query: %v", err)
 	}
 }
 
@@ -273,7 +386,7 @@ func TestRestoreOwner(t *testing.T) {
 	if _, err := owner.WriteSnapshot(&buf, dij); err != nil {
 		t.Fatal(err)
 	}
-	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,10 +110,6 @@ func decodeTupleBlock(buf []byte) ([]tupleRecord, int, error) {
 	return recs, off, nil
 }
 
-// sigVerifier is the historical package-local name for SigVerifier (the
-// registry exports it; the Verify* signatures predate it).
-type sigVerifier = SigVerifier
-
 // appendBytes writes a length-prefixed byte string.
 func appendBytes(buf, b []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))

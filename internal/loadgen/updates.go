@@ -1,3 +1,5 @@
+// Package loadgen builds the edge-update schedules a load driver posts to
+// /update; the repository benchmark's churn workload is its one caller.
 package loadgen
 
 import (
@@ -48,7 +50,7 @@ func PerturbBatches(g *graph.Graph, count, per int, seed int64) ([][]core.EdgeUp
 		edges = append(edges, edge{u: u, v: e.To, w: e.W})
 	}
 	// Lay out count perturb batches followed by their count restore
-	// batches; Run cycles the slice, so traffic perturbs every sampled
+	// batches; a driver cycles the slice, so traffic perturbs every sampled
 	// edge once, then restores every one, repeating.
 	perturb := make([][]core.EdgeUpdate, count)
 	restore := make([][]core.EdgeUpdate, count)

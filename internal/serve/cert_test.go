@@ -55,7 +55,7 @@ func TestCertificateMetamorphic(t *testing.T) {
 		if _, err := dep.Save(&buf); err != nil {
 			t.Fatalf("%s: save: %v", phase, err)
 		}
-		set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()))
+		set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", phase, err)
 		}
@@ -149,7 +149,7 @@ func TestLoadDeploymentAdoptsCertificate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dep2, err := LoadDeployment(bytes.NewReader(buf.Bytes()), signer, Options{})
+	dep2, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), signer, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestLoadDeploymentAdoptsCertificate(t *testing.T) {
 	if _, err := dep2.Save(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	set, err := core.ReadProviderSet(bytes.NewReader(buf2.Bytes()))
+	set, err := core.ReadProviderSet(bytes.NewReader(buf2.Bytes()), int64(buf2.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

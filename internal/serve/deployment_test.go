@@ -79,7 +79,7 @@ func TestLoadDeploymentMethodSubset(t *testing.T) {
 	if _, err := dep.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), signer, Options{})
+	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), signer, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLoadedDeploymentSavesAfterNoopBatch(t *testing.T) {
 	if _, err := dep.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), signer, Options{})
+	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), signer, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,8 @@ func (d *Deployment) save(w io.Writer) (bytes, epoch int64, err error) {
 }
 
 // LoadDeployment reconstructs an update-capable deployment from a
-// snapshot and the owner's persisted private key: providers are
+// snapshot (size bytes behind ra, loaded eagerly — every method gets
+// patched) and the owner's persisted private key: providers are
 // rehydrated without recomputing a hash, the owner resumes at the
 // snapshot's epoch, and subsequent ApplyUpdates batches continue the
 // sequence exactly as if the process had never restarted (pinned by
@@ -74,11 +75,11 @@ func (d *Deployment) save(w io.Writer) (bytes, epoch int64, err error) {
 // match the snapshot's embedded verifier — a mismatched key is rejected
 // up front, because roots it re-signed would be garbage to every client
 // that bootstrapped from the original owner.
-func LoadDeployment(r io.Reader, signer *sig.Signer, opts Options) (*Deployment, error) {
+func LoadDeployment(ra io.ReaderAt, size int64, signer *sig.Signer, opts Options) (*Deployment, error) {
 	if signer == nil {
 		return nil, errors.New("serve: load deployment needs the owner key (use EngineFromSet for key-less replicas)")
 	}
-	set, err := core.ReadProviderSet(r)
+	set, err := core.ReadProviderSet(ra, size)
 	if err != nil {
 		return nil, err
 	}

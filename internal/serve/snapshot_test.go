@@ -91,7 +91,7 @@ func TestDeploymentSnapshotEpochContinuity(t *testing.T) {
 		t.Fatalf("Save reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), signer, Options{})
+	loaded, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), signer, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestLoadDeploymentRejectsWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes()), wrong, Options{}); err == nil ||
+	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), wrong, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("wrong key: %v", err)
 	}
-	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes()), nil, Options{}); err == nil {
+	if _, err := LoadDeployment(bytes.NewReader(buf.Bytes()), int64(buf.Len()), nil, Options{}); err == nil {
 		t.Fatal("nil signer accepted")
 	}
 }
@@ -157,7 +157,7 @@ func TestEngineFromSet(t *testing.T) {
 	if _, err := dep.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()))
+	set, err := core.ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -89,8 +90,19 @@ func raceUpdates(t *testing.T, budget time.Duration) {
 		}(int64(w + 1))
 	}
 
+	// One save races the updates and the queries (what the retired load
+	// harness did over HTTP): it must cut between two batches, never inside
+	// one, so the file loads and serves proofs that verify.
+	var snap bytes.Buffer
+	saved := make(chan error, 1)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < batches; i++ {
+		if i == batches/2 {
+			go func() {
+				_, err := dep.Save(&snap)
+				saved <- err
+			}()
+		}
 		ups := make([]core.EdgeUpdate, 0, 2)
 		for len(ups) < 2 {
 			u := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -108,6 +120,23 @@ func raceUpdates(t *testing.T, budget time.Duration) {
 	stop.Store(true)
 	wg.Wait()
 	close(errCh)
+	if err := <-saved; err != nil {
+		t.Fatalf("save racing updates: %v", err)
+	}
+	set, err := core.ReadProviderSet(bytes.NewReader(snap.Bytes()), int64(snap.Len()))
+	if err != nil {
+		t.Fatalf("snapshot saved mid-updates does not load: %v", err)
+	}
+	if set.Epoch < batches/2 || set.Epoch > batches {
+		t.Errorf("saved epoch %d, want one of the cuts in [%d, %d]", set.Epoch, batches/2, batches)
+	}
+	replica := EngineFromSet(set, Options{})
+	for _, m := range methods {
+		a, err := replica.Query(Query{Method: m, VS: qs[0].S, VT: qs[0].T})
+		if err != nil || verifyWire(verifier, a) != nil {
+			t.Errorf("%s proof from the mid-update snapshot: %v", m, err)
+		}
+	}
 	for err := range errCh {
 		t.Errorf("racing query failed verification: %v", err)
 	}

@@ -24,7 +24,6 @@ type File struct {
 	size    int64
 	closer  io.Closer
 	epoch   int64
-	version uint32
 	indexed bool
 	table   []SectionInfo
 }
@@ -52,9 +51,9 @@ func Open(path string) (*File, error) {
 }
 
 // NewFile opens a snapshot over any positioned reader of the given size.
-// A v2 file's index is loaded and validated; a v1 file, or a v2 file
-// whose index is corrupt or unreachable, falls back to a sequential frame
-// walk that reads only section heads (never payloads).
+// The index is loaded and validated; a file whose index is corrupt or
+// unreachable falls back to a sequential frame walk that reads only
+// section heads (never payloads).
 func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 	f := &File{ra: ra, size: size}
 	var head [headerSize]byte
@@ -64,16 +63,13 @@ func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 	if string(head[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:8])
 	}
-	f.version = binary.BigEndian.Uint32(head[8:])
-	if f.version != Version && f.version != versionV1 {
-		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d and %d)", ErrCorrupt, f.version, versionV1, Version)
+	if err := checkVersion(binary.BigEndian.Uint32(head[8:])); err != nil {
+		return nil, err
 	}
 	f.epoch = int64(binary.BigEndian.Uint64(head[16:]))
-	if f.version == Version {
-		if table, err := f.loadIndex(); err == nil {
-			f.table, f.indexed = table, true
-			return f, nil
-		}
+	if table, err := f.loadIndex(); err == nil {
+		f.table, f.indexed = table, true
+		return f, nil
 	}
 	table, err := f.walk()
 	if err != nil {
@@ -95,12 +91,8 @@ func (f *File) Close() error {
 // Epoch returns the deployment epoch recorded in the header.
 func (f *File) Epoch() int64 { return f.epoch }
 
-// Version returns the file's format version (1 or 2).
-func (f *File) Version() uint32 { return f.version }
-
 // Indexed reports whether the section table came from a valid trailing
-// index (false for v1 files and for v2 files opened via the fallback
-// walk).
+// index (false when the file was opened via the fallback walk).
 func (f *File) Indexed() bool { return f.indexed }
 
 // Size returns the file size in bytes.
@@ -171,7 +163,7 @@ func (f *File) pread(p []byte, off int64) error {
 	return err
 }
 
-// loadIndex resolves the trailing index of a v2 file: end marker → index
+// loadIndex resolves the trailing index: end marker → index
 // offset → index section, each CRC-checked, every entry bounds-checked
 // against the real file size so a lying index cannot cause reads or
 // allocations beyond the file.
@@ -229,7 +221,7 @@ func (f *File) loadIndex() ([]SectionInfo, error) {
 }
 
 // walk builds the section table sequentially from section heads alone —
-// the open path for v1 files and the fallback for a corrupt v2 index. It
+// the fallback for a corrupt index. It
 // validates framing and the end marker but reads no payload; payload CRCs
 // are taken from the file and verified on first Section read.
 func (f *File) walk() ([]SectionInfo, error) {
@@ -244,7 +236,7 @@ func (f *File) walk() ([]SectionInfo, error) {
 		kind := binary.BigEndian.Uint32(head[:])
 		length := binary.BigEndian.Uint64(head[4:])
 		if kind == EndKind {
-			if err := f.walkEnd(head, length, off); err != nil {
+			if err := f.walkEnd(head, off); err != nil {
 				return nil, err
 			}
 			if length != payloads {
@@ -270,18 +262,8 @@ func (f *File) walk() ([]SectionInfo, error) {
 	}
 }
 
-// walkEnd validates the version-appropriate end marker during a walk.
-func (f *File) walkEnd(head [sectionHeadSize]byte, count uint64, off int64) error {
-	if f.version == versionV1 {
-		var tail [4]byte
-		if err := f.pread(tail[:], off+sectionHeadSize); err != nil {
-			return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != crc32.ChecksumIEEE(head[:12]) {
-			return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-		}
-		return nil
-	}
+// walkEnd validates the end marker during a walk.
+func (f *File) walkEnd(head [sectionHeadSize]byte, off int64) error {
 	var tail [12]byte
 	if err := f.pread(tail[:], off+sectionHeadSize); err != nil {
 		return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)

@@ -4,37 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"sync"
 	"testing"
 )
 
-// buildV1 hand-writes a version-1 snapshot (no index, 16-byte end marker)
-// — the compatibility fixture current writers can no longer produce.
-func buildV1(epoch int64, sections ...Section) []byte {
-	var buf bytes.Buffer
-	head := make([]byte, headerSize)
-	copy(head, magic)
-	binary.BigEndian.PutUint32(head[8:], versionV1)
-	binary.BigEndian.PutUint64(head[16:], uint64(epoch))
-	buf.Write(head)
-	for _, s := range sections {
-		var sh [sectionHeadSize]byte
-		binary.BigEndian.PutUint32(sh[:], s.Kind)
-		binary.BigEndian.PutUint64(sh[4:], uint64(len(s.Payload)))
-		buf.Write(sh[:])
-		buf.Write(s.Payload)
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], sectionCRC(sh, s.Payload))
-		buf.Write(tail[:])
-	}
-	var end [endSizeV1]byte
-	binary.BigEndian.PutUint32(end[:], EndKind)
-	binary.BigEndian.PutUint64(end[4:], uint64(len(sections)))
-	binary.BigEndian.PutUint32(end[12:], crc32.ChecksumIEEE(end[:12]))
-	buf.Write(end[:])
-	return buf.Bytes()
+// withVersion returns a copy of a snapshot with its header's version field
+// rewritten — how the tests and fuzz seeds make a file from another
+// format generation (version 1 was the pre-index format).
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(out[8:], v)
+	return out
 }
 
 var fileSections = []Section{
@@ -78,8 +59,8 @@ func TestFileIndexedOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Indexed() || f.Version() != Version {
-		t.Fatalf("indexed=%v version=%d", f.Indexed(), f.Version())
+	if !f.Indexed() {
+		t.Fatal("valid index not used")
 	}
 	if f.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d", f.Size())
@@ -87,40 +68,7 @@ func TestFileIndexedOpen(t *testing.T) {
 	checkFileReads(t, f)
 }
 
-func TestFileV1FallbackWalk(t *testing.T) {
-	data := buildV1(9, fileSections...)
-	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Indexed() || f.Version() != versionV1 {
-		t.Fatalf("indexed=%v version=%d", f.Indexed(), f.Version())
-	}
-	checkFileReads(t, f)
-
-	// The sequential reader keeps speaking v1 too.
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		s, err := r.Next()
-		if err == io.EOF {
-			if i != len(fileSections) {
-				t.Fatalf("read %d sections", i)
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Kind != fileSections[i].Kind {
-			t.Fatalf("section %d kind %d", i, s.Kind)
-		}
-	}
-}
-
-// indexPayloadRange locates the index section's byte range in a v2 file.
+// indexPayloadRange locates the index section's byte range.
 func indexPayloadRange(t *testing.T, data []byte) (start, end int) {
 	t.Helper()
 	indexOff := int(binary.BigEndian.Uint64(data[len(data)-endSize+12:]))
@@ -306,17 +254,5 @@ func TestScanReportsVersionAndIndex(t *testing.T) {
 	}
 	if info.Sections[0].Offset != headerSize {
 		t.Fatalf("offset = %d", info.Sections[0].Offset)
-	}
-
-	v1 := buildV1(3, Section{Kind: 1, Payload: []byte("x")})
-	info, err = Scan(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != versionV1 || info.Indexed {
-		t.Fatalf("v1: version=%d indexed=%v", info.Version, info.Indexed)
-	}
-	if info.Bytes != int64(len(v1)) {
-		t.Fatalf("v1 Bytes = %d, file is %d", info.Bytes, len(v1))
 	}
 }

@@ -24,7 +24,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add(valid[:headerSize+3])
-	f.Add(buildV1(3, Section{Kind: 1, Payload: []byte("config-payload")}))
+	f.Add(withVersion(valid, 1))
 	f.Add([]byte("SPVSNAP1"))
 	f.Add([]byte{})
 
@@ -60,7 +60,7 @@ func FuzzScan(f *testing.F) {
 	_ = w.Section(4, []byte{1, 2, 3})
 	_ = w.Close()
 	f.Add(buf.Bytes())
-	f.Add(buildV1(0, Section{Kind: 4, Payload: []byte{1, 2, 3}}))
+	f.Add(withVersion(buf.Bytes(), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, err := Scan(bytes.NewReader(data))
@@ -76,8 +76,9 @@ func FuzzScan(f *testing.F) {
 // FuzzFile drives the random-access path: arbitrary bytes must open via
 // the index or the fallback walk (or error) — never panic — and every
 // section read must be backed by real file bytes, so a lying index or
-// length field cannot over-allocate. Seeds include a valid v2 file, its
-// index-corrupted mutant (exercising the fallback walk), and a v1 file.
+// length field cannot over-allocate. Seeds include a valid file, its
+// index-corrupted mutant (exercising the fallback walk), and one with a
+// version-1 header (refused at the version gate).
 func FuzzFile(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 11)
@@ -92,7 +93,7 @@ func FuzzFile(f *testing.F) {
 	mutant := append([]byte(nil), valid...)
 	mutant[len(mutant)-30] ^= 0xFF // lands in the index or end marker
 	f.Add(mutant)
-	f.Add(buildV1(11, Section{Kind: 1, Payload: []byte("config")}))
+	f.Add(withVersion(valid, 1))
 	f.Add(valid[:headerSize+5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {

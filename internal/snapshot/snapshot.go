@@ -8,7 +8,7 @@
 //
 // # File layout
 //
-// All integers are big-endian. A version-2 snapshot is
+// All integers are big-endian. A snapshot is
 //
 //	header | section* | index | end marker
 //
@@ -31,10 +31,9 @@
 // reserved for the end marker and kind 0xFFFFFFFF for the index; payload
 // semantics for other kinds belong to the producing layer.
 //
-// Version-1 files (no index; 16-byte end marker without indexOff) remain
-// fully readable: the sequential Reader speaks both versions, and File
-// falls back to a frame walk — reading only section heads, never payloads
-// — when a file is v1 or its index is corrupt.
+// The sequential Reader checks the index against the sections it has read;
+// File opens through the index and falls back to a frame walk — reading
+// only section heads, never payloads — when the index is corrupt.
 //
 // # Version and compatibility rules
 //
@@ -67,14 +66,9 @@ import (
 	"slices"
 )
 
-// Version is the current snapshot format version. Writers emit it;
-// readers additionally accept version 1 (the pre-index format, identical
-// except for the trailing index and the shorter end marker).
+// Version is the snapshot format version writers emit and the only one
+// readers accept.
 const Version = 2
-
-// versionV1 is the legacy, index-less format both Reader and File still
-// accept.
-const versionV1 = 1
 
 // magic identifies snapshot files; the trailing "1" is a human-visible
 // format generation, distinct from the finer-grained version field.
@@ -109,12 +103,8 @@ const sectionHeadSize = 4 + 8
 // kind u32 | offset u64 | length u64 | crc u32.
 const indexEntrySize = 4 + 8 + 8 + 4
 
-// endSizeV1 and endSize are the full end-marker sizes (head + tail) of
-// the two accepted versions: v1 has no indexOff field.
-const (
-	endSizeV1 = sectionHeadSize + 4
-	endSize   = sectionHeadSize + 8 + 4
-)
+// endSize is the full end-marker size (head + indexOff + crc).
+const endSize = sectionHeadSize + 8 + 4
 
 // readChunk is the least a sequential reader allocates ahead of verified
 // bytes: payloads grow as data actually arrives (see readBounded), so a
@@ -371,13 +361,11 @@ type Section struct {
 }
 
 // Reader streams sections back from an io.Reader, verifying every CRC and
-// the end marker's section count. It speaks both format versions; a v2
-// file's index is validated and consumed internally, never surfaced as a
-// section. Not safe for concurrent use.
+// the end marker's section count. The index is validated and consumed
+// internally, never surfaced as a section. Not safe for concurrent use.
 type Reader struct {
 	r        io.Reader
 	epoch    int64
-	version  uint32
 	sections uint64
 	off      int64
 	indexOff int64 // offset of the index section, 0 until seen
@@ -395,18 +383,22 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(buf[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[:8])
 	}
-	v := binary.BigEndian.Uint32(buf[8:])
-	if v != Version && v != versionV1 {
-		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d and %d)", ErrCorrupt, v, versionV1, Version)
+	if err := checkVersion(binary.BigEndian.Uint32(buf[8:])); err != nil {
+		return nil, err
 	}
-	return &Reader{r: r, epoch: int64(binary.BigEndian.Uint64(buf[16:])), version: v, off: headerSize}, nil
+	return &Reader{r: r, epoch: int64(binary.BigEndian.Uint64(buf[16:])), off: headerSize}, nil
+}
+
+// checkVersion is the one version gate Reader and File share.
+func checkVersion(v uint32) error {
+	if v != Version {
+		return fmt.Errorf("%w: unsupported version %d (reader speaks %d)", ErrCorrupt, v, Version)
+	}
+	return nil
 }
 
 // Epoch returns the deployment epoch recorded in the header.
 func (sr *Reader) Epoch() int64 { return sr.epoch }
-
-// Version returns the file's format version (1 or 2).
-func (sr *Reader) Version() uint32 { return sr.version }
 
 // Indexed reports whether a valid index section has been consumed. Only
 // meaningful once Next has returned io.EOF.
@@ -468,12 +460,9 @@ func (sr *Reader) Next() (*Section, error) {
 }
 
 // checkIndex validates an index section encountered mid-stream: well-
-// formed, one per file, v2 only, and counting exactly the sections read
-// so far (the index is written last, so a stray early index is corrupt).
+// formed, one per file, and counting exactly the sections read so far (the
+// index is written last, so a stray early index is corrupt).
 func (sr *Reader) checkIndex(payload []byte, offset int64) error {
-	if sr.version == versionV1 {
-		return fmt.Errorf("%w: index section in a version-1 file", ErrCorrupt)
-	}
 	if sr.indexed {
 		return fmt.Errorf("%w: duplicate index section", ErrCorrupt)
 	}
@@ -489,22 +478,9 @@ func (sr *Reader) checkIndex(payload []byte, offset int64) error {
 	return nil
 }
 
-// endMarker consumes and validates the version-appropriate end marker
-// tail; head holds the already-read kind+count prefix.
+// endMarker consumes and validates the end marker's tail; head holds the
+// already-read kind+count prefix.
 func (sr *Reader) endMarker(head [sectionHeadSize]byte, count uint64) error {
-	if sr.version == versionV1 {
-		var tail [4]byte
-		if err := sr.read(tail[:]); err != nil {
-			return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != crc32.ChecksumIEEE(head[:12]) {
-			return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-		}
-		if count != sr.sections {
-			return fmt.Errorf("%w: end marker counts %d sections, read %d", ErrCorrupt, count, sr.sections)
-		}
-		return io.EOF
-	}
 	var tail [12]byte
 	if err := sr.read(tail[:]); err != nil {
 		return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
@@ -519,7 +495,7 @@ func (sr *Reader) endMarker(head [sectionHeadSize]byte, count uint64) error {
 	}
 	indexOff := int64(binary.BigEndian.Uint64(tail[:8]))
 	if !sr.indexed {
-		return fmt.Errorf("%w: version-2 file has no index section", ErrCorrupt)
+		return fmt.Errorf("%w: no index section", ErrCorrupt)
 	}
 	if indexOff != sr.indexOff {
 		return fmt.Errorf("%w: end marker points index at %d, found at %d", ErrCorrupt, indexOff, sr.indexOff)
@@ -603,7 +579,7 @@ func Scan(r io.Reader) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &Info{Epoch: sr.epoch, Version: sr.version}
+	info := &Info{Epoch: sr.epoch, Version: Version}
 	for {
 		s, err := sr.Next()
 		if err == io.EOF {

@@ -101,10 +101,16 @@ func TestBadMagicAndVersion(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	bad = append([]byte(nil), data...)
-	binary.BigEndian.PutUint32(bad[8:], Version+1)
-	if _, err := NewReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future version: %v", err)
+	// Version 2 is the only dialect: the pre-index version 1 is refused
+	// like a future one, by the sequential and the random-access reader.
+	for _, v := range []uint32{1, Version + 1} {
+		bad = withVersion(data, v)
+		if _, err := NewReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("NewReader, version %d: %v", v, err)
+		}
+		if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("NewFile, version %d: %v", v, err)
+		}
 	}
 }
 

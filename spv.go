@@ -18,8 +18,8 @@
 //	            data structures (ADS) and hints, signs their roots.
 //	Provider  — answers Query(vs, vt) with a path and a proof assembled
 //	            from the ADS.
-//	Client    — calls Verify* with the owner's public key; a nil error
-//	            means the path is authentic AND optimal.
+//	Client    — calls VerifyProof with the owner's public key; a nil
+//	            error means the path is authentic AND optimal.
 //
 // # The four methods
 //
@@ -36,9 +36,9 @@
 //
 //	g, _ := spv.GenerateNetwork(spv.DE, spv.NetworkConfig{Scale: 0.05})
 //	owner, _ := spv.NewOwner(g, spv.DefaultConfig())
-//	provider, _ := owner.OutsourceLDM()
-//	proof, _ := provider.Query(vs, vt)
-//	err := spv.VerifyLDM(owner.Verifier(), vs, vt, proof) // nil ⇒ verified
+//	provider, _ := owner.Outsource(spv.LDM)
+//	proof, _ := provider.QueryProof(vs, vt)
+//	err := spv.VerifyProof(owner.Verifier(), spv.LDM, vs, vt, proof) // nil ⇒ verified
 //
 // # Snapshots and replication
 //
@@ -130,8 +130,8 @@ type Proof = core.Proof
 // registry, returning the proof and the bytes consumed. The proof aliases
 // buf — tuple bytes, Merkle digests and signatures are slices of it, not
 // copies — so buf must stay unmodified for as long as the proof is in use
-// (the typed Decode<Method>Proof functions and DecodeProofBatch likewise).
-// The typed functions remain for callers that need concrete proof structs.
+// (DecodeProofBatch likewise). Callers that need a concrete proof struct
+// type-assert the result (*DIJProof, *FULLProof, *LDMProof, *HYPProof).
 func DecodeProof(m Method, buf []byte) (Proof, int, error) {
 	return core.DecodeProof(m, buf)
 }
@@ -210,11 +210,12 @@ func ParseSignerPEM(data []byte) (*Signer, error) { return sig.ParseSignerPEM(da
 // Verifier.MarshalPEM.
 func ParseVerifierPEM(data []byte) (*Verifier, error) { return sig.ParseVerifierPEM(data) }
 
-// Provider/proof pairs, one per method. Every provider is immutable once
-// outsourced (or loaded from a snapshot): Query is safe for unbounded
-// concurrent use with no locking, and a given (vs, vt) always yields one
-// byte-identical proof encoding. Proof values returned by Query are owned
-// by the caller.
+// Provider/proof pairs, one per method — the concrete types behind
+// Provider and Proof, for callers that type-assert. Every provider is
+// immutable once outsourced (or loaded from a snapshot): Query is safe for
+// unbounded concurrent use with no locking, and a given (vs, vt) always
+// yields one byte-identical proof encoding. Proof values returned by Query
+// are owned by the caller.
 type (
 	// DIJProvider answers queries under Dijkstra subgraph verification.
 	DIJProvider = core.DIJProvider
@@ -237,44 +238,6 @@ type (
 // ProofStats is the communication breakdown of a proof (ΓS vs ΓT bytes and
 // item counts), matching the paper's reporting.
 type ProofStats = core.ProofStats
-
-// Client-side verification. A nil error means the reported path is
-// authentic and optimal; all rejections wrap ErrRejected.
-func VerifyDIJ(v *Verifier, vs, vt NodeID, p *DIJProof) error {
-	return core.VerifyDIJ(v, vs, vt, p)
-}
-
-// VerifyFULL verifies a FULL proof.
-func VerifyFULL(v *Verifier, vs, vt NodeID, p *FULLProof) error {
-	return core.VerifyFULL(v, vs, vt, p)
-}
-
-// VerifyLDM verifies an LDM proof.
-func VerifyLDM(v *Verifier, vs, vt NodeID, p *LDMProof) error {
-	return core.VerifyLDM(v, vs, vt, p)
-}
-
-// VerifyHYP verifies a HYP proof.
-func VerifyHYP(v *Verifier, vs, vt NodeID, p *HYPProof) error {
-	return core.VerifyHYP(v, vs, vt, p)
-}
-
-// Proof wire formats: every proof type serializes with AppendBinary and
-// parses back with the matching Decode function, returning the proof and
-// the number of bytes consumed. Reported proof sizes are exact sizes of
-// these encodings.
-
-// DecodeDIJProof parses a serialized DIJ proof.
-func DecodeDIJProof(buf []byte) (*DIJProof, int, error) { return core.DecodeDIJProof(buf) }
-
-// DecodeFULLProof parses a serialized FULL proof.
-func DecodeFULLProof(buf []byte) (*FULLProof, int, error) { return core.DecodeFULLProof(buf) }
-
-// DecodeLDMProof parses a serialized LDM proof.
-func DecodeLDMProof(buf []byte) (*LDMProof, int, error) { return core.DecodeLDMProof(buf) }
-
-// DecodeHYPProof parses a serialized HYP proof.
-func DecodeHYPProof(buf []byte) (*HYPProof, int, error) { return core.DecodeHYPProof(buf) }
 
 // Verification failure classes (all wrap ErrRejected).
 var (
@@ -593,7 +556,11 @@ func LoadDeployment(path string, signer *Signer, opts ServeOptions) (*Deployment
 		return nil, err
 	}
 	defer f.Close()
-	return serve.LoadDeployment(f, signer, opts)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return serve.LoadDeployment(f, st.Size(), signer, opts)
 }
 
 // Snapshot certificates: the owner signs one compact certificate over a

@@ -27,61 +27,33 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	pub := owner.Verifier()
 
-	dij, err := owner.OutsourceDIJ()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := owner.OutsourceFULL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldm, err := owner.OutsourceLDM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, err := owner.OutsourceHYP()
-	if err != nil {
-		t.Fatal(err)
+	provs := map[spv.Method]spv.Provider{}
+	for _, m := range spv.Methods() {
+		if provs[m], err = owner.Outsource(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, q := range queries {
 		oracle, _ := spv.ShortestPath(g, q.S, q.T)
-
-		dp, err := dij.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := spv.VerifyDIJ(pub, q.S, q.T, dp); err != nil {
-			t.Errorf("DIJ: %v", err)
-		}
-		fp, err := full.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := spv.VerifyFULL(pub, q.S, q.T, fp); err != nil {
-			t.Errorf("FULL: %v", err)
-		}
-		lp, err := ldm.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := spv.VerifyLDM(pub, q.S, q.T, lp); err != nil {
-			t.Errorf("LDM: %v", err)
-		}
-		hp, err := hyp.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := spv.VerifyHYP(pub, q.S, q.T, hp); err != nil {
-			t.Errorf("HYP: %v", err)
-		}
-		if dp.Dist != oracle {
-			t.Errorf("reported distance %v, oracle %v", dp.Dist, oracle)
+		for _, m := range spv.Methods() {
+			pr, err := provs[m].QueryProof(q.S, q.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spv.VerifyProof(pub, m, q.S, q.T, pr); err != nil {
+				t.Errorf("%s: %v", m, err)
+			}
+			if _, dist := pr.Result(); dist != oracle {
+				t.Errorf("%s reported distance %v, oracle %v", m, dist, oracle)
+			}
 		}
 
-		// Tampering is detected through the facade too.
-		dp.Dist *= 1.5
-		if err := spv.VerifyDIJ(pub, q.S, q.T, dp); !errors.Is(err, spv.ErrRejected) {
+		// Tampering is detected through the facade too; the typed proof
+		// aliases are what a caller asserts to reach a proof's fields.
+		pr, _ := provs[spv.DIJ].QueryProof(q.S, q.T)
+		pr.(*spv.DIJProof).Dist *= 1.5
+		if err := spv.VerifyProof(pub, spv.DIJ, q.S, q.T, pr); !errors.Is(err, spv.ErrRejected) {
 			t.Error("tampered proof accepted via facade")
 		}
 	}
