@@ -180,8 +180,7 @@ func parsePairs(s string) ([][2]spv.NodeID, error) {
 }
 
 // proveBatch answers many queries of one method and writes them as a single
-// shared-encoding batch file: root signatures and overlapping tuple records
-// are stored once across the batch.
+// batch file: the proofs framed together, a repeated pair stored once.
 func proveBatch(args []string) error {
 	fs := flag.NewFlagSet("prove-batch", flag.ExitOnError)
 	netPath := fs.String("network", "", "network file (SPVG)")
@@ -241,13 +240,12 @@ func proveBatch(args []string) error {
 	if err := os.WriteFile(*out, wire, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s: %d proofs, %.1f KB shared (%.1f KB standalone, %.1f%% saved)\n",
-		*out, len(items), float64(len(wire))/1024, float64(standalone)/1024,
-		100*(1-float64(len(wire))/float64(standalone)))
+	fmt.Fprintf(os.Stderr, "wrote %s: %d proofs, %.1f KB batch (%.1f KB standalone)\n",
+		*out, len(items), float64(len(wire))/1024, float64(standalone)/1024)
 	return nil
 }
 
-// verifyBatch client-verifies a shared-encoding batch file: the method and
+// verifyBatch client-verifies a batch file: the method and
 // endpoint pairs travel inside the batch, so only the public key is needed.
 func verifyBatch(args []string) error {
 	fs := flag.NewFlagSet("verify-batch", flag.ExitOnError)

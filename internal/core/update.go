@@ -51,6 +51,11 @@ type UpdateBatch struct {
 	newView *graph.CSR
 	epoch   int64
 
+	// What Rollback restores: the frozen view before the batch, and each
+	// changed edge with its old weight, in application order.
+	oldView *graph.CSR
+	undo    []EdgeUpdate
+
 	dirty    []graph.NodeID // endpoints of actually-changed edges, deduped
 	affected []bool         // affected[s] ⇒ distances from s may have changed
 	srcs     int            // count of affected sources
@@ -303,7 +308,7 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 		}
 	}
 	n := o.g.NumNodes()
-	b := &UpdateBatch{owner: o, affected: make([]bool, n)}
+	b := &UpdateBatch{owner: o, affected: make([]bool, n), oldView: o.frozenView()}
 	seen := make(map[graph.NodeID]bool, 2*len(ups))
 	var du, dv []float64
 	changed := 0
@@ -340,6 +345,7 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 		if _, err := o.g.SetEdgeWeight(up.U, up.V, up.W); err != nil {
 			return nil, err
 		}
+		b.undo = append(b.undo, EdgeUpdate{U: up.U, V: up.V, W: oldW})
 		for _, v := range [2]graph.NodeID{up.U, up.V} {
 			if !seen[v] {
 				seen[v] = true
@@ -355,7 +361,7 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 	if changed == 0 {
 		// All no-ops: nothing to re-freeze, no new epoch — callers see an
 		// empty batch whose patches return their providers untouched.
-		b.newView = o.frozenView()
+		b.newView = b.oldView
 		b.epoch = o.Epoch()
 		return b, nil
 	}
@@ -366,6 +372,25 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 	b.epoch = o.epoch
 	o.mu.Unlock()
 	return b, nil
+}
+
+// Rollback returns the owner to where it stood before this batch — edge
+// weights, frozen view, epoch — for a caller whose provider patches failed
+// and who therefore swaps nothing. Only the owner's latest batch may be
+// rolled back, and only once; providers patched from it are to be dropped.
+func (b *UpdateBatch) Rollback() {
+	if len(b.undo) == 0 {
+		return // a no-op batch moved nothing
+	}
+	o := b.owner
+	for i := len(b.undo) - 1; i >= 0; i-- {
+		// Cannot fail: the edge exists and W was its weight a moment ago.
+		_, _ = o.g.SetEdgeWeight(b.undo[i].U, b.undo[i].V, b.undo[i].W)
+	}
+	b.undo = nil
+	o.mu.Lock()
+	o.frozen, o.epoch = b.oldView, b.epoch-1
+	o.mu.Unlock()
 }
 
 // markAffected ORs in the relaxation test: source s is possibly affected

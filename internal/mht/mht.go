@@ -313,8 +313,8 @@ type Entry struct {
 
 // Proof is the integrity proof ΓT for a set of leaves: the minimal set of
 // subtree digests that, combined with the proven leaves, reconstructs the
-// root. NumLeaves and Fanout describe the tree shape the verifier must
-// assume; lying about either simply yields a root mismatch.
+// root. NumLeaves and Fanout are unsigned shape hints: a lie that moves a
+// touched group yields a root mismatch, any other folds to the same root.
 type Proof struct {
 	Alg       digest.Alg
 	Fanout    uint16

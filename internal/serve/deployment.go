@@ -154,15 +154,21 @@ type UpdateSummary struct {
 
 // ApplyUpdates applies a batch of edge re-weightings end to end: mutate
 // the owner's network, patch every registered provider incrementally (in
-// the registry's canonical order), and hot-swap the engine. On success
-// every served proof reflects the updated network. On failure the engine
-// keeps serving whatever mix of old and already-swapped providers it
-// holds — each proof remains self-consistent (it verifies under the root
-// it carries) — and the caller should fall back to a full re-outsource.
+// the registry's canonical order), and hot-swap the engine. It is all or
+// nothing. Patching is copy-on-write, so every method is patched before any
+// is swapped: on success every served proof reflects the updated network,
+// and on any error nothing was swapped and the owner is rolled back — graph,
+// providers, cache, certificate and epoch are exactly as they were.
 func (d *Deployment) ApplyUpdates(ups []core.EdgeUpdate) (UpdateSummary, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	start := time.Now()
+	methods := d.methodsLocked()
+	for _, m := range methods {
+		if _, ok := d.engine.run[m]; !ok {
+			return UpdateSummary{}, fmt.Errorf("serve: engine has no slot to swap: %w %q", ErrUnknownMethod, m)
+		}
+	}
 	batch, err := d.owner.ApplyUpdates(ups)
 	if err != nil {
 		return UpdateSummary{}, err
@@ -174,18 +180,22 @@ func (d *Deployment) ApplyUpdates(ups []core.EdgeUpdate) (UpdateSummary, error) 
 		sum.Duration = time.Since(start)
 		return sum, nil
 	}
-	for _, m := range d.methodsLocked() {
-		p, st, err := batch.Patch(d.provs[m])
-		if err != nil {
-			return sum, fmt.Errorf("serve: patch %s: %w", m, err)
+	patched := make([]core.Provider, len(methods))
+	stats := make([]*core.PatchStats, len(methods))
+	for i, m := range methods {
+		if patched[i], stats[i], err = batch.Patch(d.provs[m]); err != nil {
+			batch.Rollback()
+			return UpdateSummary{}, fmt.Errorf("serve: patch %s: %w", m, err)
 		}
-		d.provs[m] = p
-		if err := d.engine.Swap(p, st); err != nil {
-			return sum, err
+	}
+	for i, m := range methods {
+		d.provs[m] = patched[i]
+		if err := d.engine.Swap(patched[i], stats[i]); err != nil {
+			return sum, err // unreachable: every slot was checked above
 		}
-		sum.RowsRecomputed += st.RowsRecomputed
-		sum.LeavesPatched += st.LeavesPatched
-		sum.DistLeavesPatched += st.DistLeavesPatched
+		sum.RowsRecomputed += stats[i].RowsRecomputed
+		sum.LeavesPatched += stats[i].LeavesPatched
+		sum.DistLeavesPatched += stats[i].DistLeavesPatched
 	}
 	if d.cert != nil {
 		// A certificate binds one epoch's labellings and roots; the

@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"github.com/authhints/spv/internal/core"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/snapshot"
+	"github.com/authhints/spv/internal/sp"
+	"github.com/authhints/spv/internal/workload"
 )
 
 // TestMethodsCanonicalOrder pins Engine.Methods' ordering contract:
@@ -45,11 +50,158 @@ func TestSwapUnregisteredMethod(t *testing.T) {
 	}
 }
 
+// TestSwapWithoutStatsDropsCache pins the fallback ApplyUpdates' contract
+// names: a provider re-outsourced after an owner-side re-weighting and
+// swapped in without patch stats must not leave the old provider's proofs
+// cached — they are authentic under their old root, and no longer optimal.
+func TestSwapWithoutStatsDropsCache(t *testing.T) {
+	dep, _, g := snapWorld(t, 41)
+	e := dep.Engine()
+	qs, err := workload.Generate(g, 1, 2000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Method: core.DIJ, VS: qs[0].S, VT: qs[0].T}
+	old, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := e.Query(q); !again.Cached {
+		t.Fatal("warmed key is not served from the cache")
+	}
+	pr, _, err := core.DecodeProof(core.DIJ, old.Proof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := pr.Result()
+	w, _ := g.EdgeWeight(path[0], path[1])
+	if _, err := dep.Owner().UpdateEdgeWeight(path[0], path[1], w*1.01); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := dep.Owner().Outsource(core.DIJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats().CacheInvalidated
+	if err := e.Swap(fresh, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().CacheInvalidated - before; got < 1 {
+		t.Errorf("swap without stats counted %d invalidated entries, want every DIJ entry", got)
+	}
+	a, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := sp.DijkstraTo(g, q.VS, q.VT)
+	if a.Cached || a.Dist != want || a.Dist == old.Dist {
+		t.Fatalf("after Swap(p, nil): cached=%v dist=%v, want a fresh proof of %v (was %v)", a.Cached, a.Dist, want, old.Dist)
+	}
+	verifyAnswer(t, dep.Owner().Verifier(), a)
+}
+
+// TestApplyUpdatesAtomic plants a provider whose patch fails behind two
+// that patch fine — a lazily opened shell over a HYP section with a flipped
+// byte, which fails to hydrate — and requires the failed batch to leave no
+// trace: same proofs from the cache, same owner weights, epoch and frozen
+// view, same certificate; then the same batch applies cleanly.
+func TestApplyUpdatesAtomic(t *testing.T) {
+	dep, _, g := snapWorld(t, 43)
+	methods := dep.Methods()
+	var buf bytes.Buffer
+	if _, err := dep.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hypImpl, _ := core.LookupMethod(core.HYP)
+	for _, sec := range f.Sections() {
+		if sec.Kind == hypImpl.SnapshotKind() {
+			data[sec.Offset+12] ^= 0x01 // first payload byte, past the 12-byte head
+		}
+	}
+	path := filepath.Join(t.TempDir(), "flipped.spv")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	set, err := core.OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if _, err := dep.Certify(); err != nil {
+		t.Fatal(err)
+	}
+	healthy := dep.provs[core.HYP]
+	dep.provs[core.HYP] = set.Provider(core.HYP)
+
+	qs, err := workload.Generate(g, 6, 2000, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := sampleUpdates(g, 1.5)
+	weights := func() (ws []float64) {
+		for _, up := range ups {
+			w, _ := g.EdgeWeight(up.U, up.V)
+			ws = append(ws, w)
+		}
+		return ws
+	}
+	before, weights0, stats0 := engineProofs(t, dep.Engine(), qs, methods), weights(), dep.Engine().Stats()
+	provs0 := []core.Provider{dep.provs[core.DIJ], dep.provs[core.LDM]}
+
+	if _, err := dep.ApplyUpdates(ups); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("ApplyUpdates over a provider that cannot hydrate = %v, want ErrCorrupt", err)
+	}
+	for i, wire := range engineProofs(t, dep.Engine(), qs, methods) {
+		if !bytes.Equal(wire, before[i]) {
+			t.Fatalf("proof %d changed across a failed batch", i)
+		}
+	}
+	stats := dep.Engine().Stats()
+	if stats.Epoch != stats0.Epoch || stats.CacheInvalidated != stats0.CacheInvalidated ||
+		stats.Hits != stats0.Hits+int64(len(before)) {
+		t.Errorf("failed batch moved the engine: %+v, was %+v", stats, stats0)
+	}
+	if !slices.Equal(weights(), weights0) || dep.Owner().Epoch() != 0 {
+		t.Errorf("failed batch moved the owner: weights %v (were %v), epoch %d", weights(), weights0, dep.Owner().Epoch())
+	}
+	if dep.provs[core.DIJ] != provs0[0] || dep.provs[core.LDM] != provs0[1] || dep.certStale {
+		t.Error("failed batch replaced a provider or staled the certificate")
+	}
+
+	// With the fault removed the owner's frozen view is the providers' again
+	// (Save checks), and the very same batch goes through.
+	dep.provs[core.HYP] = healthy
+	if _, err := dep.Save(&bytes.Buffer{}); err != nil {
+		t.Fatalf("save after a rolled-back batch: %v", err)
+	}
+	sum, err := dep.ApplyUpdates(ups)
+	if err != nil || sum.Epoch != 1 || sum.LeavesPatched == 0 {
+		t.Fatalf("valid batch after a rolled-back one: %+v, %v", sum, err)
+	}
+	for _, m := range methods {
+		for _, q := range qs {
+			a, err := dep.Engine().Query(Query{Method: m, VS: q.S, VT: q.T})
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyAnswer(t, dep.Owner().Verifier(), a)
+			if want, _ := sp.DijkstraTo(g, q.S, q.T); a.Dist != want {
+				t.Errorf("%s (%d→%d): dist %v after the batch, oracle %v", m, q.S, q.T, a.Dist, want)
+			}
+		}
+	}
+}
+
 // TestApplyUpdatesEngineMissingMethod drives Deployment.ApplyUpdates
 // against an engine that lacks a slot for one of the deployment's
-// providers: the patch succeeds but the hot-swap must fail loudly with
-// ErrUnknownMethod instead of silently serving stale proofs for the
-// missing method.
+// providers: the batch must fail loudly with ErrUnknownMethod instead of
+// silently serving stale proofs for the missing method — and, like any
+// failed batch, before anything is mutated.
 func TestApplyUpdatesEngineMissingMethod(t *testing.T) {
 	dep, _, g := snapWorld(t, 31)
 	// Rebuild the engine with only LDM registered, simulating a wiring bug
@@ -65,6 +217,9 @@ func TestApplyUpdatesEngineMissingMethod(t *testing.T) {
 	_, err := dep.ApplyUpdates(ups)
 	if !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("ApplyUpdates = %v, want ErrUnknownMethod", err)
+	}
+	if w, _ := g.EdgeWeight(ups[0].U, ups[0].V); w == ups[0].W || dep.Owner().Epoch() != 0 {
+		t.Fatalf("refused batch still moved the owner: weight %v, epoch %d", w, dep.Owner().Epoch())
 	}
 }
 

@@ -264,7 +264,7 @@ func statusFor(err error) int {
 	}
 }
 
-// wireBatch is one shared-encoding proof blob in a /batch reply: the
+// wireBatch is one proof blob in an "encoding":"shared" /batch reply: the
 // method, the answer indexes the blob covers (in blob item order), and the
 // core.ProofBatch wire bytes (base64 under encoding/json). Clients decode
 // with core.DecodeProofBatch and check with core.VerifyBatch.
@@ -285,8 +285,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Encoding selects the proof transport: "" (default) inlines one
 		// standalone proof per answer — the original shape, old clients
 		// unaffected — while "shared" moves proofs into per-method
-		// proof_batches blobs that dedup signatures and tuple bytes across
-		// the batch (answers keep their metadata, proof field empty).
+		// proof_batches blobs, the same wires framed together with repeated
+		// answers as backrefs (answers keep their metadata, proof field
+		// empty).
 		Encoding string `json:"encoding,omitempty"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24)).Decode(&req); err != nil {
@@ -330,42 +331,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// shareProofs regroups per-answer proof bytes into one shared-encoding
-// blob per method, clearing the inlined proofs it absorbs (their
-// proof_bytes still report the standalone size, so clients can see the
-// dedup win). Failed answers and methods outside the registry keep their
-// original shape.
+// shareProofs regroups per-answer proof bytes into one batch blob per
+// method, clearing the inlined proofs it absorbs (their proof_bytes still
+// report the standalone size). The blob frames the answers' wire bytes as
+// they are — nothing is decoded. Failed answers keep their original shape.
 func shareProofs(answers []wireAnswer) ([]wireBatch, error) {
-	byMethod := make(map[core.Method][]int)
-	var order []core.Method
+	var out []wireBatch
+	var wires [][]core.WireItem // wires[k] is what out[k] frames
+	slot := make(map[core.Method]int)
 	for i, a := range answers {
 		if a.Error != "" || len(a.Proof) == 0 {
 			continue
 		}
-		if _, ok := byMethod[a.Method]; !ok {
-			order = append(order, a.Method)
+		k, ok := slot[a.Method]
+		if !ok {
+			k = len(out)
+			slot[a.Method] = k
+			out = append(out, wireBatch{Method: a.Method})
+			wires = append(wires, nil)
 		}
-		byMethod[a.Method] = append(byMethod[a.Method], i)
+		out[k].Items = append(out[k].Items, i)
+		wires[k] = append(wires[k], core.WireItem{VS: a.VS, VT: a.VT, Wire: a.Proof})
+		answers[i].Proof = nil
 	}
-	var out []wireBatch
-	for _, m := range order {
-		idxs := byMethod[m]
-		items := make([]core.BatchItem, 0, len(idxs))
-		for _, i := range idxs {
-			pr, n, err := core.DecodeProof(m, answers[i].Proof)
-			if err != nil || n != len(answers[i].Proof) {
-				return nil, fmt.Errorf("serve: re-decode %s proof for batch encoding: %v", m, err)
-			}
-			items = append(items, core.BatchItem{VS: answers[i].VS, VT: answers[i].VT, Proof: pr})
-		}
-		blob, err := core.AppendProofBatch(nil, m, items)
+	for k := range out {
+		blob, err := core.AppendWireBatch(nil, out[k].Method, wires[k])
 		if err != nil {
-			return nil, fmt.Errorf("serve: batch-encode %s proofs: %v", m, err)
+			return nil, fmt.Errorf("serve: batch-encode %s proofs: %v", out[k].Method, err)
 		}
-		for _, i := range idxs {
-			answers[i].Proof = nil
-		}
-		out = append(out, wireBatch{Method: m, Items: idxs, Bytes: len(blob), Batch: blob})
+		out[k].Bytes, out[k].Batch = len(blob), blob
 	}
 	return out, nil
 }

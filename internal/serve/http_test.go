@@ -293,11 +293,13 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestHTTPBatchSharedEncoding opts a /batch request into the shared proof
+// TestHTTPBatchSharedEncoding opts a /batch request into the blob
 // transport and checks the whole client story: answers keep their metadata
 // but move their proofs into per-method blobs, repeated queries share one
-// body, the blob is smaller than the inlined proofs it replaces, and every
-// decoded item batch-verifies against the served key.
+// body, a blob with a repeat is smaller than the inlined proofs it replaces
+// and one without pays framing only, every decoded item batch-verifies
+// against the served key, and the blob is byte for byte what the public
+// encoder makes of the same request's inline proofs.
 func TestHTTPBatchSharedEncoding(t *testing.T) {
 	w, _, ts := testServer(t)
 	var req struct {
@@ -356,10 +358,12 @@ func TestHTTPBatchSharedEncoding(t *testing.T) {
 			}
 			covered[i] = true
 		}
-		// Sharing wins whenever a blob has anything to share; a singleton
-		// blob only pays the (small) table framing.
-		if len(b.Items) > 1 && b.Bytes >= inlined {
-			t.Errorf("%s blob is %dB, replaced proofs were %dB — no dedup win", b.Method, b.Bytes, inlined)
+		// The DIJ blob carries its repeated answer as a backref and must come
+		// out smaller than the proofs it replaces; without a repeat a blob
+		// is its proofs plus a header and 13 bytes of framing an item.
+		over, hasRepeat := b.Bytes-inlined, b.Method == core.DIJ
+		if (hasRepeat && over >= 0) || over > 16+13*len(b.Items) {
+			t.Errorf("%s blob is %dB, replaced proofs were %dB", b.Method, b.Bytes, inlined)
 		}
 		for i, err := range core.VerifyBatch(w.verifier, b.Method, pb.Items()) {
 			if err != nil {
@@ -385,6 +389,52 @@ func TestHTTPBatchSharedEncoding(t *testing.T) {
 	}
 	if got.Answers[5].Error == "" {
 		t.Error("unknown-method item reported no error")
+	}
+
+	// One encoding: the server frames cached wire bytes, the public encoder
+	// takes decoded proofs, and the two must agree on every byte. The inline
+	// reply of the same request supplies the proofs — and is itself a fixed
+	// function of the request.
+	req.Encoding = ""
+	body, _ = json.Marshal(req)
+	var inline [2][]byte
+	for k := range inline {
+		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline[k], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(inline[0], inline[1]) {
+		t.Error("the same inline /batch request returned two different bodies")
+	}
+	var plain struct {
+		Answers []wireAnswer `json:"answers"`
+	}
+	if err := json.Unmarshal(inline[0], &plain); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range got.Batches {
+		items := make([]core.BatchItem, len(b.Items))
+		for k, i := range b.Items {
+			a := plain.Answers[i]
+			pr, _, err := core.DecodeProof(b.Method, a.Proof)
+			if err != nil {
+				t.Fatalf("inline answer %d: %v", i, err)
+			}
+			items[k] = core.BatchItem{VS: a.VS, VT: a.VT, Proof: pr}
+		}
+		want, err := core.AppendProofBatch(nil, b.Method, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Batch, want) {
+			t.Errorf("%s: served blob (%dB) is not AppendProofBatch over the inline proofs (%dB)", b.Method, len(b.Batch), len(want))
+		}
 	}
 
 	// Unknown encodings are a client error, not silently the default.

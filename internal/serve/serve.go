@@ -354,8 +354,10 @@ func (e *Engine) Swap(p core.Provider, st *core.PatchStats) error {
 // entries whose endpoints' distance rows changed. Untouched entries stay
 // cached: their proofs expose only clean leaves, so the data they show (and
 // the optimality of their paths) still holds in the updated network; they
-// simply verify under the root they were signed with. In-flight queries
-// race the pointer swap benignly — every proof is self-consistent.
+// simply verify under the root they were signed with. A nil st is unknown
+// coverage and drops the method's every entry, as cover.overlaps does for a
+// proof whose span is unknown. In-flight queries race the pointer swap
+// benignly — every proof is self-consistent.
 func (e *Engine) swap(m core.Method, fn queryFn, st *core.PatchStats) error {
 	sl, ok := e.run[m]
 	if !ok {
@@ -363,7 +365,14 @@ func (e *Engine) swap(m core.Method, fn queryFn, st *core.PatchStats) error {
 	}
 	sl.gen.Add(1) // before the store: builds that saw the old fn must not cache
 	sl.fn.Store(&fn)
-	if e.cache == nil || st == nil {
+	if e.cache == nil {
+		return nil
+	}
+	if st == nil {
+		// No patch stats (a provider re-outsourced rather than patched):
+		// nothing says what the swap left clean, so nothing stays cached.
+		n := e.cache.Invalidate(m, func(cacheKey, cached) bool { return true })
+		e.stats.cacheInvalidated.Add(int64(n))
 		return nil
 	}
 	dirty := make([]uint32, 0, len(st.DirtyLeaves)+len(st.StaleCover))

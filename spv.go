@@ -149,30 +149,30 @@ func VerifyProof(v *Verifier, m Method, vs, vt NodeID, p Proof) error {
 type BatchItem = core.BatchItem
 
 // VerifyBatch client-verifies a batch of proofs of one method, returning
-// one verdict per item (nil ⇒ authentic and optimal). Verdicts are
-// accept/reject-equivalent to calling VerifyProof per item, but proofs
-// from one epoch share the expensive work: each distinct root signature is
-// checked once and overlapping Merkle authentication paths reconstruct as
-// one merged partial tree. See DESIGN.md §12.
+// one verdict per item (nil ⇒ authentic and optimal) — exactly VerifyProof's
+// verdict for that item. Each distinct (vs, vt, proof) is verified once and
+// repeats share its verdict; proofs of one epoch share the root signature
+// check through the Verifier's memo. See DESIGN.md §12.
 func VerifyBatch(v *Verifier, m Method, items []BatchItem) []error {
 	return core.VerifyBatch(v, m, items)
 }
 
-// ProofBatch is a decoded shared-encoding proof blob (the /batch
-// "encoding":"shared" transport): many proofs of one method with
-// signatures and tuple bytes stored once. Items() feeds VerifyBatch.
+// ProofBatch is a decoded batch blob (the /batch "encoding":"shared"
+// transport): proofs of one method framed together, each body a standalone
+// proof wire, a repeated answer a 5-byte backref that shares its target's
+// Proof value. Items() feeds VerifyBatch.
 type ProofBatch = core.ProofBatch
 
-// AppendProofBatch encodes proofs of one method into the shared batch
-// wire form, deduplicating signatures, tuple records and whole repeated
-// proofs across the batch.
+// AppendProofBatch frames proofs of one method as one blob: per item its
+// endpoints (which must be the proof's path endpoints) and either the
+// proof's standalone wire or a backref to an earlier identical one.
 func AppendProofBatch(buf []byte, m Method, items []BatchItem) ([]byte, error) {
 	return core.AppendProofBatch(buf, m, items)
 }
 
-// DecodeProofBatch parses a shared batch encoding, returning the batch and
-// the bytes consumed. The encoding is canonical: decode → re-encode is
-// byte-identity.
+// DecodeProofBatch parses a batch blob, returning the batch and the bytes
+// consumed. It accepts only what AppendProofBatch produces: decode →
+// re-encode is byte-identity.
 func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
 	return core.DecodeProofBatch(buf)
 }
