@@ -6,7 +6,7 @@ GO ?= go
 # Snapshot file produced by `make snap` and audited by `make snap-verify`.
 SNAP ?= snapshot.spv
 
-.PHONY: all build test short race purego fuzz-smoke bench bench-micro bench-smoke snap snap-verify audit large-snap loc fmt fmt-check vet lint clean
+.PHONY: all build test short race purego fuzz-smoke bench bench-micro bench-smoke snap snap-verify audit replica-drive large-snap loc fmt fmt-check vet lint clean
 
 # staticcheck version the lint lane pins (CI installs exactly this).
 STATICCHECK_VERSION ?= 2025.1
@@ -26,7 +26,9 @@ short:
 	$(GO) test -short ./...
 
 # The race lane is also the one that runs the update-swap hammer
-# (serve.TestQueriesRaceUpdates, with and without latency budgets).
+# (serve.TestQueriesRaceUpdates, with and without latency budgets) and the
+# replica's background warm-up against first queries and a mid-walk Close
+# (core.TestWarmRacesFirstQueries).
 race:
 	$(GO) test -race -short ./...
 
@@ -101,6 +103,23 @@ snap-verify:
 audit:
 	$(GO) run ./cmd/spvsnap audit $(SNAP)
 
+# Replica drive: boot a lazy replica from $(SNAP) the way an operator
+# would, ask it for one proof per method, and require three 200s and three
+# "hydrated" lines in its log — one per method section, whoever got to it
+# first (the background warm-up or the query).
+REPLICA_ADDR ?= 127.0.0.1:18099
+replica-drive:
+	$(GO) build -o spvserve.drive ./cmd/spvserve
+	@set -e; ./spvserve.drive -addr $(REPLICA_ADDR) -snapshot $(SNAP) > replica-drive.log 2>&1 & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; rm -f spvserve.drive' EXIT; \
+	for i in $$(seq 1 100); do curl -sf -o /dev/null http://$(REPLICA_ADDR)/healthz && break; sleep 0.1; done; \
+	for m in DIJ LDM HYP; do \
+		code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$(REPLICA_ADDR)/query?method=$$m&vs=5&vt=200"); \
+		[ "$$code" = 200 ] || { echo "$$m answered $$code"; cat replica-drive.log; exit 1; }; \
+	done; \
+	sleep 0.5; cat replica-drive.log; n=$$(grep -c ' hydrated ' replica-drive.log) || true; \
+	[ "$$n" = 3 ] || { echo "want 3 hydration lines, got $$n"; exit 1; }
+
 # The repository benchmark, all four workloads (cold, hot, churn, restart)
 # at four seconds each with the layer trace: a verifying client against a
 # real spvserve over loopback. The trace (benchmark/out/trace.json,
@@ -114,9 +133,11 @@ bench-smoke:
 
 # Large-snapshot lane: build a 10⁵-node grid world, snapshot DIJ+LDM,
 # then restart a replica both ways under a GOMEMLIMIT that would make
-# full-file hydration hurt. Asserts lazy open + first verified proof
-# beats the eager load by ≥10× and that DIJ-only traffic leaves the LDM
-# bulk on disk (resident ≪ eager). The audit-hydration lane rides along:
+# full-file hydration hurt. Asserts lazy open + first verified DIJ proof
+# reads no byte of the LDM section and nothing else twice (a counting
+# reader; the lane used to state this as a ratio to the eager load's time)
+# and that DIJ-only traffic leaves the LDM bulk on disk (resident ≪ eager).
+# The audit-hydration lane rides along:
 # a certificate audit on the lazy set must hydrate only the sections it
 # touches. The log carries LARGE-SNAPSHOT size and latency markers for
 # the CI artifact.

@@ -13,10 +13,11 @@
 //	spvserve -snapshot world.spv -addr :8081              # replica 1 (no owner key)
 //	spvserve -snapshot world.spv -addr :8082              # replica 2
 //
-// Replicas boot lazily: only the small core sections load at startup and
-// each method's payload hydrates from the file on its first query, so a
-// replica over a multi-gigabyte world serves its first proof in
-// milliseconds. Pass -eager to hydrate everything at startup instead.
+// Replicas boot lazily — listen, then warm: only the small core sections
+// load before the listener is bound; one goroutine then hydrates the method
+// sections, largest first, a query that arrives sooner hydrates its own,
+// and each hydration logs a line. -eager validates everything first instead
+// (and logs no per-section line: its load is over before anyone is told).
 //
 //	# Resume an update-capable owner from a snapshot + the same persisted
 //	# key the origin ran with (spvquery keygen -key owner.pem creates one;
@@ -47,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -73,7 +75,7 @@ func main() {
 		cells    = flag.Int("cells", 0, "HYP grid cell count (0 = config default)")
 		updates  = flag.Bool("updates", false, "enable owner-side POST /update (incremental edge re-weighting + hot-swap)")
 		snapFile = flag.String("snapshot", "", "cold-start from this snapshot file instead of outsourcing")
-		eager    = flag.Bool("eager", false, "with -snapshot: hydrate every method at startup instead of on first query")
+		eager    = flag.Bool("eager", false, "with -snapshot: hydrate and validate every method before listening, instead of listening first and warming in the background")
 		audit    = flag.Bool("audit-on-load", false, "with -snapshot: audit the embedded certificate before serving; methods that fail (or are uncovered) are refused")
 		saveFile = flag.String("save", "", "write a snapshot here after startup and enable POST /snapshot")
 		drain    = flag.Duration("drain", 10*time.Second, "in-flight drain timeout on SIGINT/SIGTERM before forced exit")
@@ -139,6 +141,7 @@ func run(fl serveFlags) error {
 		verifier *spv.Verifier
 		dep      *spv.Deployment
 		err      error
+		bound    func() // runs once the listener is bound
 	)
 	switch {
 	case fl.snapFile != "" && fl.updates:
@@ -170,11 +173,10 @@ func run(fl serveFlags) error {
 			// owner resumed when only a replica booted.
 			return fmt.Errorf("-key with -snapshot needs -updates (owner resume); drop -key for a replica")
 		}
-		// Replicas boot lazily by default: core sections load now, method
-		// payloads hydrate on first query — on large worlds the daemon
-		// answers its first proof in milliseconds instead of reading the
-		// whole file. -eager restores hydrate-everything-at-startup (pays
-		// the full load up front, no first-query hydration latency).
+		// Replicas boot lazily by default: core sections load now, the
+		// listener binds, and method payloads hydrate behind it — in the
+		// background walk, or under a query that gets there sooner. -eager
+		// pays the full load, and validates it, before listening.
 		start := time.Now()
 		mode := "lazy"
 		load := spv.LoadProviderSetLazy
@@ -185,10 +187,14 @@ func run(fl serveFlags) error {
 		if err != nil {
 			return err
 		}
+		set.OnHydrate = logHydration
 		if fl.auditOnLoad {
 			if err := auditReplicaSet(set, fl.snapFile); err != nil {
 				return err
 			}
+		} else if !fl.eager {
+			// After bind; a failed section is that method's error, not ours.
+			bound = set.Warm
 		}
 		engine, verifier = spv.NewEngineFromSet(set, serveOpts), set.Verifier
 		log.Printf("replica cold-started (%s) from %s in %v: epoch %d, %d nodes, methods %v",
@@ -241,23 +247,39 @@ func run(fl serveFlags) error {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	return serveUntilSignal(hs, fl.drain)
+	return serveUntilSignal(hs, fl.drain, bound)
 }
 
-// serveUntilSignal runs the HTTP server until SIGINT/SIGTERM, then drains:
-// the listener closes immediately (load drivers and balancers see clean
-// connection refusals, never mid-response resets), in-flight requests get
-// up to drainTimeout to finish, and only then does the process exit. A
-// second signal aborts the drain.
-func serveUntilSignal(hs *http.Server, drainTimeout time.Duration) error {
+// logHydration is the one line a method section's decode leaves in the log.
+func logHydration(m spv.Method, n int64, took time.Duration, trigger string, err error) {
+	if err != nil {
+		log.Printf("hydrate %s (%s) failed: %v", m, trigger, err)
+		return
+	}
+	log.Printf("hydrated %s: %d section bytes in %.2f ms (%s)", m, n, took.Seconds()*1e3, trigger)
+}
+
+// serveUntilSignal binds the listener, starts bound (if any) on a goroutine
+// of its own and serves until SIGINT/SIGTERM, then drains: the listener
+// closes immediately (load drivers and balancers see clean refusals, never
+// mid-response resets), in-flight requests get up to drainTimeout, and only
+// then does the process exit. A second signal aborts the drain.
+func serveUntilSignal(hs *http.Server, drainTimeout time.Duration, bound func()) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		return err
+	}
+	if bound != nil {
+		go bound()
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
-		return err // bind failure or other startup error
+		return err
 	case <-ctx.Done():
 	}
 	stop() // restore default handling: a second signal kills the drain
@@ -270,7 +292,7 @@ func serveUntilSignal(hs *http.Server, drainTimeout time.Duration) error {
 		hs.Close()
 		return fmt.Errorf("drain timed out after %v: %w", drainTimeout, err)
 	}
-	<-errc // ListenAndServe has returned http.ErrServerClosed
+	<-errc // Serve has returned http.ErrServerClosed
 	log.Printf("shutdown complete")
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/netgen"
+	"github.com/authhints/spv/internal/snapshot"
 	"github.com/authhints/spv/internal/workload"
 )
 
@@ -139,32 +140,70 @@ func TestSnapTreeDecodeAllocBudget(t *testing.T) {
 	if uint64(len(payload)) != snapTreeSize(tree) {
 		t.Fatalf("streamed %d bytes, snapTreeSize says %d", len(payload), snapTreeSize(tree))
 	}
+	f := sectionFile(t, payload)
 	decode := func() {
-		c := &snapCursor{buf: payload}
+		r, err := f.Open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newSnapCursor(r)
 		got := c.tree()
 		if err := c.finish("tree"); err != nil || !bytes.Equal(got.Root(), tree.Root()) {
 			t.Fatalf("decode: %v", err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, decode); allocs > float64(tree.Height()+4) {
-		t.Errorf("decoding %d levels allocates %.0f times, want ≤ levels+4", tree.Height(), allocs)
+	// The tree's own budget is its levels, the level list, the tree and two
+	// to spare; the stream under it adds exactly three allocations: the
+	// section reader, the cursor's bufio.Reader and that reader's window.
+	const streamAllocs = 3
+	if allocs := testing.AllocsPerRun(10, decode); allocs > float64(tree.Height()+4+streamAllocs) {
+		t.Errorf("decoding %d levels allocates %.0f times, want ≤ levels+4 and %d for the stream", tree.Height(), allocs, streamAllocs)
 	}
-	// (One copy of each level, rounded up to the allocator's size classes.)
-	if size := totalAlloc(decode); size > uint64(len(payload))*21/20+4096 {
-		t.Errorf("decoding a %d-byte tree allocates %d bytes", len(payload), size)
+	// (Each level read once into its slab, rounded up to the allocator's size
+	// classes; the window is the one staging buffer, never more than the
+	// section it stages.)
+	window := uint64(min(len(payload), snapWindow))
+	if size := totalAlloc(decode); size > uint64(len(payload))*21/20+4096+window {
+		t.Errorf("decoding a %d-byte tree allocates %d bytes (window %d)", len(payload), size, window)
 	}
 	// A width that claims more digests than bytes remain fails before
 	// anything is allocated for it.
 	lying := bytes.Clone(payload[:64])
 	binary.BigEndian.PutUint32(lying[7:], 1<<30) // level 0's width
+	f = sectionFile(t, lying)
 	if size := totalAlloc(func() {
-		c := &snapCursor{buf: lying}
+		r, err := f.Open(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newSnapCursor(r)
 		if c.tree() != nil || c.err == nil {
 			t.Error("a width beyond the payload was accepted")
 		}
 	}); size > 4096 {
 		t.Errorf("a lying width allocated %d bytes ahead of the payload", size)
 	}
+}
+
+// sectionFile frames payload as the only section (kind 1) of a snapshot
+// container, for driving a snapCursor without a deployment around it.
+func sectionFile(t testing.TB, payload []byte) *snapshot.File {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf, 0)
+	if err == nil {
+		if err = w.Section(1, payload); err == nil {
+			err = w.Close()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapshot.NewFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestFULLColdQueryAllocBudget pins the cold FULL proof build — the path

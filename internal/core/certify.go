@@ -200,6 +200,9 @@ func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier) error
 	if s.Provider(m) == nil {
 		return fmt.Errorf("%w: snapshot carries no %s provider", cert.ErrMethodMissing, m)
 	}
+	if lp, ok := s.Provider(m).(*lazyProvider); ok {
+		lp.hydrate("audit") // a failure is sticky: auditCert meets it again
+	}
 	return impl.auditCert(s, mc, v)
 }
 

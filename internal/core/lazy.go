@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"time"
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/sig"
@@ -17,19 +20,21 @@ import (
 // every method section to first use: a replica booted this way answers its
 // first query after O(core sections) work regardless of how many methods —
 // and how many gigabytes of hint rows — the file carries, and a method
-// nobody queries costs no resident bytes beyond a table entry.
+// nobody touches costs no resident bytes beyond a table entry.
 // OpenProviderSet and ReadProviderSet are the same open followed by
 // hydrateAll — every deferred step taken now — so "eager" names when the
-// loader hydrates, not a second loader.
+// loader hydrates, not a second loader (Warm: a third timing, the caller's).
 //
 // Laziness is layered: each method's section decodes behind a sync.Once
-// on first QueryProof (Merkle levels, signatures, hint rows), and the
-// decoded provider's tuple table fills chunk by chunk as queries touch
-// leaves (see networkADS.msg). Client verification only ever trusts the
-// owner's signed roots, so when a section hydrates changes no proof byte.
-// Corruption in a deferred section (the container CRC-verifies payloads on
-// first touch) surfaces as a clean error from the first query that needs
-// it — or from the eager load, which touches everything — never a panic.
+// on first touch (Merkle levels, signatures, hint rows), and the decoded
+// provider's tuple table fills chunk by chunk as queries touch leaves (see
+// networkADS.msg). A section streams into its final home — Merkle levels
+// into the tree's slabs, hint rows into one float slab — so it is never
+// held twice, and the decoder runs ahead of the section's CRC: nothing is
+// published until the checksum has held (snapCursor.finish). Clients trust
+// only the owner's signed roots, so when a section hydrates changes no proof
+// byte. A corrupt deferred section is a clean, sticky snapshot.ErrCorrupt
+// from its first touch, never a panic.
 
 // lazyProvider is the method-erased shell of a not-yet-decoded method
 // section. It satisfies Provider; the registry's generic paths
@@ -38,8 +43,9 @@ import (
 // the methods those operations touch.
 type lazyProvider struct {
 	impl MethodImpl
-	file *snapshot.File
+	set  *ProviderSet // the file, and who to tell
 	env  *SnapshotEnv
+	size int64 // section payload bytes
 	once sync.Once
 	p    Provider
 	err  error
@@ -47,15 +53,23 @@ type lazyProvider struct {
 
 // hydrate decodes the provider on first call; concurrent callers block on
 // the same sync.Once and observe the same result.
-func (lp *lazyProvider) hydrate() (Provider, error) {
+func (lp *lazyProvider) hydrate(trigger string) (Provider, error) {
+	var start time.Time
 	lp.once.Do(func() {
-		payload, err := lp.file.Section(lp.impl.SnapshotKind())
-		if err != nil {
-			lp.err = fmt.Errorf("core: hydrating %s section: %w", lp.impl.Method(), err)
-			return
+		start = time.Now()
+		r, err := lp.set.file.Open(lp.impl.SnapshotKind())
+		if err == nil {
+			lp.p, err = lp.impl.DecodeSnapshot(r, lp.env)
+			err = cmp.Or(r.Verify(), err) // for a decoder that skipped its finish
 		}
-		lp.p, lp.err = lp.impl.DecodeSnapshot(payload, lp.env)
+		if err != nil {
+			lp.p, lp.err = nil, fmt.Errorf("core: hydrating %s section: %w", lp.impl.Method(), err)
+		}
 	})
+	// Told outside the Once, which queries may be waiting on.
+	if fn := lp.set.OnHydrate; fn != nil && !start.IsZero() {
+		fn(lp.impl.Method(), lp.size, time.Since(start), trigger, lp.err)
+	}
 	return lp.p, lp.err
 }
 
@@ -64,7 +78,7 @@ func (lp *lazyProvider) Method() Method { return lp.impl.Method() }
 
 // QueryProof hydrates on first use and serves from the decoded provider.
 func (lp *lazyProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
-	p, err := lp.hydrate()
+	p, err := lp.hydrate("query")
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +94,7 @@ func (lp *lazyProvider) viewRef() *graph.CSR    { return lp.env.View }
 // adsRef hydrates: the callers (shared-ordering audit, snapshot rewrite)
 // need the real tree.
 func (lp *lazyProvider) adsRef() *networkADS {
-	p, err := lp.hydrate()
+	p, err := lp.hydrate("query")
 	if err != nil {
 		return nil
 	}
@@ -91,7 +105,7 @@ func (lp *lazyProvider) adsRef() *networkADS {
 // if needed); concrete providers pass through.
 func unwrapProvider(p Provider) (Provider, error) {
 	if lp, ok := p.(*lazyProvider); ok {
-		return lp.hydrate()
+		return lp.hydrate("query")
 	}
 	return p, nil
 }
@@ -151,6 +165,16 @@ func ReadProviderSet(ra io.ReaderAt, size int64) (*ProviderSet, error) {
 	return loadAll(f)
 }
 
+// ReadProviderSetLazy is OpenProviderSetLazy over any positioned reader,
+// which the caller keeps readable for as long as a method is still cold.
+func ReadProviderSetLazy(ra io.ReaderAt, size int64) (*ProviderSet, error) {
+	f, err := snapshot.NewFile(ra, size)
+	if err != nil {
+		return nil, err
+	}
+	return lazySetFromFile(f)
+}
+
 // loadAll is the eager load: the lazy open plus hydrateAll.
 func loadAll(f *snapshot.File) (*ProviderSet, error) {
 	set, err := lazySetFromFile(f)
@@ -194,12 +218,12 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	if set.Epoch < 0 {
 		return nil, fmt.Errorf("%w: negative epoch %d", ErrBadSnapshot, set.Epoch)
 	}
-	seen := map[uint32]bool{}
+	size := map[uint32]int64{}
 	for _, e := range f.Sections() {
-		if seen[e.Kind] {
+		if _, dup := size[e.Kind]; dup {
 			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrBadSnapshot, e.Kind)
 		}
-		seen[e.Kind] = true
+		size[e.Kind] = int64(e.Length)
 		if _, ok := defaultRegistry.lookupKind(e.Kind); !ok && e.Kind > snapKindOrdering && e.Kind != snapKindCert {
 			// Unknown kinds are state this loader does not understand —
 			// refusing beats silently serving less than the snapshot promises.
@@ -208,30 +232,36 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	}
 
 	// Core sections, eagerly — everything below needs them.
-	payload, err := coreSection(f, snapKindConfig)
+	for kind := uint32(snapKindConfig); kind <= snapKindOrdering; kind++ {
+		if _, ok := size[kind]; !ok {
+			return nil, fmt.Errorf("%w: missing core sections", ErrBadSnapshot)
+		}
+	}
+	r, err := f.Open(snapKindConfig)
 	if err != nil {
 		return nil, err
 	}
-	if set.Cfg, err = decodeSnapConfig(payload); err != nil {
+	if set.Cfg, err = decodeSnapConfig(r); err != nil {
 		return nil, err
 	}
-	if payload, err = coreSection(f, snapKindGraph); err != nil {
+	payload, err := f.Section(snapKindGraph)
+	if err != nil {
 		return nil, err
 	}
 	if set.Graph, err = graph.ReadBytes(payload); err != nil {
 		return nil, fmt.Errorf("%w: graph: %v", ErrBadSnapshot, err)
 	}
-	if payload, err = coreSection(f, snapKindVerifier); err != nil {
+	if payload, err = f.Section(snapKindVerifier); err != nil {
 		return nil, err
 	}
 	if set.Verifier, err = sig.ParseVerifierPEM(payload); err != nil {
 		return nil, fmt.Errorf("%w: verifier: %v", ErrBadSnapshot, err)
 	}
-	if payload, err = coreSection(f, snapKindOrdering); err != nil {
+	if r, err = f.Open(snapKindOrdering); err != nil {
 		return nil, err
 	}
 	env := &SnapshotEnv{Graph: set.Graph, Cfg: set.Cfg}
-	if env.Ord, err = decodeSnapOrdering(payload, set.Graph.NumNodes()); err != nil {
+	if env.Ord, err = decodeSnapOrdering(r, set.Graph.NumNodes()); err != nil {
 		return nil, err
 	}
 	set.ord = env.Ord
@@ -239,10 +269,9 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	set.view = env.View
 
 	for _, impl := range defaultRegistry.Impls() {
-		if !f.Has(impl.SnapshotKind()) {
-			continue
+		if n, ok := size[impl.SnapshotKind()]; ok {
+			set.SetProvider(&lazyProvider{impl: impl, set: set, env: env, size: n})
 		}
-		set.SetProvider(&lazyProvider{impl: impl, file: f, env: env})
 	}
 	if len(set.provs) == 0 {
 		return nil, fmt.Errorf("%w: no method sections", ErrBadSnapshot)
@@ -250,17 +279,22 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	return set, nil
 }
 
-// coreSection reads one required core section, mapping absence to the
-// loader's missing-sections error.
-func coreSection(f *snapshot.File, kind uint32) ([]byte, error) {
-	payload, err := f.Section(kind)
-	if err == nil {
-		return payload, nil
+// Warm hydrates every method section still on disk, largest first, on the
+// calling goroutine and through the Once a first touch takes: a query that
+// gets there first hydrates as ever, a later one waits instead of reading
+// again; a failure tells OnHydrate and stays the method's error. The set
+// ends at the eager footprint: not for one that serves few of its methods.
+func (s *ProviderSet) Warm() {
+	var cold []*lazyProvider
+	for _, p := range s.provs {
+		if lp, ok := p.(*lazyProvider); ok {
+			cold = append(cold, lp)
+		}
 	}
-	if f.Has(kind) {
-		return nil, err // present but unreadable: surface the CRC error
+	slices.SortFunc(cold, func(a, b *lazyProvider) int { return cmp.Compare(b.size, a.size) })
+	for _, lp := range cold {
+		lp.hydrate("warm")
 	}
-	return nil, fmt.Errorf("%w: missing core sections", ErrBadSnapshot)
 }
 
 // Close releases the snapshot file a lazy open holds. Hydration of a

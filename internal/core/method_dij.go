@@ -101,8 +101,8 @@ func (dijImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	})
 }
 
-func (dijImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error) {
-	c := &snapCursor{buf: payload}
+func (dijImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Provider, error) {
+	c := newSnapCursor(r)
 	rootSig := c.bytes()
 	tree := c.tree()
 	if err := c.finish("DIJ"); err != nil {

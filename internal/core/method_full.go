@@ -107,8 +107,8 @@ func (fullImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	})
 }
 
-func (fullImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error) {
-	c := &snapCursor{buf: payload}
+func (fullImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Provider, error) {
+	c := newSnapCursor(r)
 	netSig := c.bytes()
 	distSig := c.bytes()
 	netTree := c.tree()

@@ -141,8 +141,8 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	})
 }
 
-func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error) {
-	c := &snapCursor{buf: payload}
+func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Provider, error) {
+	c := newSnapCursor(r)
 	netSig := c.bytes()
 	distSig := c.bytes()
 	fullFlag := c.u8()
@@ -156,13 +156,7 @@ func (hypImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 		// rows |V|-long with |V| ≥ 2); a lying count must not allocate.
 		c.fail("%d hyper rows of length 0", numRows)
 	}
-	if c.err == nil && (rowLen < 0 || numRows < 0 || (rowLen > 0 && numRows > len(c.buf[c.off:])/(8*rowLen))) {
-		c.fail("hyper rows exceed payload")
-	}
-	rows := make([][]float64, 0, numRows)
-	for i := 0; i < numRows && c.err == nil; i++ {
-		rows = append(rows, c.f64s(rowLen))
-	}
+	rows := c.rows(numRows, rowLen)
 	hasDist := c.u8()
 	var distTree *mht.Tree
 	if c.err == nil && hasDist > 1 {

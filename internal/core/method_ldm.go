@@ -130,8 +130,8 @@ func (ldmImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	})
 }
 
-func (ldmImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error) {
-	c := &snapCursor{buf: payload}
+func (ldmImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Provider, error) {
+	c := newSnapCursor(r)
 	rootSig := c.bytes()
 	bits := int(c.u32())
 	lambda := c.f64()
@@ -143,7 +143,7 @@ func (ldmImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 		c.fail("bad lambda %v", lambda)
 	}
 	n := env.Graph.NumNodes()
-	if c.err == nil && (nl < 1 || nl > len(c.buf[c.off:])/4) {
+	if c.err == nil && (nl < 1 || int64(nl) > c.remaining()/4) {
 		c.fail("landmark count %d exceeds payload", nl)
 	}
 	var landmarks []graph.NodeID
@@ -155,13 +155,7 @@ func (ldmImpl) DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error
 		}
 		landmarks = append(landmarks, l)
 	}
-	if c.err == nil && nl > len(c.buf[c.off:])/(8*n) {
-		c.fail("distance rows exceed payload")
-	}
-	dists := make([][]float64, 0, nl)
-	for i := 0; i < nl && c.err == nil; i++ {
-		dists = append(dists, c.f64s(n))
-	}
+	dists := c.rows(nl, n)
 	tree := c.tree()
 	if err := c.finish("LDM"); err != nil {
 		return nil, err

@@ -100,10 +100,11 @@ type MethodImpl interface {
 	// levels, hint rows, signatures); cheap deterministic derivations are
 	// re-derived at load.
 	StreamSnapshot(sw *snapshot.Writer, p Provider) error
-	// DecodeSnapshot rehydrates a provider from a section payload and
-	// the shared core state, without recomputing a hash or running a
-	// search.
-	DecodeSnapshot(payload []byte, env *SnapshotEnv) (Provider, error)
+	// DecodeSnapshot rehydrates a provider from its section's streaming
+	// reader and the shared core state, without recomputing a hash or
+	// running a search. It reads ahead of the section's checksum, and builds
+	// on what it read only once snapCursor.finish says the CRC held.
+	DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Provider, error)
 
 	// planCert declares the method's slice of a snapshot certificate at
 	// issue time; auditCert checks a loaded provider against that slice in

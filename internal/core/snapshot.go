@@ -2,13 +2,13 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync"
+	"time"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -125,6 +125,11 @@ type ProviderSet struct {
 	cert     *cert.Certificate
 	certOnce sync.Once
 	certErr  error
+	// OnHydrate, set (if at all) before the set is shared, hears of every
+	// method section's first-touch decode: payload length, duration, whether
+	// it failed, and the trigger — "warm" (Warm), "audit" (AuditMethod) or
+	// "query" (on demand: a proof, or anything else that needs the provider).
+	OnHydrate func(m Method, sectionBytes int64, took time.Duration, trigger string, err error)
 }
 
 // SetCertificate attaches a certificate to the set; WriteTo appends it as
@@ -364,7 +369,7 @@ func (s *snapStream) bytes(b []byte) {
 //	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
 //
 // A level on disk is the slab it is in memory, so it goes out in one write
-// (and comes back in one copy, snapCursor.tree).
+// (and comes back in one read, snapCursor.tree).
 func (s *snapStream) tree(t *mht.Tree) {
 	levels, size := t.Levels(), t.Alg().Size()
 	s.u8(byte(t.Alg()))
@@ -503,8 +508,8 @@ func appendSnapConfig(buf []byte, cfg Config) []byte {
 	return buf
 }
 
-func decodeSnapConfig(buf []byte) (Config, error) {
-	c := &snapCursor{buf: buf}
+func decodeSnapConfig(r *snapshot.SectionReader) (Config, error) {
+	c := newSnapCursor(r)
 	var cfg Config
 	cfg.Hash = digestAlg(c.u8())
 	cfg.Fanout = int(c.u32())
@@ -519,7 +524,7 @@ func decodeSnapConfig(buf []byte) (Config, error) {
 	cfg.Cells = int(c.u32())
 	cfg.PinnedLambda = c.f64()
 	n := int(c.u32())
-	if c.err == nil && n > len(c.buf[c.off:])/4 {
+	if c.err == nil && int64(n) > c.remaining()/4 {
 		c.fail("pinned landmark count %d exceeds payload", n)
 	}
 	for i := 0; i < n && c.err == nil; i++ {
@@ -544,19 +549,17 @@ func appendSnapOrdering(buf []byte, ord *order.Ordering) []byte {
 	return buf
 }
 
-func decodeSnapOrdering(buf []byte, numNodes int) (*order.Ordering, error) {
-	c := &snapCursor{buf: buf}
+func decodeSnapOrdering(r *snapshot.SectionReader, numNodes int) (*order.Ordering, error) {
+	c := newSnapCursor(r)
 	m := order.Method(c.str())
 	n := int(c.u32())
 	if c.err == nil && n != numNodes {
 		c.fail("ordering over %d nodes, graph has %d", n, numNodes)
 	}
-	if c.err == nil && n > len(c.buf[c.off:])/4 {
-		c.fail("ordering length %d exceeds payload", n)
-	}
-	seq := make([]graph.NodeID, 0, min(n, len(buf)/4))
-	for i := 0; i < n && c.err == nil; i++ {
-		seq = append(seq, graph.NodeID(c.u32()))
+	b := c.take(4 * int64(n)) // one read; capped by the bytes left in the section
+	seq := make([]graph.NodeID, len(b)/4)
+	for i := range seq {
+		seq[i] = graph.NodeID(binary.BigEndian.Uint32(b[4*i:]))
 	}
 	if err := c.finish("ordering"); err != nil {
 		return nil, err
@@ -583,18 +586,10 @@ func (c *snapCursor) tree() *mht.Tree {
 	levels := make([][]byte, 0, min(numLevels, 64))
 	for l := 0; l < numLevels && c.err == nil; l++ {
 		width := int(c.u32())
-		if c.err != nil {
-			break
-		}
-		if width <= 0 || width > len(c.buf[c.off:])/size {
-			c.fail("tree level %d width %d exceeds payload", l, width)
-			break
-		}
-		// One copy takes the level's slab out of the section payload: the
-		// tree retains its levels for the provider's lifetime, and
-		// sub-slicing would pin the whole payload — dominated by hint rows
-		// that were already parsed into their own storage — in memory.
-		levels = append(levels, bytes.Clone(c.raw(width*size)))
+		// From the file straight into the slab the tree keeps. Sub-slicing
+		// a section read whole would pin it all — mostly hint rows, which
+		// are parsed into their own storage — for the provider's lifetime.
+		levels = append(levels, c.take(int64(width)*int64(size)))
 	}
 	if c.err != nil {
 		return nil
@@ -626,14 +621,24 @@ func (env *SnapshotEnv) rehydrateADS(tree *mht.Tree, extraFn func(graph.NodeID) 
 
 // --- decode cursor ---
 
-// snapCursor walks a section payload with sticky-error semantics: the
-// first failure latches, later reads return zero values, and finish
-// reports it (or trailing garbage). This keeps the decoders linear
-// instead of error-pyramid shaped.
+// snapWindow stages fixed-width fields and hint-row floats; take bypasses it.
+const snapWindow = 64 << 10
+
+// snapCursor walks a section's streaming reader with sticky-error
+// semantics: the first failure latches, later reads return zero values,
+// and finish reports it (or trailing garbage). This keeps the decoders
+// linear instead of error-pyramid shaped. The cursor runs ahead of the
+// section's checksum, so a count it reads may be a flipped bit: each is
+// capped by the bytes left in the section, and finish — which a decoder
+// calls before it builds on what it read — fails unless the CRC held.
 type snapCursor struct {
-	buf []byte
-	off int
+	r   *snapshot.SectionReader
+	br  *bufio.Reader // over r
 	err error
+}
+
+func newSnapCursor(r *snapshot.SectionReader) *snapCursor {
+	return &snapCursor{r: r, br: bufio.NewReaderSize(r, int(min(r.Len(), snapWindow)))}
 }
 
 func (c *snapCursor) fail(format string, args ...any) {
@@ -642,91 +647,87 @@ func (c *snapCursor) fail(format string, args ...any) {
 	}
 }
 
+// remaining is the section bytes not yet consumed.
+func (c *snapCursor) remaining() int64 { return int64(c.br.Buffered()) + c.r.Len() }
+
+// raw returns the next n bytes of the window (n at most its size), valid
+// until the next read — or, once the cursor has failed, up to 8 zeros.
 func (c *snapCursor) raw(n int) []byte {
+	if left := c.remaining(); c.err == nil && left < int64(n) {
+		c.fail("truncated (%d bytes left, need %d)", left, n)
+	}
+	if c.err == nil {
+		var b []byte
+		if b, c.err = c.br.Peek(n); c.err == nil {
+			c.br.Discard(n)
+			return b
+		}
+	}
+	return make([]byte, min(n, 8))
+}
+
+// take returns the next n > 0 bytes in memory of their own: what the
+// window already holds, then the rest straight from the file, unstaged.
+func (c *snapCursor) take(n int64) []byte {
+	if left := c.remaining(); c.err == nil && (n <= 0 || n > left) {
+		c.fail("%d bytes claimed, %d left in the section", n, left)
+	}
 	if c.err != nil {
 		return nil
 	}
-	if len(c.buf)-c.off < n {
-		c.fail("truncated (%d bytes left, need %d)", len(c.buf)-c.off, n)
-		return nil
-	}
-	out := c.buf[c.off : c.off+n]
-	c.off += n
-	return out
+	dst := make([]byte, n)
+	_, c.err = io.ReadFull(c.br, dst)
+	return dst
 }
 
-func (c *snapCursor) u8() byte {
-	b := c.raw(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *snapCursor) u16() uint16 {
-	b := c.raw(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (c *snapCursor) u32() uint32 {
-	b := c.raw(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (c *snapCursor) u64() uint64 {
-	b := c.raw(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
+func (c *snapCursor) u8() byte     { return c.raw(1)[0] }
+func (c *snapCursor) u16() uint16  { return binary.BigEndian.Uint16(c.raw(2)) }
+func (c *snapCursor) u32() uint32  { return binary.BigEndian.Uint32(c.raw(4)) }
+func (c *snapCursor) u64() uint64  { return binary.BigEndian.Uint64(c.raw(8)) }
 func (c *snapCursor) f64() float64 { return math.Float64frombits(c.u64()) }
+func (c *snapCursor) str() string  { return string(c.bytes()) }
+func (c *snapCursor) bytes() []byte {
+	if n := int64(c.u32()); n > 0 {
+		return c.take(n)
+	}
+	return nil
+}
 
-// f64s reads n floats under one bounds check — hint rows are the bulk of a
-// section.
-func (c *snapCursor) f64s(n int) []float64 {
-	b := c.raw(8 * n)
-	if b == nil {
+// rows reads n rows of rowLen floats — hint rows are the bulk of a section
+// — into one slab, sub-sliced per row, a window of bytes at a time.
+func (c *snapCursor) rows(n, rowLen int) [][]float64 {
+	if c.err == nil && int64(n) > c.remaining()/8/int64(max(rowLen, 1)) {
+		c.fail("%d rows of %d distances exceed payload", n, rowLen)
+	}
+	if c.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	slab, out := make([]float64, n*rowLen), make([][]float64, n)
+	for i := 0; i < len(slab) && c.err == nil; {
+		b := c.raw(8 * min(len(slab)-i, c.br.Size()/8))
+		for j := 0; j+8 <= len(b); i, j = i+1, j+8 {
+			slab[i] = math.Float64frombits(binary.BigEndian.Uint64(b[j:]))
+		}
+	}
 	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+		out[i] = slab[i*rowLen : (i+1)*rowLen : (i+1)*rowLen]
 	}
 	return out
 }
 
-func (c *snapCursor) bytes() []byte {
-	n := int(c.u32())
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(c.buf)-c.off {
-		c.fail("byte string of %d exceeds payload", n)
-		return nil
-	}
-	b := c.raw(n)
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (c *snapCursor) str() string { return string(c.bytes()) }
-
+// finish ends a decode by reading the section to its end: a checksum
+// failure outranks whatever the decoder made of the bytes — a flipped count
+// fails it long before the CRC is known, and must still read as corruption.
 func (c *snapCursor) finish(what string) error {
+	trailing := c.remaining()
+	if err := c.r.Verify(); err != nil {
+		return fmt.Errorf("%s section: %w", what, err)
+	}
 	if c.err != nil {
 		return fmt.Errorf("%s section: %w", what, c.err)
 	}
-	if c.off != len(c.buf) {
-		return fmt.Errorf("%w: %s section has %d trailing bytes", ErrBadSnapshot, what, len(c.buf)-c.off)
+	if trailing != 0 {
+		return fmt.Errorf("%w: %s section has %d trailing bytes", ErrBadSnapshot, what, trailing)
 	}
 	return nil
 }

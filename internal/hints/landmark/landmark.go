@@ -414,6 +414,7 @@ func (h *Hints) compress(xi float64) Stats {
 		if assigned[v] {
 			continue
 		}
+		rv := h.Units[v]
 		// v becomes a representative; absorb subsequent unassigned nodes in
 		// the sweep while they are within ξ.
 		assigned[v] = true
@@ -425,7 +426,14 @@ func (h *Hints) compress(xi float64) Stats {
 			if assigned[w] {
 				continue
 			}
-			eps := h.unitDiff(graph.NodeID(w), graph.NodeID(v))
+			// ε(w, v), abandoned at the first coordinate past ξ.
+			var eps uint32
+			for i, a := range h.Units[w] {
+				d := max(a, rv[i]) - min(a, rv[i])
+				if eps = max(eps, d); d > xiUnits {
+					break
+				}
+			}
 			if eps > xiUnits {
 				// The sweep is sorted by vector proximity; once the primary
 				// coordinate alone exceeds ξ no later node can qualify.

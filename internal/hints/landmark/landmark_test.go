@@ -457,3 +457,88 @@ func TestEmptyGraphRejected(t *testing.T) {
 		t.Error("empty graph accepted")
 	}
 }
+
+// compressReference is compress as it was before its candidate scan learned
+// to stop at the first coordinate past ξ: every comparison runs unitDiff's
+// full max. Kept as the oracle for TestCompressEarlyExitIdentical.
+func compressReference(h *Hints, xi float64) (ref []graph.NodeID, eps []uint32, stats Stats) {
+	n := len(h.Units)
+	ref, eps = make([]graph.NodeID, n), make([]uint32, n)
+	for v := range ref {
+		ref[v] = graph.NodeID(v)
+	}
+	xiUnits := uint32(math.Floor(xi / h.Lambda))
+	if xiUnits == 0 || n == 1 {
+		stats.Uncompressed = n
+		return ref, eps, stats
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sortByVector(order, h.Units)
+	assigned := make([]bool, n)
+	for start := 0; start < n; start++ {
+		v := order[start]
+		if assigned[v] {
+			continue
+		}
+		assigned[v] = true
+		stats.Uncompressed++
+		for j := start + 1; j < n; j++ {
+			w := order[j]
+			if assigned[w] {
+				continue
+			}
+			e := h.unitDiff(graph.NodeID(w), graph.NodeID(v))
+			if e > xiUnits {
+				if primaryGap(h.Units[w], h.Units[v]) > xiUnits {
+					break
+				}
+				continue
+			}
+			assigned[w], ref[w], eps[w] = true, graph.NodeID(v), e
+			stats.Compressed++
+		}
+	}
+	return ref, eps, stats
+}
+
+// TestCompressEarlyExitIdentical: abandoning a vector comparison at the
+// first coordinate past ξ changes which comparisons finish, never their
+// outcome — Ref, Eps and Stats equal the full-max scan's on 32 random
+// worlds at ξ = 0 (compression off), small, the default, one large enough
+// to compress these sparse worlds partway (where the scan takes all three
+// of its exits) and one so large that everything collapses onto the first
+// representative.
+func TestCompressEarlyExitIdentical(t *testing.T) {
+	partial := 0
+	for world := int64(0); world < 32; world++ {
+		rng := rand.New(rand.NewSource(100 + world))
+		g := randomRoadGraph(rng, 60+rng.Intn(200))
+		for _, xi := range []float64{0, 5, 50, 2000, 1e9} {
+			opts := defaultOpts()
+			opts.C, opts.Seed, opts.Xi = 2+rng.Intn(10), world, xi
+			h, stats, err := Build(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, eps, want := compressReference(h, xi)
+			if stats != want {
+				t.Fatalf("world %d ξ=%v: stats %+v, full-max scan %+v", world, xi, stats, want)
+			}
+			for v := range ref {
+				if h.Ref[v] != ref[v] || h.Eps[v] != eps[v] {
+					t.Fatalf("world %d ξ=%v node %d: (θ, ε) = (%d, %d), full-max scan (%d, %d)",
+						world, xi, v, h.Ref[v], h.Eps[v], ref[v], eps[v])
+				}
+			}
+			if stats.Compressed > 0 && stats.Uncompressed > 1 {
+				partial++
+			}
+		}
+	}
+	if partial < 32 {
+		t.Errorf("only %d of 160 cases compressed partway — the differential is close to vacuous", partial)
+	}
+}

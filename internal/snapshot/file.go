@@ -10,15 +10,15 @@ import (
 
 // File is the random-access face of a snapshot: it opens by reading only
 // the header and the section table — the trailing index when present and
-// valid, a frame walk over section heads otherwise — and reads one
-// payload per Section call with positioned reads. No payload byte is
-// touched at open, which is what keeps a replica's cold start O(sections)
+// valid, a frame walk over section heads otherwise — and reads payloads
+// through one loop of positioned reads: Open streams a section to wherever
+// its bytes will live, Section is that stream read whole. No payload byte
+// is touched at open, which keeps a replica's cold start O(sections)
 // instead of O(file size); payload CRCs are verified on first touch, so a
-// lazily hydrated loader surfaces corruption as a clean error from the
-// query that first needs the section.
+// lazy loader surfaces corruption as a clean error from that touch.
 //
-// Safe for concurrent Section calls (io.ReaderAt is required to tolerate
-// concurrent positioned reads, and os.File does).
+// Safe for concurrent Open and Section calls (io.ReaderAt is required to
+// tolerate concurrent positioned reads, and os.File does).
 type File struct {
 	ra      io.ReaderAt
 	size    int64
@@ -115,44 +115,106 @@ func (f *File) Has(kind uint32) bool {
 	return false
 }
 
-// Section reads, CRC-verifies and returns the payload of the first
-// section of the given kind. Absent kinds return ErrNoSection; integrity
-// failures (including an index entry that disagrees with the section it
-// points at) wrap ErrCorrupt. The returned payload is owned by the
-// caller. Safe for concurrent use.
+// Section reads, CRC-verifies and returns the whole payload of the first
+// section of the given kind — for sections small enough, or like the
+// certificate already in their final form, to hold in one piece. Absent
+// kinds return ErrNoSection; integrity failures wrap ErrCorrupt.
 func (f *File) Section(kind uint32) ([]byte, error) {
+	r, err := f.Open(kind)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, r.Len())
+	r.Read(buf) // a failed read is sticky: Verify reports it
+	if err := r.Verify(); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// SectionReader streams one section's payload: positioned reads in bounded
+// chunks straight into the caller's memory, the CRC folded in as the bytes
+// flow. A decoder may thus run ahead of the checksum, but must publish
+// nothing built from the bytes before Verify returns nil. One goroutine.
+type SectionReader struct {
+	f        *File
+	e        SectionInfo
+	off      int64 // file offset of the next payload byte
+	crc      uint32
+	verified bool
+	err      error
+	frame    [sectionHeadSize]byte // the head, later the CRC tail, read here
+}
+
+// Open starts a streaming read of the first section of the given kind. Its
+// head must match the table entry, bounds-checked when the file opened.
+func (f *File) Open(kind uint32) (*SectionReader, error) {
 	for _, e := range f.table {
-		if e.Kind == kind {
-			return f.payload(e)
+		if e.Kind != kind {
+			continue
 		}
+		r := &SectionReader{f: f, e: e, off: e.Offset + sectionHeadSize}
+		head := r.frame[:]
+		if err := f.pread(head, e.Offset); err != nil {
+			return nil, fmt.Errorf("%w: section kind %d head: %v", ErrCorrupt, e.Kind, err)
+		}
+		if k, l := binary.BigEndian.Uint32(head), binary.BigEndian.Uint64(head[4:]); k != e.Kind || l != e.Length {
+			return nil, fmt.Errorf("%w: table says kind %d, %d bytes; the section there says kind %d, %d bytes", ErrCorrupt, e.Kind, e.Length, k, l)
+		}
+		r.crc = crc32.ChecksumIEEE(head)
+		return r, nil
 	}
 	return nil, fmt.Errorf("%w: kind %d", ErrNoSection, kind)
 }
 
-// payload reads and verifies one section's payload. The table entry was
-// bounds-checked at open, so the allocation here is backed by real file
-// bytes.
-func (f *File) payload(e SectionInfo) ([]byte, error) {
-	var head [sectionHeadSize]byte
-	if err := f.pread(head[:], e.Offset); err != nil {
-		return nil, fmt.Errorf("%w: section kind %d head: %v", ErrCorrupt, e.Kind, err)
+// Len returns the payload bytes not yet read.
+func (r *SectionReader) Len() int64 { return r.e.Offset + sectionHeadSize + int64(r.e.Length) - r.off }
+
+// sectionChunk bounds one read, so the CRC runs over bytes still in cache.
+const sectionChunk = 256 << 10
+
+// Read fills p from the payload, short only at the section's end (io.EOF).
+// A failed read is sticky and wraps ErrCorrupt.
+func (r *SectionReader) Read(p []byte) (int, error) {
+	if left := r.Len(); left == 0 && r.err == nil {
+		return 0, io.EOF
+	} else if int64(len(p)) > left {
+		p = p[:left]
 	}
-	if k := binary.BigEndian.Uint32(head[:]); k != e.Kind {
-		return nil, fmt.Errorf("%w: table points kind %d at a kind-%d section", ErrCorrupt, e.Kind, k)
+	n := 0
+	for n < len(p) && r.err == nil {
+		chunk := p[n:min(n+sectionChunk, len(p))]
+		if err := r.f.pread(chunk, r.off); err != nil {
+			r.err = fmt.Errorf("%w: section kind %d payload: %v", ErrCorrupt, r.e.Kind, err)
+			break
+		}
+		r.crc = crc32.Update(r.crc, crc32.IEEETable, chunk)
+		r.off += int64(len(chunk))
+		n += len(chunk)
 	}
-	if l := binary.BigEndian.Uint64(head[4:]); l != e.Length {
-		return nil, fmt.Errorf("%w: section kind %d is %d bytes, table says %d", ErrCorrupt, e.Kind, l, e.Length)
+	return n, r.err
+}
+
+// Verify, once, reads whatever the caller left unread (a decoder's early
+// error must not mask a bad checksum) and checks the running CRC against
+// the section's stored one and the table's.
+func (r *SectionReader) Verify() error {
+	if r.verified {
+		return r.err
 	}
-	buf := make([]byte, e.Length+4)
-	if err := f.pread(buf, e.Offset+sectionHeadSize); err != nil {
-		return nil, fmt.Errorf("%w: section kind %d payload: %v", ErrCorrupt, e.Kind, err)
+	r.verified = true
+	for scratch := make([]byte, min(r.Len(), sectionChunk)); r.Len() > 0 && r.err == nil; {
+		r.Read(scratch)
 	}
-	payload, tail := buf[:e.Length:e.Length], buf[e.Length:]
-	stored := binary.BigEndian.Uint32(tail)
-	if got := sectionCRC(head, payload); got != stored || stored != e.CRC {
-		return nil, fmt.Errorf("%w: section kind %d CRC mismatch", ErrCorrupt, e.Kind)
+	tail := r.frame[:4]
+	if r.err != nil {
+		return r.err
+	} else if err := r.f.pread(tail, r.off); err != nil {
+		r.err = fmt.Errorf("%w: section kind %d CRC: %v", ErrCorrupt, r.e.Kind, err)
+	} else if stored := binary.BigEndian.Uint32(tail); stored != r.crc || stored != r.e.CRC {
+		r.err = fmt.Errorf("%w: section kind %d CRC mismatch", ErrCorrupt, r.e.Kind)
 	}
-	return payload, nil
+	return r.err
 }
 
 func (f *File) pread(p []byte, off int64) error {

@@ -243,6 +243,82 @@ func TestStreamingSectionLengthEnforced(t *testing.T) {
 	}
 }
 
+// readSizes records the length of every positioned read asked of ra.
+type readSizes struct {
+	ra    io.ReaderAt
+	sizes []int
+}
+
+func (r *readSizes) ReadAt(p []byte, off int64) (int, error) {
+	r.sizes = append(r.sizes, len(p))
+	return r.ra.ReadAt(p, off)
+}
+
+// TestSectionReaderChunks reads a section several chunks long every way a
+// caller may: whole (Section), and through Open in Reads of one byte, a
+// ragged few, and more than a chunk. Whatever the boundaries the bytes and
+// the CRC come out the same, no positioned read exceeds sectionChunk, and
+// Verify after a partial read drains the rest — so a flipped byte the
+// caller never read is still ErrCorrupt.
+func TestSectionReaderChunks(t *testing.T) {
+	payload := make([]byte, 3*sectionChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i*31 + i>>9)
+	}
+	data := buildSnapshot(t, 1, Section{Kind: 5, Payload: payload})
+	rs := &readSizes{ra: bytes.NewReader(data)}
+	f, err := NewFile(rs, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Section(5); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Section: %d bytes, %v", len(got), err)
+	}
+	for _, step := range []int{1, 7, 4093, sectionChunk + 1} {
+		r, err := f.Open(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, buf := make([]byte, 0, len(payload)), make([]byte, step)
+		for r.Len() > 0 {
+			n, err := r.Read(buf)
+			if err != nil || n != min(step, len(payload)-len(got)) {
+				t.Fatalf("step %d: Read at %d = %d, %v", step, len(got), n, err)
+			}
+			got = append(got, buf[:n]...)
+		}
+		if n, err := r.Read(buf); n != 0 || err != io.EOF {
+			t.Fatalf("step %d: Read past the end = %d, %v", step, n, err)
+		}
+		if err := r.Verify(); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("step %d: Verify %v, bytes equal %v", step, err, bytes.Equal(got, payload))
+		}
+	}
+	for _, n := range rs.sizes {
+		if n > sectionChunk {
+			t.Fatalf("a positioned read of %d bytes, chunk bound %d", n, sectionChunk)
+		}
+	}
+
+	bad := bytes.Clone(data)
+	bad[len(bad)/2] ^= 1 // two chunks in
+	if f, err = NewFile(bytes.NewReader(bad), int64(len(bad))); err != nil {
+		t.Fatal(err)
+	}
+	r, err := f.Open(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(r, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		if err := r.Verify(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Verify %d after reading 100 clean bytes of a corrupt section: %v", try, err)
+		}
+	}
+}
+
 func TestScanReportsVersionAndIndex(t *testing.T) {
 	data := buildSnapshot(t, 3, Section{Kind: 1, Payload: []byte("x")})
 	info, err := Scan(bytes.NewReader(data))

@@ -2,6 +2,7 @@ package spv_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	spv "github.com/authhints/spv"
+	"github.com/authhints/spv/internal/core"
 	"github.com/authhints/spv/internal/netgen"
+	"github.com/authhints/spv/internal/snapshot"
 )
 
 // TestLargeSnapshotColdStart is the CI large-snapshot lane: build a
@@ -91,13 +94,34 @@ func TestLargeSnapshotColdStart(t *testing.T) {
 	}
 	eagerWant := pr.AppendBinary(nil)
 
-	// Restart path B: lazy open through to a verified first proof.
+	// Restart path B: lazy open through to a verified first proof, over a
+	// reader that counts what is asked of the file.
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	table, err := snapshot.NewFile(fh, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bulk snapshot.SectionInfo // the LDM section: distance rows and tree
+	for _, e := range table.Sections() {
+		if e.Length > bulk.Length {
+			bulk = e
+		}
+	}
+	cr := &countingReaderAt{ra: fh, lo: bulk.Offset, hi: bulk.Offset + 12 + int64(bulk.Length) + 4}
 	start = time.Now()
-	lset, err := spv.LoadProviderSetLazy(path)
+	lset, err := core.ReadProviderSetLazy(cr, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lazyOpen := time.Since(start)
+	var hydrated []string
+	lset.OnHydrate = func(m spv.Method, n int64, _ time.Duration, trigger string, err error) {
+		hydrated = append(hydrated, fmt.Sprintf("%s/%s/%v", m, trigger, err))
+	}
 	pr, err = lset.Provider(spv.DIJ).QueryProof(q.S, q.T)
 	if err != nil {
 		t.Fatal(err)
@@ -109,18 +133,27 @@ func TestLargeSnapshotColdStart(t *testing.T) {
 	if got := pr.AppendBinary(nil); string(got) != string(eagerWant) {
 		t.Fatal("lazy first proof is not byte-identical to the eager one")
 	}
-	lset.Close()
 	t.Logf("eager load: %v; lazy open: %v; lazy open + first verified proof: %v",
 		eagerLoad, lazyOpen, firstProof)
 	fmt.Printf("LARGE-SNAPSHOT eager_load=%v lazy_open=%v first_proof=%v\n",
 		eagerLoad, lazyOpen, firstProof)
+	fmt.Printf("LARGE-SNAPSHOT first_proof_read=%d bulk_section=%d\n", cr.total, bulk.Length)
 
-	// The tentpole bound: time-to-first-verified-proof must beat a full
-	// eager load by ≥10×. At 10⁵ nodes the eager path decodes every LDM
-	// distance row and materializes every tuple table; the lazy path reads
-	// the core sections plus one DIJ section.
-	if firstProof*10 > eagerLoad {
-		t.Errorf("lazy open+first proof %v is not 10x faster than eager load %v", firstProof, eagerLoad)
+	// The cold-start bound: the first verified proof costs the core sections
+	// plus the one method section it needs, not the file. Stated in bytes
+	// asked of the file — a ratio to the eager load's time moves with the
+	// machine and with every speed-up of the eager path: not one byte of the
+	// bulk section is read, everything read is read once, and exactly one
+	// section hydrated — DIJ, for the query.
+	if int64(bulk.Length) < size/2 {
+		t.Fatalf("the largest section (kind %d, %d bytes) is not the bulk of a %d-byte file", bulk.Kind, bulk.Length, size)
+	}
+	if cr.inRange != 0 || cr.total > size-(cr.hi-cr.lo) {
+		t.Errorf("lazy open + first DIJ proof read %d bytes (%d of them in the bulk section) of a %d-byte file whose bulk section is %d",
+			cr.total, cr.inRange, size, cr.hi-cr.lo)
+	}
+	if len(hydrated) != 1 || hydrated[0] != "DIJ/query/<nil>" {
+		t.Errorf("hydrations after one DIJ query: %v", hydrated)
 	}
 
 	// Resident-memory bound: after DIJ-only traffic, the lazy set must
@@ -155,6 +188,20 @@ func TestLargeSnapshotColdStart(t *testing.T) {
 	if lazyRes*5 > eagerRes*3 {
 		t.Errorf("lazy resident %d is not under 60%% of the eager resident %d", lazyRes, eagerRes)
 	}
+}
+
+// countingReaderAt totals the bytes asked of ra, and those of them inside
+// [lo, hi). One goroutine.
+type countingReaderAt struct {
+	ra             io.ReaderAt
+	lo, hi         int64
+	total, inRange int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.total += int64(len(p))
+	c.inRange += max(0, min(off+int64(len(p)), c.hi)-max(off, c.lo))
+	return c.ra.ReadAt(p, off)
 }
 
 // TestLargeSnapshotAuditHydration pins that a certificate audit on a

@@ -501,12 +501,13 @@ func LoadProviderSet(path string) (*ProviderSet, error) { return core.OpenProvid
 
 // LoadProviderSetLazy opens a snapshot for lazy serving: the core
 // sections (config, graph, verifier, ordering) load now, and each method
-// section is read, CRC-checked and decoded on its first query. On large
-// worlds this turns a replica cold start from O(file) into O(core
-// sections), and methods nobody queries stay on disk. Proofs are
-// byte-identical to an eager load's. The set holds the file open for
-// on-demand reads — Close it when done; methods hydrated before Close
-// keep serving.
+// section is streamed from the file (every byte copied once), CRC-checked
+// and decoded on its first touch. On large worlds this turns a replica
+// cold start from O(file) into O(core sections), and methods nobody
+// touches stay on disk: the library never hydrates ahead of demand (a
+// caller that wants to, as spvserve does once it listens, runs set.Warm()).
+// Proofs are byte-identical to an eager load's. The set holds the file open
+// for on-demand reads — Close it when done; hydrated methods keep serving.
 func LoadProviderSetLazy(path string) (*ProviderSet, error) {
 	return core.OpenProviderSetLazy(path)
 }
@@ -526,9 +527,9 @@ func LoadEngine(path string, opts ServeOptions) (*QueryEngine, *ProviderSet, err
 
 // LoadEngineLazy is LoadEngine over LoadProviderSetLazy: the replica
 // starts answering queries after loading only the core sections, and
-// method payloads hydrate from the file as traffic touches them. The
-// first query per method pays its section's read+decode; everything
-// after serves from memory at eager speed.
+// method payloads hydrate from the file as traffic (or set.Warm) touches
+// them. The first touch per method pays its section's read+decode;
+// everything after serves from memory at eager speed.
 func LoadEngineLazy(path string, opts ServeOptions) (*QueryEngine, *ProviderSet, error) {
 	set, err := core.OpenProviderSetLazy(path)
 	if err != nil {
