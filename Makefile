@@ -87,9 +87,10 @@ bench-micro:
 snap:
 	$(GO) run ./cmd/spvsnap make -out $(SNAP) -dataset DE -scale 0.05 -methods DIJ,LDM,HYP
 
-# Full snapshot audit: container CRCs, structural load, then 64 sample
-# proofs per method built, decoded and client-verified against the
-# embedded public key. CI runs snap + snap-verify as its round-trip lane.
+# Full snapshot audit: container CRCs, index vs frame walk, structural
+# load, then 64 sample proofs per method built, decoded and client-verified
+# against the embedded public key. CI runs snap + snap-verify as its
+# round-trip lane.
 snap-verify:
 	$(GO) run ./cmd/spvsnap info $(SNAP)
 	$(GO) run ./cmd/spvsnap verify $(SNAP) -proofs 64

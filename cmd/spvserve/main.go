@@ -68,7 +68,6 @@ func main() {
 		edges    = flag.Int("edges", 0, "edge count for -nodes (default: nodes + nodes/20)")
 		seed     = flag.Int64("seed", 1, "synthesis seed")
 		methods  = flag.String("methods", "DIJ,LDM,HYP", "comma-separated methods to serve (FULL is quadratic)")
-		workers  = flag.Int("workers", 0, "batch worker pool size (default GOMAXPROCS)")
 		cache    = flag.Int64("cache-bytes", 0, "proof cache byte budget (0 = default 64 MiB, negative = disabled)")
 		keyFile  = flag.String("key", "", "owner private key PEM (default: fresh key per run)")
 		landmark = flag.Int("landmarks", 0, "LDM landmark count (0 = config default)")
@@ -86,7 +85,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	opts := serveFlags{
 		addr: *addr, dataset: *dataset, scale: *scale, nodes: *nodes, edges: *edges,
-		seed: *seed, methods: *methods, workers: *workers, cache: *cache,
+		seed: *seed, methods: *methods, cache: *cache,
 		keyFile: *keyFile, landmarks: *landmark, cells: *cells, updates: *updates,
 		snapFile: *snapFile, saveFile: *saveFile, eager: *eager, auditOnLoad: *audit,
 		drain: *drain, deadline: *deadline, explicit: set,
@@ -103,7 +102,7 @@ func main() {
 type serveFlags struct {
 	addr, dataset, methods, keyFile, snapFile, saveFile string
 	scale                                               float64
-	nodes, edges, workers, landmarks, cells             int
+	nodes, edges, landmarks, cells                      int
 	seed, cache                                         int64
 	updates, eager, auditOnLoad                         bool
 	drain, deadline                                     time.Duration
@@ -133,9 +132,7 @@ func run(fl serveFlags) error {
 		// re-outsource, and a fresh build has nothing to audit.
 		return fmt.Errorf("-audit-on-load only applies to a key-less -snapshot replica boot")
 	}
-	serveOpts := spv.ServeOptions{
-		Workers: fl.workers, CacheBytes: fl.cache, DefaultBudget: fl.deadline,
-	}
+	serveOpts := spv.ServeOptions{CacheBytes: fl.cache, DefaultBudget: fl.deadline}
 	var (
 		engine   *spv.QueryEngine
 		verifier *spv.Verifier

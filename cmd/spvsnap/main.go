@@ -17,11 +17,11 @@
 //	spvsnap audit world.spv
 //
 // verify exits non-zero on the first failure, so it slots into CI and
-// cron-driven fleet audits; info only checks container integrity (CRCs,
-// section framing) and never loads the structures. audit distinguishes
-// its verdicts by exit code: 0 clean, 3 certificate rejected (tampered or
-// mis-labelled state), 1 anything else (unreadable file, no certificate),
-// 2 usage.
+// cron-driven fleet audits; info only checks container integrity (a usable
+// index, every section's CRC) and never loads the structures. audit
+// distinguishes its verdicts by exit code: 0 clean, 3 certificate rejected
+// (tampered or mis-labelled state), 1 anything else (unreadable file, no
+// certificate), 2 usage.
 package main
 
 import (
@@ -48,9 +48,9 @@ func main() {
 	case "make":
 		err = runMake(os.Args[2:])
 	case "info":
-		err = runInfo(os.Args[2:])
+		err = runInfo(os.Args[2:], os.Stdout)
 	case "verify":
-		err = runVerify(os.Args[2:])
+		err = runVerify(os.Args[2:], os.Stdout)
 	case "audit":
 		code, aerr := runAudit(os.Args[2:], os.Stdout)
 		if aerr != nil {
@@ -121,72 +121,70 @@ func runMake(args []string) error {
 	return nil
 }
 
-func runInfo(args []string) error {
+func runInfo(args []string, out io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("info needs a snapshot file")
 	}
-	f, err := os.Open(args[0])
+	f, err := openVerified(args[0])
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	info, err := snapshot.Scan(f)
-	if err != nil {
-		return err
-	}
-	idx := "sequential (no index)"
-	if info.Indexed {
-		idx = "indexed"
-	}
-	fmt.Printf("%s: %d bytes, format v%d (%s), epoch %d, %d sections (all CRCs OK)\n",
-		args[0], info.Bytes, info.Version, idx, info.Epoch, len(info.Sections))
-	for _, s := range info.Sections {
-		fmt.Printf("  %-10s kind=%d  offset=%10d  %10d bytes  crc=%08x\n",
+	table := f.Sections()
+	fmt.Fprintf(out, "%s: %d bytes, format v%d (indexed), epoch %d, %d sections (all CRCs OK)\n",
+		args[0], f.Size(), snapshot.Version, f.Epoch(), len(table))
+	for _, s := range table {
+		fmt.Fprintf(out, "  %-10s kind=%d  offset=%10d  %10d bytes  crc=%08x\n",
 			core.SnapshotSectionName(s.Kind), s.Kind, s.Offset, s.Length, s.CRC)
 	}
 	return nil
 }
 
+// openVerified opens a snapshot as strictly as the eager load does — the
+// section table must come from a usable index — and streams every section
+// through its CRC.
+func openVerified(path string) (*snapshot.File, error) {
+	f, err := snapshot.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Verify(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
 // auditIndex cross-checks the two ways of finding sections in a
 // container: the trailing index (what lazy opens trust after bounds
-// checks) and a full sequential scan (which re-reads every payload and
-// re-computes every CRC). Any disagreement — count, kind, offset, length
-// or CRC — means the index would send a lazy replica to the wrong bytes.
-func auditIndex(path string) error {
-	f, err := snapshot.Open(path)
+// checks) and a walk over the section frames, then re-computes every CRC.
+// Any disagreement — count, kind, offset, length or CRC — means the index
+// would send a lazy replica to the wrong bytes.
+func auditIndex(path string, out io.Writer) error {
+	f, err := openVerified(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sf, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	info, err := snapshot.Scan(sf)
+	walked, err := f.Walk()
 	if err != nil {
 		return err
 	}
 	table := f.Sections()
-	if len(table) != len(info.Sections) {
-		return fmt.Errorf("index lists %d sections, sequential scan found %d", len(table), len(info.Sections))
+	if len(table) != len(walked) {
+		return fmt.Errorf("index lists %d sections, frame walk found %d", len(table), len(walked))
 	}
 	for i, e := range table {
-		s := info.Sections[i]
-		if e != s {
-			return fmt.Errorf("section %d (%s): index says kind=%d offset=%d len=%d crc=%08x, scan says kind=%d offset=%d len=%d crc=%08x",
+		if s := walked[i]; e != s {
+			return fmt.Errorf("section %d (%s): index says kind=%d offset=%d len=%d crc=%08x, frames say kind=%d offset=%d len=%d crc=%08x",
 				i, core.SnapshotSectionName(s.Kind), e.Kind, e.Offset, e.Length, e.CRC, s.Kind, s.Offset, s.Length, s.CRC)
 		}
 	}
-	mode := "frame walk (no usable index)"
-	if f.Indexed() {
-		mode = "index"
-	}
-	fmt.Printf("  %s agrees with sequential scan: %d sections\n", mode, len(table))
+	fmt.Fprintf(out, "  index agrees with frame walk: %d sections, all CRCs OK\n", len(table))
 	return nil
 }
 
-func runVerify(args []string) error {
+func runVerify(args []string, out io.Writer) error {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		return fmt.Errorf("verify needs a snapshot file first")
 	}
@@ -196,7 +194,7 @@ func runVerify(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	fs.Parse(args[1:])
 
-	if err := auditIndex(path); err != nil {
+	if err := auditIndex(path, out); err != nil {
 		return fmt.Errorf("index audit: %w", err)
 	}
 	set, err := core.OpenProviderSet(path)
@@ -204,7 +202,7 @@ func runVerify(args []string) error {
 		return err
 	}
 	g := set.Graph
-	fmt.Printf("%s: loaded epoch %d, %d nodes, %d edges, methods %v\n",
+	fmt.Fprintf(out, "%s: loaded epoch %d, %d nodes, %d edges, methods %v\n",
 		path, set.Epoch, g.NumNodes(), g.NumEdges(), set.Methods())
 	if *proofs <= 0 {
 		return nil
@@ -219,7 +217,7 @@ func runVerify(args []string) error {
 				return fmt.Errorf("%s query %d (%d,%d): %w", m, i, q.S, q.T, err)
 			}
 		}
-		fmt.Printf("  %-4s %d/%d proofs built, decoded and client-verified\n", m, len(qs), len(qs))
+		fmt.Fprintf(out, "  %-4s %d/%d proofs built, decoded and client-verified\n", m, len(qs), len(qs))
 	}
 	return nil
 }

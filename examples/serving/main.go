@@ -26,7 +26,7 @@ func main() {
 	}
 
 	// The engine outsources once and then serves any number of goroutines.
-	engine, err := spv.NewEngine(owner, spv.ServeOptions{Workers: 4}, spv.LDM, spv.HYP)
+	engine, err := spv.NewEngine(owner, spv.ServeOptions{}, spv.LDM, spv.HYP)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A mixed batch: every query twice, so half the work dedups or hits.
+	// A mixed batch: every query twice, so up to half the work is cache hits
+	// (a repeat built concurrently with its first copy builds again).
 	var batch []spv.ServeQuery
 	for _, m := range []spv.Method{spv.LDM, spv.HYP} {
 		for _, q := range queries {
@@ -65,8 +66,8 @@ func main() {
 	fmt.Printf("verified %d proofs across %d queries\n", len(answers), len(batch))
 
 	s := engine.Stats()
-	fmt.Printf("engine: %d queries, %d cold builds, %d cache hits, %d deduped\n",
-		s.Queries, s.Misses, s.Hits, s.Deduped)
+	fmt.Printf("engine: %d queries, %d cold builds, %d cache hits\n",
+		s.Queries, s.Misses, s.Hits)
 	fmt.Printf("served %d proof bytes; %v spent in cold construction\n",
 		s.ProofBytes, s.ColdTime.Round(1000))
 }

@@ -167,7 +167,7 @@ func (a *networkADS) Records(nodes []graph.NodeID) []tupleRecord {
 // place. Methods that assemble proof node sets from Go maps (LDM, HYP) must
 // canonicalize before Records/Prove so that a given (method, vs, vt) query
 // always yields one byte-identical wire encoding — the property the serving
-// layer's proof cache and singleflight deduplication rely on.
+// layer's proof cache relies on.
 func (a *networkADS) Canonical(nodes []graph.NodeID) []graph.NodeID {
 	pos := a.ord.Pos
 	slices.SortFunc(nodes, func(u, v graph.NodeID) int { return cmp.Compare(pos[u], pos[v]) })

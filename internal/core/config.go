@@ -25,8 +25,8 @@
 // locking, and for a fixed provider instance a given (vs, vt) always
 // produces a byte-identical wire encoding (proof node sets are
 // canonicalized — see networkADS.Canonical). concurrency_test.go pins both
-// guarantees under -race, and internal/serve builds its proof cache and
-// singleflight deduplication on them.
+// guarantees under -race, and internal/serve builds its proof cache on
+// them.
 package core
 
 import (

@@ -16,9 +16,9 @@ import (
 // are in none of its terms.
 func assertLedger(t *testing.T, s Snapshot) {
 	t.Helper()
-	if s.Hits+s.Misses+s.Deduped+s.Errors != s.Queries {
-		t.Errorf("ledger: hits %d + misses %d + deduped %d + errors %d != queries %d",
-			s.Hits, s.Misses, s.Deduped, s.Errors, s.Queries)
+	if s.Hits+s.Misses+s.Errors != s.Queries || s.Deduped != 0 {
+		t.Errorf("ledger: hits %d + misses %d + errors %d != queries %d (deduped %d, want 0)",
+			s.Hits, s.Misses, s.Errors, s.Queries, s.Deduped)
 	}
 }
 

@@ -288,8 +288,8 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	if s.Queries != 40 || s.Errors != 0 {
 		t.Errorf("stats = %+v, want 40 queries / 0 errors", s)
 	}
-	if s.Misses != 4 {
-		t.Errorf("misses = %d, want 4 distinct", s.Misses)
+	if s.Misses < 4 || s.CacheLen != 4 {
+		t.Errorf("misses = %d, cache holds %d; want at least 4 and 4 distinct", s.Misses, s.CacheLen)
 	}
 }
 

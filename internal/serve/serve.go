@@ -11,15 +11,15 @@
 //     Query concurrently with no locking.
 //  2. Proofs are deterministic for a fixed provider instance: the same
 //     (method, vs, vt) always yields byte-identical wire encodings, so the
-//     exact encoding is cacheable and one in-flight construction can serve
-//     every concurrent requester.
+//     exact encoding is cacheable.
 //
 // Every query takes one path: admission (admit: a bounded in-flight gauge
 // and an optional latency budget, refusals shed as their own class), then
 // an LRU cache keyed by (method, vs, vt) holding exact wire encodings, then
-// singleflight deduplication so concurrent identical queries build one
-// proof, then the provider. QueryBatch is a loop over that path on a
-// bounded worker pool. cmd/spvserve exposes the engine over HTTP;
+// the provider, whose proof the cache keeps unless a swap landed during the
+// build. Concurrent identical misses each build (no workload measured one
+// joining another's build). QueryBatch is a loop over that path on a
+// GOMAXPROCS-wide worker pool. cmd/spvserve exposes the engine over HTTP;
 // spv.NewServer is the public construction surface.
 package serve
 
@@ -66,9 +66,7 @@ type Query struct {
 // and the proof's exact wire encoding (decodable with core.DecodeProof and
 // verifiable with core.VerifyProof, both keyed by Query.Method). The Proof
 // slice is owned by the caller — the engine never retains or reuses it.
-// Cached marks answers served from the proof cache; queries that joined
-// another caller's in-flight construction report Cached=false and count in
-// Snapshot.Deduped.
+// Cached marks answers served from the proof cache.
 type Answer struct {
 	Query  Query   `json:"query"`
 	Dist   float64 `json:"dist"`
@@ -82,8 +80,6 @@ type Answer struct {
 
 // Options configures an Engine. The zero value picks defaults.
 type Options struct {
-	// Workers bounds the fan-out of QueryBatch. Default: GOMAXPROCS.
-	Workers int
 	// CacheBytes bounds the LRU proof cache by total held bytes (wire
 	// encodings plus a small per-entry overhead) — proof sizes vary by
 	// orders of magnitude between methods, so a byte budget is the only
@@ -155,7 +151,6 @@ type Engine struct {
 	workers int
 	run     map[core.Method]*methodSlot
 	cache   *lruCache // nil when caching is disabled
-	flights flightGroup
 	stats   engineStats
 
 	// Admission state (admit): the in-flight bound (4096 outside tests — one
@@ -172,7 +167,6 @@ type engineStats struct {
 	queries    atomic.Int64
 	hits       atomic.Int64
 	misses     atomic.Int64
-	deduped    atomic.Int64
 	errors     atomic.Int64
 	proofBytes atomic.Int64
 	coldNanos  atomic.Int64
@@ -194,10 +188,11 @@ type Snapshot struct {
 	Queries int64 `json:"queries"`
 	// Hits counts answers served from the proof cache.
 	Hits int64 `json:"hits"`
-	// Misses counts cold proof constructions actually executed.
+	// Misses counts cold proof constructions (Hits + Misses + Errors ==
+	// Queries).
 	Misses int64 `json:"misses"`
-	// Deduped counts queries that joined another caller's in-flight
-	// construction (Hits + Misses + Deduped + Errors == Queries).
+	// Deduped is residue of the deleted singleflight, always zero:
+	// benchmark/results.go, frozen, reads it.
 	Deduped int64 `json:"deduped"`
 	// Errors counts failed queries.
 	Errors int64 `json:"errors"`
@@ -269,12 +264,8 @@ type LatencySummary struct {
 // NewEngine returns an engine with no providers; attach at least one with
 // Register before querying.
 func NewEngine(opts Options) *Engine {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		workers:       workers,
+		workers:       runtime.GOMAXPROCS(0),
 		run:           make(map[core.Method]*methodSlot),
 		maxInFlight:   4096,
 		defaultBudget: opts.DefaultBudget,
@@ -459,15 +450,14 @@ func (e *Engine) admit(n int, budget time.Duration) error {
 }
 
 // Query answers one query under the engine's default budget. Safe for
-// concurrent use; identical concurrent queries share one proof
-// construction.
+// concurrent use.
 func (e *Engine) Query(q Query) (Answer, error) {
 	return e.QueryBudget(q, 0)
 }
 
 // QueryBudget is Query under an explicit latency budget (<= 0: the engine
-// default): admit, then cache, singleflight, provider. A shed query
-// returns an error wrapping ErrShed and touches no other counter.
+// default): admit, then cache, provider. A shed query returns an error
+// wrapping ErrShed and touches no other counter.
 func (e *Engine) QueryBudget(q Query, budget time.Duration) (Answer, error) {
 	if err := e.admit(1, budget); err != nil {
 		return Answer{Query: q, Err: err}, err
@@ -537,7 +527,6 @@ func (e *Engine) Stats() Snapshot {
 		Queries:    e.stats.queries.Load(),
 		Hits:       e.stats.hits.Load(),
 		Misses:     e.stats.misses.Load(),
-		Deduped:    e.stats.deduped.Load(),
 		Errors:     e.stats.errors.Load(),
 		ProofBytes: e.stats.proofBytes.Load(),
 		ColdTime:   time.Duration(e.stats.coldNanos.Load()),
@@ -577,11 +566,10 @@ func (e *Engine) Stats() Snapshot {
 	return s
 }
 
-// cached is the unit both the LRU cache and singleflight hand around: one
-// proof's exact wire encoding plus its headline numbers and leaf coverage
-// (kept so hot-swaps can invalidate precisely). The wire slice is shared
-// between cache and flights and must never be mutated; answers get their
-// own copy.
+// cached is the unit the LRU cache holds: one proof's exact wire encoding
+// plus its headline numbers and leaf coverage (kept so hot-swaps can
+// invalidate precisely). The wire slice is shared by every hit and must
+// never be mutated; answers get their own copy.
 type cached struct {
 	dist float64
 	hops int
@@ -589,11 +577,11 @@ type cached struct {
 	cov  cover
 }
 
-// query is the engine hot path: cache lookup, then singleflight around the
-// cold construction. A panic during construction (flightGroup.Do re-panics
-// in the owner) is converted to a per-query error here so one poisoned
-// query can't kill the process from a QueryBatch worker goroutine — net/http
-// would contain it for /query but not for /batch.
+// query is the engine hot path: cache lookup, then the cold construction
+// and a generation-checked insert. A panic during construction is
+// converted to a per-query error here so one poisoned query can't kill the
+// process from a QueryBatch worker goroutine — net/http would contain it
+// for /query but not for /batch.
 func (e *Engine) query(q Query) (ans Answer) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -628,51 +616,24 @@ func (e *Engine) query(q Query) (ans Answer) {
 			return e.answer(q, c, true)
 		}
 	}
-	c, err, shared := e.flights.Do(key, func() (cached, error) {
-		// Re-check the cache: a previous flight may have completed and
-		// been forgotten between this caller's lookup and its takeoff.
-		if e.cache != nil {
-			if c, ok := e.cache.Get(key); ok {
-				return c, errCacheRace
-			}
-		}
-		start := time.Now()
-		dist, hops, wire, cov, err := fn(q.VS, q.VT)
-		if err != nil {
-			return cached{}, err
-		}
-		e.stats.coldNanos.Add(int64(time.Since(start)))
-		c := cached{dist: dist, hops: hops, wire: wire, cov: cov}
-		// Don't cache across a swap: a build racing an update may carry a
-		// pre-swap proof whose dirtied coverage the invalidation pass
-		// already handled; dropping the insert (rare) keeps the cache's
-		// invariant, the answer itself is still served.
-		if e.cache != nil && sl.gen.Load() == gen {
-			e.cache.Add(key, c)
-		}
-		return c, nil
-	})
-	switch {
-	case err == nil && shared:
-		e.stats.deduped.Add(1)
-	case err == nil:
-		e.stats.misses.Add(1)
-	case errors.Is(err, errCacheRace):
-		e.stats.hits.Add(1)
-		return e.answer(q, c, true)
-	default:
+	built := time.Now()
+	dist, hops, wire, cov, err := fn(q.VS, q.VT)
+	if err != nil {
 		e.stats.errors.Add(1)
 		return Answer{Query: q, Err: err}
 	}
-	// Cold builds and deduped waiters both paid no cache lookup: Cached
-	// marks proof-cache hits only, so dedup is visible in Stats().Deduped
-	// but not mislabeled as a cache hit (even with caching disabled).
+	e.stats.coldNanos.Add(int64(time.Since(built)))
+	e.stats.misses.Add(1)
+	c := cached{dist: dist, hops: hops, wire: wire, cov: cov}
+	// Don't cache across a swap: a build racing an update may carry a
+	// pre-swap proof whose dirtied coverage the invalidation pass already
+	// handled; dropping the insert (rare) keeps the cache's invariant, the
+	// answer itself is still served.
+	if e.cache != nil && sl.gen.Load() == gen {
+		e.cache.Add(key, c)
+	}
 	return e.answer(q, c, false)
 }
-
-// errCacheRace is the internal signal that a flight found its result
-// already cached; never returned to callers.
-var errCacheRace = errors.New("serve: satisfied from cache inside flight")
 
 // answer materializes a caller-owned Answer from a cached proof.
 func (e *Engine) answer(q Query, c cached, fromCache bool) Answer {

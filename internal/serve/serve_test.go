@@ -267,7 +267,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestEngineBatchPreservesOrderAndErrors(t *testing.T) {
 	w := testWorld(t)
-	e := w.engine(Options{Workers: 4})
+	e := w.engine(Options{})
+	e.workers = 4
 	qs := []Query{
 		{Method: core.LDM, VS: w.queries[0].S, VT: w.queries[0].T},
 		{Method: core.LDM, VS: w.queries[0].S, VT: w.queries[0].S}, // vs == vt rejected
@@ -311,11 +312,12 @@ func TestEngineUnknownMethod(t *testing.T) {
 // TestEngineConcurrentHammer is the serving-layer race test: many
 // goroutines fire mixed repeated/distinct queries across all methods at one
 // shared engine. Every answer must be byte-identical to the sequential
-// baseline, and the hit/miss/dedup accounting must add up exactly.
+// baseline, and the hit/miss accounting must add up exactly.
 // Run with -race to validate the lock-free provider sharing.
 func TestEngineConcurrentHammer(t *testing.T) {
 	w := testWorld(t)
-	e := w.engine(Options{Workers: 8})
+	e := w.engine(Options{})
+	e.workers = 8
 
 	methods := core.Methods()
 	distinct := make([]Query, 0, len(methods)*4)
@@ -372,9 +374,10 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		t.Errorf("errors = %d, want 0", s.Errors)
 	}
 	assertLedger(t, s)
-	// Singleflight + cache guarantee exactly one cold build per distinct key.
-	if s.Misses != int64(len(distinct)) {
-		t.Errorf("misses = %d, want %d (one cold build per distinct query)", s.Misses, len(distinct))
+	// Every distinct key is built at least once; concurrent misses on one
+	// key may each build, and the cache keeps one entry per key.
+	if s.Misses < int64(len(distinct)) {
+		t.Errorf("misses = %d, want at least %d (one cold build per distinct query)", s.Misses, len(distinct))
 	}
 	if s.CacheLen != len(distinct) {
 		t.Errorf("cache holds %d entries, want %d", s.CacheLen, len(distinct))
@@ -387,7 +390,8 @@ func TestEngineConcurrentHammer(t *testing.T) {
 // would otherwise kill the whole process).
 func TestEnginePanicContainedPerQuery(t *testing.T) {
 	w := testWorld(t)
-	e := w.engine(Options{Workers: 2})
+	e := w.engine(Options{})
+	e.workers = 2
 	e.register("BOOM", func(vs, vt graph.NodeID) (float64, int, []byte, cover, error) {
 		panic("construction bug")
 	})
@@ -407,56 +411,12 @@ func TestEnginePanicContainedPerQuery(t *testing.T) {
 	}
 }
 
-// TestFlightGroupSurvivesPanic pins the singleflight cleanup contract: a
-// panicking construction re-panics in the owner but must not wedge the key
-// for future callers or deliver a zero result to waiters.
-func TestFlightGroupSurvivesPanic(t *testing.T) {
-	var g flightGroup
-	key := cacheKey{m: core.LDM, vs: 1, vt: 2}
-
-	waiterErr := make(chan error)
-	attached := make(chan struct{})
-	panicked := func() (recovered bool) {
-		defer func() { recovered = recover() != nil }()
-		g.Do(key, func() (cached, error) {
-			// A waiter attaches while the flight is in the air (the flight
-			// stays in the map until the owner's deferred cleanup), exactly
-			// as Do's shared path does: grab the flight, block on done.
-			go func() {
-				g.mu.Lock()
-				f := g.m[key]
-				g.mu.Unlock()
-				close(attached)
-				if f == nil {
-					waiterErr <- errors.New("flight missing from map mid-construction")
-					return
-				}
-				<-f.done
-				waiterErr <- f.err
-			}()
-			<-attached
-			panic("boom")
-		})
-		return
-	}
-	if !panicked() {
-		t.Fatal("owner did not re-panic")
-	}
-	if err := <-waiterErr; err == nil {
-		t.Error("waiter on a panicked flight got a nil error")
-	}
-	// The key must not be wedged: a fresh call runs its fn normally.
-	v, err, _ := g.Do(key, func() (cached, error) { return cached{dist: 42}, nil })
-	if err != nil || v.dist != 42 {
-		t.Errorf("post-panic Do = (%v, %v), want dist 42", v, err)
-	}
-}
-
 // TestEngineBatchConcurrentWithSingles overlaps batch and single queries on
 // one engine — the mixed traffic shape of a real provider front-end.
 func TestEngineBatchConcurrentWithSingles(t *testing.T) {
 	w := testWorld(t)
-	e := w.engine(Options{Workers: 4})
+	e := w.engine(Options{})
+	e.workers = 4
 	batch := make([]Query, 0, 8)
 	for i := 0; i < 4; i++ {
 		batch = append(batch,
@@ -491,8 +451,8 @@ func TestEngineBatchConcurrentWithSingles(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.Misses != int64(len(batch)) {
-		t.Errorf("misses = %d, want %d", s.Misses, len(batch))
+	if s.Misses < int64(len(batch)) || s.CacheLen != len(batch) {
+		t.Errorf("misses = %d, cache holds %d; want at least %d and %[3]d", s.Misses, s.CacheLen, len(batch))
 	}
 	assertLedger(t, s)
 }

@@ -63,15 +63,15 @@ func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 	if string(head[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:8])
 	}
-	if err := checkVersion(binary.BigEndian.Uint32(head[8:])); err != nil {
-		return nil, err
+	if v := binary.BigEndian.Uint32(head[8:]); v != Version {
+		return nil, fmt.Errorf("%w: unsupported version %d (reader speaks %d)", ErrCorrupt, v, Version)
 	}
 	f.epoch = int64(binary.BigEndian.Uint64(head[16:]))
 	if table, err := f.loadIndex(); err == nil {
 		f.table, f.indexed = table, true
 		return f, nil
 	}
-	table, err := f.walk()
+	table, err := f.Walk()
 	if err != nil {
 		return nil, err
 	}
@@ -146,25 +146,49 @@ type SectionReader struct {
 	frame    [sectionHeadSize]byte // the head, later the CRC tail, read here
 }
 
-// Open starts a streaming read of the first section of the given kind. Its
-// head must match the table entry, bounds-checked when the file opened.
+// Open starts a streaming read of the first section of the given kind.
 func (f *File) Open(kind uint32) (*SectionReader, error) {
 	for _, e := range f.table {
-		if e.Kind != kind {
-			continue
+		if e.Kind == kind {
+			return f.open(e)
 		}
-		r := &SectionReader{f: f, e: e, off: e.Offset + sectionHeadSize}
-		head := r.frame[:]
-		if err := f.pread(head, e.Offset); err != nil {
-			return nil, fmt.Errorf("%w: section kind %d head: %v", ErrCorrupt, e.Kind, err)
-		}
-		if k, l := binary.BigEndian.Uint32(head), binary.BigEndian.Uint64(head[4:]); k != e.Kind || l != e.Length {
-			return nil, fmt.Errorf("%w: table says kind %d, %d bytes; the section there says kind %d, %d bytes", ErrCorrupt, e.Kind, e.Length, k, l)
-		}
-		r.crc = crc32.ChecksumIEEE(head)
-		return r, nil
 	}
 	return nil, fmt.Errorf("%w: kind %d", ErrNoSection, kind)
+}
+
+// open starts a streaming read of one table entry. Its head must match the
+// entry, bounds-checked when the file opened.
+func (f *File) open(e SectionInfo) (*SectionReader, error) {
+	r := &SectionReader{f: f, e: e, off: e.Offset + sectionHeadSize}
+	head := r.frame[:]
+	if err := f.pread(head, e.Offset); err != nil {
+		return nil, fmt.Errorf("%w: section kind %d head: %v", ErrCorrupt, e.Kind, err)
+	}
+	if k, l := binary.BigEndian.Uint32(head), binary.BigEndian.Uint64(head[4:]); k != e.Kind || l != e.Length {
+		return nil, fmt.Errorf("%w: table says kind %d, %d bytes; the section there says kind %d, %d bytes", ErrCorrupt, e.Kind, e.Length, k, l)
+	}
+	r.crc = crc32.ChecksumIEEE(head)
+	return r, nil
+}
+
+// Verify is the whole-file integrity check: the table must have come from
+// a usable index, and every section in it is streamed through a
+// SectionReader, so each CRC is recomputed from the payload and checked
+// against the frame's and the table's — in one chunk of memory.
+func (f *File) Verify() error {
+	if !f.indexed {
+		return fmt.Errorf("%w: section index unusable", ErrCorrupt)
+	}
+	for _, e := range f.table {
+		r, err := f.open(e)
+		if err == nil {
+			err = r.Verify()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len returns the payload bytes not yet read.
@@ -264,7 +288,7 @@ func (f *File) loadIndex() ([]SectionInfo, error) {
 		return nil, fmt.Errorf("%w: index payload: %v", ErrCorrupt, err)
 	}
 	payload, tail := buf[:length:length], buf[length:]
-	if got := binary.BigEndian.Uint32(tail); got != sectionCRC(head, payload) {
+	if got := binary.BigEndian.Uint32(tail); got != crc32.Update(crc32.ChecksumIEEE(head[:]), crc32.IEEETable, payload) {
 		return nil, fmt.Errorf("%w: index CRC mismatch", ErrCorrupt)
 	}
 	entries, err := parseIndex(payload)
@@ -282,11 +306,12 @@ func (f *File) loadIndex() ([]SectionInfo, error) {
 	return entries, nil
 }
 
-// walk builds the section table sequentially from section heads alone —
-// the fallback for a corrupt index. It
-// validates framing and the end marker but reads no payload; payload CRCs
-// are taken from the file and verified on first Section read.
-func (f *File) walk() ([]SectionInfo, error) {
+// Walk builds the section table sequentially from section frames alone —
+// the open's fallback for a corrupt index, and the second opinion an
+// auditor compares the index's table with. It validates framing and the
+// end marker but reads no payload; payload CRCs are taken from the file
+// and verified on first read (or by Verify).
+func (f *File) Walk() ([]SectionInfo, error) {
 	var table []SectionInfo
 	var payloads uint64
 	off := int64(headerSize)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -18,10 +19,10 @@ func withVersion(data []byte, v uint32) []byte {
 	return out
 }
 
-var fileSections = []Section{
-	{Kind: 1, Payload: []byte("config")},
-	{Kind: 2, Payload: bytes.Repeat([]byte{0xC4}, 5000)},
-	{Kind: 8, Payload: []byte{}},
+var fileSections = []sec{
+	{1, []byte("config")},
+	{2, bytes.Repeat([]byte{0xC4}, 5000)},
+	{8, []byte{}},
 }
 
 func checkFileReads(t *testing.T, f *File) {
@@ -34,15 +35,15 @@ func checkFileReads(t *testing.T, f *File) {
 	}
 	for i, want := range fileSections {
 		e := f.Sections()[i]
-		if e.Kind != want.Kind || e.Length != uint64(len(want.Payload)) {
+		if e.Kind != want.kind || e.Length != uint64(len(want.payload)) {
 			t.Fatalf("table entry %d = %+v", i, e)
 		}
-		got, err := f.Section(want.Kind)
+		got, err := f.Section(want.kind)
 		if err != nil {
-			t.Fatalf("Section(%d): %v", want.Kind, err)
+			t.Fatalf("Section(%d): %v", want.kind, err)
 		}
-		if !bytes.Equal(got, want.Payload) {
-			t.Fatalf("Section(%d): %d bytes", want.Kind, len(got))
+		if !bytes.Equal(got, want.payload) {
+			t.Fatalf("Section(%d): %d bytes", want.kind, len(got))
 		}
 	}
 	if !f.Has(2) || f.Has(42) {
@@ -92,10 +93,8 @@ func TestFileCorruptIndexFallsBackToWalk(t *testing.T) {
 		t.Fatal("corrupt index reported as indexed")
 	}
 	checkFileReads(t, f)
-
-	// The strict sequential paths must still reject the file outright.
-	if err := readAll(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("sequential read of corrupt index: %v", err)
+	if err := f.Verify(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("whole-file check of a walked table: %v", err)
 	}
 }
 
@@ -123,7 +122,7 @@ func TestFileSectionCRCVerifiedOnTouch(t *testing.T) {
 	// (no payload is read), the untouched section must read fine, and the
 	// corrupt one must surface ErrCorrupt on first touch.
 	bad := append([]byte(nil), data...)
-	bad[headerSize+sectionHeadSize+len(fileSections[0].Payload)+4+sectionHeadSize+100] ^= 1
+	bad[headerSize+sectionHeadSize+len(fileSections[0].payload)+4+sectionHeadSize+100] ^= 1
 	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -142,12 +141,7 @@ func TestFileLyingIndexDoesNotOverAllocate(t *testing.T) {
 	// CRC so only the bounds checks can catch it. NewFile must reject the
 	// index (entry overruns it) and fall back; the walk sees the real
 	// sections, so nothing allocates beyond the file.
-	bad := append([]byte(nil), data...)
-	start, end := indexPayloadRange(t, bad)
-	binary.BigEndian.PutUint64(bad[start+4+12:], 1<<60)
-	var head [sectionHeadSize]byte
-	copy(head[:], bad[start-sectionHeadSize:start])
-	binary.BigEndian.PutUint32(bad[end:], sectionCRC(head, bad[start:end]))
+	bad := patchIndex(t, data, func(p []byte) { binary.BigEndian.PutUint64(p[4+12:], 1<<60) })
 	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +150,28 @@ func TestFileLyingIndexDoesNotOverAllocate(t *testing.T) {
 		t.Fatal("lying index accepted")
 	}
 	checkFileReads(t, f)
+}
+
+// TestFileIndexDisagreesWithFrames re-seals an index whose entry records
+// another CRC than the section's frame: the index is well formed, so the
+// file opens through it, but the frame walk tells a different story and
+// the section fails its read.
+func TestFileIndexDisagreesWithFrames(t *testing.T) {
+	data := buildSnapshot(t, 9, fileSections...)
+	bad := patchIndex(t, data, func(p []byte) { p[4+20] ^= 1 })
+	f, err := NewFile(bytes.NewReader(bad), int64(len(bad)))
+	if err != nil || !f.Indexed() {
+		t.Fatalf("open: indexed %v, %v", err == nil && f.Indexed(), err)
+	}
+	if walked, err := f.Walk(); err != nil || slices.Equal(walked, f.Sections()) {
+		t.Fatalf("walk %v agrees with a lying index", err)
+	}
+	if _, err := f.Section(fileSections[0].kind); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("section behind a lying entry: %v", err)
+	}
+	if err := f.Verify(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Verify: %v", err)
+	}
 }
 
 func TestFileConcurrentSectionReads(t *testing.T) {
@@ -170,9 +186,9 @@ func TestFileConcurrentSectionReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, s := range fileSections {
-				got, err := f.Section(s.Kind)
-				if err != nil || !bytes.Equal(got, s.Payload) {
-					t.Errorf("Section(%d): %v", s.Kind, err)
+				got, err := f.Section(s.kind)
+				if err != nil || !bytes.Equal(got, s.payload) {
+					t.Errorf("Section(%d): %v", s.kind, err)
 					return
 				}
 			}
@@ -265,7 +281,7 @@ func TestSectionReaderChunks(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i*31 + i>>9)
 	}
-	data := buildSnapshot(t, 1, Section{Kind: 5, Payload: payload})
+	data := buildSnapshot(t, 1, sec{5, payload})
 	rs := &readSizes{ra: bytes.NewReader(data)}
 	f, err := NewFile(rs, int64(len(data)))
 	if err != nil {
@@ -319,16 +335,22 @@ func TestSectionReaderChunks(t *testing.T) {
 	}
 }
 
+// TestScanReportsVersionAndIndex checks that a current-version file opens
+// through its index and that the table's first section starts right after
+// the header.
 func TestScanReportsVersionAndIndex(t *testing.T) {
-	data := buildSnapshot(t, 3, Section{Kind: 1, Payload: []byte("x")})
-	info, err := Scan(bytes.NewReader(data))
+	data := buildSnapshot(t, 3, sec{1, []byte("x")})
+	if v := binary.BigEndian.Uint32(data[8:]); v != Version {
+		t.Fatalf("header version = %d", v)
+	}
+	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != Version || !info.Indexed {
-		t.Fatalf("version=%d indexed=%v", info.Version, info.Indexed)
+	if !f.Indexed() {
+		t.Fatal("opened without the index")
 	}
-	if info.Sections[0].Offset != headerSize {
-		t.Fatalf("offset = %d", info.Sections[0].Offset)
+	if off := f.Sections()[0].Offset; off != headerSize {
+		t.Fatalf("offset = %d", off)
 	}
 }

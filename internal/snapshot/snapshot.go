@@ -31,9 +31,10 @@
 // reserved for the end marker and kind 0xFFFFFFFF for the index; payload
 // semantics for other kinds belong to the producing layer.
 //
-// The sequential Reader checks the index against the sections it has read;
-// File opens through the index and falls back to a frame walk — reading
-// only section heads, never payloads — when the index is corrupt.
+// File is the one reader. It opens through the index and falls back to a
+// frame walk — reading only section heads, never payloads — when the index
+// is corrupt; Walk runs that walk on demand, so an auditor can compare the
+// two tables, and Verify streams every payload through its CRC.
 //
 // # Version and compatibility rules
 //
@@ -41,20 +42,19 @@
 // format carries precomputed Merkle digests, so there is no such thing as
 // a tolerant re-interpretation: a reader either understands a version
 // exactly or refuses it. Unknown section kinds within a known version are
-// skippable by Scan (inspection) but are an error for semantic loaders,
+// listed by File (inspection) but are an error for semantic loaders,
 // which must not silently drop state they do not understand.
 //
 // # Robustness
 //
-// Readers never trust a declared length: sequential reads grow payload
-// buffers only as bytes actually arrive, and File validates
-// every index offset and length against the real file size before
-// allocating, so a lying length field cannot translate into a giant
-// speculative allocation. Corruption — flipped payload bytes, truncated
-// files, wrong section counts, a lying index — is reported as an error
-// wrapping ErrCorrupt, never a panic. A payload read through File is CRC-
-// verified at read time (first touch), so lazy loaders surface corruption
-// as a clean error from the query that first needs the section.
+// Readers never trust a declared length: File validates every index
+// offset and length against the real file size before allocating, so a
+// lying length field cannot translate into a giant speculative
+// allocation. Corruption — flipped payload bytes, truncated files, wrong
+// section counts, a lying index — is reported as an error wrapping
+// ErrCorrupt, never a panic. A payload read through File is CRC-verified
+// at read time (first touch), so lazy loaders surface corruption as a
+// clean error from the query that first needs the section.
 package snapshot
 
 import (
@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 )
 
 // Version is the snapshot format version writers emit and the only one
@@ -78,9 +77,9 @@ const magic = "SPVSNAP1"
 // must number their sections from 1.
 const EndKind = 0
 
-// IndexKind is the reserved section kind of the trailing index. The
-// sequential Reader validates and consumes it internally; it is never
-// surfaced as a payload section.
+// IndexKind is the reserved section kind of the trailing index. File
+// validates and consumes it internally; it is never surfaced as a payload
+// section.
 const IndexKind = 0xFFFFFFFF
 
 // ErrCorrupt tags every integrity failure a reader can detect: bad magic,
@@ -106,15 +105,9 @@ const indexEntrySize = 4 + 8 + 8 + 4
 // endSize is the full end-marker size (head + indexOff + crc).
 const endSize = sectionHeadSize + 8 + 4
 
-// readChunk is the least a sequential reader allocates ahead of verified
-// bytes: payloads grow as data actually arrives (see readBounded), so a
-// lying length field cannot translate into a giant speculative allocation.
-const readChunk = 1 << 20
-
 // SectionInfo describes one section without retaining its payload: its
 // kind, its file offset (of the kind field), its payload length and its
-// CRC. It is both the index entry layout and the Scan/File inspection
-// record.
+// CRC. It is both the index entry layout and File's table entry.
 type SectionInfo struct {
 	Kind   uint32
 	Offset int64
@@ -129,22 +122,18 @@ type SectionInfo struct {
 // multi-gigabyte deployment costs constant memory on top of the payloads
 // themselves. Not safe for concurrent use.
 type Writer struct {
-	w        io.Writer
-	sections uint64
-	written  int64
-	closed   bool
-	err      error
-	index    []SectionInfo
-	// stream is the in-flight BeginSection state, nil between sections.
+	w       io.Writer
+	written int64
+	closed  bool
+	err     error
+	index   []SectionInfo
+	// stream is the section being written, nil between sections.
 	stream *streamState
 }
 
 type streamState struct {
-	kind      uint32
-	offset    int64
-	length    uint64
+	SectionInfo
 	remaining uint64
-	crc       uint32
 }
 
 // NewWriter writes the header and returns a writer ready for Section
@@ -175,97 +164,87 @@ func (sw *Writer) write(p []byte) error {
 	return sw.err
 }
 
-// checkKind rejects writes outside the legal section states.
-func (sw *Writer) checkKind(kind uint32) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return errors.New("snapshot: section after Close")
-	}
-	if sw.stream != nil {
-		return errors.New("snapshot: section while a streaming section is open")
-	}
-	if kind == EndKind || kind == IndexKind {
-		return fmt.Errorf("snapshot: section kind %#x is reserved", kind)
-	}
-	return nil
-}
-
-// Section appends one framed section: kind, length, payload, payload CRC.
-// kind must not be a reserved kind. The payload is not retained.
+// Section appends one framed section: kind, length, payload, CRC. kind
+// must not be a reserved kind. The payload is not retained.
 func (sw *Writer) Section(kind uint32, payload []byte) error {
-	if err := sw.checkKind(kind); err != nil {
+	w, err := sw.BeginSection(kind, uint64(len(payload)))
+	if err != nil {
 		return err
 	}
-	offset := sw.written
-	var head [sectionHeadSize]byte
-	binary.BigEndian.PutUint32(head[:], kind)
-	binary.BigEndian.PutUint64(head[4:], uint64(len(payload)))
-	if err := sw.write(head[:]); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	if err := sw.write(payload); err != nil {
-		return err
-	}
-	crc := sectionCRC(head, payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	if err := sw.write(tail[:]); err != nil {
-		return err
-	}
-	sw.sections++
-	sw.index = append(sw.index, SectionInfo{Kind: kind, Offset: offset, Length: uint64(len(payload)), CRC: crc})
-	return nil
+	return sw.EndSection()
 }
 
-// BeginSection opens a streaming section of exactly length payload bytes
-// and returns the writer to stream them into. The producer must write the
-// declared length precisely and then call EndSection — the CRC is
-// accumulated as bytes flow, so nothing is buffered and the underlying
-// writer need not be seekable. Writing past the declared length is an
-// error; writing less is caught by EndSection.
+// BeginSection opens a section of exactly length payload bytes and returns
+// the writer to stream them into. The producer must write the declared
+// length precisely and then call EndSection — the CRC is accumulated as
+// bytes flow, so nothing is buffered and the underlying writer need not be
+// seekable. Writing past the declared length is an error; writing less is
+// caught by EndSection.
 func (sw *Writer) BeginSection(kind uint32, length uint64) (io.Writer, error) {
-	if err := sw.checkKind(kind); err != nil {
-		return nil, err
+	switch {
+	case sw.err != nil:
+		return nil, sw.err
+	case sw.closed:
+		return nil, errors.New("snapshot: section after Close")
+	case kind == EndKind || kind == IndexKind:
+		return nil, fmt.Errorf("snapshot: section kind %#x is reserved", kind)
 	}
-	offset := sw.written
+	return sw.begin(kind, length)
+}
+
+// begin writes a section head — every section's and the index's.
+func (sw *Writer) begin(kind uint32, length uint64) (io.Writer, error) {
+	if sw.stream != nil {
+		return nil, errors.New("snapshot: section while another is open")
+	}
 	var head [sectionHeadSize]byte
 	binary.BigEndian.PutUint32(head[:], kind)
 	binary.BigEndian.PutUint64(head[4:], length)
+	st := &streamState{
+		SectionInfo: SectionInfo{Kind: kind, Offset: sw.written, Length: length, CRC: crc32.ChecksumIEEE(head[:])},
+		remaining:   length,
+	}
 	if err := sw.write(head[:]); err != nil {
 		return nil, err
 	}
-	sw.stream = &streamState{
-		kind: kind, offset: offset, length: length, remaining: length,
-		crc: crc32.ChecksumIEEE(head[:]),
-	}
+	sw.stream = st
 	return (*streamWriter)(sw), nil
 }
 
-// EndSection closes the streaming section opened by BeginSection, writing
-// its CRC frame. The full declared length must have been written.
+// EndSection closes the section opened by BeginSection, writing its CRC
+// frame and recording it for the index. The full declared length must
+// have been written.
 func (sw *Writer) EndSection() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	st := sw.stream
-	if st == nil {
-		return errors.New("snapshot: EndSection without BeginSection")
-	}
-	if st.remaining != 0 {
-		sw.err = fmt.Errorf("snapshot: streaming section kind %d short by %d bytes", st.kind, st.remaining)
-		return sw.err
-	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], st.crc)
-	if err := sw.write(tail[:]); err != nil {
+	e, err := sw.end()
+	if err != nil {
 		return err
 	}
-	sw.stream = nil
-	sw.sections++
-	sw.index = append(sw.index, SectionInfo{Kind: st.kind, Offset: st.offset, Length: st.length, CRC: st.crc})
+	sw.index = append(sw.index, e)
 	return nil
+}
+
+// end writes the open section's CRC tail — every section's and the index's.
+func (sw *Writer) end() (SectionInfo, error) {
+	st := sw.stream
+	switch {
+	case sw.err != nil:
+		return SectionInfo{}, sw.err
+	case st == nil:
+		return SectionInfo{}, errors.New("snapshot: EndSection without BeginSection")
+	case st.remaining != 0:
+		sw.err = fmt.Errorf("snapshot: section kind %d short by %d bytes", st.Kind, st.remaining)
+		return SectionInfo{}, sw.err
+	}
+	var tail [4]byte
+	binary.BigEndian.PutUint32(tail[:], st.CRC)
+	if err := sw.write(tail[:]); err != nil {
+		return SectionInfo{}, err
+	}
+	sw.stream = nil
+	return st.SectionInfo, nil
 }
 
 // streamWriter is the io.Writer handed out by BeginSection.
@@ -281,14 +260,14 @@ func (w *streamWriter) Write(p []byte) (int, error) {
 		return 0, errors.New("snapshot: write outside BeginSection/EndSection")
 	}
 	if uint64(len(p)) > st.remaining {
-		sw.err = fmt.Errorf("snapshot: streaming section kind %d overflows its declared %d bytes", st.kind, st.length)
+		sw.err = fmt.Errorf("snapshot: section kind %d overflows its declared %d bytes", st.Kind, st.Length)
 		return 0, sw.err
 	}
 	if err := sw.write(p); err != nil {
 		return 0, err
 	}
 	st.remaining -= uint64(len(p))
-	st.crc = crc32.Update(st.crc, crc32.IEEETable, p)
+	st.CRC = crc32.Update(st.CRC, crc32.IEEETable, p)
 	return len(p), nil
 }
 
@@ -302,24 +281,11 @@ func (sw *Writer) Close() error {
 		return nil
 	}
 	if sw.stream != nil {
-		sw.err = fmt.Errorf("snapshot: Close with streaming section kind %d still open", sw.stream.kind)
+		sw.err = fmt.Errorf("snapshot: Close with section kind %d still open", sw.stream.Kind)
 		return sw.err
 	}
 	sw.closed = true
 	indexOff := sw.written
-	if err := sw.writeIndex(); err != nil {
-		return err
-	}
-	var buf [endSize]byte
-	binary.BigEndian.PutUint32(buf[:], EndKind)
-	binary.BigEndian.PutUint64(buf[4:], sw.sections)
-	binary.BigEndian.PutUint64(buf[12:], uint64(indexOff))
-	binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
-	return sw.write(buf[:])
-}
-
-// writeIndex emits the index as a normally framed section under IndexKind.
-func (sw *Writer) writeIndex() error {
 	payload := make([]byte, 0, 4+len(sw.index)*indexEntrySize)
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(sw.index)))
 	for _, e := range sw.index {
@@ -328,180 +294,26 @@ func (sw *Writer) writeIndex() error {
 		payload = binary.BigEndian.AppendUint64(payload, e.Length)
 		payload = binary.BigEndian.AppendUint32(payload, e.CRC)
 	}
-	var head [sectionHeadSize]byte
-	binary.BigEndian.PutUint32(head[:], IndexKind)
-	binary.BigEndian.PutUint64(head[4:], uint64(len(payload)))
-	if err := sw.write(head[:]); err != nil {
+	w, err := sw.begin(IndexKind, uint64(len(payload)))
+	if err != nil {
 		return err
 	}
-	if err := sw.write(payload); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], sectionCRC(head, payload))
-	return sw.write(tail[:])
-}
-
-// sectionCRC is CRC-32 (IEEE) over a section's kind+length prefix followed
-// by its payload.
-func sectionCRC(head [sectionHeadSize]byte, payload []byte) uint32 {
-	sum := crc32.ChecksumIEEE(head[:])
-	return crc32.Update(sum, crc32.IEEETable, payload)
+	if _, err := sw.end(); err != nil {
+		return err
+	}
+	var buf [endSize]byte
+	binary.BigEndian.PutUint32(buf[:], EndKind)
+	binary.BigEndian.PutUint64(buf[4:], uint64(len(sw.index)))
+	binary.BigEndian.PutUint64(buf[12:], uint64(indexOff))
+	binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
+	return sw.write(buf[:])
 }
 
 // Bytes returns the total bytes written so far, including framing.
 func (sw *Writer) Bytes() int64 { return sw.written }
-
-// Section is one decoded section: its kind, its file offset, and its
-// CRC-verified payload. The payload is owned by the caller.
-type Section struct {
-	Kind    uint32
-	Offset  int64
-	Payload []byte
-}
-
-// Reader streams sections back from an io.Reader, verifying every CRC and
-// the end marker's section count. The index is validated and consumed
-// internally, never surfaced as a section. Not safe for concurrent use.
-type Reader struct {
-	r        io.Reader
-	epoch    int64
-	sections uint64
-	off      int64
-	indexOff int64 // offset of the index section, 0 until seen
-	indexed  bool
-	done     bool
-}
-
-// NewReader parses and validates the header. The reader consumes r
-// strictly sequentially, so r need not be seekable.
-func NewReader(r io.Reader) (*Reader, error) {
-	var buf [headerSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("%w: header truncated: %v", ErrCorrupt, err)
-	}
-	if string(buf[:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[:8])
-	}
-	if err := checkVersion(binary.BigEndian.Uint32(buf[8:])); err != nil {
-		return nil, err
-	}
-	return &Reader{r: r, epoch: int64(binary.BigEndian.Uint64(buf[16:])), off: headerSize}, nil
-}
-
-// checkVersion is the one version gate Reader and File share.
-func checkVersion(v uint32) error {
-	if v != Version {
-		return fmt.Errorf("%w: unsupported version %d (reader speaks %d)", ErrCorrupt, v, Version)
-	}
-	return nil
-}
-
-// Epoch returns the deployment epoch recorded in the header.
-func (sr *Reader) Epoch() int64 { return sr.epoch }
-
-// Indexed reports whether a valid index section has been consumed. Only
-// meaningful once Next has returned io.EOF.
-func (sr *Reader) Indexed() bool { return sr.indexed }
-
-func (sr *Reader) read(p []byte) error {
-	n, err := io.ReadFull(sr.r, p)
-	sr.off += int64(n)
-	return err
-}
-
-// Next returns the next payload section, or io.EOF after a valid end
-// marker. Any integrity failure returns an error wrapping ErrCorrupt; once
-// an error or EOF is returned the reader is exhausted.
-func (sr *Reader) Next() (*Section, error) {
-	for {
-		if sr.done {
-			return nil, io.EOF
-		}
-		offset := sr.off
-		var head [sectionHeadSize]byte
-		if err := sr.read(head[:]); err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section header truncated: %v", ErrCorrupt, err)
-		}
-		kind := binary.BigEndian.Uint32(head[:])
-		length := binary.BigEndian.Uint64(head[4:])
-		if kind == EndKind {
-			sr.done = true
-			return nil, sr.endMarker(head, length)
-		}
-		payload, err := readBounded(sr.r, length)
-		sr.off += int64(len(payload))
-		if err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d payload: %v", ErrCorrupt, kind, err)
-		}
-		var tail [4]byte
-		if err := sr.read(tail[:]); err != nil {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d CRC truncated: %v", ErrCorrupt, kind, err)
-		}
-		if got := binary.BigEndian.Uint32(tail[:]); got != sectionCRC(head, payload) {
-			sr.done = true
-			return nil, fmt.Errorf("%w: section kind %d CRC mismatch", ErrCorrupt, kind)
-		}
-		if kind == IndexKind {
-			// The index is container metadata: validate its shape here and
-			// keep streaming — semantic loaders never see it.
-			if err := sr.checkIndex(payload, offset); err != nil {
-				sr.done = true
-				return nil, err
-			}
-			continue
-		}
-		sr.sections++
-		return &Section{Kind: kind, Offset: offset, Payload: payload}, nil
-	}
-}
-
-// checkIndex validates an index section encountered mid-stream: well-
-// formed, one per file, and counting exactly the sections read so far (the
-// index is written last, so a stray early index is corrupt).
-func (sr *Reader) checkIndex(payload []byte, offset int64) error {
-	if sr.indexed {
-		return fmt.Errorf("%w: duplicate index section", ErrCorrupt)
-	}
-	entries, err := parseIndex(payload)
-	if err != nil {
-		return err
-	}
-	if uint64(len(entries)) != sr.sections {
-		return fmt.Errorf("%w: index lists %d sections, read %d", ErrCorrupt, len(entries), sr.sections)
-	}
-	sr.indexed = true
-	sr.indexOff = offset
-	return nil
-}
-
-// endMarker consumes and validates the end marker's tail; head holds the
-// already-read kind+count prefix.
-func (sr *Reader) endMarker(head [sectionHeadSize]byte, count uint64) error {
-	var tail [12]byte
-	if err := sr.read(tail[:]); err != nil {
-		return fmt.Errorf("%w: end marker truncated: %v", ErrCorrupt, err)
-	}
-	crc := crc32.ChecksumIEEE(head[:12])
-	crc = crc32.Update(crc, crc32.IEEETable, tail[:8])
-	if got := binary.BigEndian.Uint32(tail[8:]); got != crc {
-		return fmt.Errorf("%w: end marker CRC mismatch", ErrCorrupt)
-	}
-	if count != sr.sections {
-		return fmt.Errorf("%w: end marker counts %d sections, read %d", ErrCorrupt, count, sr.sections)
-	}
-	indexOff := int64(binary.BigEndian.Uint64(tail[:8]))
-	if !sr.indexed {
-		return fmt.Errorf("%w: no index section", ErrCorrupt)
-	}
-	if indexOff != sr.indexOff {
-		return fmt.Errorf("%w: end marker points index at %d, found at %d", ErrCorrupt, indexOff, sr.indexOff)
-	}
-	return io.EOF
-}
 
 // parseIndex decodes an index payload into section infos, validating only
 // self-consistency (count vs payload size, monotonic offsets).
@@ -536,68 +348,4 @@ func parseIndex(payload []byte) ([]SectionInfo, error) {
 		entries[i] = e
 	}
 	return entries, nil
-}
-
-// readBounded reads exactly length bytes straight into the tail of the
-// payload it returns. Each step asks for as many bytes as have already
-// arrived (at least one readChunk), so the buffer doubles — a payload is
-// copied about once in total however long it is — and never extends past
-// twice the verified bytes plus a chunk: a lying length cannot force a
-// giant allocation.
-func readBounded(r io.Reader, length uint64) ([]byte, error) {
-	out := []byte{}
-	for uint64(len(out)) < length {
-		step := max(len(out), readChunk)
-		if rest := length - uint64(len(out)); rest < uint64(step) {
-			step = int(rest)
-		}
-		start := len(out)
-		out = slices.Grow(out, step)[:start+step]
-		if n, err := io.ReadFull(r, out[start:]); err != nil {
-			return out[:start+n], fmt.Errorf("truncated (%d of %d bytes): %v", start+n, length, err)
-		}
-	}
-	return out, nil
-}
-
-// Info is the inspection summary Scan produces.
-type Info struct {
-	Epoch   int64
-	Version uint32
-	// Indexed reports whether the file carries a valid trailing index.
-	Indexed  bool
-	Sections []SectionInfo
-	// Bytes is the total file size consumed, framing included.
-	Bytes int64
-}
-
-// Scan reads a whole snapshot, verifying every CRC and the end marker, and
-// returns the per-section summary. It retains no payload beyond one
-// section at a time — the inspection path for cmd/spvsnap.
-func Scan(r io.Reader) (*Info, error) {
-	sr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	info := &Info{Epoch: sr.epoch, Version: Version}
-	for {
-		s, err := sr.Next()
-		if err == io.EOF {
-			info.Bytes = sr.off
-			info.Indexed = sr.indexed
-			return info, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		var head [sectionHeadSize]byte
-		binary.BigEndian.PutUint32(head[:], s.Kind)
-		binary.BigEndian.PutUint64(head[4:], uint64(len(s.Payload)))
-		info.Sections = append(info.Sections, SectionInfo{
-			Kind:   s.Kind,
-			Offset: s.Offset,
-			Length: uint64(len(s.Payload)),
-			CRC:    sectionCRC(head, s.Payload),
-		})
-	}
 }

@@ -140,14 +140,3 @@ func AllPairsRowsUnordered(g *graph.Graph, sink func(src graph.NodeID, dist []fl
 		sink(graph.NodeID(s), w.DijkstraRow(view, graph.NodeID(s), nil))
 	})
 }
-
-// DistanceMatrix materializes the full all-pairs matrix via AllPairsRows.
-// Only suitable for small graphs (O(|V|²) memory); used by tests and the
-// HiTi border-pair computation on restricted node sets.
-func DistanceMatrix(g *graph.Graph) [][]float64 {
-	d := make([][]float64, g.NumNodes())
-	AllPairsRows(g, func(src graph.NodeID, dist []float64) {
-		d[src] = dist
-	})
-	return d
-}

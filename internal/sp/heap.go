@@ -1,7 +1,6 @@
 // Package sp implements the shortest path algorithms the paper builds on
 // (§II-C): Dijkstra's algorithm, A* search with pluggable lower bounds,
-// bidirectional Dijkstra, Floyd–Warshall, and repeated-Dijkstra all-pairs
-// computation. All algorithms require non-negative edge weights, which the
+// Floyd–Warshall, and repeated-Dijkstra all-pairs computation. All algorithms require non-negative edge weights, which the
 // graph substrate enforces.
 package sp
 
@@ -11,7 +10,7 @@ import "github.com/authhints/spv/internal/graph"
 // by float64 priorities. Decrease-key runs in O(log n) through a position
 // array (no map), which keeps Dijkstra at the textbook O((V+E) log V)
 // without a per-search allocation. It is the one heap in the tree: the
-// graph-side searches (Workspace, BiDijkstra) index it by node ID, the
+// graph-side searches (Workspace) index it by node ID, the
 // client-side proof searches in the core package by tuple-table slot —
 // never by an attacker-chosen ID, so the dense array cannot be used to
 // amplify allocations.

@@ -17,7 +17,7 @@ const (
 	Hostile Locality = "hostile"
 	// Friendly draws pairs Zipf-distributed over the pool (s=1.2), the
 	// classic web-traffic shape: a handful of hot pairs dominate, so the
-	// proof cache and singleflight layers do their job. This is the
+	// proof cache does its job. This is the
 	// distribution that measures the steady state.
 	Friendly Locality = "friendly"
 )

@@ -339,8 +339,7 @@ func ShortestPath(g *Graph, vs, vt NodeID) (float64, Path) {
 }
 
 // Provider serving layer: a thread-safe, batched query engine with an LRU
-// proof cache and singleflight deduplication, plus the HTTP front-end used
-// by cmd/spvserve. See internal/serve and DESIGN.md §7.
+// proof cache, plus the HTTP front-end used by cmd/spvserve. See internal/serve and DESIGN.md §7.
 
 // ServeQuery is one query against a serving engine.
 type ServeQuery = serve.Query
@@ -349,11 +348,11 @@ type ServeQuery = serve.Query
 // exact wire encoding (decodable with DecodeProof, checked by VerifyProof).
 type ServeAnswer = serve.Answer
 
-// ServeOptions configures the engine's worker pool, proof cache and default
-// latency budget.
+// ServeOptions configures the engine's proof cache and default latency
+// budget.
 type ServeOptions = serve.Options
 
-// ServeStats is a snapshot of an engine's hit/miss/dedup counters.
+// ServeStats is a snapshot of an engine's hit/miss/error counters.
 type ServeStats = serve.Snapshot
 
 // QueryEngine is the concurrent, batched provider front-end.
