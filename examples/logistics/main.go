@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	provider, err := owner.OutsourceHYP()
+	provider, err := owner.Outsource(spv.HYP)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,10 +50,11 @@ func main() {
 	caught, verified := 0, 0
 	var extraKm float64
 	for i, d := range deliveries {
-		proof, err := provider.Query(d.S, d.T)
+		answer, err := provider.QueryProof(d.S, d.T)
 		if err != nil {
 			log.Fatal(err)
 		}
+		proof := answer.(*spv.HYPProof)
 		// Half of the answers come from the "partner-friendly" code path:
 		// the provider swaps in a real but longer route and sizes the rest
 		// of the proof consistently.

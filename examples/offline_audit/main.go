@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	provider, err := owner.OutsourceFULL()
+	provider, err := owner.Outsource(spv.FULL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 	}
 	records := make([]logRecord, 0, len(queries))
 	for _, q := range queries {
-		proof, err := provider.Query(q.S, q.T)
+		proof, err := provider.QueryProof(q.S, q.T)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,13 +49,13 @@ func TestQueryAllocBudget(t *testing.T) {
 		}
 	}
 
-	dij := func() error { _, err := w.dij.Query(q.S, q.T); return err }
+	dij := func() error { _, err := w.dij.QueryProof(q.S, q.T); return err }
 	warm(dij)
 	if got := testing.AllocsPerRun(20, func() { dij() }); got > dijAllocBudget {
 		t.Errorf("DIJ query allocates %.0f/op, budget %d", got, dijAllocBudget)
 	}
 
-	ldm := func() error { _, err := w.ldm.Query(q.S, q.T); return err }
+	ldm := func() error { _, err := w.ldm.QueryProof(q.S, q.T); return err }
 	warm(ldm)
 	if got := testing.AllocsPerRun(20, func() { ldm() }); got > ldmAllocBudget {
 		t.Errorf("LDM query allocates %.0f/op, budget %d", got, ldmAllocBudget)
@@ -89,10 +89,7 @@ func TestHYPQueryAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyp, err := owner.OutsourceHYP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hyp := outsource[*HYPProvider](t, owner, HYP)
 	qs, err := workload.Generate(g, 8, 4000, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -214,11 +211,11 @@ func TestFULLColdQueryAllocBudget(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
 	for i := 0; i < 3; i++ {
-		if _, err := w.full.Query(q.S, q.T); err != nil {
+		if _, err := w.full.QueryProof(q.S, q.T); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := testing.AllocsPerRun(20, func() { w.full.Query(q.S, q.T) }); got > fullColdAllocBudget {
+	if got := testing.AllocsPerRun(20, func() { w.full.QueryProof(q.S, q.T) }); got > fullColdAllocBudget {
 		t.Errorf("cold FULL query allocates %.0f/op, budget %d", got, fullColdAllocBudget)
 	}
 }

@@ -81,14 +81,8 @@ func TestDIJAttackSubOptimalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof := &DIJProof{
-		Path:    alt,
-		Dist:    altDist,
-		Tuples:  w.dij.ads.Records(settled),
-		MHT:     mhtProof,
-		RootSig: w.dij.rootSig,
-	}
-	err = VerifyDIJ(v, vs, vt, proof)
+	proof := &DIJProof{proofFrame{alt, altDist, w.dij.ads.Records(settled), mhtProof}, w.dij.rootSig}
+	err = VerifyProof(v, DIJ, vs, vt, proof)
 	wantRejected(t, "DIJ sub-optimal", err)
 	if !errors.Is(err, ErrNotShortest) {
 		t.Errorf("expected ErrNotShortest, got %v", err)
@@ -98,67 +92,52 @@ func TestDIJAttackSubOptimalPath(t *testing.T) {
 func TestDIJAttackTamperedTuple(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	// Inflate an edge weight inside a tuple (e.g. to justify a detour).
 	tampered := append([]byte(nil), proof.Tuples[0].Bytes...)
 	tampered[len(tampered)-1] ^= 0x01
 	proof.Tuples[0].Bytes = tampered
-	wantRejected(t, "DIJ tampered tuple", VerifyDIJ(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "DIJ tampered tuple", VerifyProof(w.owner.Verifier(), DIJ, q.S, q.T, proof))
 }
 
 func TestDIJAttackDroppedTuple(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	// Drop a tuple but keep its Merkle digest available: simulate by
 	// removing the record and inserting its digest as a proof entry is not
 	// even needed — removal alone must break either the root reconstruction
 	// or the Dijkstra re-run.
 	proof.Tuples = proof.Tuples[:len(proof.Tuples)-1]
-	wantRejected(t, "DIJ dropped tuple", VerifyDIJ(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "DIJ dropped tuple", VerifyProof(w.owner.Verifier(), DIJ, q.S, q.T, proof))
 }
 
 func TestDIJAttackFabricatedEdge(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	// Claim a path using an edge that does not exist.
 	proof.Path = graph.Path{q.S, q.T}
 	wd, _ := sp.DijkstraTo(w.g, q.S, q.T)
 	proof.Dist = wd
-	wantRejected(t, "DIJ fabricated edge", VerifyDIJ(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "DIJ fabricated edge", VerifyProof(w.owner.Verifier(), DIJ, q.S, q.T, proof))
 }
 
 func TestDIJAttackWrongEndpoints(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	// Serve a (valid) proof for a different target.
 	other := w.queries[1]
-	wantRejected(t, "DIJ wrong endpoints", VerifyDIJ(w.owner.Verifier(), other.S, other.T, proof))
+	wantRejected(t, "DIJ wrong endpoints", VerifyProof(w.owner.Verifier(), DIJ, other.S, other.T, proof))
 }
 
 func TestDIJAttackInflatedClaim(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	proof.Dist *= 1.01
-	wantRejected(t, "DIJ inflated claim", VerifyDIJ(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "DIJ inflated claim", VerifyProof(w.owner.Verifier(), DIJ, q.S, q.T, proof))
 }
 
 // --- FULL attacks ---
@@ -166,10 +145,7 @@ func TestDIJAttackInflatedClaim(t *testing.T) {
 func TestFULLAttackSubOptimalPath(t *testing.T) {
 	w := world(t)
 	vs, vt, alt, altDist := attackQuery(t, w)
-	honest, err := w.full.Query(vs, vt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	honest := prove[*FULLProof](t, w.full, vs, vt)
 	// Report the longer path; the authentic materialized distance gives the
 	// lie away.
 	mhtProof, err := w.full.ads.Prove(alt)
@@ -177,15 +153,12 @@ func TestFULLAttackSubOptimalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	proof := &FULLProof{
-		Path:    alt,
-		Dist:    altDist,
-		DistVO:  honest.DistVO,
-		Tuples:  w.full.ads.Records(alt),
-		MHT:     mhtProof,
-		NetSig:  honest.NetSig,
-		DistSig: honest.DistSig,
+		proofFrame: proofFrame{alt, altDist, w.full.ads.Records(alt), mhtProof},
+		DistVO:     honest.DistVO,
+		NetSig:     honest.NetSig,
+		DistSig:    honest.DistSig,
 	}
-	err = VerifyFULL(w.owner.Verifier(), vs, vt, proof)
+	err = VerifyProof(w.owner.Verifier(), FULL, vs, vt, proof)
 	wantRejected(t, "FULL sub-optimal", err)
 	if !errors.Is(err, ErrNotShortest) {
 		t.Errorf("expected ErrNotShortest, got %v", err)
@@ -195,41 +168,32 @@ func TestFULLAttackSubOptimalPath(t *testing.T) {
 func TestFULLAttackTamperedDistance(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.full.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*FULLProof](t, w.full, q.S, q.T)
 	proof.DistVO.Entry.Value = proof.Dist * 1.5
-	wantRejected(t, "FULL tampered distance", VerifyFULL(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "FULL tampered distance", VerifyProof(w.owner.Verifier(), FULL, q.S, q.T, proof))
 }
 
 func TestFULLAttackForeignDistanceEntry(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
 	other := w.queries[1]
-	proof, err := w.full.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*FULLProof](t, w.full, q.S, q.T)
 	// Substitute another pair's (authentic!) distance entry.
 	foreign, err := w.full.forest.Prove(int(other.S), int(other.T))
 	if err != nil {
 		t.Fatal(err)
 	}
 	proof.DistVO = foreign
-	wantRejected(t, "FULL foreign entry", VerifyFULL(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "FULL foreign entry", VerifyProof(w.owner.Verifier(), FULL, q.S, q.T, proof))
 }
 
 func TestFULLAttackRekeyedEntry(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.full.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*FULLProof](t, w.full, q.S, q.T)
 	// Keep the digest material but re-label the entry's key.
 	proof.DistVO.Entry.Key = mbt.MakeKey(uint32(q.S), uint32(q.S))
-	wantRejected(t, "FULL re-keyed entry", VerifyFULL(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "FULL re-keyed entry", VerifyProof(w.owner.Verifier(), FULL, q.S, q.T, proof))
 }
 
 // --- LDM attacks ---
@@ -265,14 +229,11 @@ func TestLDMAttackSubOptimalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	proof := &LDMProof{
-		Path:    alt,
-		Dist:    altDist,
-		Params:  w.ldmParams(),
-		Tuples:  w.ldm.ads.Records(nodes),
-		MHT:     mhtProof,
-		RootSig: w.ldm.rootSig,
+		proofFrame: proofFrame{alt, altDist, w.ldm.ads.Records(nodes), mhtProof},
+		Params:     w.ldmParams(),
+		RootSig:    w.ldm.rootSig,
 	}
-	err = VerifyLDM(w.owner.Verifier(), vs, vt, proof)
+	err = VerifyProof(w.owner.Verifier(), LDM, vs, vt, proof)
 	wantRejected(t, "LDM sub-optimal", err)
 	if !errors.Is(err, ErrNotShortest) {
 		t.Errorf("expected ErrNotShortest, got %v", err)
@@ -288,10 +249,7 @@ func TestLDMAttackDroppedReference(t *testing.T) {
 	// Find a query whose proof contains a compressed tuple, then drop the
 	// referenced representative's tuple.
 	for _, q := range w.queries {
-		proof, err := w.ldm.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proof := prove[*LDMProof](t, w.ldm, q.S, q.T)
 		refs := map[graph.NodeID]bool{}
 		inProof := map[graph.NodeID]bool{}
 		for _, rec := range proof.Tuples {
@@ -322,7 +280,7 @@ func TestLDMAttackDroppedReference(t *testing.T) {
 			continue
 		}
 		proof.Tuples = filtered
-		wantRejected(t, "LDM dropped reference", VerifyLDM(w.owner.Verifier(), q.S, q.T, proof))
+		wantRejected(t, "LDM dropped reference", VerifyProof(w.owner.Verifier(), LDM, q.S, q.T, proof))
 		return
 	}
 	t.Skip("no query produced compressed tuples; compression too weak at this scale")
@@ -331,31 +289,25 @@ func TestLDMAttackDroppedReference(t *testing.T) {
 func TestLDMAttackTamperedPayload(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*LDMProof](t, w.ldm, q.S, q.T)
 	// Flip a bit inside a landmark vector (inflating a lower bound could
 	// hide a shorter path).
 	rec := proof.Tuples[len(proof.Tuples)/2]
 	tampered := append([]byte(nil), rec.Bytes...)
 	tampered[len(tampered)-2] ^= 0xff
 	proof.Tuples[len(proof.Tuples)/2].Bytes = tampered
-	wantRejected(t, "LDM tampered payload", VerifyLDM(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "LDM tampered payload", VerifyProof(w.owner.Verifier(), LDM, q.S, q.T, proof))
 }
 
 func TestLDMAttackParameterForgery(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*LDMProof](t, w.ldm, q.S, q.T)
 	// Claim a larger λ: every lower bound would scale up, potentially
 	// pruning the re-run into accepting a longer path. The signature binds
 	// λ, so this must die at the signature check.
 	proof.Params.Lambda *= 2
-	wantRejected(t, "LDM forged lambda", VerifyLDM(w.owner.Verifier(), q.S, q.T, proof))
+	wantRejected(t, "LDM forged lambda", VerifyProof(w.owner.Verifier(), LDM, q.S, q.T, proof))
 }
 
 // --- HYP attacks ---
@@ -363,10 +315,7 @@ func TestLDMAttackParameterForgery(t *testing.T) {
 func TestHYPAttackSubOptimalPath(t *testing.T) {
 	w := world(t)
 	vs, vt, alt, altDist := attackQuery(t, w)
-	honest, err := w.hyp.Query(vs, vt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	honest := prove[*HYPProof](t, w.hyp, vs, vt)
 	// Report the longer path with the honest coarse proof: the Theorem 2
 	// re-computation exposes the true distance.
 	include := map[graph.NodeID]bool{}
@@ -389,15 +338,12 @@ func TestHYPAttackSubOptimalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	proof := &HYPProof{
-		Path:    alt,
-		Dist:    altDist,
-		Tuples:  w.hyp.ads.Records(nodes),
-		MHT:     mhtProof,
-		Hyper:   honest.Hyper,
-		NetSig:  honest.NetSig,
-		DistSig: honest.DistSig,
+		proofFrame: proofFrame{alt, altDist, w.hyp.ads.Records(nodes), mhtProof},
+		Hyper:      honest.Hyper,
+		NetSig:     honest.NetSig,
+		DistSig:    honest.DistSig,
 	}
-	err = VerifyHYP(w.owner.Verifier(), vs, vt, proof)
+	err = VerifyProof(w.owner.Verifier(), HYP, vs, vt, proof)
 	wantRejected(t, "HYP sub-optimal", err)
 	if !errors.Is(err, ErrNotShortest) {
 		t.Errorf("expected ErrNotShortest, got %v", err)
@@ -407,15 +353,12 @@ func TestHYPAttackSubOptimalPath(t *testing.T) {
 func TestHYPAttackTamperedHyperEdge(t *testing.T) {
 	w := world(t)
 	for _, q := range w.queries {
-		proof, err := w.hyp.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proof := prove[*HYPProof](t, w.hyp, q.S, q.T)
 		if proof.Hyper == nil || len(proof.Hyper.Entries) == 0 {
 			continue
 		}
 		proof.Hyper.Entries[0].Value *= 2
-		wantRejected(t, "HYP tampered hyper-edge", VerifyHYP(w.owner.Verifier(), q.S, q.T, proof))
+		wantRejected(t, "HYP tampered hyper-edge", VerifyProof(w.owner.Verifier(), HYP, q.S, q.T, proof))
 		return
 	}
 	t.Fatal("no query used hyper-edges")
@@ -424,17 +367,14 @@ func TestHYPAttackTamperedHyperEdge(t *testing.T) {
 func TestHYPAttackDroppedHyperEdges(t *testing.T) {
 	w := world(t)
 	for _, q := range w.queries {
-		proof, err := w.hyp.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proof := prove[*HYPProof](t, w.hyp, q.S, q.T)
 		if proof.Hyper == nil || len(proof.Hyper.Entries) < 2 {
 			continue
 		}
 		// Drop the hyper-edge block entirely: inflating the coarse minimum
 		// could legitimize a longer path.
 		proof.Hyper = nil
-		wantRejected(t, "HYP dropped hyper-edges", VerifyHYP(w.owner.Verifier(), q.S, q.T, proof))
+		wantRejected(t, "HYP dropped hyper-edges", VerifyProof(w.owner.Verifier(), HYP, q.S, q.T, proof))
 		return
 	}
 	t.Fatal("no query used hyper-edges")
@@ -446,10 +386,7 @@ func TestHYPAttackPrunedCell(t *testing.T) {
 	// intra-cell Dijkstra must notice the missing neighbor of a non-border
 	// node.
 	for _, q := range w.queries {
-		proof, err := w.hyp.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
+		proof := prove[*HYPProof](t, w.hyp, q.S, q.T)
 		cs := w.hyp.hyper.CellOf[q.S]
 		var filtered []tupleRecord
 		dropped := false
@@ -467,7 +404,7 @@ func TestHYPAttackPrunedCell(t *testing.T) {
 			continue
 		}
 		proof.Tuples = filtered
-		wantRejected(t, "HYP pruned cell", VerifyHYP(w.owner.Verifier(), q.S, q.T, proof))
+		wantRejected(t, "HYP pruned cell", VerifyProof(w.owner.Verifier(), HYP, q.S, q.T, proof))
 		return
 	}
 	t.Skip("no query had a droppable inner cell node")
@@ -489,17 +426,11 @@ func TestAllMethodsRejectReplayedSignatureAcrossMethods(t *testing.T) {
 	// versa: the signing context binds the method.
 	w := world(t)
 	q := w.queries[0]
-	dp, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp := prove[*DIJProof](t, w.dij, q.S, q.T)
+	lp := prove[*LDMProof](t, w.ldm, q.S, q.T)
 	dp.RootSig, lp.RootSig = lp.RootSig, dp.RootSig
-	wantRejected(t, "DIJ with LDM sig", VerifyDIJ(w.owner.Verifier(), q.S, q.T, dp))
-	wantRejected(t, "LDM with DIJ sig", VerifyLDM(w.owner.Verifier(), q.S, q.T, lp))
+	wantRejected(t, "DIJ with LDM sig", VerifyProof(w.owner.Verifier(), DIJ, q.S, q.T, dp))
+	wantRejected(t, "LDM with DIJ sig", VerifyProof(w.owner.Verifier(), LDM, q.S, q.T, lp))
 }
 
 // --- unauthenticated bytes ---
@@ -534,10 +465,7 @@ func wantMalformed(t *testing.T, name string, m Method, vs, vt graph.NodeID, pr 
 func TestLDMAttackDuplicateRecordForgedPayload(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*LDMProof](t, w.ldm, q.S, q.T)
 	for i, r := range proof.Tuples {
 		tup, n, err := graph.DecodeTuple(r.Bytes, 0)
 		if err != nil {
@@ -563,10 +491,7 @@ func TestLDMAttackDuplicateRecordForgedPayload(t *testing.T) {
 func TestHYPAttackDuplicateRecordForgedBorderFlag(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.hyp.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*HYPProof](t, w.hyp, q.S, q.T)
 	for _, i := range []int{0, len(proof.Tuples) - 1} {
 		r := proof.Tuples[i]
 		forged := append([]byte(nil), r.Bytes...)
@@ -582,10 +507,7 @@ func TestHYPAttackDuplicateRecordForgedBorderFlag(t *testing.T) {
 func TestAttackRepeatedLeafPosition(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*DIJProof](t, w.dij, q.S, q.T)
 	proof.Tuples[1].Pos = proof.Tuples[0].Pos
 	wantMalformed(t, "DIJ repeated leaf position", DIJ, q.S, q.T, proof)
 }
@@ -607,15 +529,15 @@ func TestAttackMaskingEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp := partsOf(pr)
-			rec := &(*pp.tuples)[0]
+			fr, _ := partsOf(pr)
+			rec := &fr.Tuples[0]
 			forged := append([]byte(nil), rec.Bytes...)
 			forged[8] ^= 0x01 // an x-coordinate bit: the tuple still parses
 			rec.Bytes = forged
 			// Position of the forged leaf's ancestor at level l: exactly one
 			// level-l digest differs between the true tree and a tree with
 			// that leaf's digest replaced.
-			dirty, err := tree.UpdateLeaves(map[int][]byte{int(rec.Pos): (*pp.mht).Alg.Sum(forged)})
+			dirty, err := tree.UpdateLeaves(map[int][]byte{int(rec.Pos): fr.MHT.Alg.Sum(forged)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -623,7 +545,7 @@ func TestAttackMaskingEntry(t *testing.T) {
 			for bytes.Equal(treeDigest(dirty, l, idx), treeDigest(tree, l, idx)) {
 				idx++
 			}
-			(*pp.mht).Entries = append((*pp.mht).Entries, mht.Entry{Level: uint8(l), Index: uint32(idx), Digest: treeDigest(tree, l, idx)})
+			fr.MHT.Entries = append(fr.MHT.Entries, mht.Entry{Level: uint8(l), Index: uint32(idx), Digest: treeDigest(tree, l, idx)})
 			for entry, err := range bothVerdicts(t, m, q.S, q.T, pr) {
 				wantRejected(t, fmt.Sprintf("%s forged tuple masked at level %d via %s", m, l, entry), err)
 			}

@@ -261,16 +261,9 @@ func TestVerifyBatchMixedEpochsFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherDij, err := other.OutsourceDIJ()
-	if err != nil {
-		t.Fatal(err)
-	}
 	items := batchItems(t, w, DIJ, 3)
 	q := w.queries[3]
-	pr, err := otherDij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := prove[Proof](t, outsource[Provider](t, other, DIJ), q.S, q.T)
 	items = append(items, BatchItem{VS: q.S, VT: q.T, Proof: reDecode(t, DIJ, pr)})
 	errs := VerifyBatch(v, DIJ, items)
 	for i := 0; i < 3; i++ {
@@ -290,10 +283,7 @@ func TestVerifyBatchWireDuplicatesShareVerdict(t *testing.T) {
 	w := world(t)
 	v := w.owner.Verifier()
 	q := w.queries[1]
-	pr, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := prove[*DIJProof](t, w.dij, q.S, q.T)
 	shared := reDecode(t, DIJ, pr)
 	items := make([]BatchItem, 16)
 	for i := range items {

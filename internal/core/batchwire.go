@@ -108,73 +108,66 @@ func AppendWireBatch(buf []byte, m Method, items []WireItem) ([]byte, error) {
 // Allocations are bounded by the bytes actually present, never by the
 // claimed count, and the four rules above are enforced.
 func DecodeProofBatch(buf []byte) (*ProofBatch, int, error) {
-	if len(buf) < len(proofBatchMagic) || string(buf[:len(proofBatchMagic)]) != proofBatchMagic {
-		return nil, 0, fmt.Errorf("%w: bad batch magic", ErrMalformedProof)
+	r := wireReader{buf: buf}
+	if string(r.take(len(proofBatchMagic), "batch magic")) != proofBatchMagic {
+		r.fail("bad batch magic")
 	}
-	off := len(proofBatchMagic)
-	methodBytes, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
+	m := Method(r.bytes("batch method"))
+	if r.err != nil {
+		return nil, 0, r.err
 	}
-	off += n
-	m := Method(methodBytes)
 	impl, ok := LookupMethod(m)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w %q", ErrUnknownMethod, m)
 	}
-	if len(buf[off:]) < 4 {
-		return nil, 0, fmt.Errorf("%w: item list truncated", ErrMalformedProof)
+	count := int(r.u32("item list"))
+	if count > maxBatchItems || count > r.remaining()/batchItemMin {
+		r.fail("item list truncated")
 	}
-	count := int(binary.BigEndian.Uint32(buf[off:]))
-	off += 4
-	if count > maxBatchItems || count > len(buf[off:])/batchItemMin {
-		return nil, 0, fmt.Errorf("%w: item list truncated", ErrMalformedProof)
+	if r.err != nil {
+		return nil, 0, r.err
 	}
 	items := make([]BatchItem, 0, count)
 	hasBody := make([]bool, 0, count)
 	seen := make(map[string]struct{}, count)
 	for i := 0; i < count; i++ {
-		if len(buf[off:]) < batchItemMin {
-			return nil, 0, fmt.Errorf("%w: item %d truncated", ErrMalformedProof, i)
-		}
-		vs := graph.NodeID(binary.BigEndian.Uint32(buf[off:]))
-		vt := graph.NodeID(binary.BigEndian.Uint32(buf[off+4:]))
-		tag := buf[off+8]
-		off += 9
+		vs := graph.NodeID(r.u32("item"))
+		vt := graph.NodeID(r.u32("item"))
+		tag := r.u8("item")
 		var pr Proof
-		switch tag {
-		case batchItemBody:
-			body, n, err := decodeBytes(buf[off:])
-			if err != nil {
-				return nil, 0, err
-			}
-			off += n
+		switch {
+		case r.err != nil:
+		case tag == batchItemBody:
+			body := r.bytes("item body")
 			if _, dup := seen[string(body)]; dup {
-				return nil, 0, fmt.Errorf("%w: duplicate body at item %d must be a backref", ErrMalformedProof, i)
+				r.fail("duplicate body at item %d must be a backref", i)
 			}
 			seen[string(body)] = struct{}{}
-			var bn int
-			if pr, bn, err = impl.DecodeProof(body); err != nil {
-				return nil, 0, err
+			if r.err == nil {
+				var n int
+				if pr, n, r.err = impl.DecodeProof(body); r.err == nil && n != len(body) {
+					r.fail("item %d body has %d trailing bytes", i, len(body)-n)
+				}
 			}
-			if bn != len(body) {
-				return nil, 0, fmt.Errorf("%w: item %d body has %d trailing bytes", ErrMalformedProof, i, len(body)-bn)
+		case tag == batchItemBackref:
+			j := r.u32("item")
+			if r.err == nil && (int64(j) >= int64(i) || !hasBody[j]) {
+				r.fail("item %d backref %d invalid", i, j)
 			}
-		case batchItemBackref:
-			j := binary.BigEndian.Uint32(buf[off:])
-			off += 4
-			if int64(j) >= int64(i) || !hasBody[j] {
-				return nil, 0, fmt.Errorf("%w: item %d backref %d invalid", ErrMalformedProof, i, j)
+			if r.err == nil {
+				pr = items[j].Proof
 			}
-			pr = items[j].Proof
 		default:
-			return nil, 0, fmt.Errorf("%w: bad item tag %d", ErrMalformedProof, tag)
+			r.fail("bad item tag %d", tag)
 		}
-		if !answers(pr, vs, vt) {
-			return nil, 0, fmt.Errorf("%w: item %d is not a proof of %d→%d", ErrMalformedProof, i, vs, vt)
+		if r.err == nil && !answers(pr, vs, vt) {
+			r.fail("item %d is not a proof of %d→%d", i, vs, vt)
+		}
+		if r.err != nil {
+			return nil, 0, r.err
 		}
 		items = append(items, BatchItem{VS: vs, VT: vt, Proof: pr})
 		hasBody = append(hasBody, tag == batchItemBody)
 	}
-	return &ProofBatch{Method: m, items: items}, off, nil
+	return &ProofBatch{Method: m, items: items}, r.off, nil
 }

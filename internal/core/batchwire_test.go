@@ -294,7 +294,7 @@ func seedBatchWire() [][]byte {
 
 	var dijItems []BatchItem
 	for _, wb := range seedDIJWire() {
-		pr, _, err := DecodeDIJProof(wb)
+		pr, _, err := DecodeProof(DIJ, wb)
 		if err != nil {
 			panic(err)
 		}
@@ -308,7 +308,7 @@ func seedBatchWire() [][]byte {
 	wires = append(wires, wb)
 
 	for _, hb := range seedHYPWire() {
-		pr, _, err := DecodeHYPProof(hb)
+		pr, _, err := DecodeProof(HYP, hb)
 		if err != nil {
 			panic(err)
 		}

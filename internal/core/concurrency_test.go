@@ -9,15 +9,24 @@ import (
 )
 
 // These tests pin down the concurrency contract documented on the provider
-// types: after Outsource* returns, a provider's state is read-only, so
-// Query may be called from any number of goroutines without locking, and a
+// types: after Outsource returns, a provider's state is read-only, so
+// QueryProof may be called from any number of goroutines without locking, and a
 // fixed (vs, vt) always yields a byte-identical wire encoding. Run with
 // -race; the serving layer (internal/serve) is built on both guarantees.
 
-// hammerProvider fires mixed repeated/distinct queries at query from many
-// goroutines and checks every answer against the sequential baseline.
-func hammerProvider(t *testing.T, w *testWorld, query func(vs, vt graph.NodeID) ([]byte, error)) {
+// hammerMethod fires mixed repeated/distinct queries at m's provider from
+// many goroutines and checks every answer against the sequential baseline.
+func hammerMethod(t *testing.T, m Method) {
 	t.Helper()
+	w := world(t)
+	p := testProvider(t, w, m)
+	query := func(vs, vt graph.NodeID) ([]byte, error) {
+		pr, err := p.QueryProof(vs, vt)
+		if err != nil {
+			return nil, err
+		}
+		return pr.AppendBinary(nil), nil
+	}
 	qs := w.queries[:4]
 	baseline := make([][]byte, len(qs))
 	for i, q := range qs {
@@ -57,59 +66,17 @@ func hammerProvider(t *testing.T, w *testWorld, query func(vs, vt graph.NodeID) 
 	}
 }
 
-func TestConcurrentQueriesDIJ(t *testing.T) {
-	w := world(t)
-	hammerProvider(t, w, func(vs, vt graph.NodeID) ([]byte, error) {
-		p, err := w.dij.Query(vs, vt)
-		if err != nil {
-			return nil, err
-		}
-		return p.AppendBinary(nil), nil
-	})
-}
-
-func TestConcurrentQueriesFULL(t *testing.T) {
-	w := world(t)
-	hammerProvider(t, w, func(vs, vt graph.NodeID) ([]byte, error) {
-		p, err := w.full.Query(vs, vt)
-		if err != nil {
-			return nil, err
-		}
-		return p.AppendBinary(nil), nil
-	})
-}
-
-func TestConcurrentQueriesLDM(t *testing.T) {
-	w := world(t)
-	hammerProvider(t, w, func(vs, vt graph.NodeID) ([]byte, error) {
-		p, err := w.ldm.Query(vs, vt)
-		if err != nil {
-			return nil, err
-		}
-		return p.AppendBinary(nil), nil
-	})
-}
-
-func TestConcurrentQueriesHYP(t *testing.T) {
-	w := world(t)
-	hammerProvider(t, w, func(vs, vt graph.NodeID) ([]byte, error) {
-		p, err := w.hyp.Query(vs, vt)
-		if err != nil {
-			return nil, err
-		}
-		return p.AppendBinary(nil), nil
-	})
-}
+func TestConcurrentQueriesDIJ(t *testing.T)  { hammerMethod(t, DIJ) }
+func TestConcurrentQueriesFULL(t *testing.T) { hammerMethod(t, FULL) }
+func TestConcurrentQueriesLDM(t *testing.T)  { hammerMethod(t, LDM) }
+func TestConcurrentQueriesHYP(t *testing.T)  { hammerMethod(t, HYP) }
 
 // TestConcurrentVerification checks the client side too: Verifier is
 // shareable and proofs are not mutated by verification.
 func TestConcurrentVerification(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
-	proof, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proof := prove[*LDMProof](t, w.ldm, q.S, q.T)
 	v := w.owner.Verifier()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -118,7 +85,7 @@ func TestConcurrentVerification(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if err := VerifyLDM(v, q.S, q.T, proof); err != nil {
+				if err := VerifyProof(v, LDM, q.S, q.T, proof); err != nil {
 					errCh <- err
 					return
 				}

@@ -18,10 +18,10 @@
 // # Concurrency
 //
 // Every provider type (DIJProvider, FULLProvider, LDMProvider,
-// HYPProvider) is immutable once its Outsource* constructor returns: the
-// Query hot paths read the graph, orderings, Merkle levels and hint tables
-// but never write shared state, allocating all per-query scratch locally.
-// Query is therefore safe to call from any number of goroutines without
+// HYPProvider) is immutable once Outsource returns it: the QueryProof hot
+// paths read the graph, orderings, Merkle levels and hint tables but never
+// write shared state, allocating all per-query scratch locally. QueryProof
+// is therefore safe to call from any number of goroutines without
 // locking, and for a fixed provider instance a given (vs, vt) always
 // produces a byte-identical wire encoding (proof node sets are
 // canonicalized — see networkADS.Canonical). concurrency_test.go pins both

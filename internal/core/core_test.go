@@ -49,19 +49,7 @@ func world(t *testing.T) *testWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &testWorld{g: g, owner: owner}
-	if w.dij, err = owner.OutsourceDIJ(); err != nil {
-		t.Fatal(err)
-	}
-	if w.full, err = owner.OutsourceFULL(); err != nil {
-		t.Fatal(err)
-	}
-	if w.ldm, err = owner.OutsourceLDM(); err != nil {
-		t.Fatal(err)
-	}
-	if w.hyp, err = owner.OutsourceHYP(); err != nil {
-		t.Fatal(err)
-	}
+	w := outsourceWorld(t, g, owner)
 	if w.queries, err = workload.Generate(g, 12, 2500, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -69,39 +57,43 @@ func world(t *testing.T) *testWorld {
 	return w
 }
 
+// outsourceWorld outsources all four methods of owner's network g.
+func outsourceWorld(t testing.TB, g *graph.Graph, owner *Owner) *testWorld {
+	t.Helper()
+	return &testWorld{g: g, owner: owner,
+		dij:  outsource[*DIJProvider](t, owner, DIJ),
+		full: outsource[*FULLProvider](t, owner, FULL),
+		ldm:  outsource[*LDMProvider](t, owner, LDM),
+		hyp:  outsource[*HYPProvider](t, owner, HYP),
+	}
+}
+
+// outsource builds m's provider through the registry, as its concrete type.
+func outsource[T Provider](t testing.TB, o *Owner, m Method) T {
+	t.Helper()
+	p, err := o.Outsource(m)
+	if err != nil {
+		t.Fatalf("outsource %s: %v", m, err)
+	}
+	return p.(T)
+}
+
+// prove answers (vs, vt) through p's QueryProof, as the concrete proof type.
+func prove[T Proof](t testing.TB, p Provider, vs, vt graph.NodeID) T {
+	t.Helper()
+	pr, err := p.QueryProof(vs, vt)
+	if err != nil {
+		t.Fatalf("%s query %d→%d: %v", p.Method(), vs, vt, err)
+	}
+	return pr.(T)
+}
+
 // queryAndVerify runs one query through a method and verifies it, returning
 // the verification error and proof stats.
 func queryAndVerify(t *testing.T, w *testWorld, m Method, vs, vt graph.NodeID) (error, ProofStats) {
 	t.Helper()
-	v := w.owner.Verifier()
-	switch m {
-	case DIJ:
-		p, err := w.dij.Query(vs, vt)
-		if err != nil {
-			t.Fatalf("DIJ query: %v", err)
-		}
-		return VerifyDIJ(v, vs, vt, p), p.Stats()
-	case FULL:
-		p, err := w.full.Query(vs, vt)
-		if err != nil {
-			t.Fatalf("FULL query: %v", err)
-		}
-		return VerifyFULL(v, vs, vt, p), p.Stats()
-	case LDM:
-		p, err := w.ldm.Query(vs, vt)
-		if err != nil {
-			t.Fatalf("LDM query: %v", err)
-		}
-		return VerifyLDM(v, vs, vt, p), p.Stats()
-	case HYP:
-		p, err := w.hyp.Query(vs, vt)
-		if err != nil {
-			t.Fatalf("HYP query: %v", err)
-		}
-		return VerifyHYP(v, vs, vt, p), p.Stats()
-	}
-	t.Fatalf("unknown method %s", m)
-	return nil, ProofStats{}
+	p := prove[Proof](t, testProvider(t, w, m), vs, vt)
+	return VerifyProof(w.owner.Verifier(), m, vs, vt, p), p.Stats()
 }
 
 func TestAllMethodsAcceptHonestProofs(t *testing.T) {
@@ -123,17 +115,10 @@ func TestReportedPathsMatchOracle(t *testing.T) {
 	w := world(t)
 	for _, q := range w.queries[:4] {
 		oracle, _ := sp.DijkstraTo(w.g, q.S, q.T)
-		p, err := w.dij.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !distEqual(p.Dist, oracle) {
+		if p := prove[*DIJProof](t, w.dij, q.S, q.T); !distEqual(p.Dist, oracle) {
 			t.Errorf("DIJ dist %v, oracle %v", p.Dist, oracle)
 		}
-		fp, err := w.full.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := prove[*FULLProof](t, w.full, q.S, q.T)
 		if !distEqual(fp.DistVO.Entry.Value, oracle) {
 			t.Errorf("FULL materialized dist %v, oracle %v", fp.DistVO.Entry.Value, oracle)
 		}
@@ -159,24 +144,10 @@ func TestProofSizeOrderingMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &testWorld{g: g, owner: owner}
-	if w.dij, err = owner.OutsourceDIJ(); err != nil {
+	w := outsourceWorld(t, g, owner)
+	if w.queries, err = workload.Generate(g, 8, 4000, 5); err != nil {
 		t.Fatal(err)
 	}
-	if w.full, err = owner.OutsourceFULL(); err != nil {
-		t.Fatal(err)
-	}
-	if w.ldm, err = owner.OutsourceLDM(); err != nil {
-		t.Fatal(err)
-	}
-	if w.hyp, err = owner.OutsourceHYP(); err != nil {
-		t.Fatal(err)
-	}
-	queries, err := workload.Generate(g, 8, 4000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.queries = queries
 
 	totals := map[Method]int{}
 	for _, m := range Methods() {
@@ -208,13 +179,13 @@ func TestProofSizeOrderingMatchesPaper(t *testing.T) {
 
 func TestEndpointValidation(t *testing.T) {
 	w := world(t)
-	if _, err := w.dij.Query(5, 5); err == nil {
+	if _, err := w.dij.QueryProof(5, 5); err == nil {
 		t.Error("source==target accepted")
 	}
-	if _, err := w.dij.Query(-1, 5); err == nil {
+	if _, err := w.dij.QueryProof(-1, 5); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := w.full.Query(5, graph.NodeID(w.g.NumNodes())); err == nil {
+	if _, err := w.full.QueryProof(5, graph.NodeID(w.g.NumNodes())); err == nil {
 		t.Error("out-of-range target accepted")
 	}
 }
@@ -222,17 +193,11 @@ func TestEndpointValidation(t *testing.T) {
 func TestVerifyRejectsNilProofs(t *testing.T) {
 	w := world(t)
 	v := w.owner.Verifier()
-	if err := VerifyDIJ(v, 0, 1, nil); !errors.Is(err, ErrRejected) {
-		t.Error("nil DIJ proof accepted")
-	}
-	if err := VerifyFULL(v, 0, 1, nil); !errors.Is(err, ErrRejected) {
-		t.Error("nil FULL proof accepted")
-	}
-	if err := VerifyLDM(v, 0, 1, nil); !errors.Is(err, ErrRejected) {
-		t.Error("nil LDM proof accepted")
-	}
-	if err := VerifyHYP(v, 0, 1, nil); !errors.Is(err, ErrRejected) {
-		t.Error("nil HYP proof accepted")
+	nils := map[Method]Proof{DIJ: (*DIJProof)(nil), FULL: (*FULLProof)(nil), LDM: (*LDMProof)(nil), HYP: (*HYPProof)(nil)}
+	for m, pr := range nils {
+		if err := VerifyProof(v, m, 0, 1, pr); !errors.Is(err, ErrRejected) {
+			t.Errorf("nil %s proof accepted", m)
+		}
 	}
 }
 
@@ -290,15 +255,10 @@ func TestDistEqualTolerance(t *testing.T) {
 func TestMethodsAgreeOnDistance(t *testing.T) {
 	w := world(t)
 	for _, q := range w.queries[:6] {
-		dp, _ := w.dij.Query(q.S, q.T)
-		fp, _ := w.full.Query(q.S, q.T)
-		lp, _ := w.ldm.Query(q.S, q.T)
-		hp, _ := w.hyp.Query(q.S, q.T)
-		if !distEqual(dp.Dist, fp.Dist) || !distEqual(fp.Dist, lp.Dist) || !distEqual(lp.Dist, hp.Dist) {
-			t.Errorf("methods disagree: DIJ=%v FULL=%v LDM=%v HYP=%v", dp.Dist, fp.Dist, lp.Dist, hp.Dist)
-		}
-		if !distEqual(dp.Dist, q.Dist) {
-			t.Errorf("provider dist %v, workload ground truth %v", dp.Dist, q.Dist)
+		for _, m := range Methods() {
+			if _, d := prove[Proof](t, testProvider(t, w, m), q.S, q.T).Result(); !distEqual(d, q.Dist) {
+				t.Errorf("%s dist %v, workload ground truth %v", m, d, q.Dist)
+			}
 		}
 	}
 }
@@ -309,10 +269,8 @@ func TestLDMProofSmallerThanDIJ(t *testing.T) {
 	w := world(t)
 	var dijTuples, ldmTuples int
 	for _, q := range w.queries {
-		dp, _ := w.dij.Query(q.S, q.T)
-		lp, _ := w.ldm.Query(q.S, q.T)
-		dijTuples += len(dp.Tuples)
-		ldmTuples += len(lp.Tuples)
+		dijTuples += len(prove[*DIJProof](t, w.dij, q.S, q.T).Tuples)
+		ldmTuples += len(prove[*LDMProof](t, w.ldm, q.S, q.T).Tuples)
 	}
 	t.Logf("avg tuples: DIJ=%d LDM=%d", dijTuples/len(w.queries), ldmTuples/len(w.queries))
 	if ldmTuples >= dijTuples {
@@ -327,11 +285,8 @@ func TestVerifierFromWrongOwnerRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := w.queries[0]
-	p, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDIJ(otherOwner.Verifier(), q.S, q.T, p); !errors.Is(err, ErrRejected) {
+	p := prove[Proof](t, w.dij, q.S, q.T)
+	if err := VerifyProof(otherOwner.Verifier(), DIJ, q.S, q.T, p); !errors.Is(err, ErrRejected) {
 		t.Error("foreign owner's verifier accepted the proof")
 	}
 }
@@ -350,10 +305,6 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		if stats.KBytes() != float64(stats.TotalBytes())/1024 {
 			t.Errorf("%s: KBytes inconsistent", m)
-		}
-		sum := stats.add(stats)
-		if sum.SBytes != 2*stats.SBytes || sum.TItems != 2*stats.TItems {
-			t.Errorf("%s: add() wrong", m)
 		}
 	}
 }

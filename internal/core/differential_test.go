@@ -91,25 +91,18 @@ func TestVerifyMatchesReference(t *testing.T) {
 	}
 }
 
-// proofParts points at the fields every proof type has.
-type proofParts struct {
-	path   *graph.Path
-	dist   *float64
-	tuples *[]tupleRecord
-	mht    **mht.Proof
-	sig    *[]byte
-}
-
-func partsOf(pr Proof) proofParts {
+// partsOf opens a proof's shared frame and its network-root signature for
+// in-place tampering.
+func partsOf(pr Proof) (*proofFrame, *[]byte) {
 	switch p := pr.(type) {
 	case *DIJProof:
-		return proofParts{&p.Path, &p.Dist, &p.Tuples, &p.MHT, &p.RootSig}
+		return &p.proofFrame, &p.RootSig
 	case *FULLProof:
-		return proofParts{&p.Path, &p.Dist, &p.Tuples, &p.MHT, &p.NetSig}
+		return &p.proofFrame, &p.NetSig
 	case *LDMProof:
-		return proofParts{&p.Path, &p.Dist, &p.Tuples, &p.MHT, &p.RootSig}
+		return &p.proofFrame, &p.RootSig
 	case *HYPProof:
-		return proofParts{&p.Path, &p.Dist, &p.Tuples, &p.MHT, &p.NetSig}
+		return &p.proofFrame, &p.NetSig
 	}
 	panic("unknown proof type")
 }
@@ -125,8 +118,8 @@ func flipBit(rng *rand.Rand, b []byte) []byte {
 // mutateProof applies one random structural edit to a decoded proof (or to
 // the query endpoints) and names it.
 func mutateProof(rng *rand.Rand, w *testWorld, p Provider, pr Proof, vs, vt *graph.NodeID) string {
-	pp := partsOf(pr)
-	recs, mp := *pp.tuples, *pp.mht
+	fr, sig := partsOf(pr)
+	recs, mp := fr.Tuples, fr.MHT
 	ri, ei := -1, -1
 	if len(recs) > 0 {
 		ri = rng.Intn(len(recs))
@@ -136,21 +129,21 @@ func mutateProof(rng *rand.Rand, w *testWorld, p Provider, pr Proof, vs, vt *gra
 	}
 	switch op := rng.Intn(24); {
 	case op == 0 && ri >= 0:
-		*pp.tuples = slices.Delete(recs, ri, ri+1)
+		fr.Tuples = slices.Delete(recs, ri, ri+1)
 		return "record dropped"
 	case op == 1 && ri >= 0:
 		rj := rng.Intn(len(recs))
 		recs[ri], recs[rj] = recs[rj], recs[ri]
 		return "records swapped"
 	case op == 2 && ri >= 0:
-		*pp.tuples = append(recs, recs[ri])
+		fr.Tuples = append(recs, recs[ri])
 		return "record repeated"
 	case op == 3 && ri >= 0:
 		// Same node, same base tuple, forged tail: the annotation for LDM and
 		// HYP, the last edge weight for DIJ and FULL.
 		forged := bytes.Clone(recs[ri].Bytes)
 		forged[len(forged)-1] ^= 1 << rng.Intn(8)
-		*pp.tuples = append(recs, tupleRecord{Pos: recs[ri].Pos, Bytes: forged})
+		fr.Tuples = append(recs, tupleRecord{Pos: recs[ri].Pos, Bytes: forged})
 		return "record repeated with forged tail"
 	case op == 4 && ri >= 0:
 		recs[ri].Pos = recs[rng.Intn(len(recs))].Pos + uint32(rng.Intn(2))
@@ -197,18 +190,18 @@ func mutateProof(rng *rand.Rand, w *testWorld, p Provider, pr Proof, vs, vt *gra
 			mp.Alg ^= 1
 		}
 		return "tree shape lie"
-	case op == 14 && len(*pp.path) > 2:
-		i := 1 + rng.Intn(len(*pp.path)-2)
-		*pp.path = slices.Delete(*pp.path, i, i+1)
+	case op == 14 && len(fr.Path) > 2:
+		i := 1 + rng.Intn(len(fr.Path)-2)
+		fr.Path = slices.Delete(fr.Path, i, i+1)
 		return "path node dropped"
 	case op == 15:
-		(*pp.path)[rng.Intn(len(*pp.path))] = graph.NodeID(rng.Intn(w.g.NumNodes() + 5))
+		fr.Path[rng.Intn(len(fr.Path))] = graph.NodeID(rng.Intn(w.g.NumNodes() + 5))
 		return "path node replaced"
 	case op == 16:
-		slices.Reverse(*pp.path)
+		slices.Reverse(fr.Path)
 		return "path reversed"
 	case op == 17:
-		*pp.dist = []float64{*pp.dist + 1, *pp.dist * (1 + 1e-12), *pp.dist * (1 + 1e-6), math.NaN(), math.Inf(1), -*pp.dist, 0}[rng.Intn(7)]
+		fr.Dist = []float64{fr.Dist + 1, fr.Dist * (1 + 1e-12), fr.Dist * (1 + 1e-6), math.NaN(), math.Inf(1), -fr.Dist, 0}[rng.Intn(7)]
 		return "claimed distance edited"
 	case op == 18:
 		switch rng.Intn(3) {
@@ -221,7 +214,7 @@ func mutateProof(rng *rand.Rand, w *testWorld, p Provider, pr Proof, vs, vt *gra
 		}
 		return "wrong endpoints"
 	case op == 19:
-		*pp.sig = flipBit(rng, *pp.sig)
+		*sig = flipBit(rng, *sig)
 		return "signature bit flipped"
 	default:
 		return mutateMethodPart(rng, pr)
@@ -304,10 +297,10 @@ func mutateMethodPart(rng *rand.Rand, pr Proof) string {
 // authentication, so the verdict is the search's.
 func authenticVariant(t *testing.T, rng *rand.Rand, w *testWorld, p Provider, pr Proof) (Proof, string) {
 	t.Helper()
-	pp := partsOf(pr)
+	fr, _ := partsOf(pr)
 	ads := p.adsRef()
 	var nodes []graph.NodeID
-	for _, r := range *pp.tuples {
+	for _, r := range fr.Tuples {
 		nodes = append(nodes, graph.NodeID(binary.BigEndian.Uint32(r.Bytes)))
 	}
 	desc := "authentic:"
@@ -323,9 +316,9 @@ func authenticVariant(t *testing.T, rng *rand.Rand, w *testWorld, p Provider, pr
 		}
 	}
 	if rng.Intn(3) == 0 {
-		path := *pp.path
+		path := fr.Path
 		if alt, d := subOptimalPath(w.g, path.Source(), path.Target()); alt != nil {
-			*pp.path, *pp.dist = alt, d
+			fr.Path, fr.Dist = alt, d
 			desc += " longer real path"
 			if rng.Intn(2) == 0 {
 				for _, v := range alt {
@@ -344,7 +337,7 @@ func authenticVariant(t *testing.T, rng *rand.Rand, w *testWorld, p Provider, pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	*pp.tuples, *pp.mht = ads.Records(nodes), mp
+	fr.Tuples, fr.MHT = ads.Records(nodes), mp
 	return pr, desc
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/authhints/spv/internal/graph"
-	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -23,20 +22,18 @@ var dijSigCtx = []byte("spv/DIJ/network/v1\x00")
 const providerSlack = 1 + 4*distTolerance
 
 // DIJProvider is the service provider's state for the DIJ method.
-// Immutable after OutsourceDIJ; Query is safe for concurrent use (see the
+// Immutable once outsourced; QueryProof is safe for concurrent use (see the
 // package Concurrency note). Searches iterate the frozen CSR view, and all
 // per-query scratch comes from the shared pool in scratch.go.
 type DIJProvider struct {
-	g       *graph.Graph
-	view    *graph.CSR
-	ads     *networkADS
+	providerBase
 	rootSig []byte
 }
 
-// OutsourceDIJ builds the DIJ provider bundle: the network Merkle tree over
+// Outsource builds the DIJ provider bundle: the network Merkle tree over
 // plain extended-tuples plus the signed root. DIJ needs no authenticated
 // hints, so this is the cheapest possible outsourcing.
-func (o *Owner) OutsourceDIJ() (*DIJProvider, error) {
+func (dijImpl) Outsource(o *Owner) (Provider, error) {
 	ads, err := buildNetworkADS(o.g, o.cfg, nil)
 	if err != nil {
 		return nil, err
@@ -45,26 +42,23 @@ func (o *Owner) OutsourceDIJ() (*DIJProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DIJProvider{g: o.g, view: o.frozenView(), ads: ads, rootSig: rootSig}, nil
+	return &DIJProvider{providerBase{o.g, o.frozenView(), ads}, rootSig}, nil
 }
 
 // DIJProof is the answer to a DIJ query: the result path, the subgraph
 // proof ΓS (Lemma 1's tuple set), and the integrity proof ΓT (Merkle
 // digests plus the signed root).
 type DIJProof struct {
-	Path    graph.Path
-	Dist    float64
-	Tuples  []tupleRecord
-	MHT     *mht.Proof
+	proofFrame
 	RootSig []byte
 }
 
-// Query runs Algorithm 1 for DIJ: compute the shortest path, collect
+// QueryProof runs Algorithm 1 for DIJ: compute the shortest path, collect
 // Γ = {Φ(v) | dist(vs, v) ≤ dist(vs, vt)}, and derive the integrity proof.
-func (p *DIJProvider) Query(vs, vt graph.NodeID) (*DIJProof, error) {
+func (p *DIJProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	if err := checkEndpoints(p.g, vs, vt); err != nil {
+	if err := p.checkEndpoints(vs, vt); err != nil {
 		return nil, err
 	}
 	dist, path, settled := s.ws.DijkstraBall(p.view, vs, vt, providerSlack)
@@ -75,30 +69,18 @@ func (p *DIJProvider) Query(vs, vt graph.NodeID) (*DIJProof, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DIJProof{
-		Path:    path,
-		Dist:    dist,
-		Tuples:  p.ads.Records(settled),
-		MHT:     mhtProof,
-		RootSig: p.rootSig,
-	}, nil
+	return &DIJProof{proofFrame{path, dist, p.ads.Records(settled), mhtProof}, p.rootSig}, nil
 }
 
-func checkEndpoints(g *graph.Graph, vs, vt graph.NodeID) error {
-	if vs < 0 || int(vs) >= g.NumNodes() || vt < 0 || int(vt) >= g.NumNodes() {
-		return fmt.Errorf("%w: endpoints (%d, %d) out of range", ErrBadQuery, vs, vt)
+// VerifyProof is the client side of §IV-A: authenticate the subgraph,
+// re-run Dijkstra over it, and check that the reported path is a real path
+// whose length equals the re-computed shortest distance. A nil error means
+// the path is verified correct (authentic and optimal).
+func (dijImpl) VerifyProof(verifier SigVerifier, vs, vt graph.NodeID, pr Proof) error {
+	proof, err := proofAs[*DIJProof](DIJ, pr)
+	if err != nil {
+		return err
 	}
-	if vs == vt {
-		return fmt.Errorf("%w: source equals target (%d)", ErrBadQuery, vs)
-	}
-	return nil
-}
-
-// VerifyDIJ is the client side of §IV-A: authenticate the subgraph, re-run
-// Dijkstra over it, and check that the reported path is a real path whose
-// length equals the re-computed shortest distance. A nil error means the
-// path is verified correct (authentic and optimal).
-func VerifyDIJ(verifier SigVerifier, vs, vt graph.NodeID, proof *DIJProof) error {
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
@@ -179,42 +161,17 @@ func (pr *DIJProof) Stats() ProofStats {
 //
 //	path | dist float64 | tuple block | mht proof | rootSig
 func (pr *DIJProof) AppendBinary(buf []byte) []byte {
-	buf = appendPath(buf, pr.Path)
-	buf = appendFloat(buf, pr.Dist)
-	buf = appendTupleBlock(buf, pr.Tuples)
-	buf = pr.MHT.AppendBinary(buf)
+	buf = pr.appendHead(buf)
+	buf = pr.appendBody(buf)
 	return appendBytes(buf, pr.RootSig)
 }
 
-// DecodeDIJProof parses a serialized DIJ proof.
-func DecodeDIJProof(buf []byte) (*DIJProof, int, error) {
+// DecodeProof parses a serialized DIJ proof (layout at AppendBinary).
+func (dijImpl) DecodeProof(buf []byte) (Proof, int, error) {
+	r := wireReader{buf: buf}
 	pr := &DIJProof{}
-	path, n, err := decodePath(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Path = path
-	off := n
-	pr.Dist, n, err = decodeFloat(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	pr.Tuples, n, err = decodeTupleBlock(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	mp, n, err := mht.DecodeProof(buf[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	pr.MHT = mp
-	off += n
-	rootSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.RootSig = rootSig
-	return pr, off + n, nil
+	r.head(&pr.proofFrame)
+	r.body(&pr.proofFrame)
+	pr.RootSig = r.bytes("root signature")
+	return r.done(pr)
 }

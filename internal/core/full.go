@@ -6,7 +6,6 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/mbt"
-	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -38,27 +37,25 @@ var (
 )
 
 // FULLProvider is the service provider's state for the FULL method.
-// Immutable after OutsourceFULL; Query is safe for concurrent use (see the
+// Immutable once outsourced; QueryProof is safe for concurrent use (see the
 // package Concurrency note). Forest row re-derivation runs on pooled
 // workspaces over the frozen CSR view.
 type FULLProvider struct {
-	g       *graph.Graph
-	view    *graph.CSR
-	ads     *networkADS
+	providerBase
 	forest  *mbt.Forest
 	netSig  []byte
 	distSig []byte
 }
 
-// OutsourceFULL builds the network ADS and the all-pairs distance forest,
-// and signs both roots. This is the method whose pre-computation explodes
-// with |V| (quadratic output, |V| Dijkstra runs) — both the Dijkstra runs
-// and the per-row subtree hashing fan out across GOMAXPROCS workers, each
+// Outsource builds the network ADS and the all-pairs distance forest, and
+// signs both roots. This is the method whose pre-computation explodes with
+// |V| (quadratic output, |V| Dijkstra runs) — both the Dijkstra runs and
+// the per-row subtree hashing fan out across GOMAXPROCS workers, each
 // worker folding its own rows (ForestBuilder.SetRow) so no quadratic work
 // serializes behind a reorder buffer. Row roots land in dense source order
 // regardless of completion order, keeping the forest root byte-identical
 // to a serial build.
-func (o *Owner) OutsourceFULL() (*FULLProvider, error) {
+func (fullImpl) Outsource(o *Owner) (Provider, error) {
 	ads, err := buildNetworkADS(o.g, o.cfg, nil)
 	if err != nil {
 		return nil, err
@@ -70,7 +67,7 @@ func (o *Owner) OutsourceFULL() (*FULLProvider, error) {
 	}
 	var mu sync.Mutex
 	var addErr error
-	sp.AllPairsRowsUnordered(o.g, func(src graph.NodeID, dist []float64) {
+	sp.AllPairsRows(o.g, func(src graph.NodeID, dist []float64) {
 		if err := builder.SetRow(int(src), dist); err != nil {
 			mu.Lock()
 			if addErr == nil {
@@ -95,28 +92,25 @@ func (o *Owner) OutsourceFULL() (*FULLProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FULLProvider{g: o.g, view: view, ads: ads, forest: forest, netSig: netSig, distSig: distSig}, nil
+	return &FULLProvider{providerBase: providerBase{o.g, view, ads}, forest: forest, netSig: netSig, distSig: distSig}, nil
 }
 
 // FULLProof is the answer to a FULL query: the path, the distance proof ΓS
 // (one authenticated ⟨vs, vt, dist⟩ entry), and the integrity proof ΓT for
 // the path's tuples.
 type FULLProof struct {
-	Path    graph.Path
-	Dist    float64
+	proofFrame
 	DistVO  *mbt.ForestProof
-	Tuples  []tupleRecord
-	MHT     *mht.Proof
 	NetSig  []byte
 	DistSig []byte
 }
 
-// Query answers a FULL query: the distance proof comes straight out of the
-// forest; the network proof covers exactly the path nodes.
-func (p *FULLProvider) Query(vs, vt graph.NodeID) (*FULLProof, error) {
+// QueryProof answers a FULL query: the distance proof comes straight out
+// of the forest; the network proof covers exactly the path nodes.
+func (p *FULLProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	if err := checkEndpoints(p.g, vs, vt); err != nil {
+	if err := p.checkEndpoints(vs, vt); err != nil {
 		return nil, err
 	}
 	dist, path := s.ws.DijkstraTo(p.view, vs, vt)
@@ -132,20 +126,21 @@ func (p *FULLProvider) Query(vs, vt graph.NodeID) (*FULLProof, error) {
 		return nil, err
 	}
 	return &FULLProof{
-		Path:    path,
-		Dist:    dist,
-		DistVO:  vo,
-		Tuples:  p.ads.Records(path),
-		MHT:     mhtProof,
-		NetSig:  p.netSig,
-		DistSig: p.distSig,
+		proofFrame: proofFrame{path, dist, p.ads.Records(path), mhtProof},
+		DistVO:     vo,
+		NetSig:     p.netSig,
+		DistSig:    p.distSig,
 	}, nil
 }
 
-// VerifyFULL is the client side of §IV-B: authenticate the materialized
+// VerifyProof is the client side of §IV-B: authenticate the materialized
 // distance, authenticate the path tuples, and check the reported path sums
 // to exactly that distance.
-func VerifyFULL(verifier SigVerifier, vs, vt graph.NodeID, proof *FULLProof) error {
+func (fullImpl) VerifyProof(verifier SigVerifier, vs, vt graph.NodeID, pr Proof) error {
+	proof, err := proofAs[*FULLProof](FULL, pr)
+	if err != nil {
+		return err
+	}
 	if proof == nil || proof.DistVO == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
@@ -193,56 +188,21 @@ func (pr *FULLProof) Stats() ProofStats {
 //
 //	path | dist | forest VO | tuple block | mht proof | netSig | distSig
 func (pr *FULLProof) AppendBinary(buf []byte) []byte {
-	buf = appendPath(buf, pr.Path)
-	buf = appendFloat(buf, pr.Dist)
+	buf = pr.appendHead(buf)
 	buf = pr.DistVO.AppendBinary(buf)
-	buf = appendTupleBlock(buf, pr.Tuples)
-	buf = pr.MHT.AppendBinary(buf)
+	buf = pr.appendBody(buf)
 	buf = appendBytes(buf, pr.NetSig)
 	return appendBytes(buf, pr.DistSig)
 }
 
-// DecodeFULLProof parses a serialized FULL proof.
-func DecodeFULLProof(buf []byte) (*FULLProof, int, error) {
+// DecodeProof parses a serialized FULL proof (layout at AppendBinary).
+func (fullImpl) DecodeProof(buf []byte) (Proof, int, error) {
+	r := wireReader{buf: buf}
 	pr := &FULLProof{}
-	path, off, err := decodePath(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Path = path
-	d, n, err := decodeFloat(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Dist = d
-	off += n
-	vo, n, err := mbt.DecodeForestProof(buf[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	pr.DistVO = vo
-	off += n
-	pr.Tuples, n, err = decodeTupleBlock(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	mp, n, err := mht.DecodeProof(buf[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	pr.MHT = mp
-	off += n
-	netSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.NetSig = netSig
-	off += n
-	distSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.DistSig = distSig
-	return pr, off + n, nil
+	r.head(&pr.proofFrame)
+	pr.DistVO = nested(&r, mbt.DecodeForestProof)
+	r.body(&pr.proofFrame)
+	pr.NetSig = r.bytes("network signature")
+	pr.DistSig = r.bytes("distance signature")
+	return r.done(pr)
 }

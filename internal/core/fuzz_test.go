@@ -9,6 +9,7 @@ import (
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/mht"
@@ -18,31 +19,24 @@ import (
 	"github.com/authhints/spv/internal/workload"
 )
 
-// seedDIJWire builds structurally valid DIJ proof encodings for the fuzz
+// The seed wires below are structurally valid proof encodings for the fuzz
 // corpus. The decoder checks wire structure, not cryptography, so the
-// tuples/digests/signature can be synthetic — which keeps fuzz-worker
+// tuples/digests/signatures can be synthetic — which keeps fuzz-worker
 // startup free of RSA key generation.
+
 func seedDIJWire() [][]byte {
 	tuple := func(id graph.NodeID, adj ...graph.Edge) []byte {
 		return graph.Tuple{ID: id, X: float64(id), Y: 2, Adj: adj}.AppendBinary(nil)
 	}
 	digest20 := bytes.Repeat([]byte{7}, 20)
 	prs := []*DIJProof{
-		{
-			Path:   graph.Path{0, 1, 2},
-			Dist:   3.5,
-			Tuples: []tupleRecord{{Pos: 0, Bytes: tuple(0, graph.Edge{To: 1, W: 2})}, {Pos: 3, Bytes: tuple(1)}},
-			MHT: &mht.Proof{Alg: digest.SHA1, Fanout: 4, NumLeaves: 9,
+		{proofFrame{graph.Path{0, 1, 2}, 3.5,
+			[]tupleRecord{{Pos: 0, Bytes: tuple(0, graph.Edge{To: 1, W: 2})}, {Pos: 3, Bytes: tuple(1)}},
+			&mht.Proof{Alg: digest.SHA1, Fanout: 4, NumLeaves: 9,
 				Entries: []mht.Entry{{Level: 0, Index: 1, Digest: digest20}, {Level: 1, Index: 2, Digest: digest20}}},
-			RootSig: []byte("signature-bytes"),
-		},
-		{
-			Path:    graph.Path{5, 6},
-			Dist:    1,
-			Tuples:  []tupleRecord{{Pos: 1, Bytes: tuple(5)}},
-			MHT:     &mht.Proof{Alg: digest.SHA256, Fanout: 2, NumLeaves: 2},
-			RootSig: nil,
-		},
+		}, []byte("signature-bytes")},
+		{proofFrame{graph.Path{5, 6}, 1, []tupleRecord{{Pos: 1, Bytes: tuple(5)}},
+			&mht.Proof{Alg: digest.SHA256, Fanout: 2, NumLeaves: 2}}, nil},
 	}
 	var wires [][]byte
 	for _, pr := range prs {
@@ -51,49 +45,18 @@ func seedDIJWire() [][]byte {
 	return wires
 }
 
-// FuzzDecodeDIJProof drives the proof wire decoder with mutated inputs: it
-// must never panic, and any input it accepts must re-encode byte-identically
-// (the encoding is canonical — a decode/encode cycle is the identity on the
-// consumed prefix).
-func FuzzDecodeDIJProof(f *testing.F) {
-	for _, w := range seedDIJWire() {
-		f.Add(w)
+func seedLDMWire() [][]byte {
+	tuple := graph.Tuple{ID: 4, X: 1, Y: 1, Adj: []graph.Edge{{To: 7, W: 1.5}}, Extra: []byte{1, 0, 3}}.AppendBinary(nil)
+	pr := &LDMProof{
+		proofFrame: proofFrame{graph.Path{4, 7}, 1.5, []tupleRecord{{Pos: 2, Bytes: tuple}},
+			&mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 8}},
+		Params:  landmark.Params{C: 2, Bits: 8, Lambda: 0.25},
+		RootSig: []byte("ldm-signature"),
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, n, err := DecodeDIJProof(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decoder claims %d bytes consumed of %d", n, len(data))
-		}
-		re := pr.AppendBinary(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode/encode not identity: %d in, %d out", n, len(re))
-		}
-	})
+	return [][]byte{pr.AppendBinary(nil)}
 }
 
-// FuzzDecodeLDMProof covers the parameter-carrying wire layout the same way.
-func FuzzDecodeLDMProof(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{1}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, n, err := DecodeLDMProof(data)
-		if err != nil {
-			return
-		}
-		re := pr.AppendBinary(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode/encode not identity: %d in, %d out", n, len(re))
-		}
-	})
-}
-
-// seedHYPWire builds structurally valid HYP proof encodings (with and
-// without the hyper-edge block) for the fuzz corpus.
+// seedHYPWire covers the optional hyper-edge block, present and absent.
 func seedHYPWire() [][]byte {
 	digest20 := bytes.Repeat([]byte{9}, 20)
 	tuple := func(id graph.NodeID) []byte {
@@ -101,11 +64,10 @@ func seedHYPWire() [][]byte {
 		return t.AppendBinary(nil)
 	}
 	withHyper := &HYPProof{
-		Path:   graph.Path{0, 1, 2},
-		Dist:   4.25,
-		Tuples: []tupleRecord{{Pos: 0, Bytes: tuple(0)}, {Pos: 2, Bytes: tuple(1)}},
-		MHT: &mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 4,
-			Entries: []mht.Entry{{Level: 0, Index: 1, Digest: digest20}}},
+		proofFrame: proofFrame{graph.Path{0, 1, 2}, 4.25,
+			[]tupleRecord{{Pos: 0, Bytes: tuple(0)}, {Pos: 2, Bytes: tuple(1)}},
+			&mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 4,
+				Entries: []mht.Entry{{Level: 0, Index: 1, Digest: digest20}}}},
 		Hyper: &mbt.Proof{
 			Entries: []mbt.ProvenEntry{{Entry: mbt.Entry{Key: 7, Value: 1.5}, Index: 0}},
 			MHT:     &mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 1},
@@ -114,18 +76,11 @@ func seedHYPWire() [][]byte {
 		DistSig: []byte("dist-signature"),
 	}
 	without := &HYPProof{
-		Path:    graph.Path{5, 6},
-		Dist:    1,
-		Tuples:  []tupleRecord{{Pos: 1, Bytes: tuple(5)}},
-		MHT:     &mht.Proof{Alg: digest.SHA256, Fanout: 4, NumLeaves: 2},
-		NetSig:  []byte("n"),
-		DistSig: nil,
+		proofFrame: proofFrame{graph.Path{5, 6}, 1, []tupleRecord{{Pos: 1, Bytes: tuple(5)}},
+			&mht.Proof{Alg: digest.SHA256, Fanout: 4, NumLeaves: 2}},
+		NetSig: []byte("n"),
 	}
-	var wires [][]byte
-	for _, pr := range []*HYPProof{withHyper, without} {
-		wires = append(wires, pr.AppendBinary(nil))
-	}
-	return wires
+	return [][]byte{withHyper.AppendBinary(nil), without.AppendBinary(nil)}
 }
 
 // hyperExtra fabricates the fixed-size HYP tuple annotation (cell id +
@@ -139,112 +94,88 @@ func hyperExtra(cell uint32, border bool) []byte {
 	return append(buf, 0)
 }
 
-// FuzzDecodeHYPProof drives the HYP wire decoder (the only one with an
-// optional sub-proof block) with mutated inputs: it must never panic,
-// allocations must stay bounded by the bytes actually present even when
-// tuple/entry counts lie, and any accepted input must re-encode
-// byte-identically.
-func FuzzDecodeHYPProof(f *testing.F) {
-	for _, w := range seedHYPWire() {
-		f.Add(w)
-	}
-	f.Add([]byte{})
-	// A lying tuple count over a near-empty body: the decoder must reject
-	// without allocating for the claimed 2^31 records.
-	lying := binary.BigEndian.AppendUint32(nil, 2) // path len 2
-	lying = append(lying, make([]byte, 8+8)...)    // path + dist
-	lying = binary.BigEndian.AppendUint32(lying, 1<<31-1)
-	f.Add(lying)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, n, err := DecodeHYPProof(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decoder claims %d bytes consumed of %d", n, len(data))
-		}
-		re := pr.AppendBinary(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode/encode not identity: %d in, %d out", n, len(re))
-		}
-	})
-}
-
-// seedFULLWire builds structurally valid FULL proof encodings (forest VO +
-// path tuples) for the fuzz corpus.
+// seedFULLWire carries the forest VO beside the path tuples.
 func seedFULLWire() [][]byte {
 	digest20 := bytes.Repeat([]byte{5}, 20)
 	tuple := func(id graph.NodeID, adj ...graph.Edge) []byte {
 		return graph.Tuple{ID: id, X: 3, Y: 4, Adj: adj}.AppendBinary(nil)
 	}
 	pr := &FULLProof{
-		Path: graph.Path{0, 1},
-		Dist: 2.5,
+		proofFrame: proofFrame{graph.Path{0, 1}, 2.5,
+			[]tupleRecord{{Pos: 0, Bytes: tuple(0, graph.Edge{To: 1, W: 2.5})}, {Pos: 1, Bytes: tuple(1)}},
+			&mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 2}},
 		DistVO: &mbt.ForestProof{
 			Entry: mbt.Entry{Key: mbt.MakeKey(0, 1), Value: 2.5},
 			Row:   &mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 2, Entries: []mht.Entry{{Level: 0, Index: 0, Digest: digest20}}},
 			Top:   &mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 2, Entries: []mht.Entry{{Level: 0, Index: 1, Digest: digest20}}},
 		},
-		Tuples:  []tupleRecord{{Pos: 0, Bytes: tuple(0, graph.Edge{To: 1, W: 2.5})}, {Pos: 1, Bytes: tuple(1)}},
-		MHT:     &mht.Proof{Alg: digest.SHA1, Fanout: 2, NumLeaves: 2},
 		NetSig:  []byte("net-signature"),
 		DistSig: []byte("dist-signature"),
 	}
 	return [][]byte{pr.AppendBinary(nil)}
 }
 
-// FuzzDecodeFULLProof covers the forest-VO-carrying wire layout with the
-// same no-panic / bounded-allocation / canonical re-encode guarantees.
-func FuzzDecodeFULLProof(f *testing.F) {
-	for _, w := range seedFULLWire() {
-		f.Add(w)
+// checkDecodeCanonical feeds data to m's decoder — the one decode path
+// serve answers, spvquery verify and DecodeProofBatch travel. It must never
+// panic, allocations must stay bounded by the bytes actually present even
+// when tuple or entry counts lie, and any input it accepts must re-encode
+// byte-identically through the erased Proof interface (the encoding is
+// canonical: decode/encode is the identity on the consumed prefix).
+func checkDecodeCanonical(t *testing.T, m Method, data []byte) {
+	pr, n, err := DecodeProof(m, data)
+	if err != nil {
+		return
 	}
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 48))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pr, n, err := DecodeFULLProof(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decoder claims %d bytes consumed of %d", n, len(data))
-		}
-		re := pr.AppendBinary(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("decode/encode not identity: %d in, %d out", n, len(re))
-		}
-	})
+	if n > len(data) {
+		t.Fatalf("%s: decoder claims %d bytes consumed of %d", m, n, len(data))
+	}
+	if re := pr.AppendBinary(nil); !bytes.Equal(re, data[:n]) {
+		t.Fatalf("%s: decode/encode not identity: %d in, %d out", m, n, len(re))
+	}
 }
 
-// FuzzRegistryDecodeProof drives every registered method's decoder through
-// the registry face with one corpus — the path serve answers and spvquery
-// verify travel. Accepted inputs must re-encode byte-identically through
-// the erased Proof interface.
+// fuzzDecode runs checkDecodeCanonical for one method over its own corpus.
+func fuzzDecode(f *testing.F, m Method, seeds ...[]byte) {
+	for _, w := range seeds {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecodeCanonical(t, m, data) })
+}
+
+func FuzzDecodeDIJProof(f *testing.F) {
+	fuzzDecode(f, DIJ, append(seedDIJWire(), []byte{}, []byte{0, 0, 0, 0})...)
+}
+
+func FuzzDecodeFULLProof(f *testing.F) {
+	fuzzDecode(f, FULL, append(seedFULLWire(), []byte{}, bytes.Repeat([]byte{0xff}, 48))...)
+}
+
+func FuzzDecodeLDMProof(f *testing.F) {
+	fuzzDecode(f, LDM, append([][]byte{{}, bytes.Repeat([]byte{1}, 64)}, seedLDMWire()...)...)
+}
+
+// FuzzDecodeHYPProof adds a lying tuple count over a near-empty body: the
+// decoder must reject it without allocating for the claimed 2^31 records.
+func FuzzDecodeHYPProof(f *testing.F) {
+	lying := binary.BigEndian.AppendUint32(nil, 2) // path len 2
+	lying = append(lying, make([]byte, 8+8)...)    // path + dist
+	lying = binary.BigEndian.AppendUint32(lying, 1<<31-1)
+	fuzzDecode(f, HYP, append(seedHYPWire(), []byte{}, lying)...)
+}
+
+// FuzzRegistryDecodeProof mixes every registered method's seed wires in one
+// corpus, so a mutation may also reach a decoder under another method's
+// bytes.
 func FuzzRegistryDecodeProof(f *testing.F) {
-	for _, w := range seedDIJWire() {
-		f.Add(0, w)
-	}
-	for _, w := range seedFULLWire() {
-		f.Add(1, w)
-	}
-	for _, w := range seedHYPWire() {
-		f.Add(3, w)
+	seeds := map[Method][][]byte{DIJ: seedDIJWire(), FULL: seedFULLWire(), LDM: seedLDMWire(), HYP: seedHYPWire()}
+	ms := RegisteredMethods()
+	for mi, m := range ms {
+		for _, w := range seeds[m] {
+			f.Add(mi, w)
+		}
 	}
 	f.Fuzz(func(t *testing.T, mi int, data []byte) {
-		ms := RegisteredMethods()
-		idx := mi % len(ms)
-		if idx < 0 {
-			idx += len(ms) // Go's % keeps the dividend's sign; -mi overflows at MinInt
-		}
-		m := ms[idx]
-		pr, n, err := DecodeProof(m, data)
-		if err != nil {
-			return
-		}
-		re := pr.AppendBinary(nil)
-		if !bytes.Equal(re, data[:n]) {
-			t.Fatalf("%s: decode/encode not identity: %d in, %d out", m, n, len(re))
-		}
+		checkDecodeCanonical(t, ms[uint(mi)%uint(len(ms))], data)
 	})
 }
 

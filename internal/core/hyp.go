@@ -7,7 +7,6 @@ import (
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
-	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -28,22 +27,20 @@ var (
 )
 
 // HYPProvider is the service provider's state for the HYP method.
-// Immutable after OutsourceHYP; Query is safe for concurrent use (see the
+// Immutable once outsourced; QueryProof is safe for concurrent use (see the
 // package Concurrency note). Searches iterate the frozen CSR view.
 type HYPProvider struct {
-	g       *graph.Graph
-	view    *graph.CSR
+	providerBase
 	hyper   *hiti.Hyper
-	ads     *networkADS
 	distMBT *mbt.Tree
 	netSig  []byte
 	distSig []byte
 }
 
-// OutsourceHYP builds the HiTi hyper-graph (one Dijkstra per border node),
-// the hyper-edge distance Merkle B-tree and the annotated network tree, and
+// Outsource builds the HiTi hyper-graph (one Dijkstra per border node), the
+// hyper-edge distance Merkle B-tree and the annotated network tree, and
 // signs both roots.
-func (o *Owner) OutsourceHYP() (*HYPProvider, error) {
+func (hypImpl) Outsource(o *Owner) (Provider, error) {
 	hyper, err := hiti.Build(o.g, o.cfg.Cells)
 	if err != nil {
 		return nil, err
@@ -52,7 +49,7 @@ func (o *Owner) OutsourceHYP() (*HYPProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &HYPProvider{g: o.g, view: o.frozenView(), hyper: hyper, ads: ads}
+	p := &HYPProvider{providerBase: providerBase{o.g, o.frozenView(), ads}, hyper: hyper}
 	entries := hyper.Entries()
 	if len(entries) > 0 {
 		p.distMBT, err = mbt.Build(o.cfg.Hash, o.cfg.Fanout, entries)
@@ -71,12 +68,10 @@ func (o *Owner) OutsourceHYP() (*HYPProvider, error) {
 	return p, nil
 }
 
-// HYPProof is the answer to a HYP query.
+// HYPProof is the answer to a HYP query; its tuples are every source and
+// target cell tuple plus the fine path tuples.
 type HYPProof struct {
-	Path    graph.Path
-	Dist    float64
-	Tuples  []tupleRecord // all source/target cell tuples + fine path tuples
-	MHT     *mht.Proof
+	proofFrame
 	Hyper   *mbt.Proof // hyper-edges between the two cells' borders (nil if none)
 	NetSig  []byte
 	DistSig []byte
@@ -86,12 +81,12 @@ type HYPProof struct {
 // (experiment instrumentation for the Fig 13 sweep).
 func (p *HYPProvider) NumBorders() int { return p.hyper.NumBorders() }
 
-// Query runs Algorithm 1 for HYP: coarse proof over the source and target
-// cells plus their border hyper-edges, fine proof over the path.
-func (p *HYPProvider) Query(vs, vt graph.NodeID) (*HYPProof, error) {
+// QueryProof runs Algorithm 1 for HYP: coarse proof over the source and
+// target cells plus their border hyper-edges, fine proof over the path.
+func (p *HYPProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	if err := checkEndpoints(p.g, vs, vt); err != nil {
+	if err := p.checkEndpoints(vs, vt); err != nil {
 		return nil, err
 	}
 	dist, path := s.ws.DijkstraTo(p.view, vs, vt)
@@ -119,12 +114,9 @@ func (p *HYPProvider) Query(vs, vt graph.NodeID) (*HYPProof, error) {
 	}
 
 	proof := &HYPProof{
-		Path:    path,
-		Dist:    dist,
-		Tuples:  p.ads.Records(nodes),
-		MHT:     mhtProof,
-		NetSig:  p.netSig,
-		DistSig: p.distSig,
+		proofFrame: proofFrame{path, dist, p.ads.Records(nodes), mhtProof},
+		NetSig:     p.netSig,
+		DistSig:    p.distSig,
 	}
 	if edges := p.hyper.CellPairEntries(cs, ct); len(edges) > 0 {
 		proof.Hyper, err = p.distMBT.Prove(&s.prove, edges)
@@ -135,8 +127,12 @@ func (p *HYPProvider) Query(vs, vt graph.NodeID) (*HYPProof, error) {
 	return proof, nil
 }
 
-// VerifyHYP is the client side of §V-B.
-func VerifyHYP(verifier SigVerifier, vs, vt graph.NodeID, proof *HYPProof) error {
+// VerifyProof is the client side of §V-B.
+func (hypImpl) VerifyProof(verifier SigVerifier, vs, vt graph.NodeID, pr Proof) error {
+	proof, err := proofAs[*HYPProof](HYP, pr)
+	if err != nil {
+		return err
+	}
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
@@ -241,10 +237,8 @@ func (pr *HYPProof) Stats() ProofStats {
 //
 //	path | dist | tuple block | mht | hasHyper u8 [| hyper proof] | netSig | distSig
 func (pr *HYPProof) AppendBinary(buf []byte) []byte {
-	buf = appendPath(buf, pr.Path)
-	buf = appendFloat(buf, pr.Dist)
-	buf = appendTupleBlock(buf, pr.Tuples)
-	buf = pr.MHT.AppendBinary(buf)
+	buf = pr.appendHead(buf)
+	buf = pr.appendBody(buf)
 	if pr.Hyper != nil {
 		buf = append(buf, 1)
 		buf = pr.Hyper.AppendBinary(buf)
@@ -255,56 +249,20 @@ func (pr *HYPProof) AppendBinary(buf []byte) []byte {
 	return appendBytes(buf, pr.DistSig)
 }
 
-// DecodeHYPProof parses a serialized HYP proof.
-func DecodeHYPProof(buf []byte) (*HYPProof, int, error) {
+// DecodeProof parses a serialized HYP proof (layout at AppendBinary).
+func (hypImpl) DecodeProof(buf []byte) (Proof, int, error) {
+	r := wireReader{buf: buf}
 	pr := &HYPProof{}
-	path, off, err := decodePath(buf)
-	if err != nil {
-		return nil, 0, err
+	r.head(&pr.proofFrame)
+	r.body(&pr.proofFrame)
+	switch flag := r.u8("hyper flag"); flag {
+	case 0:
+	case 1:
+		pr.Hyper = nested(&r, mbt.DecodeProof)
+	default:
+		r.fail("bad hyper flag %d", flag)
 	}
-	pr.Path = path
-	d, n, err := decodeFloat(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Dist = d
-	off += n
-	pr.Tuples, n, err = decodeTupleBlock(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	mp, n, err := mht.DecodeProof(buf[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	pr.MHT = mp
-	off += n
-	if len(buf[off:]) < 1 {
-		return nil, 0, fmt.Errorf("%w: hyper flag truncated", ErrMalformedProof)
-	}
-	hasHyper := buf[off]
-	off++
-	if hasHyper == 1 {
-		hp, n, err := mbt.DecodeProof(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-		}
-		pr.Hyper = hp
-		off += n
-	} else if hasHyper != 0 {
-		return nil, 0, fmt.Errorf("%w: bad hyper flag %d", ErrMalformedProof, hasHyper)
-	}
-	netSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.NetSig = netSig
-	off += n
-	distSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.DistSig = distSig
-	return pr, off + n, nil
+	pr.NetSig = r.bytes("network signature")
+	pr.DistSig = r.bytes("distance signature")
+	return r.done(pr)
 }

@@ -165,16 +165,6 @@ func ReadProviderSet(ra io.ReaderAt, size int64) (*ProviderSet, error) {
 	return loadAll(f)
 }
 
-// ReadProviderSetLazy is OpenProviderSetLazy over any positioned reader,
-// which the caller keeps readable for as long as a method is still cold.
-func ReadProviderSetLazy(ra io.ReaderAt, size int64) (*ProviderSet, error) {
-	f, err := snapshot.NewFile(ra, size)
-	if err != nil {
-		return nil, err
-	}
-	return lazySetFromFile(f)
-}
-
 // loadAll is the eager load: the lazy open plus hydrateAll.
 func loadAll(f *snapshot.File) (*ProviderSet, error) {
 	set, err := lazySetFromFile(f)

@@ -353,6 +353,21 @@ func TestLazyCloseSemantics(t *testing.T) {
 	}
 }
 
+// openLazy is the lazy open over any positioned reader, which must stay
+// readable while a method is still cold.
+func openLazy(t testing.TB, ra io.ReaderAt, size int64) *ProviderSet {
+	t.Helper()
+	f, err := snapshot.NewFile(ra, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := lazySetFromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // countingReaderAt records every positioned read, and can be told to fail
 // the way io.ReaderAt allows a reader to come back short — fewer bytes than
 // asked, with an error — for any read that reaches failAt.
@@ -453,14 +468,7 @@ func TestWarmRacesFirstQueries(t *testing.T) {
 
 	t.Run("read once", func(t *testing.T) {
 		cra := &countingReaderAt{ra: bytes.NewReader(data)}
-		f, err := snapshot.NewFile(cra, int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := lazySetFromFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		set := openLazy(t, cra, int64(len(data)))
 		var mu sync.Mutex
 		heard := map[Method]string{}
 		set.OnHydrate = func(m Method, n int64, _ time.Duration, trigger string, err error) {
@@ -475,7 +483,7 @@ func TestWarmRacesFirstQueries(t *testing.T) {
 		if len(heard) != len(Methods()) {
 			t.Errorf("OnHydrate heard of %v, want every method", heard)
 		}
-		for _, e := range f.Sections() {
+		for _, e := range set.file.Sections() {
 			if _, method := defaultRegistry.lookupKind(e.Kind); !method {
 				continue
 			}
@@ -552,14 +560,8 @@ func TestHydrateAllocatesSectionOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldm, err := owner.OutsourceLDM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, err := owner.OutsourceHYP()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ldm := outsource[*LDMProvider](t, owner, LDM)
+	hyp := outsource[*HYPProvider](t, owner, HYP)
 	path, data := writeSnapshotFile(t, owner, ldm, hyp)
 	set, err := OpenProviderSetLazy(path)
 	if err != nil {
@@ -605,10 +607,7 @@ func TestReadProviderSetShortReads(t *testing.T) {
 			// The trailing index is read at open, so the lazy open gets the
 			// whole file and the cut arrives afterwards.
 			cra := &countingReaderAt{ra: bytes.NewReader(data)}
-			set, err := ReadProviderSetLazy(cra, int64(len(data)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			set := openLazy(t, cra, int64(len(data)))
 			cra.failAt = at
 			for _, other := range defaultRegistry.Impls() {
 				m, cut := other.Method(), sectionOf(t, data, other.SnapshotKind()).Offset >= e.Offset

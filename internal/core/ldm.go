@@ -7,7 +7,6 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
-	"github.com/authhints/spv/internal/mht"
 )
 
 // This file implements LDM, landmark-based verification (paper §V-A): the
@@ -31,21 +30,19 @@ func appendLDMSigCtx(buf []byte, p landmark.Params) []byte {
 }
 
 // LDMProvider is the service provider's state for the LDM method.
-// Immutable after OutsourceLDM; Query is safe for concurrent use (see the
+// Immutable once outsourced; QueryProof is safe for concurrent use (see the
 // package Concurrency note). Searches iterate the frozen CSR view.
 type LDMProvider struct {
-	g       *graph.Graph
-	view    *graph.CSR
+	providerBase
 	hints   *landmark.Hints
-	ads     *networkADS
 	rootSig []byte
 }
 
-// OutsourceLDM builds the landmark hints (c Dijkstra runs + quantization +
+// Outsource builds the landmark hints (c Dijkstra runs + quantization +
 // compression), embeds each node's payload into its extended-tuple, builds
 // the network Merkle tree and signs its root together with the hint
 // parameters.
-func (o *Owner) OutsourceLDM() (*LDMProvider, error) {
+func (ldmImpl) Outsource(o *Owner) (Provider, error) {
 	h, _, err := landmark.Build(o.g, landmark.Options{
 		C:           o.cfg.Landmarks,
 		Bits:        o.cfg.QuantBits,
@@ -69,7 +66,7 @@ func (o *Owner) OutsourceLDM() (*LDMProvider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LDMProvider{g: o.g, view: o.frozenView(), hints: h, ads: ads, rootSig: rootSig}, nil
+	return &LDMProvider{providerBase: providerBase{o.g, o.frozenView(), ads}, hints: h, rootSig: rootSig}, nil
 }
 
 // Landmarks returns the provider's landmark placement (a copy). An
@@ -89,21 +86,18 @@ func (p *LDMProvider) Lambda() float64 { return p.hints.Lambda }
 // the Lemma 2 subgraph tuples (with embedded landmark payloads), and the
 // integrity proof.
 type LDMProof struct {
-	Path    graph.Path
-	Dist    float64
+	proofFrame
 	Params  landmark.Params
-	Tuples  []tupleRecord
-	MHT     *mht.Proof
 	RootSig []byte
 }
 
-// Query runs Algorithm 1 for LDM: collect Γ = {Φ(v), Φ(v') | (v,v') ∈ E,
-// dist(vs,v) + distLB(v,vt) ≤ dist(vs,vt)} (Lemma 2), closed over the
+// QueryProof runs Algorithm 1 for LDM: collect Γ = {Φ(v), Φ(v') | (v,v') ∈
+// E, dist(vs,v) + distLB(v,vt) ≤ dist(vs,vt)} (Lemma 2), closed over the
 // reference nodes whose vectors compressed payloads point at.
-func (p *LDMProvider) Query(vs, vt graph.NodeID) (*LDMProof, error) {
+func (p *LDMProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	s := acquireScratch(p.view.NumNodes())
 	defer releaseScratch(s)
-	if err := checkEndpoints(p.g, vs, vt); err != nil {
+	if err := p.checkEndpoints(vs, vt); err != nil {
 		return nil, err
 	}
 	dist, path, settled := s.ws.DijkstraBall(p.view, vs, vt, providerSlack)
@@ -137,19 +131,20 @@ func (p *LDMProvider) Query(vs, vt graph.NodeID) (*LDMProof, error) {
 		return nil, err
 	}
 	return &LDMProof{
-		Path:    path,
-		Dist:    dist,
-		Params:  landmark.Params{C: p.hints.C(), Bits: p.hints.Bits, Lambda: p.hints.Lambda},
-		Tuples:  p.ads.Records(nodes),
-		MHT:     mhtProof,
-		RootSig: p.rootSig,
+		proofFrame: proofFrame{path, dist, p.ads.Records(nodes), mhtProof},
+		Params:     landmark.Params{C: p.hints.C(), Bits: p.hints.Bits, Lambda: p.hints.Lambda},
+		RootSig:    p.rootSig,
 	}, nil
 }
 
-// VerifyLDM is the client side of §V-A: authenticate the subgraph (payloads
-// included), then re-run A* with the compressed landmark lower bound and
-// compare against the reported path.
-func VerifyLDM(verifier SigVerifier, vs, vt graph.NodeID, proof *LDMProof) error {
+// VerifyProof is the client side of §V-A: authenticate the subgraph
+// (payloads included), then re-run A* with the compressed landmark lower
+// bound and compare against the reported path.
+func (ldmImpl) VerifyProof(verifier SigVerifier, vs, vt graph.NodeID, pr Proof) error {
+	proof, err := proofAs[*LDMProof](LDM, pr)
+	if err != nil {
+		return err
+	}
 	if proof == nil || proof.MHT == nil {
 		return reject(fmt.Errorf("%w: missing parts", ErrMalformedProof))
 	}
@@ -196,56 +191,23 @@ func (pr *LDMProof) Stats() ProofStats {
 //
 //	path | dist | c u32 | bits u32 | lambda f64 | tuple block | mht | sig
 func (pr *LDMProof) AppendBinary(buf []byte) []byte {
-	buf = appendPath(buf, pr.Path)
-	buf = appendFloat(buf, pr.Dist)
+	buf = pr.appendHead(buf)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.Params.C))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pr.Params.Bits))
 	buf = appendFloat(buf, pr.Params.Lambda)
-	buf = appendTupleBlock(buf, pr.Tuples)
-	buf = pr.MHT.AppendBinary(buf)
+	buf = pr.appendBody(buf)
 	return appendBytes(buf, pr.RootSig)
 }
 
-// DecodeLDMProof parses a serialized LDM proof.
-func DecodeLDMProof(buf []byte) (*LDMProof, int, error) {
+// DecodeProof parses a serialized LDM proof (layout at AppendBinary).
+func (ldmImpl) DecodeProof(buf []byte) (Proof, int, error) {
+	r := wireReader{buf: buf}
 	pr := &LDMProof{}
-	path, off, err := decodePath(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Path = path
-	d, n, err := decodeFloat(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.Dist = d
-	off += n
-	if len(buf[off:]) < 16 {
-		return nil, 0, fmt.Errorf("%w: LDM params truncated", ErrMalformedProof)
-	}
-	pr.Params.C = int(binary.BigEndian.Uint32(buf[off:]))
-	pr.Params.Bits = int(binary.BigEndian.Uint32(buf[off+4:]))
-	off += 8
-	pr.Params.Lambda, n, err = decodeFloat(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	pr.Tuples, n, err = decodeTupleBlock(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	off += n
-	mp, n, err := mht.DecodeProof(buf[off:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrMalformedProof, err)
-	}
-	pr.MHT = mp
-	off += n
-	rootSig, n, err := decodeBytes(buf[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	pr.RootSig = rootSig
-	return pr, off + n, nil
+	r.head(&pr.proofFrame)
+	pr.Params.C = int(r.u32("LDM params"))
+	pr.Params.Bits = int(r.u32("LDM params"))
+	pr.Params.Lambda = r.f64("LDM params")
+	r.body(&pr.proofFrame)
+	pr.RootSig = r.bytes("root signature")
+	return r.done(pr)
 }

@@ -3,93 +3,23 @@ package core
 import (
 	"fmt"
 
-	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/snapshot"
 )
 
-// This file wires HYP (hyp.go) into the method registry: the erased
-// Provider/Proof faces plus the snapshot section codec. The scheme logic
-// itself stays in hyp.go.
+// This file is HYP's registry entry and snapshot section codec. The
+// entry's Outsource, VerifyProof and DecodeProof are in hyp.go with the
+// provider's QueryProof; its Patch is in update.go.
 
 // Method names the provider's verification method.
 func (p *HYPProvider) Method() Method { return HYP }
-
-// QueryProof answers one query behind the erased Provider face.
-func (p *HYPProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
-	pr, err := p.Query(vs, vt)
-	if err != nil {
-		return nil, err
-	}
-	return pr, nil
-}
-
-func (p *HYPProvider) graphRef() *graph.Graph {
-	if p == nil {
-		return nil
-	}
-	return p.g
-}
-
-func (p *HYPProvider) adsRef() *networkADS {
-	if p == nil {
-		return nil
-	}
-	return p.ads
-}
-
-func (p *HYPProvider) viewRef() *graph.CSR {
-	if p == nil {
-		return nil
-	}
-	return p.view
-}
-
-// Result returns the reported path and its claimed distance.
-func (pr *HYPProof) Result() (graph.Path, float64) { return pr.Path, pr.Dist }
 
 // hypImpl is HYP's registry entry.
 type hypImpl struct{}
 
 func (hypImpl) Method() Method { return HYP }
-
-func (hypImpl) Outsource(o *Owner) (Provider, error) {
-	p, err := o.OutsourceHYP()
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (hypImpl) DecodeProof(buf []byte) (Proof, int, error) {
-	pr, n, err := DecodeHYPProof(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pr, n, nil
-}
-
-func (hypImpl) VerifyProof(v SigVerifier, vs, vt graph.NodeID, pr Proof) error {
-	p, err := proofAs[*HYPProof](HYP, pr)
-	if err != nil {
-		return err
-	}
-	return VerifyHYP(v, vs, vt, p)
-}
-
-func (hypImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error) {
-	hp, err := providerAs[*HYPProvider](HYP, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	np, st, err := b.PatchHYP(hp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return np, st, nil
-}
 
 func (hypImpl) SnapshotKind() uint32 { return snapKindHYP }
 
@@ -173,7 +103,7 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	p2 := &HYPProvider{g: env.Graph, view: env.View, hyper: hyper, netSig: netSig, distSig: distSig}
+	p2 := &HYPProvider{providerBase: providerBase{g: env.Graph, view: env.View}, hyper: hyper, netSig: netSig, distSig: distSig}
 	if distTree != nil {
 		p2.distMBT, err = mbt.RehydrateTree(distTree, hyper.NumHyperEdges())
 		if err != nil {

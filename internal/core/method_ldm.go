@@ -9,86 +9,17 @@ import (
 	"github.com/authhints/spv/internal/snapshot"
 )
 
-// This file wires LDM (ldm.go) into the method registry: the erased
-// Provider/Proof faces plus the snapshot section codec. The scheme logic
-// itself stays in ldm.go.
+// This file is LDM's registry entry and snapshot section codec. The
+// entry's Outsource, VerifyProof and DecodeProof are in ldm.go with the
+// provider's QueryProof; its Patch is in update.go.
 
 // Method names the provider's verification method.
 func (p *LDMProvider) Method() Method { return LDM }
-
-// QueryProof answers one query behind the erased Provider face.
-func (p *LDMProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
-	pr, err := p.Query(vs, vt)
-	if err != nil {
-		return nil, err
-	}
-	return pr, nil
-}
-
-func (p *LDMProvider) graphRef() *graph.Graph {
-	if p == nil {
-		return nil
-	}
-	return p.g
-}
-
-func (p *LDMProvider) adsRef() *networkADS {
-	if p == nil {
-		return nil
-	}
-	return p.ads
-}
-
-func (p *LDMProvider) viewRef() *graph.CSR {
-	if p == nil {
-		return nil
-	}
-	return p.view
-}
-
-// Result returns the reported path and its claimed distance.
-func (pr *LDMProof) Result() (graph.Path, float64) { return pr.Path, pr.Dist }
 
 // ldmImpl is LDM's registry entry.
 type ldmImpl struct{}
 
 func (ldmImpl) Method() Method { return LDM }
-
-func (ldmImpl) Outsource(o *Owner) (Provider, error) {
-	p, err := o.OutsourceLDM()
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (ldmImpl) DecodeProof(buf []byte) (Proof, int, error) {
-	pr, n, err := DecodeLDMProof(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pr, n, nil
-}
-
-func (ldmImpl) VerifyProof(v SigVerifier, vs, vt graph.NodeID, pr Proof) error {
-	p, err := proofAs[*LDMProof](LDM, pr)
-	if err != nil {
-		return err
-	}
-	return VerifyLDM(v, vs, vt, p)
-}
-
-func (ldmImpl) Patch(b *UpdateBatch, p Provider) (Provider, *PatchStats, error) {
-	lp, err := providerAs[*LDMProvider](LDM, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	np, st, err := b.PatchLDM(lp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return np, st, nil
-}
 
 func (ldmImpl) SnapshotKind() uint32 { return snapKindLDM }
 
@@ -172,5 +103,5 @@ func (ldmImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err != nil {
 		return nil, err
 	}
-	return &LDMProvider{g: env.Graph, view: env.View, hints: h, ads: ads, rootSig: rootSig}, nil
+	return &LDMProvider{providerBase: providerBase{env.Graph, env.View, ads}, hints: h, rootSig: rootSig}, nil
 }

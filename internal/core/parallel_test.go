@@ -41,22 +41,10 @@ func TestParallelOutsourceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dij, err := owner.OutsourceDIJ()
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := owner.OutsourceFULL()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ldm, err := owner.OutsourceLDM()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hyp, err := owner.OutsourceHYP()
-		if err != nil {
-			t.Fatal(err)
-		}
+		dij := outsource[*DIJProvider](t, owner, DIJ)
+		full := outsource[*FULLProvider](t, owner, FULL)
+		ldm := outsource[*LDMProvider](t, owner, LDM)
+		hyp := outsource[*HYPProvider](t, owner, HYP)
 		r := roots{
 			dijRoot: dij.ads.Root(), dijSig: dij.rootSig,
 			fullNet: full.ads.Root(), fullDist: full.forest.Root(),

@@ -27,7 +27,8 @@ var ErrUnknownMethod = fmt.Errorf("core: unknown method")
 
 // Proof is the method-erased face of a query proof. Every concrete proof
 // (DIJProof &c.) implements it; the serving layer and the CLIs handle
-// proofs through this interface only.
+// proofs through this interface only. Result and LeafSpan come from the
+// frame every method's answer shares (proofFrame, wire.go).
 type Proof interface {
 	// AppendBinary serializes the proof's exact wire encoding — the bytes
 	// clients decode, caches key on, and the paper's size figures count.
@@ -59,6 +60,31 @@ type Provider interface {
 	graphRef() *graph.Graph
 	adsRef() *networkADS
 	viewRef() *graph.CSR
+}
+
+// providerBase is what every method's provider holds besides its own hints
+// and signatures: the owner's graph (endpoint checks, ownership guards), the
+// frozen CSR view every search iterates, and the network ADS the proofs'
+// tuples and Merkle proofs come from.
+type providerBase struct {
+	g    *graph.Graph
+	view *graph.CSR
+	ads  *networkADS
+}
+
+func (b *providerBase) graphRef() *graph.Graph { return b.g }
+func (b *providerBase) adsRef() *networkADS    { return b.ads }
+func (b *providerBase) viewRef() *graph.CSR    { return b.view }
+
+// checkEndpoints rejects out-of-range endpoints and vs == vt as bad queries.
+func (b *providerBase) checkEndpoints(vs, vt graph.NodeID) error {
+	if n := b.g.NumNodes(); vs < 0 || int(vs) >= n || vt < 0 || int(vt) >= n {
+		return fmt.Errorf("%w: endpoints (%d, %d) out of range", ErrBadQuery, vs, vt)
+	}
+	if vs == vt {
+		return fmt.Errorf("%w: source equals target (%d)", ErrBadQuery, vs)
+	}
+	return nil
 }
 
 // SigVerifier is the slice of sig.Verifier client-side verification
@@ -209,8 +235,7 @@ func LookupMethod(m Method) (MethodImpl, bool) { return defaultRegistry.Lookup(m
 // order. Methods() is its public alias.
 func RegisteredMethods() []Method { return defaultRegistry.Methods() }
 
-// Outsource builds the provider bundle for method m via the registry —
-// the generic face of the Outsource* constructors.
+// Outsource builds the provider bundle for method m via the registry.
 func (o *Owner) Outsource(m Method) (Provider, error) {
 	impl, ok := LookupMethod(m)
 	if !ok {
@@ -220,7 +245,7 @@ func (o *Owner) Outsource(m Method) (Provider, error) {
 }
 
 // Patch derives an updated provider for p's method from this batch via
-// the registry — the generic face of the Patch* methods.
+// the registry.
 func (b *UpdateBatch) Patch(p Provider) (Provider, *PatchStats, error) {
 	impl, ok := LookupMethod(p.Method())
 	if !ok {
@@ -262,8 +287,8 @@ func providerAs[T Provider](m Method, p Provider) (T, error) {
 // aliases buf: tuple records, Merkle digests and signatures are slices of
 // it (decoding a 40 KB proof copies nothing but its path), so the caller
 // must leave buf unmodified while the proof is in use. This holds for every
-// decoder in the package — Decode<Method>Proof, DecodeProofBatch — and is
-// stated here once.
+// decoder in the package — each method's, DecodeProofBatch — and is stated
+// here once.
 func DecodeProof(m Method, buf []byte) (Proof, int, error) {
 	impl, ok := LookupMethod(m)
 	if !ok {

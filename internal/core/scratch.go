@@ -11,10 +11,10 @@ import (
 
 // queryScratch is the reusable per-query state of the provider hot paths:
 // a search workspace, an epoch-stamped node include-set and the Merkle prove
-// scratch. Acquired from a pool per Query call,
-// so steady-state serving touches a small recycled set of workspaces
-// instead of allocating O(|V|) state per request (the serving layer's
-// worker pool calls Query concurrently; each call gets its own scratch).
+// scratch. Acquired from a pool per QueryProof call, so steady-state
+// serving touches a small recycled set of workspaces instead of allocating
+// O(|V|) state per request (the serving layer calls QueryProof
+// concurrently; each call gets its own scratch).
 //
 // Nothing reachable from a scratch may be retained by a returned proof:
 // proofs must stay valid after the scratch is released and reused.

@@ -99,7 +99,7 @@ var ErrBadSnapshot = errors.New("core: bad snapshot")
 //
 // A loaded ProviderSet obeys the same concurrency contract as freshly
 // outsourced providers: every present provider is immutable and safe for
-// unbounded concurrent Query use.
+// unbounded concurrent QueryProof use.
 type ProviderSet struct {
 	Cfg      Config
 	Graph    *graph.Graph

@@ -22,20 +22,16 @@ var fuzzSnapshotSeed = sync.OnceValue(func() []byte {
 	if err != nil {
 		panic(err)
 	}
-	dij, err := owner.OutsourceDIJ()
-	if err != nil {
-		panic(err)
-	}
-	ldm, err := owner.OutsourceLDM()
-	if err != nil {
-		panic(err)
-	}
-	hyp, err := owner.OutsourceHYP()
-	if err != nil {
-		panic(err)
+	provs := []Provider{nil} // a nil provider is skipped
+	for _, m := range []Method{DIJ, LDM, HYP} {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			panic(err)
+		}
+		provs = append(provs, p)
 	}
 	var buf bytes.Buffer
-	if _, err := owner.WriteSnapshot(&buf, dij, nil, ldm, hyp); err != nil {
+	if _, err := owner.WriteSnapshot(&buf, provs...); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

@@ -28,23 +28,8 @@ func snapshotWorld(t testing.TB, nodes, edges int) (*Owner, *DIJProvider, *FULLP
 	if err != nil {
 		t.Fatal(err)
 	}
-	dij, err := owner.OutsourceDIJ()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := owner.OutsourceFULL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldm, err := owner.OutsourceLDM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, err := owner.OutsourceHYP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return owner, dij, full, ldm, hyp
+	w := outsourceWorld(t, g, owner)
+	return owner, w.dij, w.full, w.ldm, w.hyp
 }
 
 // setProofBytes builds the wire encoding of one query against one provider.
@@ -144,22 +129,14 @@ func TestSnapshotRoundTripAfterUpdates(t *testing.T) {
 	}
 	nbr := owner.Graph().Neighbors(target)[0].To
 
-	batch, err := owner.UpdateEdgeWeight(target, nbr, weight)
+	batch, err := owner.ApplyUpdates([]EdgeUpdate{{U: target, V: nbr, W: weight}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dij, _, err = batch.PatchDIJ(dij); err != nil {
-		t.Fatal(err)
-	}
-	if full, _, err = batch.PatchFULL(full); err != nil {
-		t.Fatal(err)
-	}
-	if ldm, _, err = batch.PatchLDM(ldm); err != nil {
-		t.Fatal(err)
-	}
-	if hyp, _, err = batch.PatchHYP(hyp); err != nil {
-		t.Fatal(err)
-	}
+	dij, _ = patch(t, batch, dij)
+	full, _ = patch(t, batch, full)
+	ldm, _ = patch(t, batch, ldm)
+	hyp, _ = patch(t, batch, hyp)
 
 	var buf bytes.Buffer
 	if _, err := owner.WriteSnapshot(&buf, dij, full, ldm, hyp); err != nil {
@@ -230,7 +207,7 @@ func TestSnapshotRejectsStaleProvider(t *testing.T) {
 	owner, dij, _, ldm, _ := snapshotWorld(t, 120, 160)
 	u := graph.NodeID(3)
 	e := owner.Graph().Neighbors(u)[0]
-	batch, err := owner.UpdateEdgeWeight(u, e.To, e.W*1.5)
+	batch, err := owner.ApplyUpdates([]EdgeUpdate{{U: u, V: e.To, W: e.W * 1.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -28,26 +27,7 @@ func (s ProofStats) KBytes() float64 { return float64(s.TotalBytes()) / 1024 }
 // TotalItems returns the number of items in ΓS and ΓT combined.
 func (s ProofStats) TotalItems() int { return s.SItems + s.TItems }
 
-// add accumulates another component into the stats.
-func (s ProofStats) add(o ProofStats) ProofStats {
-	return ProofStats{
-		SBytes: s.SBytes + o.SBytes,
-		TBytes: s.TBytes + o.TBytes,
-		SItems: s.SItems + o.SItems,
-		TItems: s.TItems + o.TItems,
-		Base:   s.Base + o.Base,
-	}
-}
-
 // appendFloat writes a float64 big-endian.
 func appendFloat(buf []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-// decodeFloat reads a float64.
-func decodeFloat(buf []byte) (float64, int, error) {
-	if len(buf) < 8 {
-		return 0, 0, fmt.Errorf("%w: float truncated", ErrMalformedProof)
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(buf)), 8, nil
 }

@@ -26,12 +26,12 @@ import (
 // fails — with a safety margin — under both the old and new weight. For
 // irrelevant sources a fresh Dijkstra performs the identical sequence of
 // successful relaxations, so its output row is *bitwise* unchanged; that is
-// the property that lets Patch* re-run only dirty rows and still produce
-// roots, signatures and proofs byte-identical to a from-scratch
-// re-outsource (pinning LDM's landmark placement, which is a selection
-// choice re-made only on full re-outsource).
+// the property that lets each method's Patch re-run only dirty rows and
+// still produce roots, signatures and proofs byte-identical to a
+// from-scratch re-outsource (pinning LDM's landmark placement, which is a
+// selection choice re-made only on full re-outsource).
 //
-// Patch* methods are copy-on-write: the returned provider shares every
+// Patches are copy-on-write: the returned provider shares every
 // clean Merkle digest, hint row and message with the old one, which keeps
 // serving concurrently until the serving layer hot-swaps (internal/serve).
 
@@ -44,8 +44,8 @@ type EdgeUpdate struct {
 }
 
 // UpdateBatch is the owner-side outcome of ApplyUpdates: the post-update
-// frozen view plus the dirty sets every Patch* needs. It stays valid until
-// the next ApplyUpdates call.
+// frozen view plus the dirty sets every method's Patch needs. It stays valid
+// until the next ApplyUpdates call.
 type UpdateBatch struct {
 	owner   *Owner
 	newView *graph.CSR
@@ -277,11 +277,6 @@ type PatchStats struct {
 	DirtyRows []int
 }
 
-// UpdateEdgeWeight applies a single edge re-weighting; see ApplyUpdates.
-func (o *Owner) UpdateEdgeWeight(u, v graph.NodeID, w float64) (*UpdateBatch, error) {
-	return o.ApplyUpdates([]EdgeUpdate{{U: u, V: v, W: w}})
-}
-
 // ApplyUpdates validates and applies a batch of edge re-weightings to the
 // owner's network and computes the dirty sets for incremental provider
 // patching. Updates are applied in order; each one's probe runs against the
@@ -289,7 +284,7 @@ func (o *Owner) UpdateEdgeWeight(u, v graph.NodeID, w float64) (*UpdateBatch, er
 // source whose distances could have changed at any step.
 //
 // ApplyUpdates mutates the owner's graph: it must not run concurrently
-// with Outsource* or with another ApplyUpdates (the serving layer's
+// with Outsource or with another ApplyUpdates (the serving layer's
 // Deployment serializes updates). Providers are unaffected until patched —
 // they search the snapshots they were built against.
 func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
@@ -459,9 +454,13 @@ func dirtyPositions(m map[int][]byte) []int {
 	return out
 }
 
-// PatchDIJ derives an updated DIJ provider: only the endpoints' tuples
+// Patch derives an updated DIJ provider: only the endpoints' tuples
 // changed, so the patch rewrites at most 2·|batch| leaves and re-signs.
-func (b *UpdateBatch) PatchDIJ(p *DIJProvider) (*DIJProvider, *PatchStats, error) {
+func (dijImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
+	p, err := providerAs[*DIJProvider](DIJ, prov)
+	if err != nil {
+		return nil, nil, err
+	}
 	st := &PatchStats{Method: DIJ}
 	dirtyMsgs := b.dirtyTupleMsgs(p.ads, nil)
 	ads, k, err := p.ads.patched(dirtyMsgs)
@@ -476,16 +475,20 @@ func (b *UpdateBatch) PatchDIJ(p *DIJProvider) (*DIJProvider, *PatchStats, error
 			return nil, nil, err
 		}
 	}
-	return &DIJProvider{g: p.g, view: b.newView, ads: ads, rootSig: rootSig}, st, nil
+	return &DIJProvider{providerBase{p.g, b.newView, ads}, rootSig}, st, nil
 }
 
-// PatchLDM derives an updated LDM provider: re-run only the affected
+// Patch derives an updated LDM provider: re-run only the affected
 // landmarks' rows, re-derive quantization and compression from the patched
 // row set (cheap, O(n·c)), and rewrite exactly the leaves whose messages
 // changed. Landmark placement is pinned — re-selection is a full
 // re-outsource decision, and the pinned set keeps hints exact (rows are
 // true distances in the updated network).
-func (b *UpdateBatch) PatchLDM(p *LDMProvider) (*LDMProvider, *PatchStats, error) {
+func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
+	p, err := providerAs[*LDMProvider](LDM, prov)
+	if err != nil {
+		return nil, nil, err
+	}
 	st := &PatchStats{Method: LDM}
 	h := p.hints
 	if h.Dists == nil {
@@ -595,15 +598,19 @@ func (b *UpdateBatch) PatchLDM(p *LDMProvider) (*LDMProvider, *PatchStats, error
 			return nil, nil, err
 		}
 	}
-	return &LDMProvider{g: p.g, view: b.newView, hints: nh, ads: ads, rootSig: rootSig}, st, nil
+	return &LDMProvider{providerBase: providerBase{p.g, b.newView, ads}, hints: nh, rootSig: rootSig}, st, nil
 }
 
-// PatchHYP derives an updated HYP provider: the grid partition and border
+// Patch derives an updated HYP provider: the grid partition and border
 // sets never change under re-weighting, so the patch re-runs only the
 // affected border rows, rewrites the hyper-edge entries whose values moved
 // — hiti's rows are the values' one home, so "moved" is the old Hyper
 // against the new, bit for bit — and patches the endpoints' tuples.
-func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error) {
+func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
+	p, err := providerAs[*HYPProvider](HYP, prov)
+	if err != nil {
+		return nil, nil, err
+	}
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
 	var rows []int
@@ -681,18 +688,22 @@ func (b *UpdateBatch) PatchHYP(p *HYPProvider) (*HYPProvider, *PatchStats, error
 		}
 	}
 	return &HYPProvider{
-		g: p.g, view: b.newView, hyper: hyper, ads: ads,
-		distMBT: distMBT, netSig: netSig, distSig: distSig,
+		providerBase: providerBase{p.g, b.newView, ads},
+		hyper:        hyper, distMBT: distMBT, netSig: netSig, distSig: distSig,
 	}, st, nil
 }
 
-// PatchFULL derives an updated FULL provider: re-run the affected sources'
+// Patch derives an updated FULL provider: re-run the affected sources'
 // rows (parallel), re-fold their row subtrees, and patch only those leaves
 // of the top tree. FULL's update cost is proportional to how many rows the
 // edge actually dirtied — still the quadratic method's weak spot under
 // far-reaching decreases, but orders of magnitude below a rebuild for the
 // common localized re-weighting.
-func (b *UpdateBatch) PatchFULL(p *FULLProvider) (*FULLProvider, *PatchStats, error) {
+func (fullImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
+	p, err := providerAs[*FULLProvider](FULL, prov)
+	if err != nil {
+		return nil, nil, err
+	}
 	st := &PatchStats{Method: FULL}
 	n := b.newView.NumNodes()
 	var rows []int
@@ -755,7 +766,7 @@ func (b *UpdateBatch) PatchFULL(p *FULLProvider) (*FULLProvider, *PatchStats, er
 		}
 	}
 	return &FULLProvider{
-		g: p.g, view: b.newView, ads: ads, forest: forest,
-		netSig: netSig, distSig: distSig,
+		providerBase: providerBase{p.g, b.newView, ads},
+		forest:       forest, netSig: netSig, distSig: distSig,
 	}, st, nil
 }

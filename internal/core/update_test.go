@@ -13,32 +13,14 @@ import (
 	"github.com/authhints/spv/internal/workload"
 )
 
-// updateWorld is the quad of providers an update test threads its patches
-// through.
-type updateWorld struct {
-	dij  *DIJProvider
-	full *FULLProvider
-	ldm  *LDMProvider
-	hyp  *HYPProvider
-}
-
-func outsourceAll(t *testing.T, o *Owner) updateWorld {
+// patch derives p's successor from b through the registry, as p's type.
+func patch[T Provider](t testing.TB, b *UpdateBatch, p T) (T, *PatchStats) {
 	t.Helper()
-	var w updateWorld
-	var err error
-	if w.dij, err = o.OutsourceDIJ(); err != nil {
-		t.Fatal(err)
+	np, st, err := b.Patch(p)
+	if err != nil {
+		t.Fatalf("patch %s: %v", p.Method(), err)
 	}
-	if w.full, err = o.OutsourceFULL(); err != nil {
-		t.Fatal(err)
-	}
-	if w.ldm, err = o.OutsourceLDM(); err != nil {
-		t.Fatal(err)
-	}
-	if w.hyp, err = o.OutsourceHYP(); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return np.(T), st
 }
 
 // randomUpdates picks `count` random existing edges and re-weights them by
@@ -117,7 +99,7 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := outsourceAll(t, owner)
+	w := outsourceWorld(t, g, owner)
 	pinned := w.ldm.Landmarks()
 
 	rng := rand.New(rand.NewSource(seed))
@@ -131,18 +113,10 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 		if len(b.DirtyNodes()) > 0 {
 			wantEpoch++ // all-no-op batches don't bump the epoch
 		}
-		if w.dij, _, err = b.PatchDIJ(w.dij); err != nil {
-			t.Fatal(err)
-		}
-		if w.full, _, err = b.PatchFULL(w.full); err != nil {
-			t.Fatal(err)
-		}
-		if w.ldm, _, err = b.PatchLDM(w.ldm); err != nil {
-			t.Fatal(err)
-		}
-		if w.hyp, _, err = b.PatchHYP(w.hyp); err != nil {
-			t.Fatal(err)
-		}
+		w.dij, _ = patch(t, b, w.dij)
+		w.full, _ = patch(t, b, w.full)
+		w.ldm, _ = patch(t, b, w.ldm)
+		w.hyp, _ = patch(t, b, w.hyp)
 	}
 	if owner.Epoch() != wantEpoch {
 		t.Fatalf("owner epoch = %d, want %d", owner.Epoch(), wantEpoch)
@@ -158,7 +132,7 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := outsourceAll(t, owner2)
+	r := outsourceWorld(t, owner2.Graph(), owner2)
 
 	mustEq := func(what string, a, b []byte) {
 		t.Helper()
@@ -194,44 +168,20 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 	}
 	verifier := owner.Verifier()
 	for qi, q := range qs {
-		dp1, err1 := w.dij.Query(q.S, q.T)
-		dp2, err2 := r.dij.Query(q.S, q.T)
-		checkProofPair(t, fmt.Sprintf("DIJ q%d", qi), err1, err2,
-			proofBytes(dp1), proofBytes(dp2), func() error { return VerifyDIJ(verifier, q.S, q.T, dp1) })
-		fp1, err1 := w.full.Query(q.S, q.T)
-		fp2, err2 := r.full.Query(q.S, q.T)
-		checkProofPair(t, fmt.Sprintf("FULL q%d", qi), err1, err2,
-			proofBytes(fp1), proofBytes(fp2), func() error { return VerifyFULL(verifier, q.S, q.T, fp1) })
-		lp1, err1 := w.ldm.Query(q.S, q.T)
-		lp2, err2 := r.ldm.Query(q.S, q.T)
-		checkProofPair(t, fmt.Sprintf("LDM q%d", qi), err1, err2,
-			proofBytes(lp1), proofBytes(lp2), func() error { return VerifyLDM(verifier, q.S, q.T, lp1) })
-		hp1, err1 := w.hyp.Query(q.S, q.T)
-		hp2, err2 := r.hyp.Query(q.S, q.T)
-		checkProofPair(t, fmt.Sprintf("HYP q%d", qi), err1, err2,
-			proofBytes(hp1), proofBytes(hp2), func() error { return VerifyHYP(verifier, q.S, q.T, hp1) })
-	}
-}
-
-type binaryAppender interface{ AppendBinary([]byte) []byte }
-
-func proofBytes(p binaryAppender) []byte {
-	if p == nil {
-		return nil
-	}
-	return p.AppendBinary(nil)
-}
-
-func checkProofPair(t *testing.T, what string, err1, err2 error, b1, b2 []byte, verify func() error) {
-	t.Helper()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("%s: query errors %v / %v", what, err1, err2)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("%s: proof encodings differ between incremental update and rebuild", what)
-	}
-	if err := verify(); err != nil {
-		t.Fatalf("%s: patched provider's proof rejected: %v", what, err)
+		for _, m := range Methods() {
+			what := fmt.Sprintf("%s q%d", m, qi)
+			p1, err1 := testProvider(t, w, m).QueryProof(q.S, q.T)
+			p2, err2 := testProvider(t, r, m).QueryProof(q.S, q.T)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: query errors %v / %v", what, err1, err2)
+			}
+			if !bytes.Equal(p1.AppendBinary(nil), p2.AppendBinary(nil)) {
+				t.Fatalf("%s: proof encodings differ between incremental update and rebuild", what)
+			}
+			if err := VerifyProof(verifier, m, q.S, q.T, p1); err != nil {
+				t.Fatalf("%s: patched provider's proof rejected: %v", what, err)
+			}
+		}
 	}
 }
 
@@ -250,26 +200,20 @@ func TestNoOpUpdateLeavesEverythingUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dij, err := owner.OutsourceDIJ()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dij := outsource[*DIJProvider](t, owner, DIJ)
 	var u graph.NodeID
 	for g.Degree(u) == 0 {
 		u++
 	}
 	e := g.Neighbors(u)[0]
-	b, err := owner.UpdateEdgeWeight(u, e.To, e.W)
+	b, err := owner.ApplyUpdates([]EdgeUpdate{{U: u, V: e.To, W: e.W}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.AffectedSources() != 0 || len(b.DirtyNodes()) != 0 {
 		t.Fatalf("no-op update marked %d sources / %d nodes dirty", b.AffectedSources(), len(b.DirtyNodes()))
 	}
-	p2, st, err := b.PatchDIJ(dij)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2, st := patch(t, b, dij)
 	if st.LeavesPatched != 0 {
 		t.Fatalf("no-op update patched %d leaves", st.LeavesPatched)
 	}
@@ -291,7 +235,7 @@ func TestApplyUpdatesRejectsBadInput(t *testing.T) {
 	if _, err := owner.ApplyUpdates(nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := owner.UpdateEdgeWeight(0, 0, 1); err == nil {
+	if _, err := owner.ApplyUpdates([]EdgeUpdate{{U: 0, V: 0, W: 1}}); err == nil {
 		t.Error("self-loop accepted")
 	}
 	var u graph.NodeID
@@ -299,10 +243,10 @@ func TestApplyUpdatesRejectsBadInput(t *testing.T) {
 		u++
 	}
 	e := g.Neighbors(u)[0]
-	if _, err := owner.UpdateEdgeWeight(u, e.To, -1); err == nil {
+	if _, err := owner.ApplyUpdates([]EdgeUpdate{{U: u, V: e.To, W: -1}}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := owner.UpdateEdgeWeight(graph.NodeID(g.NumNodes()), 0, 1); err == nil {
+	if _, err := owner.ApplyUpdates([]EdgeUpdate{{U: graph.NodeID(g.NumNodes()), V: 0, W: 1}}); err == nil {
 		t.Error("out-of-range endpoint accepted")
 	}
 }

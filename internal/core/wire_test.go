@@ -12,97 +12,40 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// TestProofWireRoundTrips serializes and re-parses every method's proof,
-// verifying (a) byte counts match Stats-independent encoders, (b) decoded
-// proofs still verify, (c) truncations never decode.
+// TestProofWireRoundTrips serializes and re-parses every method's proof:
+// the decoder consumes exactly the encoding, the decoded proof still
+// verifies, no strict prefix decodes, and a trailing byte is left unread.
 func TestProofWireRoundTrips(t *testing.T) {
 	w := world(t)
 	q := w.queries[0]
 	v := w.owner.Verifier()
-
-	t.Run("DIJ", func(t *testing.T) {
-		p, err := w.dij.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := p.AppendBinary(nil)
-		dec, n, err := DecodeDIJProof(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("decode: %v (%d of %d bytes)", err, n, len(enc))
-		}
-		if err := VerifyDIJ(v, q.S, q.T, dec); err != nil {
-			t.Errorf("decoded proof rejected: %v", err)
-		}
-		checkTruncations(t, enc, func(b []byte) error {
-			_, _, err := DecodeDIJProof(b)
-			return err
+	for _, m := range RegisteredMethods() {
+		t.Run(string(m), func(t *testing.T) {
+			enc := prove[Proof](t, testProvider(t, w, m), q.S, q.T).AppendBinary(nil)
+			dec, n, err := DecodeProof(m, enc)
+			if err != nil || n != len(enc) {
+				t.Fatalf("decode: %v (%d of %d bytes)", err, n, len(enc))
+			}
+			if err := VerifyProof(v, m, q.S, q.T, dec); err != nil {
+				t.Errorf("decoded proof rejected: %v", err)
+			}
+			checkTruncations(t, m, enc)
 		})
-	})
-	t.Run("FULL", func(t *testing.T) {
-		p, err := w.full.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := p.AppendBinary(nil)
-		dec, n, err := DecodeFULLProof(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("decode: %v (%d of %d bytes)", err, n, len(enc))
-		}
-		if err := VerifyFULL(v, q.S, q.T, dec); err != nil {
-			t.Errorf("decoded proof rejected: %v", err)
-		}
-		checkTruncations(t, enc, func(b []byte) error {
-			_, _, err := DecodeFULLProof(b)
-			return err
-		})
-	})
-	t.Run("LDM", func(t *testing.T) {
-		p, err := w.ldm.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := p.AppendBinary(nil)
-		dec, n, err := DecodeLDMProof(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("decode: %v (%d of %d bytes)", err, n, len(enc))
-		}
-		if err := VerifyLDM(v, q.S, q.T, dec); err != nil {
-			t.Errorf("decoded proof rejected: %v", err)
-		}
-		checkTruncations(t, enc, func(b []byte) error {
-			_, _, err := DecodeLDMProof(b)
-			return err
-		})
-	})
-	t.Run("HYP", func(t *testing.T) {
-		p, err := w.hyp.Query(q.S, q.T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := p.AppendBinary(nil)
-		dec, n, err := DecodeHYPProof(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("decode: %v (%d of %d bytes)", err, n, len(enc))
-		}
-		if err := VerifyHYP(v, q.S, q.T, dec); err != nil {
-			t.Errorf("decoded proof rejected: %v", err)
-		}
-		checkTruncations(t, enc, func(b []byte) error {
-			_, _, err := DecodeHYPProof(b)
-			return err
-		})
-	})
+	}
 }
 
-// checkTruncations verifies that no strict prefix decodes successfully.
-func checkTruncations(t *testing.T, enc []byte, decode func([]byte) error) {
+// checkTruncations cuts the wire at every byte: no strict prefix may decode,
+// each must fail as a malformed proof, and one trailing byte must be left
+// unconsumed.
+func checkTruncations(t *testing.T, m Method, enc []byte) {
 	t.Helper()
-	step := len(enc)/64 + 1
-	for cut := 0; cut < len(enc); cut += step {
-		if err := decode(enc[:cut]); err == nil {
-			t.Errorf("truncated proof (%d of %d bytes) decoded", cut, len(enc))
-			return
+	for cut := 0; cut < len(enc); cut++ {
+		if _, _, err := DecodeProof(m, enc[:cut]); !errors.Is(err, ErrMalformedProof) {
+			t.Fatalf("truncated proof (%d of %d bytes): got %v, want ErrMalformedProof", cut, len(enc), err)
 		}
+	}
+	if _, n, err := DecodeProof(m, append(bytes.Clone(enc), 0)); err != nil || n != len(enc) {
+		t.Errorf("proof with a trailing byte: consumed %d of %d (%v)", n, len(enc), err)
 	}
 }
 
@@ -111,42 +54,16 @@ func checkTruncations(t *testing.T, enc []byte, decode func([]byte) error) {
 func TestWireSizesMatchStats(t *testing.T) {
 	w := world(t)
 	q := w.queries[1]
-	p, err := w.dij.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Stats()
-	enc := p.AppendBinary(nil)
-	if got, want := len(enc), s.TotalBytes()+s.Base; got != want {
-		t.Errorf("DIJ encoding %d bytes, Stats says %d", got, want)
-	}
-	lp, err := w.ldm.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := lp.Stats()
-	lenc := lp.AppendBinary(nil)
-	if got, want := len(lenc), ls.TotalBytes()+ls.Base; got != want {
-		t.Errorf("LDM encoding %d bytes, Stats says %d", got, want)
-	}
-	fp, err := w.full.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := fp.Stats()
-	fenc := fp.AppendBinary(nil)
-	if got, want := len(fenc), fs.TotalBytes()+fs.Base; got != want {
-		t.Errorf("FULL encoding %d bytes, Stats says %d", got, want)
-	}
-	hp, err := w.hyp.Query(q.S, q.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := hp.Stats()
-	henc := hp.AppendBinary(nil)
-	if got, want := len(henc), hs.TotalBytes()+hs.Base+1; got != want {
-		// +1: the hasHyper flag byte.
-		t.Errorf("HYP encoding %d bytes, Stats says %d", got, want)
+	for _, m := range Methods() {
+		p := prove[Proof](t, testProvider(t, w, m), q.S, q.T)
+		s := p.Stats()
+		want := s.TotalBytes() + s.Base
+		if m == HYP {
+			want++ // the hasHyper flag byte
+		}
+		if got := len(p.AppendBinary(nil)); got != want {
+			t.Errorf("%s encoding %d bytes, Stats says %d", m, got, want)
+		}
 	}
 }
 
@@ -174,22 +91,7 @@ func TestRandomGraphsAllMethodsProperty(t *testing.T) {
 			t.Logf("seed %d: owner: %v", seed, err)
 			return false
 		}
-		dij, err := owner.OutsourceDIJ()
-		if err != nil {
-			return false
-		}
-		full, err := owner.OutsourceFULL()
-		if err != nil {
-			return false
-		}
-		ldm, err := owner.OutsourceLDM()
-		if err != nil {
-			return false
-		}
-		hyp, err := owner.OutsourceHYP()
-		if err != nil {
-			return false
-		}
+		w := outsourceWorld(t, g, owner)
 		v := owner.Verifier()
 		for trial := 0; trial < 4; trial++ {
 			vs := graph.NodeID(rng.Intn(n))
@@ -198,30 +100,19 @@ func TestRandomGraphsAllMethodsProperty(t *testing.T) {
 				continue
 			}
 			oracle, _ := sp.DijkstraTo(g, vs, vt)
-
-			dp, err := dij.Query(vs, vt)
-			if err != nil || VerifyDIJ(v, vs, vt, dp) != nil || !distEqual(dp.Dist, oracle) {
-				t.Logf("seed %d: DIJ %d→%d failed (%v)", seed, vs, vt, err)
-				return false
-			}
-			fp, err := full.Query(vs, vt)
-			if err != nil || VerifyFULL(v, vs, vt, fp) != nil || !distEqual(fp.Dist, oracle) {
-				t.Logf("seed %d: FULL %d→%d failed (%v)", seed, vs, vt, err)
-				return false
-			}
-			lp, err := ldm.Query(vs, vt)
-			if err != nil || VerifyLDM(v, vs, vt, lp) != nil || !distEqual(lp.Dist, oracle) {
-				t.Logf("seed %d: LDM %d→%d failed (%v)", seed, vs, vt, err)
-				return false
-			}
-			hp, err := hyp.Query(vs, vt)
-			if err != nil {
-				t.Logf("seed %d: HYP %d→%d query failed (%v)", seed, vs, vt, err)
-				return false
-			}
-			if err := VerifyHYP(v, vs, vt, hp); err != nil || !distEqual(hp.Dist, oracle) {
-				t.Logf("seed %d: HYP %d→%d verify failed (%v)", seed, vs, vt, err)
-				return false
+			for _, m := range Methods() {
+				pr, err := testProvider(t, w, m).QueryProof(vs, vt)
+				if err == nil {
+					err = VerifyProof(v, m, vs, vt, pr)
+				}
+				if err != nil {
+					t.Logf("seed %d: %s %d→%d failed (%v)", seed, m, vs, vt, err)
+					return false
+				}
+				if _, d := pr.Result(); !distEqual(d, oracle) {
+					t.Logf("seed %d: %s %d→%d certified %v, oracle %v", seed, m, vs, vt, d, oracle)
+					return false
+				}
 			}
 		}
 		return true
@@ -233,22 +124,16 @@ func TestRandomGraphsAllMethodsProperty(t *testing.T) {
 
 func TestDecodeGarbage(t *testing.T) {
 	garbage := bytes.Repeat([]byte{0xAB, 0x00, 0xFF, 0x7C}, 64)
-	if _, _, err := DecodeDIJProof(garbage); err == nil {
-		t.Error("garbage decoded as DIJ proof")
+	for _, m := range Methods() {
+		if _, _, err := DecodeProof(m, garbage); !errors.Is(err, ErrMalformedProof) {
+			t.Errorf("garbage decoded as %s proof: %v", m, err)
+		}
 	}
-	if _, _, err := DecodeFULLProof(garbage); err == nil {
-		t.Error("garbage decoded as FULL proof")
-	}
-	if _, _, err := DecodeLDMProof(garbage); err == nil {
-		t.Error("garbage decoded as LDM proof")
-	}
-	if _, _, err := DecodeHYPProof(garbage); err == nil {
-		t.Error("garbage decoded as HYP proof")
-	}
-	if _, _, err := decodeTupleBlock([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+	r := wireReader{buf: []byte{0xff, 0xff, 0xff, 0xff}}
+	if r.tuples(); !errors.Is(r.err, ErrMalformedProof) {
 		t.Error("absurd tuple count decoded")
 	}
-	if !errors.Is(func() error { _, _, err := decodePath(nil); return err }(), ErrMalformedProof) {
+	if r = (wireReader{}); r.path() != nil || !errors.Is(r.err, ErrMalformedProof) {
 		t.Error("nil path decode not ErrMalformedProof")
 	}
 }

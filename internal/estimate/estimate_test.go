@@ -100,52 +100,18 @@ func TestPredictionWithinFactor3(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dij, err := w.owner.OutsourceDIJ()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := w.owner.OutsourceFULL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldm, err := w.owner.OutsourceLDM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyp, err := w.owner.OutsourceHYP()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	measure := func(m core.Method) float64 {
+		p, err := w.owner.Outsource(m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := 0
 		for _, q := range queries {
-			switch m {
-			case core.DIJ:
-				p, err := dij.Query(q.S, q.T)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += p.Stats().TotalBytes()
-			case core.FULL:
-				p, err := full.Query(q.S, q.T)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += p.Stats().TotalBytes()
-			case core.LDM:
-				p, err := ldm.Query(q.S, q.T)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += p.Stats().TotalBytes()
-			case core.HYP:
-				p, err := hyp.Query(q.S, q.T)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += p.Stats().TotalBytes()
+			pr, err := p.QueryProof(q.S, q.T)
+			if err != nil {
+				t.Fatal(err)
 			}
+			total += pr.Stats().TotalBytes()
 		}
 		return float64(total) / float64(len(queries))
 	}

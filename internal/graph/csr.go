@@ -26,7 +26,7 @@ var (
 // []int32 offset table. Compared to the mutable [][]Edge form it removes
 // one pointer indirection per node and keeps all half-edges contiguous, so
 // a Dijkstra sweep walks memory almost linearly instead of chasing
-// per-node slice headers. Providers build one at Outsource* time and every
+// per-node slice headers. Providers build one when outsourced and every
 // search on the query hot path iterates it.
 //
 // A CSR is immutable and safe for unbounded concurrent use.

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a node. IDs are dense indices in [0, NumNodes).
@@ -245,16 +244,6 @@ func (g *Graph) Euclid(u, v NodeID) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// SortAdjacency sorts every adjacency list by neighbor ID. AddEdge keeps
-// lists sorted at all times, so on graphs built through the public API this
-// is a no-op kept for compatibility; it still re-canonicalizes graphs whose
-// internals were manipulated directly (tests).
-func (g *Graph) SortAdjacency() {
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i].To < a[j].To })
-	}
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
@@ -414,70 +403,6 @@ func (g *Graph) IsConnected() bool {
 	return n == 1
 }
 
-// LargestComponent returns the subgraph induced by the largest connected
-// component and a mapping old→new node IDs (Invalid for dropped nodes).
-func (g *Graph) LargestComponent() (*Graph, []NodeID) {
-	comp, n := g.ConnectedComponents()
-	if n <= 1 {
-		m := make([]NodeID, g.NumNodes())
-		for i := range m {
-			m[i] = NodeID(i)
-		}
-		return g.Clone(), m
-	}
-	sizes := make([]int, n)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	keep := func(v NodeID) bool { return comp[v] == best }
-	return g.Induced(keep)
-}
-
-// Induced returns the subgraph induced by the nodes for which keep returns
-// true, along with the old→new ID mapping (Invalid for dropped nodes).
-func (g *Graph) Induced(keep func(NodeID) bool) (*Graph, []NodeID) {
-	mapping := make([]NodeID, g.NumNodes())
-	sub := New(g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		if keep(NodeID(v)) {
-			mapping[v] = sub.AddNode(g.xs[v], g.ys[v])
-		} else {
-			mapping[v] = Invalid
-		}
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if mapping[u] == Invalid {
-			continue
-		}
-		for _, e := range g.adj[u] {
-			if e.To > NodeID(u) && mapping[e.To] != Invalid {
-				sub.MustAddEdge(mapping[u], mapping[e.To], e.W)
-			}
-		}
-	}
-	return sub, mapping
-}
-
-// TotalWeight returns the sum of all edge weights (each undirected edge
-// counted once).
-func (g *Graph) TotalWeight() float64 {
-	total := 0.0
-	for u, a := range g.adj {
-		for _, e := range a {
-			if e.To > NodeID(u) {
-				total += e.W
-			}
-		}
-	}
-	return total
-}
-
 // Bounds returns the bounding box of all node coordinates. For an empty
 // graph it returns zeros.
 func (g *Graph) Bounds() (minX, minY, maxX, maxY float64) {
@@ -493,20 +418,4 @@ func (g *Graph) Bounds() (minX, minY, maxX, maxY float64) {
 		maxY = math.Max(maxY, g.ys[i])
 	}
 	return minX, minY, maxX, maxY
-}
-
-// Normalize rescales all coordinates into [0, span] on both axes, preserving
-// aspect ratio, matching the paper's normalization of each network into a
-// [0..10,000] range.
-func (g *Graph) Normalize(span float64) {
-	minX, minY, maxX, maxY := g.Bounds()
-	ext := math.Max(maxX-minX, maxY-minY)
-	if ext == 0 {
-		return
-	}
-	s := span / ext
-	for i := range g.xs {
-		g.xs[i] = (g.xs[i] - minX) * s
-		g.ys[i] = (g.ys[i] - minY) * s
-	}
 }

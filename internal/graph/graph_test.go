@@ -157,52 +157,6 @@ func TestConnectedComponents(t *testing.T) {
 		t.Error("graph should not be connected")
 	}
 
-	lc, mapping := g.LargestComponent()
-	if lc.NumNodes() != 3 || lc.NumEdges() != 2 {
-		t.Errorf("largest component has %d nodes %d edges, want 3, 2", lc.NumNodes(), lc.NumEdges())
-	}
-	if !lc.IsConnected() {
-		t.Error("largest component should be connected")
-	}
-	if mapping[5] != Invalid || mapping[3] != Invalid {
-		t.Error("dropped nodes should map to Invalid")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := paperFig1(t)
-	sub, mapping := g.Induced(func(v NodeID) bool { return v != 5 })
-	if sub.NumNodes() != 6 {
-		t.Fatalf("induced has %d nodes, want 6", sub.NumNodes())
-	}
-	if mapping[5] != Invalid {
-		t.Error("node 5 should map to Invalid")
-	}
-	// Edges incident to 5 (4 of them) must be gone.
-	if sub.NumEdges() != g.NumEdges()-g.Degree(5) {
-		t.Errorf("induced has %d edges, want %d", sub.NumEdges(), g.NumEdges()-g.Degree(5))
-	}
-	if err := sub.Validate(); err != nil {
-		t.Errorf("induced subgraph invalid: %v", err)
-	}
-}
-
-func TestNormalizeBounds(t *testing.T) {
-	g := New(3)
-	g.AddNode(-50, 100)
-	g.AddNode(450, 300)
-	g.AddNode(200, 200)
-	g.Normalize(10000)
-	minX, minY, maxX, maxY := g.Bounds()
-	if minX != 0 || minY < 0 {
-		t.Errorf("min bounds (%v, %v), want x=0, y>=0", minX, minY)
-	}
-	if maxX > 10000+1e-9 || maxY > 10000+1e-9 {
-		t.Errorf("max bounds (%v, %v) exceed span", maxX, maxY)
-	}
-	if math.Abs(maxX-10000) > 1e-9 {
-		t.Errorf("largest extent should map to full span, got %v", maxX)
-	}
 }
 
 func TestTupleEncodingRoundTrip(t *testing.T) {
@@ -423,14 +377,6 @@ func TestValidateDetectsAsymmetry(t *testing.T) {
 	g.adj[0][0].W += 1
 	if err := g.Validate(); err == nil {
 		t.Error("asymmetric weight not detected")
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	g := paperFig1(t)
-	want := 1.0 + 9 + 2 + 3 + 2 + 1 + 2 + 5
-	if got := g.TotalWeight(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("TotalWeight = %v, want %v", got, want)
 	}
 }
 

@@ -53,7 +53,6 @@ func Grid(n int, seed int64) (*graph.Graph, error) {
 			g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+cols), g.Euclid(graph.NodeID(i), graph.NodeID(i+cols))*quality())
 		}
 	}
-	g.SortAdjacency()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("netgen: grid invalid: %w", err)
 	}
@@ -116,7 +115,6 @@ func ScaleFree(n, degree int, seed int64) (*graph.Graph, error) {
 			}
 		}
 	}
-	g.SortAdjacency()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("netgen: scale-free invalid: %w", err)
 	}

@@ -231,7 +231,6 @@ func Synthesize(nodes, edges int, seed int64) (*graph.Graph, error) {
 		addSeg(prev, graph.NodeID(e.v), quality)
 	}
 
-	g.SortAdjacency()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("netgen: generated graph invalid: %w", err)
 	}

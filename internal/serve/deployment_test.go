@@ -75,7 +75,7 @@ func TestSwapWithoutStatsDropsCache(t *testing.T) {
 	}
 	path, _ := pr.Result()
 	w, _ := g.EdgeWeight(path[0], path[1])
-	if _, err := dep.Owner().UpdateEdgeWeight(path[0], path[1], w*1.01); err != nil {
+	if _, err := dep.Owner().ApplyUpdates([]core.EdgeUpdate{{U: path[0], V: path[1], W: w * 1.01}}); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := dep.Owner().Outsource(core.DIJ)

@@ -57,14 +57,14 @@ func TestHTTPQueryBinaryRoundTrip(t *testing.T) {
 	if got := resp.Header.Get("X-SPV-Method"); got != "LDM" {
 		t.Errorf("X-SPV-Method = %q", got)
 	}
-	pr, n, err := core.DecodeLDMProof(wire)
+	pr, n, err := core.DecodeProof(core.LDM, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(wire) {
 		t.Errorf("decoded %d of %d bytes", n, len(wire))
 	}
-	if err := core.VerifyLDM(verifier, q.S, q.T, pr); err != nil {
+	if err := core.VerifyProof(verifier, core.LDM, q.S, q.T, pr); err != nil {
 		t.Errorf("served proof fails verification: %v", err)
 	}
 }
@@ -91,15 +91,15 @@ func TestHTTPQueryJSON(t *testing.T) {
 	if len(got.Proof) == 0 || got.Bytes != len(got.Proof) {
 		t.Errorf("proof bytes %d, field says %d", len(got.Proof), got.Bytes)
 	}
-	pr, _, err := core.DecodeDIJProof(got.Proof)
+	pr, _, err := core.DecodeProof(core.DIJ, got.Proof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyDIJ(w.verifier, q.S, q.T, pr); err != nil {
+	if err := core.VerifyProof(w.verifier, core.DIJ, q.S, q.T, pr); err != nil {
 		t.Error(err)
 	}
-	if got.Hops != len(pr.Path)-1 {
-		t.Errorf("hops = %d, want %d edges for a %d-node path", got.Hops, len(pr.Path)-1, len(pr.Path))
+	if path, _ := pr.Result(); got.Hops != len(path)-1 {
+		t.Errorf("hops = %d, want %d edges for a %d-node path", got.Hops, len(path)-1, len(path))
 	}
 }
 
@@ -149,7 +149,7 @@ func TestHTTPQueryAcceptNegotiation(t *testing.T) {
 		if tc.binary {
 			if ct != "application/octet-stream" {
 				t.Errorf("Accept %q: Content-Type %q, want the raw proof", tc.accept, ct)
-			} else if _, n, err := core.DecodeDIJProof(body); err != nil || n != len(body) {
+			} else if _, n, err := core.DecodeProof(core.DIJ, body); err != nil || n != len(body) {
 				t.Errorf("Accept %q: body is not one DIJ proof: %v", tc.accept, err)
 			}
 		} else if !strings.HasPrefix(ct, "application/json") {
@@ -211,11 +211,11 @@ func TestHTTPBatchAndStats(t *testing.T) {
 		if a.Error != "" {
 			t.Fatalf("answer %d: %s", i, a.Error)
 		}
-		pr, _, err := core.DecodeHYPProof(a.Proof)
+		pr, _, err := core.DecodeProof(core.HYP, a.Proof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.VerifyHYP(w.verifier, a.VS, a.VT, pr); err != nil {
+		if err := core.VerifyProof(w.verifier, core.HYP, a.VS, a.VT, pr); err != nil {
 			t.Error(err)
 		}
 	}

@@ -6,9 +6,9 @@
 //
 // The engine exploits two properties of the core providers:
 //
-//  1. Provider state is immutable after Outsource* returns (documented and
+//  1. Provider state is immutable after Outsource returns (documented and
 //     race-tested in internal/core), so any number of goroutines may call
-//     Query concurrently with no locking.
+//     QueryProof concurrently with no locking.
 //  2. Proofs are deterministic for a fixed provider instance: the same
 //     (method, vs, vt) always yields byte-identical wire encodings, so the
 //     exact encoding is cacheable.

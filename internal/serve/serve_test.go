@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"strings"
 	"sync"
@@ -21,10 +22,10 @@ type world struct {
 	g        *graph.Graph
 	owner    *core.Owner
 	verifier *sig.Verifier
-	dij      *core.DIJProvider
-	full     *core.FULLProvider
-	ldm      *core.LDMProvider
-	hyp      *core.HYPProvider
+	dij      core.Provider
+	full     core.Provider
+	ldm      core.Provider
+	hyp      core.Provider
 	queries  []workload.Query
 }
 
@@ -51,20 +52,14 @@ func testWorld(t testing.TB) *world {
 			return
 		}
 		w := &world{g: g, owner: owner, verifier: owner.Verifier()}
-		if w.dij, err = owner.OutsourceDIJ(); err != nil {
-			worldErr = err
-			return
+		outsource := func(m core.Method) core.Provider {
+			p, e := owner.Outsource(m)
+			worldErr = cmp.Or(worldErr, e)
+			return p
 		}
-		if w.full, err = owner.OutsourceFULL(); err != nil {
-			worldErr = err
-			return
-		}
-		if w.ldm, err = owner.OutsourceLDM(); err != nil {
-			worldErr = err
-			return
-		}
-		if w.hyp, err = owner.OutsourceHYP(); err != nil {
-			worldErr = err
+		w.dij, w.full = outsource(core.DIJ), outsource(core.FULL)
+		w.ldm, w.hyp = outsource(core.LDM), outsource(core.HYP)
+		if worldErr != nil {
 			return
 		}
 		if w.queries, err = workload.Generate(g, 8, 2000, 7); err != nil {

@@ -1,9 +1,6 @@
 package sp
 
 import (
-	"runtime"
-	"sync"
-
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/par"
 )
@@ -53,85 +50,18 @@ func FloydWarshall(g graph.View) [][]float64 {
 // AllPairsRows streams all-pairs shortest path distances one source row at a
 // time, computed by repeated Dijkstra — the appropriate algorithm for sparse
 // road networks, O(|V|·(|E|+|V|) log |V|) total instead of Floyd–Warshall's
-// O(|V|³). Rows are delivered to sink in strictly increasing source order;
-// the callback owns the row slice.
+// O(|V|³). sink is called concurrently from worker goroutines, in whatever
+// order rows complete, and owns the row slice; sinks that fold each row
+// into an independent slot (FULL's per-row subtree roots) keep that fold on
+// the worker instead of serializing O(|V|²) post-processing behind a
+// reordering channel. sink must be safe for concurrent calls with distinct
+// sources.
 //
 // This is the substitution documented in DESIGN.md §3: identical output to
 // Floyd–Warshall (property-tested), feasible at road-network scale, and it
 // preserves FULL's construction-cost blow-up relative to LDM/HYP because the
 // output is still quadratic.
 func AllPairsRows(g *graph.Graph, sink func(src graph.NodeID, dist []float64)) {
-	n := g.NumNodes()
-	// One freeze amortized over n Dijkstra runs; every worker reuses one
-	// workspace, so the only per-row allocation is the row itself (which
-	// the sink owns and may retain).
-	view := g.Freeze()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		w := AcquireWorkspace(n)
-		defer ReleaseWorkspace(w)
-		for s := 0; s < n; s++ {
-			sink(graph.NodeID(s), w.DijkstraRow(view, graph.NodeID(s), nil))
-		}
-		return
-	}
-
-	// Workers compute rows out of order; a single reorderer emits them in
-	// source order so sinks can build sequential structures (Merkle leaves).
-	type row struct {
-		src  graph.NodeID
-		dist []float64
-	}
-	rows := make(chan row, workers)
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for s := 0; s < n; s++ {
-		next <- s
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := AcquireWorkspace(n)
-			defer ReleaseWorkspace(ws)
-			for s := range next {
-				rows <- row{graph.NodeID(s), ws.DijkstraRow(view, graph.NodeID(s), nil)}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(rows)
-	}()
-
-	pending := make(map[graph.NodeID][]float64)
-	want := graph.NodeID(0)
-	for r := range rows {
-		pending[r.src] = r.dist
-		for {
-			dist, ok := pending[want]
-			if !ok {
-				break
-			}
-			delete(pending, want)
-			sink(want, dist)
-			want++
-		}
-	}
-}
-
-// AllPairsRowsUnordered delivers every source row like AllPairsRows but
-// calls sink concurrently from worker goroutines, in whatever order rows
-// complete. Sinks that fold each row into an independent slot (FULL's
-// per-row subtree roots) take this form and keep the fold itself on the
-// worker, instead of serializing O(|V|²) post-processing behind a
-// reordering channel. sink must be safe for concurrent calls with distinct
-// sources and owns the row slice.
-func AllPairsRowsUnordered(g *graph.Graph, sink func(src graph.NodeID, dist []float64)) {
 	n := g.NumNodes()
 	view := g.Freeze()
 	par.Work(n, func(s int) {

@@ -1,7 +1,10 @@
-// Package sp implements the shortest path algorithms the paper builds on
-// (§II-C): Dijkstra's algorithm, A* search with pluggable lower bounds,
-// Floyd–Warshall, and repeated-Dijkstra all-pairs computation. All algorithms require non-negative edge weights, which the
-// graph substrate enforces.
+// Package sp implements the shortest path searches the owner and the
+// provider run (paper §II-C): Dijkstra's algorithm — bounded, targeted and
+// full-row, on a reusable Workspace — and repeated-Dijkstra all-pairs rows,
+// with Floyd–Warshall kept as their oracle. The client's A* runs over a
+// proof's own tuples (core's tupleAStar) on this package's Heap. All
+// searches require non-negative edge weights, which the graph substrate
+// enforces.
 package sp
 
 import "github.com/authhints/spv/internal/graph"

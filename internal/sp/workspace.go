@@ -308,47 +308,6 @@ func (w *Workspace) DijkstraRowTree(g graph.View, src graph.NodeID, row []float6
 	return row, parent
 }
 
-// AStar computes a shortest path from src to dst with the given admissible
-// lower bound, allocating only the returned path. Closed nodes re-open on
-// improvement, exactly like the package-level AStar.
-func (w *Workspace) AStar(g graph.View, src, dst graph.NodeID, lb LowerBound) (float64, graph.Path) {
-	w.Reset(g.NumNodes())
-	w.label(src, 0, graph.Invalid)
-	w.heap.Push(src, lb(src))
-
-	best := Unreachable
-	for w.heap.Len() > 0 {
-		// Once every queued f-value is at least the best target distance,
-		// no improvement is possible (admissibility).
-		if best < Unreachable && w.heap.Peek() >= best {
-			break
-		}
-		v, _ := w.heap.Pop()
-		if v == dst {
-			best = w.dist[v]
-			continue
-		}
-		dv := w.dist[v]
-		for _, e := range g.Neighbors(v) {
-			nd := dv + e.W
-			if w.seen[e.To] == w.epoch && nd >= w.dist[e.To] {
-				continue
-			}
-			w.label(e.To, nd, v)
-			f := nd + lb(e.To)
-			if w.heap.Contains(e.To) {
-				w.heap.DecreaseKey(e.To, f)
-			} else {
-				w.heap.Push(e.To, f) // also re-opens closed nodes
-			}
-		}
-	}
-	if best == Unreachable {
-		return Unreachable, nil
-	}
-	return best, w.PathTo(dst)
-}
-
 // tree materializes the workspace labels as a full Tree — the compatibility
 // bridge for callers that retain whole trees. When settledOnly is set, only
 // settled nodes get values (matching DijkstraBounded's erase-tentative

@@ -82,45 +82,6 @@ func TestWorkspaceMatchesFreshSearch(t *testing.T) {
 	}
 }
 
-// TestWorkspaceAStarMatchesDijkstra cross-checks the workspace A* against
-// exact distances under the zero lower bound (degenerates to Dijkstra) and
-// a random admissible bound.
-func TestWorkspaceAStarMatchesDijkstra(t *testing.T) {
-	g := randomWorkspaceGraph(t, 200, 150, 11)
-	view := g.Freeze()
-	w := NewWorkspace(view.NumNodes())
-	rng := rand.New(rand.NewSource(13))
-
-	for i := 0; i < 30; i++ {
-		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		want, _ := DijkstraTo(g, src, dst)
-
-		zero := func(graph.NodeID) float64 { return 0 }
-		got, path := w.AStar(view, src, dst, zero)
-		if got != want {
-			t.Fatalf("query %d: A*(0) dist %g, want %g", i, got, want)
-		}
-		if want != Unreachable {
-			if path.Source() != src || path.Target() != dst {
-				t.Fatalf("query %d: A* path endpoints %d→%d", i, path.Source(), path.Target())
-			}
-		}
-		// An admissible fraction of the true remaining distance.
-		exact := Dijkstra(g, dst)
-		frac := rng.Float64()
-		lb := func(v graph.NodeID) float64 {
-			if exact.Dist[v] == Unreachable {
-				return 0
-			}
-			return exact.Dist[v] * frac
-		}
-		if got, _ := w.AStar(view, src, dst, lb); got != want {
-			t.Fatalf("query %d: A*(frac) dist %g, want %g", i, got, want)
-		}
-	}
-}
-
 // TestWorkspaceDijkstraToTargets checks target-set searches against full
 // Dijkstra rows, including duplicate targets and reuse across calls.
 func TestWorkspaceDijkstraToTargets(t *testing.T) {

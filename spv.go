@@ -16,7 +16,7 @@
 //
 //	Owner     — holds the network and a private key; builds authenticated
 //	            data structures (ADS) and hints, signs their roots.
-//	Provider  — answers Query(vs, vt) with a path and a proof assembled
+//	Provider  — answers QueryProof(vs, vt) with a path and a proof assembled
 //	            from the ADS.
 //	Client    — calls VerifyProof with the owner's public key; a nil
 //	            error means the path is authentic AND optimal.
@@ -91,7 +91,7 @@ type Edge = graph.Edge
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // Owner is the data owner: network + private key + ADS construction.
-// Outsource* and WriteSnapshot may run concurrently with provider
+// Outsource and WriteSnapshot may run concurrently with provider
 // queries, but not with ApplyUpdates, which mutates the owner's network
 // (Deployment serializes this for you).
 type Owner = core.Owner
@@ -212,9 +212,9 @@ func ParseVerifierPEM(data []byte) (*Verifier, error) { return sig.ParseVerifier
 
 // Provider/proof pairs, one per method — the concrete types behind
 // Provider and Proof, for callers that type-assert. Every provider is
-// immutable once outsourced (or loaded from a snapshot): Query is safe for
-// unbounded concurrent use with no locking, and a given (vs, vt) always
-// yields one byte-identical proof encoding. Proof values returned by Query
+// immutable once outsourced (or loaded from a snapshot): QueryProof is safe
+// for unbounded concurrent use with no locking, and a given (vs, vt) always
+// yields one byte-identical proof encoding. Proofs returned by QueryProof
 // are owned by the caller.
 type (
 	// DIJProvider answers queries under Dijkstra subgraph verification.
@@ -402,7 +402,7 @@ func NewRawEngine(opts ServeOptions) *QueryEngine { return serve.NewEngine(opts)
 type EdgeUpdate = core.EdgeUpdate
 
 // UpdateBatch carries the owner-side dirty sets of one applied batch; its
-// Patch* methods derive updated providers copy-on-write.
+// Patch method derives updated providers copy-on-write.
 type UpdateBatch = core.UpdateBatch
 
 // PatchStats reports what one provider patch rewrote.
@@ -464,7 +464,7 @@ func NewServer(o *Owner, opts ServeOptions, methods ...Method) (*Server, error) 
 // ProviderSet is a complete deserialized deployment: providers (nil for
 // absent methods), the owner's public key, config, graph and update
 // epoch. Loaded providers are immutable and safe for unbounded concurrent
-// Query use, exactly like freshly outsourced ones.
+// QueryProof use, exactly like freshly outsourced ones.
 type ProviderSet = core.ProviderSet
 
 // SnapshotResult reports one completed snapshot save (path, bytes, epoch,
