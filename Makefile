@@ -33,11 +33,13 @@ race:
 	$(GO) test -race -short ./...
 
 # The packages that hash, built without the SHA-NI SHA-1 kernel
-# (internal/digest's only assembly): crypto/sha1 must keep passing
+# (internal/digest's assembly): crypto/sha1 must keep passing
 # TestGoldenByteCompat, the attack matrix and TestVerifyMatchesReference,
 # because it is what runs off amd64 and on CPUs without the SHA extensions.
+# internal/b64 and internal/serve ride along without the AVX2 base64
+# kernel: encoding/base64 must keep the JSON bodies byte-identical.
 purego:
-	$(GO) test -tags purego ./internal/digest ./internal/mht ./internal/mbt ./internal/cert ./internal/core
+	$(GO) test -tags purego ./internal/digest ./internal/mht ./internal/mbt ./internal/cert ./internal/core ./internal/b64 ./internal/serve
 
 # Fuzz smoke: every fuzz target for FUZZTIME apiece (go test takes one
 # package and one target per run) — the decoders of everything that
@@ -47,6 +49,7 @@ purego:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/digest:FuzzSHA1Kernel \
+	./internal/b64:FuzzAppendBase64 \
 	./internal/mht:FuzzDecodeProof \
 	./internal/core:FuzzDecodeDIJProof \
 	./internal/core:FuzzDecodeFULLProof \
@@ -71,14 +74,16 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# The hash, Merkle-slab and search micro-benchmarks, one iteration each with
-# allocations reported: digest's AppendSum at 40 B / 58 B / 1 KiB / one
-# certificate row for both algorithms, mht's Build, Prove, Rehydrate and
+# The hash, base64, Merkle-slab and search micro-benchmarks, one iteration
+# each with allocations reported: digest's AppendSum at 40 B / 58 B / 1 KiB /
+# one certificate row for both algorithms, b64's Append of a 27 KiB proof on
+# the AVX2 kernel and on encoding/base64, mht's Build, Prove, Rehydrate and
 # UpdateLeaves on a 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's
 # distance tree in the repository benchmark's world) and sp's single-search
 # Ball. CI's full lane runs this so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
+	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 

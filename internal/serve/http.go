@@ -99,8 +99,8 @@ func (s *Server) Engine() *Engine { return s.engine }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// wireAnswer is the JSON reply for one answer; Proof marshals as base64
-// (encoding/json's []byte default).
+// wireAnswer is the JSON reply for one answer; Proof travels as standard
+// base64. Its tags define the layout appendAnswer writes by hand.
 type wireAnswer struct {
 	Method core.Method  `json:"method"`
 	VS     graph.NodeID `json:"vs"`
@@ -131,11 +131,12 @@ func toWire(a Answer) wireAnswer {
 }
 
 // parseQuery accepts either a JSON body {"method","vs","vt"} or URL
-// parameters ?method=&vs=&vt=.
-func parseQuery(r *http.Request) (Query, error) {
+// parameters ?method=&vs=&vt=. An oversized body also marks w's
+// connection for closing.
+func parseQuery(w http.ResponseWriter, r *http.Request) (Query, error) {
 	if r.Method == http.MethodPost {
 		var q Query
-		if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<16)).Decode(&q); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&q); err != nil {
 			return Query{}, fmt.Errorf("bad query body: %w", err)
 		}
 		return q, nil
@@ -160,7 +161,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 		return
 	}
-	q, err := parseQuery(r)
+	q, err := parseQuery(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -184,7 +185,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Write(a.Proof)
 		return
 	}
-	writeJSON(w, toWire(a))
+	wa := toWire(a)
+	sendJSON(w, func(b []byte) ([]byte, error) { return appendAnswer(b, wa) })
 }
 
 // writeQueryErr answers a failed /query or a shed /batch. Shed under load:
@@ -266,13 +268,19 @@ func statusFor(err error) int {
 
 // wireBatch is one proof blob in an "encoding":"shared" /batch reply: the
 // method, the answer indexes the blob covers (in blob item order), and the
-// core.ProofBatch wire bytes (base64 under encoding/json). Clients decode
-// with core.DecodeProofBatch and check with core.VerifyBatch.
+// core.ProofBatch wire bytes (standard base64). Clients decode with
+// core.DecodeProofBatch and check with core.VerifyBatch.
 type wireBatch struct {
 	Method core.Method `json:"method"`
 	Items  []int       `json:"items"`
 	Bytes  int         `json:"batch_bytes"`
 	Batch  []byte      `json:"batch"`
+}
+
+// batchReply is the /batch reply; appendBatchReply writes it by hand.
+type batchReply struct {
+	Answers []wireAnswer `json:"answers"`
+	Batches []wireBatch  `json:"proof_batches,omitempty"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -313,10 +321,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, err)
 		return
 	}
-	out := struct {
-		Answers []wireAnswer `json:"answers"`
-		Batches []wireBatch  `json:"proof_batches,omitempty"`
-	}{Answers: make([]wireAnswer, len(answers))}
+	out := batchReply{Answers: make([]wireAnswer, len(answers))}
 	for i, a := range answers {
 		out.Answers[i] = toWire(a)
 	}
@@ -328,7 +333,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Batches = batches
 	}
-	writeJSON(w, out)
+	sendJSON(w, func(b []byte) ([]byte, error) { return appendBatchReply(b, out) })
 }
 
 // shareProofs regroups per-answer proof bytes into one batch blob per

@@ -27,6 +27,15 @@ func testServer(t *testing.T) (*world, *Server, *httptest.Server) {
 	return w, srv, ts
 }
 
+// assertSized requires a JSON answer to arrive with a Content-Length, not
+// chunked.
+func assertSized(t *testing.T, resp *http.Response) {
+	t.Helper()
+	if resp.ContentLength <= 0 || len(resp.TransferEncoding) > 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %q: want one sized body", resp.ContentLength, resp.TransferEncoding)
+	}
+}
+
 // TestHTTPQueryBinaryRoundTrip drives the full client story over the wire:
 // fetch the verifier PEM, request a binary proof, decode and verify it.
 func TestHTTPQueryBinaryRoundTrip(t *testing.T) {
@@ -81,6 +90,7 @@ func TestHTTPQueryJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	assertSized(t, resp)
 	var got wireAnswer
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
@@ -197,6 +207,7 @@ func TestHTTPBatchAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	assertSized(t, resp)
 	var got struct {
 		Answers []wireAnswer `json:"answers"`
 	}
