@@ -70,7 +70,7 @@ func main() {
 	}
 	switch *format {
 	case "spvg":
-		_, err = g.WriteTo(w)
+		_, err = g.Freeze().WriteTo(w)
 	case "edgelist":
 		err = g.WriteEdgeList(w)
 	default:

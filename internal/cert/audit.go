@@ -82,7 +82,7 @@ func (s *Scratch) Dists(row Row) []float64 {
 // Soundness: (2) makes every d[v] a lower bound on no path and an upper
 // bound via the tight parent chain, so with (1) and (3) d equals the true
 // distance labelling exactly (up to the shared float tolerance).
-func AuditRow(g *graph.Graph, row Row, s *Scratch) error {
+func AuditRow(g graph.View, row Row, s *Scratch) error {
 	n := g.NumNodes()
 	if row.N() != n {
 		return fmt.Errorf("%w: row labels %d nodes, want %d", ErrEncoding, row.N(), n)

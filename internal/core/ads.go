@@ -22,7 +22,7 @@ type networkADS struct {
 	tree *mht.Tree
 	msgs [][]byte // canonical tuple encoding per leaf position
 	// lazy, when non-nil, fills msgs on demand: leaf encodings are a
-	// deterministic function of the graph and the method's extra bytes, so
+	// deterministic function of the network and the method's extra bytes, so
 	// an ADS loaded from a snapshot defers them until a query actually
 	// covers a leaf (or an eager load materializes the table). All msgs
 	// reads must go through msg() (or materialize() for whole-table
@@ -38,8 +38,10 @@ type networkADS struct {
 const tupleChunk = 1024
 
 // tupleFill is the on-demand encoder behind a snapshot-loaded networkADS.
+// net is the provider's own network, never a later epoch's: the leaves it
+// fills must be the ones the stored tree hashed.
 type tupleFill struct {
-	g       *graph.Graph
+	net     *graph.CSR
 	extraFn func(graph.NodeID) []byte
 	chunks  []sync.Once
 	all     sync.Once
@@ -58,7 +60,7 @@ func (a *networkADS) fillChunk(c int) {
 	lo := c * tupleChunk
 	hi := min(lo+tupleChunk, len(a.msgs))
 	for pos := lo; pos < hi; pos++ {
-		a.msgs[pos] = encodeTupleMsg(a.lazy.g, a.ord.Seq[pos], a.lazy.extraFn, nil)
+		a.msgs[pos] = encodeTupleMsg(a.lazy.net, a.ord.Seq[pos], a.lazy.extraFn, nil)
 	}
 }
 
@@ -85,16 +87,16 @@ func (a *networkADS) materialize() {
 // GOMAXPROCS (each leaf position is independent), so owner outsourcing of
 // large networks scales with cores while the root stays byte-identical to
 // a serial build.
-func buildNetworkADS(g *graph.Graph, cfg Config, extraFn func(graph.NodeID) []byte) (*networkADS, error) {
-	ord, err := order.Compute(g, cfg.Ordering, cfg.OrderSeed)
+func buildNetworkADS(net *graph.CSR, cfg Config, extraFn func(graph.NodeID) []byte) (*networkADS, error) {
+	ord, err := order.Compute(net, cfg.Ordering, cfg.OrderSeed)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
+	n := net.NumNodes()
 	msgs := make([][]byte, n)
 	par.Chunks(n, adsParallelThreshold, func(lo, hi int) {
 		for pos := lo; pos < hi; pos++ {
-			msgs[pos] = encodeTupleMsg(g, ord.Seq[pos], extraFn, nil)
+			msgs[pos] = encodeTupleMsg(net, ord.Seq[pos], extraFn, nil)
 		}
 	})
 	tree, err := mht.BuildFromMessages(cfg.Hash, cfg.Fanout, msgs)
@@ -110,9 +112,9 @@ func buildNetworkADS(g *graph.Graph, cfg Config, extraFn func(graph.NodeID) []by
 const adsParallelThreshold = 512
 
 // encodeTupleMsg builds the canonical leaf message of node v, encoding
-// straight from the graph's adjacency into one exactly-sized allocation.
-func encodeTupleMsg(g *graph.Graph, v graph.NodeID, extraFn func(graph.NodeID) []byte, buf []byte) []byte {
-	t := g.TupleOf(v)
+// straight from the network's adjacency into one exactly-sized allocation.
+func encodeTupleMsg(net *graph.CSR, v graph.NodeID, extraFn func(graph.NodeID) []byte, buf []byte) []byte {
+	t := net.TupleOf(v)
 	if extraFn != nil {
 		t.Extra = extraFn(v)
 	}

@@ -18,12 +18,11 @@ import (
 )
 
 // certPlan is one method's slice before its rows are computed: the framing
-// cert.New lays out, the view row i's Dijkstra from Srcs[i] searches, and —
-// for methods whose stored hint rows are the certified distances (LDM) —
-// those rows, which then pair with the search's parents.
+// cert.New lays out (row i is a Dijkstra from Srcs[i] over the owner's
+// network) and — for methods whose stored hint rows are the certified
+// distances (LDM) — those rows, which then pair with the search's parents.
 type certPlan struct {
 	cert.Spec
-	view  graph.View
 	dists [][]float64
 }
 
@@ -42,20 +41,14 @@ type certPlan struct {
 // along in the snapshot's CERT section.
 func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	o.mu.Lock()
-	frozen := o.frozen
-	epoch := o.epoch
+	net, epoch := o.net, o.epoch
 	o.mu.Unlock()
+	provs, err := currentProviders(net, provs, "certifying")
+	if err != nil {
+		return nil, err
+	}
 	byMethod := make(map[Method]Provider, len(provs))
 	for _, p := range provs {
-		if p == nil || p.graphRef() == nil {
-			continue
-		}
-		if p.graphRef() != o.g {
-			return nil, fmt.Errorf("core: %s provider was not outsourced from this owner", p.Method())
-		}
-		if frozen != nil && p.viewRef() != frozen {
-			return nil, fmt.Errorf("core: %s provider is stale — patch it through the latest update batch before certifying", p.Method())
-		}
 		up, err := unwrapProvider(p)
 		if err != nil {
 			return nil, err
@@ -90,11 +83,11 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	if ord == nil {
 		return nil, errors.New("core: certify needs a provider with a leaf ordering")
 	}
-	cd, err := snapshotCoreDigest(o.cfg.Hash, o.cfg, o.g, ord)
+	cd, err := snapshotCoreDigest(o.cfg.Hash, o.cfg, net, ord)
 	if err != nil {
 		return nil, err
 	}
-	n := o.g.NumNodes()
+	n := net.NumNodes()
 	c, err := cert.New(o.cfg.Hash, epoch, cd, n, o.signer.SignatureSize(), specs)
 	if err != nil {
 		return nil, err
@@ -103,7 +96,7 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 		par.Work(len(plan.Srcs), func(i int) {
 			row := c.Methods[m].Row(i)
 			ws := sp.AcquireWorkspace(n)
-			ws.DijkstraBounded(plan.view, plan.Srcs[i], sp.Unreachable) // every reachable node settles
+			ws.DijkstraBounded(net, plan.Srcs[i], sp.Unreachable) // every reachable node settles
 			for v := 0; v < n; v++ {
 				d := ws.DistOf(graph.NodeID(v))
 				if plan.dists != nil {
@@ -127,7 +120,7 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 // section boundaries cannot alias. This is what a certificate's
 // CoreDigest commits to: the exact world the method slices were certified
 // against, including the leaf ordering every Merkle position depends on.
-func snapshotCoreDigest(alg digest.Alg, cfg Config, g *graph.Graph, ord *order.Ordering) ([]byte, error) {
+func snapshotCoreDigest(alg digest.Alg, cfg Config, g *graph.CSR, ord *order.Ordering) ([]byte, error) {
 	h := alg.New()
 	var lenb [8]byte
 	part := func(b []byte) {
@@ -238,7 +231,7 @@ func (dijImpl) planCert(p Provider) (certPlan, error) {
 	if err != nil {
 		return certPlan{}, err
 	}
-	return certPlan{view: dp.view, Spec: cert.Spec{
+	return certPlan{Spec: cert.Spec{
 		Method: string(DIJ),
 		Roots:  [][]byte{dp.ads.Root()},
 		Srcs:   dp.ads.ord.Seq[:1],
@@ -283,7 +276,7 @@ func (ldmImpl) planCert(p Provider) (certPlan, error) {
 	if err != nil {
 		return certPlan{}, err
 	}
-	return certPlan{view: lp.view, dists: lp.hints.Dists, Spec: cert.Spec{
+	return certPlan{dists: lp.hints.Dists, Spec: cert.Spec{
 		Method: string(LDM),
 		Roots:  [][]byte{lp.ads.Root()},
 		Srcs:   lp.hints.Landmarks,
@@ -356,7 +349,7 @@ func (hypImpl) planCert(p Provider) (certPlan, error) {
 	if hp.distMBT != nil {
 		roots = append(roots, hp.distMBT.Root())
 	}
-	return certPlan{view: hp.view, Spec: cert.Spec{
+	return certPlan{Spec: cert.Spec{
 		Method: string(HYP), Aux: aux, Roots: roots, Srcs: hp.hyper.Borders,
 	}}, nil
 }
@@ -491,7 +484,7 @@ func (fullImpl) planCert(p Provider) (certPlan, error) {
 	if err != nil {
 		return certPlan{}, err
 	}
-	return certPlan{view: fp.view, Spec: cert.Spec{
+	return certPlan{Spec: cert.Spec{
 		Method: string(FULL),
 		Roots:  [][]byte{fp.ads.Root(), fp.forest.Top().Root()},
 		Srcs:   certSampleSources(fp.ads.ord.Seq),

@@ -34,7 +34,8 @@ type DIJProvider struct {
 // plain extended-tuples plus the signed root. DIJ needs no authenticated
 // hints, so this is the cheapest possible outsourcing.
 func (dijImpl) Outsource(o *Owner) (Provider, error) {
-	ads, err := buildNetworkADS(o.g, o.cfg, nil)
+	net := o.Graph()
+	ads, err := buildNetworkADS(net, o.cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +43,7 @@ func (dijImpl) Outsource(o *Owner) (Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DIJProvider{providerBase{o.g, o.frozenView(), ads}, rootSig}, nil
+	return &DIJProvider{providerBase{net, ads}, rootSig}, nil
 }
 
 // DIJProof is the answer to a DIJ query: the result path, the subgraph

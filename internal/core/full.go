@@ -9,9 +9,9 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// fullRowFn regenerates source rows against a frozen view — the forest's
+// fullRowFn regenerates source rows against a network — the forest's
 // on-demand half for proofs, and the callback swapped in when an update
-// re-freezes the network.
+// publishes the next epoch's network.
 func fullRowFn(view *graph.CSR) func(i int) []float64 {
 	return func(i int) []float64 {
 		w := sp.AcquireWorkspace(view.NumNodes())
@@ -56,18 +56,19 @@ type FULLProvider struct {
 // regardless of completion order, keeping the forest root byte-identical
 // to a serial build.
 func (fullImpl) Outsource(o *Owner) (Provider, error) {
-	ads, err := buildNetworkADS(o.g, o.cfg, nil)
+	net := o.Graph()
+	ads, err := buildNetworkADS(net, o.cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := o.g.NumNodes()
+	n := net.NumNodes()
 	builder, err := mbt.NewForestBuilder(o.cfg.Hash, o.cfg.Fanout, n)
 	if err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
 	var addErr error
-	sp.AllPairsRows(o.g, func(src graph.NodeID, dist []float64) {
+	sp.AllPairsRows(net, func(src graph.NodeID, dist []float64) {
 		if err := builder.SetRow(int(src), dist); err != nil {
 			mu.Lock()
 			if addErr == nil {
@@ -79,8 +80,7 @@ func (fullImpl) Outsource(o *Owner) (Provider, error) {
 	if addErr != nil {
 		return nil, addErr
 	}
-	view := o.frozenView()
-	forest, err := builder.Finish(fullRowFn(view))
+	forest, err := builder.Finish(fullRowFn(net))
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (fullImpl) Outsource(o *Owner) (Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FULLProvider{providerBase: providerBase{o.g, view, ads}, forest: forest, netSig: netSig, distSig: distSig}, nil
+	return &FULLProvider{providerBase: providerBase{net, ads}, forest: forest, netSig: netSig, distSig: distSig}, nil
 }
 
 // FULLProof is the answer to a FULL query: the path, the distance proof ΓS

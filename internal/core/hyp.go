@@ -41,15 +41,16 @@ type HYPProvider struct {
 // hyper-edge distance Merkle B-tree and the annotated network tree, and
 // signs both roots.
 func (hypImpl) Outsource(o *Owner) (Provider, error) {
-	hyper, err := hiti.Build(o.g, o.cfg.Cells)
+	net := o.Graph()
+	hyper, err := hiti.Build(net, o.cfg.Cells)
 	if err != nil {
 		return nil, err
 	}
-	ads, err := buildNetworkADS(o.g, o.cfg, hyper.Extra)
+	ads, err := buildNetworkADS(net, o.cfg, hyper.Extra)
 	if err != nil {
 		return nil, err
 	}
-	p := &HYPProvider{providerBase: providerBase{o.g, o.frozenView(), ads}, hyper: hyper}
+	p := &HYPProvider{providerBase: providerBase{net, ads}, hyper: hyper}
 	entries := hyper.Entries()
 	if len(entries) > 0 {
 		p.distMBT, err = mbt.Build(o.cfg.Hash, o.cfg.Fanout, entries)

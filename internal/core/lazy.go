@@ -85,11 +85,9 @@ func (lp *lazyProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	return p.QueryProof(vs, vt)
 }
 
-// graphRef and viewRef answer from the shared core state — the staleness
-// guard and the serving layer must not force hydration just to identity-
-// compare pointers.
-func (lp *lazyProvider) graphRef() *graph.Graph { return lp.env.Graph }
-func (lp *lazyProvider) viewRef() *graph.CSR    { return lp.env.View }
+// viewRef answers from the shared core state — the staleness guard must
+// not force hydration just to identity-compare pointers.
+func (lp *lazyProvider) viewRef() *graph.CSR { return lp.env.Graph }
 
 // adsRef hydrates: the callers (shared-ordering audit, snapshot rewrite)
 // need the real tree.
@@ -141,7 +139,7 @@ func OpenProviderSetLazy(path string) (*ProviderSet, error) {
 // hash is recomputed and no search is run: Merkle levels, hint rows and
 // signatures come from the file; tuple encodings, quantization,
 // compression and partitions are re-derived in parallel from the loaded
-// graph. All providers share one frozen CSR view.
+// network. All providers share the set's one CSR.
 //
 // Round-trip contract (pinned by TestSnapshotRoundTrip): every loaded
 // provider emits proof wire encodings byte-identical to the provider it
@@ -238,9 +236,13 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if set.Graph, err = graph.ReadBytes(payload); err != nil {
+	// The builder parses and validates the section; only its frozen form
+	// stays resident.
+	g, err := graph.ReadBytes(payload)
+	if err != nil {
 		return nil, fmt.Errorf("%w: graph: %v", ErrBadSnapshot, err)
 	}
+	set.Graph = g.Freeze()
 	if payload, err = f.Section(snapKindVerifier); err != nil {
 		return nil, err
 	}
@@ -255,8 +257,6 @@ func lazySetFromFile(f *snapshot.File) (*ProviderSet, error) {
 		return nil, err
 	}
 	set.ord = env.Ord
-	env.View = set.Graph.Freeze()
-	set.view = env.View
 
 	for _, impl := range defaultRegistry.Impls() {
 		if n, ok := size[impl.SnapshotKind()]; ok {

@@ -43,7 +43,8 @@ type LDMProvider struct {
 // the network Merkle tree and signs its root together with the hint
 // parameters.
 func (ldmImpl) Outsource(o *Owner) (Provider, error) {
-	h, _, err := landmark.Build(o.g, landmark.Options{
+	net := o.Graph()
+	h, _, err := landmark.Build(net, landmark.Options{
 		C:           o.cfg.Landmarks,
 		Bits:        o.cfg.QuantBits,
 		Xi:          o.cfg.Xi,
@@ -55,7 +56,7 @@ func (ldmImpl) Outsource(o *Owner) (Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	ads, err := buildNetworkADS(o.g, o.cfg, func(v graph.NodeID) []byte {
+	ads, err := buildNetworkADS(net, o.cfg, func(v graph.NodeID) []byte {
 		return h.PayloadOf(v).AppendBinary(h.Bits, nil)
 	})
 	if err != nil {
@@ -66,7 +67,7 @@ func (ldmImpl) Outsource(o *Owner) (Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LDMProvider{providerBase: providerBase{o.g, o.frozenView(), ads}, hints: h, rootSig: rootSig}, nil
+	return &LDMProvider{providerBase: providerBase{net, ads}, hints: h, rootSig: rootSig}, nil
 }
 
 // Landmarks returns the provider's landmark placement (a copy). An

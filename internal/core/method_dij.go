@@ -42,5 +42,5 @@ func (dijImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err != nil {
 		return nil, err
 	}
-	return &DIJProvider{providerBase{env.Graph, env.View, ads}, rootSig}, nil
+	return &DIJProvider{providerBase{env.Graph, ads}, rootSig}, nil
 }

@@ -50,9 +50,9 @@ func (fullImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Pro
 	if err != nil {
 		return nil, err
 	}
-	forest, err := mbt.RehydrateForest(env.Graph.NumNodes(), topTree, fullRowFn(env.View))
+	forest, err := mbt.RehydrateForest(env.Graph.NumNodes(), topTree, fullRowFn(env.Graph))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &FULLProvider{providerBase: providerBase{env.Graph, env.View, ads}, forest: forest, netSig: netSig, distSig: distSig}, nil
+	return &FULLProvider{providerBase: providerBase{env.Graph, ads}, forest: forest, netSig: netSig, distSig: distSig}, nil
 }

@@ -103,7 +103,7 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	p2 := &HYPProvider{providerBase: providerBase{g: env.Graph, view: env.View}, hyper: hyper, netSig: netSig, distSig: distSig}
+	p2 := &HYPProvider{providerBase: providerBase{view: env.Graph}, hyper: hyper, netSig: netSig, distSig: distSig}
 	if distTree != nil {
 		p2.distMBT, err = mbt.RehydrateTree(distTree, hyper.NumHyperEdges())
 		if err != nil {

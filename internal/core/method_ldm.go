@@ -103,5 +103,5 @@ func (ldmImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err != nil {
 		return nil, err
 	}
-	return &LDMProvider{providerBase: providerBase{env.Graph, env.View, ads}, hints: h, rootSig: rootSig}, nil
+	return &LDMProvider{providerBase: providerBase{env.Graph, ads}, hints: h, rootSig: rootSig}, nil
 }

@@ -12,42 +12,31 @@ import (
 // Owner is the data owner of the three-party model: it holds the road
 // network and the private key, builds authenticated data structures and
 // hints, signs their roots, and hands everything to a service provider.
+//
+// The owner's network is one frozen CSR per update epoch: NewOwner freezes
+// the caller's builder once (later edits to that builder are never seen),
+// every provider outsourced or patched at an epoch shares that epoch's CSR,
+// and ApplyUpdates derives the next one copy-on-write. No CSR is ever
+// modified after it is published, so the pointer is the epoch's identity.
 type Owner struct {
-	g      *graph.Graph
 	cfg    Config
 	signer *sig.Signer
 
-	// frozen is the lazily built CSR snapshot shared by every provider
-	// this owner outsources: the CSR is immutable and safe for unbounded
-	// concurrent use, so one copy serves all four methods instead of four
-	// identical deep snapshots. ApplyUpdates replaces it after mutating
-	// the graph; providers keep the snapshot they were built against.
-	mu     sync.Mutex
-	frozen *graph.CSR
-	epoch  int64 // bumped once per applied update batch
+	mu    sync.Mutex
+	net   *graph.CSR // the current epoch's network
+	epoch int64      // bumped once per applied update batch
 
 	// bridges caches the Tarjan bridge set. Bridge-ness depends only on
 	// topology, which edge re-weighting never touches, so one computation
-	// serves every update. (Structural mutations of the graph after the
-	// first update are outside the owner contract.)
+	// serves every update.
 	bridgeOnce sync.Once
 	bridges    map[uint64]graph.BridgeSide
 }
 
 // bridgeSet returns the cached topology bridge set, computing it once.
 func (o *Owner) bridgeSet() map[uint64]graph.BridgeSide {
-	o.bridgeOnce.Do(func() { o.bridges = o.g.Bridges() })
+	o.bridgeOnce.Do(func() { o.bridges = o.Graph().Bridges() })
 	return o.bridges
-}
-
-// frozenView returns the shared CSR snapshot, building it on first use.
-func (o *Owner) frozenView() *graph.CSR {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.frozen == nil {
-		o.frozen = o.g.Freeze()
-	}
-	return o.frozen
 }
 
 // Epoch returns the number of update batches applied to this owner.
@@ -69,25 +58,39 @@ func NewOwner(g *graph.Graph, cfg Config) (*Owner, error) {
 
 // NewOwnerWithSigner builds an owner around an existing key pair — for
 // deployments that persist the owner key across processes (see
-// cmd/spvquery).
+// cmd/spvquery). The owner freezes g; it never reads or writes g again.
 func NewOwnerWithSigner(g *graph.Graph, cfg Config, signer *sig.Signer) (*Owner, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid graph: %w", err)
+	}
+	return newOwner(g.Freeze(), cfg, signer, 0)
+}
+
+// newOwner is the one constructor behind NewOwnerWithSigner and
+// ProviderSet.RestoreOwner: an owner of net at the given epoch.
+func newOwner(net *graph.CSR, cfg Config, signer *sig.Signer, epoch int64) (*Owner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if signer == nil {
 		return nil, fmt.Errorf("core: nil signer")
 	}
-	if g.NumNodes() < 2 {
-		return nil, fmt.Errorf("core: graph too small (%d nodes)", g.NumNodes())
+	if net.NumNodes() < 2 {
+		return nil, fmt.Errorf("core: graph too small (%d nodes)", net.NumNodes())
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid graph: %w", err)
+	if epoch < 0 {
+		return nil, fmt.Errorf("core: negative epoch %d", epoch)
 	}
-	return &Owner{g: g, cfg: cfg, signer: signer}, nil
+	return &Owner{net: net, cfg: cfg, signer: signer, epoch: epoch}, nil
 }
 
-// Graph returns the owner's network.
-func (o *Owner) Graph() *graph.Graph { return o.g }
+// Graph returns the owner's network at its current epoch. It is immutable:
+// an update batch publishes a new one instead of changing it.
+func (o *Owner) Graph() *graph.CSR {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.net
+}
 
 // Config returns the owner's parameters.
 func (o *Owner) Config() Config { return o.cfg }

@@ -57,28 +57,27 @@ type Provider interface {
 	// QueryProof answers one shortest path query with a verifiable proof.
 	QueryProof(vs, vt graph.NodeID) (Proof, error)
 
-	graphRef() *graph.Graph
 	adsRef() *networkADS
 	viewRef() *graph.CSR
 }
 
 // providerBase is what every method's provider holds besides its own hints
-// and signatures: the owner's graph (endpoint checks, ownership guards), the
-// frozen CSR view every search iterates, and the network ADS the proofs'
-// tuples and Merkle proofs come from.
+// and signatures: a view — the owner's network at the epoch the provider
+// was outsourced or patched at, which every search iterates and every tuple
+// encodes from — and the network ADS the proofs' tuples and Merkle proofs
+// come from. The view is immutable, and it is also the provider's identity
+// in the owner's ownership-and-staleness guard (one pointer comparison).
 type providerBase struct {
-	g    *graph.Graph
 	view *graph.CSR
 	ads  *networkADS
 }
 
-func (b *providerBase) graphRef() *graph.Graph { return b.g }
-func (b *providerBase) adsRef() *networkADS    { return b.ads }
-func (b *providerBase) viewRef() *graph.CSR    { return b.view }
+func (b *providerBase) adsRef() *networkADS { return b.ads }
+func (b *providerBase) viewRef() *graph.CSR { return b.view }
 
 // checkEndpoints rejects out-of-range endpoints and vs == vt as bad queries.
 func (b *providerBase) checkEndpoints(vs, vt graph.NodeID) error {
-	if n := b.g.NumNodes(); vs < 0 || int(vs) >= n || vt < 0 || int(vt) >= n {
+	if n := b.view.NumNodes(); vs < 0 || int(vs) >= n || vt < 0 || int(vt) >= n {
 		return fmt.Errorf("%w: endpoints (%d, %d) out of range", ErrBadQuery, vs, vt)
 	}
 	if vs == vt {
@@ -103,7 +102,7 @@ type MethodImpl interface {
 	// fields use it.
 	Method() Method
 	// Outsource builds the provider bundle (ADS construction, hint rows,
-	// signed roots) from the owner's current graph. Row builds must be
+	// signed roots) from the owner's current network. Row builds must be
 	// byte-deterministic under parallel execution.
 	Outsource(o *Owner) (Provider, error)
 	// DecodeProof parses a proof wire encoding, returning the proof and
@@ -141,11 +140,10 @@ type MethodImpl interface {
 }
 
 // SnapshotEnv is the shared core state every method section decoder
-// needs: the loaded graph, the frozen view all providers search, the
+// needs: the loaded network all providers search and encode from, the
 // single leaf ordering, and the owner configuration.
 type SnapshotEnv struct {
-	Graph *graph.Graph
-	View  *graph.CSR
+	Graph *graph.CSR
 	Ord   *order.Ordering
 	Cfg   Config
 }

@@ -73,6 +73,5 @@ type badProvider struct{}
 
 func (badProvider) Method() Method                                { return "NOPE" }
 func (badProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) { return nil, nil }
-func (badProvider) graphRef() *graph.Graph                        { return nil }
 func (badProvider) adsRef() *networkADS                           { return nil }
 func (badProvider) viewRef() *graph.CSR                           { return nil }

@@ -94,25 +94,23 @@ var ErrBadSnapshot = errors.New("core: bad snapshot")
 
 // ProviderSet is a complete deserialized deployment: everything a replica
 // needs to serve authenticated proofs (providers, public key, epoch), and
-// everything an owner process needs to resume updates (graph, config —
+// everything an owner process needs to resume updates (network, config —
 // plus its private key, which never enters a snapshot).
 //
 // A loaded ProviderSet obeys the same concurrency contract as freshly
 // outsourced providers: every present provider is immutable and safe for
 // unbounded concurrent QueryProof use.
 type ProviderSet struct {
-	Cfg      Config
-	Graph    *graph.Graph
+	Cfg Config
+	// Graph is the network: the one CSR every provider of the set searches
+	// and encodes its tuples from, and that RestoreOwner hands the owner.
+	Graph    *graph.CSR
 	Verifier *sig.Verifier
 	// Epoch is the owner's update-batch counter at save time; RestoreOwner
 	// continues the sequence from here.
 	Epoch int64
 
 	provs map[Method]Provider
-	// view is the frozen CSR every loaded provider searches (set by the
-	// loader); RestoreOwner adopts it so the staleness guard's
-	// pointer-identity test holds across a restore.
-	view *graph.CSR
 	// file backs a lazily opened set (OpenProviderSetLazy): method
 	// sections hydrate from it on demand until Close. Nil once an eager
 	// load has hydrated everything.
@@ -178,9 +176,9 @@ func (s *ProviderSet) Provider(m Method) Provider {
 }
 
 // SetProvider attaches p to the set, replacing any previous provider of
-// its method; nil-graph (absent) providers are ignored.
+// its method; nil (absent) providers are ignored.
 func (s *ProviderSet) SetProvider(p Provider) {
-	if p == nil || p.graphRef() == nil {
+	if p == nil || p.viewRef() == nil {
 		return
 	}
 	if s.provs == nil {
@@ -204,15 +202,11 @@ func (s *ProviderSet) Methods() []Method {
 // WriteSnapshot serializes the owner's deployment state plus the given
 // outsourced providers (nils are skipped, at least one must remain) into
 // w. Every provider must have been outsourced by — or patched through —
-// this owner against its current graph: a provider from another owner is
-// rejected, and so is one from a stale update generation (it still
-// searches a frozen view an ApplyUpdates batch has since replaced —
-// snapshotting it would pair the post-update graph with pre-update trees
-// and signatures, and every replica booted from the file would serve
-// proofs that fail client verification). Returns the bytes written.
+// this owner at its current epoch (see currentProviders). Returns the
+// bytes written.
 //
-// WriteSnapshot reads the owner's graph and the providers' structures but
-// mutates nothing; it must not run concurrently with ApplyUpdates (the
+// WriteSnapshot reads the owner's network and the providers' structures
+// but mutates nothing; it must not run concurrently with ApplyUpdates (the
 // serving layer's Deployment.Save serializes against updates for you).
 func (o *Owner) WriteSnapshot(w io.Writer, provs ...Provider) (int64, error) {
 	return o.WriteSnapshotCert(w, nil, provs...)
@@ -224,41 +218,49 @@ func (o *Owner) WriteSnapshot(w io.Writer, provs ...Provider) (int64, error) {
 // epoch must match the owner's — a stale one would fail every audit, so it
 // is rejected here rather than persisted.
 func (o *Owner) WriteSnapshotCert(w io.Writer, c *cert.Certificate, provs ...Provider) (int64, error) {
-	set := &ProviderSet{
-		Cfg: o.cfg, Graph: o.g, Verifier: o.Verifier(), Epoch: o.Epoch(),
-	}
+	o.mu.Lock()
+	set := &ProviderSet{Cfg: o.cfg, Graph: o.net, Verifier: o.Verifier(), Epoch: o.epoch, cert: c}
+	o.mu.Unlock()
 	if c != nil && c.Epoch() != set.Epoch {
 		return 0, fmt.Errorf("core: certificate epoch %d does not match owner epoch %d — re-issue with Certify", c.Epoch(), set.Epoch)
 	}
-	set.cert = c
-	// The current frozen view, if one exists: every provider outsourced
-	// from or patched through this owner shares it, so pointer identity is
-	// an exact staleness test. nil (never frozen, e.g. a freshly restored
-	// owner) disables the test — no update can have run yet.
-	o.mu.Lock()
-	frozen := o.frozen
-	o.mu.Unlock()
+	provs, err := currentProviders(set.Graph, provs, "snapshotting")
+	if err != nil {
+		return 0, err
+	}
 	for _, p := range provs {
-		if p == nil || p.graphRef() == nil {
-			continue
-		}
-		if p.graphRef() != o.g {
-			return 0, fmt.Errorf("core: %s provider was not outsourced from this owner", p.Method())
-		}
-		if frozen != nil && p.viewRef() != frozen {
-			return 0, fmt.Errorf("core: %s provider is stale — patch it through the latest update batch before snapshotting", p.Method())
-		}
 		set.SetProvider(p)
 	}
 	return set.WriteTo(w)
+}
+
+// currentProviders drops the nil providers of provs and checks that every
+// other one searches net, the owner's network at its current epoch. Each
+// epoch's network is a CSR nobody modifies, shared by exactly the providers
+// outsourced or patched at that epoch, so one pointer comparison rejects
+// both a provider from another owner and a stale one that an update batch
+// has since superseded — snapshotting or certifying either would pair this
+// network with someone else's trees and signatures, and every replica
+// booted from the result would serve proofs that fail client verification.
+func currentProviders(net *graph.CSR, provs []Provider, use string) ([]Provider, error) {
+	var out []Provider
+	for _, p := range provs {
+		if p == nil || p.viewRef() == nil {
+			continue
+		}
+		if p.viewRef() != net {
+			return nil, fmt.Errorf("core: %s provider is not this owner's at its current epoch — outsource it from this owner, or patch it through the latest update batch, before %s", p.Method(), use)
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // WriteTo serializes the set into w in snapshot container format: the core
 // sections (config, graph, verifier, ordering) followed by one section per
 // present method, in the registry's canonical order. It returns the total
 // bytes written. Safe to call on a loaded set (replicas can re-publish the
-// snapshot they booted from); not safe concurrently with owner mutation of
-// the underlying graph.
+// snapshot they booted from).
 func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 	if s.Graph == nil || s.Verifier == nil {
 		return 0, errors.New("core: snapshot needs a graph and a verifier")
@@ -274,7 +276,7 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 	if err := sw.Section(snapKindConfig, appendSnapConfig(nil, s.Cfg)); err != nil {
 		return sw.Bytes(), err
 	}
-	// The graph streams straight into its section — its encoded size is
+	// The network streams straight into its section — its encoded size is
 	// exact arithmetic, so nothing buffers a second copy.
 	gw, err := sw.BeginSection(snapKindGraph, uint64(s.Graph.BinarySize()))
 	if err != nil {
@@ -444,41 +446,15 @@ func (s *ProviderSet) sharedOrdering() (*order.Ordering, error) {
 	return ord, nil
 }
 
-// RestoreOwner rebuilds an owner around a persisted private key and a
-// loaded snapshot's graph, config and epoch, so that subsequent
-// ApplyUpdates batches continue the snapshot's epoch sequence. The caller
-// must have checked that signer's public half matches the snapshot's
-// verifier (sig.Verifier.Equal) — an owner with a different key would
-// re-sign patched roots that no distributed verifier accepts.
-//
-// Prefer ProviderSet.RestoreOwner when the owner will hold the set's
-// loaded providers: it additionally adopts the load-time frozen view, so
-// the owner and the providers agree on the view the WriteSnapshot
-// staleness guard compares.
-func RestoreOwner(g *graph.Graph, cfg Config, signer *sig.Signer, epoch int64) (*Owner, error) {
-	if epoch < 0 {
-		return nil, fmt.Errorf("core: negative epoch %d", epoch)
-	}
-	o, err := NewOwnerWithSigner(g, cfg, signer)
-	if err != nil {
-		return nil, err
-	}
-	o.epoch = epoch
-	return o, nil
-}
-
-// RestoreOwner rebuilds an update-capable owner for this loaded set: the
-// snapshot's graph, config and epoch, plus the load-time frozen view the
-// set's providers search — a lazily rebuilt view would be a different
-// pointer and the staleness guard would falsely reject the loaded
-// providers on the next save.
+// RestoreOwner rebuilds an update-capable owner for this loaded set around
+// the owner's persisted private key: the set's network, config and epoch,
+// so subsequent ApplyUpdates batches continue the snapshot's epoch sequence
+// and the set's providers count as current. The caller must have checked
+// that signer's public half matches the set's verifier
+// (sig.Verifier.Equal) — an owner with a different key would re-sign
+// patched roots that no distributed verifier accepts.
 func (s *ProviderSet) RestoreOwner(signer *sig.Signer) (*Owner, error) {
-	o, err := RestoreOwner(s.Graph, s.Cfg, signer, s.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	o.frozen = s.view
-	return o, nil
+	return newOwner(s.Graph, s.Cfg, signer, s.Epoch)
 }
 
 // --- core section payload encodings ---
@@ -602,19 +578,19 @@ func (c *snapCursor) tree() *mht.Tree {
 	return t
 }
 
-// rehydrateADS rebuilds a networkADS from the loaded graph, ordering and
+// rehydrateADS rebuilds a networkADS from the loaded network, ordering and
 // tree for a method section decoder: the tree digests come from the
-// snapshot; leaf messages are re-encoded (deterministic in the graph and
+// snapshot; leaf messages are re-encoded (deterministic in the network and
 // the method's extra bytes) chunk by chunk on first query touch, so a
 // freshly opened replica's first proof encodes only the tuples it actually
 // covers. An eager load materializes the table right after (hydrateAll).
 func (env *SnapshotEnv) rehydrateADS(tree *mht.Tree, extraFn func(graph.NodeID) []byte) (*networkADS, error) {
-	g, n := env.Graph, env.Graph.NumNodes()
+	n := env.Graph.NumNodes()
 	if tree.NumLeaves() != n {
 		return nil, fmt.Errorf("%w: network tree has %d leaves for %d nodes", ErrBadSnapshot, tree.NumLeaves(), n)
 	}
 	return &networkADS{ord: env.Ord, tree: tree, msgs: make([][]byte, n), lazy: &tupleFill{
-		g: g, extraFn: extraFn,
+		net: env.Graph, extraFn: extraFn,
 		chunks: make([]sync.Once, (n+tupleChunk-1)/tupleChunk),
 	}}, nil
 }

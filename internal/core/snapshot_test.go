@@ -364,14 +364,69 @@ func TestRestoreOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreOwner(set.Graph, set.Cfg, owner.signer, set.Epoch)
+	restored, err := set.RestoreOwner(owner.signer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Epoch() != set.Epoch {
 		t.Fatalf("restored epoch %d, want %d", restored.Epoch(), set.Epoch)
 	}
-	if _, err := RestoreOwner(set.Graph, set.Cfg, owner.signer, -1); err == nil {
+	set.Epoch = -1
+	if _, err := set.RestoreOwner(owner.signer); err == nil {
 		t.Fatal("negative epoch accepted")
+	}
+}
+
+// TestLazyRestoreUpdateVerifies is the regression pin for an owner resumed
+// from a lazily opened snapshot: its first update batch must patch the
+// loaded providers into ones whose proofs verify. A provider's lazily
+// filled tuple table encodes from the provider's own network, so the patch
+// sees the re-weighted endpoints as dirty leaves; were it to encode from
+// the owner's post-update network, the patch would find nothing to rewrite
+// and keep signing the pre-update root over post-update tuples.
+func TestLazyRestoreUpdateVerifies(t *testing.T) {
+	owner, dij, full, ldm, hyp := snapshotWorld(t, 220, 300)
+	path, _ := writeSnapshotFile(t, owner, dij, full, ldm, hyp)
+	set, err := OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	restored, err := set.RestoreOwner(owner.signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := restored.Graph().Neighbors(5)[0]
+	batch, err := restored.ApplyUpdates([]EdgeUpdate{{U: 5, V: e.To, W: e.W * 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every proof starts at the re-weighted edge's endpoint, so every proof
+	// carries one of the tuples the update changed.
+	var targets []graph.NodeID
+	for vt := graph.NodeID(1); len(targets) < 32; vt += 6 {
+		targets = append(targets, vt)
+	}
+	for _, m := range Methods() {
+		p, st, err := batch.Patch(set.Provider(m))
+		if err != nil {
+			t.Fatalf("patch %s: %v", m, err)
+		}
+		if st.LeavesPatched == 0 {
+			t.Errorf("%s: the update patched no network leaf", m)
+		}
+		rejected := 0
+		for _, vt := range targets {
+			pr, err := p.QueryProof(5, vt)
+			if err != nil {
+				t.Fatalf("%s query (5,%d): %v", m, vt, err)
+			}
+			if err := VerifyProof(set.Verifier, m, 5, vt, pr); err != nil {
+				rejected++
+			}
+		}
+		if rejected > 0 {
+			t.Errorf("%s: %d of %d patched proofs rejected", m, rejected, len(targets))
+		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 func tableOf(t *testing.T, g *graph.Graph, kind tupleExtra, extra func(graph.NodeID) []byte, drop ...graph.NodeID) *verifyScratch {
 	t.Helper()
 	var recs []tupleRecord
+	net := g.Freeze()
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 		if !slices.Contains(drop, v) {
-			recs = append(recs, tupleRecord{Pos: uint32(v), Bytes: encodeTupleMsg(g, v, extra, nil)})
+			recs = append(recs, tupleRecord{Pos: uint32(v), Bytes: encodeTupleMsg(net, v, extra, nil)})
 		}
 	}
 	s := &verifyScratch{}

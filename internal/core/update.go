@@ -16,10 +16,13 @@ import (
 // This file is the owner's incremental update pipeline: edge re-weighting
 // without a full re-outsource. The flow is
 //
-//	probe → mutate → patch → re-sign
+//	probe → re-weight → patch → re-sign
 //
-// ApplyUpdates runs, per update, two probe Dijkstras from the edge's
-// endpoints over the pre-update network. Because the network is undirected,
+// ApplyUpdates copies the current network's edge array once per batch (the
+// offsets and coordinates stay shared), re-weights the copy update by
+// update, and publishes it as the next epoch's network at the end. Per
+// update it runs two probe Dijkstras from the edge's endpoints over the
+// copy as it stands before that update. Because the network is undirected,
 // those two rows give dist(s, u) and dist(s, v) for *every* source s, which
 // is exactly what the relaxation test needs to decide whether s's distances
 // can change at all: an edge (u, v) is irrelevant for s when its relaxation
@@ -44,17 +47,13 @@ type EdgeUpdate struct {
 }
 
 // UpdateBatch is the owner-side outcome of ApplyUpdates: the post-update
-// frozen view plus the dirty sets every method's Patch needs. It stays valid
+// network plus the dirty sets every method's Patch needs. It stays valid
 // until the next ApplyUpdates call.
 type UpdateBatch struct {
 	owner   *Owner
 	newView *graph.CSR
 	epoch   int64
-
-	// What Rollback restores: the frozen view before the batch, and each
-	// changed edge with its old weight, in application order.
-	oldView *graph.CSR
-	undo    []EdgeUpdate
+	oldView *graph.CSR // the network before the batch — what Rollback restores
 
 	dirty    []graph.NodeID // endpoints of actually-changed edges, deduped
 	affected []bool         // affected[s] ⇒ distances from s may have changed
@@ -80,11 +79,11 @@ type bridgeFast struct {
 	u, v graph.NodeID
 	wNew float64
 	inF  []bool // x is on v's side of the bridge
-	// view is the owner's graph, read for adjacency and non-bridge
-	// weights. The lazy near-side walk may run after the bridge weight is
-	// mutated — harmless, because the masked search never reads the
+	// view is the batch's network, read for adjacency and non-bridge
+	// weights. The lazy near-side walk may run after the bridge is
+	// re-weighted — harmless, because the masked search never reads the
 	// bridge edge and a single-update batch changes nothing else.
-	view graph.View
+	view *graph.CSR
 
 	// Topological walks of each side (parents precede children): pX[k] is
 	// orderX[k]'s shortest-path-tree parent and wX[k] the connecting edge
@@ -159,7 +158,7 @@ func (m *maskedView) Neighbors(x graph.NodeID) []graph.Edge {
 // Tarjan set (computed once, cached) answers membership; the far side's
 // shortest-path tree then comes from one Dijkstra over the masked view,
 // which explores only that side.
-func (o *Owner) bridgePlan(view graph.View, u, v graph.NodeID, wNew float64) *bridgeFast {
+func (o *Owner) bridgePlan(view *graph.CSR, u, v graph.NodeID, wNew float64) *bridgeFast {
 	side, ok := o.bridgeSet()[graph.EdgeKey(u, v)]
 	if !ok {
 		return nil
@@ -201,7 +200,7 @@ func (f *bridgeFast) ensureNear() {
 // order with per-node parents and connecting edge weights; the root's
 // resum parent is crossParent over the bridge at weight wNew. marks, when
 // non-nil, records membership.
-func treeWalk(view graph.View, par []graph.NodeID, root, crossParent graph.NodeID, wNew float64, marks []bool) (order, p []graph.NodeID, w []float64) {
+func treeWalk(view *graph.CSR, par []graph.NodeID, root, crossParent graph.NodeID, wNew float64, marks []bool) (order, p []graph.NodeID, w []float64) {
 	children := make([][]graph.NodeID, len(par))
 	for x, pp := range par {
 		if pp != graph.Invalid {
@@ -226,19 +225,9 @@ func treeWalk(view graph.View, par []graph.NodeID, root, crossParent graph.NodeI
 	for k := 1; k < len(order); k++ {
 		x := order[k]
 		p[k] = par[x]
-		w[k] = edgeWeightIn(view, p[k], x)
+		w[k], _ = view.EdgeWeight(p[k], x) // parents always connect to children
 	}
 	return order, p, w
-}
-
-// edgeWeightIn scans v's (short, sorted) adjacency in the frozen view.
-func edgeWeightIn(view graph.View, u, v graph.NodeID) float64 {
-	for _, e := range view.Neighbors(u) {
-		if e.To == v {
-			return e.W
-		}
-	}
-	return sp.Unreachable // unreachable: parents always connect to children
 }
 
 // Epoch returns the owner epoch this batch produced.
@@ -283,44 +272,46 @@ type PatchStats struct {
 // network state it observes, so the accumulated affected set covers every
 // source whose distances could have changed at any step.
 //
-// ApplyUpdates mutates the owner's graph: it must not run concurrently
-// with Outsource or with another ApplyUpdates (the serving layer's
-// Deployment serializes updates). Providers are unaffected until patched —
-// they search the snapshots they were built against.
+// The batch re-weights a private copy of the network's edge array and
+// publishes it as the owner's next epoch only at the end; the CSR the
+// owner held before — and every provider searching it — never changes.
+// ApplyUpdates must not run concurrently with Outsource or with another
+// ApplyUpdates (the serving layer's Deployment serializes updates).
 func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 	if len(ups) == 0 {
 		return nil, fmt.Errorf("core: empty update batch")
 	}
-	// Validate the whole batch before mutating anything: a bad update
-	// mid-batch must not leave the graph half-applied with no recovery
-	// path short of re-outsourcing against a stale frozen view.
+	old := o.Graph()
+	// Validate the whole batch before re-weighting anything: a bad update
+	// mid-batch must not publish a half-applied network.
 	for _, up := range ups {
-		if _, ok := o.g.EdgeWeight(up.U, up.V); !ok {
+		if _, ok := old.EdgeWeight(up.U, up.V); !ok {
 			return nil, fmt.Errorf("%w: no edge (%d, %d)", graph.ErrBadEdge, up.U, up.V)
 		}
 		if up.W < 0 || math.IsNaN(up.W) || math.IsInf(up.W, 0) {
 			return nil, fmt.Errorf("%w: weight %v", graph.ErrBadEdge, up.W)
 		}
 	}
-	n := o.g.NumNodes()
-	b := &UpdateBatch{owner: o, affected: make([]bool, n), oldView: o.frozenView()}
+	n := old.NumNodes()
+	b := &UpdateBatch{owner: o, affected: make([]bool, n), oldView: old}
+	net := old // becomes the batch's private copy at the first real change
 	seen := make(map[graph.NodeID]bool, 2*len(ups))
 	var du, dv []float64
-	changed := 0
 	for _, up := range ups {
-		oldW, _ := o.g.EdgeWeight(up.U, up.V)
+		oldW, _ := net.EdgeWeight(up.U, up.V)
 		if up.W == oldW {
 			continue // no-op: nothing dirtied
 		}
-		changed++
-		// Probes and plans read o.g directly — ApplyUpdates is the sole
-		// writer, and each step's reads complete before its mutation.
+		if net == old {
+			net = old.WithPrivateEdges()
+		}
+		// Probes and plans read net before this step re-weights it.
 		b.fast = nil
 		if len(ups) == 1 {
 			// A lone bridge update resums rows instead of re-running them
 			// (multi-update batches fall back to row granularity — their
 			// resum bases would be mid-sequence states).
-			b.fast = o.bridgePlan(o.g, up.U, up.V, up.W)
+			b.fast = o.bridgePlan(net, up.U, up.V, up.W)
 		}
 		if b.fast != nil {
 			// A bridge shifts every crossing distance, so every row is
@@ -329,18 +320,17 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 				b.affected[s] = true
 			}
 		} else {
-			// Probe: two endpoint Dijkstras over the pre-update network
+			// Probe: two endpoint Dijkstras over the pre-step network
 			// bound which sources the re-weighting can matter to.
 			w := sp.AcquireWorkspace(n)
-			du = w.DijkstraRow(o.g, up.U, du)
-			dv = w.DijkstraRow(o.g, up.V, dv)
+			du = w.DijkstraRow(net, up.U, du)
+			dv = w.DijkstraRow(net, up.V, dv)
 			sp.ReleaseWorkspace(w)
 			markAffected(b.affected, du, dv, math.Min(oldW, up.W))
 		}
-		if _, err := o.g.SetEdgeWeight(up.U, up.V, up.W); err != nil {
+		if _, err := net.SetEdgeWeight(up.U, up.V, up.W); err != nil {
 			return nil, err
 		}
-		b.undo = append(b.undo, EdgeUpdate{U: up.U, V: up.V, W: oldW})
 		for _, v := range [2]graph.NodeID{up.U, up.V} {
 			if !seen[v] {
 				seen[v] = true
@@ -353,39 +343,29 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 			b.srcs++
 		}
 	}
-	if changed == 0 {
-		// All no-ops: nothing to re-freeze, no new epoch — callers see an
-		// empty batch whose patches return their providers untouched.
-		b.newView = b.oldView
-		b.epoch = o.Epoch()
-		return b, nil
-	}
 	o.mu.Lock()
-	o.frozen = o.g.Freeze()
-	o.epoch++
-	b.newView = o.frozen
-	b.epoch = o.epoch
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	if net != old {
+		// All no-ops publish nothing and keep the epoch: callers see an
+		// empty batch whose patches return their providers untouched.
+		o.net = net
+		o.epoch++
+	}
+	b.newView, b.epoch = o.net, o.epoch
 	return b, nil
 }
 
-// Rollback returns the owner to where it stood before this batch — edge
-// weights, frozen view, epoch — for a caller whose provider patches failed
-// and who therefore swaps nothing. Only the owner's latest batch may be
-// rolled back, and only once; providers patched from it are to be dropped.
+// Rollback returns the owner to where it stood before this batch — network
+// and epoch — for a caller whose provider patches failed and who therefore
+// swaps nothing. Only the owner's latest batch may be rolled back; a second
+// call is a no-op, and providers patched from the batch are to be dropped.
 func (b *UpdateBatch) Rollback() {
-	if len(b.undo) == 0 {
-		return // a no-op batch moved nothing
-	}
 	o := b.owner
-	for i := len(b.undo) - 1; i >= 0; i-- {
-		// Cannot fail: the edge exists and W was its weight a moment ago.
-		_, _ = o.g.SetEdgeWeight(b.undo[i].U, b.undo[i].V, b.undo[i].W)
-	}
-	b.undo = nil
 	o.mu.Lock()
-	o.frozen, o.epoch = b.oldView, b.epoch-1
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	if o.net == b.newView && b.newView != b.oldView {
+		o.net, o.epoch = b.oldView, b.epoch-1
+	}
 }
 
 // markAffected ORs in the relaxation test: source s is possibly affected
@@ -433,12 +413,14 @@ func payloadChanged(old, new *landmark.Hints, v graph.NodeID) bool {
 }
 
 // dirtyTupleMsgs re-encodes the batch's dirty nodes' tuples against the
-// post-update graph and returns the leaf messages that actually changed.
+// post-update network and returns the leaf messages that actually changed
+// — compared with the provider's own leaves, which its own (pre-update)
+// network encodes.
 func (b *UpdateBatch) dirtyTupleMsgs(a *networkADS, extraFn func(graph.NodeID) []byte) map[int][]byte {
 	out := make(map[int][]byte, len(b.dirty))
 	for _, v := range b.dirty {
 		pos := a.ord.Pos[v]
-		msg := encodeTupleMsg(b.owner.g, v, extraFn, nil)
+		msg := encodeTupleMsg(b.newView, v, extraFn, nil)
 		if !bytes.Equal(msg, a.msg(pos)) {
 			out[pos] = msg
 		}
@@ -475,7 +457,7 @@ func (dijImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 			return nil, nil, err
 		}
 	}
-	return &DIJProvider{providerBase{p.g, b.newView, ads}, rootSig}, st, nil
+	return &DIJProvider{providerBase{b.newView, ads}, rootSig}, st, nil
 }
 
 // Patch derives an updated LDM provider: re-run only the affected
@@ -567,7 +549,7 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 				if !endpoint[v] && !payloadChanged(h, nh, v) {
 					continue
 				}
-				msg := encodeTupleMsg(b.owner.g, v, func(v graph.NodeID) []byte {
+				msg := encodeTupleMsg(b.newView, v, func(v graph.NodeID) []byte {
 					return nh.PayloadOf(v).AppendBinary(nh.Bits, nil)
 				}, nil)
 				if !bytes.Equal(msg, a.msgs[pos]) {
@@ -598,7 +580,7 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 			return nil, nil, err
 		}
 	}
-	return &LDMProvider{providerBase: providerBase{p.g, b.newView, ads}, hints: nh, rootSig: rootSig}, st, nil
+	return &LDMProvider{providerBase: providerBase{b.newView, ads}, hints: nh, rootSig: rootSig}, st, nil
 }
 
 // Patch derives an updated HYP provider: the grid partition and border
@@ -688,7 +670,7 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		}
 	}
 	return &HYPProvider{
-		providerBase: providerBase{p.g, b.newView, ads},
+		providerBase: providerBase{b.newView, ads},
 		hyper:        hyper, distMBT: distMBT, netSig: netSig, distSig: distSig,
 	}, st, nil
 }
@@ -766,7 +748,7 @@ func (fullImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, err
 		}
 	}
 	return &FULLProvider{
-		providerBase: providerBase{p.g, b.newView, ads},
+		providerBase: providerBase{b.newView, ads},
 		forest:       forest, netSig: netSig, distSig: distSig,
 	}, st, nil
 }

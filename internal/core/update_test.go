@@ -25,7 +25,7 @@ func patch[T Provider](t testing.TB, b *UpdateBatch, p T) (T, *PatchStats) {
 
 // randomUpdates picks `count` random existing edges and re-weights them by
 // factors that cover decreases, increases and exact no-ops.
-func randomUpdates(g *graph.Graph, rng *rand.Rand, count int) []EdgeUpdate {
+func randomUpdates(g graph.View, rng *rand.Rand, count int) []EdgeUpdate {
 	factors := []float64{0.5, 0.93, 1.0, 1.5, 2.0}
 	ups := make([]EdgeUpdate, 0, count)
 	for len(ups) < count {
@@ -39,6 +39,21 @@ func randomUpdates(g *graph.Graph, rng *rand.Rand, count int) []EdgeUpdate {
 		ups = append(ups, EdgeUpdate{U: u, V: e.To, W: w})
 	}
 	return ups
+}
+
+// thaw returns a builder holding net — what a from-scratch rebuild of an
+// updated owner's network starts from — through the one SPVG codec.
+func thaw(t testing.TB, net *graph.CSR) *graph.Graph {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := net.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestIncrementalUpdateMatchesRebuild is the cross-validation gate of the
@@ -128,11 +143,12 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 	cfg2 := cfg
 	cfg2.PinnedLandmarks = pinned
 	cfg2.PinnedLambda = w.ldm.Lambda()
-	owner2, err := NewOwnerWithSigner(owner.Graph().Clone(), cfg2, signer)
+	g2 := thaw(t, owner.Graph())
+	owner2, err := NewOwnerWithSigner(g2, cfg2, signer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := outsourceWorld(t, owner2.Graph(), owner2)
+	r := outsourceWorld(t, g2, owner2)
 
 	mustEq := func(what string, a, b []byte) {
 		t.Helper()
@@ -219,6 +235,35 @@ func TestNoOpUpdateLeavesEverythingUntouched(t *testing.T) {
 	}
 	if !bytes.Equal(p2.ads.Root(), dij.ads.Root()) || !bytes.Equal(p2.rootSig, dij.rootSig) {
 		t.Fatal("no-op update changed root or signature")
+	}
+}
+
+// TestOwnerDoesNotAliasBuilder pins that NewOwner freezes the caller's
+// builder instead of adopting it: an update batch publishes a new network
+// and leaves both the builder and the previous epoch's network as they were.
+func TestOwnerDoesNotAliasBuilder(t *testing.T) {
+	g, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := owner.Graph()
+	u := graph.NodeID(5)
+	e := g.Neighbors(u)[0]
+	if _, err := owner.ApplyUpdates([]EdgeUpdate{{U: u, V: e.To, W: 2 * e.W}}); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := g.EdgeWeight(u, e.To); w != e.W {
+		t.Errorf("the builder passed to NewOwner reads %v after the update, want its own %v", w, e.W)
+	}
+	if w, _ := before.EdgeWeight(u, e.To); w != e.W {
+		t.Errorf("the pre-update network reads %v, want %v", w, e.W)
+	}
+	if w, _ := owner.Graph().EdgeWeight(u, e.To); w != 2*e.W {
+		t.Errorf("the owner's network reads %v after the update, want %v", w, 2*e.W)
 	}
 }
 

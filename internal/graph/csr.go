@@ -1,12 +1,15 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// View is the read-only adjacency surface shared by the mutable Graph and
+// View is the read-only adjacency surface shared by the builder Graph and
 // the frozen CSR: everything a graph search needs, nothing a mutator could
 // race against. All shortest path algorithms in internal/sp accept a View,
-// so owners/netgen keep the builder API while providers iterate the frozen
-// form.
+// so generators and tests keep the builder API while everything past
+// outsourcing iterates the frozen form.
 type View interface {
 	// NumNodes returns |V|.
 	NumNodes() int
@@ -23,13 +26,16 @@ var (
 
 // CSR is a frozen compressed-sparse-row snapshot of a Graph: every
 // adjacency list laid out back-to-back in one flat []Edge, indexed by a
-// []int32 offset table. Compared to the mutable [][]Edge form it removes
+// []int32 offset table. Compared to the builder's [][]Edge form it removes
 // one pointer indirection per node and keeps all half-edges contiguous, so
 // a Dijkstra sweep walks memory almost linearly instead of chasing
-// per-node slice headers. Providers build one when outsourced and every
-// search on the query hot path iterates it.
+// per-node slice headers. It is the one network representation past
+// outsourcing: owners hold one per update epoch, and providers, snapshot
+// loaders and certificate audits read theirs and nothing else.
 //
-// A CSR is immutable and safe for unbounded concurrent use.
+// A CSR is immutable and safe for unbounded concurrent use — except the
+// private copy WithPrivateEdges hands out, which its holder re-weights
+// before anyone else reads it.
 type CSR struct {
 	offs  []int32 // len NumNodes+1; half-edges of v at edges[offs[v]:offs[v+1]]
 	edges []Edge  // all half-edges, adjacency order preserved
@@ -40,8 +46,9 @@ type CSR struct {
 
 // Freeze snapshots g into CSR form. The snapshot is deep: later mutations
 // of g are not visible through it. Freeze preserves the exact adjacency
-// order of g, so searches over the CSR settle nodes in the same order (and
-// produce the same proofs) as searches over g.
+// order of g — ascending neighbor IDs, as AddEdge keeps it — so searches
+// over the CSR settle nodes in the same order (and produce the same proofs)
+// as searches over g, and tuples need no canonicalization sort.
 func (g *Graph) Freeze() *CSR {
 	n := g.NumNodes()
 	half := 0
@@ -68,6 +75,42 @@ func (g *Graph) Freeze() *CSR {
 	return c
 }
 
+// WithPrivateEdges returns a CSR that shares c's offsets and coordinates
+// but owns a copy of its edge array — the next update epoch's network, for
+// its holder to re-weight with SetEdgeWeight and only then publish. c is
+// untouched, so everything still reading it keeps its snapshot.
+func (c *CSR) WithPrivateEdges() *CSR {
+	nc := *c
+	nc.edges = append([]Edge(nil), c.edges...)
+	return &nc
+}
+
+// SetEdgeWeight re-weights the existing undirected edge (u, v) in place,
+// returning the previous weight. The adjacency structure (and therefore
+// every ordering and partition derived from it) is unchanged. Only the
+// holder of a WithPrivateEdges copy no other goroutine has seen yet may call
+// it; a published CSR is immutable.
+func (c *CSR) SetEdgeWeight(u, v NodeID, w float64) (float64, error) {
+	switch {
+	case !c.valid(u) || !c.valid(v):
+		return 0, fmt.Errorf("%w: endpoint out of range (%d, %d)", ErrBadEdge, u, v)
+	case w < 0 || math.IsNaN(w) || math.IsInf(w, 0):
+		return 0, fmt.Errorf("%w: weight %v", ErrBadEdge, w)
+	}
+	au, av := c.Neighbors(u), c.Neighbors(v)
+	iu, ok := searchAdj(au, v)
+	if !ok {
+		return 0, fmt.Errorf("%w: no edge (%d, %d)", ErrBadEdge, u, v)
+	}
+	iv, _ := searchAdj(av, u)
+	old := au[iu].W
+	au[iu].W = w
+	av[iv].W = w
+	return old, nil
+}
+
+func (c *CSR) valid(v NodeID) bool { return v >= 0 && int(v) < c.NumNodes() }
+
 // NumNodes returns |V|.
 func (c *CSR) NumNodes() int { return len(c.offs) - 1 }
 
@@ -86,3 +129,98 @@ func (c *CSR) X(v NodeID) float64 { return c.xs[v] }
 
 // Y returns the y coordinate of v.
 func (c *CSR) Y(v NodeID) float64 { return c.ys[v] }
+
+// EdgeWeight returns the weight of edge (u, v) and whether it exists.
+func (c *CSR) EdgeWeight(u, v NodeID) (float64, bool) {
+	if !c.valid(u) || !c.valid(v) {
+		return 0, false
+	}
+	adj := c.Neighbors(u)
+	i, ok := searchAdj(adj, v)
+	if !ok {
+		return 0, false
+	}
+	return adj[i].W, true
+}
+
+// Bounds returns the bounding box of all node coordinates. For an empty
+// network it returns zeros.
+func (c *CSR) Bounds() (minX, minY, maxX, maxY float64) {
+	if c.NumNodes() == 0 {
+		return 0, 0, 0, 0
+	}
+	minX, maxX = c.xs[0], c.xs[0]
+	minY, maxY = c.ys[0], c.ys[0]
+	for i := 1; i < c.NumNodes(); i++ {
+		minX = math.Min(minX, c.xs[i])
+		maxX = math.Max(maxX, c.xs[i])
+		minY = math.Min(minY, c.ys[i])
+		maxY = math.Max(maxY, c.ys[i])
+	}
+	return minX, minY, maxX, maxY
+}
+
+// BridgeSide describes one bridge: Node is the endpoint whose side of the
+// cut is the DFS subtree, Size that side's node count. The other side is
+// the rest of the component.
+type BridgeSide struct {
+	Node NodeID
+	Size int32
+}
+
+// Bridges returns the bridge edges (edges whose removal disconnects their
+// component), keyed by EdgeKey, each annotated with its cut side. Bridges
+// are a topology-only property — re-weighting never changes them — so
+// callers may cache the set across weight updates. Iterative Tarjan
+// lowlink, O(|V|+|E|).
+func (c *CSR) Bridges() map[uint64]BridgeSide {
+	n := c.NumNodes()
+	bridges := make(map[uint64]BridgeSide)
+	disc := make([]int32, n) // 0 = unvisited; else discovery time+1
+	low := make([]int32, n)
+	size := make([]int32, n) // DFS subtree size
+	parent := make([]NodeID, n)
+	next := make([]int, n) // per-node adjacency cursor for the explicit stack
+	var stack []NodeID
+	time := int32(0)
+	for s := 0; s < n; s++ {
+		if disc[s] != 0 {
+			continue
+		}
+		parent[s] = Invalid
+		time++
+		disc[s], low[s], size[s] = time, time, 1
+		stack = append(stack[:0], NodeID(s))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			adj := c.Neighbors(v)
+			if next[v] < len(adj) {
+				e := adj[next[v]]
+				next[v]++
+				switch {
+				case disc[e.To] == 0:
+					parent[e.To] = v
+					time++
+					disc[e.To], low[e.To], size[e.To] = time, time, 1
+					stack = append(stack, e.To)
+				case e.To != parent[v]:
+					if disc[e.To] < low[v] {
+						low[v] = disc[e.To]
+					}
+				}
+				continue
+			}
+			stack = stack[:len(stack)-1]
+			if p := parent[v]; p != Invalid {
+				size[p] += size[v]
+				if low[v] < low[p] {
+					low[p] = low[v]
+				}
+				if low[v] > disc[p] {
+					bridges[EdgeKey(p, v)] = BridgeSide{Node: v, Size: size[v]}
+				}
+			}
+		}
+	}
+	return bridges
+}

@@ -67,6 +67,35 @@ func TestFreezeIsSnapshot(t *testing.T) {
 	}
 }
 
+// TestPrivateEdgesCopyOnWrite pins the update path's one mutable moment: a
+// WithPrivateEdges copy re-weights both halves of an edge, and the CSR it
+// was copied from — which readers may still hold — keeps every weight.
+func TestPrivateEdgesCopyOnWrite(t *testing.T) {
+	g := New(3)
+	a, b, c := g.AddNode(0, 0), g.AddNode(1, 0), g.AddNode(2, 0)
+	g.MustAddEdge(a, b, 1)
+	g.MustAddEdge(b, c, 2)
+	old := g.Freeze()
+	next := old.WithPrivateEdges()
+	if prev, err := next.SetEdgeWeight(c, b, 5); err != nil || prev != 2 {
+		t.Fatalf("SetEdgeWeight = %v, %v; want 2, nil", prev, err)
+	}
+	for _, uv := range [][2]NodeID{{b, c}, {c, b}} {
+		if w, _ := next.EdgeWeight(uv[0], uv[1]); w != 5 {
+			t.Errorf("copy: w(%d, %d) = %v, want 5", uv[0], uv[1], w)
+		}
+		if w, _ := old.EdgeWeight(uv[0], uv[1]); w != 2 {
+			t.Errorf("original: w(%d, %d) = %v, want 2", uv[0], uv[1], w)
+		}
+	}
+	if _, err := next.SetEdgeWeight(a, c, 1); err == nil {
+		t.Error("re-weighting a missing edge succeeded")
+	}
+	if _, err := next.SetEdgeWeight(a, b, -1); err == nil {
+		t.Error("negative weight accepted")
+	}
+}
+
 // TestAddEdgeKeepsAdjacencySorted pins the always-sorted invariant under
 // adversarial insertion order, so tuple canonicalization never depends on a
 // separate sort pass.

@@ -39,9 +39,10 @@ type Edge struct {
 // scans — the difference between O(Σdeg²) and O(Σdeg·log deg) bulk loads —
 // and tuple encodings never need a separate canonicalization sort.
 //
-// Graph is not safe for concurrent mutation; concurrent reads are safe.
-// For the read-only query hot path, Freeze yields a cache-friendly CSR
-// snapshot (see csr.go).
+// Graph is the builder: generators, file readers and tests assemble a
+// network with it, and Freeze turns it into the CSR (csr.go) that owners,
+// providers and loaders read from then on. Graph is not safe for
+// concurrent mutation; concurrent reads are safe.
 type Graph struct {
 	xs, ys []float64
 	adj    [][]Edge
@@ -154,30 +155,6 @@ func (g *Graph) MustAddEdge(u, v NodeID, w float64) {
 }
 
 func (g *Graph) valid(v NodeID) bool { return v >= 0 && int(v) < len(g.adj) }
-
-// SetEdgeWeight re-weights the existing undirected edge (u, v), returning
-// the previous weight. The adjacency structure (and therefore every
-// ordering and partition derived from it) is unchanged — this is the
-// mutation primitive behind the owner's incremental update pipeline.
-// Not safe for use concurrent with readers of g; providers search frozen
-// CSR snapshots precisely so the owner can mutate between freezes.
-func (g *Graph) SetEdgeWeight(u, v NodeID, w float64) (float64, error) {
-	switch {
-	case !g.valid(u) || !g.valid(v):
-		return 0, fmt.Errorf("%w: endpoint out of range (%d, %d)", ErrBadEdge, u, v)
-	case w < 0 || math.IsNaN(w) || math.IsInf(w, 0):
-		return 0, fmt.Errorf("%w: weight %v", ErrBadEdge, w)
-	}
-	iu, ok := searchAdj(g.adj[u], v)
-	if !ok {
-		return 0, fmt.Errorf("%w: no edge (%d, %d)", ErrBadEdge, u, v)
-	}
-	iv, _ := searchAdj(g.adj[v], u)
-	old := g.adj[u][iu].W
-	g.adj[u][iu].W = w
-	g.adj[v][iv].W = w
-	return old, nil
-}
 
 // RemoveEdge deletes the undirected edge (u, v), reporting whether it
 // existed.
@@ -299,71 +276,6 @@ func EdgeKey(u, v NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// BridgeSide describes one bridge: Node is the endpoint whose side of the
-// cut is the DFS subtree, Size that side's node count. The other side is
-// the rest of the component.
-type BridgeSide struct {
-	Node NodeID
-	Size int32
-}
-
-// Bridges returns the bridge edges (edges whose removal disconnects their
-// component), keyed by EdgeKey, each annotated with its cut side. Bridges
-// are a topology-only property — re-weighting never changes them — so
-// callers may cache the set across weight updates. Iterative Tarjan
-// lowlink, O(|V|+|E|).
-func (g *Graph) Bridges() map[uint64]BridgeSide {
-	n := g.NumNodes()
-	bridges := make(map[uint64]BridgeSide)
-	disc := make([]int32, n) // 0 = unvisited; else discovery time+1
-	low := make([]int32, n)
-	size := make([]int32, n) // DFS subtree size
-	parent := make([]NodeID, n)
-	next := make([]int, n) // per-node adjacency cursor for the explicit stack
-	var stack []NodeID
-	time := int32(0)
-	for s := 0; s < n; s++ {
-		if disc[s] != 0 {
-			continue
-		}
-		parent[s] = Invalid
-		time++
-		disc[s], low[s], size[s] = time, time, 1
-		stack = append(stack[:0], NodeID(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			adj := g.adj[v]
-			if next[v] < len(adj) {
-				e := adj[next[v]]
-				next[v]++
-				switch {
-				case disc[e.To] == 0:
-					parent[e.To] = v
-					time++
-					disc[e.To], low[e.To], size[e.To] = time, time, 1
-					stack = append(stack, e.To)
-				case e.To != parent[v]:
-					if disc[e.To] < low[v] {
-						low[v] = disc[e.To]
-					}
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != Invalid {
-				size[p] += size[v]
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if low[v] > disc[p] {
-					bridges[EdgeKey(p, v)] = BridgeSide{Node: v, Size: size[v]}
-				}
-			}
-		}
-	}
-	return bridges
-}
-
 // ConnectedComponents returns, for every node, the index of its connected
 // component, along with the number of components. Component indices are
 // assigned in order of first appearance.
@@ -401,21 +313,4 @@ func (g *Graph) IsConnected() bool {
 	}
 	_, n := g.ConnectedComponents()
 	return n == 1
-}
-
-// Bounds returns the bounding box of all node coordinates. For an empty
-// graph it returns zeros.
-func (g *Graph) Bounds() (minX, minY, maxX, maxY float64) {
-	if g.NumNodes() == 0 {
-		return 0, 0, 0, 0
-	}
-	minX, maxX = g.xs[0], g.xs[0]
-	minY, maxY = g.ys[0], g.ys[0]
-	for i := 1; i < g.NumNodes(); i++ {
-		minX = math.Min(minX, g.xs[i])
-		maxX = math.Max(maxX, g.xs[i])
-		minY = math.Min(minY, g.ys[i])
-		maxY = math.Max(maxY, g.ys[i])
-	}
-	return minX, minY, maxX, maxY
 }

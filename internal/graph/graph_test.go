@@ -162,7 +162,7 @@ func TestConnectedComponents(t *testing.T) {
 func TestTupleEncodingRoundTrip(t *testing.T) {
 	g := paperFig1(t)
 	for v := NodeID(0); v < NodeID(g.NumNodes()); v++ {
-		tup := g.TupleOf(v)
+		tup := g.Freeze().TupleOf(v)
 		enc := tup.AppendBinary(nil)
 		if len(enc) != tup.EncodedSize() {
 			t.Errorf("node %d: encoded %d bytes, EncodedSize says %d", v, len(enc), tup.EncodedSize())
@@ -187,7 +187,7 @@ func TestTupleEncodingRoundTrip(t *testing.T) {
 
 func TestTupleExtraRoundTrip(t *testing.T) {
 	g := paperFig1(t)
-	tup := g.TupleOf(3)
+	tup := g.Freeze().TupleOf(3)
 	tup.Extra = []byte{1, 2, 3, 4, 5}
 	enc := tup.AppendBinary(nil)
 	dec, n, err := DecodeTuple(enc, len(tup.Extra))
@@ -204,7 +204,7 @@ func TestTupleExtraRoundTrip(t *testing.T) {
 
 func TestDecodeTupleTruncated(t *testing.T) {
 	g := paperFig1(t)
-	enc := g.TupleOf(3).AppendBinary(nil)
+	enc := g.Freeze().TupleOf(3).AppendBinary(nil)
 	for cut := 0; cut < len(enc); cut += 5 {
 		if _, _, err := DecodeTuple(enc[:cut], 0); err == nil {
 			t.Errorf("decode of %d-byte prefix succeeded, want error", cut)
@@ -214,7 +214,7 @@ func TestDecodeTupleTruncated(t *testing.T) {
 
 func TestTupleWeightLookup(t *testing.T) {
 	g := paperFig1(t)
-	tup := g.TupleOf(5) // v6: neighbors 1, 3, 4, 6
+	tup := g.Freeze().TupleOf(5) // v6: neighbors 1, 3, 4, 6
 	w, ok := tup.Weight(3)
 	if !ok || w != 1 {
 		t.Errorf("Weight(3) = %v, %v; want 1, true", w, ok)
@@ -262,7 +262,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Errorf("empty graph invalid: %v", err)
 	}
-	minX, minY, maxX, maxY := g.Bounds()
+	minX, minY, maxX, maxY := g.Freeze().Bounds()
 	if minX != 0 || minY != 0 || maxX != 0 || maxY != 0 {
 		t.Error("empty bounds should be zero")
 	}
@@ -295,7 +295,7 @@ func TestBinaryIORoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(60))
 		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
+		if _, err := g.Freeze().WriteTo(&buf); err != nil {
 			t.Logf("write: %v", err)
 			return false
 		}
@@ -336,12 +336,13 @@ func graphsEqual(a, b *Graph) bool {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return false
 	}
+	ca, cb := a.Freeze(), b.Freeze()
 	for v := 0; v < a.NumNodes(); v++ {
 		if a.X(NodeID(v)) != b.X(NodeID(v)) || a.Y(NodeID(v)) != b.Y(NodeID(v)) {
 			return false
 		}
-		ta := a.TupleOf(NodeID(v))
-		tb := b.TupleOf(NodeID(v))
+		ta := ca.TupleOf(NodeID(v))
+		tb := cb.TupleOf(NodeID(v))
 		if !bytes.Equal(ta.AppendBinary(nil), tb.AppendBinary(nil)) {
 			return false
 		}
@@ -352,7 +353,7 @@ func graphsEqual(a, b *Graph) bool {
 func TestReadRejectsCorruptHeader(t *testing.T) {
 	g := paperFig1(t)
 	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
+	if _, err := g.Freeze().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

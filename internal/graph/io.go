@@ -20,50 +20,41 @@ const (
 	fmtVersion = 1
 )
 
-// WriteTo serializes the graph in the binary SPVG format.
-func (g *Graph) WriteTo(w io.Writer) (int64, error) {
+// WriteTo serializes the network in the binary SPVG format. A builder
+// writes itself through Freeze().WriteTo: one encoder for every SPVG byte.
+func (c *CSR) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	write := func(data any) error {
-		if err := binary.Write(bw, binary.BigEndian, data); err != nil {
-			return err
-		}
-		n += int64(binary.Size(data))
-		return nil
+	rec := make([]byte, 0, 16)
+	put := func() error {
+		k, err := bw.Write(rec)
+		n += int64(k)
+		rec = rec[:0]
+		return err
 	}
-	if _, err := bw.WriteString(magic); err != nil {
+	rec = append(rec, magic...)
+	rec = binary.BigEndian.AppendUint32(rec, fmtVersion)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(c.NumNodes()))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(c.NumEdges()))
+	if err := put(); err != nil {
 		return n, err
 	}
-	n += int64(len(magic))
-	if err := write(uint32(fmtVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(g.NumNodes())); err != nil {
-		return n, err
-	}
-	if err := write(uint32(g.NumEdges())); err != nil {
-		return n, err
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		if err := write(math.Float64bits(g.xs[i])); err != nil {
-			return n, err
-		}
-		if err := write(math.Float64bits(g.ys[i])); err != nil {
+	for i := range c.xs {
+		rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(c.xs[i]))
+		rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(c.ys[i]))
+		if err := put(); err != nil {
 			return n, err
 		}
 	}
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, e := range g.adj[u] {
+	for u := 0; u < c.NumNodes(); u++ {
+		for _, e := range c.Neighbors(NodeID(u)) {
 			if e.To <= NodeID(u) {
 				continue
 			}
-			if err := write(uint32(u)); err != nil {
-				return n, err
-			}
-			if err := write(uint32(e.To)); err != nil {
-				return n, err
-			}
-			if err := write(math.Float64bits(e.W)); err != nil {
+			rec = binary.BigEndian.AppendUint32(rec, uint32(u))
+			rec = binary.BigEndian.AppendUint32(rec, uint32(e.To))
+			rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(e.W))
+			if err := put(); err != nil {
 				return n, err
 			}
 		}
@@ -72,9 +63,9 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 }
 
 // BinarySize returns the exact byte size WriteTo produces — the length a
-// streaming snapshot writer must declare before piping the graph to disk.
-func (g *Graph) BinarySize() int64 {
-	return int64(len(magic)) + 12 + 16*int64(g.NumNodes()) + 16*int64(g.NumEdges())
+// streaming snapshot writer must declare before piping the network to disk.
+func (c *CSR) BinarySize() int64 {
+	return int64(len(magic)) + 12 + 16*int64(c.NumNodes()) + 16*int64(c.NumEdges())
 }
 
 // Read deserializes a graph written by WriteTo.

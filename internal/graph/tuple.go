@@ -1,11 +1,9 @@
 package graph
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -28,21 +26,12 @@ type Tuple struct {
 	Extra []byte
 }
 
-// TupleOf builds the extended-tuple of node v. AddEdge keeps every adjacency
-// list in ascending neighbor order, so Adj is the graph's own list, not a
-// copy — read-only, like Neighbors. Only a list found out of order (internals
-// manipulated directly) is copied and sorted, so the encoding stays
-// deterministic either way.
-func (g *Graph) TupleOf(v NodeID) Tuple {
-	adj := g.adj[v]
-	if !slices.IsSortedFunc(adj, byNeighbor) {
-		adj = slices.Clone(adj)
-		slices.SortFunc(adj, byNeighbor)
-	}
-	return Tuple{ID: v, X: g.xs[v], Y: g.ys[v], Adj: adj}
+// TupleOf builds the extended-tuple of node v. Freeze keeps the builder's
+// ascending neighbor order, so Adj is the network's own list, not a copy —
+// read-only, like Neighbors — and the encoding is canonical as it stands.
+func (c *CSR) TupleOf(v NodeID) Tuple {
+	return Tuple{ID: v, X: c.xs[v], Y: c.ys[v], Adj: c.Neighbors(v)}
 }
-
-func byNeighbor(a, b Edge) int { return cmp.Compare(a.To, b.To) }
 
 // AppendBinary appends the canonical binary encoding of Φ(v) to buf and
 // returns the extended slice. The layout is:

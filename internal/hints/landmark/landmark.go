@@ -118,17 +118,16 @@ type Stats struct {
 // is inherently sequential (each pick depends on the previous row's
 // distances), so only its derivation stages parallelize. Either way the
 // resulting hints are byte-identical to a single-threaded build.
-func Build(g *graph.Graph, opts Options) (*Hints, Stats, error) {
+func Build(view graph.View, opts Options) (*Hints, Stats, error) {
 	var stats Stats
 	if err := opts.Validate(); err != nil {
 		return nil, stats, err
 	}
-	n := g.NumNodes()
+	n := view.NumNodes()
 	if n == 0 {
 		return nil, stats, fmt.Errorf("landmark: empty graph")
 	}
 
-	view := g.Freeze()
 	var landmarks []graph.NodeID
 	var dists [][]float64
 	if len(opts.Fixed) > 0 {

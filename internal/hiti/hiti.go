@@ -53,22 +53,22 @@ type Hyper struct {
 	cellBorders [][]graph.NodeID
 }
 
-// Build partitions g into approximately p grid cells and materializes all
-// border-pair distances (one bounded Dijkstra per border node; parallelized).
-func Build(g *graph.Graph, p int) (*Hyper, error) {
-	h, err := partition(g, p)
+// Build partitions net into approximately p grid cells and materializes
+// all border-pair distances (one bounded Dijkstra per border node;
+// parallelized).
+func Build(net *graph.CSR, p int) (*Hyper, error) {
+	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
 	// Materialize W* border-indexed: one Dijkstra per border node, all
 	// borders as targets, early-terminating once they settle. Workers
-	// search the frozen CSR view with a pooled workspace each.
-	view := g.Freeze()
+	// search the network with a pooled workspace each.
 	h.wb = make([][]float64, len(h.Borders))
 	par.Work(len(h.Borders), func(i int) {
-		ws := sp.AcquireWorkspace(view.NumNodes())
+		ws := sp.AcquireWorkspace(net.NumNodes())
 		defer sp.ReleaseWorkspace(ws)
-		h.wb[i] = ws.DijkstraToTargets(view, h.Borders[i], h.Borders, nil)
+		h.wb[i] = ws.DijkstraToTargets(net, h.Borders[i], h.Borders, nil)
 	})
 	return h, nil
 }
@@ -77,7 +77,7 @@ func Build(g *graph.Graph, p int) (*Hyper, error) {
 // adjacency — the grid, cell membership, border flags and border order.
 // It is deterministic in g and p, which is what lets snapshot loading
 // (Rehydrate) rebuild it instead of persisting it.
-func partition(g *graph.Graph, p int) (*Hyper, error) {
+func partition(g *graph.CSR, p int) (*Hyper, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("hiti: empty graph")
 	}
@@ -147,15 +147,15 @@ func (h *Hyper) Rows() (full bool, rows [][]float64) {
 	return false, h.wb
 }
 
-// Rehydrate reconstructs a Hyper over g from previously materialized rows
+// Rehydrate reconstructs a Hyper over net from previously materialized rows
 // without running a single search: the partition (grid, cells, borders) is
-// recomputed — it is cheap and deterministic in g and p — and the given
+// recomputed — it is cheap and deterministic in net and p — and the given
 // rows are installed under the storage form they were exported with. Row
 // dimensions are validated against the recomputed border set, so a
 // snapshot from a different graph or cell count fails loudly here rather
 // than as a root mismatch downstream. The rows slice is retained.
-func Rehydrate(g *graph.Graph, p int, full bool, rows [][]float64) (*Hyper, error) {
-	h, err := partition(g, p)
+func Rehydrate(net *graph.CSR, p int, full bool, rows [][]float64) (*Hyper, error) {
+	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func Rehydrate(g *graph.Graph, p int, full bool, rows [][]float64) (*Hyper, erro
 	}
 	want := len(h.Borders)
 	if full {
-		want = g.NumNodes()
+		want = net.NumNodes()
 	}
 	for i, row := range rows {
 		if len(row) != want {

@@ -43,7 +43,7 @@ func spatialGraph(rng *rand.Rand, n int) *graph.Graph {
 func TestBuildBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := spatialGraph(rng, 200)
-	h, err := Build(g, 25)
+	h, err := Build(g.Freeze(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,12 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, err := Build(graph.New(0), 25); err == nil {
+	if _, err := Build(graph.New(0).Freeze(), 25); err == nil {
 		t.Error("empty graph accepted")
 	}
 	g := graph.New(1)
 	g.AddNode(1, 1)
-	if _, err := Build(g, 0); err == nil {
+	if _, err := Build(g.Freeze(), 0); err == nil {
 		t.Error("p=0 accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestEmptyGraphRejected(t *testing.T) {
 func TestHyperEdgeWeightsAreExactDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := spatialGraph(rng, 150)
-	h, err := Build(g, 16)
+	h, err := Build(g.Freeze(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTheorem2BorderPassage(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := spatialGraph(rng, 60+rng.Intn(100))
-		h, err := Build(g, 9+rng.Intn(3)*8)
+		h, err := Build(g.Freeze(), 9+rng.Intn(3)*8)
 		if err != nil {
 			return false
 		}
@@ -219,7 +219,7 @@ func distOr(m map[graph.NodeID]float64, v graph.NodeID) float64 {
 func TestEntriesCoverAllPairsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := spatialGraph(rng, 80)
-	h, err := Build(g, 16)
+	h, err := Build(g.Freeze(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestHyperKeyCanonical(t *testing.T) {
 func TestExtraRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := spatialGraph(rng, 60)
-	h, err := Build(g, 25)
+	h, err := Build(g.Freeze(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestMoreCellsMoreBorders(t *testing.T) {
 	g := spatialGraph(rng, 300)
 	prev := 0
 	for _, p := range []int{4, 25, 100, 400} {
-		h, err := Build(g, p)
+		h, err := Build(g.Freeze(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestMoreCellsMoreBorders(t *testing.T) {
 func TestSingleCellNoBorders(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := spatialGraph(rng, 40)
-	h, err := Build(g, 1)
+	h, err := Build(g.Freeze(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestSingleCellNoBorders(t *testing.T) {
 func TestNodesOfPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := spatialGraph(rng, 120)
-	h, err := Build(g, 16)
+	h, err := Build(g.Freeze(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := spatialGraph(rng, 2+rng.Intn(140))
 		p := []int{1, 2, 4, 9, 16, 49, 100, 400}[seed%8]
-		h, err := Build(g, p)
+		h, err := Build(g.Freeze(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 func TestCellPairAndMovedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := spatialGraph(rng, 120)
-	h, err := Build(g, 16)
+	h, err := Build(g.Freeze(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSynthesizeBasicProperties(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
-	minX, minY, maxX, maxY := g.Bounds()
+	minX, minY, maxX, maxY := g.Freeze().Bounds()
 	if minX < 0 || minY < 0 || maxX > Span+1e-6 || maxY > Span+1e-6 {
 		t.Errorf("bounds (%v,%v,%v,%v) outside [0,%v]", minX, minY, maxX, maxY, Span)
 	}

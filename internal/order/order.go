@@ -56,7 +56,7 @@ type Ordering struct {
 // Random method only; all other methods are deterministic. Traversal-based
 // methods (BFS, DFS) restart from the lowest-ID unvisited node per connected
 // component.
-func Compute(g *graph.Graph, m Method, seed int64) (*Ordering, error) {
+func Compute(g *graph.CSR, m Method, seed int64) (*Ordering, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("order: empty graph")
@@ -118,7 +118,7 @@ func FromSeq(m Method, seq []graph.NodeID) (*Ordering, error) {
 	return o, nil
 }
 
-func hilbertOrder(g *graph.Graph) []graph.NodeID {
+func hilbertOrder(g *graph.CSR) []graph.NodeID {
 	minX, minY, maxX, maxY := g.Bounds()
 	extent := maxX - minX
 	if maxY-minY > extent {
@@ -146,7 +146,7 @@ func hilbertOrder(g *graph.Graph) []graph.NodeID {
 	return seq
 }
 
-func kdOrder(g *graph.Graph) []graph.NodeID {
+func kdOrder(g *graph.CSR) []graph.NodeID {
 	pts := make([]geom.Point, g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		id := graph.NodeID(v)
@@ -160,7 +160,7 @@ func kdOrder(g *graph.Graph) []graph.NodeID {
 	return seq
 }
 
-func bfsOrder(g *graph.Graph) []graph.NodeID {
+func bfsOrder(g graph.View) []graph.NodeID {
 	n := g.NumNodes()
 	seq := make([]graph.NodeID, 0, n)
 	seen := make([]bool, n)
@@ -189,7 +189,7 @@ func bfsOrder(g *graph.Graph) []graph.NodeID {
 	return seq
 }
 
-func dfsOrder(g *graph.Graph) []graph.NodeID {
+func dfsOrder(g graph.View) []graph.NodeID {
 	n := g.NumNodes()
 	seq := make([]graph.NodeID, 0, n)
 	seen := make([]bool, n)

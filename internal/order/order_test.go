@@ -34,7 +34,7 @@ func gridGraph(s int) *graph.Graph {
 func TestAllMethodsArePermutations(t *testing.T) {
 	g := gridGraph(12)
 	for _, m := range Methods() {
-		o, err := Compute(g, m, 1)
+		o, err := Compute(g.Freeze(), m, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -51,7 +51,7 @@ func TestAllMethodsArePermutations(t *testing.T) {
 
 func TestUnknownMethodRejected(t *testing.T) {
 	g := gridGraph(3)
-	if _, err := Compute(g, Method("zorder"), 0); err == nil {
+	if _, err := Compute(g.Freeze(), Method("zorder"), 0); err == nil {
 		t.Error("unknown method accepted")
 	}
 	if Method("zorder").Valid() {
@@ -65,7 +65,7 @@ func TestUnknownMethodRejected(t *testing.T) {
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, err := Compute(graph.New(0), Hilbert, 0); err == nil {
+	if _, err := Compute(graph.New(0).Freeze(), Hilbert, 0); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -73,11 +73,11 @@ func TestEmptyGraphRejected(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := gridGraph(9)
 	for _, m := range Methods() {
-		a, err := Compute(g, m, 42)
+		a, err := Compute(g.Freeze(), m, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compute(g, m, 42)
+		b, err := Compute(g.Freeze(), m, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +91,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestRandomSeedMatters(t *testing.T) {
 	g := gridGraph(9)
-	a, _ := Compute(g, Random, 1)
-	b, _ := Compute(g, Random, 2)
+	a, _ := Compute(g.Freeze(), Random, 1)
+	b, _ := Compute(g.Freeze(), Random, 2)
 	same := true
 	for i := range a.Seq {
 		if a.Seq[i] != b.Seq[i] {
@@ -107,7 +107,7 @@ func TestRandomSeedMatters(t *testing.T) {
 
 func TestBFSOrderStartsAtZeroAndIsLevelMonotone(t *testing.T) {
 	g := gridGraph(8)
-	o, _ := Compute(g, BFS, 0)
+	o, _ := Compute(g.Freeze(), BFS, 0)
 	if o.Seq[0] != 0 {
 		t.Errorf("BFS starts at %d, want 0", o.Seq[0])
 	}
@@ -146,7 +146,7 @@ func TestDFSParentAdjacency(t *testing.T) {
 	// In a DFS order over a connected graph, each node after the first must
 	// be adjacent to some earlier node (tree property of DFS forests).
 	g := gridGraph(7)
-	o, _ := Compute(g, DFS, 0)
+	o, _ := Compute(g.Freeze(), DFS, 0)
 	placed := make([]bool, g.NumNodes())
 	placed[o.Seq[0]] = true
 	for _, v := range o.Seq[1:] {
@@ -172,7 +172,7 @@ func TestDisconnectedGraphCoverage(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(3, 4, 1)
 	for _, m := range []Method{BFS, DFS} {
-		o, err := Compute(g, m, 0)
+		o, err := Compute(g.Freeze(), m, 0)
 		if err != nil {
 			t.Fatalf("%s on disconnected graph: %v", m, err)
 		}
@@ -188,7 +188,7 @@ func TestDisconnectedGraphCoverage(t *testing.T) {
 func TestSpatialLocalityRanking(t *testing.T) {
 	g := gridGraph(20)
 	spread := func(m Method) float64 {
-		o, err := Compute(g, m, 3)
+		o, err := Compute(g.Freeze(), m, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestHilbertTieBreakStable(t *testing.T) {
 	g.AddNode(5, 5)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	o, err := Compute(g, Hilbert, 0)
+	o, err := Compute(g.Freeze(), Hilbert, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestLargeRandomGraphAllMethods(t *testing.T) {
 		g.MustAddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]), 1)
 	}
 	for _, m := range Methods() {
-		if _, err := Compute(g, m, 9); err != nil {
+		if _, err := Compute(g.Freeze(), m, 9); err != nil {
 			t.Errorf("%s: %v", m, err)
 		}
 	}

@@ -93,7 +93,7 @@ func TestSwapWithoutStatsDropsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sp.DijkstraTo(g, q.VS, q.VT)
+	want, _ := sp.DijkstraTo(dep.Owner().Graph(), q.VS, q.VT)
 	if a.Cached || a.Dist != want || a.Dist == old.Dist {
 		t.Fatalf("after Swap(p, nil): cached=%v dist=%v, want a fresh proof of %v (was %v)", a.Cached, a.Dist, want, old.Dist)
 	}
@@ -103,8 +103,8 @@ func TestSwapWithoutStatsDropsCache(t *testing.T) {
 // TestApplyUpdatesAtomic plants a provider whose patch fails behind two
 // that patch fine — a lazily opened shell over a HYP section with a flipped
 // byte, which fails to hydrate — and requires the failed batch to leave no
-// trace: same proofs from the cache, same owner weights, epoch and frozen
-// view, same certificate; then the same batch applies cleanly.
+// trace: same proofs from the cache, same owner network, weights and
+// epoch, same certificate; then the same batch applies cleanly.
 func TestApplyUpdatesAtomic(t *testing.T) {
 	dep, _, g := snapWorld(t, 43)
 	methods := dep.Methods()
@@ -145,7 +145,7 @@ func TestApplyUpdatesAtomic(t *testing.T) {
 	ups := sampleUpdates(g, 1.5)
 	weights := func() (ws []float64) {
 		for _, up := range ups {
-			w, _ := g.EdgeWeight(up.U, up.V)
+			w, _ := dep.Owner().Graph().EdgeWeight(up.U, up.V)
 			ws = append(ws, w)
 		}
 		return ws
@@ -173,7 +173,7 @@ func TestApplyUpdatesAtomic(t *testing.T) {
 		t.Error("failed batch replaced a provider or staled the certificate")
 	}
 
-	// With the fault removed the owner's frozen view is the providers' again
+	// With the fault removed the owner's network is the providers' again
 	// (Save checks), and the very same batch goes through.
 	dep.provs[core.HYP] = healthy
 	if _, err := dep.Save(&bytes.Buffer{}); err != nil {
@@ -190,7 +190,7 @@ func TestApplyUpdatesAtomic(t *testing.T) {
 				t.Fatal(err)
 			}
 			verifyAnswer(t, dep.Owner().Verifier(), a)
-			if want, _ := sp.DijkstraTo(g, q.S, q.T); a.Dist != want {
+			if want, _ := sp.DijkstraTo(dep.Owner().Graph(), q.S, q.T); a.Dist != want {
 				t.Errorf("%s (%d→%d): dist %v after the batch, oracle %v", m, q.S, q.T, a.Dist, want)
 			}
 		}
@@ -218,7 +218,7 @@ func TestApplyUpdatesEngineMissingMethod(t *testing.T) {
 	if !errors.Is(err, ErrUnknownMethod) {
 		t.Fatalf("ApplyUpdates = %v, want ErrUnknownMethod", err)
 	}
-	if w, _ := g.EdgeWeight(ups[0].U, ups[0].V); w == ups[0].W || dep.Owner().Epoch() != 0 {
+	if w, _ := dep.Owner().Graph().EdgeWeight(ups[0].U, ups[0].V); w == ups[0].W || dep.Owner().Epoch() != 0 {
 		t.Fatalf("refused batch still moved the owner: weight %v, epoch %d", w, dep.Owner().Epoch())
 	}
 }

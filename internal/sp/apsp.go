@@ -61,9 +61,8 @@ func FloydWarshall(g graph.View) [][]float64 {
 // Floyd–Warshall (property-tested), feasible at road-network scale, and it
 // preserves FULL's construction-cost blow-up relative to LDM/HYP because the
 // output is still quadratic.
-func AllPairsRows(g *graph.Graph, sink func(src graph.NodeID, dist []float64)) {
-	n := g.NumNodes()
-	view := g.Freeze()
+func AllPairsRows(view graph.View, sink func(src graph.NodeID, dist []float64)) {
+	n := view.NumNodes()
 	par.Work(n, func(s int) {
 		w := AcquireWorkspace(n)
 		defer ReleaseWorkspace(w)

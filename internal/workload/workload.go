@@ -23,7 +23,7 @@ type Query struct {
 // range) and the settled node with distance closest to the range becomes the
 // target. Sources whose reachable ball cannot get within 30% of the range
 // are resampled a few times before accepting the best found.
-func Generate(g *graph.Graph, count int, queryRange float64, seed int64) ([]Query, error) {
+func Generate(g graph.View, count int, queryRange float64, seed int64) ([]Query, error) {
 	if g.NumNodes() < 2 {
 		return nil, fmt.Errorf("workload: graph too small")
 	}
@@ -58,7 +58,7 @@ func Generate(g *graph.Graph, count int, queryRange float64, seed int64) ([]Quer
 
 // bestTarget expands src and returns the query to the settled node whose
 // distance is closest to the range, with its relative error.
-func bestTarget(g *graph.Graph, src graph.NodeID, queryRange float64) (Query, float64, bool) {
+func bestTarget(g graph.View, src graph.NodeID, queryRange float64) (Query, float64, bool) {
 	tree, settled := sp.DijkstraBounded(g, src, queryRange*1.25)
 	var best graph.NodeID = graph.Invalid
 	bestErr := math.MaxFloat64

@@ -64,7 +64,6 @@ import (
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/core"
 	"github.com/authhints/spv/internal/digest"
-	"github.com/authhints/spv/internal/estimate"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
 	"github.com/authhints/spv/internal/netgen"
@@ -75,7 +74,8 @@ import (
 	"github.com/authhints/spv/internal/workload"
 )
 
-// Graph is a weighted spatial road network with undirected edges.
+// Graph builds a weighted spatial road network with undirected edges;
+// NewOwner freezes it into the network the owner signs and serves.
 type Graph = graph.Graph
 
 // NodeID identifies a network node (junction).
@@ -91,9 +91,12 @@ type Edge = graph.Edge
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // Owner is the data owner: network + private key + ADS construction.
-// Outsource and WriteSnapshot may run concurrently with provider
-// queries, but not with ApplyUpdates, which mutates the owner's network
-// (Deployment serializes this for you).
+// NewOwner freezes the graph it is given — later edits to that Graph are
+// never seen — and ApplyUpdates publishes each update batch as a new
+// network (Owner.Graph) instead of rewriting the old one, which the
+// providers outsourced before the batch keep searching. Outsource and
+// WriteSnapshot may run concurrently with provider queries, but not with
+// ApplyUpdates (Deployment serializes this for you).
 type Owner = core.Owner
 
 // Config carries the owner's ADS and hint parameters.
@@ -628,25 +631,4 @@ func AuditSnapshot(path string) (*AuditReport, error) {
 		return nil, fmt.Errorf("spv: snapshot %s carries no certificate (write one with Deployment.Certify before saving)", path)
 	}
 	return cert.Audit(set, c, set.Verifier), nil
-}
-
-// Calibration holds measured network constants for proof-size estimation
-// (the paper's §VII future-work direction, implemented in this repo).
-type Calibration = estimate.Calibration
-
-// SizeEstimate is a predicted proof-size breakdown.
-type SizeEstimate = estimate.Estimate
-
-// Calibrate samples the network to extract the constants proof sizes
-// depend on (density, detour factor, degree, tuple size).
-func Calibrate(g *Graph, samples int, seed int64) (Calibration, error) {
-	return estimate.Calibrate(g, samples, seed)
-}
-
-// PredictProofSize estimates a method's communication overhead at a query
-// range without building any ADS — for method selection and bandwidth
-// budgeting. Expect agreement within a small constant factor (×3 enforced
-// by the test suite).
-func PredictProofSize(c Calibration, m Method, queryRange float64, cfg Config) (SizeEstimate, error) {
-	return estimate.Predict(c, m, queryRange, cfg)
 }
