@@ -79,13 +79,17 @@ bench:
 # one certificate row for both algorithms, b64's Append of a 27 KiB proof on
 # the AVX2 kernel and on encoding/base64, mht's Build, Prove, Rehydrate and
 # UpdateLeaves on a 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's
-# distance tree in the repository benchmark's world) and sp's single-search
-# Ball. CI's full lane runs this so they cannot rot.
+# distance tree in the repository benchmark's world), sp's single-search
+# Ball, and core's UpdateStream: one applied churn update (ApplyUpdates plus
+# the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
+# allocs/op and the HYP row pages it copies. CI's full lane runs this so
+# they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
+	$(GO) test -run '^$$' -bench '^BenchmarkUpdateStream$$' -benchtime 1x -benchmem ./internal/core
 
 # Persistent ADS snapshot of the standard world (spvserve's default served
 # set), written via the public save path.

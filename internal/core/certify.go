@@ -332,6 +332,9 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 // post-update form) rather than the compact border-to-border matrix.
 const hypAuxFull = 1
 
+// auditRows pools the stored W* rows the HYP audit reads, one per worker.
+var auditRows = sync.Pool{New: func() any { return new([]float64) }}
+
 // planCert for HYP: both roots plus one full labelling row per border
 // node. The stored rows — W* border-to-border or full — are the values at
 // the corresponding positions of these rows, so one triangle pass per
@@ -342,7 +345,7 @@ func (hypImpl) planCert(p Provider) (certPlan, error) {
 		return certPlan{}, err
 	}
 	aux := []byte{0}
-	if full, _ := hp.hyper.Rows(); full {
+	if hp.hyper.HasFullRows() {
 		aux[0] = hypAuxFull
 	}
 	roots := [][]byte{hp.ads.Root()}
@@ -360,7 +363,7 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 		return err
 	}
 	hy := hp.hyper
-	full, stored := hy.Rows()
+	full := hy.HasFullRows()
 	wantAux := byte(0)
 	if full {
 		wantAux = hypAuxFull
@@ -390,20 +393,19 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 			return fmt.Errorf("%w: HYP row %d has %d dists, want %d", cert.ErrEncoding, i, row.N(), n)
 		}
 		// Stored hyper-rows against the certified labelling: every stored
-		// value must be the certified distance at its position.
-		if full {
-			for x := range stored[i] {
-				if d := row.Dist(x); stored[i][x] != d && !distEqual(stored[i][x], d) {
-					return fmt.Errorf("%w: stored HYP row %d differs from certificate at node %d (%g vs %g)",
-						cert.ErrDistance, i, x, stored[i][x], d)
-				}
+		// value must be the certified distance at its position — column x
+		// is node x in a full row, border x in a static one.
+		buf := auditRows.Get().(*[]float64)
+		defer auditRows.Put(buf)
+		*buf = hy.AppendRow((*buf)[:0], i)
+		for x, got := range *buf {
+			node := x
+			if !full {
+				node = int(hy.Borders[x])
 			}
-		} else {
-			for j, ob := range hy.Borders {
-				if got, want := stored[i][j], row.Dist(int(ob)); got != want && !distEqual(got, want) {
-					return fmt.Errorf("%w: stored HYP W*[%d][%d] differs from certificate (%g vs %g)",
-						cert.ErrDistance, i, j, got, want)
-				}
+			if d := row.Dist(node); got != d && !distEqual(got, d) {
+				return fmt.Errorf("%w: stored HYP row %d differs from certificate at node %d (%g vs %g)",
+					cert.ErrDistance, i, node, got, d)
 			}
 		}
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {

@@ -33,12 +33,16 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	if err != nil {
 		return err
 	}
-	full, rows := hp.hyper.Rows()
-	size := snapBytesSize(hp.netSig) + snapBytesSize(hp.distSig) + 1 + 4 + 4 + 1 +
-		snapTreeSize(hp.ads.tree)
-	for _, row := range rows {
-		size += 8 * uint64(len(row))
+	hy := hp.hyper
+	full, numRows, rowLen := hy.HasFullRows(), hy.NumBorders(), 0
+	if numRows > 0 {
+		rowLen = numRows
+		if full {
+			rowLen = hp.view.NumNodes()
+		}
 	}
+	size := snapBytesSize(hp.netSig) + snapBytesSize(hp.distSig) + 1 + 4 + 4 + 1 +
+		8*uint64(numRows)*uint64(rowLen) + snapTreeSize(hp.ads.tree)
 	if hp.distMBT != nil {
 		size += snapTreeSize(hp.distMBT.MHT())
 	}
@@ -50,13 +54,11 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 		} else {
 			s.u8(0)
 		}
-		rowLen := 0
-		if len(rows) > 0 {
-			rowLen = len(rows[0])
-		}
-		s.u32(uint32(len(rows)))
+		s.u32(uint32(numRows))
 		s.u32(uint32(rowLen))
-		for _, row := range rows {
+		var row []float64
+		for i := 0; i < numRows; i++ {
+			row = hy.AppendRow(row[:0], i)
 			for _, d := range row {
 				s.f64(d)
 			}
@@ -86,7 +88,16 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 		// rows |V|-long with |V| ≥ 2); a lying count must not allocate.
 		c.fail("%d hyper rows of length 0", numRows)
 	}
-	rows := c.rows(numRows, rowLen)
+	// The rows stream straight into the Hyper's own storage (full rows page
+	// by page); a count the partition refutes fails before any is read.
+	var hyper *hiti.Hyper
+	if c.err == nil {
+		var err error
+		hyper, err = hiti.Rehydrate(env.Graph, env.Cfg.Cells, env.Ord, fullFlag == 1, numRows, rowLen, c.f64s)
+		if err != nil {
+			c.fail("%v", err)
+		}
+	}
 	hasDist := c.u8()
 	var distTree *mht.Tree
 	if c.err == nil && hasDist > 1 {
@@ -99,11 +110,8 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if err := c.finish("HYP"); err != nil {
 		return nil, err
 	}
-	hyper, err := hiti.Rehydrate(env.Graph, env.Cfg.Cells, fullFlag == 1, rows)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
 	p2 := &HYPProvider{providerBase: providerBase{view: env.Graph}, hyper: hyper, netSig: netSig, distSig: distSig}
+	var err error
 	if distTree != nil {
 		p2.distMBT, err = mbt.RehydrateTree(distTree, hyper.NumHyperEdges())
 		if err != nil {

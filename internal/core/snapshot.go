@@ -679,16 +679,22 @@ func (c *snapCursor) rows(n, rowLen int) [][]float64 {
 		return nil
 	}
 	slab, out := make([]float64, n*rowLen), make([][]float64, n)
-	for i := 0; i < len(slab) && c.err == nil; {
-		b := c.raw(8 * min(len(slab)-i, c.br.Size()/8))
-		for j := 0; j+8 <= len(b); i, j = i+1, j+8 {
-			slab[i] = math.Float64frombits(binary.BigEndian.Uint64(b[j:]))
-		}
-	}
+	c.f64s(slab)
 	for i := range out {
 		out[i] = slab[i*rowLen : (i+1)*rowLen : (i+1)*rowLen]
 	}
 	return out
+}
+
+// f64s fills dst with the next len(dst) floats, a window of bytes at a
+// time.
+func (c *snapCursor) f64s(dst []float64) {
+	for i := 0; i < len(dst) && c.err == nil; {
+		b := c.raw(8 * min(len(dst)-i, c.br.Size()/8))
+		for j := 0; j+8 <= len(b); i, j = i+1, j+8 {
+			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[j:]))
+		}
+	}
 }
 
 // finish ends a decode by reading the section to its end: a checksum

@@ -8,6 +8,7 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
+	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/par"
 	"github.com/authhints/spv/internal/sp"
@@ -97,23 +98,40 @@ type bridgeFast struct {
 	nearBuilt      bool
 }
 
-// resum rewrites row (a full distance row from src) to the post-update
-// network: the far side of the bridge re-accumulates along its unchanged
-// tree, the near side keeps its bytes. Not safe for concurrent use (the
-// near-side walk builds lazily).
-func (f *bridgeFast) resum(src graph.NodeID, row []float64) {
-	order, parent, weights := f.orderF, f.pF, f.wF
-	base := f.u
+// walk returns the resummation walk for a row from src: the side of the
+// bridge src does not live on, parents first, and base, the bridge
+// endpoint on src's side whose stored value the walk starts from. Not
+// safe for concurrent use (the near-side walk builds lazily).
+func (f *bridgeFast) walk(src graph.NodeID) (order, parent []graph.NodeID, weights []float64, base graph.NodeID) {
 	if f.inF[src] {
 		f.ensureNear()
-		order, parent, weights = f.orderC, f.pC, f.wC
-		base = f.v
+		return f.orderC, f.pC, f.wC, f.v
 	}
+	return f.orderF, f.pF, f.wF, f.u
+}
+
+// resum rewrites row (a full distance row from src) to the post-update
+// network: the far side of the bridge re-accumulates along its unchanged
+// tree, the near side keeps its bytes.
+func (f *bridgeFast) resum(src graph.NodeID, row []float64) {
+	order, parent, weights, base := f.walk(src)
 	if row[base] == sp.Unreachable {
 		return // src is in a component the bridge does not serve
 	}
 	for k, x := range order {
 		row[x] = row[parent[k]] + weights[k]
+	}
+}
+
+// resumPaged is resum over a paged HYP row: writing through r, it copies
+// only the pages whose values move.
+func (f *bridgeFast) resumPaged(src graph.NodeID, r *hiti.RowWriter) {
+	order, parent, weights, base := f.walk(src)
+	if r.At(base) == sp.Unreachable {
+		return
+	}
+	for k, x := range order {
+		r.Set(x, r.At(parent[k])+weights[k])
 	}
 }
 
@@ -245,14 +263,18 @@ type PatchStats struct {
 	Method Method
 	// RowsRecomputed counts hint/distance Dijkstra rows re-run.
 	RowsRecomputed int
-	// RowsResummed counts rows patched by bridge resummation (O(|V|)
-	// additions each) instead of a Dijkstra re-run.
+	// RowsResummed counts rows patched by bridge resummation (one addition
+	// per node on the far side of the bridge) instead of a Dijkstra re-run.
 	RowsResummed int
 	// LeavesPatched counts network-ADS leaves rewritten.
 	LeavesPatched int
 	// DistLeavesPatched counts distance-ADS leaves rewritten (FULL row
 	// roots, HYP hyper-edge entries).
 	DistLeavesPatched int
+	// RowPagesWritten counts the HYP full-row pages (hiti.PageLen values
+	// each) the patch allocated; every other page is shared with the old
+	// provider. The first update's upgrade allocates them all.
+	RowPagesWritten int
 	// DirtyLeaves lists the rewritten network-ADS leaf positions — the
 	// serving layer invalidates exactly the cached proofs that cover them.
 	DirtyLeaves []int
@@ -584,10 +606,11 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 }
 
 // Patch derives an updated HYP provider: the grid partition and border
-// sets never change under re-weighting, so the patch re-runs only the
-// affected border rows, rewrites the hyper-edge entries whose values moved
-// — hiti's rows are the values' one home, so "moved" is the old Hyper
-// against the new, bit for bit — and patches the endpoints' tuples.
+// sets never change under re-weighting, so the patch rewrites only the
+// affected border rows, copy-on-write by page; rewrites the hyper-edge
+// entries whose values moved, read off the pages the new Hyper does not
+// share with the old (hiti's rows are the values' one home); and patches
+// the endpoints' tuples.
 func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*HYPProvider](HYP, prov)
 	if err != nil {
@@ -595,53 +618,36 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	}
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
-	var rows []int
-	var entries []mbt.ProvenEntry
-	if !hyper.HasFullRows() {
+	var stale []graph.NodeID // borders whose rows were rewritten
+	switch {
+	case !hyper.HasFullRows():
 		// First update against this provider: materialize full rows on the
 		// post-update network (one row rebuild — static deployments never
-		// pay the B·|V| form), then diff every entry. Updates from here on
-		// are incremental.
-		hyper = hyper.WithFullRows(b.newView)
+		// pay the B·|V| form). Updates from here on are incremental.
+		hyper = hyper.WithFullRows(b.newView, p.ads.ord)
 		st.RowsRecomputed = len(hyper.Borders)
-		all := hyper.Entries() // in leaf order: entry i is leaf i
-		entries = make([]mbt.ProvenEntry, len(all))
-		for i, e := range all {
-			entries[i] = mbt.ProvenEntry{Entry: e, Index: uint32(i)}
-		}
-		st.StaleCover = make([]int, len(hyper.Borders))
-		for k, bn := range hyper.Borders {
-			st.StaleCover[k] = p.ads.ord.Pos[bn]
-		}
-	} else if b.fast != nil {
-		// Bridge: every border row resums with O(|V|) additions; only pairs
-		// straddling the bridge can have moved.
-		hyper = p.hyper.WithPatchedRows(func(src graph.NodeID, row []float64) {
-			b.fast.resum(src, row)
-		})
+		stale = hyper.Borders
+	case b.fast != nil:
+		// Bridge: every border row resums along the far side's tree,
+		// writing through to copied pages.
+		hyper = hyper.WithRewrittenRows(b.fast.resumPaged)
 		st.RowsResummed = len(hyper.Borders)
-		entries = hyper.CrossingEntries(b.fast.inF)
-		st.StaleCover = make([]int, len(hyper.Borders))
-		for k, bn := range hyper.Borders {
-			st.StaleCover[k] = p.ads.ord.Pos[bn]
-		}
-	} else {
-		for i, bn := range p.hyper.Borders {
+		stale = hyper.Borders
+	default:
+		var rows []int
+		for i, bn := range hyper.Borders {
 			if b.affected[bn] {
 				rows = append(rows, i)
+				stale = append(stale, bn)
 			}
 		}
 		st.RowsRecomputed = len(rows)
 		if len(rows) > 0 {
-			hyper = p.hyper.WithUpdatedRows(b.newView, rows)
-			for _, i := range rows {
-				entries = append(entries, hyper.RowEntries(i)...)
-			}
-			st.StaleCover = make([]int, len(rows))
-			for k, i := range rows {
-				st.StaleCover[k] = p.ads.ord.Pos[hyper.Borders[i]]
-			}
+			hyper = hyper.WithUpdatedRows(b.newView, rows)
 		}
+	}
+	for _, bn := range stale {
+		st.StaleCover = append(st.StaleCover, p.ads.ord.Pos[bn])
 	}
 
 	dirtyMsgs := b.dirtyTupleMsgs(p.ads, hyper.Extra)
@@ -653,7 +659,10 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
 
 	distMBT, distSig := p.distMBT, p.distSig
-	entries = hyper.MovedFrom(p.hyper, entries)
+	var entries []mbt.ProvenEntry
+	if hyper != p.hyper {
+		entries, st.RowPagesWritten = hyper.Moved(p.hyper)
+	}
 	if distMBT != nil && len(entries) > 0 {
 		if distMBT, err = distMBT.UpdateValues(entries); err != nil {
 			return nil, nil, err

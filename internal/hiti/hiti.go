@@ -16,10 +16,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/mbt"
+	"github.com/authhints/spv/internal/order"
 	"github.com/authhints/spv/internal/par"
 	"github.com/authhints/spv/internal/sp"
 )
@@ -41,17 +44,41 @@ type Hyper struct {
 	before, first []int
 	// Static builds hold W* border-indexed: wb[i][j] = dist(Borders[i],
 	// Borders[j]), O(B²) memory. The first incremental update upgrades to
-	// full rows w[i][x] (indexed by node, O(B·|V|) memory, wb dropped):
-	// full rows are what make bridge-edge re-weightings resummable with
-	// O(|V|) additions along retained shortest-path prefixes instead of B
-	// fresh searches — a cost only update-serving deployments pay.
-	wb        [][]float64
-	w         [][]float64
+	// full rows (one value per node, O(B·|V|) memory, wb dropped): full
+	// rows are what make bridge-edge re-weightings resummable along
+	// retained shortest-path prefixes instead of B fresh searches — a cost
+	// only update-serving deployments pay.
+	wb [][]float64
+	// w holds the full rows as pages of PageLen values in the network
+	// tree's leaf order: dist(Borders[i], x) sits at slot pos[x] of row i,
+	// on page w[i][pos[x]/PageLen], and seq[slot] is the node at a slot
+	// (pos and seq are the network ordering's Pos and Seq, shared). A page
+	// is never written once a Hyper holding it is published: a patched
+	// Hyper shares every page whose values are bitwise unchanged and owns
+	// only the pages holding a moved value, so an update costs the pages it
+	// changes, not B·|V|. A spatially compact change lands on few pages
+	// because the leaf order keeps neighbours on nearby slots.
+	w         [][]*page
+	pos       []int
+	seq       []graph.NodeID
 	cellNodes [][]graph.NodeID // per cell, ascending
 	// cellBorders caches each cell's border nodes (ascending) so the query
 	// hot path never re-scans cell membership.
 	cellBorders [][]graph.NodeID
 }
+
+// PageLen is the number of values on one page of a full W* row (1 KiB):
+// the unit an update copies.
+const PageLen = 128
+
+// page is PageLen consecutive slots of one full row. Pages are allocated
+// one by one, never in slabs, so a page a patch replaces is freed as soon
+// as no published Hyper holds it.
+type page [PageLen]float64
+
+// rowScratch pools the node-indexed rows searches write before they are
+// paged.
+var rowScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // Build partitions net into approximately p grid cells and materializes
 // all border-pair distances (one bounded Dijkstra per border node;
@@ -135,46 +162,65 @@ func partition(g *graph.CSR, p int) (*Hyper, error) {
 	return h, nil
 }
 
-// Rows exposes the materialized W* rows and their storage form for
-// snapshot serialization: full reports whether rows are full distance rows
-// (w, indexed by node) or the static border-indexed form (wb). The rows
-// are the Hyper's own storage — read-only for callers. Pair with
-// Rehydrate.
-func (h *Hyper) Rows() (full bool, rows [][]float64) {
-	if h.w != nil {
-		return true, h.w
+// AppendRow appends stored row i to dst in its storage form — node-indexed
+// (W*(Borders[i], x) at x) for full rows, border-indexed for the static
+// form — and returns the extended slice. It is how whole rows leave the
+// Hyper: snapshot streaming and the certificate audit. Pair with Rehydrate.
+func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
+	if h.w == nil {
+		return append(dst, h.wb[i]...)
 	}
-	return false, h.wb
+	n := len(dst)
+	dst = slices.Grow(dst, len(h.seq))[:n+len(h.seq)]
+	row := dst[n:]
+	for k, p := range h.w[i] {
+		for j, x := range h.slots(k) {
+			row[x] = p[j]
+		}
+	}
+	return dst
 }
 
 // Rehydrate reconstructs a Hyper over net from previously materialized rows
 // without running a single search: the partition (grid, cells, borders) is
-// recomputed — it is cheap and deterministic in net and p — and the given
-// rows are installed under the storage form they were exported with. Row
-// dimensions are validated against the recomputed border set, so a
-// snapshot from a different graph or cell count fails loudly here rather
-// than as a root mismatch downstream. The rows slice is retained.
-func Rehydrate(net *graph.CSR, p int, full bool, rows [][]float64) (*Hyper, error) {
+// recomputed — it is cheap and deterministic in net and p — and numRows
+// rows of rowLen values, in the storage form AppendRow exported them in,
+// are installed, read calling fill once per row in order. Full rows are
+// paged under ord, the network's leaf ordering, one row at a time, so no
+// second full copy is ever held. Row dimensions are validated against the
+// recomputed border set before fill is first called, so a snapshot from a
+// different graph or cell count fails loudly here rather than as a root
+// mismatch downstream.
+func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, rowLen int, fill func(row []float64)) (*Hyper, error) {
 	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) != len(h.Borders) {
-		return nil, fmt.Errorf("hiti: %d rows for %d borders", len(rows), len(h.Borders))
+	if numRows != len(h.Borders) {
+		return nil, fmt.Errorf("hiti: %d rows for %d borders", numRows, len(h.Borders))
 	}
 	want := len(h.Borders)
 	if full {
 		want = net.NumNodes()
 	}
-	for i, row := range rows {
-		if len(row) != want {
-			return nil, fmt.Errorf("hiti: row %d has %d values, want %d", i, len(row), want)
-		}
+	if numRows > 0 && rowLen != want {
+		return nil, fmt.Errorf("hiti: rows have %d values, want %d", rowLen, want)
 	}
-	if full {
-		h.w = rows
-	} else {
-		h.wb = rows
+	if !full {
+		slab := make([]float64, numRows*rowLen)
+		h.wb = make([][]float64, numRows)
+		for i := range h.wb {
+			h.wb[i] = slab[i*rowLen : (i+1)*rowLen : (i+1)*rowLen]
+			fill(h.wb[i])
+		}
+		return h, nil
+	}
+	h.pos, h.seq = ord.Pos, ord.Seq
+	h.w = make([][]*page, numRows)
+	row := make([]float64, rowLen)
+	for i := range h.w {
+		fill(row)
+		h.w[i] = h.pageRow(nil, row)
 	}
 	return h, nil
 }
@@ -182,9 +228,52 @@ func Rehydrate(net *graph.CSR, p int, full bool, rows [][]float64) (*Hyper, erro
 // value returns W*(Borders[i], x) for border x under either storage form.
 func (h *Hyper) value(i int, x graph.NodeID) float64 {
 	if h.w != nil {
-		return h.w[i][x]
+		s := uint(h.pos[x])
+		return h.w[i][s/PageLen][s%PageLen]
 	}
 	return h.wb[i][h.row[x]]
+}
+
+// slots returns the nodes on page k of every full row, in slot order.
+func (h *Hyper) slots(k int) []graph.NodeID {
+	return h.seq[k*PageLen : min((k+1)*PageLen, len(h.seq))]
+}
+
+// pageRow lays row (node-indexed) out in pages over old, a row of the same
+// Hyper's pages: every page of old whose values are bitwise equal to row's
+// is kept, and old itself is returned when they all are. A nil old yields
+// all new pages.
+func (h *Hyper) pageRow(old []*page, row []float64) []*page {
+	var out []*page
+	for k := 0; k*PageLen < len(h.seq); k++ {
+		nodes := h.slots(k)
+		if old != nil && samePage(old[k], nodes, row) {
+			continue
+		}
+		if out == nil {
+			out = make([]*page, (len(h.seq)+PageLen-1)/PageLen)
+			copy(out, old)
+		}
+		p := new(page)
+		for j, x := range nodes {
+			p[j] = row[x]
+		}
+		out[k] = p
+	}
+	if out == nil {
+		return old
+	}
+	return out
+}
+
+// samePage reports whether p holds row's values for nodes, bit for bit.
+func samePage(p *page, nodes []graph.NodeID, row []float64) bool {
+	for j, x := range nodes {
+		if math.Float64bits(p[j]) != math.Float64bits(row[x]) {
+			return false
+		}
+	}
+	return true
 }
 
 // HasFullRows reports whether full distance rows have been materialized
@@ -192,25 +281,38 @@ func (h *Hyper) value(i int, x graph.NodeID) float64 {
 func (h *Hyper) HasFullRows() bool { return h.w != nil }
 
 // WithFullRows returns a Hyper carrying full distance rows computed over
-// view, dropping the border-indexed form. The update pipeline upgrades a
-// static Hyper with this exactly once (cost: one row rebuild), after which
-// updates patch incrementally. DijkstraRow settles the border targets with
-// the same relaxations DijkstraToTargets performs before its early stop,
-// so border values are bitwise unchanged by the upgrade.
-func (h *Hyper) WithFullRows(view graph.View) *Hyper {
+// view and paged under ord, the network's leaf ordering, dropping the
+// border-indexed form. The update pipeline upgrades a static Hyper with
+// this exactly once (cost: one row rebuild), after which updates patch
+// incrementally. DijkstraRow settles the border targets with the same
+// relaxations DijkstraToTargets performs before its early stop, so border
+// values are bitwise unchanged by the upgrade.
+func (h *Hyper) WithFullRows(view graph.View, ord *order.Ordering) *Hyper {
 	nh := *h
 	nh.wb = nil
-	nh.w = make([][]float64, len(h.Borders))
-	nh.materializeRows(view, nil)
+	nh.pos, nh.seq = ord.Pos, ord.Seq
+	nh.w = make([][]*page, len(h.Borders))
+	nh.rerun(view, nil)
 	return &nh
 }
 
-// materializeRows (re)computes full border rows over view: all of them
-// when rows is nil, else exactly the given border indices. Rows are
-// independent Dijkstra runs, so recomputation is bitwise identical to a
-// fresh build for any row whose distances are unchanged. Full-rows form
-// only.
-func (h *Hyper) materializeRows(view graph.View, rows []int) {
+// WithUpdatedRows returns a Hyper sharing the partition, border sets and
+// every unchanged page with the receiver, with the given border rows re-run
+// against view (the post-update network). The receiver stays valid for
+// concurrent readers. Full-rows form only.
+func (h *Hyper) WithUpdatedRows(view graph.View, rows []int) *Hyper {
+	nh := *h
+	nh.w = slices.Clone(h.w)
+	nh.rerun(view, rows)
+	return &nh
+}
+
+// rerun re-runs border rows over view — all of them when rows is nil, else
+// exactly the given indices — into pooled scratch, and pages each result
+// over the row it replaces, keeping every page whose values did not move.
+// Rows are independent Dijkstra runs, so a re-run is bitwise identical to
+// a fresh build for any value whose distance is unchanged.
+func (h *Hyper) rerun(view graph.View, rows []int) {
 	n := len(rows)
 	if rows == nil {
 		n = len(h.Borders)
@@ -221,68 +323,67 @@ func (h *Hyper) materializeRows(view graph.View, rows []int) {
 			i = rows[k]
 		}
 		ws := sp.AcquireWorkspace(view.NumNodes())
-		defer sp.ReleaseWorkspace(ws)
-		h.w[i] = ws.DijkstraRow(view, h.Borders[i], nil)
+		buf := rowScratch.Get().(*[]float64)
+		*buf = ws.DijkstraRow(view, h.Borders[i], *buf)
+		sp.ReleaseWorkspace(ws)
+		h.w[i] = h.pageRow(h.w[i], *buf)
+		rowScratch.Put(buf)
 	})
 }
 
-// WithPatchedRows returns a Hyper sharing the partition and border sets
-// with the receiver, with every row deep-copied and handed to patch for
-// in-place mutation (the update pipeline's bridge resummation). The
-// receiver stays valid for concurrent readers. Full-rows form only.
-func (h *Hyper) WithPatchedRows(patch func(src graph.NodeID, row []float64)) *Hyper {
+// RowWriter rewrites one full row for WithRewrittenRows. Reads see the
+// writes made so far; a write of the value already stored, bit for bit, is
+// dropped; and the first changed value on a page the row still shares
+// with the receiver copies that page.
+type RowWriter struct {
+	pos   []int
+	old   []*page // the row as the receiver holds it
+	pages []*page // the row being written: old until a page is copied
+}
+
+// At returns the row's value at node x.
+func (r *RowWriter) At(x graph.NodeID) float64 {
+	s := uint(r.pos[x])
+	return r.pages[s/PageLen][s%PageLen]
+}
+
+// Set stores v at node x.
+func (r *RowWriter) Set(x graph.NodeID, v float64) {
+	s := uint(r.pos[x])
+	k, j := s/PageLen, s%PageLen
+	if math.Float64bits(r.pages[k][j]) == math.Float64bits(v) {
+		return
+	}
+	if r.pages[k] == r.old[k] {
+		r.copyPage(k)
+	}
+	r.pages[k][j] = v
+}
+
+func (r *RowWriter) copyPage(k uint) {
+	if &r.pages[0] == &r.old[0] {
+		r.pages = slices.Clone(r.old)
+	}
+	p := *r.old[k]
+	r.pages[k] = &p
+}
+
+// WithRewrittenRows returns a Hyper sharing the partition, border sets and
+// every page write leaves unchanged with the receiver, after handing each
+// border row in turn to write (the update pipeline's bridge resummation).
+// A row costs the values written and the pages they change — nothing is
+// copied or compared whole. The receiver stays valid for concurrent
+// readers. Full-rows form only.
+func (h *Hyper) WithRewrittenRows(write func(src graph.NodeID, r *RowWriter)) *Hyper {
 	nh := *h
-	nh.w = make([][]float64, len(h.w))
+	nh.w = make([][]*page, len(h.w))
+	r := RowWriter{pos: h.pos}
 	for i, row := range h.w {
-		nr := append([]float64(nil), row...)
-		patch(h.Borders[i], nr)
-		nh.w[i] = nr
+		r.old, r.pages = row, row
+		write(h.Borders[i], &r)
+		nh.w[i] = r.pages
 	}
 	return &nh
-}
-
-// WithUpdatedRows returns a Hyper sharing the partition, border sets and
-// every clean row with the receiver, with the given border rows re-run
-// against view (the post-update network). The receiver stays valid for
-// concurrent readers.
-func (h *Hyper) WithUpdatedRows(view graph.View, rows []int) *Hyper {
-	nh := *h
-	nh.w = append([][]float64(nil), h.w...)
-	nh.materializeRows(view, rows)
-	return &nh
-}
-
-// CrossingEntries returns the hyper-edge entries, each with its leaf index,
-// for border pairs that straddle the given node partition (inF[x] = x on the
-// far side). Across a bridge only straddling pairs can change value, so the
-// update pipeline diffs exactly these instead of all B² pairs.
-func (h *Hyper) CrossingEntries(inF []bool) []mbt.ProvenEntry {
-	var bf, bc []graph.NodeID
-	for _, bn := range h.Borders {
-		if inF[bn] {
-			bf = append(bf, bn)
-		} else {
-			bc = append(bc, bn)
-		}
-	}
-	out := make([]mbt.ProvenEntry, 0, len(bf)*len(bc))
-	for _, u := range bf {
-		for _, v := range bc {
-			out = append(out, h.proven(u, v))
-		}
-	}
-	return out
-}
-
-// RowEntries returns the hyper-edge entries whose values derive from border
-// row i — the pairs (Borders[i], Borders[j ≥ i]) — each with its leaf index.
-// Patch paths recompute exactly these after re-running row i.
-func (h *Hyper) RowEntries(i int) []mbt.ProvenEntry {
-	out := make([]mbt.ProvenEntry, 0, len(h.Borders)-i)
-	for _, v := range h.Borders[i:] {
-		out = append(out, h.proven(h.Borders[i], v))
-	}
-	return out
 }
 
 // CellPairEntries returns, each with its leaf index, the hyper-edges between
@@ -310,19 +411,30 @@ func (h *Hyper) CellPairEntries(cs, ct geom.CellID) []mbt.ProvenEntry {
 	return out
 }
 
-// MovedFrom filters entries, which the receiver produced, down to those
-// whose value differs bitwise from old's for the same border pair: the
-// leaves an update has to rewrite. old must share the receiver's partition.
-// In place.
-func (h *Hyper) MovedFrom(old *Hyper, entries []mbt.ProvenEntry) []mbt.ProvenEntry {
-	moved := entries[:0]
-	for _, e := range entries {
-		u, v := graph.NodeID(e.Key>>nodeBits&(MaxNodes-1)), graph.NodeID(e.Key&(MaxNodes-1))
-		if math.Float64bits(old.weight(u, v)) != math.Float64bits(e.Value) {
-			moved = append(moved, e)
+// Moved returns, each with its leaf index, the hyper-edge entries whose
+// values differ bitwise from old's — the leaves an update rewrites — and
+// fresh, the number of pages the receiver does not share with old. It reads
+// only those pages: the entry {u, v} with u < v takes its value from u's
+// row (weight), so only a changed value at a border column v > u of row u
+// can move one. old shares the receiver's partition and holds either
+// storage form (against the static form every page is fresh); the receiver
+// holds full rows.
+func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, fresh int) {
+	for i, row := range h.w {
+		u := h.Borders[i]
+		for k, p := range row {
+			if old.w != nil && old.w[i][k] == p {
+				continue
+			}
+			fresh++
+			for j, v := range h.slots(k) {
+				if v > u && h.row[v] >= 0 && math.Float64bits(p[j]) != math.Float64bits(old.weight(u, v)) {
+					moved = append(moved, h.proven(u, v))
+				}
+			}
 		}
 	}
-	return moved
+	return moved, fresh
 }
 
 // weight is W* of the border pair {u, v} as the tree carries it: read from

@@ -3,12 +3,13 @@ package hiti
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
-	"github.com/authhints/spv/internal/mbt"
+	"github.com/authhints/spv/internal/order"
 	"github.com/authhints/spv/internal/sp"
 )
 
@@ -372,8 +373,8 @@ func TestNodesOfPartition(t *testing.T) {
 // HyperKey, and LeafIndex — in either argument order — is each pair's
 // position in it. The sweep must meet the layout's corner cases (one cell,
 // cells with no border, cells with exactly one, pairs inside one cell) or
-// it fails for lack of coverage. RowEntries and CrossingEntries, which
-// carry indices to the patch path, are held to the same positions.
+// it fails for lack of coverage. Moved, which carries indices to the patch
+// path, is held to the same positions.
 func TestLeafOrderClosedForm(t *testing.T) {
 	var emptyCells, singleCells, sameCellPairs, oneCellWorlds int
 	for seed := int64(0); seed < 24; seed++ {
@@ -426,17 +427,20 @@ func TestLeafOrderClosedForm(t *testing.T) {
 				}
 			}
 		}
-		inF := make([]bool, g.NumNodes())
-		for v := range inF {
-			inF[v] = rng.Intn(2) == 0
-		}
-		patch := h.CrossingEntries(inF)
-		for i := range h.Borders {
-			patch = append(patch, h.RowEntries(i)...)
-		}
-		for _, e := range patch {
-			if int(e.Index) >= len(entries) || entries[e.Index] != e.Entry {
-				t.Fatalf("seed %d p=%d: patch entry %+v is not leaf %d", seed, p, e.Entry, e.Index)
+		// Moved carries indices to the patch path: after random rewrites,
+		// every moved entry is its pair's leaf in the rewritten entry list.
+		patched := fullRows(t, g, h).WithRewrittenRows(func(_ graph.NodeID, r *RowWriter) {
+			for x := 0; x < g.NumNodes(); x++ {
+				if rng.Intn(3) == 0 {
+					r.Set(graph.NodeID(x), r.At(graph.NodeID(x))+1)
+				}
+			}
+		})
+		moved, _ := patched.Moved(h)
+		after := patched.Entries()
+		for _, e := range moved {
+			if int(e.Index) >= len(after) || after[e.Index] != e.Entry {
+				t.Fatalf("seed %d p=%d: moved entry %+v is not leaf %d", seed, p, e.Entry, e.Index)
 			}
 		}
 	}
@@ -449,8 +453,8 @@ func TestLeafOrderClosedForm(t *testing.T) {
 // TestCellPairAndMovedEntries holds the two entry producers the values'
 // single home serves: CellPairEntries lists, for any two cells, exactly the
 // leaves of the pairs between their borders — cs-major, each once — with
-// the values Entries carries; MovedFrom keeps exactly the entries whose
-// value differs, bit for bit, from another Hyper's over the same partition,
+// the values Entries carries; Moved finds exactly the entries whose value
+// differs, bit for bit, from another Hyper's over the same partition,
 // whichever storage form that one has.
 func TestCellPairAndMovedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -485,30 +489,22 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 		}
 	}
 
-	all := func(h *Hyper) []mbt.ProvenEntry {
-		var out []mbt.ProvenEntry
-		for i := range h.Borders {
-			out = append(out, h.RowEntries(i)...)
-		}
-		return out
-	}
-	full := h.WithFullRows(g.Freeze())
-	if moved := full.MovedFrom(h, all(full)); len(moved) != 0 {
-		t.Fatalf("upgrading the storage form moved %d values", len(moved))
+	full := fullRows(t, g, h)
+	if moved, fresh := full.Moved(h); len(moved) != 0 || fresh != h.NumBorders() {
+		t.Fatalf("upgrading the storage form moved %d values on %d fresh pages, want 0 on %d", len(moved), fresh, h.NumBorders())
 	}
 	// Stretch two border rows: the moved entries are exactly the reachable
-	// pairs those rows are the lower-ID side of.
+	// pairs those rows are the lower-ID side of, against either form.
 	changed := map[graph.NodeID]bool{full.Borders[1]: true, full.Borders[len(full.Borders)-2]: true}
-	patched := full.WithPatchedRows(func(src graph.NodeID, row []float64) {
+	patched := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
 		if changed[src] {
-			for x := range row {
-				if x != int(src) && row[x] != sp.Unreachable {
-					row[x] += 0.5
+			for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
+				if x != src && r.At(x) != sp.Unreachable {
+					r.Set(x, r.At(x)+0.5)
 				}
 			}
 		}
 	})
-	moved := patched.MovedFrom(h, all(patched))
 	want := 0
 	for i, u := range patched.Borders {
 		for _, v := range patched.Borders[i+1:] {
@@ -517,12 +513,105 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 			}
 		}
 	}
-	if len(moved) != want || want == 0 {
-		t.Fatalf("%d entries moved, want %d", len(moved), want)
-	}
-	for _, e := range moved {
-		if old := entries[e.Index]; old.Key != e.Key || old.Value+0.5 != e.Value {
-			t.Fatalf("moved entry %+v against old %+v", e.Entry, old)
+	for _, old := range []*Hyper{h, full} {
+		moved, _ := patched.Moved(old)
+		if len(moved) != want || want == 0 {
+			t.Fatalf("%d entries moved, want %d", len(moved), want)
 		}
+		for _, e := range moved {
+			if old := entries[e.Index]; old.Key != e.Key || old.Value+0.5 != e.Value {
+				t.Fatalf("moved entry %+v against old %+v", e.Entry, old)
+			}
+		}
+	}
+	// The writes landed on copies: the rows they started from still read
+	// as the build did.
+	if moved, _ := full.Moved(h); len(moved) != 0 {
+		t.Fatalf("rewriting a patched copy moved %d of the original's values", len(moved))
+	}
+}
+
+// fullRows upgrades h, built over g, to paged full rows in g's Hilbert
+// leaf order.
+func fullRows(t *testing.T, g *graph.Graph, h *Hyper) *Hyper {
+	t.Helper()
+	net := g.Freeze()
+	ord, err := order.Compute(net, order.Hilbert, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.WithFullRows(net, ord)
+}
+
+// TestPagedRowsShareUnchangedPages holds the page store's copy-on-write
+// contract on rows that span several pages: a rewrite copies exactly the
+// pages holding a changed value, a bitwise-equal write copies nothing, a
+// re-run over the same network shares every page, and AppendRow and
+// Rehydrate round-trip both storage forms value for value.
+func TestPagedRowsShareUnchangedPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g := spatialGraph(rng, 3*PageLen+17) // four pages per row, the last short
+	net := g.Freeze()
+	h, err := Build(net, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord, err := order.Compute(net, order.Hilbert, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := h.WithFullRows(net, ord)
+	pages := (g.NumNodes() + PageLen - 1) / PageLen
+
+	// One changed value on row 0, the same value written back everywhere
+	// else: one fresh page.
+	target := ord.Seq[2*PageLen+5]
+	patched := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
+		for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
+			r.Set(x, r.At(x))
+		}
+		if src == full.Borders[0] {
+			r.Set(target, r.At(target)+1)
+		}
+	})
+	if _, fresh := patched.Moved(full); fresh != 1 {
+		t.Fatalf("one changed value copied %d pages, want 1", fresh)
+	}
+	if got, want := patched.AppendRow(nil, 0)[target], full.AppendRow(nil, 0)[target]+1; got != want {
+		t.Fatalf("rewritten value %v, want %v", got, want)
+	}
+	freshOver := func(nh, old *Hyper) int {
+		_, fresh := nh.Moved(old)
+		return fresh
+	}
+	if f := freshOver(patched.WithUpdatedRows(net, []int{1, 2}), patched); f != 0 {
+		t.Fatalf("re-running rows over an unchanged network copied %d pages", f)
+	}
+	if f := freshOver(patched.WithUpdatedRows(net, []int{0}), patched); f != 1 {
+		t.Fatalf("re-running the rewritten row copied %d pages, want its one", f)
+	}
+
+	for _, hy := range []*Hyper{h, patched} {
+		var rows [][]float64
+		for i := 0; i < hy.NumBorders(); i++ {
+			rows = append(rows, hy.AppendRow(nil, i))
+		}
+		k := 0
+		back, err := Rehydrate(net, 16, ord, hy.HasFullRows(), len(rows), len(rows[0]), func(row []float64) {
+			copy(row, rows[k])
+			k++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved, fresh := back.Moved(hy); hy.HasFullRows() && (len(moved) != 0 || fresh != hy.NumBorders()*pages) {
+			t.Fatalf("rehydrated full rows: %d moved on %d fresh pages, want 0 on %d", len(moved), fresh, hy.NumBorders()*pages)
+		}
+		if a, b := back.Entries(), hy.Entries(); !slices.Equal(a, b) {
+			t.Fatal("rehydrated rows carry different entries")
+		}
+	}
+	if _, err := Rehydrate(net, 16, ord, true, h.NumBorders(), h.NumBorders(), nil); err == nil {
+		t.Fatal("full rows of border length accepted")
 	}
 }

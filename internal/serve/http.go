@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -130,10 +131,10 @@ func toWire(a Answer) wireAnswer {
 	return w
 }
 
-// parseQuery accepts either a JSON body {"method","vs","vt"} or URL
-// parameters ?method=&vs=&vt=. An oversized body also marks w's
-// connection for closing.
-func parseQuery(w http.ResponseWriter, r *http.Request) (Query, error) {
+// parseQuery accepts either a JSON body {"method","vs","vt"} or the URL
+// parameters ?method=&vs=&vt= in params, the request's parsed query
+// string. An oversized body also marks w's connection for closing.
+func parseQuery(w http.ResponseWriter, r *http.Request, params url.Values) (Query, error) {
 	if r.Method == http.MethodPost {
 		var q Query
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&q); err != nil {
@@ -141,14 +142,14 @@ func parseQuery(w http.ResponseWriter, r *http.Request) (Query, error) {
 		}
 		return q, nil
 	}
-	q := Query{Method: core.Method(r.URL.Query().Get("method"))}
+	q := Query{Method: core.Method(params.Get("method"))}
 	// NodeID is 32-bit: parse at that width so oversized ids are rejected
 	// rather than silently truncated onto some other node.
-	vs, err := strconv.ParseInt(r.URL.Query().Get("vs"), 10, 32)
+	vs, err := strconv.ParseInt(params.Get("vs"), 10, 32)
 	if err != nil {
 		return Query{}, fmt.Errorf("bad vs: %w", err)
 	}
-	vt, err := strconv.ParseInt(r.URL.Query().Get("vt"), 10, 32)
+	vt, err := strconv.ParseInt(params.Get("vt"), 10, 32)
 	if err != nil {
 		return Query{}, fmt.Errorf("bad vt: %w", err)
 	}
@@ -161,7 +162,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 		return
 	}
-	q, err := parseQuery(w, r)
+	params := r.URL.Query() // once: each call parses the string into a new map
+	q, err := parseQuery(w, r, params)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -176,12 +178,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "binary" || acceptsBinary(r.Header) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-SPV-Method", string(a.Query.Method))
-		w.Header().Set("X-SPV-Dist", strconv.FormatFloat(a.Dist, 'g', -1, 64))
-		w.Header().Set("X-SPV-Hops", strconv.Itoa(a.Hops))
-		w.Header().Set("X-SPV-Cached", strconv.FormatBool(a.Cached))
+	if params.Get("format") == "binary" || acceptsBinary(r.Header) {
+		// Canonical keys (the casing Go puts on the wire anyway) skip a
+		// re-canonicalising allocation per header.
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("X-Spv-Method", string(a.Query.Method))
+		h.Set("X-Spv-Dist", strconv.FormatFloat(a.Dist, 'g', -1, 64))
+		h.Set("X-Spv-Hops", strconv.Itoa(a.Hops))
+		h.Set("X-Spv-Cached", strconv.FormatBool(a.Cached))
 		w.Write(a.Proof)
 		return
 	}
@@ -233,7 +238,7 @@ func acceptsBinary(h http.Header) bool {
 // the server default"; a non-positive value is rejected — a client that
 // wants no deadline omits the header.
 func parseBudget(r *http.Request) (time.Duration, error) {
-	h := r.Header.Get("X-SPV-Budget")
+	h := r.Header.Get("X-Spv-Budget") // canonical: Get need not rewrite the key
 	if h == "" {
 		return 0, nil
 	}

@@ -65,8 +65,10 @@ type Query struct {
 // count of the reported path (edges, i.e. one less than its node count),
 // and the proof's exact wire encoding (decodable with core.DecodeProof and
 // verifiable with core.VerifyProof, both keyed by Query.Method). The Proof
-// slice is owned by the caller — the engine never retains or reuses it.
-// Cached marks answers served from the proof cache.
+// slice is read-only: it is the proof cache's own entry, shared with every
+// other answer to the same query, and never changes — a caller that wants
+// to modify it (a tamper test, say) clones it first. Cached marks answers
+// served from the proof cache.
 type Answer struct {
 	Query  Query   `json:"query"`
 	Dist   float64 `json:"dist"`
@@ -568,8 +570,8 @@ func (e *Engine) Stats() Snapshot {
 
 // cached is the unit the LRU cache holds: one proof's exact wire encoding
 // plus its headline numbers and leaf coverage (kept so hot-swaps can
-// invalidate precisely). The wire slice is shared by every hit and must
-// never be mutated; answers get their own copy.
+// invalidate precisely). The wire slice is shared by every hit — answers
+// carry it as their Proof — and is never mutated.
 type cached struct {
 	dist float64
 	hops int
@@ -635,14 +637,15 @@ func (e *Engine) query(q Query) (ans Answer) {
 	return e.answer(q, c, false)
 }
 
-// answer materializes a caller-owned Answer from a cached proof.
+// answer makes an Answer of a cached proof; its Proof is the cache's own
+// wire, shared read-only.
 func (e *Engine) answer(q Query, c cached, fromCache bool) Answer {
 	e.stats.proofBytes.Add(int64(len(c.wire)))
 	return Answer{
 		Query:  q,
 		Dist:   c.dist,
 		Hops:   c.hops,
-		Proof:  append([]byte(nil), c.wire...),
+		Proof:  c.wire,
 		Cached: fromCache,
 	}
 }

@@ -139,18 +139,32 @@ func TestEngineCacheServesIdenticalWire(t *testing.T) {
 	if !bytes.Equal(cold.Proof, warm.Proof) {
 		t.Error("cached proof differs from cold proof")
 	}
-	// Answers own their bytes: corrupting one must not poison the cache.
-	warm.Proof[0] ^= 0xff
+	// The contract is read-only sharing: every answer to q is the cache
+	// entry itself, no copy, and nothing the engine or a verifying caller
+	// does changes its bytes. A caller that must modify a proof clones it.
+	want := bytes.Clone(cold.Proof)
+	verifyAnswer(t, w.verifier, warm)
 	again, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cold.Proof, again.Proof) {
-		t.Error("cache entry aliased a caller's proof slice")
+	if &again.Proof[0] != &cold.Proof[0] || &warm.Proof[0] != &cold.Proof[0] {
+		t.Error("answers to one query do not share the cache entry's bytes")
+	}
+	if !bytes.Equal(want, again.Proof) {
+		t.Error("the cache entry's bytes changed")
+	}
+	tampered := bytes.Clone(again.Proof)
+	tampered[0] ^= 0xff
+	if last, err := e.Query(q); err != nil || !bytes.Equal(want, last.Proof) {
+		t.Errorf("modifying a clone reached the cache (err %v)", err)
 	}
 	s := e.Stats()
-	if s.Queries != 3 || s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want 3 queries / 2 hits / 1 miss", s)
+	if s.Queries != 4 || s.Hits != 3 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want 4 queries / 3 hits / 1 miss", s)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Query(q) }); n != 0 {
+		t.Errorf("a cache hit allocates %v times, want 0", n)
 	}
 }
 

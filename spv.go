@@ -349,6 +349,8 @@ type ServeQuery = serve.Query
 
 // ServeAnswer is the engine's reply: distance, hop count, and the proof's
 // exact wire encoding (decodable with DecodeProof, checked by VerifyProof).
+// The Proof bytes are read-only — the engine's cache entry, shared by every
+// answer to the query; clone them before modifying.
 type ServeAnswer = serve.Answer
 
 // ServeOptions configures the engine's proof cache and default latency
