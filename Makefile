@@ -116,19 +116,32 @@ audit:
 # Replica drive: boot a lazy replica from $(SNAP) the way an operator
 # would, ask it for one proof per method, and require three 200s and three
 # "hydrated" lines in its log — one per method section, whoever got to it
-# first (the background warm-up or the query).
+# first (the background warm-up or the query). Then boot an -audit-on-load
+# replica from the same file — the certificate streamed through the audit
+# before the listener binds — and require three 200s and its "audit clean"
+# line.
 REPLICA_ADDR ?= 127.0.0.1:18099
 replica-drive:
 	$(GO) build -o spvserve.drive ./cmd/spvserve
-	@set -e; ./spvserve.drive -addr $(REPLICA_ADDR) -snapshot $(SNAP) > replica-drive.log 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null; rm -f spvserve.drive' EXIT; \
-	for i in $$(seq 1 100); do curl -sf -o /dev/null http://$(REPLICA_ADDR)/healthz && break; sleep 0.1; done; \
-	for m in DIJ LDM HYP; do \
-		code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$(REPLICA_ADDR)/query?method=$$m&vs=5&vt=200"); \
-		[ "$$code" = 200 ] || { echo "$$m answered $$code"; cat replica-drive.log; exit 1; }; \
-	done; \
-	sleep 0.5; cat replica-drive.log; n=$$(grep -c ' hydrated ' replica-drive.log) || true; \
-	[ "$$n" = 3 ] || { echo "want 3 hydration lines, got $$n"; exit 1; }
+	@set -e; trap 'kill $$pid 2>/dev/null || true; rm -f spvserve.drive' EXIT; \
+	for mode in lazy audited; do \
+		log=replica-drive.log; flags=; \
+		if [ $$mode = audited ]; then log=replica-drive-audit.log; flags=-audit-on-load; fi; \
+		./spvserve.drive -addr $(REPLICA_ADDR) -snapshot $(SNAP) $$flags > $$log 2>&1 & pid=$$!; \
+		for i in $$(seq 1 100); do curl -sf -o /dev/null http://$(REPLICA_ADDR)/healthz && break; sleep 0.1; done; \
+		for m in DIJ LDM HYP; do \
+			code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$(REPLICA_ADDR)/query?method=$$m&vs=5&vt=200"); \
+			[ "$$code" = 200 ] || { echo "$$mode replica: $$m answered $$code"; cat $$log; exit 1; }; \
+		done; \
+		sleep 0.5; cat $$log; \
+		if [ $$mode = lazy ]; then \
+			n=$$(grep -c ' hydrated ' $$log) || true; \
+			[ "$$n" = 3 ] || { echo "want 3 hydration lines, got $$n"; exit 1; }; \
+		else \
+			grep -q 'audit clean' $$log || { echo "audited replica logged no audit clean line"; exit 1; }; \
+		fi; \
+		kill $$pid; wait $$pid 2>/dev/null || true; \
+	done
 
 # The repository benchmark, all four workloads (cold, hot, churn, restart)
 # at four seconds each with the layer trace: a verifying client against a

@@ -18,6 +18,10 @@
 // sections, largest first, a query that arrives sooner hydrates its own,
 // and each hydration logs a line. -eager validates everything first instead
 // (and logs no per-section line: its load is over before anyone is told).
+// -audit-on-load audits the embedded certificate before listening instead
+// of warming: the certificate streams from the file through the audit row
+// by row, the sections it covers hydrate as the audit reaches them, and a
+// method that fails (or that the certificate does not cover) is refused.
 //
 //	# Resume an update-capable owner from a snapshot + the same persisted
 //	# key the origin ran with (spvquery keygen -key owner.pem creates one;
@@ -75,7 +79,7 @@ func main() {
 		updates  = flag.Bool("updates", false, "enable owner-side POST /update (incremental edge re-weighting + hot-swap)")
 		snapFile = flag.String("snapshot", "", "cold-start from this snapshot file instead of outsourcing")
 		eager    = flag.Bool("eager", false, "with -snapshot: hydrate and validate every method before listening, instead of listening first and warming in the background")
-		audit    = flag.Bool("audit-on-load", false, "with -snapshot: audit the embedded certificate before serving; methods that fail (or are uncovered) are refused")
+		audit    = flag.Bool("audit-on-load", false, "with -snapshot: audit the embedded certificate, streamed from the file and never held, before serving; methods that fail (or are uncovered) are refused")
 		saveFile = flag.String("save", "", "write a snapshot here after startup and enable POST /snapshot")
 		drain    = flag.Duration("drain", 10*time.Second, "in-flight drain timeout on SIGINT/SIGTERM before forced exit")
 		deadline = flag.Duration("deadline-default", 0, "latency budget applied to queries that carry no X-SPV-Budget header; one that cannot be met is shed with 503 (0 = none)")
@@ -344,16 +348,16 @@ func buildDeployment(fl serveFlags, serveOpts spv.ServeOptions) (*spv.Deployment
 // digest, bad signature) is refused outright; a method whose rows fail
 // the linear-pass audit — or that the certificate does not cover — is
 // dropped from the set, so the replica serves only audited state. On a
-// lazy set only the audited sections hydrate.
+// lazy set only the audited sections hydrate, and the certificate streams
+// through the audit from the file without ever being held.
 func auditReplicaSet(set *spv.ProviderSet, path string) error {
-	c, err := set.Certificate()
+	rep, err := set.AuditCertificate(set.Verifier)
 	if err != nil {
 		return fmt.Errorf("-audit-on-load: reading certificate from %s: %w", path, err)
 	}
-	if c == nil {
+	if rep == nil {
 		return fmt.Errorf("-audit-on-load: %s carries no certificate (write one with `spvsnap make -certify`, `spvserve -save`, or Deployment.Certify)", path)
 	}
-	rep := spv.Audit(set, c, set.Verifier)
 	if rep.Global != nil {
 		return fmt.Errorf("-audit-on-load: %s rejected: %w", path, rep.Global)
 	}

@@ -13,7 +13,8 @@
 //	spvsnap verify world.spv -proofs 64
 //
 //	# Certificate audit: one linear pass over every stored row against the
-//	# owner-signed snapshot certificate — no queries, no Dijkstra re-runs.
+//	# owner-signed snapshot certificate — no queries, no Dijkstra re-runs,
+//	# the certificate streamed from the file row by row, never held.
 //	spvsnap audit world.spv
 //
 // verify exits non-zero on the first failure, so it slots into CI and
@@ -32,7 +33,6 @@ import (
 	"strings"
 
 	spv "github.com/authhints/spv"
-	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/core"
 	"github.com/authhints/spv/internal/snapshot"
 	"github.com/authhints/spv/internal/workload"
@@ -257,8 +257,9 @@ const (
 // snapshot lazily, audit every certificate-covered method in one linear
 // pass, and report. Only sections the audit touches are read — a
 // certificate covering one method of a many-method file leaves the rest
-// on disk. Returns the process exit code; the error (if any) carries the
-// operator-facing reason.
+// on disk — and the certificate itself streams through the audit, so the
+// process holds its rows one at a time. Returns the process exit code;
+// the error (if any) carries the operator-facing reason.
 func runAudit(args []string, out io.Writer) (int, error) {
 	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
 		return auditExitUsage, fmt.Errorf("audit needs a snapshot file first")
@@ -275,13 +276,6 @@ func runAudit(args []string, out io.Writer) (int, error) {
 		return auditExitError, err
 	}
 	defer set.Close()
-	c, err := set.Certificate()
-	if err != nil {
-		return auditExitError, fmt.Errorf("reading certificate: %w", err)
-	}
-	if c == nil {
-		return auditExitError, fmt.Errorf("%s carries no certificate (write one with `spvsnap make -certify`)", path)
-	}
 	v := set.Verifier
 	if *verifierPEM != "" {
 		pem, err := os.ReadFile(*verifierPEM)
@@ -293,8 +287,14 @@ func runAudit(args []string, out io.Writer) (int, error) {
 		}
 	}
 
-	rep := cert.Audit(set, c, v)
-	fmt.Fprintf(out, "%s: certificate epoch %d, %d method(s) covered\n", path, c.Epoch(), len(c.Methods))
+	rep, err := set.AuditCertificate(v)
+	if err != nil {
+		return auditExitError, fmt.Errorf("reading certificate: %w", err)
+	}
+	if rep == nil {
+		return auditExitError, fmt.Errorf("%s carries no certificate (write one with `spvsnap make -certify`)", path)
+	}
+	fmt.Fprintf(out, "%s: certificate epoch %d, %d method(s) covered\n", path, rep.Epoch, len(rep.Covered))
 	for _, mr := range rep.Methods {
 		verdict := "OK"
 		if mr.Err != nil {

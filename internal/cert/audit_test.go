@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/authhints/spv/internal/cert"
@@ -280,18 +284,175 @@ func TestAuditSectionCRCTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set, err := core.OpenProviderSetLazy(path)
-	if err != nil {
-		// Some flips land on section framing the open itself validates.
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("open of corrupted snapshot: got %v, want ErrCorrupt", err)
+	open := func() *core.ProviderSet {
+		set, err := core.OpenProviderSetLazy(path)
+		if err != nil {
+			// Some flips land on section framing the open itself validates.
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("open of corrupted snapshot: got %v, want ErrCorrupt", err)
+			}
+			return nil
 		}
+		return set
+	}
+	set := open()
+	if set == nil {
 		return
 	}
 	defer set.Close()
 	if _, err := set.Certificate(); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("reading corrupted cert section: got %v, want ErrCorrupt", err)
 	}
+	// The stream route never holds the section, so it learns of the flip
+	// only once the last byte has passed — after every method verdict — and
+	// must still answer exactly what the read above did, and no report.
+	streamed := open()
+	defer streamed.Close()
+	if rep, err := streamed.AuditCertificate(streamed.Verifier); rep != nil || !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("streamed audit of a corrupted cert section: report %v, err %v; want none, ErrCorrupt", rep, err)
+	}
+}
+
+// sliceAt is where one method slice's name field, row count and rows start
+// in a certificate wire, its rows' slot size and their count.
+type sliceAt struct {
+	name, numRows, rows, slot, count int
+}
+
+// walkSlices locates every method slice of c's wire.
+func walkSlices(t *testing.T, c *cert.Certificate) []sliceAt {
+	t.Helper()
+	w, size := c.Bytes(), c.Alg().Size()
+	u32 := func(off int) int { return int(binary.BigEndian.Uint32(w[off:])) }
+	off := 4 + 1 + 1 + 8 + 4 + size
+	nm := int(binary.BigEndian.Uint16(w[off:]))
+	off += 2
+	var out []sliceAt
+	for range nm {
+		s := sliceAt{name: off}
+		off += 4 + u32(off) // name
+		off += 4 + u32(off) // aux
+		nr := int(binary.BigEndian.Uint16(w[off:]))
+		off += 2 + nr*(4+size)
+		s.numRows, s.count = off, u32(off)
+		off += 4
+		s.rows, s.slot = off, 8+12*u32(off+4)+4+size
+		off += s.count * s.slot
+		out = append(out, s)
+	}
+	if off+4+len(c.Sig()) != len(w) {
+		t.Fatalf("walked %d of %d bytes", off+4+len(c.Sig()), len(w))
+	}
+	return out
+}
+
+// TestAuditReaderRejectsMalformed pins the streaming pass to the
+// whole-wire decode: a certificate broken anywhere — cut short, a row or
+// node count that lies in a slice past the first, a row whose size
+// disagrees with its slice's, a method slice repeated — is rejected as the
+// decode rejects it (ErrEncoding, and no report), however many method
+// verdicts the stream has produced by the time it gets there, and what a
+// lying count claims is never allocated. cert.Audit of the same bytes held
+// in memory reports the same class as its Global.
+func TestAuditReaderRejectsMalformed(t *testing.T) {
+	_, set, c := certWorld(t)
+	wire := c.Bytes()
+	sl := walkSlices(t, c)
+	last := sl[len(sl)-1]
+	edit := func(f func(w []byte)) []byte {
+		w := bytes.Clone(wire)
+		f(w)
+		return w
+	}
+	cases := []struct {
+		name string
+		w    []byte
+		want string
+	}{
+		{"truncated-mid-rows", wire[:last.rows+last.slot/2], "row length exceeds input"},
+		{"truncated-before-sig", wire[:len(wire)-len(c.Sig())], "truncated"},
+		{"lying-row-count", edit(func(w []byte) {
+			binary.BigEndian.PutUint32(w[last.numRows:], 0xFFFFFFFF)
+		}), "row count exceeds input"},
+		{"lying-node-count", edit(func(w []byte) {
+			binary.BigEndian.PutUint32(w[last.rows+4:], 0x7FFFFFFF)
+		}), "row length exceeds input"},
+		{"row-size-mid-run", edit(func(w []byte) {
+			at := last.rows + (last.count-1)*last.slot + 4
+			binary.BigEndian.PutUint32(w[at:], binary.BigEndian.Uint32(w[at:])-1)
+		}), fmt.Sprintf("row %d covers", last.count-1)},
+		{"duplicate-slice", edit(func(w []byte) {
+			// Same-length names: a later slice becomes a second copy of an
+			// earlier one whose name is as long.
+			for i := 1; i < len(sl); i++ {
+				for j := 0; j < i; j++ {
+					a, b := w[sl[j].name:sl[j].name+4], w[sl[i].name:sl[i].name+4]
+					if bytes.Equal(a, b) {
+						n := int(binary.BigEndian.Uint32(a))
+						copy(w[sl[i].name+4:sl[i].name+4+n], w[sl[j].name+4:])
+						return
+					}
+				}
+			}
+			t.Fatal("no two slices with names of one length")
+		}), "duplicate method slice"},
+		{"trailing-byte", append(bytes.Clone(wire), 0), "1 trailing bytes"},
+	}
+	for _, tc := range cases {
+		w := tc.w
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := cert.DecodeCertificate(w); !errors.Is(err, cert.ErrEncoding) {
+				t.Fatalf("decode: got %v, want ErrEncoding", err)
+			}
+			var (
+				rep *cert.Report
+				err error
+			)
+			grew := totalAlloc(func() {
+				rep, err = cert.AuditReader(set, bytes.NewReader(w), int64(len(w)), set.Verifier)
+			})
+			if rep != nil || !errors.Is(err, cert.ErrEncoding) {
+				t.Fatalf("stream: report %v, err %v; want none, ErrEncoding", rep, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("stream: %v, want it to say %q", err, tc.want)
+			}
+			// A lying count claims gigabytes; the method audits that run
+			// before the stream breaks allocate about the wire's size here.
+			if grew > 4*uint64(len(wire)) {
+				t.Fatalf("stream rejection allocated %d bytes for a %d-byte certificate", grew, len(wire))
+			}
+			// The same bytes, decoded whole and then edited in place, as
+			// the tamper matrix edits them.
+			held := reDecode(t, c)
+			if len(w) == len(wire) {
+				copy(held.Bytes(), w)
+				if err := cert.Audit(set, held, set.Verifier).Global; !errors.Is(err, cert.ErrEncoding) {
+					t.Fatalf("held: Global %v, want ErrEncoding", err)
+				}
+			}
+		})
+	}
+	// A stream that delivers fewer bytes than it was declared to hold.
+	if rep, err := cert.AuditReader(set, bytes.NewReader(wire[:len(wire)/2]), int64(len(wire)), set.Verifier); rep != nil || !errors.Is(err, cert.ErrEncoding) {
+		t.Fatalf("short stream: report %v, err %v; want none, ErrEncoding", rep, err)
+	}
+	// And the clean wire, streamed, is the held audit's report.
+	rep, err := cert.AuditReader(set, bytes.NewReader(wire), int64(len(wire)), set.Verifier)
+	if err != nil || rep.Err() != nil {
+		t.Fatalf("clean stream: err %v, report %v", err, rep.Err())
+	}
+	if held := cert.Audit(set, c, set.Verifier); len(rep.Methods) != len(held.Methods) || !slices.Equal(rep.Covered, held.Covered) {
+		t.Fatalf("clean stream covered %v, held audit %v", rep.Covered, held.Covered)
+	}
+}
+
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // rebuildWorld is certWorld without certification or the snapshot

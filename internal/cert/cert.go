@@ -2,7 +2,9 @@
 // statement by the data owner of everything a replica must hold for one
 // epoch — per-method shortest-path labellings (distance + parent rows) and
 // the Merkle roots the stored structures must hash to — plus a linear-time
-// audit that checks a freshly loaded snapshot against it in one pass.
+// audit that checks a freshly loaded snapshot against it in one pass, as
+// the certificate streams past row by row: a process that only audits never
+// holds it.
 //
 // The certificate complements the paper's per-query authenticated hints
 // with whole-labelling assurance, after the linear-time shortest-path
@@ -26,6 +28,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 
 	"github.com/authhints/spv/internal/digest"
@@ -80,10 +84,13 @@ var SigContext = []byte("spv/CERT/v1\x00")
 // (`bytes`/`str` are u32-length-prefixed, integers big-endian, parents
 // encode graph.Invalid as 0xFFFFFFFF) — plus an index of where each method
 // slice lies. Nothing is decoded beside it: accessors read the wire, the
-// slices they return alias it, the signature and the row digests are
-// checked over it where it lies, and saving writes it. CoreDigest binds
-// the snapshot's core sections (config, graph, leaf ordering), so a
+// slices they return alias it, and saving writes it. CoreDigest binds the
+// snapshot's core sections (config, graph, leaf ordering), so a
 // certificate cannot be replayed against a different world.
+//
+// A process that only audits never needs one: AuditReader checks the wire
+// as it streams past, one row at a time, and Audit is that same pass over
+// a held certificate's bytes.
 type Certificate struct {
 	wire    []byte
 	signed  int // wire[:signed] is what the signature covers; its frame follows
@@ -126,34 +133,28 @@ func (c *Certificate) Method(name string) *MethodCert {
 	return nil
 }
 
-// MethodNames returns the covered method names in certificate order.
-func (c *Certificate) MethodNames() []string {
-	names := make([]string, len(c.Methods))
-	for i := range c.Methods {
-		names[i] = c.Methods[i].Method
-	}
-	return names
-}
-
 // MethodCert is one method's slice of the certificate: the Merkle roots
 // its stored structures must reproduce, a method-defined parameter blob
 // (e.g. HYP's row-form flag) and the labelling rows the audit checks.
 // Every row of a slice covers the same node count, so the rows are one
-// run of equal-size slots.
+// run of equal-size slots. A decoded certificate's slices index their
+// rows in place (Row); a slice the audit hands a View delivers its rows
+// as they are read (Rows).
 type MethodCert struct {
 	Method string
 	Aux    []byte
 	Roots  [][]byte
-	rows   []byte // NumRows slots
-	slot   int    // bytes per slot, never 0
+	rows   []byte  // a decoded certificate's slots, in place
+	run    *rowRun // the row count and slot size, and the cursor the rows arrive on
 }
 
 // NumRows returns the number of labelling rows in the slice.
-func (m *MethodCert) NumRows() int { return len(m.rows) / m.slot }
+func (m *MethodCert) NumRows() int { return m.run.count }
 
-// Row returns the i-th labelling row.
+// Row returns the i-th labelling row of a decoded certificate.
 func (m *MethodCert) Row(i int) Row {
-	return Row{m.rows[i*m.slot : (i+1)*m.slot : (i+1)*m.slot]}
+	s := m.run.slot
+	return Row{m.rows[i*s : (i+1)*s : (i+1)*s]}
 }
 
 // Row is one certified shortest-path labelling where it lies in the wire:
@@ -288,140 +289,275 @@ const maxCertMethods = 64
 // input, all rows of a slice must be the same size, slots tile the wire
 // exactly and no trailing bytes are tolerated; what is allocated is the
 // index alone — bounded by maxCertMethods, whatever the input's size or
-// the counts it claims.
+// the counts it claims. It is the audit's cursor run over a slice, with
+// each row indexed where the audit would check it.
 func DecodeCertificate(buf []byte) (*Certificate, error) {
-	d := certDecoder{buf: buf}
-	if string(d.take(4)) != string(certMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrEncoding)
+	d := &wireCursor{buf: buf, size: len(buf)}
+	h := d.header()
+	c := &Certificate{wire: buf}
+	if d.err == nil {
+		c.Methods = make([]MethodCert, 0, h.methods)
 	}
-	if v := d.u8(); v != certVersion {
-		return nil, fmt.Errorf("%w: unsupported certificate version %d", ErrEncoding, v)
-	}
-	alg := digest.Alg(d.u8())
-	if !alg.Valid() {
-		return nil, fmt.Errorf("%w: bad digest algorithm %d", ErrEncoding, alg)
-	}
-	size := alg.Size()
-	d.take(8) // epoch
-	d.bytes(size)
-	nm := int(d.u16())
-	if nm > maxCertMethods {
-		return nil, fmt.Errorf("%w: %d method slices", ErrEncoding, nm)
-	}
-	c := &Certificate{wire: buf, Methods: make([]MethodCert, 0, nm)}
-	for i := 0; i < nm && d.err == nil; i++ {
-		m := MethodCert{Method: d.str(), Aux: d.bytes(-1)}
-		nr := int(d.u16())
-		if nr > maxCertMethods {
-			d.fail("too many roots")
-			break
-		}
-		for j := 0; j < nr && d.err == nil; j++ {
-			m.Roots = append(m.Roots, d.bytes(size))
-		}
-		d.rows(&m, size)
+	for i := 0; i < h.methods && d.err == nil; i++ {
+		m := d.slice(h.alg)
+		start := d.off
+		m.run.drain()
+		m.rows = buf[start:d.off:d.off]
 		c.Methods = append(c.Methods, m)
 	}
 	c.signed = d.off
-	d.bytes(-1) // signature
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEncoding, d.err)
-	}
-	if d.off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(buf)-d.off)
-	}
-	for i := range c.Methods {
-		if c.Method(c.Methods[i].Method) != &c.Methods[i] {
-			return nil, fmt.Errorf("%w: duplicate method slice %q", ErrEncoding, c.Methods[i].Method)
-		}
+	d.field(-1) // signature
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// certDecoder is a sticky-error cursor over a certificate wire.
-type certDecoder struct {
-	buf []byte
-	off int
-	err error
+// wireCursor is the one reader of a certificate wire: a sticky-error
+// cursor over a byte slice, whose fields it returns where they lie, or
+// over a stream, whose fields it reads into memory as they arrive. Every
+// length and count the wire claims is checked against the bytes left
+// before anything is read or allocated for it, and while sum is set every
+// byte consumed is folded into it — the signature's digest, taken as the
+// bytes pass, in wire order.
+type wireCursor struct {
+	buf   []byte    // the whole wire, when reading a slice
+	r     io.Reader // the stream, otherwise
+	off   int       // bytes consumed
+	size  int       // input length
+	sum   hash.Hash // folds every consumed byte while set
+	err   error
+	names []string // method slices met so far, in wire order
+	spare [][]byte // stream: row buffers not in use
+	fixed [8]byte  // stream: the last fixed-width field
+	head  [8]byte  // stream: a run's first row head, read ahead (rows)
 }
 
-func (d *certDecoder) remaining() int { return len(d.buf) - d.off }
+func (d *wireCursor) remaining() int { return d.size - d.off }
 
-func (d *certDecoder) fail(msg string) {
+func (d *wireCursor) fail(msg string) {
 	if d.err == nil {
 		d.err = errors.New(msg)
 	}
 }
 
-// take returns the next n bytes where they lie or, once the input has run
-// out, zero bytes enough for any fixed-width read (up to 8), so callers
-// read through and test err once.
-func (d *certDecoder) take(n int) []byte {
+// next consumes n bytes — where they lie in a slice, into dst[:n] from a
+// stream — or, once the input has run out, returns zero bytes enough for
+// any fixed-width read (up to 8), so callers read through and test err
+// once.
+func (d *wireCursor) next(n int, dst []byte) []byte {
 	if d.err == nil && d.remaining() < n {
 		d.fail("truncated")
+	}
+	var b []byte
+	switch {
+	case d.err != nil:
+	case d.r == nil:
+		b = d.buf[d.off : d.off+n : d.off+n]
+	default:
+		b = dst[:n:n]
+		_, d.err = io.ReadFull(d.r, b) // short of its declared size: EOF
 	}
 	if d.err != nil {
 		return make([]byte, min(n, 8))
 	}
-	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
+	if d.sum != nil {
+		d.sum.Write(b)
+	}
 	return b
 }
 
-func (d *certDecoder) u8() byte    { return d.take(1)[0] }
-func (d *certDecoder) u16() uint16 { return binary.BigEndian.Uint16(d.take(2)) }
-func (d *certDecoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
+func (d *wireCursor) u8() byte    { return d.next(1, d.fixed[:])[0] }
+func (d *wireCursor) u16() uint16 { return binary.BigEndian.Uint16(d.next(2, d.fixed[:])) }
+func (d *wireCursor) u32() uint32 { return binary.BigEndian.Uint32(d.next(4, d.fixed[:])) }
 
-// bytes reads a u32-length-prefixed field where it lies; want >= 0
-// additionally pins the exact length (digest fields must be alg-sized).
-func (d *certDecoder) bytes(want int) []byte {
+// field reads a u32-length-prefixed field; want >= 0 additionally pins
+// the exact length (digest fields must be alg-sized). A stream's field is
+// allocated only once the input is known to hold it.
+func (d *wireCursor) field(want int) []byte {
 	n := int(d.u32())
 	if d.err == nil && want >= 0 && n != want {
 		d.fail(fmt.Sprintf("field is %d bytes, want %d", n, want))
 	}
-	return d.take(n)
+	if d.err == nil && d.remaining() < n {
+		d.fail("truncated")
+	}
+	if d.err != nil {
+		return nil
+	}
+	var dst []byte
+	if d.r != nil {
+		dst = make([]byte, n)
+	}
+	return d.next(n, dst)
+}
+
+// certHeader is what precedes the method slices.
+type certHeader struct {
+	alg     digest.Alg
+	epoch   int64
+	core    []byte
+	methods int
+}
+
+func (d *wireCursor) header() (h certHeader) {
+	if m := d.next(4, d.fixed[:]); d.err != nil || string(m) != string(certMagic) {
+		d.err = errors.New("bad magic")
+		return h
+	}
+	if v := d.u8(); d.err == nil && v != certVersion {
+		d.fail(fmt.Sprintf("unsupported certificate version %d", v))
+	}
+	if h.alg = digest.Alg(d.u8()); d.err == nil && !h.alg.Valid() {
+		d.fail(fmt.Sprintf("bad digest algorithm %d", h.alg))
+	}
+	if d.err != nil {
+		return h
+	}
+	h.epoch = int64(binary.BigEndian.Uint64(d.next(8, d.fixed[:])))
+	h.core = d.field(h.alg.Size())
+	if h.methods = int(d.u16()); h.methods > maxCertMethods {
+		d.fail(fmt.Sprintf("%d method slices", h.methods))
+	}
+	return h
 }
 
 const maxMethodName = 16
 
-func (d *certDecoder) str() string {
-	b := d.bytes(-1)
-	if d.err == nil && (len(b) == 0 || len(b) > maxMethodName) {
+// slice reads one method slice up to its rows, which it leaves to the
+// returned run.
+func (d *wireCursor) slice(alg digest.Alg) MethodCert {
+	name := d.field(-1)
+	if d.err == nil && (len(name) == 0 || len(name) > maxMethodName) {
 		d.fail("bad method name length")
 	}
-	return string(b)
+	m := MethodCert{Method: string(name), run: &rowRun{d: d}}
+	for _, seen := range d.names {
+		if seen == m.Method {
+			d.fail(fmt.Sprintf("duplicate method slice %q", m.Method))
+		}
+	}
+	d.names = append(d.names, m.Method)
+	m.Aux = d.field(-1)
+	nr := int(d.u16())
+	if nr > maxCertMethods {
+		d.fail("too many roots")
+	}
+	for j := 0; j < nr && d.err == nil; j++ {
+		m.Roots = append(m.Roots, d.field(alg.Size()))
+	}
+	d.rows(m.run, alg.Size())
+	return m
 }
 
-// rows indexes a slice's labelling rows: a count, then that many slots of
-// the size the first one declares. The claimed node and row counts are
-// bounded by what the remaining input could hold before anything is walked.
-func (d *certDecoder) rows(m *MethodCert, digestSize int) {
-	count, n := int(d.u32()), 0
-	m.slot = slotSize(0, digestSize)
+// rowRun is one slice's labelling rows as the cursor meets them: count
+// slots of slot bytes, each over n nodes with a digestSize-byte digest.
+type rowRun struct {
+	d          *wireCursor
+	count, n   int
+	slot       int
+	digestSize int
+	taken      int // rows consumed so far
+}
+
+// rows reads a run's row count and the node count its first row declares,
+// both bounded by what the remaining input could hold before any row is
+// read. From a stream the first row's head is read ahead into d.head.
+func (d *wireCursor) rows(run *rowRun, digestSize int) {
+	run.digestSize, run.slot = digestSize, slotSize(0, digestSize)
+	count := int(d.u32())
 	if d.err != nil || count == 0 {
 		return
 	}
-	if d.remaining() >= 8 {
+	left, n := d.remaining(), 0
+	if left >= 8 && d.r == nil {
 		n = int(binary.BigEndian.Uint32(d.buf[d.off+4:]))
+	} else if left >= 8 {
+		n = int(binary.BigEndian.Uint32(d.next(8, d.head[:])[4:]))
 	}
-	if n > d.remaining()/12 {
+	if n > left/12 {
 		d.fail("row length exceeds input")
 		return
 	}
-	m.slot = slotSize(n, digestSize)
-	if count > d.remaining()/m.slot {
+	run.n, run.slot = n, slotSize(n, digestSize)
+	if count > left/run.slot {
 		d.fail("row count exceeds input")
 		return
 	}
-	m.rows = d.take(count * m.slot)
-	for i := 0; i < count; i++ {
-		r := m.Row(i)
-		if r.N() != n {
-			d.fail(fmt.Sprintf("row %d covers %d nodes, row 0 covers %d", i, r.N(), n))
-		} else if got := binary.BigEndian.Uint32(r.slot[8+12*n:]); int(got) != digestSize {
-			d.fail(fmt.Sprintf("field is %d bytes, want %d", got, digestSize))
-		}
+	run.count = count
+}
+
+// take consumes the run's next row — where it lies in a slice, into dst
+// (cap ≥ slot) from a stream — and checks its framing: the run's node
+// count and an alg-sized digest. The row is valid only while the cursor
+// has no error.
+func (r *rowRun) take(dst []byte) Row {
+	d, i := r.d, r.taken
+	r.taken++
+	var b []byte
+	if d.r != nil && i == 0 {
+		b = dst[:r.slot:r.slot]
+		copy(b, d.head[:])
+		d.next(r.slot-8, b[8:])
+	} else {
+		b = d.next(r.slot, dst)
 	}
+	if d.err != nil {
+		return Row{}
+	}
+	row := Row{b}
+	if row.N() != r.n {
+		d.fail(fmt.Sprintf("row %d covers %d nodes, row 0 covers %d", i, row.N(), r.n))
+	} else if got := binary.BigEndian.Uint32(b[8+12*r.n:]); int(got) != r.digestSize {
+		d.fail(fmt.Sprintf("field is %d bytes, want %d", got, r.digestSize))
+	}
+	return row
+}
+
+// drain consumes whatever rows of the run are still unread: a decode
+// indexes them, the audit hashes and frames the rows a method audit left.
+func (r *rowRun) drain() {
+	if r.taken >= r.count || r.d.err != nil {
+		return
+	}
+	buf := r.d.buffer(r.slot)
+	for r.taken < r.count && r.d.err == nil {
+		r.take(buf)
+	}
+	r.d.release(buf)
+}
+
+// buffer returns a row buffer for slot-byte rows: nil over a slice, whose
+// rows are read in place.
+func (d *wireCursor) buffer(slot int) []byte {
+	if d.r == nil {
+		return nil
+	}
+	if k := len(d.spare) - 1; k >= 0 && cap(d.spare[k]) >= slot {
+		b := d.spare[k]
+		d.spare = d.spare[:k]
+		return b[:slot]
+	}
+	return make([]byte, slot)
+}
+
+func (d *wireCursor) release(b []byte) {
+	if b != nil {
+		d.spare = append(d.spare, b)
+	}
+}
+
+// finish settles a read that has consumed the signature frame: any error
+// met, or trailing input, is the certificate's ErrEncoding.
+func (d *wireCursor) finish() error {
+	if d.err != nil {
+		return fmt.Errorf("%w: %v", ErrEncoding, d.err)
+	}
+	if d.off != d.size {
+		return fmt.Errorf("%w: %d trailing bytes", ErrEncoding, d.size-d.off)
+	}
+	return nil
 }
 
 func appendCertBytes(buf, b []byte) []byte {

@@ -2,8 +2,11 @@ package cert_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -60,7 +63,8 @@ const decodeAllocBudget = 256 << 10
 // the certificate: Bytes is the input itself, every slot the index reports
 // lies inside it, and header, slices (name, aux, roots, rows — in wire
 // order) and the signature frame tile it exactly, so no byte is outside
-// what the signature or a framing check covers.
+// what the signature or a framing check covers. The audit's streaming
+// cursor runs over every input too (checkStream), and must agree.
 func FuzzDecodeCertificate(f *testing.F) {
 	for _, m := range []string{"DIJ", "FULL", "LDM", "HYP"} {
 		f.Add(corpusCert(m).Bytes())
@@ -74,6 +78,7 @@ func FuzzDecodeCertificate(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > decodeAllocBudget {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
+		checkStream(t, data, c, err)
 		if err != nil {
 			return
 		}
@@ -107,6 +112,110 @@ func FuzzDecodeCertificate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// streamView is an audit view that accepts whatever the decoded
+// certificate says and checks only that the stream delivers it: every
+// slice's fields and every row, byte for byte, with the decode's.
+type streamView struct {
+	t *testing.T
+	c *cert.Certificate // nil when the decode rejected the wire
+}
+
+func (v streamView) AuditEpoch() int64 {
+	if v.c == nil {
+		return 0
+	}
+	return v.c.Epoch()
+}
+
+func (v streamView) AuditMethods() []string { return nil }
+
+func (v streamView) AuditCoreDigest(digest.Alg) ([]byte, error) {
+	if v.c == nil {
+		return nil, nil
+	}
+	return v.c.CoreDigest(), nil
+}
+
+func (v streamView) AuditMethod(mc *cert.MethodCert, _ cert.SigVerifier) error {
+	want := v.c.Method(mc.Method)
+	if want == nil || !bytes.Equal(mc.Aux, want.Aux) || len(mc.Roots) != len(want.Roots) || mc.NumRows() != want.NumRows() {
+		return fmt.Errorf("slice %q differs from the decode's", mc.Method)
+	}
+	for i := range mc.Roots {
+		if !bytes.Equal(mc.Roots[i], want.Roots[i]) {
+			return fmt.Errorf("%s root %d differs", mc.Method, i)
+		}
+	}
+	return mc.Rows(func(i int, row cert.Row, _ *cert.Scratch) error {
+		w := want.Row(i)
+		if row.Src() != w.Src() || row.N() != w.N() || !bytes.Equal(row.Digest(), w.Digest()) {
+			return fmt.Errorf("%s row %d differs", mc.Method, i)
+		}
+		for x := 0; x < row.N(); x++ {
+			if math.Float64bits(row.Dist(x)) != math.Float64bits(w.Dist(x)) || row.Parent(x) != w.Parent(x) {
+				return fmt.Errorf("%s row %d differs at %d", mc.Method, i, x)
+			}
+		}
+		return nil
+	})
+}
+
+// digestVerifier accepts exactly the signature frame and message digest
+// of the decoded certificate.
+type digestVerifier struct {
+	sig  []byte
+	want [sha256.Size]byte
+}
+
+func (v digestVerifier) VerifyParts(sig []byte, parts ...[]byte) error {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return v.VerifyDigest(sig, [sha256.Size]byte(h.Sum(nil)))
+}
+
+func (v digestVerifier) VerifyDigest(sig []byte, h [sha256.Size]byte) error {
+	if !bytes.Equal(sig, v.sig) || h != v.want {
+		return errors.New("not the decoded certificate's signature")
+	}
+	return nil
+}
+
+// checkStream runs the audit's streaming cursor over data and holds it to
+// the decode's verdict (c, err): it rejects what the decode rejects, as
+// ErrEncoding and with no report; otherwise it delivers every field and
+// row the decode indexed, folds exactly SigContext ‖ the signed span into
+// the signature's digest, and passes. Either way it allocates no more than
+// the decode's budget plus a few row buffers per worker — never a size
+// the input claims.
+func checkStream(t *testing.T, data []byte, c *cert.Certificate, err error) {
+	v := digestVerifier{}
+	if err == nil {
+		v.sig = c.Sig()
+		v.want = sha256.Sum256(append(bytes.Clone(cert.SigContext), data[:len(data)-4-len(c.Sig())]...))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, serr := cert.AuditReader(streamView{t, c}, bytes.NewReader(data), int64(len(data)), v)
+	runtime.ReadMemStats(&after)
+	if grew, budget := after.TotalAlloc-before.TotalAlloc, decodeAllocBudget+uint64(4*runtime.GOMAXPROCS(0)*len(data)); grew > budget {
+		t.Fatalf("streaming %d bytes allocated %d, budget %d", len(data), grew, budget)
+	}
+	if err != nil {
+		if rep != nil || !errors.Is(serr, cert.ErrEncoding) {
+			t.Fatalf("decode rejected (%v); stream: report %v, err %v", err, rep, serr)
+		}
+		return
+	}
+	if serr != nil {
+		t.Fatalf("decode accepted; stream rejected: %v", serr)
+	}
+	if err := rep.Err(); err != nil || len(rep.Covered) != len(c.Methods) {
+		t.Fatalf("stream of an accepted wire: %v, covered %v", err, rep.Covered)
+	}
 }
 
 // wireOffsets locates the numMethods-relative fields of a single-method

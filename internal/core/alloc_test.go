@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -338,25 +340,7 @@ func TestCertPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats workspace and scratch pooling")
 	}
-	g, err := netgen.Synthesize(1500, 1650, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Landmarks = 8
-	cfg.Cells = 16
-	owner, err := NewOwner(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var provs []Provider
-	for _, m := range []Method{DIJ, LDM, HYP} {
-		p, err := owner.Outsource(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		provs = append(provs, p)
-	}
+	owner, provs, perWorker := certBudgetWorld(t)
 	save := func(c *cert.Certificate) uint64 {
 		return totalAlloc(func() {
 			if _, err := owner.WriteSnapshotCert(io.Discard, c, provs...); err != nil {
@@ -367,7 +351,10 @@ func TestCertPathAllocBudget(t *testing.T) {
 	save(nil) // warm pools and lazily built state
 	plain := save(nil)
 
-	var c *cert.Certificate
+	var (
+		c   *cert.Certificate
+		err error
+	)
 	if _, err := owner.Certify(provs...); err != nil { // warm the search workspaces
 		t.Fatal(err)
 	}
@@ -376,7 +363,6 @@ func TestCertPathAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := uint64(len(c.Bytes()))
-	perWorker := uint64(runtime.GOMAXPROCS(0) * g.NumNodes() * 64)
 	if limit := size*5/4 + perWorker; issue > limit {
 		t.Errorf("Certify allocated %d bytes for a %d-byte certificate, budget %d", issue, size, limit)
 	}
@@ -407,4 +393,74 @@ func TestCertPathAllocBudget(t *testing.T) {
 	if limit := size/2 + perWorker; audit > limit {
 		t.Errorf("decode + audit of a %d-byte certificate allocated %d bytes, budget %d", size, audit, limit)
 	}
+}
+
+// certBudgetWorld is TestCertPathAllocBudget's world: DIJ, LDM and HYP
+// over 1,500 nodes, and the per-worker scratch allowance its budgets add.
+func certBudgetWorld(t *testing.T) (*Owner, []Provider, uint64) {
+	t.Helper()
+	g, err := netgen.Synthesize(1500, 1650, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Landmarks = 8
+	cfg.Cells = 16
+	owner, err := NewOwner(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var provs []Provider
+	for _, m := range []Method{DIJ, LDM, HYP} {
+		p, err := owner.Outsource(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		provs = append(provs, p)
+	}
+	return owner, provs, uint64(runtime.GOMAXPROCS(0) * g.NumNodes() * 64)
+}
+
+// TestCertFileAuditAllocBudget holds the audit of a certificate read from
+// a file to the in-memory budget above: a lazily opened, warmed set audited
+// through AuditCertificate streams the CERT section through the audit, so
+// what it allocates is the audit's own working state plus a few row
+// buffers per worker — never the section. Reading the certificate first
+// (Certificate, then Audit) allocates the section on top, ≥ 1.37× its size.
+func TestCertFileAuditAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats workspace and scratch pooling")
+	}
+	owner, provs, perWorker := certBudgetWorld(t)
+	c, err := owner.Certify(provs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(len(c.Bytes()))
+	path := filepath.Join(t.TempDir(), "world.spv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.WriteSnapshotCert(f, c, provs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	set.Warm()
+	var rep *cert.Report
+	audit := totalAlloc(func() { rep, err = set.AuditCertificate(set.Verifier) })
+	if err != nil || rep == nil || rep.Err() != nil {
+		t.Fatalf("streamed audit: err %v, report %v", err, rep)
+	}
+	if limit := size/2 + perWorker; audit > limit {
+		t.Errorf("streamed audit of a %d-byte certificate allocated %d bytes, budget %d", size, audit, limit)
+	}
+	t.Logf("streamed audit of a %d-byte certificate allocated %d bytes (%.2f×)", size, audit, float64(audit)/float64(size))
 }

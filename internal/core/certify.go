@@ -154,18 +154,15 @@ func (s *ProviderSet) AuditMethods() []string {
 }
 
 // AuditCoreDigest implements cert.View. The leaf ordering comes from the
-// set's own ordering section when one was loaded; otherwise from the
-// first certificate-covered provider — never from an uncovered one, so a
-// lazily opened set hydrates only sections the audit touches.
-func (s *ProviderSet) AuditCoreDigest(alg digest.Alg, methods []string) ([]byte, error) {
+// set's own ordering section when one was loaded — always, for a set read
+// from a snapshot, so no provider hydrates for it — and otherwise from the
+// first provider's network ADS: every provider of a set built in memory
+// carries its owner's one ordering.
+func (s *ProviderSet) AuditCoreDigest(alg digest.Alg) ([]byte, error) {
 	ord := s.ord
 	if ord == nil {
-		for _, name := range methods {
-			p := s.Provider(Method(name))
-			if p == nil {
-				continue
-			}
-			up, err := unwrapProvider(p)
+		for _, m := range s.Methods() {
+			up, err := unwrapProvider(s.provs[m])
 			if err != nil {
 				return nil, err
 			}
@@ -197,6 +194,36 @@ func (s *ProviderSet) AuditMethod(mc *cert.MethodCert, v cert.SigVerifier) error
 		lp.hydrate("audit") // a failure is sticky: auditCert meets it again
 	}
 	return impl.auditCert(s, mc, v)
+}
+
+// AuditCertificate audits the set against the certificate it carries,
+// under v. It returns (nil, nil) when the set carries none, and an error
+// instead of a report when the certificate cannot be read — a section that
+// fails its CRC or breaks off (snapshot.ErrCorrupt), a malformed wire
+// (cert.ErrEncoding) — exactly what Certificate reports then. A lazily
+// opened set that has not read its certificate streams the CERT section
+// through cert.AuditReader, so no process that only audits ever holds it:
+// the section's CRC folds in as the bytes pass and, settled after the
+// last, outranks every verdict of the pass. A certificate the set holds
+// (SetCertificate, an eager load, an earlier Certificate call) is audited
+// where it lies.
+func (s *ProviderSet) AuditCertificate(v cert.SigVerifier) (*cert.Report, error) {
+	if s.cert == nil && s.file != nil && s.file.Has(snapKindCert) {
+		r, err := s.file.Open(snapKindCert)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := cert.AuditReader(s, r, r.Len(), v)
+		if verr := r.Verify(); verr != nil {
+			return nil, verr
+		}
+		return rep, err
+	}
+	c, err := s.Certificate()
+	if c == nil || err != nil {
+		return nil, err
+	}
+	return cert.Audit(s, c, v), nil
 }
 
 // --- shared planCert / auditCert helpers ---
@@ -247,8 +274,7 @@ func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 		return fmt.Errorf("%w: DIJ slice wants 1 root and 1 row, got %d/%d",
 			cert.ErrEncoding, len(mc.Roots), mc.NumRows())
 	}
-	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
-		row := mc.Row(i)
+	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
 		if want := dp.ads.ord.Seq[0]; row.Src() != want {
 			return fmt.Errorf("%w: DIJ row source %d, want canonical leaf %d", cert.ErrEncoding, row.Src(), want)
 		}
@@ -297,8 +323,7 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	}
 	// The landmark rows are independent, so the expensive part — the
 	// linear pass and the digest re-hash — fans out across workers.
-	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
-		row := mc.Row(i)
+	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
 		if row.Src() != h.Landmarks[i] {
 			return fmt.Errorf("%w: LDM row %d source %d, want landmark %d", cert.ErrEncoding, i, row.Src(), h.Landmarks[i])
 		}
@@ -384,8 +409,7 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	n := s.Graph.NumNodes()
 	// One border row per worker slot: with B ≈ √(n·cells) borders this is
 	// the audit's widest fan-out.
-	if err := cert.ForEachRow(mc.NumRows(), func(i int, sc *cert.Scratch) error {
-		row := mc.Row(i)
+	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
 		if row.Src() != hy.Borders[i] {
 			return fmt.Errorf("%w: HYP row %d source %d, want border %d", cert.ErrEncoding, i, row.Src(), hy.Borders[i])
 		}
@@ -507,15 +531,15 @@ func (fullImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifie
 	}
 	n := s.Graph.NumNodes()
 	top := fp.forest.Top()
-	if err := cert.ForEachRow(len(srcs), func(i int, sc *cert.Scratch) error {
-		src, row := srcs[i], mc.Row(i)
+	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
+		src := srcs[i]
 		if row.Src() != src {
 			return fmt.Errorf("%w: FULL row %d source %d, want sample %d", cert.ErrEncoding, i, row.Src(), src)
 		}
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err
 		}
-		rr, err := mbt.RowRoot(s.Cfg.Hash, s.Cfg.Fanout, n, int(src), sc.Dists(row))
+		rr, err := mbt.RowRoot(s.Cfg.Hash, s.Cfg.Fanout, n, int(src), sc.Dists())
 		if err != nil {
 			return fmt.Errorf("%w: FULL row %d: %v", cert.ErrEncoding, i, err)
 		}

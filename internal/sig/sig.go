@@ -97,7 +97,13 @@ func (v *Verifier) Verify(msg, signature []byte) error {
 // full check accepted before is accepted from the memo; anything else takes
 // the full check.
 func (v *Verifier) VerifyParts(signature []byte, parts ...[]byte) error {
-	h := sum(parts)
+	return v.VerifyDigest(signature, sum(parts))
+}
+
+// VerifyDigest is VerifyParts for a caller that has already folded the
+// message into its SHA-256 digest h — a certificate audit hashes the wire as
+// it streams past, so the message is never whole in memory.
+func (v *Verifier) VerifyDigest(signature []byte, h [sha256.Size]byte) error {
 	for i := range v.memo {
 		if a := v.memo[i].Load(); a != nil && a.sum == h && bytes.Equal(a.sig, signature) {
 			return nil

@@ -75,14 +75,13 @@ func TestLargeSnapshotAuditHydration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ec, err := set.Certificate()
+		rep, err := set.AuditCertificate(set.Verifier)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ec == nil {
+		if rep == nil {
 			t.Fatal("snapshot lost its certificate")
 		}
-		rep := spv.Audit(set, ec, set.Verifier)
 		if err := rep.Err(); err != nil {
 			t.Fatal(err)
 		}

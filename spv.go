@@ -616,21 +616,23 @@ func Audit(set *ProviderSet, c *Certificate, v *Verifier) *AuditReport {
 }
 
 // AuditSnapshot opens the snapshot at path lazily, audits it against its
-// embedded certificate with its embedded verifier, and reports. Sections
-// the audit never touches stay on disk. A snapshot without a CERT section
-// is an error — auditing nothing proves nothing.
+// embedded certificate with its embedded verifier, and reports. The
+// certificate streams through the audit from the file and is never held;
+// sections the audit never touches stay on disk. A snapshot without a
+// CERT section is an error — auditing nothing proves nothing — and so is
+// one whose certificate cannot be read.
 func AuditSnapshot(path string) (*AuditReport, error) {
 	set, err := LoadProviderSetLazy(path)
 	if err != nil {
 		return nil, err
 	}
 	defer set.Close()
-	c, err := set.Certificate()
+	rep, err := set.AuditCertificate(set.Verifier)
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
+	if rep == nil {
 		return nil, fmt.Errorf("spv: snapshot %s carries no certificate (write one with Deployment.Certify before saving)", path)
 	}
-	return cert.Audit(set, c, set.Verifier), nil
+	return rep, nil
 }

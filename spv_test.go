@@ -2,6 +2,7 @@ package spv_test
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 
 	spv "github.com/authhints/spv"
@@ -78,5 +79,47 @@ func TestPublicConstantsCoherent(t *testing.T) {
 	}
 	if cfg.Strategy != spv.LandmarksFarthest {
 		t.Error("default landmark strategy should be farthest")
+	}
+}
+
+// TestPublicAuditSnapshot audits a saved deployment's file through the
+// facade: the certificate streams from the file through the audit, every
+// certified method passes, and a file saved without one is refused.
+func TestPublicAuditSnapshot(t *testing.T) {
+	g, err := spv.GenerateNetwork(spv.DE, spv.NetworkConfig{Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spv.DefaultConfig()
+	cfg.Landmarks = 8
+	cfg.Cells = 16
+	owner, err := spv.NewOwner(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := spv.NewDeployment(owner, spv.ServeOptions{}, spv.DIJ, spv.LDM, spv.HYP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := filepath.Join(t.TempDir(), "plain.spv")
+	if _, err := spv.SaveSnapshot(plain, dep); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spv.AuditSnapshot(plain); err == nil {
+		t.Fatal("audit of a snapshot without a certificate passed")
+	}
+	if _, err := dep.Certify(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "certified.spv")
+	if _, err := spv.SaveSnapshot(path, dep); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := spv.AuditSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil || len(rep.Methods) != 3 || len(rep.Covered) != 3 {
+		t.Fatalf("audit: %v, %d verdicts, covered %v", err, len(rep.Methods), rep.Covered)
 	}
 }
