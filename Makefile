@@ -60,6 +60,7 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzVerifyProof \
 	./internal/core:FuzzReadProviderSet \
 	./internal/cert:FuzzDecodeCertificate \
+	./internal/cert:FuzzAuditRow \
 	./internal/snapshot:FuzzReader \
 	./internal/snapshot:FuzzScan \
 	./internal/snapshot:FuzzFile
@@ -80,16 +81,18 @@ bench:
 # the AVX2 kernel and on encoding/base64, mht's Build, Prove, Rehydrate and
 # UpdateLeaves on a 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's
 # distance tree in the repository benchmark's world), sp's single-search
-# Ball, and core's UpdateStream: one applied churn update (ApplyUpdates plus
+# Ball, core's UpdateStream: one applied churn update (ApplyUpdates plus
 # the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
-# allocs/op and the HYP row pages it copies. CI's full lane runs this so
-# they cannot rot.
+# allocs/op and the HYP row pages it copies, and cert's AuditRow: one HYP
+# border's labelling row of that world checked. CI's full lane runs this
+# so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 	$(GO) test -run '^$$' -bench '^BenchmarkUpdateStream$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
 
 # Persistent ADS snapshot of the standard world (spvserve's default served
 # set), written via the public save path.

@@ -37,37 +37,26 @@ func distEqual(a, b float64) bool {
 	return diff <= limit
 }
 
-// Scratch is one audit worker's pooled working memory: a row's labels
-// decoded once, parent-edge coverage marks and forest-walk states. Reuse
-// across rows never re-allocates once grown to the node count.
+// Scratch is one audit worker's pooled working memory: a row's distances
+// decoded once, and the parent-forest walk's states for the rare row that
+// needs it. Reuse across rows never re-allocates once grown to the node
+// count.
 type Scratch struct {
-	dists   []float64      // the row's distances, decoded by AuditRow
-	parents []graph.NodeID // and its parents
-	seen    []bool         // parent edge of node v witnessed in the edge pass
-	state   []uint8        // parent-forest walk: 0 unvisited, 1 on path, 2 done
+	dists []float64 // the row's distances, decoded by AuditRow
+	state []uint8   // parent-forest walk: 0 unvisited, 1 on path, 2 done
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-func (s *Scratch) reset(n int) {
-	if cap(s.seen) < n {
+// decode reads row's n distances into the scratch.
+func (s *Scratch) decode(row Row, n int) {
+	if cap(s.dists) < n {
 		s.dists = make([]float64, n)
-		s.parents = make([]graph.NodeID, n)
-		s.seen = make([]bool, n)
-		s.state = make([]uint8, n)
 	}
-	s.dists, s.parents = s.dists[:n], s.parents[:n]
-	s.seen, s.state = s.seen[:n], s.state[:n]
-	clear(s.seen)
-	clear(s.state)
-}
-
-// decode reads row's n labels into the scratch.
-func (s *Scratch) decode(row Row) {
-	d, p := row.dists(), row.parents()
+	s.dists = s.dists[:n]
+	d := row.dists()
 	for v := range s.dists {
 		s.dists[v] = distAt(d, v)
-		s.parents[v] = parentAt(p, v)
 	}
 }
 
@@ -76,21 +65,28 @@ func (s *Scratch) decode(row Row) {
 func (s *Scratch) Dists() []float64 { return s.dists }
 
 // AuditRow checks that row is the true shortest-path labelling from its
-// source over g, in one pass over the edges (O(V+E), no Dijkstra), after
-// decoding the row's labels once into the worker's scratch:
+// source over g (O(V+E), no Dijkstra): the row's distances are decoded
+// once into the worker's scratch, then one sweep over the nodes judges
+// each node v from its own adjacency. Every network is undirected with
+// mirrored half-edges, so adj(v) is exactly v's in-edges, and at v:
 //
-//  1. d[src] = 0, parent[src] = Invalid; every d finite-or-∞, never
-//     negative or NaN; every reachable non-source has an in-range parent,
-//     every unreachable node has none.
-//  2. For every directed edge (u,v,w): d[v] ≤ d[u] + w (triangle), and
-//     where parent[v] = u the edge is tight (d[v] = d[u] + w).
-//  3. Every claimed parent edge actually occurred in the scan, and the
-//     parent forest is acyclic (zero-weight edges are legal, so tightness
-//     alone does not rule out a zero-weight parent cycle).
+//  1. d[v] is finite-or-∞, never negative or NaN; d[src] = 0 and the
+//     source has no parent; a reachable non-source has an in-range
+//     parent, an unreachable node has none.
+//  2. For every (u, w) in adj(v) with u reachable: d[v] ≤ d[u] + w
+//     (triangle) — so an unreachable v has no reachable neighbour.
+//  3. The parent p[v] is one of those u, reachable, and its edge is tight
+//     (d[v] = d[u] + w); within an edge the triangle check runs first.
 //
-// Soundness: (2) makes every d[v] a lower bound on no path and an upper
-// bound via the tight parent chain, so with (1) and (3) d equals the true
-// distance labelling exactly (up to the shared float tolerance).
+// The sweep also notes whether every parent edge strictly decreases d
+// (d[p[v]] < d[v], exact). If one does not — a zero-weight edge, or one
+// inside the float tolerance — a parent cycle is possible, and an O(n)
+// walk of the parent forest rules it out.
+//
+// Soundness: (2) makes every d[v] a lower bound on every path's length
+// and the acyclic tight parent chain realizes it, so with (1) d equals the
+// true distance labelling exactly (up to the shared float tolerance). A
+// row with several violations names the first one the sweep meets.
 func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 	n := g.NumNodes()
 	if row.N() != n {
@@ -100,28 +96,37 @@ func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 	if src < 0 || int(src) >= n {
 		return fmt.Errorf("%w: row source %d out of range", ErrEncoding, src)
 	}
-	s.reset(n)
-	s.decode(row)
-	d, p := s.dists, s.parents
+	s.decode(row, n)
+	d, p := s.dists, row.parents()
 	if d0 := d[src]; d0 != 0 {
 		return fmt.Errorf("%w: d[src=%d] = %g, want 0", ErrDistance, src, d0)
 	}
-	if p0 := p[src]; p0 != graph.Invalid {
+	if p0 := parentAt(p, int(src)); p0 != graph.Invalid {
 		return fmt.Errorf("%w: source %d has parent %d", ErrParent, src, p0)
 	}
+	walk := false // some parent edge does not strictly decrease d
 	for v, dv := range d {
 		if math.IsNaN(dv) || dv < 0 {
 			return fmt.Errorf("%w: d[%d] = %g", ErrDistance, v, dv)
 		}
-		pv := p[v]
+		pv := parentAt(p, v)
+		adj := g.Neighbors(graph.NodeID(v))
 		if dv >= unreachable {
 			if pv != graph.Invalid {
 				return fmt.Errorf("%w: unreachable node %d has parent %d", ErrParent, v, pv)
 			}
+			for _, e := range adj {
+				if du := d[e.To]; du < unreachable {
+					if duw := du + e.W; dv > duw && !distEqual(dv, duw) {
+						return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
+							ErrDistance, v, dv, e.To, duw)
+					}
+				}
+			}
 			continue
 		}
 		if graph.NodeID(v) == src {
-			continue
+			continue // d[src] = 0 is at most any d[u] + w
 		}
 		if pv == graph.Invalid {
 			return fmt.Errorf("%w: reachable node %d has no parent", ErrParent, v)
@@ -129,51 +134,55 @@ func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 		if pv < 0 || int(pv) >= n {
 			return fmt.Errorf("%w: node %d parent %d out of range", ErrParent, v, pv)
 		}
-	}
-	// The single edge pass: each directed half of every undirected edge is
-	// visited exactly once — O(1) amortized work per edge.
-	for u, du := range d {
-		uReach := du < unreachable
-		for _, e := range g.Neighbors(graph.NodeID(u)) {
-			v := int(e.To)
-			dv := d[v]
-			if uReach {
-				duw := du + e.W
-				if dv > duw && !distEqual(dv, duw) {
-					return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
-						ErrDistance, v, dv, u, duw)
-				}
+		// v is reachable, so an unreachable u (d[u]+w ≥ MaxFloat64 > d[v])
+		// never violates the triangle: only the parent edge must exclude it.
+		found := false
+		for _, e := range adj {
+			du := d[e.To]
+			duw := du + e.W
+			if dv > duw && !distEqual(dv, duw) {
+				return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
+					ErrDistance, v, dv, e.To, duw)
 			}
-			if p[v] == graph.NodeID(u) {
-				if !uReach {
-					return fmt.Errorf("%w: node %d parented to unreachable %d", ErrParent, v, u)
-				}
-				if !distEqual(dv, du+e.W) {
-					return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
-						ErrParent, u, v, v, dv, u, du+e.W)
-				}
-				s.seen[v] = true
+			if e.To != pv {
+				continue
 			}
+			if du >= unreachable {
+				return fmt.Errorf("%w: node %d parented to unreachable %d", ErrParent, v, pv)
+			}
+			if dv != duw && !distEqual(dv, duw) {
+				return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
+					ErrParent, pv, v, v, dv, pv, duw)
+			}
+			found = true
+			walk = walk || !(du < dv)
+		}
+		if !found {
+			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", ErrParent, pv, v)
 		}
 	}
-	for v, dv := range d {
-		if graph.NodeID(v) == src || dv >= unreachable {
-			continue
-		}
-		if !s.seen[v] {
-			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", ErrParent, p[v], v)
-		}
+	if walk {
+		return s.acyclic(p, n)
 	}
-	// Parent-forest acyclicity: follow each chain once, marking the path
-	// in-progress (1) and finalizing it (2) — O(n) total.
-	for v := range p {
+	return nil
+}
+
+// acyclic walks the parent forest p of n nodes, following each chain once,
+// marking the path in-progress (1) and finalizing it (2) — O(n) total.
+func (s *Scratch) acyclic(p []byte, n int) error {
+	if cap(s.state) < n {
+		s.state = make([]uint8, n)
+	}
+	s.state = s.state[:n]
+	clear(s.state)
+	for v := range s.state {
 		if s.state[v] != 0 {
 			continue
 		}
 		x := graph.NodeID(v)
 		for {
 			s.state[x] = 1
-			nxt := p[x]
+			nxt := parentAt(p, int(x))
 			if nxt == graph.Invalid || s.state[nxt] == 2 {
 				break
 			}
@@ -185,7 +194,7 @@ func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 		x = graph.NodeID(v)
 		for s.state[x] == 1 {
 			s.state[x] = 2
-			if x = p[x]; x == graph.Invalid {
+			if x = parentAt(p, int(x)); x == graph.Invalid {
 				break
 			}
 		}

@@ -15,9 +15,12 @@ import (
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/core"
+	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/netgen"
 	"github.com/authhints/spv/internal/snapshot"
+	"github.com/authhints/spv/internal/sp"
 )
 
 // certWorld builds a deterministic four-method world, certifies it, and
@@ -480,4 +483,287 @@ func rebuildWorld(t testing.TB) (*core.Owner, []core.Provider) {
 		provs = append(provs, p)
 	}
 	return owner, provs
+}
+
+// refAuditRow is the multi-pass AuditRow the one-sweep version replaced,
+// kept as the differential reference: node checks over every label, then
+// one pass over every directed edge (triangle, and tightness where
+// parent[v] = u), then a parent-coverage pass and an unconditional
+// parent-forest walk. Same error classes and messages.
+func refAuditRow(g *graph.CSR, row cert.Row) error {
+	const unreachable = math.MaxFloat64
+	n := g.NumNodes()
+	if row.N() != n {
+		return fmt.Errorf("%w: row labels %d nodes, want %d", cert.ErrEncoding, row.N(), n)
+	}
+	src := row.Src()
+	if src < 0 || int(src) >= n {
+		return fmt.Errorf("%w: row source %d out of range", cert.ErrEncoding, src)
+	}
+	d, p := make([]float64, n), make([]graph.NodeID, n)
+	for v := range d {
+		d[v], p[v] = row.Dist(v), row.Parent(v)
+	}
+	if d0 := d[src]; d0 != 0 {
+		return fmt.Errorf("%w: d[src=%d] = %g, want 0", cert.ErrDistance, src, d0)
+	}
+	if p0 := p[src]; p0 != graph.Invalid {
+		return fmt.Errorf("%w: source %d has parent %d", cert.ErrParent, src, p0)
+	}
+	for v, dv := range d {
+		if math.IsNaN(dv) || dv < 0 {
+			return fmt.Errorf("%w: d[%d] = %g", cert.ErrDistance, v, dv)
+		}
+		pv := p[v]
+		if dv >= unreachable {
+			if pv != graph.Invalid {
+				return fmt.Errorf("%w: unreachable node %d has parent %d", cert.ErrParent, v, pv)
+			}
+			continue
+		}
+		if graph.NodeID(v) == src {
+			continue
+		}
+		if pv == graph.Invalid {
+			return fmt.Errorf("%w: reachable node %d has no parent", cert.ErrParent, v)
+		}
+		if pv < 0 || int(pv) >= n {
+			return fmt.Errorf("%w: node %d parent %d out of range", cert.ErrParent, v, pv)
+		}
+	}
+	seen := make([]bool, n)
+	for u, du := range d {
+		uReach := du < unreachable
+		for _, e := range g.Neighbors(graph.NodeID(u)) {
+			v := int(e.To)
+			dv := d[v]
+			if uReach {
+				duw := du + e.W
+				if dv > duw && !refDistEqual(dv, duw) {
+					return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
+						cert.ErrDistance, v, dv, u, duw)
+				}
+			}
+			if p[v] == graph.NodeID(u) {
+				if !uReach {
+					return fmt.Errorf("%w: node %d parented to unreachable %d", cert.ErrParent, v, u)
+				}
+				if !refDistEqual(dv, du+e.W) {
+					return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
+						cert.ErrParent, u, v, v, dv, u, du+e.W)
+				}
+				seen[v] = true
+			}
+		}
+	}
+	for v, dv := range d {
+		if graph.NodeID(v) == src || dv >= unreachable {
+			continue
+		}
+		if !seen[v] {
+			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", cert.ErrParent, p[v], v)
+		}
+	}
+	state := make([]uint8, n) // 0 unvisited, 1 on path, 2 done
+	for v := range p {
+		if state[v] != 0 {
+			continue
+		}
+		x := graph.NodeID(v)
+		for {
+			state[x] = 1
+			nxt := p[x]
+			if nxt == graph.Invalid || state[nxt] == 2 {
+				break
+			}
+			if state[nxt] == 1 {
+				return fmt.Errorf("%w: parent cycle through node %d", cert.ErrParent, nxt)
+			}
+			x = nxt
+		}
+		x = graph.NodeID(v)
+		for state[x] == 1 {
+			state[x] = 2
+			if x = p[x]; x == graph.Invalid {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// refDistEqual is cert's float tolerance, restated for the reference.
+func refDistEqual(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*(1+max(a, b))
+}
+
+// labelRow lays out a one-row certificate over n nodes from src and fills
+// it with dist and parent.
+func labelRow(tb testing.TB, src graph.NodeID, dist []float64, parent []graph.NodeID) cert.Row {
+	tb.Helper()
+	c, err := cert.New(digest.SHA1, 1, make([]byte, digest.SHA1.Size()), len(dist), 0, []cert.Spec{{Method: "DIJ", Srcs: []graph.NodeID{src}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	row := c.Methods[0].Row(0)
+	for v := range dist {
+		row.SetDist(v, dist[v])
+		row.SetParent(v, parent[v])
+	}
+	return row
+}
+
+// TestAuditRowRejects edits one clean labelling of a hand-built graph per
+// case and names the class the audit must reject it with — the one-sweep
+// AuditRow and the multi-pass reference alike. The clean row's parent
+// chain 2 → 3 → 4 → 6 runs over two zero-weight edges, so it takes the
+// parent-forest walk; node 5 is isolated, hence unreachable.
+func TestAuditRowRejects(t *testing.T) {
+	b := graph.New(7)
+	for range 7 {
+		b.AddNode(0, 0)
+	}
+	for _, e := range []struct {
+		u, v graph.NodeID
+		w    float64
+	}{{0, 1, 1}, {1, 2, 2}, {0, 2, 4}, {2, 3, 1}, {3, 4, 0}, {4, 6, 0}} {
+		b.MustAddEdge(e.u, e.v, e.w)
+	}
+	g := b.Freeze()
+	inf := math.MaxFloat64
+	clean := func() ([]float64, []graph.NodeID) {
+		return []float64{0, 1, 3, 4, 4, inf, 4},
+			[]graph.NodeID{graph.Invalid, 0, 1, 2, 3, graph.Invalid, 4}
+	}
+	if d, p := clean(); cert.AuditRow(g, labelRow(t, 0, d, p), new(cert.Scratch)) != nil ||
+		refAuditRow(g, labelRow(t, 0, d, p)) != nil {
+		t.Fatal("clean row rejected")
+	}
+	cases := []struct {
+		name string
+		edit func(d []float64, p []graph.NodeID)
+		want error
+	}{
+		{"source distance", func(d []float64, p []graph.NodeID) { d[0] = 0.5 }, cert.ErrDistance},
+		{"parented source", func(d []float64, p []graph.NodeID) { p[0] = 1 }, cert.ErrParent},
+		{"NaN distance", func(d []float64, p []graph.NodeID) { d[2] = math.NaN() }, cert.ErrDistance},
+		{"negative distance", func(d []float64, p []graph.NodeID) { d[3] = -1 }, cert.ErrDistance},
+		{"unreachable with parent", func(d []float64, p []graph.NodeID) { p[5] = 4 }, cert.ErrParent},
+		{"unreachable next to reachable", func(d []float64, p []graph.NodeID) {
+			d[6], p[6] = inf, graph.Invalid
+		}, cert.ErrDistance},
+		{"reachable without parent", func(d []float64, p []graph.NodeID) { p[4] = graph.Invalid }, cert.ErrParent},
+		{"parent out of range", func(d []float64, p []graph.NodeID) { p[4] = 99 }, cert.ErrParent},
+		{"parent not adjacent", func(d []float64, p []graph.NodeID) { p[4] = 1 }, cert.ErrParent},
+		{"parent edge not tight", func(d []float64, p []graph.NodeID) { p[2] = 0 }, cert.ErrParent},
+		{"triangle violation", func(d []float64, p []graph.NodeID) { d[2] = 3.5 }, cert.ErrDistance},
+		{"zero-weight parent cycle", func(d []float64, p []graph.NodeID) { p[4] = 6 }, cert.ErrParent},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, p := clean()
+			tc.edit(d, p)
+			row := labelRow(t, 0, d, p)
+			for name, err := range map[string]error{
+				"AuditRow":    cert.AuditRow(g, row, new(cert.Scratch)),
+				"refAuditRow": refAuditRow(g, row),
+			} {
+				if !errors.Is(err, tc.want) {
+					t.Errorf("%s: got %v, want class %v", name, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzAuditRow holds the one-sweep AuditRow to the multi-pass reference:
+// on small random graphs — zero weights and exact ties included — labelled
+// by Dijkstra and then edited once or twice, both must give the same
+// accept/reject verdict.
+func FuzzAuditRow(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 1, 0, 1, 2, 1, 2, 3, 2, 0, 3, 0})
+	f.Add([]byte{6, 1, 0, 1, 0, 1, 2, 0, 2, 0, 0, 3, 4, 3, 1, 2, 7, 9})
+	f.Add([]byte{4, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0, 0, 5, 3, 1, 2, 2})
+	weights := []float64{0, 1, 1, 2, 0.5, 3}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		src := graph.NodeID(int(data[1]) % n)
+		data = data[2:]
+		b := graph.New(n)
+		for range n {
+			b.AddNode(0, 0)
+		}
+		// Edges until a (0, 0) pair ends the list; the rest are edits.
+		for len(data) >= 3 {
+			u, v, w := int(data[0])%n, int(data[1])%n, weights[int(data[2])%len(weights)]
+			data = data[3:]
+			if u == v {
+				break
+			}
+			_ = b.AddEdge(graph.NodeID(u), graph.NodeID(v), w) // duplicates refused
+		}
+		g := b.Freeze()
+		tree := sp.Dijkstra(g, src)
+		d, p := tree.Dist, tree.Parent
+		values := []float64{0, 1, 2, 0.5, -1, math.NaN(), math.MaxFloat64, math.Inf(1)}
+		for k := 0; k < 2 && len(data) >= 3; k++ {
+			v, what, arg := int(data[0])%n, data[1]%4, int(data[2])
+			data = data[3:]
+			switch what {
+			case 0: // another node's distance
+				d[v] = d[arg%n]
+			case 1:
+				d[v] = values[arg%len(values)]
+			case 2: // any node, none, or out of range
+				p[v] = graph.NodeID(arg%(n+2)) - 1
+				if int(p[v]) == n {
+					p[v] = graph.NodeID(n + arg)
+				}
+			case 3: // a neighbour as parent, distance made tight
+				if adj := g.Neighbors(graph.NodeID(v)); len(adj) > 0 {
+					e := adj[arg%len(adj)]
+					p[v], d[v] = e.To, d[e.To]+e.W
+				}
+			}
+		}
+		row := labelRow(t, src, d, p)
+		got := cert.AuditRow(g, row, new(cert.Scratch))
+		want := refAuditRow(g, row)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("AuditRow: %v, reference: %v (d %v, p %v)", got, want, d, p)
+		}
+	})
+}
+
+// BenchmarkAuditRow audits one HYP border's labelling row of the
+// repository benchmark's world (DE at scale 0.25, 7,217 nodes, the default
+// 100 cells): the unit of an audited replica's boot, 663 of which it
+// checks.
+func BenchmarkAuditRow(b *testing.B) {
+	bg, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.25, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := bg.Freeze()
+	hy, err := hiti.Build(g, core.DefaultConfig().Cells)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := hy.Borders[len(hy.Borders)/2]
+	tree := sp.Dijkstra(g, src)
+	row := labelRow(b, src, tree.Dist, tree.Parent)
+	var sc cert.Scratch
+	if err := cert.AuditRow(g, row, &sc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cert.AuditRow(g, row, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

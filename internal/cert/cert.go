@@ -9,12 +9,15 @@
 // The certificate complements the paper's per-query authenticated hints
 // with whole-labelling assurance, after the linear-time shortest-path
 // certification of Shokry et al.: a distance labelling d with parent
-// pointers p is the true SSSP labelling from src iff d[src]=0 and one scan
-// of the edges finds no triangle violation (d[v] ≤ d[u] + w(u,v)), every
-// parent edge tight (d[v] = d[p[v]] + w(p[v],v)), every reachable node
-// parented, and the parent forest acyclic. That scan is O(V+E) with O(1)
-// work per edge — no Dijkstra re-runs — and is what Audit performs for
-// every row the certificate carries.
+// pointers p is the true SSSP labelling from src iff d[src]=0, no edge
+// violates the triangle inequality (d[v] ≤ d[u] + w(u,v)), every parent
+// edge is tight (d[v] = d[p[v]] + w(p[v],v)), every reachable node is
+// parented, and the parent forest is acyclic. The network is undirected,
+// so one sweep over the nodes checks all of it, each node against its own
+// adjacency — O(V+E) with O(1) work per edge, no Dijkstra re-runs — and
+// acyclicity comes free unless some parent edge fails to decrease d. That
+// sweep (AuditRow) is what Audit performs for every row the certificate
+// carries.
 //
 // Stored Merkle structures are audited by folding: every stored interior
 // level is recomputed from the level below (mht.Tree.AuditLevels) and the

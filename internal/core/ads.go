@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -156,7 +156,8 @@ func (a *networkADS) Pos(v graph.NodeID) int { return a.ord.Pos[v] }
 // TupleBytes returns the canonical encoding of node v's tuple.
 func (a *networkADS) TupleBytes(v graph.NodeID) []byte { return a.msg(a.ord.Pos[v]) }
 
-// Records assembles the wire records (position + bytes) for a node set.
+// Records assembles the wire records (position + bytes) for a node set, in
+// the set's order.
 func (a *networkADS) Records(nodes []graph.NodeID) []tupleRecord {
 	recs := make([]tupleRecord, 0, len(nodes))
 	for _, v := range nodes {
@@ -165,21 +166,32 @@ func (a *networkADS) Records(nodes []graph.NodeID) []tupleRecord {
 	return recs
 }
 
-// Canonical sorts a node set by Merkle leaf position, deduplicating in
-// place. Methods that assemble proof node sets from Go maps (LDM, HYP) must
-// canonicalize before Records/Prove so that a given (method, vs, vt) query
-// always yields one byte-identical wire encoding — the property the serving
-// layer's proof cache relies on.
-func (a *networkADS) Canonical(nodes []graph.NodeID) []graph.NodeID {
-	pos := a.ord.Pos
-	slices.SortFunc(nodes, func(u, v graph.NodeID) int { return cmp.Compare(pos[u], pos[v]) })
-	out := nodes[:0]
-	for i, v := range nodes {
-		if i == 0 || pos[v] != pos[nodes[i-1]] {
-			out = append(out, v)
-		}
+// leafSet returns the Merkle leaf positions of a node set (any order,
+// duplicates tolerated) ascending and de-duplicated, in s's Merkle index
+// buffer: one pass sets them in s's position bitset, one walk over the
+// words it touched reads them back and clears them. No comparison sort
+// runs, here or in the Merkle fold that takes the positions.
+func (a *networkADS) leafSet(s *queryScratch, nodes []graph.NodeID) []int {
+	words := (len(a.ord.Seq) + 63) / 64
+	if len(s.leaves) < words {
+		s.leaves = make([]uint64, words)
 	}
-	return out
+	set, pos := s.leaves, a.ord.Pos
+	lo, hi := words, -1
+	for _, v := range nodes {
+		p := pos[v]
+		w := p / 64
+		set[w] |= 1 << (p % 64)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	idx := s.prove.Indices(len(nodes))[:0]
+	for w := lo; w <= hi; w++ {
+		for b := set[w]; b != 0; b &= b - 1 {
+			idx = append(idx, w*64+bits.TrailingZeros64(b))
+		}
+		set[w] = 0
+	}
+	return idx
 }
 
 // Prove builds the integrity proof for a node set (any order, duplicates
@@ -189,16 +201,30 @@ func (a *networkADS) Prove(nodes []graph.NodeID) (*mht.Proof, error) {
 	return a.ProveWith(s, nodes)
 }
 
-// ProveWith is Prove against caller scratch: the leaf-index translation
-// lands in the Merkle fold's own working set, so a steady-state query
+// ProveWith is Prove against caller scratch: the leaf positions land in the
+// Merkle fold's own working set already in order, so a steady-state query
 // allocates only the returned proof.
 func (a *networkADS) ProveWith(s *queryScratch, nodes []graph.NodeID) (*mht.Proof, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("core: no nodes to prove")
 	}
-	idx := s.prove.Indices(len(nodes))
-	for i, v := range nodes {
-		idx[i] = a.ord.Pos[v]
+	return a.tree.ProveWith(&s.prove, a.leafSet(s, nodes))
+}
+
+// ProveCanonical proves a node set gathered in any order (LDM's and HYP's
+// include sets) in its canonical form: the records in leaf order,
+// de-duplicated, and the Merkle proof over the same positions. A given
+// (method, vs, vt) query therefore always yields one byte-identical wire
+// encoding — the property the serving layer's proof cache relies on.
+func (a *networkADS) ProveCanonical(s *queryScratch, nodes []graph.NodeID) ([]tupleRecord, *mht.Proof, error) {
+	if len(nodes) == 0 {
+		return nil, nil, fmt.Errorf("core: no nodes to prove")
 	}
-	return a.tree.ProveWith(&s.prove, idx)
+	idx := a.leafSet(s, nodes)
+	recs := make([]tupleRecord, len(idx))
+	for i, p := range idx {
+		recs[i] = tupleRecord{Pos: uint32(p), Bytes: a.msg(p)}
+	}
+	proof, err := a.tree.ProveWith(&s.prove, idx) // folds idx in place: records first
+	return recs, proof, err
 }

@@ -96,26 +96,18 @@ func (p *HYPProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 	}
 	cs, ct := p.hyper.CellOf[vs], p.hyper.CellOf[vt]
 
-	s.resetMark(p.view.NumNodes())
-	for _, v := range p.hyper.NodesOf(cs) {
-		s.add(v)
-	}
-	for _, v := range p.hyper.NodesOf(ct) {
-		s.add(v)
-	}
-	for _, v := range path { // fine proof: intermediate-cell path nodes
-		s.add(v)
-	}
-	// Canonicalize the insertion-ordered set so identical queries produce
-	// byte-identical proofs (cacheable by the serve layer).
-	nodes := p.ads.Canonical(s.nodes)
-	mhtProof, err := p.ads.ProveWith(s, nodes)
+	// No include-set: ProveCanonical de-duplicates, and the two cells may
+	// coincide and the path runs through them.
+	s.nodes = append(s.nodes[:0], p.hyper.NodesOf(cs)...)
+	s.nodes = append(s.nodes, p.hyper.NodesOf(ct)...)
+	s.nodes = append(s.nodes, path...) // fine proof: intermediate-cell path nodes
+	recs, mhtProof, err := p.ads.ProveCanonical(s, s.nodes)
 	if err != nil {
 		return nil, err
 	}
 
 	proof := &HYPProof{
-		proofFrame: proofFrame{path, dist, p.ads.Records(nodes), mhtProof},
+		proofFrame: proofFrame{path, dist, recs, mhtProof},
 		NetSig:     p.netSig,
 		DistSig:    p.distSig,
 	}

@@ -124,15 +124,12 @@ func (p *LDMProvider) QueryProof(vs, vt graph.NodeID) (Proof, error) {
 			s.add(ref)
 		}
 	}
-	// The include set is in insertion order: canonicalize so identical
-	// queries produce byte-identical proofs (cacheable by the serve layer).
-	nodes := p.ads.Canonical(s.nodes)
-	mhtProof, err := p.ads.ProveWith(s, nodes)
+	recs, mhtProof, err := p.ads.ProveCanonical(s, s.nodes)
 	if err != nil {
 		return nil, err
 	}
 	return &LDMProof{
-		proofFrame: proofFrame{path, dist, p.ads.Records(nodes), mhtProof},
+		proofFrame: proofFrame{path, dist, recs, mhtProof},
 		Params:     landmark.Params{C: p.hints.C(), Bits: p.hints.Bits, Lambda: p.hints.Lambda},
 		RootSig:    p.rootSig,
 	}, nil

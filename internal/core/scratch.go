@@ -27,13 +27,17 @@ type queryScratch struct {
 	// moved onto this reusable storage.
 	forest mbt.ForestScratch
 
-	// Stamped include-set for LDM/HYP proof node collection: mark[v]==epoch
-	// ⇔ v ∈ nodes. Insertion order is kept in nodes; Canonical re-sorts by
-	// leaf position before records are emitted, so set semantics match the
-	// previous map-based collection exactly.
+	// Stamped include-set for LDM's proof node collection: mark[v]==epoch
+	// ⇔ v ∈ nodes. Insertion order is kept in nodes (HYP also gathers its
+	// set there, unmarked); ProveCanonical emits them by leaf position, so
+	// set semantics match the previous map-based collection exactly.
 	nodes []graph.NodeID
 	mark  []uint32
 	epoch uint32
+
+	// leaves is a proof's Merkle leaf-position bitset (networkADS.leafSet),
+	// all zero between uses.
+	leaves []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &queryScratch{ws: sp.NewWorkspace(0)} }}
