@@ -43,8 +43,9 @@ purego:
 
 # Fuzz smoke: every fuzz target for FUZZTIME apiece (go test takes one
 # package and one target per run) — the decoders of everything that
-# arrives as untrusted bytes, and FuzzVerifyProof, which carries accepted
-# decodes on through client verification. Minimising each new corpus entry
+# arrives as untrusted bytes; FuzzVerifyProof, which carries accepted
+# decodes on through client verification; and FuzzRepair, which holds
+# update-time row repair bitwise to a fresh Dijkstra. Minimising each new corpus entry
 # is capped so a ten-second lane spends its time fuzzing.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
@@ -61,6 +62,7 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzReadProviderSet \
 	./internal/cert:FuzzDecodeCertificate \
 	./internal/cert:FuzzAuditRow \
+	./internal/sp:FuzzRepair \
 	./internal/snapshot:FuzzReader \
 	./internal/snapshot:FuzzScan \
 	./internal/snapshot:FuzzFile

@@ -25,18 +25,6 @@ type Owner struct {
 	mu    sync.Mutex
 	net   *graph.CSR // the current epoch's network
 	epoch int64      // bumped once per applied update batch
-
-	// bridges caches the Tarjan bridge set. Bridge-ness depends only on
-	// topology, which edge re-weighting never touches, so one computation
-	// serves every update.
-	bridgeOnce sync.Once
-	bridges    map[uint64]graph.BridgeSide
-}
-
-// bridgeSet returns the cached topology bridge set, computing it once.
-func (o *Owner) bridgeSet() map[uint64]graph.BridgeSide {
-	o.bridgeOnce.Do(func() { o.bridges = o.Graph().Bridges() })
-	return o.bridges
 }
 
 // Epoch returns the number of update batches applied to this owner.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/authhints/spv/internal/graph"
@@ -53,7 +54,10 @@ func updateStream(tb testing.TB, count int) (*graph.Graph, []EdgeUpdate) {
 // no patch changes a proof the providers before it serve, so no write
 // lands on a shared page; and at the end the rows hold at most 1.1 row
 // sets of heap — a replaced page is freed, not pinned by its old
-// neighbours.
+// neighbours. Along the way it holds row repair to the invalidation policy
+// the probes set: every border whose row changed bitwise is in the patch's
+// StaleCover, and an LDM landmark row no update moved stays the very slice
+// it was.
 func TestUpdateStreamSharesPages(t *testing.T) {
 	g, ups := updateStream(t, 16)
 	owner, err := NewOwner(g, DefaultConfig())
@@ -61,6 +65,7 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := outsource[*HYPProvider](t, owner, HYP)
+	ldm := outsource[*LDMProvider](t, owner, LDM)
 	n := g.NumNodes()
 	rng := rand.New(rand.NewSource(5))
 	pairs := make([][2]graph.NodeID, 24)
@@ -103,9 +108,27 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 			t.Errorf("update %d allocated %d of %d row pages (%.1f %%), want ≤ 15 %%",
 				k, st.RowPagesWritten, rowSet, 100*float64(st.RowPagesWritten)/float64(rowSet))
 		}
-		t.Logf("update %d (%d→%d): %d pages (%.1f %%), %d rows re-run, %d resummed, %d entries moved",
+		t.Logf("update %d (%d→%d): %d pages (%.1f %%), %d rows rewritten, %d nodes re-settled, %d entries moved",
 			k, up.U, up.V, st.RowPagesWritten, 100*float64(st.RowPagesWritten)/float64(rowSet),
-			st.RowsRecomputed, st.RowsResummed, st.DistLeavesPatched)
+			st.RowsRecomputed, st.NodesResettled, st.DistLeavesPatched)
+		if k > 0 {
+			stale := make(map[int]bool, len(st.StaleCover))
+			for _, pos := range st.StaleCover {
+				stale[pos] = true
+			}
+			for i, bn := range prev.hyper.Borders {
+				if !slices.Equal(prev.hyper.AppendRow(nil, i), next.hyper.AppendRow(nil, i)) && !stale[prev.ads.ord.Pos[bn]] {
+					t.Errorf("update %d changed border %d's row, but its leaf is not in the stale cover", k, bn)
+				}
+			}
+		}
+		nextLDM, _ := patch(t, b, ldm)
+		for i, row := range ldm.hints.Dists {
+			if nrow := nextLDM.hints.Dists[i]; slices.Equal(row, nrow) && &row[0] != &nrow[0] {
+				t.Errorf("update %d copied landmark row %d though no value moved", k, i)
+			}
+		}
+		ldm = nextLDM
 		if !same(wires(p0), first) || !same(wires(prev), prevWires) {
 			t.Fatalf("patching update %d changed a proof an earlier provider serves", k)
 		}
@@ -128,6 +151,7 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 	// rest of the final provider (its trees) stays.
 	runtime.KeepAlive(p0)
 	runtime.KeepAlive(prev)
+	runtime.KeepAlive(ldm)
 	if limit := int64(rowSet) * hiti.PageLen * 8 * 11 / 10; retained > limit {
 		t.Errorf("the final rows retain %d bytes, want ≤ %d (1.1 × %d pages)", retained, limit, rowSet)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
@@ -19,21 +21,26 @@ import (
 //
 //	probe → re-weight → patch → re-sign
 //
-// ApplyUpdates copies the current network's edge array once per batch (the
-// offsets and coordinates stay shared), re-weights the copy update by
-// update, and publishes it as the next epoch's network at the end. Per
-// update it runs two probe Dijkstras from the edge's endpoints over the
-// copy as it stands before that update. Because the network is undirected,
-// those two rows give dist(s, u) and dist(s, v) for *every* source s, which
-// is exactly what the relaxation test needs to decide whether s's distances
-// can change at all: an edge (u, v) is irrelevant for s when its relaxation
-// fails — with a safety margin — under both the old and new weight. For
-// irrelevant sources a fresh Dijkstra performs the identical sequence of
-// successful relaxations, so its output row is *bitwise* unchanged; that is
-// the property that lets each method's Patch re-run only dirty rows and
-// still produce roots, signatures and proofs byte-identical to a
-// from-scratch re-outsource (pinning LDM's landmark placement, which is a
-// selection choice re-made only on full re-outsource).
+// ApplyUpdates gives every real re-weighting its own network: a copy of
+// the previous step's edge array (the offsets and coordinates stay shared)
+// with that one edge re-weighted, the last of them published as the next
+// epoch's network. Stored distance rows — LDM's landmark rows, HYP's full
+// border rows — are then kept current by one routine, sp's Workspace.Repair,
+// replayed step by step over those networks: it re-settles only the nodes
+// whose distance can change, and its rows are bitwise a fresh Dijkstra's
+// (see its doc), so patched roots, signatures and proofs stay
+// byte-identical to a from-scratch re-outsource (pinning LDM's landmark
+// placement, which is a selection choice re-made only on full
+// re-outsource).
+//
+// FULL retains no rows, so it re-runs the rows the probe marks. Per step
+// the probe runs two Dijkstras from the edge's endpoints over the network
+// before the step. Because the network is undirected, those two rows give
+// dist(s, u) and dist(s, v) for *every* source s, which is exactly what the
+// relaxation test needs to decide whether s's distances can change at all:
+// an edge (u, v) is irrelevant for s when its relaxation fails — with a
+// safety margin — under both the old and new weight. The same marks decide
+// which cached HYP proofs go stale.
 //
 // Patches are copy-on-write: the returned provider shares every
 // clean Merkle digest, hint row and message with the old one, which keeps
@@ -56,203 +63,45 @@ type UpdateBatch struct {
 	epoch   int64
 	oldView *graph.CSR // the network before the batch — what Rollback restores
 
+	steps    []sp.Step      // the real re-weightings, each with its network
 	dirty    []graph.NodeID // endpoints of actually-changed edges, deduped
 	affected []bool         // affected[s] ⇒ distances from s may have changed
 	srcs     int            // count of affected sources
-
-	// fast is the bridge resummation plan, set only for single-update
-	// batches whose edge is a bridge; see bridgeFast.
-	fast *bridgeFast
 }
 
-// bridgeFast is the single-update fast path for bridge edges — the common
-// case on sparse road networks, and the worst case for row-granular
-// patching: re-weighting a bridge changes distances from *every* source,
-// so re-running rows would cost as much as a rebuild. But across a bridge
-// the shortest-path trees on each side are fixed, so every stored row can
-// be *resummed*: values on the source's side are untouched, and values
-// across the bridge recompute as path-order additions along the probe's
-// retained parent tree — O(|far side|) adds per row, no searches, and
-// bitwise what a fresh Dijkstra computes (a float path sum depends only on
-// its own path; near-ties are not a concern because with the bridge cut
-// there are no alternative crossings).
-type bridgeFast struct {
-	u, v graph.NodeID
-	wNew float64
-	inF  []bool // x is on v's side of the bridge
-	// view is the batch's network, read for adjacency and non-bridge
-	// weights. The lazy near-side walk may run after the bridge is
-	// re-weighted — harmless, because the masked search never reads the
-	// bridge edge and a single-update batch changes nothing else.
-	view *graph.CSR
-
-	// Topological walks of each side (parents precede children): pX[k] is
-	// orderX[k]'s shortest-path-tree parent and wX[k] the connecting edge
-	// weight (the bridge itself carries wNew). The far side (orderF,
-	// rooted at v) is built eagerly by one Dijkstra restricted to that
-	// side; the near side (orderC, rooted at u) is built only if a stored
-	// row's source turns out to live on the far side.
-	orderF, orderC []graph.NodeID
-	pF, pC         []graph.NodeID
-	wF, wC         []float64
-	nearBuilt      bool
-}
-
-// walk returns the resummation walk for a row from src: the side of the
-// bridge src does not live on, parents first, and base, the bridge
-// endpoint on src's side whose stored value the walk starts from. Not
-// safe for concurrent use (the near-side walk builds lazily).
-func (f *bridgeFast) walk(src graph.NodeID) (order, parent []graph.NodeID, weights []float64, base graph.NodeID) {
-	if f.inF[src] {
-		f.ensureNear()
-		return f.orderC, f.pC, f.wC, f.v
+// repair replays the batch's steps on row, the stored distance row from
+// src, on a pooled workspace, and adds the nodes it re-settled to settled.
+func (b *UpdateBatch) repair(src graph.NodeID, row sp.Row, settled *atomic.Int64) {
+	ws := sp.AcquireWorkspace(b.newView.NumNodes())
+	for _, s := range b.steps {
+		settled.Add(int64(ws.Repair(s, src, row)))
 	}
-	return f.orderF, f.pF, f.wF, f.u
+	sp.ReleaseWorkspace(ws)
 }
 
-// resum rewrites row (a full distance row from src) to the post-update
-// network: the far side of the bridge re-accumulates along its unchanged
-// tree, the near side keeps its bytes.
-func (f *bridgeFast) resum(src graph.NodeID, row []float64) {
-	order, parent, weights, base := f.walk(src)
-	if row[base] == sp.Unreachable {
-		return // src is in a component the bridge does not serve
-	}
-	for k, x := range order {
-		row[x] = row[parent[k]] + weights[k]
-	}
-}
+// cowRow is a landmark row under repair: it reads old until the first
+// changed value, which copies it.
+type cowRow struct{ old, row []float64 }
 
-// resumPaged is resum over a paged HYP row: writing through r, it copies
-// only the pages whose values move.
-func (f *bridgeFast) resumPaged(src graph.NodeID, r *hiti.RowWriter) {
-	order, parent, weights, base := f.walk(src)
-	if r.At(base) == sp.Unreachable {
+func (r *cowRow) At(x graph.NodeID) float64 { return r.row[x] }
+
+func (r *cowRow) Set(x graph.NodeID, d float64) {
+	if math.Float64bits(r.row[x]) == math.Float64bits(d) {
 		return
 	}
-	for k, x := range order {
-		r.Set(x, r.At(parent[k])+weights[k])
+	if !r.copied() {
+		r.row = slices.Clone(r.old)
 	}
+	r.row[x] = d
 }
 
-// maskedView is a CSR with one edge hidden — searching it from a bridge
-// endpoint explores exactly that endpoint's side, which is what makes the
-// fast path's tree construction O(|side|) instead of O(|V|).
-type maskedView struct {
-	view       graph.View
-	u, v       graph.NodeID
-	uAdj, vAdj []graph.Edge
-}
-
-func newMaskedView(view graph.View, u, v graph.NodeID) *maskedView {
-	m := &maskedView{view: view, u: u, v: v}
-	for _, e := range view.Neighbors(u) {
-		if e.To != v {
-			m.uAdj = append(m.uAdj, e)
-		}
-	}
-	for _, e := range view.Neighbors(v) {
-		if e.To != u {
-			m.vAdj = append(m.vAdj, e)
-		}
-	}
-	return m
-}
-
-func (m *maskedView) NumNodes() int { return m.view.NumNodes() }
-
-func (m *maskedView) Neighbors(x graph.NodeID) []graph.Edge {
-	switch x {
-	case m.u:
-		return m.uAdj
-	case m.v:
-		return m.vAdj
-	}
-	return m.view.Neighbors(x)
-}
-
-// bridgePlan returns the resummation plan for edge (u, v), or nil if the
-// edge is not a bridge. Bridge-ness is topology-only, so the owner's
-// Tarjan set (computed once, cached) answers membership; the far side's
-// shortest-path tree then comes from one Dijkstra over the masked view,
-// which explores only that side.
-func (o *Owner) bridgePlan(view *graph.CSR, u, v graph.NodeID, wNew float64) *bridgeFast {
-	side, ok := o.bridgeSet()[graph.EdgeKey(u, v)]
-	if !ok {
-		return nil
-	}
-	// Orient the far side F to the smaller cut side: the eager tree walk
-	// and the per-row resum writes are both O(|F|), and most stored rows'
-	// sources sit on the bigger side.
-	far, near := side.Node, u
-	if far == u {
-		near = v
-	}
-	if int(side.Size)*2 > view.NumNodes() {
-		far, near = near, far
-	}
-	f := &bridgeFast{u: near, v: far, wNew: wNew, inF: make([]bool, view.NumNodes()), view: view}
-	ws := sp.AcquireWorkspace(view.NumNodes())
-	_, pv := ws.DijkstraRowTree(newMaskedView(view, near, far), far, nil, nil)
-	sp.ReleaseWorkspace(ws)
-	f.orderF, f.pF, f.wF = treeWalk(view, pv, far, near, wNew, f.inF)
-	return f
-}
-
-// ensureNear lazily builds the near-side walk — needed only when a stored
-// row's source lives on the far side (a landmark or border behind the
-// bridge).
-func (f *bridgeFast) ensureNear() {
-	if f.nearBuilt {
-		return
-	}
-	f.nearBuilt = true
-	ws := sp.AcquireWorkspace(f.view.NumNodes())
-	_, pu := ws.DijkstraRowTree(newMaskedView(f.view, f.u, f.v), f.u, nil, nil)
-	sp.ReleaseWorkspace(ws)
-	f.orderC, f.pC, f.wC = treeWalk(f.view, pu, f.u, f.v, f.wNew, nil)
-}
-
-// treeWalk linearizes the shortest-path tree in par (rooted at root,
-// everything else Invalid-parented or unreached) into a parents-first
-// order with per-node parents and connecting edge weights; the root's
-// resum parent is crossParent over the bridge at weight wNew. marks, when
-// non-nil, records membership.
-func treeWalk(view *graph.CSR, par []graph.NodeID, root, crossParent graph.NodeID, wNew float64, marks []bool) (order, p []graph.NodeID, w []float64) {
-	children := make([][]graph.NodeID, len(par))
-	for x, pp := range par {
-		if pp != graph.Invalid {
-			children[pp] = append(children[pp], graph.NodeID(x))
-		}
-	}
-	order = append(order, root)
-	if marks != nil {
-		marks[root] = true
-	}
-	for k := 0; k < len(order); k++ {
-		for _, c := range children[order[k]] {
-			if marks != nil {
-				marks[c] = true
-			}
-			order = append(order, c)
-		}
-	}
-	p = make([]graph.NodeID, len(order))
-	w = make([]float64, len(order))
-	p[0], w[0] = crossParent, wNew // the bridge edge itself
-	for k := 1; k < len(order); k++ {
-		x := order[k]
-		p[k] = par[x]
-		w[k], _ = view.EdgeWeight(p[k], x) // parents always connect to children
-	}
-	return order, p, w
-}
+func (r *cowRow) copied() bool { return &r.row[0] != &r.old[0] }
 
 // Epoch returns the owner epoch this batch produced.
 func (b *UpdateBatch) Epoch() int64 { return b.epoch }
 
 // AffectedSources returns how many sources the probe marked dirty — the
-// number of Dijkstra rows any full-row structure must re-run.
+// number of rows FULL re-runs.
 func (b *UpdateBatch) AffectedSources() int { return b.srcs }
 
 // DirtyNodes returns the endpoints whose tuples changed.
@@ -261,11 +110,13 @@ func (b *UpdateBatch) DirtyNodes() []graph.NodeID { return b.dirty }
 // PatchStats reports what one provider patch did.
 type PatchStats struct {
 	Method Method
-	// RowsRecomputed counts hint/distance Dijkstra rows re-run.
+	// RowsRecomputed counts the distance rows the patch rewrote: LDM and
+	// HYP rows repair changed, every HYP row at the first update's upgrade,
+	// FULL rows re-run.
 	RowsRecomputed int
-	// RowsResummed counts rows patched by bridge resummation (one addition
-	// per node on the far side of the bridge) instead of a Dijkstra re-run.
-	RowsResummed int
+	// NodesResettled counts the nodes repair re-settled across LDM's and
+	// HYP's stored rows.
+	NodesResettled int
 	// LeavesPatched counts network-ADS leaves rewritten.
 	LeavesPatched int
 	// DistLeavesPatched counts distance-ADS leaves rewritten (FULL row
@@ -279,7 +130,7 @@ type PatchStats struct {
 	// serving layer invalidates exactly the cached proofs that cover them.
 	DirtyLeaves []int
 	// StaleCover lists leaf positions whose tuple bytes did NOT change but
-	// whose derived proof data did: HYP borders whose rows were re-run — a
+	// whose derived proof data did: HYP borders the probe marked — a
 	// cached proof covering such a border carries outdated hyper-edge
 	// values even though every tuple it shows is current.
 	StaleCover []int
@@ -294,9 +145,10 @@ type PatchStats struct {
 // network state it observes, so the accumulated affected set covers every
 // source whose distances could have changed at any step.
 //
-// The batch re-weights a private copy of the network's edge array and
-// publishes it as the owner's next epoch only at the end; the CSR the
-// owner held before — and every provider searching it — never changes.
+// Each real step re-weights its own copy of the previous step's edge array
+// — one copy for a single update — and the batch publishes the last as the
+// owner's next epoch only at the end; the CSR the owner held before — and
+// every provider searching it — never changes.
 // ApplyUpdates must not run concurrently with Outsource or with another
 // ApplyUpdates (the serving layer's Deployment serializes updates).
 func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
@@ -316,7 +168,7 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 	}
 	n := old.NumNodes()
 	b := &UpdateBatch{owner: o, affected: make([]bool, n), oldView: old}
-	net := old // becomes the batch's private copy at the first real change
+	net := old
 	seen := make(map[graph.NodeID]bool, 2*len(ups))
 	var du, dv []float64
 	for _, up := range ups {
@@ -324,35 +176,18 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 		if up.W == oldW {
 			continue // no-op: nothing dirtied
 		}
-		if net == old {
-			net = old.WithPrivateEdges()
-		}
-		// Probes and plans read net before this step re-weights it.
-		b.fast = nil
-		if len(ups) == 1 {
-			// A lone bridge update resums rows instead of re-running them
-			// (multi-update batches fall back to row granularity — their
-			// resum bases would be mid-sequence states).
-			b.fast = o.bridgePlan(net, up.U, up.V, up.W)
-		}
-		if b.fast != nil {
-			// A bridge shifts every crossing distance, so every row is
-			// dirty; no probes needed (resum skips unreachable sources).
-			for s := range b.affected {
-				b.affected[s] = true
-			}
-		} else {
-			// Probe: two endpoint Dijkstras over the pre-step network
-			// bound which sources the re-weighting can matter to.
-			w := sp.AcquireWorkspace(n)
-			du = w.DijkstraRow(net, up.U, du)
-			dv = w.DijkstraRow(net, up.V, dv)
-			sp.ReleaseWorkspace(w)
-			markAffected(b.affected, du, dv, math.Min(oldW, up.W))
-		}
+		// Probe: two endpoint Dijkstras over the pre-step network bound
+		// which sources the re-weighting can matter to.
+		w := sp.AcquireWorkspace(n)
+		du = w.DijkstraRow(net, up.U, du)
+		dv = w.DijkstraRow(net, up.V, dv)
+		sp.ReleaseWorkspace(w)
+		markAffected(b.affected, du, dv, math.Min(oldW, up.W))
+		net = net.WithPrivateEdges()
 		if _, err := net.SetEdgeWeight(up.U, up.V, up.W); err != nil {
 			return nil, err
 		}
+		b.steps = append(b.steps, sp.Step{G: net, U: up.U, V: up.V, Old: oldW, New: up.W})
 		for _, v := range [2]graph.NodeID{up.U, up.V} {
 			if !seen[v] {
 				seen[v] = true
@@ -482,12 +317,13 @@ func (dijImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	return &DIJProvider{providerBase{b.newView, ads}, rootSig}, st, nil
 }
 
-// Patch derives an updated LDM provider: re-run only the affected
-// landmarks' rows, re-derive quantization and compression from the patched
-// row set (cheap, O(n·c)), and rewrite exactly the leaves whose messages
-// changed. Landmark placement is pinned — re-selection is a full
-// re-outsource decision, and the pinned set keeps hints exact (rows are
-// true distances in the updated network).
+// Patch derives an updated LDM provider: repair every landmark row
+// (copy-on-first-change, so a row no step moves stays shared), re-derive
+// quantization and compression from the patched row set (cheap, O(n·c)),
+// and rewrite exactly the leaves whose messages changed. Landmark
+// placement is pinned — re-selection is a full re-outsource decision, and
+// the pinned set keeps hints exact (rows are true distances in the updated
+// network).
 func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*LDMProvider](LDM, prov)
 	if err != nil {
@@ -498,43 +334,31 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	if h.Dists == nil {
 		return nil, nil, fmt.Errorf("core: LDM provider predates row retention; re-outsource instead")
 	}
-	var rows []int
-	if b.fast == nil {
-		for i, l := range h.Landmarks {
-			if b.affected[l] {
-				rows = append(rows, i)
-			}
+	rows := make([]cowRow, len(h.Dists))
+	var settled atomic.Int64
+	par.Work(len(rows), func(i int) {
+		rows[i] = cowRow{old: h.Dists[i], row: h.Dists[i]}
+		b.repair(h.Landmarks[i], &rows[i], &settled)
+	})
+	st.NodesResettled = int(settled.Load())
+	dists := slices.Clone(h.Dists)
+	for i, r := range rows {
+		if r.copied() {
+			dists[i] = r.row
+			st.RowsRecomputed++
 		}
-		st.RowsRecomputed = len(rows)
 	}
 
 	nh := h
 	var dirtyMsgs map[int][]byte
 	switch {
-	case b.fast == nil && len(rows) == 0:
-		// No landmark row can have changed ⇒ λ, units and compression are
+	case st.RowsRecomputed == 0:
+		// No landmark row changed ⇒ λ, units and compression are
 		// untouched; only the endpoints' adjacency bytes differ.
 		dirtyMsgs = b.dirtyTupleMsgs(p.ads, func(v graph.NodeID) []byte {
 			return h.PayloadOf(v).AppendBinary(h.Bits, nil)
 		})
 	default:
-		dists := append([][]float64(nil), h.Dists...)
-		if b.fast != nil {
-			// Bridge: every row resums with O(|V|) additions, no searches.
-			for i := range dists {
-				nr := append([]float64(nil), dists[i]...)
-				b.fast.resum(h.Landmarks[i], nr)
-				dists[i] = nr
-			}
-			st.RowsResummed = len(dists)
-		} else {
-			par.Work(len(rows), func(k int) {
-				i := rows[k]
-				w := sp.AcquireWorkspace(b.newView.NumNodes())
-				defer sp.ReleaseWorkspace(w)
-				dists[i] = w.DijkstraRow(b.newView, h.Landmarks[i], nil)
-			})
-		}
 		if h.QuantizationUnchanged(dists) {
 			// Distances moved by less than half a quantization step: every
 			// unit, compression assignment and payload byte is reproduced
@@ -606,11 +430,11 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 }
 
 // Patch derives an updated HYP provider: the grid partition and border
-// sets never change under re-weighting, so the patch rewrites only the
-// affected border rows, copy-on-write by page; rewrites the hyper-edge
-// entries whose values moved, read off the pages the new Hyper does not
-// share with the old (hiti's rows are the values' one home); and patches
-// the endpoints' tuples.
+// sets never change under re-weighting, so the patch repairs every border
+// row, copy-on-write by page; rewrites the hyper-edge entries whose values
+// moved, read off the pages the new Hyper does not share with the old
+// (hiti's rows are the values' one home); and patches the endpoints'
+// tuples.
 func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*HYPProvider](HYP, prov)
 	if err != nil {
@@ -618,32 +442,24 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	}
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
-	var stale []graph.NodeID // borders whose rows were rewritten
-	switch {
-	case !hyper.HasFullRows():
+	var stale []graph.NodeID // borders whose cached proofs may be outdated
+	if !hyper.HasFullRows() {
 		// First update against this provider: materialize full rows on the
 		// post-update network (one row rebuild — static deployments never
-		// pay the B·|V| form). Updates from here on are incremental.
+		// pay the B·|V| form). Updates from here on are repaired.
 		hyper = hyper.WithFullRows(b.newView, p.ads.ord)
 		st.RowsRecomputed = len(hyper.Borders)
 		stale = hyper.Borders
-	case b.fast != nil:
-		// Bridge: every border row resums along the far side's tree,
-		// writing through to copied pages.
-		hyper = hyper.WithRewrittenRows(b.fast.resumPaged)
-		st.RowsResummed = len(hyper.Borders)
-		stale = hyper.Borders
-	default:
-		var rows []int
-		for i, bn := range hyper.Borders {
+	} else {
+		var settled atomic.Int64
+		hyper, st.RowsRecomputed = hyper.WithRewrittenRows(func(src graph.NodeID, r *hiti.RowWriter) {
+			b.repair(src, r, &settled)
+		})
+		st.NodesResettled = int(settled.Load())
+		for _, bn := range hyper.Borders {
 			if b.affected[bn] {
-				rows = append(rows, i)
 				stale = append(stale, bn)
 			}
-		}
-		st.RowsRecomputed = len(rows)
-		if len(rows) > 0 {
-			hyper = hyper.WithUpdatedRows(b.newView, rows)
 		}
 	}
 	for _, bn := range stale {

@@ -81,13 +81,56 @@ func TestIncrementalUpdateMatchesRebuild(t *testing.T) {
 			runUpdateCrossValidation(t, g, tc.seed, tc.steps, tc.batch)
 		})
 	}
+	// Exact ties: an integer-weight grid whose batches send edges to 0 and
+	// back, some within one batch, so repair runs step by step through
+	// zero-weight cycles and equal-length alternatives.
+	t.Run("integer-grid-zero-ties", func(t *testing.T) {
+		const side = 8
+		rng := rand.New(rand.NewSource(61))
+		g := graph.New(side * side)
+		for i := 0; i < side*side; i++ {
+			g.AddNode(float64(i%side)*100, float64(i/side)*100)
+		}
+		for i := 0; i < side*side; i++ {
+			if i%side+1 < side {
+				g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+1), float64(1+rng.Intn(3)))
+			}
+			if i+side < side*side {
+				g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+side), float64(1+rng.Intn(3)))
+			}
+		}
+		crossValidate(t, g, 61, 6, func(net graph.View, rng *rand.Rand) []EdgeUpdate {
+			return zeroTieUpdates(net, rng, 4)
+		})
+	})
 }
 
-// TestIncrementalUpdateMatchesRebuildLineGraph pins the bridge fast path's
-// far-side branch deterministically: on a path graph every edge is a
-// bridge and updates near the middle put landmarks and borders on both
-// sides of the cut, so both resummation directions (and the lazy
-// near-side walk) must reproduce the rebuild byte for byte.
+// zeroTieUpdates draws at least count re-weightings of an integer-weight
+// network: an edge to 0, an edge to a small integer, or an edge to 0 and
+// back to its weight within the batch.
+func zeroTieUpdates(g graph.View, rng *rand.Rand, count int) []EdgeUpdate {
+	var ups []EdgeUpdate
+	for len(ups) < count {
+		u := graph.NodeID(rng.Intn(g.NumNodes()))
+		adj := g.Neighbors(u)
+		e := adj[rng.Intn(len(adj))]
+		switch rng.Intn(3) {
+		case 0:
+			ups = append(ups, EdgeUpdate{U: u, V: e.To, W: 0})
+		case 1:
+			ups = append(ups, EdgeUpdate{U: u, V: e.To, W: float64(1 + rng.Intn(3))})
+		default:
+			ups = append(ups, EdgeUpdate{U: u, V: e.To, W: 0}, EdgeUpdate{U: e.To, V: u, W: e.W})
+		}
+	}
+	return ups
+}
+
+// TestIncrementalUpdateMatchesRebuildLineGraph pins row repair across
+// bridges deterministically: on a path graph every edge is a bridge and
+// updates near the middle put landmarks and borders on both sides of the
+// cut, so repair from either side must reproduce the rebuild byte for
+// byte.
 func TestIncrementalUpdateMatchesRebuildLineGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	n := 48
@@ -102,6 +145,15 @@ func TestIncrementalUpdateMatchesRebuildLineGraph(t *testing.T) {
 }
 
 func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, batch int) {
+	t.Helper()
+	crossValidate(t, g, seed, steps, func(net graph.View, rng *rand.Rand) []EdgeUpdate {
+		return randomUpdates(net, rng, batch)
+	})
+}
+
+// crossValidate applies steps batches drawn by next to every method's
+// provider and holds the result byte-identical to a rebuild.
+func crossValidate(t *testing.T, g *graph.Graph, seed int64, steps int, next func(graph.View, *rand.Rand) []EdgeUpdate) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Landmarks = 6
@@ -120,7 +172,7 @@ func runUpdateCrossValidation(t *testing.T, g *graph.Graph, seed int64, steps, b
 	rng := rand.New(rand.NewSource(seed))
 	wantEpoch := int64(0)
 	for step := 0; step < steps; step++ {
-		ups := randomUpdates(owner.Graph(), rng, batch)
+		ups := next(owner.Graph(), rng)
 		b, err := owner.ApplyUpdates(ups)
 		if err != nil {
 			t.Fatal(err)

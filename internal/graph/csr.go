@@ -159,68 +159,3 @@ func (c *CSR) Bounds() (minX, minY, maxX, maxY float64) {
 	}
 	return minX, minY, maxX, maxY
 }
-
-// BridgeSide describes one bridge: Node is the endpoint whose side of the
-// cut is the DFS subtree, Size that side's node count. The other side is
-// the rest of the component.
-type BridgeSide struct {
-	Node NodeID
-	Size int32
-}
-
-// Bridges returns the bridge edges (edges whose removal disconnects their
-// component), keyed by EdgeKey, each annotated with its cut side. Bridges
-// are a topology-only property — re-weighting never changes them — so
-// callers may cache the set across weight updates. Iterative Tarjan
-// lowlink, O(|V|+|E|).
-func (c *CSR) Bridges() map[uint64]BridgeSide {
-	n := c.NumNodes()
-	bridges := make(map[uint64]BridgeSide)
-	disc := make([]int32, n) // 0 = unvisited; else discovery time+1
-	low := make([]int32, n)
-	size := make([]int32, n) // DFS subtree size
-	parent := make([]NodeID, n)
-	next := make([]int, n) // per-node adjacency cursor for the explicit stack
-	var stack []NodeID
-	time := int32(0)
-	for s := 0; s < n; s++ {
-		if disc[s] != 0 {
-			continue
-		}
-		parent[s] = Invalid
-		time++
-		disc[s], low[s], size[s] = time, time, 1
-		stack = append(stack[:0], NodeID(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			adj := c.Neighbors(v)
-			if next[v] < len(adj) {
-				e := adj[next[v]]
-				next[v]++
-				switch {
-				case disc[e.To] == 0:
-					parent[e.To] = v
-					time++
-					disc[e.To], low[e.To], size[e.To] = time, time, 1
-					stack = append(stack, e.To)
-				case e.To != parent[v]:
-					if disc[e.To] < low[v] {
-						low[v] = disc[e.To]
-					}
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != Invalid {
-				size[p] += size[v]
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if low[v] > disc[p] {
-					bridges[EdgeKey(p, v)] = BridgeSide{Node: v, Size: size[v]}
-				}
-			}
-		}
-	}
-	return bridges
-}

@@ -268,14 +268,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// EdgeKey canonically packs an undirected edge for set membership.
-func EdgeKey(u, v NodeID) uint64 {
-	if v < u {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // ConnectedComponents returns, for every node, the index of its connected
 // component, along with the number of components. Component indices are
 // assigned in order of first appearance.

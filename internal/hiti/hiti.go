@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
@@ -44,10 +45,10 @@ type Hyper struct {
 	before, first []int
 	// Static builds hold W* border-indexed: wb[i][j] = dist(Borders[i],
 	// Borders[j]), O(B²) memory. The first incremental update upgrades to
-	// full rows (one value per node, O(B·|V|) memory, wb dropped): full
-	// rows are what make bridge-edge re-weightings resummable along
-	// retained shortest-path prefixes instead of B fresh searches — a cost
-	// only update-serving deployments pay.
+	// full rows (one value per node, O(B·|V|) memory, wb dropped): a full
+	// row is what an update can repair in place — re-settling only the
+	// nodes whose distance moves — instead of B fresh searches, a cost only
+	// update-serving deployments pay.
 	wb [][]float64
 	// w holds the full rows as pages of PageLen values in the network
 	// tree's leaf order: dist(Borders[i], x) sits at slot pos[x] of row i,
@@ -220,7 +221,7 @@ func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, r
 	row := make([]float64, rowLen)
 	for i := range h.w {
 		fill(row)
-		h.w[i] = h.pageRow(nil, row)
+		h.w[i] = h.pageRow(row)
 	}
 	return h, nil
 }
@@ -239,41 +240,17 @@ func (h *Hyper) slots(k int) []graph.NodeID {
 	return h.seq[k*PageLen : min((k+1)*PageLen, len(h.seq))]
 }
 
-// pageRow lays row (node-indexed) out in pages over old, a row of the same
-// Hyper's pages: every page of old whose values are bitwise equal to row's
-// is kept, and old itself is returned when they all are. A nil old yields
-// all new pages.
-func (h *Hyper) pageRow(old []*page, row []float64) []*page {
-	var out []*page
-	for k := 0; k*PageLen < len(h.seq); k++ {
-		nodes := h.slots(k)
-		if old != nil && samePage(old[k], nodes, row) {
-			continue
-		}
-		if out == nil {
-			out = make([]*page, (len(h.seq)+PageLen-1)/PageLen)
-			copy(out, old)
-		}
+// pageRow lays row (node-indexed) out in fresh pages.
+func (h *Hyper) pageRow(row []float64) []*page {
+	out := make([]*page, (len(h.seq)+PageLen-1)/PageLen)
+	for k := range out {
 		p := new(page)
-		for j, x := range nodes {
+		for j, x := range h.slots(k) {
 			p[j] = row[x]
 		}
 		out[k] = p
 	}
-	if out == nil {
-		return old
-	}
 	return out
-}
-
-// samePage reports whether p holds row's values for nodes, bit for bit.
-func samePage(p *page, nodes []graph.NodeID, row []float64) bool {
-	for j, x := range nodes {
-		if math.Float64bits(p[j]) != math.Float64bits(row[x]) {
-			return false
-		}
-	}
-	return true
 }
 
 // HasFullRows reports whether full distance rows have been materialized
@@ -292,43 +269,15 @@ func (h *Hyper) WithFullRows(view graph.View, ord *order.Ordering) *Hyper {
 	nh.wb = nil
 	nh.pos, nh.seq = ord.Pos, ord.Seq
 	nh.w = make([][]*page, len(h.Borders))
-	nh.rerun(view, nil)
-	return &nh
-}
-
-// WithUpdatedRows returns a Hyper sharing the partition, border sets and
-// every unchanged page with the receiver, with the given border rows re-run
-// against view (the post-update network). The receiver stays valid for
-// concurrent readers. Full-rows form only.
-func (h *Hyper) WithUpdatedRows(view graph.View, rows []int) *Hyper {
-	nh := *h
-	nh.w = slices.Clone(h.w)
-	nh.rerun(view, rows)
-	return &nh
-}
-
-// rerun re-runs border rows over view — all of them when rows is nil, else
-// exactly the given indices — into pooled scratch, and pages each result
-// over the row it replaces, keeping every page whose values did not move.
-// Rows are independent Dijkstra runs, so a re-run is bitwise identical to
-// a fresh build for any value whose distance is unchanged.
-func (h *Hyper) rerun(view graph.View, rows []int) {
-	n := len(rows)
-	if rows == nil {
-		n = len(h.Borders)
-	}
-	par.Work(n, func(k int) {
-		i := k
-		if rows != nil {
-			i = rows[k]
-		}
+	par.Work(len(h.Borders), func(i int) {
 		ws := sp.AcquireWorkspace(view.NumNodes())
 		buf := rowScratch.Get().(*[]float64)
 		*buf = ws.DijkstraRow(view, h.Borders[i], *buf)
 		sp.ReleaseWorkspace(ws)
-		h.w[i] = h.pageRow(h.w[i], *buf)
+		nh.w[i] = nh.pageRow(*buf)
 		rowScratch.Put(buf)
 	})
+	return &nh
 }
 
 // RowWriter rewrites one full row for WithRewrittenRows. Reads see the
@@ -370,20 +319,28 @@ func (r *RowWriter) copyPage(k uint) {
 
 // WithRewrittenRows returns a Hyper sharing the partition, border sets and
 // every page write leaves unchanged with the receiver, after handing each
-// border row in turn to write (the update pipeline's bridge resummation).
-// A row costs the values written and the pages they change — nothing is
-// copied or compared whole. The receiver stays valid for concurrent
-// readers. Full-rows form only.
-func (h *Hyper) WithRewrittenRows(write func(src graph.NodeID, r *RowWriter)) *Hyper {
+// border row to write (the update pipeline's row repair), and the number
+// of rows write changed — the receiver itself when it changed none. Rows
+// are written in parallel, each through its own RowWriter, so write must
+// be safe for concurrent calls on distinct rows. A row costs the values
+// written and the pages they change — nothing is copied or compared whole.
+// The receiver stays valid for concurrent readers. Full-rows form only.
+func (h *Hyper) WithRewrittenRows(write func(src graph.NodeID, r *RowWriter)) (*Hyper, int) {
 	nh := *h
 	nh.w = make([][]*page, len(h.w))
-	r := RowWriter{pos: h.pos}
-	for i, row := range h.w {
-		r.old, r.pages = row, row
+	var changed atomic.Int64
+	par.Work(len(h.w), func(i int) {
+		r := RowWriter{pos: h.pos, old: h.w[i], pages: h.w[i]}
 		write(h.Borders[i], &r)
+		if &r.pages[0] != &r.old[0] {
+			changed.Add(1)
+		}
 		nh.w[i] = r.pages
+	})
+	if changed.Load() == 0 {
+		return h, 0
 	}
-	return &nh
+	return &nh, int(changed.Load())
 }
 
 // CellPairEntries returns, each with its leaf index, the hyper-edges between

@@ -429,9 +429,12 @@ func TestLeafOrderClosedForm(t *testing.T) {
 		}
 		// Moved carries indices to the patch path: after random rewrites,
 		// every moved entry is its pair's leaf in the rewritten entry list.
-		patched := fullRows(t, g, h).WithRewrittenRows(func(_ graph.NodeID, r *RowWriter) {
+		// Rows are written concurrently, so each draws from its own source.
+		base := rng.Int63()
+		patched, _ := fullRows(t, g, h).WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
+			rowRng := rand.New(rand.NewSource(base + int64(src)))
 			for x := 0; x < g.NumNodes(); x++ {
-				if rng.Intn(3) == 0 {
+				if rowRng.Intn(3) == 0 {
 					r.Set(graph.NodeID(x), r.At(graph.NodeID(x))+1)
 				}
 			}
@@ -496,7 +499,7 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	// Stretch two border rows: the moved entries are exactly the reachable
 	// pairs those rows are the lower-ID side of, against either form.
 	changed := map[graph.NodeID]bool{full.Borders[1]: true, full.Borders[len(full.Borders)-2]: true}
-	patched := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
+	patched, rows := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
 		if changed[src] {
 			for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
 				if x != src && r.At(x) != sp.Unreachable {
@@ -505,6 +508,9 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 			}
 		}
 	})
+	if rows != len(changed) {
+		t.Fatalf("stretching %d rows reported %d rewritten", len(changed), rows)
+	}
 	want := 0
 	for i, u := range patched.Borders {
 		for _, v := range patched.Borders[i+1:] {
@@ -545,8 +551,8 @@ func fullRows(t *testing.T, g *graph.Graph, h *Hyper) *Hyper {
 
 // TestPagedRowsShareUnchangedPages holds the page store's copy-on-write
 // contract on rows that span several pages: a rewrite copies exactly the
-// pages holding a changed value, a bitwise-equal write copies nothing, a
-// re-run over the same network shares every page, and AppendRow and
+// pages holding a changed value, a bitwise-equal write copies nothing (a
+// rewrite that changes nothing returns the receiver), and AppendRow and
 // Rehydrate round-trip both storage forms value for value.
 func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -566,29 +572,32 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	// One changed value on row 0, the same value written back everywhere
 	// else: one fresh page.
 	target := ord.Seq[2*PageLen+5]
-	patched := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
-		for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
-			r.Set(x, r.At(x))
-		}
-		if src == full.Borders[0] {
-			r.Set(target, r.At(target)+1)
-		}
-	})
-	if _, fresh := patched.Moved(full); fresh != 1 {
-		t.Fatalf("one changed value copied %d pages, want 1", fresh)
+	rewrite := func(hy *Hyper, delta float64) (*Hyper, int) {
+		return hy.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
+			for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
+				r.Set(x, r.At(x))
+			}
+			if src == hy.Borders[0] {
+				r.Set(target, r.At(target)+delta)
+			}
+		})
+	}
+	patched, rows := rewrite(full, 1)
+	if _, fresh := patched.Moved(full); fresh != 1 || rows != 1 {
+		t.Fatalf("one changed value copied %d pages over %d rows, want 1 over 1", fresh, rows)
 	}
 	if got, want := patched.AppendRow(nil, 0)[target], full.AppendRow(nil, 0)[target]+1; got != want {
 		t.Fatalf("rewritten value %v, want %v", got, want)
 	}
-	freshOver := func(nh, old *Hyper) int {
-		_, fresh := nh.Moved(old)
-		return fresh
+	if same, rows := rewrite(patched, 0); same != patched || rows != 0 {
+		t.Fatalf("a rewrite that changes nothing returned a new Hyper over %d rows", rows)
 	}
-	if f := freshOver(patched.WithUpdatedRows(net, []int{1, 2}), patched); f != 0 {
-		t.Fatalf("re-running rows over an unchanged network copied %d pages", f)
+	back, _ := rewrite(patched, -1)
+	if _, fresh := back.Moved(patched); fresh != 1 {
+		t.Fatalf("writing the value back copied %d pages, want its one", fresh)
 	}
-	if f := freshOver(patched.WithUpdatedRows(net, []int{0}), patched); f != 1 {
-		t.Fatalf("re-running the rewritten row copied %d pages, want its one", f)
+	if moved, _ := back.Moved(full); len(moved) != 0 {
+		t.Fatalf("writing the value back leaves %d entries moved against the build", len(moved))
 	}
 
 	for _, hy := range []*Hyper{h, patched} {

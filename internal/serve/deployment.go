@@ -140,10 +140,12 @@ type UpdateSummary struct {
 	// Epoch is the owner's update-batch counter after this batch.
 	Epoch int64 `json:"epoch"`
 	// AffectedSources counts sources the probes marked dirty — the rows
-	// any full-row structure had to consider re-running.
+	// FULL re-runs.
 	AffectedSources int `json:"affected_sources"`
-	// RowsRecomputed totals Dijkstra rows re-run across providers.
+	// RowsRecomputed totals the distance rows the patches rewrote.
 	RowsRecomputed int `json:"rows_recomputed"`
+	// NodesResettled totals the nodes row repair re-settled.
+	NodesResettled int `json:"nodes_resettled"`
 	// LeavesPatched totals network-ADS leaves rewritten across providers;
 	// DistLeavesPatched the distance-ADS leaves (FULL rows, HYP entries).
 	LeavesPatched     int `json:"leaves_patched"`
@@ -194,6 +196,7 @@ func (d *Deployment) ApplyUpdates(ups []core.EdgeUpdate) (UpdateSummary, error) 
 			return sum, err // unreachable: every slot was checked above
 		}
 		sum.RowsRecomputed += stats[i].RowsRecomputed
+		sum.NodesResettled += stats[i].NodesResettled
 		sum.LeavesPatched += stats[i].LeavesPatched
 		sum.DistLeavesPatched += stats[i].DistLeavesPatched
 	}

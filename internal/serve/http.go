@@ -58,8 +58,9 @@ type Server struct {
 const MaxBatch = 4096
 
 // MaxUpdateBatch bounds one /update request: each changed edge costs
-// probes or a bridge plan while holding the deployment's update mutex, so
-// an unbounded batch could pin the owner pipeline for one caller.
+// probes, a network copy and row repair while holding the deployment's
+// update mutex, so an unbounded batch could pin the owner pipeline for one
+// caller.
 const MaxUpdateBatch = 1024
 
 // NewServer wraps an engine and the owner's public verifier (served to

@@ -279,35 +279,6 @@ func (w *Workspace) DijkstraRow(g graph.View, src graph.NodeID, row []float64) [
 	return row
 }
 
-// DijkstraRowTree is DijkstraRow plus the shortest-path-tree parents
-// (graph.Invalid for the source and unreached nodes), both caller-owned.
-// The owner's update probes use the parents to resum rows across bridge
-// edges without re-running searches.
-func (w *Workspace) DijkstraRowTree(g graph.View, src graph.NodeID, row []float64, parent []graph.NodeID) ([]float64, []graph.NodeID) {
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
-	n := w.n
-	if cap(row) < n {
-		row = make([]float64, n)
-	} else {
-		row = row[:n]
-	}
-	if cap(parent) < n {
-		parent = make([]graph.NodeID, n)
-	} else {
-		parent = parent[:n]
-	}
-	for v := 0; v < n; v++ {
-		if w.seen[v] == w.epoch {
-			row[v] = w.dist[v]
-			parent[v] = w.parent[v]
-		} else {
-			row[v] = Unreachable
-			parent[v] = graph.Invalid
-		}
-	}
-	return row, parent
-}
-
 // tree materializes the workspace labels as a full Tree — the compatibility
 // bridge for callers that retain whole trees. When settledOnly is set, only
 // settled nodes get values (matching DijkstraBounded's erase-tentative
