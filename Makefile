@@ -26,9 +26,12 @@ short:
 	$(GO) test -short ./...
 
 # The race lane is also the one that runs the update-swap hammer
-# (serve.TestQueriesRaceUpdates, with and without latency budgets) and the
-# replica's background warm-up against first queries and a mid-walk Close
-# (core.TestWarmRacesFirstQueries).
+# (serve.TestQueriesRaceUpdates, with and without latency budgets), the
+# proof cache's page-store hammer (serve.TestPageStoreHammer: JSON, binary
+# and /batch reads on a few pages against evictions and hot-swaps; under
+# -race the pages are heap-backed so the detector sees every access) and
+# the replica's background warm-up against first queries and a mid-walk
+# Close (core.TestWarmRacesFirstQueries).
 race:
 	$(GO) test -race -short ./...
 
@@ -85,9 +88,11 @@ bench:
 # distance tree in the repository benchmark's world), sp's single-search
 # Ball, core's UpdateStream: one applied churn update (ApplyUpdates plus
 # the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
-# allocs/op and the HYP row pages it copies, and cert's AuditRow: one HYP
-# border's labelling row of that world checked. CI's full lane runs this
-# so they cannot rot.
+# allocs/op and the HYP row pages it copies, cert's AuditRow: one HYP
+# border's labelling row of that world checked, and serve's HTTPQueryHit and
+# HTTPQueryMiss: a GET /query through the handler, JSON and binary, answered
+# from the proof cache's pages and built with the cache off. CI's full lane
+# runs this so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
@@ -95,6 +100,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 	$(GO) test -run '^$$' -bench '^BenchmarkUpdateStream$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
+	$(GO) test -run '^$$' -bench '^BenchmarkHTTPQuery(Hit|Miss)$$' -benchtime 1x -benchmem ./internal/serve
 
 # Persistent ADS snapshot of the standard world (spvserve's default served
 # set), written via the public save path.

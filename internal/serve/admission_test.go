@@ -29,10 +29,10 @@ func blockingEngine(opts Options) (e *Engine, entered, release chan struct{}) {
 	entered = make(chan struct{}, 64)
 	release = make(chan struct{})
 	e = NewEngine(opts)
-	e.register("SLOW", func(vs, vt graph.NodeID) (float64, int, []byte, cover, error) {
+	e.register("SLOW", func(vs, vt graph.NodeID, buf []byte) (float64, int, []byte, cover, error) {
 		entered <- struct{}{}
 		<-release
-		return 1, 1, []byte{0xAB}, cover{}, nil
+		return 1, 1, append(buf, 0xAB), cover{}, nil
 	})
 	return e, entered, release
 }

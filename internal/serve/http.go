@@ -113,21 +113,29 @@ type wireAnswer struct {
 	Bytes  int          `json:"proof_bytes"`
 	Proof  []byte       `json:"proof,omitempty"`
 	Error  string       `json:"error,omitempty"`
+	// pinned, when set, holds the proof in place of Proof: the cache
+	// pages appendAnswer base64-encodes from.
+	pinned pages
 }
 
-func toWire(a Answer) wireAnswer {
+// toWire makes the JSON answer of r, which must stay unreleased until the
+// answer is written.
+func toWire(r *reply) wireAnswer {
 	w := wireAnswer{
-		Method: a.Query.Method,
-		VS:     a.Query.VS,
-		VT:     a.Query.VT,
-		Dist:   a.Dist,
-		Hops:   a.Hops,
-		Cached: a.Cached,
-		Bytes:  len(a.Proof),
-		Proof:  a.Proof,
+		Method: r.Query.Method,
+		VS:     r.Query.VS,
+		VT:     r.Query.VT,
+		Dist:   r.Dist,
+		Hops:   r.Hops,
+		Cached: r.Cached,
+		Bytes:  r.proofLen(),
+		Proof:  r.Proof,
 	}
-	if a.Err != nil {
-		w.Error = a.Err.Error()
+	if r.pinned.ent != nil && r.pinned.ent.n > 0 {
+		w.pinned = r.pinned
+	}
+	if r.Err != nil {
+		w.Error = r.Err.Error()
 	}
 	return w
 }
@@ -174,9 +182,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	a, err := s.engine.QueryBudget(q, budget)
-	if err != nil {
-		writeQueryErr(w, err)
+	a := s.engine.queryReply(q, budget)
+	defer a.release() // after the write: a hit reads its cache pages until then
+	if a.Err != nil {
+		writeQueryErr(w, a.Err)
 		return
 	}
 	if params.Get("format") == "binary" || acceptsBinary(r.Header) {
@@ -188,10 +197,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		h.Set("X-Spv-Dist", strconv.FormatFloat(a.Dist, 'g', -1, 64))
 		h.Set("X-Spv-Hops", strconv.Itoa(a.Hops))
 		h.Set("X-Spv-Cached", strconv.FormatBool(a.Cached))
-		w.Write(a.Proof)
+		a.each(func(p []byte) { w.Write(p) })
 		return
 	}
-	wa := toWire(a)
+	wa := toWire(&a)
 	sendJSON(w, func(b []byte) ([]byte, error) { return appendAnswer(b, wa) })
 }
 
@@ -322,14 +331,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	answers, err := s.engine.queryBatch(req.Queries, budget)
+	replies, err := s.engine.queryBatch(req.Queries, budget)
+	defer func() {
+		for i := range replies {
+			replies[i].release()
+		}
+	}()
 	if err != nil {
 		writeQueryErr(w, err)
 		return
 	}
-	out := batchReply{Answers: make([]wireAnswer, len(answers))}
-	for i, a := range answers {
-		out.Answers[i] = toWire(a)
+	out := batchReply{Answers: make([]wireAnswer, len(replies))}
+	for i := range replies {
+		out.Answers[i] = toWire(&replies[i])
 	}
 	if req.Encoding == "shared" {
 		batches, err := shareProofs(out.Answers)
@@ -351,7 +365,11 @@ func shareProofs(answers []wireAnswer) ([]wireBatch, error) {
 	var wires [][]core.WireItem // wires[k] is what out[k] frames
 	slot := make(map[core.Method]int)
 	for i, a := range answers {
-		if a.Error != "" || len(a.Proof) == 0 {
+		wire := a.Proof
+		if a.pinned.ent != nil {
+			wire = a.pinned.contiguous()
+		}
+		if a.Error != "" || len(wire) == 0 {
 			continue
 		}
 		k, ok := slot[a.Method]
@@ -362,8 +380,8 @@ func shareProofs(answers []wireAnswer) ([]wireBatch, error) {
 			wires = append(wires, nil)
 		}
 		out[k].Items = append(out[k].Items, i)
-		wires[k] = append(wires[k], core.WireItem{VS: a.VS, VT: a.VT, Wire: a.Proof})
-		answers[i].Proof = nil
+		wires[k] = append(wires[k], core.WireItem{VS: a.VS, VT: a.VT, Wire: wire})
+		answers[i].Proof, answers[i].pinned = nil, pages{}
 	}
 	for k := range out {
 		blob, err := core.AppendWireBatch(nil, out[k].Method, wires[k])

@@ -516,3 +516,43 @@ func TestHTTPQueryHitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHTTPQueryHit times a GET /query answered from the proof cache,
+// JSON and binary, through ServeHTTP into a writer that keeps nothing: the
+// handler's own cost, written straight from the entry's pinned pages.
+func BenchmarkHTTPQueryHit(b *testing.B) { benchHTTPQuery(b, Options{}) }
+
+// BenchmarkHTTPQueryMiss is the same request with the cache disabled, so
+// every one builds its proof into encode scratch and is written from there.
+func BenchmarkHTTPQueryMiss(b *testing.B) { benchHTTPQuery(b, Options{CacheBytes: -1}) }
+
+func benchHTTPQuery(b *testing.B, opts Options) {
+	w := testWorld(b)
+	e := w.engine(opts)
+	defer e.Close()
+	srv, err := NewServer(e, w.verifier)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := largestProof(b, w.dij, w.queries)
+	for _, f := range []struct{ name, suffix string }{{"json", ""}, {"binary", "&format=binary"}} {
+		b.Run(f.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/query?method=DIJ&vs=%d&vt=%d%s", q.VS, q.VT, f.suffix), nil)
+			sw := &sinkWriter{h: http.Header{}}
+			serve := func() {
+				clear(sw.h)
+				sw.code = 0
+				srv.ServeHTTP(sw, req)
+			}
+			serve() // fills the cache (when there is one)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			if sw.code != http.StatusOK {
+				b.Fatalf("status %d", sw.code)
+			}
+		})
+	}
+}

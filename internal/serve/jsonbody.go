@@ -17,8 +17,10 @@ import (
 // for a wireAnswer or a batchReply — field order, omitempty, encoding/json's
 // number and string formats, the trailing newline
 // (TestJSONBodiesMatchEncodingJSON). Each proof is base64-encoded once,
-// by internal/b64, straight into a pooled body that leaves in one
-// Content-Length write rather than as a chunked stream.
+// by internal/b64, straight from its cache pages (whole pages are a
+// multiple of 3 bytes, so page by page is the one-shot encoding) into a
+// pooled body that leaves in one Content-Length write rather than as a
+// chunked stream.
 
 // bodyPool recycles response bodies. One over maxPooledBody (a large
 // /batch) is left to the collector rather than held for the next request.
@@ -63,7 +65,11 @@ func appendAnswer(b []byte, a wireAnswer) ([]byte, error) {
 	}
 	b = strconv.AppendBool(append(b, `,"cached":`...), a.Cached)
 	b = strconv.AppendInt(append(b, `,"proof_bytes":`...), int64(a.Bytes), 10)
-	if len(a.Proof) > 0 {
+	if a.pinned.ent != nil {
+		b = append(b, `,"proof":"`...)
+		a.pinned.each(func(p []byte) { b = b64.Append(b, p) })
+		b = append(b, '"')
+	} else if len(a.Proof) > 0 {
 		b = appendBytes(append(b, `,"proof":`...), a.Proof)
 	}
 	if a.Error != "" {

@@ -65,10 +65,10 @@ type Query struct {
 // count of the reported path (edges, i.e. one less than its node count),
 // and the proof's exact wire encoding (decodable with core.DecodeProof and
 // verifiable with core.VerifyProof, both keyed by Query.Method). The Proof
-// slice is read-only: it is the proof cache's own entry, shared with every
-// other answer to the same query, and never changes — a caller that wants
-// to modify it (a tamper test, say) clones it first. Cached marks answers
-// served from the proof cache.
+// slice belongs to the caller: the engine copies it out of the proof cache
+// (or out of its encode scratch on a miss) for every answer, so modifying it
+// never reaches the cache or another answer. Cached marks answers served
+// from the proof cache.
 type Answer struct {
 	Query  Query   `json:"query"`
 	Dist   float64 `json:"dist"`
@@ -82,10 +82,11 @@ type Answer struct {
 
 // Options configures an Engine. The zero value picks defaults.
 type Options struct {
-	// CacheBytes bounds the LRU proof cache by total held bytes (wire
-	// encodings plus a small per-entry overhead) — proof sizes vary by
+	// CacheBytes bounds the LRU proof cache by total held bytes (each
+	// wire's pages plus a small per-entry overhead) — proof sizes vary by
 	// orders of magnitude between methods, so a byte budget is the only
-	// capacity with a predictable memory footprint. Default (0):
+	// capacity with a predictable memory footprint. The wires live outside
+	// the Go heap, so a budget of B costs at most B resident. Default (0):
 	// DefaultCacheBytes. Negative: caching disabled.
 	CacheBytes int64
 	// DefaultBudget is the latency budget applied to queries that carry
@@ -119,18 +120,19 @@ func (c cover) overlaps(sortedDirty []uint32) bool {
 	return i < len(sortedDirty) && sortedDirty[i] <= c.hi
 }
 
-// queryFn is the method-erased provider hot path: build (or fetch) a proof
-// for one endpoint pair and return its exact wire encoding plus its leaf
-// coverage.
-type queryFn func(vs, vt graph.NodeID) (dist float64, hops int, wire []byte, cov cover, err error)
+// queryFn is the method-erased provider hot path: build a proof for one
+// endpoint pair, append its exact wire encoding to buf, and return it plus
+// its leaf coverage.
+type queryFn func(vs, vt graph.NodeID, buf []byte) (dist float64, hops int, wire []byte, cov cover, err error)
 
 // methodSlot holds one method's hot-swappable provider closure. The
 // pointer swaps atomically, so queries racing an update see either the old
 // or the new provider — both of which produce self-consistent proofs
 // (every proof carries the root signature it verifies under). gen counts
-// swaps: a cold construction records the gen it started under and skips
-// the cache insert if a swap landed meanwhile, so a racing build can never
-// re-poison the cache with a pre-swap proof after the invalidation pass.
+// swaps: a cold construction records the gen it started under, and the
+// cache compares it under its lock when publishing, so a build racing a
+// swap can never re-poison the cache with a pre-swap proof after the
+// invalidation pass (which runs under that lock, after the bump).
 type methodSlot struct {
 	fn  atomic.Pointer[queryFn]
 	gen atomic.Int64
@@ -282,40 +284,27 @@ func NewEngine(opts Options) *Engine {
 }
 
 // encScratch pools proof-encoding scratch buffers: a cold construction
-// serializes into a pooled buffer, then copies into an exact-size
-// caller-owned slice. The copy trades one memcpy for the ~10 grow-and-copy
-// reallocations an append-from-nil encoding pays, and lets the scratch
-// capacity (which tracks the largest proof seen) be reused across requests
-// instead of garbage-collected per query.
+// serializes into a pooled buffer whose capacity tracks the largest proof
+// seen, the cache copies it into its pages, and the answer is written (or,
+// for a library caller, copied) from it before it returns to the pool — no
+// grow-and-copy chain and no exact-size heap wire per miss.
 var encScratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 16<<10)
 	return &b
 }}
 
-// encodeWire runs appendFn against pooled scratch and returns an
-// exact-size private copy of the encoding.
-func encodeWire(appendFn func([]byte) []byte) []byte {
-	bp := encScratch.Get().(*[]byte)
-	scratch := appendFn((*bp)[:0])
-	wire := make([]byte, len(scratch))
-	copy(wire, scratch)
-	*bp = scratch[:0] // keep the grown capacity
-	encScratch.Put(bp)
-	return wire
-}
-
 // providerFn wraps any method's provider as a queryFn — the single
 // method-erased hot path (core.Provider guarantees immutability and
 // byte-determinism for every registered method).
 func providerFn(p core.Provider) queryFn {
-	return func(vs, vt graph.NodeID) (float64, int, []byte, cover, error) {
+	return func(vs, vt graph.NodeID, buf []byte) (float64, int, []byte, cover, error) {
 		pr, err := p.QueryProof(vs, vt)
 		if err != nil {
-			return 0, 0, nil, cover{}, err
+			return 0, 0, buf, cover{}, err
 		}
 		lo, hi, ok := pr.LeafSpan()
 		path, dist := pr.Result()
-		return dist, len(path) - 1, encodeWire(pr.AppendBinary), cover{lo, hi, ok}, nil
+		return dist, len(path) - 1, pr.AppendBinary(buf), cover{lo, hi, ok}, nil
 	}
 }
 
@@ -461,32 +450,43 @@ func (e *Engine) Query(q Query) (Answer, error) {
 // default): admit, then cache, provider. A shed query returns an error
 // wrapping ErrShed and touches no other counter.
 func (e *Engine) QueryBudget(q Query, budget time.Duration) (Answer, error) {
+	a := e.queryReply(q, budget).own()
+	return a, a.Err
+}
+
+// queryReply is QueryBudget with the proof left where it is: the caller
+// writes from the reply and releases it.
+func (e *Engine) queryReply(q Query, budget time.Duration) reply {
 	if err := e.admit(1, budget); err != nil {
-		return Answer{Query: q, Err: err}, err
+		return reply{Answer: Answer{Query: q, Err: err}}
 	}
 	defer e.stats.inFlight.Add(-1)
-	a := e.query(q)
-	return a, a.Err
+	return e.query(q)
 }
 
 // QueryBatch answers a batch with worker-pool fan-out, preserving order,
 // under the engine's default budget. Per-item failures land in Answer.Err;
 // a batch shed whole carries the shed error in every item.
 func (e *Engine) QueryBatch(qs []Query) []Answer {
-	out, _ := e.queryBatch(qs, 0)
+	rs, _ := e.queryBatch(qs, 0)
+	out := make([]Answer, len(rs))
+	for i, r := range rs {
+		out[i] = r.own()
+	}
 	return out
 }
 
 // queryBatch is QueryBatch under an explicit budget, admitted as one
-// arrival of len(qs) queries; err is non-nil exactly when it was shed.
-func (e *Engine) queryBatch(qs []Query, budget time.Duration) ([]Answer, error) {
-	out := make([]Answer, len(qs))
+// arrival of len(qs) queries, with every reply left for the caller to
+// release; err is non-nil exactly when it was shed.
+func (e *Engine) queryBatch(qs []Query, budget time.Duration) ([]reply, error) {
+	out := make([]reply, len(qs))
 	if len(qs) == 0 {
 		return out, nil
 	}
 	if err := e.admit(len(qs), budget); err != nil {
 		for i, q := range qs {
-			out[i] = Answer{Query: q, Err: err}
+			out[i] = reply{Answer: Answer{Query: q, Err: err}}
 		}
 		return out, err
 	}
@@ -520,8 +520,14 @@ func (e *Engine) queryBatch(qs []Query, budget time.Duration) ([]Answer, error) 
 	return out, nil
 }
 
-// Close is a no-op (nothing queues) that benchmark/trace.go still calls.
-func (e *Engine) Close() {}
+// Close empties the proof cache and releases its arena once the last
+// pinned read of it has finished. Idempotent; an engine used after Close
+// still answers, uncached.
+func (e *Engine) Close() {
+	if e.cache != nil {
+		e.cache.close()
+	}
+}
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Snapshot {
@@ -568,34 +574,77 @@ func (e *Engine) Stats() Snapshot {
 	return s
 }
 
-// cached is the unit the LRU cache holds: one proof's exact wire encoding
-// plus its headline numbers and leaf coverage (kept so hot-swaps can
-// invalidate precisely). The wire slice is shared by every hit — answers
-// carry it as their Proof — and is never mutated.
-type cached struct {
-	dist float64
-	hops int
-	wire []byte
-	cov  cover
+// reply is an answer whose proof has no owner yet: a hit's proof is its
+// cache entry's pages, pinned until release; a miss's is Answer.Proof, the
+// pooled encode scratch, until release returns it. The HTTP front writes
+// from a reply and releases it; own turns it into a caller-owned Answer.
+type reply struct {
+	Answer
+	pinned  pages   // a hit's; zero unless a hit
+	scratch *[]byte // pooled; nil unless a miss
 }
 
-// query is the engine hot path: cache lookup, then the cold construction
-// and a generation-checked insert. A panic during construction is
-// converted to a per-query error here so one poisoned query can't kill the
-// process from a QueryBatch worker goroutine — net/http would contain it
-// for /query but not for /batch.
-func (e *Engine) query(q Query) (ans Answer) {
+// proofLen returns the proof's length in bytes.
+func (r *reply) proofLen() int {
+	if r.pinned.ent != nil {
+		return r.pinned.ent.n
+	}
+	return len(r.Proof)
+}
+
+// each calls fn on the proof's bytes in order, in contiguous runs.
+func (r *reply) each(fn func([]byte)) {
+	if r.pinned.ent != nil {
+		r.pinned.each(fn)
+	} else if len(r.Proof) > 0 {
+		fn(r.Proof)
+	}
+}
+
+// release unpins the entry or returns the scratch; call it once.
+func (r *reply) release() {
+	if r.pinned.ent != nil {
+		r.pinned.c.unpin(r.pinned.ent)
+		r.pinned = pages{}
+	}
+	if r.scratch != nil {
+		*r.scratch = (*r.scratch)[:0]
+		encScratch.Put(r.scratch)
+		r.scratch = nil
+	}
+	r.Proof = nil
+}
+
+// own releases r and returns its Answer with a caller-owned copy of the
+// proof.
+func (r reply) own() Answer {
+	a := r.Answer
+	if n := r.proofLen(); n > 0 {
+		a.Proof = make([]byte, 0, n)
+		r.each(func(p []byte) { a.Proof = append(a.Proof, p...) })
+	}
+	r.release()
+	return a
+}
+
+// query is the engine hot path: cache lookup (a hit pins its entry), then
+// the cold construction into encode scratch and a generation-checked
+// insert. A panic during construction is converted to a per-query error
+// here so one poisoned query can't kill the process from a QueryBatch
+// worker goroutine — net/http would contain it for /query but not for
+// /batch.
+func (e *Engine) query(q Query) (r reply) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			e.stats.errors.Add(1)
-			ans = Answer{Query: q, Err: fmt.Errorf("serve: query %v panicked: %v", q, r)}
+			r = reply{Answer: Answer{Query: q, Err: fmt.Errorf("serve: query %v panicked: %v", q, p)}}
 		}
 	}()
 	e.stats.queries.Add(1)
 	sl, ok := e.run[q.Method]
 	if !ok {
 		e.stats.errors.Add(1)
-		return Answer{Query: q, Err: fmt.Errorf("%w %q", ErrUnknownMethod, q.Method)}
+		return reply{Answer: Answer{Query: q, Err: fmt.Errorf("%w %q", ErrUnknownMethod, q.Method)}}
 	}
 	start := time.Now()
 	defer func() {
@@ -613,39 +662,38 @@ func (e *Engine) query(q Query) (ans Answer) {
 	fn := *sl.fn.Load()
 	key := cacheKey{m: q.Method, vs: q.VS, vt: q.VT}
 	if e.cache != nil {
-		if c, ok := e.cache.Get(key); ok {
+		if ent := e.cache.pin(key); ent != nil {
 			e.stats.hits.Add(1)
-			return e.answer(q, c, true)
+			e.stats.proofBytes.Add(int64(ent.n))
+			return reply{Answer: answer(q, ent.val, true), pinned: pages{e.cache, ent}}
 		}
 	}
 	built := time.Now()
-	dist, hops, wire, cov, err := fn(q.VS, q.VT)
+	bp := encScratch.Get().(*[]byte)
+	dist, hops, wire, cov, err := fn(q.VS, q.VT, (*bp)[:0])
 	if err != nil {
+		encScratch.Put(bp)
 		e.stats.errors.Add(1)
-		return Answer{Query: q, Err: err}
+		return reply{Answer: Answer{Query: q, Err: err}}
 	}
+	*bp = wire // keep the grown capacity
 	e.stats.coldNanos.Add(int64(time.Since(built)))
 	e.stats.misses.Add(1)
-	c := cached{dist: dist, hops: hops, wire: wire, cov: cov}
-	// Don't cache across a swap: a build racing an update may carry a
-	// pre-swap proof whose dirtied coverage the invalidation pass already
-	// handled; dropping the insert (rare) keeps the cache's invariant, the
-	// answer itself is still served.
-	if e.cache != nil && sl.gen.Load() == gen {
-		e.cache.Add(key, c)
+	e.stats.proofBytes.Add(int64(len(wire)))
+	c := cached{dist: dist, hops: hops, cov: cov}
+	// The cache refuses the insert if a swap landed since gen was read: a
+	// build racing an update may carry a pre-swap proof whose dirtied
+	// coverage the invalidation pass already handled. Dropping it (rare)
+	// keeps the cache's invariant; the answer itself is still served.
+	if e.cache != nil {
+		e.cache.insert(key, c, wire, &sl.gen, gen)
 	}
-	return e.answer(q, c, false)
+	a := answer(q, c, false)
+	a.Proof = wire
+	return reply{Answer: a, scratch: bp}
 }
 
-// answer makes an Answer of a cached proof; its Proof is the cache's own
-// wire, shared read-only.
-func (e *Engine) answer(q Query, c cached, fromCache bool) Answer {
-	e.stats.proofBytes.Add(int64(len(c.wire)))
-	return Answer{
-		Query:  q,
-		Dist:   c.dist,
-		Hops:   c.hops,
-		Proof:  c.wire,
-		Cached: fromCache,
-	}
+// answer makes an Answer, without its proof, of a cached entry's numbers.
+func answer(q Query, c cached, fromCache bool) Answer {
+	return Answer{Query: q, Dist: c.dist, Hops: c.hops, Cached: fromCache}
 }

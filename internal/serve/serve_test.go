@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -121,10 +125,16 @@ func TestEngineServesAllMethodsVerified(t *testing.T) {
 	}
 }
 
+// TestEngineCacheServesIdenticalWire pins what a cached answer is. A hit
+// serves exactly the miss's bytes. A library caller's proof is its own: the
+// engine copies it out of the cache's pages, so modifying it never reaches
+// the cache or another answer, and a hit allocates that one slice. The HTTP
+// handlers write straight from the pinned pages, so a JSON or binary hit
+// allocates nothing proof-sized.
 func TestEngineCacheServesIdenticalWire(t *testing.T) {
 	w := testWorld(t)
 	e := w.engine(Options{})
-	q := Query{Method: core.LDM, VS: w.queries[0].S, VT: w.queries[0].T}
+	q := largestProof(t, w.dij, w.queries)
 	cold, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -139,33 +149,76 @@ func TestEngineCacheServesIdenticalWire(t *testing.T) {
 	if !bytes.Equal(cold.Proof, warm.Proof) {
 		t.Error("cached proof differs from cold proof")
 	}
-	// The contract is read-only sharing: every answer to q is the cache
-	// entry itself, no copy, and nothing the engine or a verifying caller
-	// does changes its bytes. A caller that must modify a proof clones it.
-	want := bytes.Clone(cold.Proof)
 	verifyAnswer(t, w.verifier, warm)
-	again, err := e.Query(q)
+	want := bytes.Clone(cold.Proof)
+	if &warm.Proof[0] == &cold.Proof[0] {
+		t.Error("two answers share one proof slice")
+	}
+	cold.Proof[0] ^= 0xff
+	warm.Proof[len(warm.Proof)/2] ^= 0xff
+	if last, err := e.Query(q); err != nil || !bytes.Equal(want, last.Proof) {
+		t.Errorf("modifying a returned proof reached the cache (err %v)", err)
+	}
+	s := e.Stats()
+	if s.Queries != 3 || s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want 3 queries / 2 hits / 1 miss", s)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Query(q) }); n != 1 {
+		t.Errorf("a library cache hit allocates %v times, want 1 (its proof)", n)
+	}
+
+	srv, err := NewServer(e, w.verifier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &again.Proof[0] != &cold.Proof[0] || &warm.Proof[0] != &cold.Proof[0] {
-		t.Error("answers to one query do not share the cache entry's bytes")
+	for _, format := range []string{"", "&format=binary"} {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/query?method=DIJ&vs=%d&vt=%d%s", q.VS, q.VT, format), nil)
+		sw := &sinkWriter{h: http.Header{}}
+		hit := func() {
+			clear(sw.h)
+			sw.code = 0
+			srv.ServeHTTP(sw, req)
+		}
+		hit()
+		if sw.code != http.StatusOK || sw.h.Get("X-Spv-Cached") == "false" {
+			t.Fatalf("GET /query%s: status %d, cached header %q", format, sw.code, sw.h.Get("X-Spv-Cached"))
+		}
+		if raceEnabled {
+			continue // sync.Pool drops pooled bodies at random under -race
+		}
+		var before, after runtime.MemStats
+		const runs = 100
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			hit()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("GET /query%s hit: %d B allocated, proof %d B", format, per, len(want))
+		if per >= uint64(len(want))/2 {
+			t.Errorf("GET /query%s hit allocates %d B, want well under the %d-byte proof", format, per, len(want))
+		}
 	}
-	if !bytes.Equal(want, again.Proof) {
-		t.Error("the cache entry's bytes changed")
+}
+
+// largestProof returns the query, from a source in qs to a target in qs,
+// whose proof from p is longest.
+func largestProof(t testing.TB, p core.Provider, qs []workload.Query) Query {
+	t.Helper()
+	var best Query
+	most := 0
+	for _, s := range qs {
+		for _, d := range qs {
+			pr, err := p.QueryProof(s.S, d.T)
+			if err != nil {
+				continue // vs == vt
+			}
+			if n := len(pr.AppendBinary(nil)); n > most {
+				best, most = Query{Method: p.Method(), VS: s.S, VT: d.T}, n
+			}
+		}
 	}
-	tampered := bytes.Clone(again.Proof)
-	tampered[0] ^= 0xff
-	if last, err := e.Query(q); err != nil || !bytes.Equal(want, last.Proof) {
-		t.Errorf("modifying a clone reached the cache (err %v)", err)
-	}
-	s := e.Stats()
-	if s.Queries != 4 || s.Hits != 3 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want 4 queries / 3 hits / 1 miss", s)
-	}
-	if n := testing.AllocsPerRun(100, func() { e.Query(q) }); n != 0 {
-		t.Errorf("a cache hit allocates %v times, want 0", n)
-	}
+	return best
 }
 
 func TestEngineCacheDisabled(t *testing.T) {
@@ -202,7 +255,7 @@ func TestEngineLRUEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[i] = int64(len(a.Proof)) + entryOverhead
+		sizes[i] = entrySize(len(a.Proof))
 	}
 	e := w.engine(Options{CacheBytes: sizes[1] + sizes[2]})
 	for _, q := range qs {
@@ -231,42 +284,43 @@ func TestEngineLRUEviction(t *testing.T) {
 
 // TestLRUOversizedEntry pins the byte-bounded cache's oversize rule: an
 // entry larger than the whole budget is served but never cached (caching it
-// would evict everything else for one key).
+// would evict everything else for one key). An entry is charged its whole
+// pages.
 func TestLRUOversizedEntry(t *testing.T) {
-	c := newLRU(entryOverhead + 10)
+	c := newLRU(entryOverhead + pageSize)
 	k := cacheKey{m: core.DIJ, vs: 1, vt: 2}
-	c.Add(k, cached{wire: make([]byte, 11)})
-	if _, ok := c.Get(k); ok {
+	c.add(k, pageSize+1)
+	if c.has(k) {
 		t.Error("oversized entry was cached")
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Errorf("len %d bytes %d after oversized add, want 0/0", c.Len(), c.Bytes())
 	}
-	c.Add(k, cached{wire: make([]byte, 10)})
-	if _, ok := c.Get(k); !ok {
+	c.add(k, pageSize)
+	if !c.has(k) {
 		t.Error("fitting entry was not cached")
 	}
-	if got, want := c.Bytes(), int64(entryOverhead+10); got != want {
+	if got, want := c.Bytes(), int64(entryOverhead+pageSize); got != want {
 		t.Errorf("bytes %d, want %d", got, want)
 	}
 }
 
-// TestLRUEvictionOrder pins strict LRU order under the byte budget: a Get
+// TestLRUEvictionOrder pins strict LRU order under the byte budget: a hit
 // refreshes recency, so the untouched middle entry goes first.
 func TestLRUEvictionOrder(t *testing.T) {
-	one := int64(entryOverhead + 8)
+	one := entrySize(8)
 	c := newLRU(2 * one)
 	ka := cacheKey{m: core.DIJ, vs: 1, vt: 2}
 	kb := cacheKey{m: core.DIJ, vs: 3, vt: 4}
 	kc := cacheKey{m: core.DIJ, vs: 5, vt: 6}
-	c.Add(ka, cached{wire: make([]byte, 8)})
-	c.Add(kb, cached{wire: make([]byte, 8)})
-	c.Get(ka) // refresh a: b is now least-recent
-	c.Add(kc, cached{wire: make([]byte, 8)})
-	if _, ok := c.Get(kb); ok {
+	c.add(ka, 8)
+	c.add(kb, 8)
+	c.has(ka) // refresh a: b is now least-recent
+	c.add(kc, 8)
+	if c.has(kb) {
 		t.Error("least-recent entry survived eviction")
 	}
-	if _, ok := c.Get(ka); !ok {
+	if !c.has(ka) {
 		t.Error("refreshed entry was evicted")
 	}
 	if c.Evictions() != 1 || c.EvictedBytes() != one {
@@ -401,7 +455,7 @@ func TestEnginePanicContainedPerQuery(t *testing.T) {
 	w := testWorld(t)
 	e := w.engine(Options{})
 	e.workers = 2
-	e.register("BOOM", func(vs, vt graph.NodeID) (float64, int, []byte, cover, error) {
+	e.register("BOOM", func(vs, vt graph.NodeID, buf []byte) (float64, int, []byte, cover, error) {
 		panic("construction bug")
 	})
 	out := e.QueryBatch([]Query{

@@ -349,8 +349,9 @@ type ServeQuery = serve.Query
 
 // ServeAnswer is the engine's reply: distance, hop count, and the proof's
 // exact wire encoding (decodable with DecodeProof, checked by VerifyProof).
-// The Proof bytes are read-only — the engine's cache entry, shared by every
-// answer to the query; clone them before modifying.
+// The Proof bytes belong to the caller — a copy out of the engine's proof
+// cache, which keeps its wires outside the Go heap — so modifying them
+// never reaches the cache or another answer.
 type ServeAnswer = serve.Answer
 
 // ServeOptions configures the engine's proof cache and default latency
