@@ -88,7 +88,7 @@ bench:
 # distance tree in the repository benchmark's world), sp's single-search
 # Ball, core's UpdateStream: one applied churn update (ApplyUpdates plus
 # the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
-# allocs/op and the HYP row pages it copies, cert's AuditRow: one HYP
+# allocs/op and the HYP row bytes it copies, cert's AuditRow: one HYP
 # border's labelling row of that world checked, and serve's HTTPQueryHit and
 # HTTPQueryMiss: a GET /query through the handler, JSON and binary, answered
 # from the proof cache's pages and built with the cache off. CI's full lane

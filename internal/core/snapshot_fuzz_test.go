@@ -54,6 +54,15 @@ func FuzzReadProviderSet(f *testing.F) {
 	lying := append([]byte(nil), valid...)
 	lying[25] = 0x7F // high byte of the first section's length
 	f.Add(lying)
+	// HYP with full rows, intact and with one value one ulp off under a
+	// recomputed checksum: the rows load as trees, and that one has none.
+	owner, hyp := updatedHYPWorld(f, 60, 80)
+	var buf bytes.Buffer
+	if _, err := owner.WriteSnapshot(&buf, hyp); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(untightHYP(f, buf.Bytes(), owner.Graph(), hyp.hyper.Borders[0]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := ReadProviderSet(bytes.NewReader(data), int64(len(data)))

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/netgen"
 	"github.com/authhints/spv/internal/snapshot"
+	"github.com/authhints/spv/internal/sp"
 	"github.com/authhints/spv/internal/workload"
 )
 
@@ -249,6 +251,101 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatalf("truncation at %d: %v", n, err)
 		}
 	}
+
+	// HYP's full rows load as trees of tight edges: a value one ulp off,
+	// under an intact checksum, has none and fails the load as corrupt.
+	owner, hyp := updatedHYPWorld(t, 100, 140)
+	buf.Reset()
+	if _, err := owner.WriteSnapshot(&buf, hyp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+		t.Fatalf("the intact full-row snapshot: %v", err)
+	}
+	bad := untightHYP(t, buf.Bytes(), owner.Graph(), hyp.hyper.Borders[0])
+	if _, err := ReadProviderSet(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "tight") {
+		t.Fatalf("a full HYP row one ulp off: %v, want a corrupt section", err)
+	}
+}
+
+// updatedHYPWorld is a HYP provider patched through one update, so its
+// rows are full.
+func updatedHYPWorld(tb testing.TB, nodes, edges int) (*Owner, *HYPProvider) {
+	tb.Helper()
+	g, err := netgen.Synthesize(nodes, edges, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cells = 9
+	owner, err := NewOwner(g, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hyp := outsource[*HYPProvider](tb, owner, HYP)
+	e := owner.Graph().Neighbors(3)[0]
+	batch, err := owner.ApplyUpdates([]EdgeUpdate{{U: 3, V: e.To, W: 2 * e.W}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hyp, _ = patch(tb, batch, hyp)
+	return owner, hyp
+}
+
+// untightHYP returns snapshot data with one value of the HYP section's
+// first full row, from border src over net, one ulp high — at a node no
+// neighbour's edge reaches exactly, so the row has no tree of tight edges
+// — under a recomputed checksum.
+func untightHYP(tb testing.TB, data []byte, net *graph.CSR, src graph.NodeID) []byte {
+	tb.Helper()
+	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := snapshot.NewWriter(&out, f.Epoch())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range f.Sections() {
+		p, err := f.Section(e.Kind)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if e.Kind == snapKindHYP {
+			p = bytes.Clone(p)
+			off := 0
+			for range 2 { // the two root signatures
+				off += 4 + int(binary.BigEndian.Uint32(p[off:]))
+			}
+			if p[off] != 1 {
+				tb.Fatal("the HYP section holds no full rows")
+			}
+			row := p[off+1+4+4:]
+			at := func(x graph.NodeID) float64 { return math.Float64frombits(binary.BigEndian.Uint64(row[8*x:])) }
+			x := graph.NodeID(0)
+			for ; int(x) < net.NumNodes(); x++ {
+				up, tight := math.Nextafter(at(x), math.Inf(1)), false
+				for _, e := range net.Neighbors(x) {
+					tight = tight || at(e.To)+e.W == up
+				}
+				if x != src && at(x) != sp.Unreachable && !tight {
+					binary.BigEndian.PutUint64(row[8*x:], math.Float64bits(up))
+					break
+				}
+			}
+			if int(x) == net.NumNodes() {
+				tb.Fatal("no value of the first row can be put out of tightness")
+			}
+		}
+		if err := w.Section(e.Kind, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // resection rewrites a snapshot through the container writer, emitting

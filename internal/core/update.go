@@ -10,7 +10,6 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
-	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/par"
 	"github.com/authhints/spv/internal/sp"
@@ -69,7 +68,7 @@ type UpdateBatch struct {
 	srcs     int            // count of affected sources
 }
 
-// repair replays the batch's steps on row, the stored distance row from
+// repair replays the batch's steps on row, the stored landmark row from
 // src, on a pooled workspace, and adds the nodes it re-settled to settled.
 func (b *UpdateBatch) repair(src graph.NodeID, row sp.Row, settled *atomic.Int64) {
 	ws := sp.AcquireWorkspace(b.newView.NumNodes())
@@ -85,7 +84,7 @@ type cowRow struct{ old, row []float64 }
 
 func (r *cowRow) At(x graph.NodeID) float64 { return r.row[x] }
 
-func (r *cowRow) Set(x graph.NodeID, d float64) {
+func (r *cowRow) Set(x graph.NodeID, d float64, _ graph.NodeID) {
 	if math.Float64bits(r.row[x]) == math.Float64bits(d) {
 		return
 	}
@@ -111,8 +110,8 @@ func (b *UpdateBatch) DirtyNodes() []graph.NodeID { return b.dirty }
 type PatchStats struct {
 	Method Method
 	// RowsRecomputed counts the distance rows the patch rewrote: LDM and
-	// HYP rows repair changed, every HYP row at the first update's upgrade,
-	// FULL rows re-run.
+	// HYP rows whose values repair moved, every HYP row at the first
+	// update's upgrade, FULL rows re-run.
 	RowsRecomputed int
 	// NodesResettled counts the nodes repair re-settled across LDM's and
 	// HYP's stored rows.
@@ -122,10 +121,11 @@ type PatchStats struct {
 	// DistLeavesPatched counts distance-ADS leaves rewritten (FULL row
 	// roots, HYP hyper-edge entries).
 	DistLeavesPatched int
-	// RowPagesWritten counts the HYP full-row pages (hiti.PageLen values
-	// each) the patch allocated; every other page is shared with the old
-	// provider. The first update's upgrade allocates them all.
-	RowPagesWritten int
+	// RowBytesWritten counts the bytes of HYP row storage the patch
+	// allocated — tree pages (hiti.PageLen parents each) and W* pages;
+	// everything else is shared with the old provider. The first update's
+	// upgrade allocates it all.
+	RowBytesWritten int
 	// DirtyLeaves lists the rewritten network-ADS leaf positions — the
 	// serving layer invalidates exactly the cached proofs that cover them.
 	DirtyLeaves []int
@@ -431,10 +431,10 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 
 // Patch derives an updated HYP provider: the grid partition and border
 // sets never change under re-weighting, so the patch repairs every border
-// row, copy-on-write by page; rewrites the hyper-edge entries whose values
-// moved, read off the pages the new Hyper does not share with the old
-// (hiti's rows are the values' one home); and patches the endpoints'
-// tuples.
+// row's shortest-path tree, copy-on-write by page; rewrites the hyper-edge
+// entries whose values moved, read off the W* pages the new Hyper does not
+// share with the old (hiti holds the values' one home); and patches the
+// endpoints' tuples.
 func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*HYPProvider](HYP, prov)
 	if err != nil {
@@ -443,19 +443,18 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
 	var stale []graph.NodeID // borders whose cached proofs may be outdated
-	if !hyper.HasFullRows() {
+	switch {
+	case !hyper.HasFullRows():
 		// First update against this provider: materialize full rows on the
 		// post-update network (one row rebuild — static deployments never
 		// pay the B·|V| form). Updates from here on are repaired.
-		hyper = hyper.WithFullRows(b.newView, p.ads.ord)
+		if hyper, err = hyper.WithFullRows(b.newView, p.ads.ord); err != nil {
+			return nil, nil, err
+		}
 		st.RowsRecomputed = len(hyper.Borders)
 		stale = hyper.Borders
-	} else {
-		var settled atomic.Int64
-		hyper, st.RowsRecomputed = hyper.WithRewrittenRows(func(src graph.NodeID, r *hiti.RowWriter) {
-			b.repair(src, r, &settled)
-		})
-		st.NodesResettled = int(settled.Load())
+	case len(b.steps) > 0:
+		hyper, st.RowsRecomputed, st.NodesResettled = hyper.WithRepairedRows(b.steps)
 		for _, bn := range hyper.Borders {
 			if b.affected[bn] {
 				stale = append(stale, bn)
@@ -477,7 +476,7 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	distMBT, distSig := p.distMBT, p.distSig
 	var entries []mbt.ProvenEntry
 	if hyper != p.hyper {
-		entries, st.RowPagesWritten = hyper.Moved(p.hyper)
+		entries, st.RowBytesWritten = hyper.Moved(p.hyper)
 	}
 	if distMBT != nil && len(entries) > 0 {
 		if distMBT, err = distMBT.UpdateValues(entries); err != nil {

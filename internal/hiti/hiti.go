@@ -14,6 +14,7 @@ package hiti
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -43,42 +44,72 @@ type Hyper struct {
 	// of the cell's first entry. Both carry one slot past the last cell, so
 	// cell c holds before[c+1]-before[c] borders.
 	before, first []int
-	// Static builds hold W* border-indexed: wb[i][j] = dist(Borders[i],
-	// Borders[j]), O(B²) memory. The first incremental update upgrades to
-	// full rows (one value per node, O(B·|V|) memory, wb dropped): a full
-	// row is what an update can repair in place — re-settling only the
-	// nodes whose distance moves — instead of B fresh searches, a cost only
-	// update-serving deployments pay.
-	wb [][]float64
-	// w holds the full rows as pages of PageLen values in the network
-	// tree's leaf order: dist(Borders[i], x) sits at slot pos[x] of row i,
-	// on page w[i][pos[x]/PageLen], and seq[slot] is the node at a slot
-	// (pos and seq are the network ordering's Pos and Seq, shared). A page
-	// is never written once a Hyper holding it is published: a patched
-	// Hyper shares every page whose values are bitwise unchanged and owns
-	// only the pages holding a moved value, so an update costs the pages it
-	// changes, not B·|V|. A spatially compact change lands on few pages
-	// because the leaf order keeps neighbours on nearby slots.
-	w         [][]*page
-	pos       []int
-	seq       []graph.NodeID
+	// wb holds W* border-indexed in both storage forms: dist(Borders[i],
+	// Borders[j]) at column j of row i, on page wb[i][j/WPageLen], O(B²)
+	// memory — what queries, proofs and the distance tree's entries read.
+	// Full rows' pages are copy-on-write: a page is never written once a
+	// Hyper holding it is published, and a patched Hyper owns only the
+	// pages holding a moved value — a border whose distances all move
+	// costs one page per row, not every row. The static form's pages are
+	// never replaced and share one slab (staticRows).
+	wb [][]*wpage
+	// The first incremental update upgrades to full rows (one value per
+	// node, O(B·|V|)): a full row is what an update can repair in place —
+	// re-settling only the nodes whose distance moves — instead of B fresh
+	// searches, a cost only update-serving deployments pay.
+	//
+	// A full row is stored as its shortest-path tree. tree[i] gives each
+	// node x the index, in net's adjacency list of x, of a tight parent p:
+	// dist(Borders[i], x) = fl(dist(Borders[i], p) + w(p, x)) in net, bit for
+	// bit — noParent at the border itself and at unreachable nodes. Folding
+	// the tree from the border down repeats the additions Dijkstra made, so
+	// it reproduces the row exactly at two bytes a node instead of eight.
+	// Repair (sp.Workspace.Repair) keeps it a tree: a node repair leaves
+	// alone keeps a tight parent, and a node it re-settles gets a parent
+	// settled before it.
+	//
+	// Trees are paged in the network tree's leaf order: x's entry sits at
+	// slot pos[x] of tree[i], on page tree[i][pos[x]/PageLen], and
+	// seq[slot] is the node at a slot (pos and seq are the network
+	// ordering's Pos and Seq, shared). Pages are copy-on-write like wb's,
+	// so an update costs the pages whose parents it changes, not
+	// B·|V|; a spatially compact change lands on few pages because the
+	// leaf order keeps neighbours on nearby slots.
+	tree [][]*page
+	net  *graph.CSR // the network the trees are tight in
+	pos  []int
+	seq  []graph.NodeID
+
 	cellNodes [][]graph.NodeID // per cell, ascending
 	// cellBorders caches each cell's border nodes (ascending) so the query
 	// hot path never re-scans cell membership.
 	cellBorders [][]graph.NodeID
 }
 
-// PageLen is the number of values on one page of a full W* row (1 KiB):
-// the unit an update copies.
+// PageLen is the number of nodes on one page of a full row's tree: the
+// unit an update copies.
 const PageLen = 128
 
-// page is PageLen consecutive slots of one full row. Pages are allocated
-// one by one, never in slabs, so a page a patch replaces is freed as soon
-// as no published Hyper holds it.
-type page [PageLen]float64
+// page is PageLen consecutive slots of one tree, 256 B. Pages are
+// allocated one by one, never in slabs, so a page a patch replaces is
+// freed as soon as no published Hyper holds it.
+type page [PageLen]uint16
+
+// WPageLen is the number of values on one page of a W* row, 512 B.
+const WPageLen = 64
+
+type wpage [WPageLen]float64
+
+const (
+	pageBytes  = PageLen * 2
+	wpageBytes = WPageLen * 8
+	// noParent marks a tree's root and its unreachable nodes; any other
+	// slot is an adjacency index, so a degree may be noParent at most.
+	noParent = math.MaxUint16
+)
 
 // rowScratch pools the node-indexed rows searches write before they are
-// paged.
+// planted as trees.
 var rowScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // Build partitions net into approximately p grid cells and materializes
@@ -92,11 +123,12 @@ func Build(net *graph.CSR, p int) (*Hyper, error) {
 	// Materialize W* border-indexed: one Dijkstra per border node, all
 	// borders as targets, early-terminating once they settle. Workers
 	// search the network with a pooled workspace each.
-	h.wb = make([][]float64, len(h.Borders))
+	var rows [][]float64
+	h.wb, rows = staticRows(len(h.Borders), len(h.Borders))
 	par.Work(len(h.Borders), func(i int) {
 		ws := sp.AcquireWorkspace(net.NumNodes())
 		defer sp.ReleaseWorkspace(ws)
-		h.wb[i] = ws.DijkstraToTargets(net, h.Borders[i], h.Borders, nil)
+		ws.DijkstraToTargets(net, h.Borders[i], h.Borders, rows[i])
 	})
 	return h, nil
 }
@@ -164,21 +196,25 @@ func partition(g *graph.CSR, p int) (*Hyper, error) {
 }
 
 // AppendRow appends stored row i to dst in its storage form — node-indexed
-// (W*(Borders[i], x) at x) for full rows, border-indexed for the static
-// form — and returns the extended slice. It is how whole rows leave the
-// Hyper: snapshot streaming and the certificate audit. Pair with Rehydrate.
+// (W*(Borders[i], x) at x, folded from the tree) for full rows,
+// border-indexed for the static form — and returns the extended slice. It
+// is how whole rows leave the Hyper: snapshot streaming and the
+// certificate audit. Pair with Rehydrate.
 func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
-	if h.w == nil {
-		return append(dst, h.wb[i]...)
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(h.seq))[:n+len(h.seq)]
-	row := dst[n:]
-	for k, p := range h.w[i] {
-		for j, x := range h.slots(k) {
-			row[x] = p[j]
+	if h.tree == nil {
+		for k, p := range h.wb[i] {
+			dst = append(dst, p[:min(WPageLen, len(h.Borders)-k*WPageLen)]...)
 		}
+		return dst
 	}
+	n := len(h.seq)
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	row := dst[len(dst)-n:]
+	s := acquireScratch(n)
+	for x := range row {
+		row[x] = h.fold(s, h.net, h.tree[i], h.wb[i], graph.NodeID(x))
+	}
+	releaseScratch(s)
 	return dst
 }
 
@@ -186,12 +222,14 @@ func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
 // without running a single search: the partition (grid, cells, borders) is
 // recomputed — it is cheap and deterministic in net and p — and numRows
 // rows of rowLen values, in the storage form AppendRow exported them in,
-// are installed, read calling fill once per row in order. Full rows are
-// paged under ord, the network's leaf ordering, one row at a time, so no
-// second full copy is ever held. Row dimensions are validated against the
-// recomputed border set before fill is first called, so a snapshot from a
-// different graph or cell count fails loudly here rather than as a root
-// mismatch downstream.
+// are installed, read calling fill once per row in order. A full row is
+// planted as its tree (under ord, the network's leaf ordering) as it
+// arrives, so no full copy is ever held, and a full row that is not a
+// tree of tight edges from its border — a value off by one ulp, say —
+// fails the load. Row dimensions are validated against the recomputed
+// border set before fill is first called, so a snapshot from a different
+// graph or cell count fails loudly here rather than as a root mismatch
+// downstream.
 func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, rowLen int, fill func(row []float64)) (*Hyper, error) {
 	h, err := partition(net, p)
 	if err != nil {
@@ -208,139 +246,375 @@ func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, r
 		return nil, fmt.Errorf("hiti: rows have %d values, want %d", rowLen, want)
 	}
 	if !full {
-		slab := make([]float64, numRows*rowLen)
-		h.wb = make([][]float64, numRows)
-		for i := range h.wb {
-			h.wb[i] = slab[i*rowLen : (i+1)*rowLen : (i+1)*rowLen]
-			fill(h.wb[i])
+		var rows [][]float64
+		h.wb, rows = staticRows(numRows, rowLen)
+		for _, row := range rows {
+			fill(row)
 		}
 		return h, nil
 	}
-	h.pos, h.seq = ord.Pos, ord.Seq
-	h.w = make([][]*page, numRows)
+	h.wb = make([][]*wpage, numRows)
 	row := make([]float64, rowLen)
-	for i := range h.w {
+	if err := h.growTrees(net, ord); err != nil {
+		return nil, err
+	}
+	for i := range h.tree {
 		fill(row)
-		h.w[i] = h.pageRow(row)
+		if err := h.plant(row, i); err != nil {
+			return nil, err
+		}
 	}
 	return h, nil
 }
 
-// value returns W*(Borders[i], x) for border x under either storage form.
-func (h *Hyper) value(i int, x graph.NodeID) float64 {
-	if h.w != nil {
-		s := uint(h.pos[x])
-		return h.w[i][s/PageLen][s%PageLen]
-	}
-	return h.wb[i][h.row[x]]
-}
-
-// slots returns the nodes on page k of every full row, in slot order.
-func (h *Hyper) slots(k int) []graph.NodeID {
-	return h.seq[k*PageLen : min((k+1)*PageLen, len(h.seq))]
-}
-
-// pageRow lays row (node-indexed) out in fresh pages.
-func (h *Hyper) pageRow(row []float64) []*page {
-	out := make([]*page, (len(h.seq)+PageLen-1)/PageLen)
-	for k := range out {
-		p := new(page)
-		for j, x := range h.slots(k) {
-			p[j] = row[x]
-		}
-		out[k] = p
-	}
-	return out
-}
-
 // HasFullRows reports whether full distance rows have been materialized
 // (the update pipeline's storage form).
-func (h *Hyper) HasFullRows() bool { return h.w != nil }
+func (h *Hyper) HasFullRows() bool { return h.tree != nil }
 
 // WithFullRows returns a Hyper carrying full distance rows computed over
-// view and paged under ord, the network's leaf ordering, dropping the
-// border-indexed form. The update pipeline upgrades a static Hyper with
-// this exactly once (cost: one row rebuild), after which updates patch
-// incrementally. DijkstraRow settles the border targets with the same
-// relaxations DijkstraToTargets performs before its early stop, so border
-// values are bitwise unchanged by the upgrade.
-func (h *Hyper) WithFullRows(view graph.View, ord *order.Ordering) *Hyper {
+// net and paged under ord, the network's leaf ordering, with W* re-read
+// from them. The update pipeline upgrades a static Hyper with this exactly
+// once (cost: one row rebuild), after which updates repair the trees.
+// DijkstraRow settles the border targets with the same relaxations
+// DijkstraToTargets performs before its early stop, so W* is bitwise what
+// Build computes over net.
+func (h *Hyper) WithFullRows(net *graph.CSR, ord *order.Ordering) (*Hyper, error) {
 	nh := *h
-	nh.wb = nil
-	nh.pos, nh.seq = ord.Pos, ord.Seq
-	nh.w = make([][]*page, len(h.Borders))
+	if err := nh.growTrees(net, ord); err != nil {
+		return nil, err
+	}
+	nh.wb = make([][]*wpage, len(h.Borders))
+	errs := make([]error, len(h.Borders))
 	par.Work(len(h.Borders), func(i int) {
-		ws := sp.AcquireWorkspace(view.NumNodes())
+		ws := sp.AcquireWorkspace(net.NumNodes())
 		buf := rowScratch.Get().(*[]float64)
-		*buf = ws.DijkstraRow(view, h.Borders[i], *buf)
+		*buf = ws.DijkstraRow(net, h.Borders[i], *buf)
 		sp.ReleaseWorkspace(ws)
-		nh.w[i] = nh.pageRow(*buf)
+		errs[i] = nh.plant(*buf, i) // a search's row is its own tight tree
 		rowScratch.Put(buf)
 	})
-	return &nh
-}
-
-// RowWriter rewrites one full row for WithRewrittenRows. Reads see the
-// writes made so far; a write of the value already stored, bit for bit, is
-// dropped; and the first changed value on a page the row still shares
-// with the receiver copies that page.
-type RowWriter struct {
-	pos   []int
-	old   []*page // the row as the receiver holds it
-	pages []*page // the row being written: old until a page is copied
-}
-
-// At returns the row's value at node x.
-func (r *RowWriter) At(x graph.NodeID) float64 {
-	s := uint(r.pos[x])
-	return r.pages[s/PageLen][s%PageLen]
-}
-
-// Set stores v at node x.
-func (r *RowWriter) Set(x graph.NodeID, v float64) {
-	s := uint(r.pos[x])
-	k, j := s/PageLen, s%PageLen
-	if math.Float64bits(r.pages[k][j]) == math.Float64bits(v) {
-		return
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	if r.pages[k] == r.old[k] {
-		r.copyPage(k)
-	}
-	r.pages[k][j] = v
+	return &nh, nil
 }
 
-func (r *RowWriter) copyPage(k uint) {
-	if &r.pages[0] == &r.old[0] {
-		r.pages = slices.Clone(r.old)
-	}
-	p := *r.old[k]
-	r.pages[k] = &p
-}
-
-// WithRewrittenRows returns a Hyper sharing the partition, border sets and
-// every page write leaves unchanged with the receiver, after handing each
-// border row to write (the update pipeline's row repair), and the number
-// of rows write changed — the receiver itself when it changed none. Rows
-// are written in parallel, each through its own RowWriter, so write must
-// be safe for concurrent calls on distinct rows. A row costs the values
-// written and the pages they change — nothing is copied or compared whole.
-// The receiver stays valid for concurrent readers. Full-rows form only.
-func (h *Hyper) WithRewrittenRows(write func(src graph.NodeID, r *RowWriter)) (*Hyper, int) {
-	nh := *h
-	nh.w = make([][]*page, len(h.w))
-	var changed atomic.Int64
-	par.Work(len(h.w), func(i int) {
-		r := RowWriter{pos: h.pos, old: h.w[i], pages: h.w[i]}
-		write(h.Borders[i], &r)
-		if &r.pages[0] != &r.old[0] {
-			changed.Add(1)
+// growTrees readies the receiver for full rows over net in ord's leaf
+// order: the trees are yet to be planted.
+func (h *Hyper) growTrees(net *graph.CSR, ord *order.Ordering) error {
+	for v := 0; v < net.NumNodes(); v++ {
+		if d := net.Degree(graph.NodeID(v)); d > noParent {
+			return fmt.Errorf("hiti: node %d has %d neighbours, a tree addresses at most %d", v, d, noParent)
 		}
-		nh.w[i] = r.pages
-	})
-	if changed.Load() == 0 {
-		return h, 0
 	}
-	return &nh, int(changed.Load())
+	h.net, h.pos, h.seq = net, ord.Pos, ord.Seq
+	h.tree = make([][]*page, len(h.Borders))
+	return nil
+}
+
+// plant stores row, border i's node-indexed distances over h.net, as a
+// tree of tight edges — each node's parent p has row[x] = fl(row[p] +
+// w(p, x)) bit for bit — and W* row i as the row's border values. It fails
+// unless row is such a tree: 0 at the border, every other value reached by
+// a chain of tight edges, the rest exactly Unreachable.
+//
+// A parent of strictly smaller value can never close a cycle, so most
+// nodes take the first such tight neighbour. The rest sit on plateaus —
+// zero weights, or weights the sum rounds away — where only a tight
+// neighbour of equal value is left; those take one that already has its
+// parent, breadth-first from the nodes that do, so a cycle cannot close
+// there either.
+func (h *Hyper) plant(row []float64, i int) error {
+	src := h.Borders[i]
+	if math.Float64bits(row[src]) != 0 {
+		return fmt.Errorf("hiti: row %d starts at %v, not 0", i, row[src])
+	}
+	tree := make([]*page, (len(row)+PageLen-1)/PageLen)
+	for k := range tree {
+		p := new(page)
+		for j := range p {
+			p[j] = noParent
+		}
+		tree[k] = p
+	}
+	slot := func(x graph.NodeID) *uint16 { sl := h.pos[x]; return &tree[sl/PageLen][sl%PageLen] }
+	// adopt gives x the first tight neighbour ok accepts as its parent.
+	adopt := func(x graph.NodeID, ok func(p graph.NodeID) bool) bool {
+		for k, e := range h.net.Neighbors(x) {
+			if math.Float64bits(row[e.To]+e.W) == math.Float64bits(row[x]) && ok(e.To) {
+				*slot(x) = uint16(k)
+				return true
+			}
+		}
+		return false
+	}
+	orphan := func(x graph.NodeID) bool { return x != src && row[x] != sp.Unreachable && *slot(x) == noParent }
+	var plateau []graph.NodeID
+	for x := range row {
+		y := graph.NodeID(x)
+		if orphan(y) && !adopt(y, func(p graph.NodeID) bool { return row[p] < row[y] }) {
+			plateau = append(plateau, y)
+		}
+	}
+	settled := func(p graph.NodeID) bool { return !orphan(p) }
+	var q []graph.NodeID
+	for _, y := range plateau {
+		if adopt(y, settled) {
+			q = append(q, y)
+		}
+	}
+	for ; len(q) > 0; q = q[1:] {
+		for _, e := range h.net.Neighbors(q[0]) {
+			if orphan(e.To) && adopt(e.To, settled) {
+				q = append(q, e.To)
+			}
+		}
+	}
+	for _, y := range plateau {
+		if orphan(y) {
+			return fmt.Errorf("hiti: row %d value %v at node %d has no tight edge back to border %d", i, row[y], y, src)
+		}
+	}
+	w := make([]*wpage, (len(h.Borders)+WPageLen-1)/WPageLen)
+	for k := range w {
+		w[k] = new(wpage)
+	}
+	for j, b := range h.Borders {
+		w[j/WPageLen][j%WPageLen] = row[b]
+	}
+	h.tree[i], h.wb[i] = tree, w
+	return nil
+}
+
+// staticRows lays rows W* rows of cols values out in one slab, as pages
+// and as the plain row slices to fill them through. Row i starts at value
+// i·cols, so its last page runs on into the next row (or into the slack
+// after the last): pages overlap, which is sound because nothing reads a
+// page past its row's last column and nothing writes a static page once
+// built — the upgrade plants full rows on pages of their own, so the slab
+// pins nothing a patch frees.
+func staticRows(rows, cols int) ([][]*wpage, [][]float64) {
+	per := (cols + WPageLen - 1) / WPageLen
+	slab := make([]float64, rows*cols+WPageLen)
+	pages := make([]*wpage, rows*per)
+	wb, flat := make([][]*wpage, rows), make([][]float64, rows)
+	for i := range wb {
+		row := pages[i*per : (i+1)*per : (i+1)*per]
+		for k := range row {
+			row[k] = (*wpage)(slab[i*cols+k*WPageLen:])
+		}
+		wb[i], flat[i] = row, slab[i*cols:(i+1)*cols:(i+1)*cols]
+	}
+	return wb, flat
+}
+
+// cow returns row with page k its own: row is old until its first page is
+// copied, and a page still shared with old is copied before it is written.
+func cow[P any](row, old []*P, k int) []*P {
+	if &row[0] == &old[0] {
+		row = slices.Clone(old)
+	}
+	if row[k] == old[k] {
+		p := *old[k]
+		row[k] = &p
+	}
+	return row
+}
+
+// WithRepairedRows returns a Hyper over the last step's network whose
+// trees are the receiver's repaired through steps — the batch's edge
+// re-weightings, each with the network after it, the first applying to
+// the receiver's network — together with the number of rows whose values
+// moved and the nodes repair re-settled. The receiver holds full rows and
+// stays valid for concurrent readers: the result shares every tree and W*
+// page whose contents are unchanged.
+//
+// Rows are repaired in parallel, one sp.Workspace.Repair per row and step.
+// Repair reads values through treeRow, which folds each value it is asked
+// for from the tree in a per-worker memo, so a row costs the chain walks
+// to the nodes repair reads and the pages it changes — no row is folded
+// whole.
+func (h *Hyper) WithRepairedRows(steps []sp.Step) (*Hyper, int, int) {
+	n := len(h.seq)
+	nh := *h
+	nh.net = steps[len(steps)-1].G
+	nh.tree = make([][]*page, len(h.tree))
+	nh.wb = make([][]*wpage, len(h.wb))
+	var moved, resettled atomic.Int64
+	par.Work(len(h.tree), func(i int) {
+		ws := sp.AcquireWorkspace(n)
+		r := treeRow{h: h, i: i, net: h.net, s: acquireScratch(n), tree: h.tree[i], w: h.wb[i]}
+		for _, st := range steps {
+			resettled.Add(int64(ws.Repair(st, h.Borders[i], &r)))
+			r.flush()
+			r.net = st.G
+		}
+		sp.ReleaseWorkspace(ws)
+		releaseScratch(r.s)
+		nh.tree[i], nh.wb[i] = r.tree, r.w
+		if r.moved {
+			moved.Add(1)
+		}
+	})
+	return &nh, int(moved.Load()), int(resettled.Load())
+}
+
+// treeRow is one border's row under repair, an sp.Row over its tree. At
+// folds the value the tree held before the step (memoized); Set is held
+// back until the step ends, because Repair reads nodes it has not set yet
+// while their old parents may lead through nodes it has — flush then
+// writes the values into the memo and the parents and W* values that
+// changed into copies of the pages holding them.
+type treeRow struct {
+	h     *Hyper
+	i     int        // the row's index in Borders
+	net   *graph.CSR // the network before the step being repaired
+	s     *treeScratch
+	tree  []*page  // h.tree's row until a page is copied
+	w     []*wpage // h.wb's row until a page is copied
+	moved bool     // some value changed
+}
+
+// At returns the row's value at x before the step.
+func (r *treeRow) At(x graph.NodeID) float64 {
+	if m := r.s.memo[x]; m.epoch == r.s.epoch {
+		return m.d
+	}
+	return r.h.fold(r.s, r.net, r.tree, r.w, x)
+}
+
+// Set records x's value after the step and its parent.
+func (r *treeRow) Set(x graph.NodeID, d float64, p graph.NodeID) {
+	r.s.sets = append(r.s.sets, settle{x, p, d})
+}
+
+func (r *treeRow) flush() {
+	h := r.h
+	for _, c := range r.s.sets {
+		if m := r.s.memo[c.x]; m.epoch != r.s.epoch || math.Float64bits(m.d) != math.Float64bits(c.d) {
+			r.moved = true
+		}
+		r.s.mark(c.x, c.d)
+		s := uint(h.pos[c.x])
+		if k := r.tree[s/PageLen][s%PageLen]; !h.isParent(c.x, k, c.p) {
+			k = noParent
+			if c.p != graph.Invalid {
+				k = adjIndex(h.net, c.x, c.p)
+			}
+			r.tree = cow(r.tree, h.tree[r.i], int(s/PageLen))
+			r.tree[s/PageLen][s%PageLen] = k
+		}
+		if j := uint(h.row[c.x]); h.row[c.x] >= 0 && math.Float64bits(r.w[j/WPageLen][j%WPageLen]) != math.Float64bits(c.d) {
+			r.w = cow(r.w, h.wb[r.i], int(j/WPageLen))
+			r.w[j/WPageLen][j%WPageLen] = c.d
+		}
+	}
+	r.s.sets = r.s.sets[:0]
+}
+
+// fold returns x's value in the row of tree and W* row w over net,
+// memoizing x and every node the walk up to a known ancestor passes: a
+// memoized node, or a border, whose value W* holds (the walk never needs
+// to pass one: a chain into x's cell enters it through a border, and the
+// row's own border is one). From that ancestor down, each value is
+// fl(parent's value + w), the addition the search that settled it made.
+func (h *Hyper) fold(s *treeScratch, net *graph.CSR, tree []*page, w []*wpage, x graph.NodeID) float64 {
+	walk := s.walk[:0]
+	y := x
+	for s.memo[y].epoch != s.epoch {
+		if j := uint(h.row[y]); h.row[y] >= 0 {
+			s.mark(y, w[j/WPageLen][j%WPageLen])
+			break
+		}
+		sl := uint(h.pos[y])
+		k := tree[sl/PageLen][sl%PageLen]
+		if k == noParent {
+			s.mark(y, sp.Unreachable)
+			break
+		}
+		e := net.Neighbors(y)[k]
+		walk = append(walk, link{y, e.W})
+		y = e.To
+	}
+	d := s.memo[y].d
+	for j := len(walk) - 1; j >= 0; j-- {
+		d += walk[j].w
+		s.mark(walk[j].x, d)
+	}
+	s.walk = walk
+	return d
+}
+
+// isParent reports whether slot k names p as x's parent.
+func (h *Hyper) isParent(x graph.NodeID, k uint16, p graph.NodeID) bool {
+	if k == noParent {
+		return p == graph.Invalid
+	}
+	return p != graph.Invalid && h.net.Neighbors(x)[k].To == p
+}
+
+// adjIndex is p's index in x's adjacency list (the lists hold no
+// duplicate edges, so the neighbour names the edge).
+func adjIndex(net *graph.CSR, x, p graph.NodeID) uint16 {
+	for k, e := range net.Neighbors(x) {
+		if e.To == p {
+			return uint16(k)
+		}
+	}
+	panic(fmt.Sprintf("hiti: %d is no neighbour of %d", p, x))
+}
+
+// treeScratch is one worker's scratch over a row: memo[x] holds x's
+// folded value while its epoch is the scratch's (one epoch per row), walk
+// the chain being folded, sets Repair's writes of one step.
+type treeScratch struct {
+	epoch uint32
+	memo  []memo
+	walk  []link
+	sets  []settle
+}
+
+// memo is a node's folded value, stamped so a reset costs O(1).
+type memo struct {
+	epoch uint32
+	d     float64
+}
+
+type link struct {
+	x graph.NodeID
+	w float64
+}
+
+type settle struct {
+	x, p graph.NodeID
+	d    float64
+}
+
+var treeScratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
+
+// acquireScratch returns a pooled scratch for rows of n nodes, reset.
+func acquireScratch(n int) *treeScratch {
+	s := treeScratchPool.Get().(*treeScratch)
+	if len(s.memo) < n {
+		s.memo, s.epoch = make([]memo, n), 0
+	}
+	s.reset()
+	return s
+}
+
+func releaseScratch(s *treeScratch) { treeScratchPool.Put(s) }
+
+// reset forgets every memoized value in O(1).
+func (s *treeScratch) reset() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.memo)
+		s.epoch = 1
+	}
+}
+
+func (s *treeScratch) mark(x graph.NodeID, d float64) {
+	s.memo[x] = memo{s.epoch, d}
 }
 
 // CellPairEntries returns, each with its leaf index, the hyper-edges between
@@ -370,24 +644,32 @@ func (h *Hyper) CellPairEntries(cs, ct geom.CellID) []mbt.ProvenEntry {
 
 // Moved returns, each with its leaf index, the hyper-edge entries whose
 // values differ bitwise from old's — the leaves an update rewrites — and
-// fresh, the number of pages the receiver does not share with old. It reads
-// only those pages: the entry {u, v} with u < v takes its value from u's
-// row (weight), so only a changed value at a border column v > u of row u
-// can move one. old shares the receiver's partition and holds either
-// storage form (against the static form every page is fresh); the receiver
-// holds full rows.
+// fresh, the bytes of tree and W* pages the receiver does not share with
+// old. It reads only the W* pages not shared: the entry {u, v} with
+// u < v takes its value from u's row (weight), so only a changed value at
+// a border column v > u of row u can move one. old shares the receiver's
+// partition and holds either storage form (against the static form every
+// page is fresh); the receiver holds full rows.
 func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, fresh int) {
-	for i, row := range h.w {
+	for i, row := range h.wb {
 		u := h.Borders[i]
 		for k, p := range row {
-			if old.w != nil && old.w[i][k] == p {
+			q := old.wb[i][k]
+			if p == q {
 				continue
 			}
-			fresh++
-			for j, v := range h.slots(k) {
-				if v > u && h.row[v] >= 0 && math.Float64bits(p[j]) != math.Float64bits(old.weight(u, v)) {
+			fresh += wpageBytes
+			for j, v := range h.Borders[k*WPageLen : min((k+1)*WPageLen, len(h.Borders))] {
+				if v > u && math.Float64bits(p[j]) != math.Float64bits(q[j]) {
 					moved = append(moved, h.proven(u, v))
 				}
+			}
+		}
+	}
+	for i, tree := range h.tree {
+		for k, p := range tree {
+			if old.tree == nil || old.tree[i][k] != p {
+				fresh += pageBytes
 			}
 		}
 	}
@@ -402,7 +684,13 @@ func (h *Hyper) weight(u, v graph.NodeID) float64 {
 	if v < u {
 		u, v = v, u
 	}
-	return h.value(int(h.row[u]), v)
+	return h.at(u, v)
+}
+
+// at is W*(u, v) as u's row holds it.
+func (h *Hyper) at(u, v graph.NodeID) float64 {
+	j := uint(h.row[v])
+	return h.wb[h.row[u]][j/WPageLen][j%WPageLen]
 }
 
 // entry is the tree entry of the border pair {u, v}.
@@ -437,7 +725,7 @@ func (h *Hyper) HyperEdge(u, v graph.NodeID) (float64, bool) {
 	if h.row[u] < 0 || h.row[v] < 0 {
 		return 0, false
 	}
-	return h.value(int(h.row[u]), v), true
+	return h.at(u, v), true
 }
 
 // Hyper-edge key layout: the distance Merkle B-tree is keyed cell-pair

@@ -1,6 +1,7 @@
 package hiti
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/authhints/spv/internal/geom"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/mbt"
 	"github.com/authhints/spv/internal/order"
 	"github.com/authhints/spv/internal/sp"
 )
@@ -381,7 +383,8 @@ func TestLeafOrderClosedForm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := spatialGraph(rng, 2+rng.Intn(140))
 		p := []int{1, 2, 4, 9, 16, 49, 100, 400}[seed%8]
-		h, err := Build(g.Freeze(), p)
+		net := g.Freeze()
+		h, err := Build(net, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +422,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 					t.Fatalf("seed %d p=%d: leaf %d holds key %d, pair (%d,%d) has key %d", seed, p, pos, entries[pos].Key, u, v, want)
 				}
 				// u is the lower ID: the value is its row's, bit for bit.
-				if got, row := entries[pos].Value, h.value(i, v); math.Float64bits(got) != math.Float64bits(row) {
+				if got, row := entries[pos].Value, h.at(u, v); math.Float64bits(got) != math.Float64bits(row) {
 					t.Fatalf("seed %d p=%d: leaf %d value %v, row %d says %v", seed, p, pos, got, i, row)
 				}
 				if u != v && h.CellOf[u] == h.CellOf[v] {
@@ -427,18 +430,22 @@ func TestLeafOrderClosedForm(t *testing.T) {
 				}
 			}
 		}
-		// Moved carries indices to the patch path: after random rewrites,
-		// every moved entry is its pair's leaf in the rewritten entry list.
-		// Rows are written concurrently, so each draws from its own source.
-		base := rng.Int63()
-		patched, _ := fullRows(t, g, h).WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
-			rowRng := rand.New(rand.NewSource(base + int64(src)))
-			for x := 0; x < g.NumNodes(); x++ {
-				if rowRng.Intn(3) == 0 {
-					r.Set(graph.NodeID(x), r.At(graph.NodeID(x))+1)
-				}
+		// Moved carries indices to the patch path: after random
+		// re-weightings, every moved entry is its pair's leaf in the
+		// repaired entry list.
+		var steps []sp.Step
+		for prev := net; len(steps) < 3 && net.NumEdges() > 0; {
+			u := graph.NodeID(rng.Intn(net.NumNodes()))
+			if adj := net.Neighbors(u); len(adj) > 0 {
+				e := adj[rng.Intn(len(adj))]
+				steps = append(steps, reweight(t, prev, u, e.To, e.W*[]float64{0, 0.5, 3}[rng.Intn(3)]))
+				prev = steps[len(steps)-1].G
 			}
-		})
+		}
+		if len(steps) == 0 {
+			continue
+		}
+		patched, _, _ := fullRows(t, g, h).WithRepairedRows(steps)
 		moved, _ := patched.Moved(h)
 		after := patched.Entries()
 		for _, e := range moved {
@@ -493,52 +500,86 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	}
 
 	full := fullRows(t, g, h)
-	if moved, fresh := full.Moved(h); len(moved) != 0 || fresh != h.NumBorders() {
-		t.Fatalf("upgrading the storage form moved %d values on %d fresh pages, want 0 on %d", len(moved), fresh, h.NumBorders())
+	if moved, fresh := full.Moved(h); len(moved) != 0 || fresh != rowSetBytes(full) {
+		t.Fatalf("upgrading the storage form moved %d values on %d fresh bytes, want 0 on %d", len(moved), fresh, rowSetBytes(full))
 	}
-	// Stretch two border rows: the moved entries are exactly the reachable
-	// pairs those rows are the lower-ID side of, against either form.
-	changed := map[graph.NodeID]bool{full.Borders[1]: true, full.Borders[len(full.Borders)-2]: true}
-	patched, rows := full.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
-		if changed[src] {
-			for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
-				if x != src && r.At(x) != sp.Unreachable {
-					r.Set(x, r.At(x)+0.5)
+	// Stretch the edges around two borders: the moved entries are exactly
+	// the pairs whose values differ, against either form.
+	var steps []sp.Step
+	net := full.net
+	for _, b := range []graph.NodeID{full.Borders[1], full.Borders[len(full.Borders)-2]} {
+		for _, e := range net.Neighbors(b) {
+			steps = append(steps, reweight(t, net, b, e.To, e.W*4))
+			net = steps[len(steps)-1].G
+		}
+	}
+	before := rowsOf(full)
+	patched, rows, _ := full.WithRepairedRows(steps)
+	if rows == 0 {
+		t.Fatal("stretching two borders' edges moved no row")
+	}
+	after := patched.Entries()
+	for _, old := range []*Hyper{h, full} {
+		moved, _ := old.movedAgainst(patched)
+		want := 0
+		for i, e := range after {
+			if math.Float64bits(e.Value) != math.Float64bits(entries[i].Value) {
+				want++
+				if moved[uint32(i)] != e {
+					t.Fatalf("entry %d moved to %+v, Moved reports %+v", i, e, moved[uint32(i)])
 				}
 			}
 		}
-	})
-	if rows != len(changed) {
-		t.Fatalf("stretching %d rows reported %d rewritten", len(changed), rows)
-	}
-	want := 0
-	for i, u := range patched.Borders {
-		for _, v := range patched.Borders[i+1:] {
-			if w, _ := h.HyperEdge(u, v); changed[u] && w != sp.Unreachable {
-				want++
-			}
-		}
-	}
-	for _, old := range []*Hyper{h, full} {
-		moved, _ := patched.Moved(old)
 		if len(moved) != want || want == 0 {
 			t.Fatalf("%d entries moved, want %d", len(moved), want)
-		}
-		for _, e := range moved {
-			if old := entries[e.Index]; old.Key != e.Key || old.Value+0.5 != e.Value {
-				t.Fatalf("moved entry %+v against old %+v", e.Entry, old)
-			}
 		}
 	}
 	// The writes landed on copies: the rows they started from still read
 	// as the build did.
-	if moved, _ := full.Moved(h); len(moved) != 0 {
-		t.Fatalf("rewriting a patched copy moved %d of the original's values", len(moved))
+	if moved, _ := full.Moved(h); len(moved) != 0 || !slices.EqualFunc(before, rowsOf(full), slices.Equal) {
+		t.Fatalf("repairing a copy moved %d of the original's values", len(moved))
 	}
 }
 
-// fullRows upgrades h, built over g, to paged full rows in g's Hilbert
-// leaf order.
+// movedAgainst is patched.Moved(old) keyed by leaf index.
+func (old *Hyper) movedAgainst(patched *Hyper) (map[uint32]mbt.Entry, int) {
+	moved, fresh := patched.Moved(old)
+	out := make(map[uint32]mbt.Entry, len(moved))
+	for _, e := range moved {
+		out[e.Index] = e.Entry
+	}
+	return out, fresh
+}
+
+// reweight is the step re-weighting edge (u, v) of net to w, on a copy.
+func reweight(t *testing.T, net *graph.CSR, u, v graph.NodeID, w float64) sp.Step {
+	t.Helper()
+	next := net.WithPrivateEdges()
+	old, err := next.SetEdgeWeight(u, v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.Step{G: next, U: u, V: v, Old: old, New: w}
+}
+
+// rowsOf is every stored row of h, in storage form.
+func rowsOf(h *Hyper) [][]float64 {
+	rows := make([][]float64, h.NumBorders())
+	for i := range rows {
+		rows[i] = h.AppendRow(nil, i)
+	}
+	return rows
+}
+
+// rowSetBytes is what one full row set of h occupies: every tree page and
+// every W* page.
+func rowSetBytes(h *Hyper) int {
+	b := h.NumBorders()
+	return b*len(h.tree[0])*pageBytes + b*len(h.wb[0])*wpageBytes
+}
+
+// fullRows upgrades h, built over g, to full rows in g's Hilbert leaf
+// order.
 func fullRows(t *testing.T, g *graph.Graph, h *Hyper) *Hyper {
 	t.Helper()
 	net := g.Freeze()
@@ -546,14 +587,45 @@ func fullRows(t *testing.T, g *graph.Graph, h *Hyper) *Hyper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h.WithFullRows(net, ord)
+	full, err := h.WithFullRows(net, ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full
 }
 
-// TestPagedRowsShareUnchangedPages holds the page store's copy-on-write
-// contract on rows that span several pages: a rewrite copies exactly the
-// pages holding a changed value, a bitwise-equal write copies nothing (a
-// rewrite that changes nothing returns the receiver), and AppendRow and
-// Rehydrate round-trip both storage forms value for value.
+// checkExact fails unless every row of h, folded from its tree, is
+// bitwise the fresh DijkstraRow over net, and W* is bitwise Build's over
+// net.
+func checkExact(t *testing.T, h *Hyper, net *graph.CSR, cells int, what string) {
+	t.Helper()
+	ws := sp.NewWorkspace(net.NumNodes())
+	for i, b := range h.Borders {
+		want := ws.DijkstraRow(net, b, nil)
+		for x, d := range h.AppendRow(nil, i) {
+			if math.Float64bits(d) != math.Float64bits(want[x]) {
+				t.Fatalf("%s: row %d folds to %v at node %d, a fresh search gives %v", what, i, d, x, want[x])
+			}
+		}
+	}
+	fresh, err := Build(net, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := h.Entries(), fresh.Entries(); !slices.EqualFunc(a, b, func(x, y mbt.Entry) bool {
+		return x.Key == y.Key && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	}) {
+		t.Fatalf("%s: W* differs from a fresh Build's", what)
+	}
+}
+
+// TestPagedRowsShareUnchangedPages holds the tree store's copy-on-write
+// contract on rows that span several pages: a repair copies exactly the
+// tree and W* pages whose contents change and shares the rest, a step that
+// moves nothing copies nothing, repaired rows fold bitwise to a fresh
+// search's, and AppendRow and Rehydrate round-trip both storage forms
+// value for value — while a full row that is not a tree of tight edges,
+// one value one ulp off, fails Rehydrate.
 func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := spatialGraph(rng, 3*PageLen+17) // four pages per row, the last short
@@ -566,61 +638,162 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := h.WithFullRows(net, ord)
-	pages := (g.NumNodes() + PageLen - 1) / PageLen
+	full, err := h.WithFullRows(net, ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, full, net, 16, "upgrade")
+	before := rowsOf(full)
 
-	// One changed value on row 0, the same value written back everywhere
-	// else: one fresh page.
-	target := ord.Seq[2*PageLen+5]
-	rewrite := func(hy *Hyper, delta float64) (*Hyper, int) {
-		return hy.WithRewrittenRows(func(src graph.NodeID, r *RowWriter) {
-			for x := graph.NodeID(0); int(x) < g.NumNodes(); x++ {
-				r.Set(x, r.At(x))
+	// changedBytes counts the pages of b whose contents differ from a's.
+	changedBytes := func(a, b *Hyper) int {
+		n := 0
+		for i := range b.tree {
+			for k, p := range b.tree[i] {
+				if *p != *a.tree[i][k] {
+					n += pageBytes
+				}
 			}
-			if src == hy.Borders[0] {
-				r.Set(target, r.At(target)+delta)
+			for k, p := range b.wb[i] {
+				if *p != *a.wb[i][k] {
+					n += wpageBytes
+				}
 			}
-		})
-	}
-	patched, rows := rewrite(full, 1)
-	if _, fresh := patched.Moved(full); fresh != 1 || rows != 1 {
-		t.Fatalf("one changed value copied %d pages over %d rows, want 1 over 1", fresh, rows)
-	}
-	if got, want := patched.AppendRow(nil, 0)[target], full.AppendRow(nil, 0)[target]+1; got != want {
-		t.Fatalf("rewritten value %v, want %v", got, want)
-	}
-	if same, rows := rewrite(patched, 0); same != patched || rows != 0 {
-		t.Fatalf("a rewrite that changes nothing returned a new Hyper over %d rows", rows)
-	}
-	back, _ := rewrite(patched, -1)
-	if _, fresh := back.Moved(patched); fresh != 1 {
-		t.Fatalf("writing the value back copied %d pages, want its one", fresh)
-	}
-	if moved, _ := back.Moved(full); len(moved) != 0 {
-		t.Fatalf("writing the value back leaves %d entries moved against the build", len(moved))
-	}
-
-	for _, hy := range []*Hyper{h, patched} {
-		var rows [][]float64
-		for i := 0; i < hy.NumBorders(); i++ {
-			rows = append(rows, hy.AppendRow(nil, i))
 		}
+		return n
+	}
+
+	// Re-weighting an edge to the weight it has moves nothing and copies
+	// nothing.
+	e := net.Neighbors(full.Borders[0])[0]
+	same, rows, _ := full.WithRepairedRows([]sp.Step{reweight(t, net, full.Borders[0], e.To, e.W)})
+	if _, fresh := same.Moved(full); fresh != 0 || rows != 0 {
+		t.Fatalf("a no-op step copied %d bytes over %d rows", fresh, rows)
+	}
+
+	// Each edge of the graph, stretched and then restored in turn: every
+	// repair folds to a fresh search, copies exactly the pages it changes,
+	// and the restore leaves no entry moved against the build.
+	cur, prev := full, net
+	for x := graph.NodeID(0); int(x) < net.NumNodes(); x += 37 {
+		for _, e := range net.Neighbors(x) {
+			up := reweight(t, prev, x, e.To, e.W*3)
+			down := reweight(t, up.G, x, e.To, e.W)
+			stretched, _, _ := cur.WithRepairedRows([]sp.Step{up})
+			checkExact(t, stretched, up.G, 16, fmt.Sprintf("stretching (%d, %d)", x, e.To))
+			if _, fresh := stretched.Moved(cur); fresh != changedBytes(cur, stretched) {
+				t.Fatalf("stretching (%d, %d) copied %d bytes, changed %d", x, e.To, fresh, changedBytes(cur, stretched))
+			}
+			back, _, _ := stretched.WithRepairedRows([]sp.Step{down})
+			if moved, _ := back.Moved(full); len(moved) != 0 {
+				t.Fatalf("restoring (%d, %d) leaves %d entries moved against the build", x, e.To, len(moved))
+			}
+			cur, prev = back, down.G
+		}
+	}
+	// A batch repairs step by step like single steps do.
+	var steps []sp.Step
+	for x, cur := graph.NodeID(5), net; len(steps) < 4; x += 11 {
+		e := net.Neighbors(x)[0]
+		steps = append(steps, reweight(t, cur, x, e.To, []float64{0, e.W / 2, e.W * 5}[len(steps)%3]))
+		cur = steps[len(steps)-1].G
+	}
+	patched, _, _ := full.WithRepairedRows(steps)
+	checkExact(t, patched, steps[len(steps)-1].G, 16, "a four-step batch")
+	if !slices.EqualFunc(before, rowsOf(full), slices.Equal) {
+		t.Fatal("repairs changed the rows of the Hyper they started from")
+	}
+
+	for _, c := range []struct {
+		hy  *Hyper
+		net *graph.CSR
+	}{{h, net}, {patched, patched.net}} {
+		rows := rowsOf(c.hy)
 		k := 0
-		back, err := Rehydrate(net, 16, ord, hy.HasFullRows(), len(rows), len(rows[0]), func(row []float64) {
+		back, err := Rehydrate(c.net, 16, ord, c.hy.HasFullRows(), len(rows), len(rows[0]), func(row []float64) {
 			copy(row, rows[k])
 			k++
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if moved, fresh := back.Moved(hy); hy.HasFullRows() && (len(moved) != 0 || fresh != hy.NumBorders()*pages) {
-			t.Fatalf("rehydrated full rows: %d moved on %d fresh pages, want 0 on %d", len(moved), fresh, hy.NumBorders()*pages)
+		if !slices.EqualFunc(rows, rowsOf(back), slices.Equal) {
+			t.Fatal("rehydrated rows differ from the saved ones")
 		}
-		if a, b := back.Entries(), hy.Entries(); !slices.Equal(a, b) {
+		if a, b := back.Entries(), c.hy.Entries(); !slices.Equal(a, b) {
 			t.Fatal("rehydrated rows carry different entries")
 		}
 	}
 	if _, err := Rehydrate(net, 16, ord, true, h.NumBorders(), h.NumBorders(), nil); err == nil {
 		t.Fatal("full rows of border length accepted")
+	}
+
+	// One value one ulp high, at a node no neighbour's edge reaches it
+	// exactly, has no tight chain back to the border.
+	saved := rowsOf(full)
+	row, src := saved[0], full.Borders[0]
+	bad := -1
+	for x := range row {
+		if graph.NodeID(x) == src || row[x] == sp.Unreachable {
+			continue
+		}
+		up, tight := math.Nextafter(row[x], math.Inf(1)), false
+		for _, e := range net.Neighbors(graph.NodeID(x)) {
+			tight = tight || row[e.To]+e.W == up
+		}
+		if !tight {
+			row[x], bad = up, x
+			break
+		}
+	}
+	k := 0
+	if _, err := Rehydrate(net, 16, ord, true, len(saved), len(row), func(r []float64) {
+		copy(r, saved[k])
+		k++
+	}); err == nil || bad < 0 {
+		t.Fatalf("a full row one ulp off at node %d loaded", bad)
+	}
+}
+
+// TestPlantAcrossPlateaus plants full rows where tight parents of equal
+// value abound — zero weights, and 1e-12 edges that vanish into 1e12
+// distances — so a tree built from values alone could close a cycle: the
+// upgrade's trees must still fold bitwise to fresh searches, and a saved
+// row set must plant back to the same rows.
+func TestPlantAcrossPlateaus(t *testing.T) {
+	palette := []float64{0, 0, 1, 1e-12, 1e12, 3}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := spatialGraph(rng, 40+rng.Intn(200))
+		g := graph.New(shape.NumNodes())
+		for v := 0; v < shape.NumNodes(); v++ {
+			g.AddNode(shape.X(graph.NodeID(v)), shape.Y(graph.NodeID(v)))
+		}
+		for v := 0; v < shape.NumNodes(); v++ {
+			for _, e := range shape.Neighbors(graph.NodeID(v)) {
+				if graph.NodeID(v) < e.To {
+					g.MustAddEdge(graph.NodeID(v), e.To, palette[rng.Intn(len(palette))])
+				}
+			}
+		}
+		net := g.Freeze()
+		h, err := Build(net, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := fullRows(t, g, h)
+		checkExact(t, full, full.net, 9, fmt.Sprintf("seed %d", seed))
+		rows := rowsOf(full)
+		k := 0
+		back, err := Rehydrate(full.net, 9, &order.Ordering{Pos: full.pos, Seq: full.seq}, true, len(rows), len(rows[0]), func(row []float64) {
+			copy(row, rows[k])
+			k++
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !slices.EqualFunc(rows, rowsOf(back), slices.Equal) {
+			t.Fatalf("seed %d: replanted rows differ from the saved ones", seed)
+		}
 	}
 }

@@ -3,18 +3,21 @@ package sp
 import "github.com/authhints/spv/internal/graph"
 
 // Row is a stored distance row Repair rewrites: At reads the value at a
-// node, Set stores one. Repair reads a node's value only before it sets
-// it, and sets each re-settled node once.
+// node, Set stores one together with the node's parent — the neighbour p
+// with d = fl(d(p) + w(p, x)) in the network after the step, settled
+// before x in this repair or left alone by it (graph.Invalid when d is
+// Unreachable). Repair reads a node's value only before it sets it, and
+// sets each re-settled node once.
 type Row interface {
 	At(x graph.NodeID) float64
-	Set(x graph.NodeID, d float64)
+	Set(x graph.NodeID, d float64, parent graph.NodeID)
 }
 
 // Step is one edge re-weighting: in G, the network after the step, edge
 // (U, V) weighs New; before the step it weighed Old, and every other edge
 // weighed what it weighs in G.
 type Step struct {
-	G        graph.View
+	G        *graph.CSR
 	U, V     graph.NodeID
 	Old, New float64
 }
@@ -41,14 +44,20 @@ type Step struct {
 //   - an edge tight in neither direction under the old weight, or a
 //     decrease that improves neither endpoint, costs O(1).
 //
-// Tentative labels live in the workspace; Set sees each final value once.
+// Tentative labels live in the workspace; Set sees each final value once,
+// with its parent. A tree of tight parents therefore stays one under
+// Repair: a node it leaves alone keeps a tight parent (a parent that
+// changed either re-settled it or stayed tight with it), and a node it
+// re-settles gets a parent settled before it — or, seeding, one it leaves
+// alone, whose chain passes no re-settled node — so no cycle can close,
+// not even across zero-weight edges.
 func (w *Workspace) Repair(s Step, src graph.NodeID, row Row) int {
 	du, dv := row.At(s.U), row.At(s.V)
 	switch {
 	case s.New < s.Old:
 		w.Reset(s.G.NumNodes())
-		w.improve(s.V, du+s.New, dv)
-		w.improve(s.U, dv+s.New, du)
+		w.improve(s.V, du+s.New, dv, s.U)
+		w.improve(s.U, dv+s.New, du, s.V)
 		return w.lower(s.G, row)
 	case s.New > s.Old:
 		w.Reset(s.G.NumNodes())
@@ -63,10 +72,10 @@ func (w *Workspace) Repair(s Step, src graph.NodeID, row Row) int {
 	return 0
 }
 
-// improve queues x at d when d beats its stored value cur.
-func (w *Workspace) improve(x graph.NodeID, d, cur float64) {
+// improve queues x at d, reached from p, when d beats its stored value cur.
+func (w *Workspace) improve(x graph.NodeID, d, cur float64, p graph.NodeID) {
 	if d < cur {
-		w.label(x, d, graph.Invalid)
+		w.label(x, d, p)
 		w.heap.Push(x, d)
 	}
 }
@@ -74,16 +83,16 @@ func (w *Workspace) improve(x graph.NodeID, d, cur float64) {
 // lower settles the queued improvements and everything they improve in
 // turn. A node's stored value is read only while it is unlabelled, so the
 // row is never read where it has already been set.
-func (w *Workspace) lower(g graph.View, row Row) int {
+func (w *Workspace) lower(g *graph.CSR, row Row) int {
 	settled := 0
 	for w.heap.Len() > 0 {
 		x, d := w.heap.Pop()
-		row.Set(x, d)
+		row.Set(x, d, w.parent[x])
 		settled++
 		for _, e := range g.Neighbors(x) {
 			nd := d + e.W
 			if w.seen[e.To] != w.epoch {
-				w.improve(e.To, nd, row.At(e.To))
+				w.improve(e.To, nd, row.At(e.To), x)
 			} else if nd < w.dist[e.To] {
 				w.label(e.To, nd, x)
 				w.heap.DecreaseKey(e.To, nd)
@@ -139,7 +148,7 @@ func (w *Workspace) raise(s Step, src graph.NodeID, row Row) int {
 	for w.heap.Len() > 0 {
 		x, d := w.heap.Pop()
 		w.done[x] = w.epoch
-		row.Set(x, d)
+		row.Set(x, d, w.parent[x])
 		for _, e := range s.G.Neighbors(x) {
 			y := e.To
 			if w.want[y] != w.epoch || w.done[y] == w.epoch {
@@ -157,7 +166,7 @@ func (w *Workspace) raise(s Step, src graph.NodeID, row Row) int {
 	}
 	for _, x := range c {
 		if w.done[x] != w.epoch {
-			row.Set(x, Unreachable) // C lost its last way in
+			row.Set(x, Unreachable, graph.Invalid) // C lost its last way in
 		}
 	}
 	return len(c)

@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,80 @@ import (
 // sliceRow is a node-indexed row Repair writes in place.
 type sliceRow []float64
 
-func (r sliceRow) At(x graph.NodeID) float64     { return r[x] }
-func (r sliceRow) Set(x graph.NodeID, d float64) { r[x] = d }
+func (r sliceRow) At(x graph.NodeID) float64                     { return r[x] }
+func (r sliceRow) Set(x graph.NodeID, d float64, _ graph.NodeID) { r[x] = d }
+
+// treeRow is a row that also keeps the parents Repair reports, starting
+// from a fresh search's.
+type treeRow struct {
+	d   []float64
+	par []graph.NodeID
+}
+
+func dijkstraTree(ws *Workspace, g *graph.CSR, src graph.NodeID) *treeRow {
+	r := &treeRow{d: ws.DijkstraRow(g, src, nil), par: make([]graph.NodeID, g.NumNodes())}
+	for x := range r.par {
+		r.par[x] = ws.ParentOf(graph.NodeID(x))
+	}
+	return r
+}
+
+func (r *treeRow) At(x graph.NodeID) float64 { return r.d[x] }
+func (r *treeRow) Set(x graph.NodeID, d float64, p graph.NodeID) {
+	r.d[x], r.par[x] = d, p
+}
+
+// checkTree fails unless r's parents form a tree rooted at src over g —
+// acyclic, tight at every finite node (d(x) = fl(d(p) + w(p, x)) bit for
+// bit), parentless exactly at src and the unreachable nodes — whose values,
+// folded from the root down through the parents alone, are want bit for
+// bit.
+func checkTree(t *testing.T, g *graph.CSR, src graph.NodeID, r *treeRow, want []float64, what string) {
+	t.Helper()
+	n := len(r.d)
+	folded := make([]float64, n)
+	done := make([]bool, n)
+	folded[src], done[src] = 0, true
+	var fold func(x graph.NodeID, hops int) float64
+	fold = func(x graph.NodeID, hops int) float64 {
+		if done[x] {
+			return folded[x]
+		}
+		p := r.par[x]
+		switch {
+		case p == graph.Invalid:
+			folded[x] = Unreachable
+		case hops > n:
+			t.Fatalf("%s: the parents of %d run in a cycle", what, x)
+		default:
+			w, ok := g.EdgeWeight(p, x)
+			if !ok {
+				t.Fatalf("%s: parent %d of %d is no neighbour", what, p, x)
+			}
+			folded[x] = fold(p, hops+1) + w
+		}
+		done[x] = true
+		return folded[x]
+	}
+	for x := graph.NodeID(0); int(x) < n; x++ {
+		if got := fold(x, 0); math.Float64bits(got) != math.Float64bits(want[x]) {
+			t.Fatalf("%s: the tree folds to %v at %d, a fresh search gives %v", what, got, x, want[x])
+		}
+		p := r.par[x]
+		switch {
+		case x == src || r.d[x] == Unreachable:
+			if p != graph.Invalid {
+				t.Fatalf("%s: node %d (value %v) has parent %d", what, x, r.d[x], p)
+			}
+		case p == graph.Invalid:
+			t.Fatalf("%s: finite node %d has no parent", what, x)
+		default:
+			if w, _ := g.EdgeWeight(p, x); math.Float64bits(r.d[p]+w) != math.Float64bits(r.d[x]) {
+				t.Fatalf("%s: parent %d of %d is not tight: %v + %v ≠ %v", what, p, x, r.d[p], w, r.d[x])
+			}
+		}
+	}
+}
 
 // repairWeights is the palette edges draw from: zeros, integer ties,
 // fractions whose sums round, and weights from 1e-12 to 1e12, where small
@@ -22,7 +95,8 @@ var repairWeights = []float64{0, 1, 2, 3, 4, 0.1, 0.2, 0.3, 0.7, 1e-12, 3e-12, 1
 // checkRepairs decodes a small graph and a sequence of re-weightings from
 // data, repairs every source's row through each step, and fails unless each
 // repaired row is bitwise the fresh DijkstraRow of the network after the
-// step. Layout: node count, edge count, (u, v, weight) per edge, then
+// step, and the parents Repair reported form a tight tree that folds to it
+// (checkTree). Layout: node count, edge count, (u, v, weight) per edge, then
 // (edge, weight) per step; indices wrap and weights index repairWeights.
 func checkRepairs(t *testing.T, data []byte) {
 	if len(data) < 2 {
@@ -49,9 +123,9 @@ func checkRepairs(t *testing.T, data []byte) {
 	}
 	net := g.Freeze()
 	ws, fresh := NewWorkspace(n), NewWorkspace(n)
-	rows := make([][]float64, n)
+	rows := make([]*treeRow, n)
 	for s := range rows {
-		rows[s] = fresh.DijkstraRow(net, graph.NodeID(s), nil)
+		rows[s] = dijkstraTree(fresh, net, graph.NodeID(s))
 	}
 	for step := 0; len(data) >= 2; step++ {
 		e := edges[int(data[0])%len(edges)]
@@ -64,14 +138,16 @@ func checkRepairs(t *testing.T, data []byte) {
 		}
 		st := Step{G: next, U: e[0], V: e[1], Old: wOld, New: wNew}
 		for s, row := range rows {
-			ws.Repair(st, graph.NodeID(s), sliceRow(row))
+			ws.Repair(st, graph.NodeID(s), row)
 			want := fresh.DijkstraRow(next, graph.NodeID(s), nil)
 			for x := range want {
-				if math.Float64bits(row[x]) != math.Float64bits(want[x]) {
+				if math.Float64bits(row.d[x]) != math.Float64bits(want[x]) {
 					t.Fatalf("step %d, (%d, %d) %v → %v: row %d at %d repaired to %v, a fresh search gives %v",
-						step, e[0], e[1], wOld, wNew, s, x, row[x], want[x])
+						step, e[0], e[1], wOld, wNew, s, x, row.d[x], want[x])
 				}
 			}
+			checkTree(t, next, graph.NodeID(s), row, want,
+				fmt.Sprintf("step %d, (%d, %d) %v → %v, row %d", step, e[0], e[1], wOld, wNew, s))
 		}
 		net = next
 	}
@@ -108,7 +184,10 @@ type countingRow struct {
 	sets int
 }
 
-func (r *countingRow) Set(x graph.NodeID, d float64) { r.sets++; r.sliceRow.Set(x, d) }
+func (r *countingRow) Set(x graph.NodeID, d float64, p graph.NodeID) {
+	r.sets++
+	r.sliceRow.Set(x, d, p)
+}
 
 // TestRepairSlackEdgeIsFree pins the O(1) exits: raising an edge no
 // shortest path uses, or lowering one that still improves nothing,
