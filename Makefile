@@ -29,9 +29,12 @@ short:
 # (serve.TestQueriesRaceUpdates, with and without latency budgets), the
 # proof cache's page-store hammer (serve.TestPageStoreHammer: JSON, binary
 # and /batch reads on a few pages against evictions and hot-swaps; under
-# -race the pages are heap-backed so the detector sees every access) and
-# the replica's background warm-up against first queries and a mid-walk
-# Close (core.TestWarmRacesFirstQueries).
+# -race the pages are heap-backed so the detector sees every access), the
+# stale-answer check (serve.TestNoStaleAnswerSurvivesSwap: every entry a
+# swap leaves cached verifies and carries the current distance, across a
+# perturb/restore update stream over all four methods) and the replica's
+# background warm-up against first queries and a mid-walk Close
+# (core.TestWarmRacesFirstQueries).
 race:
 	$(GO) test -race -short ./...
 

@@ -79,7 +79,7 @@ func goldenWorld(t testing.TB) (*Owner, []workload.Query, []EdgeUpdate) {
 		t.Fatal(err)
 	}
 	// Two deterministic re-weightings: the first edges of two fixed nodes,
-	// scaled so both probes and quantization actually move.
+	// scaled so both distance rows and quantization actually move.
 	var ups []EdgeUpdate
 	for _, u := range []graph.NodeID{1, 50} {
 		e := g.Neighbors(u)[0]

@@ -61,8 +61,9 @@ func updateStream(tb testing.TB, count int) (*graph.Graph, []EdgeUpdate) {
 // proof or a row the providers before it serve, so no write lands on a
 // shared page; and at the end the rows hold at most 1.1 row sets of heap —
 // a replaced page is freed, not pinned by its old neighbours. Along the
-// way it holds row repair to the invalidation policy the probes set: every
-// border whose row changed bitwise is in the patch's StaleCover, and an
+// way it holds each patch's stale list to what the patch changed: both
+// borders of every hyper-edge entry whose W* value moved are in Stale, an
+// update that moves no entry reports only its rewritten tuples, and an
 // LDM landmark row no update moved stays the very slice it was.
 func TestUpdateStreamSharesPages(t *testing.T) {
 	g, ups := updateStream(t, 16)
@@ -133,14 +134,29 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 					t.Fatalf("patching update %d changed row %d of the provider before it", k, i)
 				}
 			}
-			stale := make(map[int]bool, len(st.StaleCover))
-			for _, pos := range st.StaleCover {
-				stale[pos] = true
-			}
-			for i, bn := range prev.hyper.Borders {
-				if !slices.Equal(prev.hyper.AppendRow(nil, i), next.hyper.AppendRow(nil, i)) && !stale[prev.ads.ord.Pos[bn]] {
-					t.Errorf("update %d changed border %d's row, but its leaf is not in the stale cover", k, bn)
+		}
+		pos := prev.ads.ord.Pos
+		stale := func(v graph.NodeID) bool { _, ok := slices.BinarySearch(st.Stale, pos[v]); return ok }
+		borders := prev.hyper.Borders
+		for i, u := range borders {
+			for _, v := range borders[i+1:] {
+				before, _ := prev.hyper.HyperEdge(u, v)
+				after, _ := next.hyper.HyperEdge(u, v)
+				if math.Float64bits(before) != math.Float64bits(after) && !(stale(u) && stale(v)) {
+					t.Errorf("update %d moved W*(%d, %d), but Stale misses a border of it", k, u, v)
 				}
+			}
+		}
+		if st.DistLeavesPatched == 0 {
+			var rewritten []int
+			for _, v := range batch.DirtyNodes() {
+				if !bytes.Equal(prev.ads.msg(pos[v]), next.ads.msg(pos[v])) {
+					rewritten = append(rewritten, pos[v])
+				}
+			}
+			slices.Sort(rewritten)
+			if !slices.Equal(st.Stale, rewritten) {
+				t.Errorf("update %d moved no entry, but Stale is %v, not its rewritten tuples %v", k, st.Stale, rewritten)
 			}
 		}
 		nextLDM, _ := patch(t, batch, ldm)

@@ -13,8 +13,7 @@ import (
 // method, collected in a Registry with a fixed canonical iteration order.
 // Every layer above core — the serving engine, deployments, snapshots and
 // the CLIs — dispatches through the registry instead of enumerating
-// methods, so integrating a fifth hint scheme means implementing
-// MethodImpl and registering it here, not editing every layer.
+// methods.
 //
 // Determinism contract: the registry's canonical order (the order impls
 // were registered in, the paper's presentation order for the built-ins)
@@ -157,9 +156,9 @@ type Registry struct {
 	byKind map[uint32]MethodImpl
 }
 
-// NewRegistry builds a registry from impls, in order. Duplicate methods
+// newRegistry builds a registry from impls, in order. Duplicate methods
 // or snapshot kinds are rejected — either would make dispatch ambiguous.
-func NewRegistry(impls ...MethodImpl) (*Registry, error) {
+func newRegistry(impls ...MethodImpl) (*Registry, error) {
 	r := &Registry{
 		impls:  make(map[Method]MethodImpl, len(impls)),
 		byKind: make(map[uint32]MethodImpl, len(impls)),
@@ -216,15 +215,12 @@ func (r *Registry) Impls() []MethodImpl {
 // defaultRegistry holds the four paper methods in presentation order —
 // the canonical order every listing, snapshot and patch loop follows.
 var defaultRegistry = func() *Registry {
-	r, err := NewRegistry(dijImpl{}, fullImpl{}, ldmImpl{}, hypImpl{})
+	r, err := newRegistry(dijImpl{}, fullImpl{}, ldmImpl{}, hypImpl{})
 	if err != nil {
 		panic(err)
 	}
 	return r
 }()
-
-// DefaultRegistry returns the process-wide registry of built-in methods.
-func DefaultRegistry() *Registry { return defaultRegistry }
 
 // LookupMethod resolves m against the default registry.
 func LookupMethod(m Method) (MethodImpl, bool) { return defaultRegistry.Lookup(m) }

@@ -19,7 +19,7 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 	if got := Methods(); !slices.Equal(got, want) {
 		t.Fatalf("Methods() = %v, want %v", got, want)
 	}
-	impls := DefaultRegistry().Impls()
+	impls := defaultRegistry.Impls()
 	for i, impl := range impls {
 		if impl.Method() != want[i] {
 			t.Fatalf("impl %d is %s, want %s", i, impl.Method(), want[i])
@@ -31,13 +31,13 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 // duplicate methods, duplicate snapshot kinds, and kinds colliding with
 // the reserved core sections are all refused.
 func TestRegistryRejectsCollisions(t *testing.T) {
-	if _, err := NewRegistry(dijImpl{}, dijImpl{}); err == nil {
+	if _, err := newRegistry(dijImpl{}, dijImpl{}); err == nil {
 		t.Fatal("duplicate method accepted")
 	}
-	if _, err := NewRegistry(dijImpl{}, kindImpl{dijImpl{}, snapKindDIJ}); err == nil {
+	if _, err := newRegistry(dijImpl{}, kindImpl{dijImpl{}, snapKindDIJ}); err == nil {
 		t.Fatal("duplicate snapshot kind accepted")
 	}
-	if _, err := NewRegistry(kindImpl{dijImpl{}, snapKindOrdering}); err == nil {
+	if _, err := newRegistry(kindImpl{dijImpl{}, snapKindOrdering}); err == nil {
 		t.Fatal("reserved core section kind accepted")
 	}
 }

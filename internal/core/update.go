@@ -18,28 +18,31 @@ import (
 // This file is the owner's incremental update pipeline: edge re-weighting
 // without a full re-outsource. The flow is
 //
-//	probe → re-weight → patch → re-sign
+//	re-weight → patch → re-sign
 //
 // ApplyUpdates gives every real re-weighting its own network: a copy of
 // the previous step's edge array (the offsets and coordinates stay shared)
 // with that one edge re-weighted, the last of them published as the next
-// epoch's network. Stored distance rows — LDM's landmark rows, HYP's full
-// border rows — are then kept current by one routine, sp's Workspace.Repair,
-// replayed step by step over those networks: it re-settles only the nodes
-// whose distance can change, and its rows are bitwise a fresh Dijkstra's
-// (see its doc), so patched roots, signatures and proofs stay
-// byte-identical to a from-scratch re-outsource (pinning LDM's landmark
-// placement, which is a selection choice re-made only on full
-// re-outsource).
+// epoch's network. It runs no search. Stored distance rows — LDM's
+// landmark rows, HYP's full border rows — are then kept current by one
+// routine, sp's Workspace.Repair, replayed step by step over those
+// networks: it re-settles only the nodes whose distance can change, and
+// its rows are bitwise a fresh Dijkstra's (see its doc), so patched roots,
+// signatures and proofs stay byte-identical to a from-scratch re-outsource
+// (pinning LDM's landmark placement, which is a selection choice re-made
+// only on full re-outsource).
 //
-// FULL retains no rows, so it re-runs the rows the probe marks. Per step
-// the probe runs two Dijkstras from the edge's endpoints over the network
-// before the step. Because the network is undirected, those two rows give
-// dist(s, u) and dist(s, v) for *every* source s, which is exactly what the
-// relaxation test needs to decide whether s's distances can change at all:
-// an edge (u, v) is irrelevant for s when its relaxation fails — with a
-// safety margin — under both the old and new weight. The same marks decide
-// which cached HYP proofs go stale.
+// FULL retains no rows, so its patch selects the rows to re-run: per step,
+// two Dijkstras from the edge's endpoints over the network before the step.
+// Because the network is undirected, those two rows give dist(s, u) and
+// dist(s, v) for *every* source s, which is exactly what the relaxation
+// test needs to decide whether s's distances can change at all: an edge
+// (u, v) is irrelevant for s when its relaxation fails — with a safety
+// margin — under both the old and new weight.
+//
+// Each patch reports which cached proofs it made stale from what it
+// rewrote (PatchStats.Stale): a proof goes stale only when bytes it shows
+// move.
 //
 // Patches are copy-on-write: the returned provider shares every
 // clean Merkle digest, hint row and message with the old one, which keeps
@@ -54,18 +57,17 @@ type EdgeUpdate struct {
 }
 
 // UpdateBatch is the owner-side outcome of ApplyUpdates: the post-update
-// network plus the dirty sets every method's Patch needs. It stays valid
-// until the next ApplyUpdates call.
+// network, each real re-weighting with its own network, and the endpoints
+// whose tuples they change — what every method's Patch works from. It
+// stays valid until the next ApplyUpdates call.
 type UpdateBatch struct {
 	owner   *Owner
 	newView *graph.CSR
 	epoch   int64
 	oldView *graph.CSR // the network before the batch — what Rollback restores
 
-	steps    []sp.Step      // the real re-weightings, each with its network
-	dirty    []graph.NodeID // endpoints of actually-changed edges, deduped
-	affected []bool         // affected[s] ⇒ distances from s may have changed
-	srcs     int            // count of affected sources
+	steps []sp.Step      // the real re-weightings, each with its network
+	dirty []graph.NodeID // endpoints of actually-changed edges, deduped
 }
 
 // repair replays the batch's steps on row, the stored landmark row from
@@ -99,10 +101,6 @@ func (r *cowRow) copied() bool { return &r.row[0] != &r.old[0] }
 // Epoch returns the owner epoch this batch produced.
 func (b *UpdateBatch) Epoch() int64 { return b.epoch }
 
-// AffectedSources returns how many sources the probe marked dirty — the
-// number of rows FULL re-runs.
-func (b *UpdateBatch) AffectedSources() int { return b.srcs }
-
 // DirtyNodes returns the endpoints whose tuples changed.
 func (b *UpdateBatch) DirtyNodes() []graph.NodeID { return b.dirty }
 
@@ -126,24 +124,20 @@ type PatchStats struct {
 	// everything else is shared with the old provider. The first update's
 	// upgrade allocates it all.
 	RowBytesWritten int
-	// DirtyLeaves lists the rewritten network-ADS leaf positions — the
-	// serving layer invalidates exactly the cached proofs that cover them.
-	DirtyLeaves []int
-	// StaleCover lists leaf positions whose tuple bytes did NOT change but
-	// whose derived proof data did: HYP borders the probe marked — a
-	// cached proof covering such a border carries outdated hyper-edge
-	// values even though every tuple it shows is current.
-	StaleCover []int
-	// DirtyRows lists FULL sources whose distance row root changed; cached
-	// FULL proofs whose endpoints include such a source are stale.
-	DirtyRows []int
+	// Stale lists, ascending and without repeats, the network-ADS leaf
+	// positions whose cached proofs the patch made stale — the serving
+	// layer drops exactly the proofs whose tuples cover one. It holds the
+	// rewritten tuples; for HYP, both borders of every hyper-edge entry
+	// whose value moved (a proof showing the entry shows both borders'
+	// tuples); for FULL, every source whose row root changed (a proof
+	// shows its endpoints' tuples).
+	Stale []int
 }
 
 // ApplyUpdates validates and applies a batch of edge re-weightings to the
-// owner's network and computes the dirty sets for incremental provider
-// patching. Updates are applied in order; each one's probe runs against the
-// network state it observes, so the accumulated affected set covers every
-// source whose distances could have changed at any step.
+// owner's network and records what each method's Patch works from: the
+// real steps, in order, and the endpoints whose tuples they change. It
+// runs no search.
 //
 // Each real step re-weights its own copy of the previous step's edge array
 // — one copy for a single update — and the batch publishes the last as the
@@ -166,23 +160,14 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 			return nil, fmt.Errorf("%w: weight %v", graph.ErrBadEdge, up.W)
 		}
 	}
-	n := old.NumNodes()
-	b := &UpdateBatch{owner: o, affected: make([]bool, n), oldView: old}
+	b := &UpdateBatch{owner: o, oldView: old}
 	net := old
 	seen := make(map[graph.NodeID]bool, 2*len(ups))
-	var du, dv []float64
 	for _, up := range ups {
 		oldW, _ := net.EdgeWeight(up.U, up.V)
 		if up.W == oldW {
 			continue // no-op: nothing dirtied
 		}
-		// Probe: two endpoint Dijkstras over the pre-step network bound
-		// which sources the re-weighting can matter to.
-		w := sp.AcquireWorkspace(n)
-		du = w.DijkstraRow(net, up.U, du)
-		dv = w.DijkstraRow(net, up.V, dv)
-		sp.ReleaseWorkspace(w)
-		markAffected(b.affected, du, dv, math.Min(oldW, up.W))
 		net = net.WithPrivateEdges()
 		if _, err := net.SetEdgeWeight(up.U, up.V, up.W); err != nil {
 			return nil, err
@@ -193,11 +178,6 @@ func (o *Owner) ApplyUpdates(ups []EdgeUpdate) (*UpdateBatch, error) {
 				seen[v] = true
 				b.dirty = append(b.dirty, v)
 			}
-		}
-	}
-	for _, a := range b.affected {
-		if a {
-			b.srcs++
 		}
 	}
 	o.mu.Lock()
@@ -285,12 +265,14 @@ func (b *UpdateBatch) dirtyTupleMsgs(a *networkADS, extraFn func(graph.NodeID) [
 	return out
 }
 
-func dirtyPositions(m map[int][]byte) []int {
-	out := make([]int, 0, len(m))
+// stale returns PatchStats.Stale: the positions of the rewritten tuples
+// m plus extra, sorted and without repeats. It may reuse extra.
+func stale(m map[int][]byte, extra []int) []int {
 	for pos := range m {
-		out = append(out, pos)
+		extra = append(extra, pos)
 	}
-	return out
+	slices.Sort(extra)
+	return slices.Compact(extra)
 }
 
 // Patch derives an updated DIJ provider: only the endpoints' tuples
@@ -307,7 +289,7 @@ func (dijImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		return nil, nil, err
 	}
 	st.LeavesPatched = k
-	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
+	st.Stale = stale(dirtyMsgs, nil)
 	rootSig := p.rootSig
 	if k > 0 {
 		if rootSig, err = b.owner.signRoot(dijSigCtx, ads.Root()); err != nil {
@@ -349,26 +331,17 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		}
 	}
 
-	nh := h
+	var nh *landmark.Hints
 	var dirtyMsgs map[int][]byte
-	switch {
-	case st.RowsRecomputed == 0:
-		// No landmark row changed ⇒ λ, units and compression are
-		// untouched; only the endpoints' adjacency bytes differ.
+	if st.RowsRecomputed == 0 || h.QuantizationUnchanged(dists) {
+		// No landmark row moved, or none by half a quantization step:
+		// every unit, compression assignment and payload byte is
+		// reproduced exactly, so only the endpoints' adjacency bytes differ.
+		nh = h.WithRows(dists)
 		dirtyMsgs = b.dirtyTupleMsgs(p.ads, func(v graph.NodeID) []byte {
-			return h.PayloadOf(v).AppendBinary(h.Bits, nil)
+			return nh.PayloadOf(v).AppendBinary(nh.Bits, nil)
 		})
-	default:
-		if h.QuantizationUnchanged(dists) {
-			// Distances moved by less than half a quantization step: every
-			// unit, compression assignment and payload byte is reproduced
-			// exactly, so only the endpoints' adjacency bytes differ.
-			nh = h.WithRows(dists)
-			dirtyMsgs = b.dirtyTupleMsgs(p.ads, func(v graph.NodeID) []byte {
-				return nh.PayloadOf(v).AppendBinary(nh.Bits, nil)
-			})
-			break
-		}
+	} else {
 		nh, _ = landmark.FromRows(h.Landmarks, dists, landmark.Options{
 			C:           len(h.Landmarks),
 			Bits:        h.Bits,
@@ -418,7 +391,7 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		return nil, nil, err
 	}
 	st.LeavesPatched = k
-	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
+	st.Stale = stale(dirtyMsgs, nil)
 	rootSig := p.rootSig
 	if k > 0 || nh.Lambda != h.Lambda {
 		params := landmark.Params{C: nh.C(), Bits: nh.Bits, Lambda: nh.Lambda}
@@ -442,7 +415,6 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	}
 	st := &PatchStats{Method: HYP}
 	hyper := p.hyper
-	var stale []graph.NodeID // borders whose cached proofs may be outdated
 	switch {
 	case !hyper.HasFullRows():
 		// First update against this provider: materialize full rows on the
@@ -452,17 +424,8 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 			return nil, nil, err
 		}
 		st.RowsRecomputed = len(hyper.Borders)
-		stale = hyper.Borders
 	case len(b.steps) > 0:
 		hyper, st.RowsRecomputed, st.NodesResettled = hyper.WithRepairedRows(b.steps)
-		for _, bn := range hyper.Borders {
-			if b.affected[bn] {
-				stale = append(stale, bn)
-			}
-		}
-	}
-	for _, bn := range stale {
-		st.StaleCover = append(st.StaleCover, p.ads.ord.Pos[bn])
 	}
 
 	dirtyMsgs := b.dirtyTupleMsgs(p.ads, hyper.Extra)
@@ -471,13 +434,14 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		return nil, nil, err
 	}
 	st.LeavesPatched = k
-	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
 
 	distMBT, distSig := p.distMBT, p.distSig
 	var entries []mbt.ProvenEntry
+	var borders []int
 	if hyper != p.hyper {
-		entries, st.RowBytesWritten = hyper.Moved(p.hyper)
+		entries, borders, st.RowBytesWritten = hyper.Moved(p.hyper)
 	}
+	st.Stale = stale(dirtyMsgs, borders)
 	if distMBT != nil && len(entries) > 0 {
 		if distMBT, err = distMBT.UpdateValues(entries); err != nil {
 			return nil, nil, err
@@ -499,22 +463,36 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	}, st, nil
 }
 
-// Patch derives an updated FULL provider: re-run the affected sources'
-// rows (parallel), re-fold their row subtrees, and patch only those leaves
-// of the top tree. FULL's update cost is proportional to how many rows the
-// edge actually dirtied — still the quadratic method's weak spot under
-// far-reaching decreases, but orders of magnitude below a rebuild for the
-// common localized re-weighting.
+// Patch derives an updated FULL provider: re-run the rows of the sources
+// the batch may have affected (parallel), re-fold their row subtrees, and
+// patch only those leaves of the top tree. FULL's update cost is
+// proportional to how many rows the edge actually dirtied — still the
+// quadratic method's weak spot under far-reaching decreases, but orders of
+// magnitude below a rebuild for the common localized re-weighting.
 func (fullImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*FULLProvider](FULL, prov)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := &PatchStats{Method: FULL}
+	// Select the rows to re-run: per step, two endpoint Dijkstras over the
+	// network before it feed the relaxation test, so the accumulated set
+	// covers every source whose distances could have changed at any step.
 	n := b.newView.NumNodes()
+	affected := make([]bool, n)
+	net := b.oldView
+	var du, dv []float64
+	for _, step := range b.steps {
+		w := sp.AcquireWorkspace(n)
+		du = w.DijkstraRow(net, step.U, du)
+		dv = w.DijkstraRow(net, step.V, dv)
+		sp.ReleaseWorkspace(w)
+		markAffected(affected, du, dv, math.Min(step.Old, step.New))
+		net = step.G
+	}
 	var rows []int
-	for s := 0; s < n; s++ {
-		if b.affected[s] {
+	for s, a := range affected {
+		if a {
 			rows = append(rows, s)
 		}
 	}
@@ -544,8 +522,9 @@ func (fullImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, err
 		return nil, nil, rowErr
 	}
 	st.DistLeavesPatched = len(newRoots)
+	srcs := make([]int, 0, len(newRoots))
 	for i := range newRoots {
-		st.DirtyRows = append(st.DirtyRows, i)
+		srcs = append(srcs, p.ads.ord.Pos[i])
 	}
 	forest, err := p.forest.WithPatchedRows(newRoots, fullRowFn(b.newView))
 	if err != nil {
@@ -558,7 +537,7 @@ func (fullImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, err
 		return nil, nil, err
 	}
 	st.LeavesPatched = k
-	st.DirtyLeaves = dirtyPositions(dirtyMsgs)
+	st.Stale = stale(dirtyMsgs, srcs)
 
 	netSig, distSig := p.netSig, p.distSig
 	if k > 0 {

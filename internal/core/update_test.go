@@ -254,8 +254,9 @@ func crossValidate(t *testing.T, g *graph.Graph, seed int64, steps int, next fun
 }
 
 // TestNoOpUpdateLeavesEverythingUntouched pins the zero-work fast path: a
-// re-weighting to the current weight dirties nothing and reuses every root
-// and signature by pointer-or-bytes.
+// re-weighting to the current weight dirties nothing, reuses every root
+// and signature by pointer-or-bytes, and no method's patch reports a stale
+// leaf.
 func TestNoOpUpdateLeavesEverythingUntouched(t *testing.T) {
 	g, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.01, Seed: 3})
 	if err != nil {
@@ -268,7 +269,8 @@ func TestNoOpUpdateLeavesEverythingUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dij := outsource[*DIJProvider](t, owner, DIJ)
+	w := outsourceWorld(t, g, owner)
+	dij := w.dij
 	var u graph.NodeID
 	for g.Degree(u) == 0 {
 		u++
@@ -278,12 +280,17 @@ func TestNoOpUpdateLeavesEverythingUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.AffectedSources() != 0 || len(b.DirtyNodes()) != 0 {
-		t.Fatalf("no-op update marked %d sources / %d nodes dirty", b.AffectedSources(), len(b.DirtyNodes()))
+	if len(b.DirtyNodes()) != 0 {
+		t.Fatalf("no-op update marked %d nodes dirty", len(b.DirtyNodes()))
+	}
+	for _, p := range []Provider{w.full, w.ldm, w.hyp} {
+		if _, st := patch(t, b, p); len(st.Stale) != 0 {
+			t.Errorf("no-op %s patch reports stale leaves %v", p.Method(), st.Stale)
+		}
 	}
 	p2, st := patch(t, b, dij)
-	if st.LeavesPatched != 0 {
-		t.Fatalf("no-op update patched %d leaves", st.LeavesPatched)
+	if st.LeavesPatched != 0 || len(st.Stale) != 0 {
+		t.Fatalf("no-op update patched %d leaves, %d stale", st.LeavesPatched, len(st.Stale))
 	}
 	if !bytes.Equal(p2.ads.Root(), dij.ads.Root()) || !bytes.Equal(p2.rootSig, dij.rootSig) {
 		t.Fatal("no-op update changed root or signature")

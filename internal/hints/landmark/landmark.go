@@ -89,8 +89,8 @@ type Hints struct {
 
 	// Dists[i] is landmark i's exact distance row — the Dijkstra output the
 	// quantized units derive from. Retained owner-side so an edge-weight
-	// update only re-runs the rows its probe marks dirty; everything below
-	// (Dmax, λ, Units, compression) is deterministically re-derived.
+	// update repairs the rows in place; everything below (Dmax, λ, Units,
+	// compression) is deterministically re-derived.
 	Dists [][]float64
 
 	// Units[v][i] is the quantized distance unit of node v to landmark i:

@@ -643,14 +643,16 @@ func (h *Hyper) CellPairEntries(cs, ct geom.CellID) []mbt.ProvenEntry {
 }
 
 // Moved returns, each with its leaf index, the hyper-edge entries whose
-// values differ bitwise from old's — the leaves an update rewrites — and
-// fresh, the bytes of tree and W* pages the receiver does not share with
-// old. It reads only the W* pages not shared: the entry {u, v} with
-// u < v takes its value from u's row (weight), so only a changed value at
-// a border column v > u of row u can move one. old shares the receiver's
-// partition and holds either storage form (against the static form every
-// page is fresh); the receiver holds full rows.
-func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, fresh int) {
+// values differ bitwise from old's — the leaves an update rewrites — with
+// ends, the leaf positions (in the network tree's order) of both borders
+// of each, and fresh, the bytes of tree and W* pages the receiver does
+// not share with old. ends may repeat a position. It reads only the W*
+// pages not shared: the entry {u, v} with u < v takes its value from u's
+// row (weight), so only a changed value at a border column v > u of row u
+// can move one. old shares the receiver's partition and holds either
+// storage form (against the static form every page is fresh); the
+// receiver holds full rows.
+func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, ends []int, fresh int) {
 	for i, row := range h.wb {
 		u := h.Borders[i]
 		for k, p := range row {
@@ -662,6 +664,7 @@ func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, fresh int) {
 			for j, v := range h.Borders[k*WPageLen : min((k+1)*WPageLen, len(h.Borders))] {
 				if v > u && math.Float64bits(p[j]) != math.Float64bits(q[j]) {
 					moved = append(moved, h.proven(u, v))
+					ends = append(ends, h.pos[u], h.pos[v])
 				}
 			}
 		}
@@ -673,7 +676,7 @@ func (h *Hyper) Moved(old *Hyper) (moved []mbt.ProvenEntry, fresh int) {
 			}
 		}
 	}
-	return moved, fresh
+	return moved, ends, fresh
 }
 
 // weight is W* of the border pair {u, v} as the tree carries it: read from

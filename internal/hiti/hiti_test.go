@@ -446,7 +446,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 			continue
 		}
 		patched, _, _ := fullRows(t, g, h).WithRepairedRows(steps)
-		moved, _ := patched.Moved(h)
+		moved, _, _ := patched.Moved(h)
 		after := patched.Entries()
 		for _, e := range moved {
 			if int(e.Index) >= len(after) || after[e.Index] != e.Entry {
@@ -500,7 +500,7 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	}
 
 	full := fullRows(t, g, h)
-	if moved, fresh := full.Moved(h); len(moved) != 0 || fresh != rowSetBytes(full) {
+	if moved, _, fresh := full.Moved(h); len(moved) != 0 || fresh != rowSetBytes(full) {
 		t.Fatalf("upgrading the storage form moved %d values on %d fresh bytes, want 0 on %d", len(moved), fresh, rowSetBytes(full))
 	}
 	// Stretch the edges around two borders: the moved entries are exactly
@@ -520,7 +520,7 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	}
 	after := patched.Entries()
 	for _, old := range []*Hyper{h, full} {
-		moved, _ := old.movedAgainst(patched)
+		moved := old.movedAgainst(t, patched)
 		want := 0
 		for i, e := range after {
 			if math.Float64bits(e.Value) != math.Float64bits(entries[i].Value) {
@@ -536,19 +536,28 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	}
 	// The writes landed on copies: the rows they started from still read
 	// as the build did.
-	if moved, _ := full.Moved(h); len(moved) != 0 || !slices.EqualFunc(before, rowsOf(full), slices.Equal) {
+	if moved, _, _ := full.Moved(h); len(moved) != 0 || !slices.EqualFunc(before, rowsOf(full), slices.Equal) {
 		t.Fatalf("repairing a copy moved %d of the original's values", len(moved))
 	}
 }
 
-// movedAgainst is patched.Moved(old) keyed by leaf index.
-func (old *Hyper) movedAgainst(patched *Hyper) (map[uint32]mbt.Entry, int) {
-	moved, fresh := patched.Moved(old)
+// movedAgainst is patched.Moved(old) keyed by leaf index. Each entry's
+// ends must be the leaf positions of the entry's own borders.
+func (old *Hyper) movedAgainst(t *testing.T, patched *Hyper) map[uint32]mbt.Entry {
+	t.Helper()
+	moved, ends, _ := patched.Moved(old)
+	if len(ends) != 2*len(moved) {
+		t.Fatalf("Moved reports %d ends for %d entries", len(ends), len(moved))
+	}
 	out := make(map[uint32]mbt.Entry, len(moved))
-	for _, e := range moved {
+	for k, e := range moved {
+		u, v := patched.seq[ends[2*k]], patched.seq[ends[2*k+1]]
+		if patched.LeafIndex(u, v) != int(e.Index) {
+			t.Fatalf("entry %d has ends %d and %d", e.Index, u, v)
+		}
 		out[e.Index] = e.Entry
 	}
-	return out, fresh
+	return out
 }
 
 // reweight is the step re-weighting edge (u, v) of net to w, on a copy.
@@ -667,7 +676,7 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	// nothing.
 	e := net.Neighbors(full.Borders[0])[0]
 	same, rows, _ := full.WithRepairedRows([]sp.Step{reweight(t, net, full.Borders[0], e.To, e.W)})
-	if _, fresh := same.Moved(full); fresh != 0 || rows != 0 {
+	if _, _, fresh := same.Moved(full); fresh != 0 || rows != 0 {
 		t.Fatalf("a no-op step copied %d bytes over %d rows", fresh, rows)
 	}
 
@@ -681,11 +690,11 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 			down := reweight(t, up.G, x, e.To, e.W)
 			stretched, _, _ := cur.WithRepairedRows([]sp.Step{up})
 			checkExact(t, stretched, up.G, 16, fmt.Sprintf("stretching (%d, %d)", x, e.To))
-			if _, fresh := stretched.Moved(cur); fresh != changedBytes(cur, stretched) {
+			if _, _, fresh := stretched.Moved(cur); fresh != changedBytes(cur, stretched) {
 				t.Fatalf("stretching (%d, %d) copied %d bytes, changed %d", x, e.To, fresh, changedBytes(cur, stretched))
 			}
 			back, _, _ := stretched.WithRepairedRows([]sp.Step{down})
-			if moved, _ := back.Moved(full); len(moved) != 0 {
+			if moved, _, _ := back.Moved(full); len(moved) != 0 {
 				t.Fatalf("restoring (%d, %d) leaves %d entries moved against the build", x, e.To, len(moved))
 			}
 			cur, prev = back, down.G

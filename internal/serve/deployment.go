@@ -139,9 +139,6 @@ func (d *Deployment) Certificate() *cert.Certificate {
 type UpdateSummary struct {
 	// Epoch is the owner's update-batch counter after this batch.
 	Epoch int64 `json:"epoch"`
-	// AffectedSources counts sources the probes marked dirty — the rows
-	// FULL re-runs.
-	AffectedSources int `json:"affected_sources"`
 	// RowsRecomputed totals the distance rows the patches rewrote.
 	RowsRecomputed int `json:"rows_recomputed"`
 	// NodesResettled totals the nodes row repair re-settled.
@@ -150,7 +147,8 @@ type UpdateSummary struct {
 	// DistLeavesPatched the distance-ADS leaves (FULL rows, HYP entries).
 	LeavesPatched     int `json:"leaves_patched"`
 	DistLeavesPatched int `json:"dist_leaves_patched"`
-	// Duration is the end-to-end batch latency: probes, patches and swaps.
+	// Duration is the end-to-end batch latency: re-weighting, patches and
+	// swaps.
 	Duration time.Duration `json:"duration_ns"`
 }
 
@@ -175,7 +173,7 @@ func (d *Deployment) ApplyUpdates(ups []core.EdgeUpdate) (UpdateSummary, error) 
 	if err != nil {
 		return UpdateSummary{}, err
 	}
-	sum := UpdateSummary{Epoch: batch.Epoch(), AffectedSources: batch.AffectedSources()}
+	sum := UpdateSummary{Epoch: batch.Epoch()}
 	if len(batch.DirtyNodes()) == 0 {
 		// Every update was a no-op: no provider state can have moved, so
 		// skip the patches, swaps and epoch bump entirely.

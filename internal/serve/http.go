@@ -57,9 +57,9 @@ type Server struct {
 // rather than letting one client monopolize the pool.
 const MaxBatch = 4096
 
-// MaxUpdateBatch bounds one /update request: each changed edge costs
-// probes, a network copy and row repair while holding the deployment's
-// update mutex, so an unbounded batch could pin the owner pipeline for one
+// MaxUpdateBatch bounds one /update request: each changed edge costs a
+// network copy and row repair while holding the deployment's update
+// mutex, so an unbounded batch could pin the owner pipeline for one
 // caller.
 const MaxUpdateBatch = 1024
 

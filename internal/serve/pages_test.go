@@ -326,7 +326,7 @@ func TestPageStoreHammer(t *testing.T) {
 			p := provs[i%len(provs)]
 			var st *core.PatchStats
 			if i%2 == 1 {
-				st = &core.PatchStats{DirtyLeaves: []int{i % 64}}
+				st = &core.PatchStats{Stale: []int{i % 64}}
 			}
 			if err := e.Swap(p, st); err != nil {
 				errc <- err

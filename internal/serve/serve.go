@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,12 +111,12 @@ type cover struct {
 	ok     bool
 }
 
-func (c cover) overlaps(sortedDirty []uint32) bool {
+func (c cover) overlaps(sortedStale []int) bool {
 	if !c.ok {
 		return true // unknown coverage: invalidate conservatively
 	}
-	i := sort.Search(len(sortedDirty), func(i int) bool { return sortedDirty[i] >= c.lo })
-	return i < len(sortedDirty) && sortedDirty[i] <= c.hi
+	i, _ := slices.BinarySearch(sortedStale, int(c.lo))
+	return i < len(sortedStale) && sortedStale[i] <= int(c.hi)
 }
 
 // queryFn is the method-erased provider hot path: build a proof for one
@@ -331,11 +330,10 @@ func (e *Engine) Swap(p core.Provider, st *core.PatchStats) error {
 }
 
 // swap atomically replaces a registered method's provider closure, then
-// drops exactly the cached proofs the patch dirtied: entries whose leaf
-// coverage intersects a rewritten (or derived-stale) leaf, and — for FULL —
-// entries whose endpoints' distance rows changed. Untouched entries stay
-// cached: their proofs expose only clean leaves, so the data they show (and
-// the optimality of their paths) still holds in the updated network; they
+// drops exactly the cached proofs the patch made stale: entries whose leaf
+// coverage holds a position of st.Stale. Untouched entries stay cached:
+// nothing their proofs show moved, so the data they show (and the
+// optimality of their paths) still holds in the updated network; they
 // simply verify under the root they were signed with. A nil st is unknown
 // coverage and drops the method's every entry, as cover.overlaps does for a
 // proof whose span is unknown. In-flight queries race the pointer swap
@@ -357,27 +355,10 @@ func (e *Engine) swap(m core.Method, fn queryFn, st *core.PatchStats) error {
 		e.stats.cacheInvalidated.Add(int64(n))
 		return nil
 	}
-	dirty := make([]uint32, 0, len(st.DirtyLeaves)+len(st.StaleCover))
-	for _, p := range st.DirtyLeaves {
-		dirty = append(dirty, uint32(p))
-	}
-	for _, p := range st.StaleCover {
-		dirty = append(dirty, uint32(p))
-	}
-	slices.Sort(dirty)
-	var dirtyRows map[graph.NodeID]bool
-	if len(st.DirtyRows) > 0 {
-		dirtyRows = make(map[graph.NodeID]bool, len(st.DirtyRows))
-		for _, r := range st.DirtyRows {
-			dirtyRows[graph.NodeID(r)] = true
-		}
-	}
-	if len(dirty) == 0 && dirtyRows == nil {
+	if len(st.Stale) == 0 {
 		return nil
 	}
-	n := e.cache.Invalidate(m, func(k cacheKey, c cached) bool {
-		return c.cov.overlaps(dirty) || dirtyRows[k.vs] || dirtyRows[k.vt]
-	})
+	n := e.cache.Invalidate(m, func(_ cacheKey, c cached) bool { return c.cov.overlaps(st.Stale) })
 	e.stats.cacheInvalidated.Add(int64(n))
 	return nil
 }

@@ -398,9 +398,9 @@ func NewEngine(o *Owner, opts ServeOptions, methods ...Method) (*QueryEngine, er
 func NewRawEngine(opts ServeOptions) *QueryEngine { return serve.NewEngine(opts) }
 
 // Incremental updates: the owner applies edge re-weightings without a full
-// re-outsource — two probe Dijkstras bound which hint/distance rows can
-// change, only those re-run, and only the dirty Merkle paths rehash. The
-// resulting roots, signatures and proofs are byte-identical to a
+// re-outsource — stored hint/distance rows are repaired, re-settling only
+// the nodes whose distance moves, and only the dirty Merkle paths rehash.
+// The resulting roots, signatures and proofs are byte-identical to a
 // from-scratch re-outsource (with the landmark placement pinned). See
 // DESIGN.md §8.
 
