@@ -87,8 +87,11 @@ bench:
 # each with allocations reported: digest's AppendSum at 40 B / 58 B / 1 KiB /
 # one certificate row for both algorithms, b64's Append of a 27 KiB proof on
 # the AVX2 kernel and on encoding/base64, mht's Build, Prove, Rehydrate and
-# UpdateLeaves on a 412,805-leaf fanout-2 SHA-1 tree (the shape of HYP's
-# distance tree in the repository benchmark's world), sp's single-search
+# UpdateLeaves on a 206,403-leaf fanout-2 SHA-1 tree (the shape of HYP's
+# distance tree in the repository benchmark's world; Prove at its measured
+# median and p90 hyper-edge blocks), mbt's TreeProve and TreeUpdateValues:
+# the same shape kept as HYP keeps it, its top levels stored and the leaf
+# groups re-hashed from the entries, sp's single-search
 # Ball, core's UpdateStream: one applied churn update (ApplyUpdates plus
 # the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
 # allocs/op and the HYP row bytes it copies, cert's AuditRow: one HYP
@@ -100,6 +103,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
+	$(GO) test -run '^$$' -bench '^BenchmarkTree(Prove|UpdateValues)$$' -benchtime 1x -benchmem ./internal/mbt
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
 	$(GO) test -run '^$$' -bench '^BenchmarkUpdateStream$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert

@@ -19,12 +19,18 @@
 // sweep (AuditRow) is what Audit performs for every row the certificate
 // carries.
 //
-// Stored Merkle structures are audited by folding: every stored interior
-// level is recomputed from the level below (mht.Tree.AuditLevels) and the
-// root compared to the certificate's. Under collision resistance a fold
-// match pins every stored leaf digest to the owner's, so the audit never
-// re-hashes leaf messages — that is what keeps it several times cheaper
-// than re-outsourcing.
+// Stored Merkle structures are audited by folding: every level a replica
+// holds is recomputed from the level below it and the root compared to
+// the certificate's. For a tree that stores its leaves (mht.Tree,
+// AuditTree) that is the interior levels (mht.Tree.AuditLevels): under
+// collision resistance a fold match pins every stored leaf digest to the
+// owner's, so the audit never re-hashes leaf messages — that is what
+// keeps it several times cheaper than re-outsourcing. HYP's distance tree
+// stores neither leaves nor the levels just above them; its audit folds
+// the entries the certified rows determine, group by group, into its
+// lowest stored level and on to the root (mbt.Tree.Audit), so there too
+// every stored level is recomputed and nothing the replica does not hold
+// is read.
 package cert
 
 import (

@@ -448,39 +448,20 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	if hp.distMBT == nil {
 		return nil
 	}
-	// The distance tree's leaves are digests of hyper-edge entries derived
-	// from the stored rows — just re-derived above — so re-hashing them
-	// (B² small entries, cheap) closes the leaf↔row binding before the
-	// interior fold pins the leaves to the root.
-	entries := hy.Entries() // leaf order
-	mt := hp.distMBT.MHT()
-	if mt.NumLeaves() != len(entries) {
-		return fmt.Errorf("%w: HYP distance tree has %d leaves, %d hyper-edges derived", cert.ErrRowDigest, mt.NumLeaves(), len(entries))
+	// The distance tree's entries are a function of the stored rows, just
+	// held to the certificate above. The tree keeps only its upper levels,
+	// so the audit re-hashes the entries group by group, checks each group
+	// against the stored level it folds into, folds the stored levels, and
+	// holds the root to the certificate's: a pass vouches for every digest
+	// the replica holds and every entry a proof can carry.
+	dt := hp.distMBT
+	if err := dt.Audit(); err != nil {
+		return fmt.Errorf("%w: HYP distance tree: %v", cert.ErrRowDigest, err)
 	}
-	halg := s.Cfg.Hash
-	var mu sync.Mutex
-	bad := -1 // lowest leaf that does not hash from its entry
-	par.Chunks(len(entries), 0, func(lo, hi int) {
-		buf, sum := make([]byte, 0, 16), make([]byte, 0, halg.Size())
-		for i := lo; i < hi; i++ {
-			buf = entries[i].AppendBinary(buf[:0])
-			if !bytes.Equal(halg.AppendSum(sum, buf), mt.Leaf(i)) {
-				mu.Lock()
-				if bad < 0 || i < bad {
-					bad = i
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	})
-	if bad >= 0 {
-		return fmt.Errorf("%w: HYP distance leaf %d does not hash from its hyper-edge entry", cert.ErrRowDigest, bad)
+	if !bytes.Equal(dt.Root(), mc.Roots[1]) {
+		return fmt.Errorf("%w: HYP distance tree root differs from certificate", cert.ErrRowDigest)
 	}
-	if err := cert.AuditTree(mt, mc.Roots[1], "HYP distance tree"); err != nil {
-		return err
-	}
-	return checkRootSig(v, hypDistCtx, mt.Root(), hp.distSig, "HYP distance")
+	return checkRootSig(v, hypDistCtx, dt.Root(), hp.distSig, "HYP distance")
 }
 
 // --- FULL ---

@@ -51,9 +51,8 @@ func (hypImpl) Outsource(o *Owner) (Provider, error) {
 		return nil, err
 	}
 	p := &HYPProvider{providerBase: providerBase{net, ads}, hyper: hyper}
-	entries := hyper.Entries()
-	if len(entries) > 0 {
-		p.distMBT, err = mbt.Build(o.cfg.Hash, o.cfg.Fanout, entries)
+	if n := hyper.NumHyperEdges(); n > 0 {
+		p.distMBT, err = mbt.Build(o.cfg.Hash, o.cfg.Fanout, n, hyper.AppendEntries)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
+	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
-	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/snapshot"
 )
 
@@ -27,7 +27,11 @@ func (hypImpl) SnapshotKind() uint32 { return snapKindHYP }
 // rowLen u32 | rows × rowLen × f64 | hasDist u8 [| dist tree] | network
 // tree. The partition (grid, cells, borders) is re-derived at load; the
 // materialized W* rows are the stored truth — and HYP's dominant payload,
-// hence streamed — and the hyper-edge entries are a function of them.
+// hence streamed — and the hyper-edge entries are a function of them. The
+// distance tree is written whole, its lower levels re-hashed from the
+// entries, so the file is what a tree holding every level wrote; a reader
+// keeps the levels from mbt.Cut up and nothing below them can reach a
+// proof.
 func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	hp, err := providerAs[*HYPProvider](HYP, p)
 	if err != nil {
@@ -44,7 +48,7 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	size := snapBytesSize(hp.netSig) + snapBytesSize(hp.distSig) + 1 + 4 + 4 + 1 +
 		8*uint64(numRows)*uint64(rowLen) + snapTreeSize(hp.ads.tree)
 	if hp.distMBT != nil {
-		size += snapTreeSize(hp.distMBT.MHT())
+		size += snapTreeSize(hp.distMBT)
 	}
 	return streamSection(sw, snapKindHYP, size, func(s *snapStream) {
 		s.bytes(hp.netSig)
@@ -65,7 +69,7 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 		}
 		if hp.distMBT != nil {
 			s.u8(1)
-			s.tree(hp.distMBT.MHT())
+			s.tree(hp.distMBT)
 		} else {
 			s.u8(0)
 		}
@@ -99,12 +103,17 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 		}
 	}
 	hasDist := c.u8()
-	var distTree *mht.Tree
 	if c.err == nil && hasDist > 1 {
 		c.fail("bad dist-tree flag %d", hasDist)
 	}
+	var alg digest.Alg
+	var fanout int
+	var widths []int
+	var stored [][]byte
 	if c.err == nil && hasDist == 1 {
-		distTree = c.tree()
+		// The distance tree keeps only its levels from mbt.Cut up; the file
+		// holds every level, and the lower ones are read past.
+		alg, fanout, widths, stored = c.treeLevels(mbt.Cut)
 	}
 	netTree := c.tree()
 	if err := c.finish("HYP"); err != nil {
@@ -112,8 +121,8 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	}
 	p2 := &HYPProvider{providerBase: providerBase{view: env.Graph}, hyper: hyper, netSig: netSig, distSig: distSig}
 	var err error
-	if distTree != nil {
-		p2.distMBT, err = mbt.RehydrateTree(distTree, hyper.NumHyperEdges())
+	if hasDist == 1 {
+		p2.distMBT, err = mbt.RehydrateTree(alg, fanout, hyper.NumHyperEdges(), widths, stored, hyper.AppendEntries)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}

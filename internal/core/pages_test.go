@@ -238,10 +238,12 @@ func BenchmarkUpdateStream(b *testing.B) {
 // across the whole churn stream — 16 perturbing updates and the 16 that
 // restore them: after each patch, every border's stored row, folded from
 // its tree, is bitwise a fresh DijkstraRow on the owner's current network,
-// and W* bitwise those rows' border values. Every eighth update W* is also
-// held to hiti.Build there, whose border searches stop early but settle
-// the borders as a full search does (hiti's checkExact pins that on every
-// repair it tests), so the full W* rebuild is not paid 32 times.
+// W* bitwise those rows' border values, and the distance tree the whole
+// tree over them (checkDistTree, on 512 benchmark-range queries). Every
+// eighth update W* is also held to hiti.Build there, whose border searches
+// stop early but settle the borders as a full search does (hiti's
+// checkExact pins that on every repair it tests), so the full W* rebuild
+// is not paid 32 times.
 func TestUpdateStreamRowsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32 row sets of fresh searches on the benchmark world")
@@ -252,6 +254,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	hyp := outsource[*HYPProvider](t, owner, HYP)
+	pairs := queryCells(t, hyp, 512)
 	same := func(a, b []mbt.Entry) bool {
 		return slices.EqualFunc(a, b, func(x, y mbt.Entry) bool {
 			return x.Key == y.Key && math.Float64bits(x.Value) == math.Float64bits(y.Value)
@@ -263,6 +266,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		hyp, _ = patch(t, batch, hyp)
+		checkDistTree(t, owner.cfg, hyp, pairs)
 		net, hy := owner.Graph(), hyp.hyper
 		bad := make([]string, len(hy.Borders))
 		wstar := make([][]float64, len(hy.Borders)) // border-indexed
@@ -286,7 +290,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 				t.Fatalf("update %d (%d→%d): %s", k, up.U, up.V, msg)
 			}
 		}
-		entries := hy.Entries()
+		entries := hy.AppendEntries(nil, 0, hy.NumHyperEdges())
 		for i, u := range hy.Borders {
 			for j, v := range hy.Borders[i:] {
 				if e := entries[hy.LeafIndex(u, v)]; math.Float64bits(e.Value) != math.Float64bits(wstar[i][i+j]) {
@@ -299,19 +303,29 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !same(entries, fresh.Entries()) {
+			if !same(entries, fresh.AppendEntries(nil, 0, fresh.NumHyperEdges())) {
 				t.Fatalf("update %d (%d→%d): W* differs from hiti.Build on the updated network", k, up.U, up.V)
 			}
 		}
 	}
 }
 
+// liveHeap returns the heap in use once collected.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the second cycle empties the scratch pools' victims
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestUpdateStreamLiveHeap guards what an update-serving deployment keeps
 // live: after the churn stream's 32 updates, the owner, its network and
-// the final DIJ, LDM and HYP providers hold at most 32 MB of heap once
+// the final DIJ, LDM and HYP providers hold at most 23 MB of heap once
 // collected. HYP's full rows as 8-byte values held 52.0 MB here; as trees
-// the set holds about 25 MB. The race detector's shadow state would count
-// against the bound, so it skips under -race.
+// 27.5 MB; with HYP's distance tree keeping only its top levels 19.7 MB.
+// The race detector's shadow state would count against the bound, so it
+// skips under -race.
 func TestUpdateStreamLiveHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates the heap")
@@ -338,21 +352,53 @@ func TestUpdateStreamLiveHeap(t *testing.T) {
 			}
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the second cycle empties the scratch pools' victims
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	with := heap()
+	with := liveHeap()
 	runtime.KeepAlive(owner)
 	runtime.KeepAlive(provs)
 	owner, provs = nil, nil
-	held := int64(with) - int64(heap())
+	held := int64(with) - int64(liveHeap())
 	t.Logf("the owner and its DIJ, LDM and HYP providers hold %.1f MB after %d updates", float64(held)/1e6, len(ups))
-	const limit = 32e6
+	const limit = 23e6
 	if held > limit {
 		t.Errorf("the owner and its providers hold %d B of live heap after the stream, want ≤ %d", held, int64(limit))
+	}
+}
+
+// TestReplicaLiveHeap is its replica counterpart: a lazily opened snapshot
+// of the benchmark world's DIJ, LDM and HYP providers, every section
+// hydrated, holds at most 9.2 MB of heap once collected — the network,
+// its ordering and the three providers: 8.0 MB measured, 15.7 MB while
+// HYP's distance tree kept every level.
+func TestReplicaLiveHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates the heap")
+	}
+	g, _ := updateStream(t, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := writeSnapshotFile(t, owner,
+		outsource[*DIJProvider](t, owner, DIJ),
+		outsource[*LDMProvider](t, owner, LDM),
+		outsource[*HYPProvider](t, owner, HYP))
+	g, owner = nil, nil
+	before := liveHeap()
+	set, err := OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for _, m := range []Method{DIJ, LDM, HYP} {
+		if _, err := unwrapProvider(set.Provider(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(set)
+	t.Logf("a hydrated DIJ+LDM+HYP replica holds %.1f MB", float64(held)/1e6)
+	const limit = 9.2e6
+	if held > limit {
+		t.Errorf("the replica holds %d B of live heap, want ≤ %d", held, int64(limit))
 	}
 }

@@ -366,21 +366,34 @@ func (s *snapStream) bytes(b []byte) {
 	s.write(b)
 }
 
+// snapTree is a Merkle tree as a snapshot holds it: every level, whether
+// the tree keeps it (mht.Tree) or regenerates it (mbt.Tree's lower levels).
+type snapTree interface {
+	Alg() digest.Alg
+	Fanout() int
+	Widths() []int
+	EachLevel(emit func(l int, digests []byte))
+}
+
 // tree streams a Merkle tree, every level verbatim:
 //
 //	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
 //
-// A level on disk is the slab it is in memory, so it goes out in one write
-// (and comes back in one read, snapCursor.tree).
-func (s *snapStream) tree(t *mht.Tree) {
-	levels, size := t.Levels(), t.Alg().Size()
+// A stored level on disk is the slab it is in memory, so it goes out in
+// one write (and comes back in one read, snapCursor.treeLevels).
+func (s *snapStream) tree(t snapTree) {
+	widths := t.Widths()
 	s.u8(byte(t.Alg()))
 	s.u16(uint16(t.Fanout()))
-	s.u32(uint32(len(levels)))
-	for _, lvl := range levels {
-		s.u32(uint32(len(lvl) / size))
-		s.write(lvl)
-	}
+	s.u32(uint32(len(widths)))
+	at := -1
+	t.EachLevel(func(l int, digests []byte) {
+		if l != at {
+			s.u32(uint32(widths[l]))
+			at = l
+		}
+		s.write(digests)
+	})
 }
 
 func (s *snapStream) flush() error {
@@ -394,10 +407,10 @@ func (s *snapStream) flush() error {
 // sections: what snapStream.bytes and snapStream.tree will write.
 func snapBytesSize(b []byte) uint64 { return 4 + uint64(len(b)) }
 
-func snapTreeSize(t *mht.Tree) uint64 {
+func snapTreeSize(t snapTree) uint64 {
 	total := uint64(1 + 2 + 4)
-	for _, lvl := range t.Levels() {
-		total += 4 + uint64(len(lvl))
+	for _, w := range t.Widths() {
+		total += 4 + uint64(w)*uint64(t.Alg().Size())
 	}
 	return total
 }
@@ -548,25 +561,7 @@ func decodeSnapOrdering(r *snapshot.SectionReader, numNodes int) (*order.Orderin
 }
 
 func (c *snapCursor) tree() *mht.Tree {
-	alg := digestAlg(c.u8())
-	if c.err == nil && !alg.Valid() {
-		c.fail("invalid tree hash algorithm %d", alg)
-		return nil
-	}
-	fanout := int(c.u16())
-	numLevels := int(c.u32())
-	size := alg.Size()
-	// Cap the up-front allocation: a fanout-2 tree over 2^32 leaves has 33
-	// levels, so any honest level count fits in 64; a lying one must not
-	// allocate ahead of the bytes that back it.
-	levels := make([][]byte, 0, min(numLevels, 64))
-	for l := 0; l < numLevels && c.err == nil; l++ {
-		width := int(c.u32())
-		// From the file straight into the slab the tree keeps. Sub-slicing
-		// a section read whole would pin it all — mostly hint rows, which
-		// are parsed into their own storage — for the provider's lifetime.
-		levels = append(levels, c.take(int64(width)*int64(size)))
-	}
+	alg, fanout, _, levels := c.treeLevels(nil)
 	if c.err != nil {
 		return nil
 	}
@@ -576,6 +571,43 @@ func (c *snapCursor) tree() *mht.Tree {
 		return nil
 	}
 	return t
+}
+
+// treeLevels reads a tree as snapStream.tree wrote it, with every level's
+// width, keeping the levels from cut(leaves, fanout) up (all of them when
+// cut is nil). A level below passes through the window — the section
+// checksum still covers it — and is dropped.
+func (c *snapCursor) treeLevels(cut func(n, fanout int) int) (alg digest.Alg, fanout int, widths []int, levels [][]byte) {
+	alg = digestAlg(c.u8())
+	if c.err == nil && !alg.Valid() {
+		c.fail("invalid tree hash algorithm %d", alg)
+		return
+	}
+	fanout = int(c.u16())
+	numLevels := int(c.u32())
+	size := int64(alg.Size())
+	// Cap the up-front allocation: a fanout-2 tree over 2^32 leaves has 33
+	// levels, so any honest level count fits in 64; a lying one must not
+	// allocate ahead of the bytes that back it.
+	widths = make([]int, 0, min(numLevels, 64))
+	levels = make([][]byte, 0, min(numLevels, 64))
+	from := 0
+	for l := 0; l < numLevels && c.err == nil; l++ {
+		width := int(c.u32())
+		widths = append(widths, width)
+		if l == 0 && cut != nil {
+			from = cut(width, fanout)
+		}
+		if l < from {
+			c.skip(int64(width) * size)
+			continue
+		}
+		// From the file straight into the slab the tree keeps. Sub-slicing
+		// a section read whole would pin it all — mostly hint rows, which
+		// are parsed into their own storage — for the provider's lifetime.
+		levels = append(levels, c.take(int64(width)*size))
+	}
+	return
 }
 
 // rehydrateADS rebuilds a networkADS from the loaded network, ordering and
@@ -654,6 +686,16 @@ func (c *snapCursor) take(n int64) []byte {
 	dst := make([]byte, n)
 	_, c.err = io.ReadFull(c.br, dst)
 	return dst
+}
+
+// skip reads past the next n bytes through the window.
+func (c *snapCursor) skip(n int64) {
+	if left := c.remaining(); c.err == nil && (n < 0 || n > left) {
+		c.fail("%d bytes claimed, %d left in the section", n, left)
+	}
+	if c.err == nil {
+		_, c.err = c.br.Discard(int(n))
+	}
 }
 
 func (c *snapCursor) u8() byte     { return c.raw(1)[0] }

@@ -404,10 +404,10 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 
 // Patch derives an updated HYP provider: the grid partition and border
 // sets never change under re-weighting, so the patch repairs every border
-// row's shortest-path tree, copy-on-write by page; rewrites the hyper-edge
-// entries whose values moved, read off the W* pages the new Hyper does not
-// share with the old (hiti holds the values' one home); and patches the
-// endpoints' tuples.
+// row's shortest-path tree, copy-on-write by page; re-hashes the distance
+// tree's groups holding a hyper-edge entry whose value moved, read off the
+// W* pages the new Hyper does not share with the old (hiti holds the
+// values' one home); and patches the endpoints' tuples.
 func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*HYPProvider](HYP, prov)
 	if err != nil {
@@ -442,13 +442,17 @@ func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 		entries, borders, st.RowBytesWritten = hyper.Moved(p.hyper)
 	}
 	st.Stale = stale(dirtyMsgs, borders)
-	if distMBT != nil && len(entries) > 0 {
-		if distMBT, err = distMBT.UpdateValues(entries); err != nil {
+	if distMBT != nil && hyper != p.hyper {
+		// The tree reads its entries from the Hyper it serves with, so it
+		// moves to the new one even when no value did.
+		if distMBT, err = distMBT.UpdateValues(hyper.AppendEntries, entries); err != nil {
 			return nil, nil, err
 		}
 		st.DistLeavesPatched = len(entries)
-		if distSig, err = b.owner.signRoot(hypDistCtx, distMBT.Root()); err != nil {
-			return nil, nil, err
+		if len(entries) > 0 {
+			if distSig, err = b.owner.signRoot(hypDistCtx, distMBT.Root()); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	netSig := p.netSig

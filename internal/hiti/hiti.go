@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -786,28 +787,59 @@ func (h *Hyper) LeafIndex(u, v graph.NodeID) int {
 	return block + a*(h.before[cv+1]-h.before[cv]) + b
 }
 
-// Entries materializes all hyper-edges as Merkle B-tree entries in strictly
-// increasing key order, including self-pairs (weight 0) so that border sets
-// of size one still yield a provable key set. Cell c's entries start at
-// first[c], so cells are filled in parallel.
-func (h *Hyper) Entries() []mbt.Entry {
-	out := make([]mbt.Entry, h.NumHyperEdges())
-	par.Work(len(h.cellBorders), func(c int) {
-		bc, k := h.cellBorders[c], h.first[c]
-		for d := c; d < len(h.cellBorders) && len(bc) > 0; d++ {
-			for i, u := range bc {
-				bd := h.cellBorders[d]
-				if d == c {
-					bd = bc[i:] // own cell: the u ≤ v triangle
+// AppendEntries appends the hyper-edge entries at leaf indices [lo, hi)
+// to dst, in leaf order — strictly increasing by key, self-pairs (weight
+// 0) included so that border sets of size one still yield a provable key
+// set — and returns the extended slice: the distance tree's mbt.Source.
+// The first entry is located by LeafIndex's arithmetic run backwards, the
+// rest by stepping through the layout, so a range costs its length.
+func (h *Hyper) AppendEntries(dst []mbt.Entry, lo, hi int) []mbt.Entry {
+	if lo >= hi {
+		return dst
+	}
+	cells := len(h.cellBorders)
+	// Cell c's run holds leaves [first[c], first[c+1]); an empty cell's is
+	// empty, so the search lands on the cell holding lo.
+	c := sort.Search(cells, func(c int) bool { return h.first[c+1] > lo })
+	k := len(h.cellBorders[c])
+	d, a, b := c, 0, 0
+	if r := lo - h.first[c]; r < k*(k+1)/2 {
+		// The triangle: row a holds k-a pairs.
+		for ; r >= k-a; a++ {
+			r -= k - a
+		}
+		b = a + r
+	} else {
+		// The blocks: cell d's is k × (its border count), c's border major.
+		r -= k * (k + 1) / 2
+		d = c + 1 + sort.Search(cells-c-1, func(i int) bool { return h.before[c+2+i]-h.before[c+1] > r/k })
+		r -= k * (h.before[d] - h.before[c+1])
+		a, b = r/len(h.cellBorders[d]), r%len(h.cellBorders[d])
+	}
+	for i := lo; i < hi; i++ {
+		bc, bd := h.cellBorders[c], h.cellBorders[d]
+		dst = append(dst, h.entry(bc[a], bd[b]))
+		if b++; b < len(bd) {
+			continue
+		}
+		if a++; a == len(bc) {
+			// The next cell with borders: above d in c's run, else the
+			// next run's own triangle.
+			a = 0
+			for d++; d < cells && len(h.cellBorders[d]) == 0; d++ {
+			}
+			if d == cells {
+				for c++; c < cells && len(h.cellBorders[c]) == 0; c++ {
 				}
-				for _, v := range bd {
-					out[k] = h.entry(u, v)
-					k++
-				}
+				d = c
 			}
 		}
-	})
-	return out
+		b = 0
+		if d == c {
+			b = a
+		}
+	}
+	return dst
 }
 
 // NumHyperEdges returns the number of canonical hyper-edge entries.

@@ -219,6 +219,46 @@ func distOr(m map[graph.NodeID]float64, v graph.NodeID) float64 {
 	return math.MaxFloat64
 }
 
+// allEntries is every hyper-edge entry of h, in leaf order.
+func allEntries(h *Hyper) []mbt.Entry { return h.AppendEntries(nil, 0, h.NumHyperEdges()) }
+
+// TestAppendEntriesRanges: every range is the matching slice of the whole
+// entry list, which is strictly increasing by key and puts each border
+// pair at its LeafIndex — including worlds whose cells hold no border.
+func TestAppendEntriesRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, cells := range []int{4, 16, 64} {
+		g := spatialGraph(rng, 120)
+		h, err := Build(g.Freeze(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := allEntries(h)
+		n := h.NumHyperEdges()
+		if len(all) != n {
+			t.Fatalf("%d cells: %d entries, want %d", cells, len(all), n)
+		}
+		for i := 1; i < n; i++ {
+			if all[i].Key <= all[i-1].Key {
+				t.Fatalf("%d cells: entry %d does not follow entry %d", cells, i, i-1)
+			}
+		}
+		for i, u := range h.Borders {
+			for _, v := range h.Borders[i:] {
+				if e := all[h.LeafIndex(u, v)]; e != h.entry(u, v) {
+					t.Fatalf("%d cells: leaf %d holds %v, want pair (%d, %d)", cells, h.LeafIndex(u, v), e, u, v)
+				}
+			}
+		}
+		for lo := 0; lo < n; lo += 1 + rng.Intn(7) {
+			hi := min(n, lo+rng.Intn(40))
+			if got := h.AppendEntries(nil, lo, hi); !slices.Equal(got, all[lo:hi]) {
+				t.Fatalf("%d cells: entries [%d, %d) differ from the whole list's", cells, lo, hi)
+			}
+		}
+	}
+}
+
 func TestEntriesCoverAllPairsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := spatialGraph(rng, 80)
@@ -226,7 +266,7 @@ func TestEntriesCoverAllPairsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := h.Entries()
+	entries := allEntries(h)
 	if len(entries) != h.NumHyperEdges() {
 		t.Fatalf("%d entries, want %d", len(entries), h.NumHyperEdges())
 	}
@@ -332,7 +372,7 @@ func TestSingleCellNoBorders(t *testing.T) {
 	if h.NumBorders() != 0 {
 		t.Errorf("single cell has %d borders", h.NumBorders())
 	}
-	if len(h.Entries()) != 0 {
+	if len(allEntries(h)) != 0 {
 		t.Error("single cell has hyper-edges")
 	}
 	// Same-cell coarse distance must still work (pure intra-cell Dijkstra).
@@ -399,7 +439,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 				singleCells++
 			}
 		}
-		entries := h.Entries()
+		entries := allEntries(h)
 		if len(entries) != h.NumHyperEdges() {
 			t.Fatalf("seed %d p=%d: %d entries, want %d", seed, p, len(entries), h.NumHyperEdges())
 		}
@@ -447,7 +487,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 		}
 		patched, _, _ := fullRows(t, g, h).WithRepairedRows(steps)
 		moved, _, _ := patched.Moved(h)
-		after := patched.Entries()
+		after := allEntries(patched)
 		for _, e := range moved {
 			if int(e.Index) >= len(after) || after[e.Index] != e.Entry {
 				t.Fatalf("seed %d p=%d: moved entry %+v is not leaf %d", seed, p, e.Entry, e.Index)
@@ -473,7 +513,7 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := h.Entries()
+	entries := allEntries(h)
 	cells := h.Grid.NumCells()
 	for cs := 0; cs < cells; cs++ {
 		for ct := 0; ct < cells; ct++ {
@@ -518,7 +558,7 @@ func TestCellPairAndMovedEntries(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("stretching two borders' edges moved no row")
 	}
-	after := patched.Entries()
+	after := allEntries(patched)
 	for _, old := range []*Hyper{h, full} {
 		moved := old.movedAgainst(t, patched)
 		want := 0
@@ -621,7 +661,7 @@ func checkExact(t *testing.T, h *Hyper, net *graph.CSR, cells int, what string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := h.Entries(), fresh.Entries(); !slices.EqualFunc(a, b, func(x, y mbt.Entry) bool {
+	if a, b := allEntries(h), allEntries(fresh); !slices.EqualFunc(a, b, func(x, y mbt.Entry) bool {
 		return x.Key == y.Key && math.Float64bits(x.Value) == math.Float64bits(y.Value)
 	}) {
 		t.Fatalf("%s: W* differs from a fresh Build's", what)
@@ -729,7 +769,7 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 		if !slices.EqualFunc(rows, rowsOf(back), slices.Equal) {
 			t.Fatal("rehydrated rows differ from the saved ones")
 		}
-		if a, b := back.Entries(), c.hy.Entries(); !slices.Equal(a, b) {
+		if a, b := allEntries(back), allEntries(c.hy); !slices.Equal(a, b) {
 			t.Fatal("rehydrated rows carry different entries")
 		}
 	}

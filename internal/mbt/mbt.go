@@ -6,8 +6,10 @@
 //
 // Two variants are provided:
 //
-//   - Tree: an in-memory tree over an explicit sorted key set (HYP's
-//     hyper-edge distances, where only border pairs are materialized).
+//   - Tree: a tree over an explicit sorted key set (HYP's hyper-edge
+//     distances, where only border pairs are materialized), which keeps
+//     only its upper Merkle levels and regenerates the rest from the
+//     caller's entries on demand.
 //   - Forest: a two-level tree over the implicit |V|×|V| all-pairs matrix
 //     (FULL), which never holds the quadratic matrix in memory: per-source
 //     row subtrees are folded into a root during construction and
@@ -20,10 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
-	"github.com/authhints/spv/internal/par"
 )
 
 // Key is the composite (vi.id, vj.id) search key.
@@ -62,97 +64,154 @@ func decodeEntry(buf []byte) (Entry, error) {
 	}, nil
 }
 
-// Tree is the Merkle B-tree over an explicit key set: the Merkle tree alone.
-// The (key, value) pairs have one home, the caller's — HYP's are a function
-// of hiti's border rows — so proofs and patches take the entries together
-// with their leaf indices and nothing here mirrors them.
+// GroupLeaves is G, the leaf count of the groups a Tree regenerates: the
+// tree stores only its levels from the one with at most ⌈n/G⌉ nodes up.
+// On the benchmark world's HYP tree (206,403 leaves, fanout 2, SHA-1)
+// that keeps 0.52 MB of the 8.26 MB a whole tree holds. G = 8 would keep
+// 1.03 MB — resident on every replica and copied by every patch — to save
+// a HYP proof about 5 µs of the 9–10 µs of re-hashing it pays at G = 16
+// (DESIGN §4.1).
+const GroupLeaves = 16
+
+// Source appends the entries at leaf indices [lo, hi) to dst, in leaf
+// order — strictly increasing by key — and returns the extended slice.
+// Tree's whole-tree passes call it from several goroutines at once.
+type Source func(dst []Entry, lo, hi int) []Entry
+
+// Tree is the Merkle B-tree over an explicit key set (HYP's hyper-edge
+// distances). It stores only the Merkle levels whose nodes cover about
+// GroupLeaves leaves or more (mht.Top): the entries have one home, the
+// caller's Source — HYP's are a function of hiti's border rows — and the
+// leaf digests and lower levels are a function of the entries, so every
+// proof, patch, level write and audit re-hashes the groups it needs from
+// the Source, the way Forest regenerates rows.
 type Tree struct {
-	mt *mht.Tree
+	top *mht.Top
+	src Source
 }
 
-// leafSlab hashes entries into a leaf slab, in parallel for large inputs.
-func leafSlab(alg digest.Alg, n int, entry func(i int) Entry) []byte {
-	size := alg.Size()
-	slab := make([]byte, n*size)
-	par.Chunks(n, 0, func(lo, hi int) {
-		var buf [entrySize]byte
-		for i := lo; i < hi; i++ {
-			alg.AppendSum(slab[i*size:i*size:(i+1)*size], entry(i).AppendBinary(buf[:0]))
-		}
-	})
-	return slab
+// entryBufs pools the entry runs appendLeaves reads a Source into.
+var entryBufs = sync.Pool{New: func() any { return new([]Entry) }}
+
+// leaves is the tree's mht.LeafFn: the digests of entries [lo, hi).
+func (t *Tree) leaves(dst []byte, lo, hi int) []byte {
+	return appendLeaves(dst, t.top.Alg(), t.src, lo, hi)
 }
 
-// Build constructs a tree from entries, which must be strictly increasing
-// by key: callers own the leaf order and emit it by construction, so the
-// one comparison rejects out-of-order and duplicate keys alike and nothing
-// here clones or sorts.
-func Build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
-	if len(entries) == 0 {
+// appendLeaves appends the leaf digests of src's entries [lo, hi) to dst.
+func appendLeaves(dst []byte, alg digest.Alg, src Source, lo, hi int) []byte {
+	buf := entryBufs.Get().(*[]Entry)
+	*buf = src((*buf)[:0], lo, hi)
+	var msg [entrySize]byte
+	for _, e := range *buf {
+		dst = alg.AppendSum(dst, e.AppendBinary(msg[:0]))
+	}
+	entryBufs.Put(buf)
+	return dst
+}
+
+// Build constructs the tree over src's n entries, which must be strictly
+// increasing by key: callers own the leaf order and emit it by
+// construction, so the one comparison rejects out-of-order and duplicate
+// keys alike and nothing here sorts. Neither the entries nor their digests
+// are ever held all at once.
+func Build(alg digest.Alg, fanout, n int, src Source) (*Tree, error) {
+	if n <= 0 {
 		return nil, errors.New("mbt: no entries")
 	}
 	if !alg.Valid() {
 		return nil, fmt.Errorf("mbt: invalid hash algorithm %d", alg)
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Key <= entries[i-1].Key {
-			return nil, fmt.Errorf("mbt: key %d at entry %d does not follow key %d", entries[i].Key, i, entries[i-1].Key)
+	const run = 4096
+	buf := make([]Entry, 0, run)
+	var prev Key
+	for lo := 0; lo < n; lo += run {
+		buf = src(buf[:0], lo, min(lo+run, n))
+		for i, e := range buf {
+			if lo+i > 0 && e.Key <= prev {
+				return nil, fmt.Errorf("mbt: key %d at entry %d does not follow key %d", e.Key, lo+i, prev)
+			}
+			prev = e.Key
 		}
 	}
-	mt, err := mht.Build(alg, fanout, leafSlab(alg, len(entries), func(i int) Entry { return entries[i] }))
+	top, err := mht.BuildTop(alg, fanout, n, GroupLeaves, func(dst []byte, lo, hi int) []byte {
+		return appendLeaves(dst, alg, src, lo, hi)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{mt: mt}, nil
+	return &Tree{top: top, src: src}, nil
 }
 
-// UpdateValues returns a tree in which each given entry replaces the one at
-// its leaf index; callers hand over only entries whose value moved (the key
-// set never changes under edge re-weighting). Only the dirty Merkle paths
-// are rehashed and the receiver stays valid for concurrent readers.
-// Byte-identical to Build over the patched entry set.
-func (t *Tree) UpdateValues(entries []ProvenEntry) (*Tree, error) {
-	if len(entries) == 0 {
-		return t, nil
+// UpdateValues returns the tree over src, whose entries differ from the
+// receiver's exactly at moved's leaf indices — callers hand over only
+// entries whose value moved (the key set never changes under edge
+// re-weighting), and src is the new home of every value. The groups
+// holding a moved entry are re-hashed and only the stored levels are
+// copied; the receiver stays valid for concurrent readers. Byte-identical
+// to Build over src. With nothing moved the result shares the receiver's
+// levels, bound to src.
+func (t *Tree) UpdateValues(src Source, moved []ProvenEntry) (*Tree, error) {
+	dirty := make([]int, len(moved))
+	for k, e := range moved {
+		dirty[k] = int(e.Index)
 	}
-	alg := t.mt.Alg()
-	slab := leafSlab(alg, len(entries), func(i int) Entry { return entries[i].Entry })
-	size := alg.Size()
-	dirty := make(map[int][]byte, len(entries))
-	for n, e := range entries {
-		dirty[int(e.Index)] = slab[n*size : (n+1)*size]
-	}
-	mt, err := t.mt.UpdateLeaves(dirty)
+	top, err := t.top.UpdateLeaves(dirty, func(dst []byte, lo, hi int) []byte {
+		return appendLeaves(dst, t.top.Alg(), src, lo, hi)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{mt: mt}, nil
+	return &Tree{top: top, src: src}, nil
 }
 
-// MHT exposes the underlying Merkle tree for snapshot serialization
-// (dehydration); pair with RehydrateTree. Read-only.
-func (t *Tree) MHT() *mht.Tree { return t.mt }
+// Cut returns the lowest level a tree over n entries under fanout stores:
+// what a snapshot reader keeps from (0 for shapes no tree has).
+func Cut(n, fanout int) int { return mht.TopCut(n, fanout, GroupLeaves) }
 
-// RehydrateTree wraps an already rehydrated Merkle tree — the snapshot load
-// path, which hashes nothing and touches no entry. n is the entry count the
-// caller's key layout implies and must match the tree's leaf count. Digest
-// values are trusted (see mht.Rehydrate): a lying snapshot produces proofs
-// that fail client verification, nothing worse.
-func RehydrateTree(mt *mht.Tree, n int) (*Tree, error) {
-	if mt == nil {
-		return nil, errors.New("mbt: nil merkle tree")
+// RehydrateTree reconstructs a tree from the level widths of the whole
+// Merkle tree and its stored levels, Cut and above — the snapshot load
+// path, which hashes nothing and touches no entry. n is the entry count
+// the caller's key layout implies and must be the widths' leaf count.
+// Digest values are trusted (see mht.Rehydrate): a lying snapshot produces
+// proofs that fail client verification, nothing worse, and the
+// certificate audit finds it.
+func RehydrateTree(alg digest.Alg, fanout, n int, widths []int, stored [][]byte, src Source) (*Tree, error) {
+	if len(widths) == 0 || widths[0] != n {
+		return nil, fmt.Errorf("mbt: level widths do not describe %d entries", n)
 	}
-	if n != mt.NumLeaves() {
-		return nil, fmt.Errorf("mbt: %d entries for %d leaves", n, mt.NumLeaves())
+	top, err := mht.RehydrateTop(alg, fanout, GroupLeaves, widths, stored)
+	if err != nil {
+		return nil, err
 	}
-	return &Tree{mt: mt}, nil
+	return &Tree{top: top, src: src}, nil
 }
 
 // Root returns the signed-root digest of the tree.
-func (t *Tree) Root() []byte { return t.mt.Root() }
+func (t *Tree) Root() []byte { return t.top.Root() }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.mt.NumLeaves() }
+func (t *Tree) Len() int { return t.top.NumLeaves() }
+
+// Alg returns the tree's hash algorithm.
+func (t *Tree) Alg() digest.Alg { return t.top.Alg() }
+
+// Fanout returns the tree's fanout.
+func (t *Tree) Fanout() int { return t.top.Fanout() }
+
+// Widths returns the width of every level of the Merkle tree, leaves
+// first. Read-only.
+func (t *Tree) Widths() []int { return t.top.Widths() }
+
+// EachLevel calls emit with every level of the Merkle tree in order, in
+// pieces valid only during the call (see mht.Top.EachLevel): how a
+// snapshot writes every level, the ones the tree does not store included.
+func (t *Tree) EachLevel(emit func(l int, digests []byte)) { t.top.EachLevel(t.leaves, emit) }
+
+// Audit re-hashes every entry the Source holds, group by group, and folds
+// the groups into the stored levels (mht.Top.Audit): a pass and a root
+// equal to a trusted one vouch for every entry.
+func (t *Tree) Audit() error { return t.top.Audit(t.leaves) }
 
 // ProvenEntry is an entry plus its leaf position, as carried in proofs.
 type ProvenEntry struct {
@@ -171,7 +230,8 @@ type Proof struct {
 // Prove builds a proof for the given entries, which the caller derives from
 // its key layout (value and leaf index both) and which the proof retains,
 // in the order given. An entry that is not what its leaf was built from is
-// not detected here: it fails the client's root check.
+// not detected here: it fails the client's root check. The proof holds
+// nothing of the scratch.
 func (t *Tree) Prove(s *mht.ProveScratch, entries []ProvenEntry) (*Proof, error) {
 	if len(entries) == 0 {
 		return nil, errors.New("mbt: no leaves to prove")
@@ -180,7 +240,7 @@ func (t *Tree) Prove(s *mht.ProveScratch, entries []ProvenEntry) (*Proof, error)
 	for n, e := range entries {
 		idx[n] = int(e.Index)
 	}
-	mp, err := t.mt.ProveWith(s, idx)
+	mp, err := t.top.ProveWith(s, t.leaves, idx)
 	if err != nil {
 		return nil, err
 	}

@@ -6,12 +6,38 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
 )
+
+// sliceSource is a Source over an entry slice.
+func sliceSource(entries []Entry) Source {
+	return func(dst []Entry, lo, hi int) []Entry { return append(dst, entries[lo:hi]...) }
+}
+
+// build is Build over an entry slice.
+func build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
+	return Build(alg, fanout, len(entries), sliceSource(entries))
+}
+
+// levels returns every level of tr's Merkle tree, as a snapshot writes
+// them.
+func levels(tr *Tree) [][]byte {
+	out := make([][]byte, len(tr.Widths()))
+	tr.EachLevel(func(l int, b []byte) { out[l] = append(out[l], b...) })
+	return out
+}
+
+// stored returns copies of the levels tr keeps, the ones a snapshot
+// reader hands RehydrateTree.
+func stored(tr *Tree) [][]byte {
+	out := levels(tr)
+	return out[Cut(tr.Len(), tr.Fanout()):]
+}
 
 func testEntries(n int) []Entry {
 	out := make([]Entry, 0, n)
@@ -63,10 +89,10 @@ func TestMakeKeySplit(t *testing.T) {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(digest.SHA1, 4, nil); err == nil {
+	if _, err := Build(digest.SHA1, 4, 0, sliceSource(nil)); err == nil {
 		t.Error("empty entries accepted")
 	}
-	if _, err := Build(digest.Alg(99), 4, testEntries(3)); err == nil {
+	if _, err := build(digest.Alg(99), 4, testEntries(3)); err == nil {
 		t.Error("invalid hash algorithm accepted")
 	}
 }
@@ -74,31 +100,37 @@ func TestBuildRejectsBadInput(t *testing.T) {
 // TestLeafOrderIsTheCallers pins the ordering contract: Build takes entries
 // strictly increasing by key and rejects anything else — a duplicate or a
 // descent, near the front, at the back or in between — instead of sorting
-// behind the caller's back; RehydrateTree holds the caller's layout to the
-// tree's leaf count.
+// behind the caller's back; RehydrateTree holds the level widths to the
+// shape of their leaf count, and the stored levels to the cut.
 func TestLeafOrderIsTheCallers(t *testing.T) {
 	good := testEntries(40)
-	tr, err := Build(digest.SHA1, 4, good)
+	tr, err := build(digest.SHA1, 4, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re, err := RehydrateTree(tr.MHT(), len(good)); err != nil || re.Len() != 40 || !bytes.Equal(re.Root(), tr.Root()) {
+	if re, err := RehydrateTree(digest.SHA1, 4, 40, tr.Widths(), stored(tr), sliceSource(good)); err != nil || re.Len() != 40 || !bytes.Equal(re.Root(), tr.Root()) {
 		t.Fatalf("matching leaf count rejected on rehydrate: %v", err)
 	}
 	for _, at := range []int{2, 20, 39} {
 		for name, key := range map[string]Key{"duplicate": good[at-1].Key, "descending": good[at-1].Key - 1} {
 			bad := slices.Clone(good)
 			bad[at].Key = key
-			if _, err := Build(digest.SHA1, 4, bad); err == nil {
+			if _, err := build(digest.SHA1, 4, bad); err == nil {
 				t.Errorf("Build accepted a %s key at entry %d", name, at)
 			}
 		}
 	}
-	if _, err := RehydrateTree(tr.MHT(), 39); err == nil {
+	if _, err := RehydrateTree(digest.SHA1, 4, 39, tr.Widths(), stored(tr), sliceSource(good)); err == nil {
 		t.Error("RehydrateTree accepted fewer entries than leaves")
 	}
-	if _, err := RehydrateTree(nil, 40); err == nil {
-		t.Error("RehydrateTree accepted a nil Merkle tree")
+	if _, err := RehydrateTree(digest.SHA1, 4, 40, []int{40, 11, 3, 1}, stored(tr), sliceSource(good)); err == nil {
+		t.Error("RehydrateTree accepted widths no 40-leaf tree has")
+	}
+	if _, err := RehydrateTree(digest.SHA1, 4, 40, tr.Widths(), stored(tr)[1:], sliceSource(good)); err == nil {
+		t.Error("RehydrateTree accepted a stored level short")
+	}
+	if _, err := RehydrateTree(digest.SHA1, 4, 40, nil, nil, sliceSource(good)); err == nil {
+		t.Error("RehydrateTree accepted no levels")
 	}
 }
 
@@ -107,19 +139,19 @@ func TestLeafOrderIsTheCallers(t *testing.T) {
 // leaf index outside the tree is refused.
 func TestUpdateValuesMatchesRebuild(t *testing.T) {
 	entries := testEntries(60)
-	tr, _ := Build(digest.SHA1, 4, entries)
+	tr, _ := build(digest.SHA1, 4, entries)
 	oldRoot := bytes.Clone(tr.Root())
 	patch := []ProvenEntry{
 		{Entry: Entry{Key: entries[7].Key, Value: 99}, Index: 7},
 		{Entry: Entry{Key: entries[59].Key, Value: -1}, Index: 59},
 	}
-	nt, err := tr.UpdateValues(patch)
+	patched := slices.Clone(entries)
+	patched[7].Value, patched[59].Value = 99, -1
+	nt, err := tr.UpdateValues(sliceSource(patched), patch)
 	if err != nil {
 		t.Fatalf("UpdateValues: %v", err)
 	}
-	patched := slices.Clone(entries)
-	patched[7].Value, patched[59].Value = 99, -1
-	want, _ := Build(digest.SHA1, 4, patched)
+	want, _ := build(digest.SHA1, 4, patched)
 	if !bytes.Equal(nt.Root(), want.Root()) {
 		t.Error("patched root differs from a rebuild")
 	}
@@ -130,16 +162,16 @@ func TestUpdateValuesMatchesRebuild(t *testing.T) {
 	if p, err := tr.Prove(&s, proven(entries, 7, 59)); err != nil || p.Verify(oldRoot) != nil {
 		t.Errorf("the receiver was modified: %v", err)
 	}
-	if same, err := tr.UpdateValues(nil); err != nil || same != tr {
-		t.Error("an empty patch should return the receiver")
+	if same, err := tr.UpdateValues(sliceSource(entries), nil); err != nil || !bytes.Equal(same.Root(), oldRoot) {
+		t.Error("an empty patch should keep the receiver's levels")
 	}
-	if _, err := tr.UpdateValues([]ProvenEntry{{Entry: entries[7], Index: 60}}); err == nil {
+	if _, err := tr.UpdateValues(sliceSource(entries), []ProvenEntry{{Entry: entries[7], Index: 60}}); err == nil {
 		t.Error("leaf 60 of 60 accepted")
 	}
 }
 
 func TestProveVerifySingleKey(t *testing.T) {
-	tr, _ := Build(digest.SHA1, 4, testEntries(50))
+	tr, _ := build(digest.SHA1, 4, testEntries(50))
 	p, err := proveKeys(tr, testEntries(tr.Len()), []Key{MakeKey(3, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +190,7 @@ func TestProveVerifySingleKey(t *testing.T) {
 
 func TestProveVerifyMultiKeyProperty(t *testing.T) {
 	entries := testEntries(200)
-	tr, _ := Build(digest.SHA1, 8, entries)
+	tr, _ := build(digest.SHA1, 8, entries)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(20)
@@ -190,7 +222,7 @@ func TestProveVerifyMultiKeyProperty(t *testing.T) {
 
 func TestProveRejectsBadIndices(t *testing.T) {
 	entries := testEntries(10)
-	tr, _ := Build(digest.SHA1, 4, entries)
+	tr, _ := build(digest.SHA1, 4, entries)
 	var s mht.ProveScratch
 	for _, idx := range [][]uint32{nil, {10}, {1 << 31}, {3, 11}} {
 		ask := make([]ProvenEntry, len(idx))
@@ -208,7 +240,7 @@ func TestProveRejectsBadIndices(t *testing.T) {
 // index that is not the leaf's fails verification.
 func TestProveBindsEntriesToTheirLeaves(t *testing.T) {
 	entries := testEntries(50)
-	tr, _ := Build(digest.SHA1, 4, entries)
+	tr, _ := build(digest.SHA1, 4, entries)
 	var s mht.ProveScratch
 	honest, err := tr.Prove(&s, proven(entries, 4, 5, 40))
 	if err != nil || honest.Verify(tr.Root()) != nil {
@@ -230,7 +262,7 @@ func TestProveBindsEntriesToTheirLeaves(t *testing.T) {
 }
 
 func TestProofTamperDetection(t *testing.T) {
-	tr, _ := Build(digest.SHA1, 4, testEntries(64))
+	tr, _ := build(digest.SHA1, 4, testEntries(64))
 	key := MakeKey(4, 4)
 
 	// Inflated distance value.
@@ -253,14 +285,14 @@ func TestProofTamperDetection(t *testing.T) {
 	}
 	// Foreign root.
 	p4, _ := proveKeys(tr, testEntries(tr.Len()), []Key{key})
-	other, _ := Build(digest.SHA1, 4, testEntries(63))
+	other, _ := build(digest.SHA1, 4, testEntries(63))
 	if err := p4.Verify(other.Root()); err == nil {
 		t.Error("proof verified against foreign root")
 	}
 }
 
 func TestProofSerializationRoundTrip(t *testing.T) {
-	tr, _ := Build(digest.SHA256, 4, testEntries(100))
+	tr, _ := build(digest.SHA256, 4, testEntries(100))
 	p, _ := proveKeys(tr, testEntries(tr.Len()), []Key{MakeKey(0, 0), MakeKey(14, 1)})
 	enc := p.AppendBinary(nil)
 	if len(enc) != p.EncodedSize() {
@@ -442,7 +474,7 @@ func TestForestMatchesExplicitTree(t *testing.T) {
 			entries = append(entries, Entry{Key: MakeKey(uint32(i), uint32(j)), Value: m[i][j]})
 		}
 	}
-	tr, err := Build(digest.SHA1, 3, entries)
+	tr, err := build(digest.SHA1, 3, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,5 +513,210 @@ func TestForestRootChangesWithData(t *testing.T) {
 	f2, _ := b.Finish(func(i int) []float64 { return m[i] })
 	if bytes.Equal(f1.Root(), f2.Root()) {
 		t.Error("different matrices produced identical roots")
+	}
+}
+
+// fullTree is the whole Merkle tree Build's stored levels are the top of:
+// mht.Build over every entry's leaf digest.
+func fullTree(t testing.TB, alg digest.Alg, fanout int, entries []Entry) *mht.Tree {
+	t.Helper()
+	mt, err := mht.Build(alg, fanout, appendLeaves(nil, alg, sliceSource(entries), 0, len(entries)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}
+
+// sameAsFull holds tr to the whole tree over entries: the root, every
+// level byte for byte, and the proof of each index set.
+func sameAsFull(t *testing.T, tr *Tree, entries []Entry, sets [][]int) {
+	t.Helper()
+	full := fullTree(t, tr.Alg(), tr.Fanout(), entries)
+	if !bytes.Equal(tr.Root(), full.Root()) {
+		t.Fatalf("%d entries, fanout %d: root differs from the whole tree's", len(entries), tr.Fanout())
+	}
+	got := levels(tr)
+	for l, want := range full.Levels() {
+		if !bytes.Equal(got[l], want) {
+			t.Fatalf("%d entries, fanout %d: level %d differs from the whole tree's", len(entries), tr.Fanout(), l)
+		}
+	}
+	var s mht.ProveScratch
+	for _, idx := range sets {
+		p, err := tr.Prove(&s, proven(entries, idx...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := full.Prove(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (&Proof{Entries: proven(entries, idx...), MHT: mp}).AppendBinary(nil)
+		if got := p.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%d entries, fanout %d: proof of %v differs from the whole tree's", len(entries), tr.Fanout(), idx)
+		}
+	}
+}
+
+// TestTreeMatchesFullBuild: a tree that stores only its top is the whole
+// tree to every reader — root, level bytes and proofs, for single leaves,
+// runs that start and end inside groups, whole groups and scattered sets,
+// before and after UpdateValues — across leaf counts around the group
+// size and fanouts whose B⁺ grouping leaves groups of unequal spans.
+func TestTreeMatchesFullBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 15, 16, 17, 31, 100, 1000, 4099} {
+		for _, fanout := range []int{2, 3, 4, 7} {
+			entries := testEntries(n)
+			tr, err := build(digest.SHA1, fanout, entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets := [][]int{{0}, {n - 1}}
+			for k := 0; k < 12; k++ {
+				lo := rng.Intn(n)
+				hi := min(n, lo+1+rng.Intn(3*GroupLeaves))
+				run := make([]int, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					run = append(run, i)
+				}
+				rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+				scattered := make([]int, 1+rng.Intn(8))
+				for i := range scattered {
+					scattered[i] = rng.Intn(n)
+				}
+				sets = append(sets, run, scattered)
+			}
+			sameAsFull(t, tr, entries, sets)
+
+			patched := slices.Clone(entries)
+			var moved []ProvenEntry
+			for k := 0; k < 1+n/10; k++ {
+				i := rng.Intn(n)
+				patched[i].Value = rng.Float64()
+				moved = append(moved, ProvenEntry{Entry: patched[i], Index: uint32(i)})
+			}
+			nt, err := tr.UpdateValues(sliceSource(patched), moved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsFull(t, nt, patched, sets)
+			sameAsFull(t, tr, entries, sets[:2]) // the receiver is untouched
+		}
+	}
+}
+
+// TestTreeAuditFindsTheGroup: Audit passes a tree whose Source is the one
+// it was built over, and names the stored digest above an entry whose
+// value the Source no longer gives.
+func TestTreeAuditFindsTheGroup(t *testing.T) {
+	entries := testEntries(1000)
+	tr, err := build(digest.SHA1, 2, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Audit(); err != nil {
+		t.Fatalf("clean tree: %v", err)
+	}
+	bad := slices.Clone(entries)
+	bad[517].Value++
+	re, err := RehydrateTree(digest.SHA1, 2, len(bad), tr.Widths(), stored(tr), sliceSource(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Audit(); err == nil || !strings.Contains(err.Error(), "does not fold") {
+		t.Fatalf("entry 517 moved under the stored levels: got %v", err)
+	}
+}
+
+// hypShape is the benchmark world's HYP distance tree: 206,403 entries
+// (642 borders), fanout 2, SHA-1, over a slice standing in for hiti's
+// border rows.
+func hypShape(b *testing.B) (*Tree, []Entry) {
+	b.Helper()
+	const n = 206403
+	rng := rand.New(rand.NewSource(1))
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: MakeKey(uint32(i>>10), uint32(i&1023)), Value: rng.Float64() * 1e4}
+	}
+	tr, err := build(digest.SHA1, 2, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, entries
+}
+
+// hypBlocks are a HYP proof's hyper-edge blocks on that world, as
+// internal/mht's BenchmarkProve lays them out: 65 leaves in one ascending
+// run (median) and 210 in 140 runs (p90), each 8 leaves into a group.
+func hypBlocks(entries []Entry) map[string][]ProvenEntry {
+	block := func(first, count, runs int) []ProvenEntry {
+		starts := make([]int, runs+1)
+		starts[runs] = first + count
+		for r, at := 0, first; r < runs; r++ {
+			starts[r] = at
+			at += count / runs
+			if r < count%runs {
+				at++
+			}
+		}
+		var idx []int
+		for r := runs - 1; r >= 0; r-- {
+			for i := starts[r]; i < starts[r+1]; i++ {
+				idx = append(idx, i)
+			}
+		}
+		return proven(entries, idx...)
+	}
+	return map[string][]ProvenEntry{"p50": block(100008, 65, 1), "p90": block(100008, 210, 140)}
+}
+
+var benchSink any
+
+// BenchmarkTreeProve proves the median and p90 hyper-edge blocks of a HYP
+// query against the stored-top tree: the proof plus the groups it
+// re-hashes from the entries.
+func BenchmarkTreeProve(b *testing.B) {
+	tr, entries := hypShape(b)
+	blocks := hypBlocks(entries)
+	for _, name := range []string{"p50", "p90"} {
+		b.Run(name, func(b *testing.B) {
+			var s mht.ProveScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := tr.Prove(&s, blocks[name])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = p
+			}
+		})
+	}
+}
+
+// BenchmarkTreeUpdateValues moves 4,461 values — the entries one edge
+// update on the benchmark world moves — spread at random, so every one
+// dirties its own group at worst.
+func BenchmarkTreeUpdateValues(b *testing.B) {
+	tr, entries := hypShape(b)
+	rng := rand.New(rand.NewSource(2))
+	patched := slices.Clone(entries)
+	moved := make([]ProvenEntry, 4461)
+	for k := range moved {
+		i := rng.Intn(len(entries))
+		patched[i].Value++
+		moved[k] = ProvenEntry{Entry: patched[i], Index: uint32(i)}
+	}
+	src := sliceSource(patched)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nt, err := tr.UpdateValues(src, moved)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = nt
 	}
 }

@@ -209,6 +209,24 @@ func (t *Tree) UpdateLeaves(dirty map[int][]byte) (*Tree, error) {
 // the tree's own storage: read-only.
 func (t *Tree) Levels() [][]byte { return t.levels }
 
+// Widths returns every level's width, leaves first.
+func (t *Tree) Widths() []int {
+	w := make([]int, len(t.levels))
+	for l := range t.levels {
+		w[l] = t.width(l)
+	}
+	return w
+}
+
+// EachLevel calls emit with every level's slab in order, leaves first —
+// the counterpart of Top.EachLevel, so a snapshot writes either kind of
+// tree the same way.
+func (t *Tree) EachLevel(emit func(l int, digests []byte)) {
+	for l, lvl := range t.levels {
+		emit(l, lvl)
+	}
+}
+
 // Rehydrate reconstructs a Tree from previously exported level slabs without
 // recomputing a single hash — the snapshot load path, where interior
 // digests were already paid for at outsourcing time. The level shape is
@@ -322,10 +340,15 @@ type Proof struct {
 	Entries   []Entry
 }
 
-// ProveScratch is the reusable working set of ProveWith: the touched
-// positions of the level being emitted, O(proven leaves) whatever the
-// tree. A zero value is ready to use. Not safe for concurrent use.
-type ProveScratch struct{ pos []int }
+// ProveScratch is the reusable working set of ProveWith and
+// Top.ProveWith: the touched positions of the level being emitted,
+// O(proven leaves) whatever the tree, and for a Top the subtrees it
+// regenerates. A zero value is ready to use. Not safe for concurrent use.
+type ProveScratch struct {
+	pos   []int
+	subs  []subtree // a Top's regenerated groups, ascending
+	arena []byte    // their digests, each group's levels in turn
+}
 
 // Indices returns a length-n buffer backed by the scratch, for callers that
 // compute leaf indices themselves: fill it and hand it to ProveWith, which
@@ -335,29 +358,14 @@ func (s *ProveScratch) Indices(n int) []int {
 	return s.pos
 }
 
-// Prove builds the proof for the given in-range leaf indices (any order,
-// duplicates tolerated), applying the paper's two conditions to select
-// entries.
-func (t *Tree) Prove(indices []int) (*Proof, error) {
-	var s ProveScratch
-	return t.ProveWith(&s, indices)
-}
-
-// ProveWith is Prove with caller-provided scratch, for query hot paths:
-// nothing but the returned Proof is allocated. The proof is a sorted fold.
-// The touched positions of a level, ascending, are cut into parent groups;
-// every child of a touched group that is not itself touched is an entry
-// (its subtree holds no proven leaf, its parent's does — the paper's two
-// conditions), and the group's parent is touched on the level above.
-// Parents of ascending positions come out ascending, so only the leaf
-// indices are ever sorted (and not even those when the caller hands them
-// over in order), and entries are emitted in (level, index) order.
-func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
+// leafSet copies indices into the scratch (a self-copy when they came
+// from Indices), checks each against the leaf count n and returns them
+// ascending and without duplicates — sorted only if they were not already.
+func (s *ProveScratch) leafSet(indices []int, n int) ([]int, error) {
 	if len(indices) == 0 {
 		return nil, errors.New("mht: empty index set")
 	}
-	n := t.NumLeaves()
-	pos := append(s.pos[:0], indices...) // a self-copy when indices came from s.Indices
+	pos := append(s.pos[:0], indices...)
 	s.pos = pos
 	ascending := true
 	for i, idx := range pos {
@@ -371,33 +379,69 @@ func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
 	if !ascending {
 		slices.Sort(pos)
 	}
-	pos = slices.Compact(pos)
-	p := &Proof{
-		Alg:       t.alg,
-		Fanout:    uint16(t.fanout),
-		NumLeaves: uint32(n),
-		// One root path's worth, plus room for a scattered set's extra
-		// siblings; append grows it in the rare case that is not enough.
-		Entries: make([]Entry, 0, (len(t.levels)-1)*(t.fanout-1)+len(pos)/4),
+	return slices.Compact(pos), nil
+}
+
+// Prove builds the proof for the given in-range leaf indices (any order,
+// duplicates tolerated), applying the paper's two conditions to select
+// entries.
+func (t *Tree) Prove(indices []int) (*Proof, error) {
+	var s ProveScratch
+	return t.ProveWith(&s, indices)
+}
+
+// ProveWith is Prove with caller-provided scratch, for query hot paths:
+// nothing but the returned Proof is allocated. The proof is a sorted fold,
+// one proveLevel per level, and entries come out in (level, index) order.
+// Only the leaf indices are ever sorted, and not even those when the
+// caller hands them over in order.
+func (t *Tree) ProveWith(s *ProveScratch, indices []int) (*Proof, error) {
+	pos, err := s.leafSet(indices, t.NumLeaves())
+	if err != nil {
+		return nil, err
 	}
+	p := newProof(t.alg, t.fanout, t.NumLeaves(), len(t.levels), len(pos))
 	for l := 0; l+1 < len(t.levels); l++ {
-		grp := groupLevel(t.width(l), t.fanout)
-		parents := pos[:0] // in place: group k is written after k+1 positions were read
-		for i := 0; i < len(pos); {
-			parent := grp.parentOf(pos[i])
-			first, last := grp.childRange(parent)
-			for c := first; c < last; c++ {
-				if i < len(pos) && pos[i] == c {
-					i++
-					continue
-				}
-				p.Entries = append(p.Entries, Entry{Level: uint8(l), Index: uint32(c), Digest: t.digest(l, c)})
-			}
-			parents = append(parents, parent)
-		}
-		pos = parents
+		pos = proveLevel(p, groupLevel(t.width(l), t.fanout), l, pos, func(c int) []byte { return t.digest(l, c) })
 	}
 	return p, nil
+}
+
+// newProof starts the proof of k leaves of an n-leaf tree of the given
+// height, its entries sized for one root path's worth plus room for a
+// scattered set's extra siblings; append grows them in the rare case that
+// is not enough.
+func newProof(alg digest.Alg, fanout, n, height, k int) *Proof {
+	return &Proof{
+		Alg:       alg,
+		Fanout:    uint16(fanout),
+		NumLeaves: uint32(n),
+		Entries:   make([]Entry, 0, (height-1)*(fanout-1)+k/4),
+	}
+}
+
+// proveLevel emits level l's entries. The level's touched positions pos,
+// ascending, are cut into parent groups (grp); every child of a touched
+// group that is not itself touched is an entry — its subtree holds no
+// proven leaf, its parent's does: the paper's two conditions — read
+// through digest. It returns the touched parents, ascending (parents of
+// ascending positions come out ascending), written over pos: group k is
+// written after k+1 positions were read.
+func proveLevel(p *Proof, grp grouping, l int, pos []int, digest func(c int) []byte) []int {
+	parents := pos[:0]
+	for i := 0; i < len(pos); {
+		parent := grp.parentOf(pos[i])
+		first, last := grp.childRange(parent)
+		for c := first; c < last; c++ {
+			if i < len(pos) && pos[i] == c {
+				i++
+				continue
+			}
+			p.Entries = append(p.Entries, Entry{Level: uint8(l), Index: uint32(c), Digest: digest(c)})
+		}
+		parents = append(parents, parent)
+	}
+	return parents
 }
 
 // ErrIncomplete reports that the proof and known leaves do not cover the

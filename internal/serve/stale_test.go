@@ -132,7 +132,10 @@ func TestNoStaleAnswerSurvivesSwap(t *testing.T) {
 	}
 	stream = append(stream, set(1.05, a, b), set(1, a, b))
 
-	wstar := func() []mbt.Entry { return wstarOf(t, owner.Graph(), cfg.Cells).Entries() }
+	wstar := func() []mbt.Entry {
+		hy := wstarOf(t, owner.Graph(), cfg.Cells)
+		return hy.AppendEntries(nil, 0, hy.NumHyperEdges())
+	}
 	sameBits := func(x, y mbt.Entry) bool { return math.Float64bits(x.Value) == math.Float64bits(y.Value) }
 	verifier := owner.Verifier()
 	quiet := 0
