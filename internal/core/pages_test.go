@@ -59,8 +59,10 @@ func updateStream(tb testing.TB, count int) (*graph.Graph, []EdgeUpdate) {
 // pages this form replaced took 1.7–10.8 % of a set three times the size,
 // so in bytes the bound is tighter than their 15 %); no patch changes a
 // proof or a row the providers before it serve, so no write lands on a
-// shared page; and at the end the rows hold at most 1.1 row sets of heap —
-// a replaced page is freed, not pinned by its old neighbours. Along the
+// shared page; and at the end the final Hyper and its distance tree hold
+// 0.9–1.1 row sets of heap plus the tree's stored levels — a replaced page
+// is freed, not pinned by its old neighbours, and the final rows are not
+// pinned from anywhere else. Along the
 // way it holds each patch's stale list to what the patch changed: both
 // borders of every hyper-edge entry whose W* value moved are in Stale, an
 // update that moves no entry reports only its rewritten tuples, and an
@@ -174,6 +176,12 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 
 	// Every row page the final provider holds is its own once the providers
 	// in between are gone; dropping its Hyper must free about one row set.
+	// The distance tree reads its entries from that Hyper, so it goes too,
+	// and with it the stored levels its last patch copied.
+	stored, tr := 0, prev.distMBT
+	for _, w := range tr.Widths()[mbt.Cut(tr.Len(), tr.Fanout()):] {
+		stored += w * tr.Alg().Size()
+	}
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC() // the second cycle empties the row scratch pools' victims
@@ -182,15 +190,19 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	with := heap()
-	prev.hyper = nil
+	prev.hyper, prev.distMBT = nil, nil
 	retained := int64(with) - int64(heap())
-	// Only the Hyper may go: p0 shares the partition it points at, and the
-	// rest of the final provider (its trees) stays.
+	// Only the Hyper and its tree may go: p0 shares the partition they
+	// point at, and the rest of the final provider (its network tree)
+	// stays.
 	runtime.KeepAlive(p0)
 	runtime.KeepAlive(prev)
 	runtime.KeepAlive(ldm)
-	if limit := int64(rowSet) * 11 / 10; retained > limit {
-		t.Errorf("the final rows retain %d bytes, want ≤ %d (1.1 row sets of %d B)", retained, limit, rowSet)
+	lo, hi := int64(rowSet)*9/10, int64(rowSet)*11/10+int64(stored)
+	t.Logf("dropping the final Hyper and its tree frees %d bytes: %d of rows, %d of stored tree levels", retained, rowSet, stored)
+	if retained < lo || retained > hi {
+		t.Errorf("the final rows and tree retain %d bytes, want %d–%d (0.9–1.1 row sets of %d B, plus %d B of stored tree levels)",
+			retained, lo, hi, rowSet, stored)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/mht"
+	"github.com/authhints/spv/internal/mht/mhttest"
 )
 
 // sliceSource is a Source over an entry slice.
@@ -629,14 +630,13 @@ func TestTreeAuditFindsTheGroup(t *testing.T) {
 	}
 }
 
-// hypShape is the benchmark world's HYP distance tree: 206,403 entries
-// (642 borders), fanout 2, SHA-1, over a slice standing in for hiti's
-// border rows.
+// hypShape is the benchmark world's HYP distance tree: mhttest.HYPLeaves
+// entries, fanout 2, SHA-1, over a slice standing in for hiti's border
+// rows.
 func hypShape(b *testing.B) (*Tree, []Entry) {
 	b.Helper()
-	const n = 206403
 	rng := rand.New(rand.NewSource(1))
-	entries := make([]Entry, n)
+	entries := make([]Entry, mhttest.HYPLeaves)
 	for i := range entries {
 		entries[i] = Entry{Key: MakeKey(uint32(i>>10), uint32(i&1023)), Value: rng.Float64() * 1e4}
 	}
@@ -647,46 +647,21 @@ func hypShape(b *testing.B) (*Tree, []Entry) {
 	return tr, entries
 }
 
-// hypBlocks are a HYP proof's hyper-edge blocks on that world, as
-// internal/mht's BenchmarkProve lays them out: 65 leaves in one ascending
-// run (median) and 210 in 140 runs (p90), each 8 leaves into a group.
-func hypBlocks(entries []Entry) map[string][]ProvenEntry {
-	block := func(first, count, runs int) []ProvenEntry {
-		starts := make([]int, runs+1)
-		starts[runs] = first + count
-		for r, at := 0, first; r < runs; r++ {
-			starts[r] = at
-			at += count / runs
-			if r < count%runs {
-				at++
-			}
-		}
-		var idx []int
-		for r := runs - 1; r >= 0; r-- {
-			for i := starts[r]; i < starts[r+1]; i++ {
-				idx = append(idx, i)
-			}
-		}
-		return proven(entries, idx...)
-	}
-	return map[string][]ProvenEntry{"p50": block(100008, 65, 1), "p90": block(100008, 210, 140)}
-}
-
 var benchSink any
 
 // BenchmarkTreeProve proves the median and p90 hyper-edge blocks of a HYP
-// query against the stored-top tree: the proof plus the groups it
-// re-hashes from the entries.
+// query (mhttest.Blocks) against the stored-top tree: the proof plus the
+// groups it re-hashes from the entries.
 func BenchmarkTreeProve(b *testing.B) {
 	tr, entries := hypShape(b)
-	blocks := hypBlocks(entries)
-	for _, name := range []string{"p50", "p90"} {
-		b.Run(name, func(b *testing.B) {
+	for _, blk := range mhttest.Blocks {
+		b.Run(blk.Name, func(b *testing.B) {
 			var s mht.ProveScratch
+			block := proven(entries, blk.Indices()...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := tr.Prove(&s, blocks[name])
+				p, err := tr.Prove(&s, block)
 				if err != nil {
 					b.Fatal(err)
 				}

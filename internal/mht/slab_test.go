@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/authhints/spv/internal/digest"
+	"github.com/authhints/spv/internal/mht/mhttest"
 )
 
 // refLevels is the slow obviously-correct tree: one digest object per node,
@@ -283,54 +284,10 @@ func TestSlabAllocBudget(t *testing.T) {
 }
 
 // The micro-benchmarks run on the shape of HYP's distance tree in the
-// repository benchmark's world: 206,403 leaves — B(B+1)/2 for its 642
-// borders — fanout 2, SHA-1.
-const benchLeaves = 206403
-
-// benchBlocks are the hyper-edge blocks a HYP proof proves on that world,
-// measured over 512 benchmark-range pairs: at the median 65 leaves handed
-// over in one ascending run, at p90 210 leaves in 140 runs (a block listed
-// source-cell major whose leaf order is target-cell major). Both start 8
-// leaves into a 16-leaf group, so they touch 5 and 14 groups, as the
-// measured blocks do.
-var benchBlocks = []struct {
-	name       string
-	leaves     int
-	runs       int
-	firstIndex int
-}{
-	{"p50", 65, 1, 100008},
-	{"p90", 210, 140, 100008},
-}
-
-// blockIndices lays out a block of count consecutive leaves from first in
-// runs ascending runs: the runs, longest first, are emitted last to first,
-// so every run boundary descends.
-func blockIndices(first, count, runs int) []int {
-	idx := make([]int, 0, count)
-	var starts []int
-	for r, at := 0, first; r < runs; r++ {
-		starts = append(starts, at)
-		at += count / runs
-		if r < count%runs {
-			at++
-		}
-	}
-	for r := runs - 1; r >= 0; r-- {
-		end := first + count
-		if r+1 < runs {
-			end = starts[r+1]
-		}
-		for i := starts[r]; i < end; i++ {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
+// repository benchmark's world (mhttest.HYPLeaves leaves, fanout 2, SHA-1).
 func benchTree(b *testing.B) (*Tree, []byte) {
 	b.Helper()
-	leaves := randomLeaves(rand.New(rand.NewSource(1)), benchLeaves)
+	leaves := randomLeaves(rand.New(rand.NewSource(1)), mhttest.HYPLeaves)
 	tr, err := Build(digest.SHA1, 2, leaves)
 	if err != nil {
 		b.Fatal(err)
@@ -354,13 +311,13 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkProve proves a HYP query's hyper-edge block, at the median and
-// p90 shapes (benchBlocks).
+// p90 shapes (mhttest.Blocks).
 func BenchmarkProve(b *testing.B) {
 	tr, _ := benchTree(b)
-	for _, blk := range benchBlocks {
-		b.Run(blk.name, func(b *testing.B) {
+	for _, blk := range mhttest.Blocks {
+		b.Run(blk.Name, func(b *testing.B) {
 			var s ProveScratch
-			idx := blockIndices(blk.firstIndex, blk.leaves, blk.runs)
+			idx := blk.Indices()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -402,7 +359,7 @@ func BenchmarkUpdateLeaves(b *testing.B) {
 	for len(dirty) < 4461 {
 		d := make([]byte, digest.SHA1.Size())
 		rng.Read(d)
-		dirty[rng.Intn(benchLeaves)] = d
+		dirty[rng.Intn(mhttest.HYPLeaves)] = d
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -412,28 +369,5 @@ func BenchmarkUpdateLeaves(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = nt
-	}
-}
-
-// TestBenchBlocksHaveTheirShape holds blockIndices to the shape each
-// benchmark block names: its leaf count, consecutive leaves, that many
-// ascending runs, and the groups of 16 it touches.
-func TestBenchBlocksHaveTheirShape(t *testing.T) {
-	for _, blk := range benchBlocks {
-		idx := blockIndices(blk.firstIndex, blk.leaves, blk.runs)
-		runs, groups := 1, map[int]bool{}
-		for i, x := range idx {
-			if i > 0 && x < idx[i-1] {
-				runs++
-			}
-			groups[x/16] = true
-		}
-		sorted := slices.Clone(idx)
-		slices.Sort(sorted)
-		if len(idx) != blk.leaves || sorted[0] != blk.firstIndex || sorted[len(sorted)-1] != blk.firstIndex+blk.leaves-1 ||
-			len(slices.Compact(sorted)) != blk.leaves || runs != blk.runs {
-			t.Errorf("%s: %d leaves in %d runs, want %d consecutive from %d in %d runs", blk.name, len(idx), runs, blk.leaves, blk.firstIndex, blk.runs)
-		}
-		t.Logf("%s: %d leaves in %d runs over %d groups of 16", blk.name, len(idx), runs, len(groups))
 	}
 }
