@@ -83,29 +83,35 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# The hash, base64, Merkle-slab and search micro-benchmarks, one iteration
-# each with allocations reported: digest's AppendSum at 40 B / 58 B / 1 KiB /
-# one certificate row for both algorithms, b64's Append of a 27 KiB proof on
-# the AVX2 kernel and on encoding/base64, mht's Build, Prove, Rehydrate and
-# UpdateLeaves on a 206,403-leaf fanout-2 SHA-1 tree (the shape of HYP's
-# distance tree in the repository benchmark's world; Prove at its measured
-# median and p90 hyper-edge blocks), mbt's TreeProve and TreeUpdateValues:
-# the same shape kept as HYP keeps it, its top levels stored and the leaf
-# groups re-hashed from the entries, sp's single-search
-# Ball, core's UpdateStream: one applied churn update (ApplyUpdates plus
-# the DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
-# allocs/op and the HYP row bytes it copies, cert's AuditRow: one HYP
-# border's labelling row of that world checked, and serve's HTTPQueryHit and
-# HTTPQueryMiss: a GET /query through the handler, JSON and binary, answered
-# from the proof cache's pages and built with the cache off. CI's full lane
-# runs this so they cannot rot.
+# The micro-benchmarks, one iteration each with allocations reported:
+#   digest  AppendSum at 40 B / 58 B / 1 KiB / one certificate row, both
+#           algorithms;
+#   b64     Append of a 27 KiB proof, AVX2 kernel and encoding/base64;
+#   mht     Build, Prove, Rehydrate and UpdateLeaves on a 206,403-leaf
+#           fanout-2 SHA-1 tree (the shape of HYP's distance tree in the
+#           repository benchmark's world; Prove at its measured median and
+#           p90 hyper-edge blocks);
+#   mbt     TreeProve and TreeUpdateValues: that shape kept as HYP keeps
+#           it, its top levels stored and the leaf groups re-hashed from
+#           the entries;
+#   sp      Ball, one single search;
+#   core    UpdateStream: one applied churn update (ApplyUpdates plus the
+#           DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
+#           allocs/op and the HYP row bytes it copies; FullRowUpgrade: HYP's
+#           one-time static → full-row upgrade on that world (one search
+#           per border, each tree its search's parents);
+#   cert    AuditRow: one HYP border's labelling row of that world checked;
+#   serve   HTTPQueryHit and HTTPQueryMiss: a GET /query through the
+#           handler, JSON and binary, answered from the proof cache's pages
+#           and built with the cache off.
+# CI's full lane runs this so they cannot rot.
 bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendSum$$' -benchtime 1x -benchmem ./internal/digest
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkTree(Prove|UpdateValues)$$' -benchtime 1x -benchmem ./internal/mbt
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
-	$(GO) test -run '^$$' -bench '^BenchmarkUpdateStream$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|FullRowUpgrade)$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPQuery(Hit|Miss)$$' -benchtime 1x -benchmem ./internal/serve
 
@@ -137,29 +143,47 @@ audit:
 # first (the background warm-up or the query). Then boot an -audit-on-load
 # replica from the same file — the certificate streamed through the audit
 # before the listener binds — and require three 200s and its "audit clean"
-# line.
+# line. Then the post-update round, the one that loads HYP's full rows
+# (parent trees) through the daemon: an origin with a fixed owner key and
+# -updates takes one /update on an edge of a DIJ proof's path and one
+# POST /snapshot; the file passes spvsnap verify and audit; an owner
+# resumed from it takes one more /update; and an -audit-on-load replica
+# from it answers three 200s and logs "audit clean".
 REPLICA_ADDR ?= 127.0.0.1:18099
+DRIVE_SNAP = replica-drive-updated.spv
 replica-drive:
 	$(GO) build -o spvserve.drive ./cmd/spvserve
-	@set -e; trap 'kill $$pid 2>/dev/null || true; rm -f spvserve.drive' EXIT; \
-	for mode in lazy audited; do \
-		log=replica-drive.log; flags=; \
-		if [ $$mode = audited ]; then log=replica-drive-audit.log; flags=-audit-on-load; fi; \
-		./spvserve.drive -addr $(REPLICA_ADDR) -snapshot $(SNAP) $$flags > $$log 2>&1 & pid=$$!; \
-		for i in $$(seq 1 100); do curl -sf -o /dev/null http://$(REPLICA_ADDR)/healthz && break; sleep 0.1; done; \
-		for m in DIJ LDM HYP; do \
-			code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$(REPLICA_ADDR)/query?method=$$m&vs=5&vt=200"); \
-			[ "$$code" = 200 ] || { echo "$$mode replica: $$m answered $$code"; cat $$log; exit 1; }; \
-		done; \
-		sleep 0.5; cat $$log; \
-		if [ $$mode = lazy ]; then \
-			n=$$(grep -c ' hydrated ' $$log) || true; \
-			[ "$$n" = 3 ] || { echo "want 3 hydration lines, got $$n"; exit 1; }; \
-		else \
-			grep -q 'audit clean' $$log || { echo "audited replica logged no audit clean line"; exit 1; }; \
-		fi; \
-		kill $$pid; wait $$pid 2>/dev/null || true; \
-	done
+	$(GO) build -o spvquery.drive ./cmd/spvquery
+	$(GO) build -o spvsnap.drive ./cmd/spvsnap
+	@set -e; trap 'kill $$pid 2>/dev/null || true; rm -f spvserve.drive spvquery.drive spvsnap.drive' EXIT; \
+	url=http://$(REPLICA_ADDR); \
+	boot() { log=$$1; shift; ./spvserve.drive -addr $(REPLICA_ADDR) "$$@" > $$log 2>&1 & pid=$$!; \
+		for i in $$(seq 1 1200); do curl -sf -o /dev/null $$url/healthz && return 0; sleep 0.1; done; \
+		echo "spvserve $$* never answered /healthz"; cat $$log; exit 1; }; \
+	ask3() { for m in DIJ LDM HYP; do \
+			code=$$(curl -s -o /dev/null -w '%{http_code}' "$$url/query?method=$$m&vs=5&vt=200"); \
+			[ "$$code" = 200 ] || { echo "$$1: $$m answered $$code"; cat $$log; exit 1; }; \
+		done; }; \
+	post() { curl -sf "$$@" || { echo "POST $$* failed"; cat $$log; exit 1; }; echo; }; \
+	stop() { kill $$pid; wait $$pid 2>/dev/null || true; }; \
+	audited() { grep -q 'audit clean' $$log || { echo "$$1 logged no audit clean line"; cat $$log; exit 1; }; }; \
+	boot replica-drive.log -snapshot $(SNAP); ask3 "lazy replica"; sleep 0.5; cat $$log; \
+	n=$$(grep -c ' hydrated ' $$log) || true; \
+	[ "$$n" = 3 ] || { echo "want 3 hydration lines, got $$n"; exit 1; }; \
+	stop; \
+	boot replica-drive-audit.log -snapshot $(SNAP) -audit-on-load; ask3 "audited replica"; cat $$log; \
+	audited "audited replica"; stop; \
+	./spvquery.drive keygen -key replica-drive.pem -pub replica-drive.pub; \
+	boot replica-drive-origin.log -key replica-drive.pem -updates -save $(DRIVE_SNAP); \
+	set -- $$(curl -sf "$$url/query?method=DIJ&vs=5&vt=200&format=binary" | od -An -v -tu4 --endian=big -N16); \
+	post -d "{\"updates\":[{\"u\":$$2,\"v\":$$3,\"w\":4242}]}" $$url/update; \
+	post -X POST $$url/snapshot; cat $$log; stop; \
+	./spvsnap.drive verify $(DRIVE_SNAP) -proofs 64; \
+	./spvsnap.drive audit $(DRIVE_SNAP); \
+	boot replica-drive-resume.log -snapshot $(DRIVE_SNAP) -key replica-drive.pem -updates; \
+	post -d "{\"updates\":[{\"u\":$$3,\"v\":$$4,\"w\":4343}]}" $$url/update; cat $$log; stop; \
+	boot replica-drive-updated.log -snapshot $(DRIVE_SNAP) -audit-on-load; ask3 "audited post-update replica"; cat $$log; \
+	audited "audited post-update replica"; stop
 
 # The repository benchmark, all four workloads (cold, hot, churn, restart)
 # at four seconds each with the layer trace: a verifying client against a

@@ -201,7 +201,7 @@ func TestInfoAndVerify(t *testing.T) {
 		}
 		off += 12 + n + 4
 	}
-	fmt.Fprintf(&want, "%s: %d bytes, format v2 (indexed), epoch 0, %d sections (all CRCs OK)\n", good, len(data), len(rows))
+	fmt.Fprintf(&want, "%s: %d bytes, format v%d (indexed), epoch 0, %d sections (all CRCs OK)\n", good, len(data), snapshot.Version, len(rows))
 	want.WriteString(strings.Join(rows, ""))
 	var got strings.Builder
 	if err := runInfo([]string{good}, &got); err != nil || got.String() != want.String() {

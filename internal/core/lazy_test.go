@@ -543,11 +543,14 @@ func TestWarmRacesFirstQueries(t *testing.T) {
 // allocates its bytes once — each Merkle level read straight into the slab
 // the tree keeps, the hint rows decoded into one float slab — not a
 // whole-section buffer first and the same bytes again. Across one HYP and
-// one LDM hydration that is 1.18× the two sections' length here (HYP 1.08×;
-// LDM 2.02×, of which 1.0× is the state LDM derives from its rows at load —
-// quantized units, compression, tuple-table headers — and 0.2× the 64 KiB
-// staging window on a 300 KB section); the parent commit read 2.17× (HYP
-// 2.09×, LDM 2.81×).
+// one LDM hydration that is 1.44× the two sections' length here: HYP 1.23×,
+// of which 0.2× is the partition, the tuple table's headers and the 64 KiB
+// staging window re-derived or allocated beside an 860 KB section that
+// holds only what the provider keeps; LDM 2.02×, of which 1.0× is the
+// state LDM derives from its rows at load — quantized units, compression,
+// tuple-table headers — and 0.2× the staging window on a 300 KB section.
+// The bound, 1.6×, admits 1.86 MB: a second copy of either section
+// exceeds it.
 func TestHydrateAllocatesSectionOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are counted too")
@@ -579,8 +582,8 @@ func TestHydrateAllocatesSectionOnce(t *testing.T) {
 		t.Logf("%s: %d-byte section, %d bytes allocated hydrating it (%.2f×)", m, length, got, float64(got)/float64(length))
 		allocated, stored = allocated+got, stored+length
 	}
-	if ratio := float64(allocated) / float64(stored); ratio > 1.25 {
-		t.Errorf("hydrating HYP and LDM allocates %.2f× their sections' %d bytes, want ≤ 1.25×", ratio, stored)
+	if ratio := float64(allocated) / float64(stored); ratio > 1.6 {
+		t.Errorf("hydrating HYP and LDM allocates %.2f× their sections' %d bytes, want ≤ 1.6×", ratio, stored)
 	}
 }
 

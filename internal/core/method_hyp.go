@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/mbt"
+	"github.com/authhints/spv/internal/mht"
 	"github.com/authhints/spv/internal/snapshot"
 )
 
@@ -23,32 +23,30 @@ func (hypImpl) Method() Method { return HYP }
 
 func (hypImpl) SnapshotKind() uint32 { return snapKindHYP }
 
-// StreamSnapshot encodes: netSig | distSig | fullRows u8 | rows u32 |
-// rowLen u32 | rows × rowLen × f64 | hasDist u8 [| dist tree] | network
-// tree. The partition (grid, cells, borders) is re-derived at load; the
-// materialized W* rows are the stored truth — and HYP's dominant payload,
-// hence streamed — and the hyper-edge entries are a function of them. The
-// distance tree is written whole, its lower levels re-hashed from the
-// entries, so the file is what a tree holding every level wrote; a reader
-// keeps the levels from mbt.Cut up and nothing below them can reach a
-// proof.
+// StreamSnapshot encodes what the provider keeps, as it keeps it:
+//
+//	netSig | distSig | full u8 | borders u32 | borders² × f64 W* |
+//	[full: borders × |V| × u16 parent slots] | hasDist u8 [| dist tree] |
+//	network tree
+//
+// The partition (grid, cells, borders) is re-derived at load. W* goes out
+// row by row, border-indexed, in either form; a full row's tree follows
+// as its parent slots in the network's leaf order (hiti.AppendTree). The
+// distance tree is the levels it stores (mbt.Tree.Stored): its leaves and
+// the levels below the cut are a function of W*, and no reader keeps them.
 func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 	hp, err := providerAs[*HYPProvider](HYP, p)
 	if err != nil {
 		return err
 	}
 	hy := hp.hyper
-	full, numRows, rowLen := hy.HasFullRows(), hy.NumBorders(), 0
-	if numRows > 0 {
-		rowLen = numRows
-		if full {
-			rowLen = hp.view.NumNodes()
-		}
+	full, b, n := hy.HasFullRows(), uint64(hy.NumBorders()), uint64(hp.view.NumNodes())
+	size := snapBytesSize(hp.netSig) + snapBytesSize(hp.distSig) + 1 + 4 + 8*b*b + 1 + snapTreeSize(hp.ads.tree)
+	if full {
+		size += 2 * b * n
 	}
-	size := snapBytesSize(hp.netSig) + snapBytesSize(hp.distSig) + 1 + 4 + 4 + 1 +
-		8*uint64(numRows)*uint64(rowLen) + snapTreeSize(hp.ads.tree)
 	if hp.distMBT != nil {
-		size += snapTreeSize(hp.distMBT)
+		size += snapTreeSize(hp.distMBT.Stored())
 	}
 	return streamSection(sw, snapKindHYP, size, func(s *snapStream) {
 		s.bytes(hp.netSig)
@@ -58,18 +56,22 @@ func (hypImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 		} else {
 			s.u8(0)
 		}
-		s.u32(uint32(numRows))
-		s.u32(uint32(rowLen))
-		var row []float64
-		for i := 0; i < numRows; i++ {
-			row = hy.AppendRow(row[:0], i)
-			for _, d := range row {
-				s.f64(d)
+		s.u32(uint32(b))
+		var w []float64
+		for i := range hy.NumBorders() {
+			w = hy.AppendW(w[:0], i)
+			s.f64s(w)
+		}
+		if full {
+			var tree []uint16
+			for i := range hy.NumBorders() {
+				tree = hy.AppendTree(tree[:0], i)
+				s.u16s(tree)
 			}
 		}
 		if hp.distMBT != nil {
 			s.u8(1)
-			s.tree(hp.distMBT)
+			s.tree(hp.distMBT.Stored())
 		} else {
 			s.u8(0)
 		}
@@ -82,22 +84,16 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	netSig := c.bytes()
 	distSig := c.bytes()
 	fullFlag := c.u8()
-	numRows := int(c.u32())
-	rowLen := int(c.u32())
+	numBorders := int(c.u32())
 	if c.err == nil && fullFlag > 1 {
 		c.fail("bad full-rows flag %d", fullFlag)
 	}
-	if c.err == nil && rowLen == 0 && numRows > 0 {
-		// Zero-length rows never occur (wb rows are B-long with B > 0, full
-		// rows |V|-long with |V| ≥ 2); a lying count must not allocate.
-		c.fail("%d hyper rows of length 0", numRows)
-	}
-	// The rows stream straight into the Hyper's own storage (full rows page
-	// by page); a count the partition refutes fails before any is read.
+	// The rows stream straight into the Hyper's own pages; a count the
+	// partition refutes fails before any is read.
 	var hyper *hiti.Hyper
 	if c.err == nil {
 		var err error
-		hyper, err = hiti.Rehydrate(env.Graph, env.Cfg.Cells, env.Ord, fullFlag == 1, numRows, rowLen, c.f64s)
+		hyper, err = hiti.Rehydrate(env.Graph, env.Cfg.Cells, env.Ord, fullFlag == 1, numBorders, c.f64s, c.u16s)
 		if err != nil {
 			c.fail("%v", err)
 		}
@@ -106,14 +102,9 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	if c.err == nil && hasDist > 1 {
 		c.fail("bad dist-tree flag %d", hasDist)
 	}
-	var alg digest.Alg
-	var fanout int
-	var widths []int
-	var stored [][]byte
+	var stored *mht.Tree
 	if c.err == nil && hasDist == 1 {
-		// The distance tree keeps only its levels from mbt.Cut up; the file
-		// holds every level, and the lower ones are read past.
-		alg, fanout, widths, stored = c.treeLevels(mbt.Cut)
+		stored = c.tree()
 	}
 	netTree := c.tree()
 	if err := c.finish("HYP"); err != nil {
@@ -122,7 +113,7 @@ func (hypImpl) DecodeSnapshot(r *snapshot.SectionReader, env *SnapshotEnv) (Prov
 	p2 := &HYPProvider{providerBase: providerBase{view: env.Graph}, hyper: hyper, netSig: netSig, distSig: distSig}
 	var err error
 	if hasDist == 1 {
-		p2.distMBT, err = mbt.RehydrateTree(alg, fanout, hyper.NumHyperEdges(), widths, stored, hyper.AppendEntries)
+		p2.distMBT, err = mbt.RehydrateTree(hyper.NumHyperEdges(), stored, hyper.AppendEntries)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}

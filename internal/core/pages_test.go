@@ -178,9 +178,9 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 	// in between are gone; dropping its Hyper must free about one row set.
 	// The distance tree reads its entries from that Hyper, so it goes too,
 	// and with it the stored levels its last patch copied.
-	stored, tr := 0, prev.distMBT
-	for _, w := range tr.Widths()[mbt.Cut(tr.Len(), tr.Fanout()):] {
-		stored += w * tr.Alg().Size()
+	stored := 0
+	for _, lvl := range prev.distMBT.Stored().Levels() {
+		stored += len(lvl)
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -244,6 +244,26 @@ func BenchmarkUpdateStream(b *testing.B) {
 		apply(ups[1+i%(len(ups)-1)])
 	}
 	b.ReportMetric(float64(rowBytes)/float64(b.N), "row-B/op")
+}
+
+// BenchmarkFullRowUpgrade measures HYP's one-time static → full-row
+// upgrade (hiti.WithFullRows), which the first update of a deployment
+// pays on its critical path, on the benchmark world: one search per
+// border, each row's tree its search's parents.
+func BenchmarkFullRowUpgrade(b *testing.B) {
+	g, _ := updateStream(b, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hyp := outsource[*HYPProvider](b, owner, HYP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hyp.hyper.WithFullRows(owner.Graph(), hyp.ads.ord); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestUpdateStreamRowsExact holds HYP's row store to a from-scratch build

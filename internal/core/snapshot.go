@@ -21,21 +21,23 @@ import (
 )
 
 // This file serializes a complete outsourced deployment — graph, config,
-// per-method Merkle trees with every precomputed interior digest, hint
-// rows, signatures and the update epoch — into the internal/snapshot
-// container, and loads it back without recomputing a single hash or
-// running a single search. The split of labor: the container layer
-// frames and CRC-checks opaque sections; this file owns the core
-// section kinds and the section loop; each method's payload codec lives
-// with its MethodImpl (method_dij.go &c.), dispatched through the
-// registry by section kind.
+// per-method Merkle levels, hint rows, signatures and the update epoch —
+// into the internal/snapshot container, and loads it back without
+// recomputing a single hash or running a single search. The split of
+// labor: the container layer frames and CRC-checks opaque sections; this
+// file owns the core section kinds and the section loop; each method's
+// payload codec lives with its MethodImpl (method_dij.go &c.), dispatched
+// through the registry by section kind.
 //
-// What is stored vs re-derived is chosen by cost: Merkle levels (the
-// hashing bill), hint distance rows (the Dijkstra bill) and signatures
-// (the RSA bill) are stored; tuple encodings, quantization, compression,
-// grid partitions and hyper-edge key sets are cheap deterministic
-// functions of the stored state and are re-derived at load, in parallel.
-// That keeps snapshots compact AND guarantees the loaded provider cannot
+// A section holds what the provider keeps, as it keeps it, and the loader
+// keeps every byte it reads: the Merkle levels a provider stores (the
+// hashing bill), hint distance rows and HYP's W* and parent trees (the
+// Dijkstra bill) and signatures (the RSA bill). Tuple encodings,
+// quantization, compression, grid partitions and hyper-edge key sets are
+// cheap deterministic functions of the stored state and are re-derived at
+// load, in parallel; so are the digests HYP's distance tree does not keep,
+// which it re-hashes from W* when a proof, patch or audit needs them. That
+// keeps snapshots compact AND guarantees the loaded provider cannot
 // disagree with itself — there is one source of truth per fact.
 //
 // Trust model: a snapshot is provider-side state. CRCs catch accidental
@@ -328,6 +330,7 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 type snapStream struct {
 	bw  *bufio.Writer
 	err error
+	buf [512]byte // f64s's and u16s's encoding scratch
 }
 
 func newSnapStream(w io.Writer) *snapStream {
@@ -366,34 +369,44 @@ func (s *snapStream) bytes(b []byte) {
 	s.write(b)
 }
 
-// snapTree is a Merkle tree as a snapshot holds it: every level, whether
-// the tree keeps it (mht.Tree) or regenerates it (mbt.Tree's lower levels).
-type snapTree interface {
-	Alg() digest.Alg
-	Fanout() int
-	Widths() []int
-	EachLevel(emit func(l int, digests []byte))
+// f64s writes vs, a scratch buffer of encoded values at a time.
+func (s *snapStream) f64s(vs []float64) {
+	for len(vs) > 0 && s.err == nil {
+		k := min(len(vs), len(s.buf)/8)
+		for i, v := range vs[:k] {
+			binary.BigEndian.PutUint64(s.buf[8*i:], math.Float64bits(v))
+		}
+		s.write(s.buf[:8*k])
+		vs = vs[k:]
+	}
+}
+
+// u16s writes vs, a scratch buffer of encoded values at a time.
+func (s *snapStream) u16s(vs []uint16) {
+	for len(vs) > 0 && s.err == nil {
+		k := min(len(vs), len(s.buf)/2)
+		for i, v := range vs[:k] {
+			binary.BigEndian.PutUint16(s.buf[2*i:], v)
+		}
+		s.write(s.buf[:2*k])
+		vs = vs[k:]
+	}
 }
 
 // tree streams a Merkle tree, every level verbatim:
 //
 //	alg u8 | fanout u16 | levels u32 | per level: width u32 | width × digest
 //
-// A stored level on disk is the slab it is in memory, so it goes out in
-// one write (and comes back in one read, snapCursor.treeLevels).
-func (s *snapStream) tree(t snapTree) {
-	widths := t.Widths()
+// A level on disk is the slab it is in memory, so it goes out in one write
+// (and comes back in one read, snapCursor.tree).
+func (s *snapStream) tree(t *mht.Tree) {
 	s.u8(byte(t.Alg()))
 	s.u16(uint16(t.Fanout()))
-	s.u32(uint32(len(widths)))
-	at := -1
-	t.EachLevel(func(l int, digests []byte) {
-		if l != at {
-			s.u32(uint32(widths[l]))
-			at = l
-		}
-		s.write(digests)
-	})
+	s.u32(uint32(t.Height()))
+	for _, lvl := range t.Levels() {
+		s.u32(uint32(len(lvl) / t.Alg().Size()))
+		s.write(lvl)
+	}
 }
 
 func (s *snapStream) flush() error {
@@ -407,10 +420,10 @@ func (s *snapStream) flush() error {
 // sections: what snapStream.bytes and snapStream.tree will write.
 func snapBytesSize(b []byte) uint64 { return 4 + uint64(len(b)) }
 
-func snapTreeSize(t snapTree) uint64 {
+func snapTreeSize(t *mht.Tree) uint64 {
 	total := uint64(1 + 2 + 4)
-	for _, w := range t.Widths() {
-		total += 4 + uint64(w)*uint64(t.Alg().Size())
+	for _, lvl := range t.Levels() {
+		total += 4 + uint64(len(lvl))
 	}
 	return total
 }
@@ -560,8 +573,25 @@ func decodeSnapOrdering(r *snapshot.SectionReader, numNodes int) (*order.Orderin
 	return ord, nil
 }
 
+// tree reads a tree as snapStream.tree wrote it.
 func (c *snapCursor) tree() *mht.Tree {
-	alg, fanout, _, levels := c.treeLevels(nil)
+	alg := digestAlg(c.u8())
+	if c.err == nil && !alg.Valid() {
+		c.fail("invalid tree hash algorithm %d", alg)
+	}
+	fanout := int(c.u16())
+	numLevels := int(c.u32())
+	// Cap the up-front allocation: a fanout-2 tree over 2^32 leaves has 33
+	// levels, so any honest level count fits in 64; a lying one must not
+	// allocate ahead of the bytes that back it.
+	levels := make([][]byte, 0, min(numLevels, 64))
+	for l := 0; l < numLevels && c.err == nil; l++ {
+		width := int64(c.u32())
+		// From the file straight into the slab the tree keeps. Sub-slicing
+		// a section read whole would pin it all — mostly hint rows, which
+		// are parsed into their own storage — for the provider's lifetime.
+		levels = append(levels, c.take(width*int64(alg.Size())))
+	}
 	if c.err != nil {
 		return nil
 	}
@@ -571,43 +601,6 @@ func (c *snapCursor) tree() *mht.Tree {
 		return nil
 	}
 	return t
-}
-
-// treeLevels reads a tree as snapStream.tree wrote it, with every level's
-// width, keeping the levels from cut(leaves, fanout) up (all of them when
-// cut is nil). A level below passes through the window — the section
-// checksum still covers it — and is dropped.
-func (c *snapCursor) treeLevels(cut func(n, fanout int) int) (alg digest.Alg, fanout int, widths []int, levels [][]byte) {
-	alg = digestAlg(c.u8())
-	if c.err == nil && !alg.Valid() {
-		c.fail("invalid tree hash algorithm %d", alg)
-		return
-	}
-	fanout = int(c.u16())
-	numLevels := int(c.u32())
-	size := int64(alg.Size())
-	// Cap the up-front allocation: a fanout-2 tree over 2^32 leaves has 33
-	// levels, so any honest level count fits in 64; a lying one must not
-	// allocate ahead of the bytes that back it.
-	widths = make([]int, 0, min(numLevels, 64))
-	levels = make([][]byte, 0, min(numLevels, 64))
-	from := 0
-	for l := 0; l < numLevels && c.err == nil; l++ {
-		width := int(c.u32())
-		widths = append(widths, width)
-		if l == 0 && cut != nil {
-			from = cut(width, fanout)
-		}
-		if l < from {
-			c.skip(int64(width) * size)
-			continue
-		}
-		// From the file straight into the slab the tree keeps. Sub-slicing
-		// a section read whole would pin it all — mostly hint rows, which
-		// are parsed into their own storage — for the provider's lifetime.
-		levels = append(levels, c.take(int64(width)*size))
-	}
-	return
 }
 
 // rehydrateADS rebuilds a networkADS from the loaded network, ordering and
@@ -688,16 +681,6 @@ func (c *snapCursor) take(n int64) []byte {
 	return dst
 }
 
-// skip reads past the next n bytes through the window.
-func (c *snapCursor) skip(n int64) {
-	if left := c.remaining(); c.err == nil && (n < 0 || n > left) {
-		c.fail("%d bytes claimed, %d left in the section", n, left)
-	}
-	if c.err == nil {
-		_, c.err = c.br.Discard(int(n))
-	}
-}
-
 func (c *snapCursor) u8() byte     { return c.raw(1)[0] }
 func (c *snapCursor) u16() uint16  { return binary.BigEndian.Uint16(c.raw(2)) }
 func (c *snapCursor) u32() uint32  { return binary.BigEndian.Uint32(c.raw(4)) }
@@ -735,6 +718,17 @@ func (c *snapCursor) f64s(dst []float64) {
 		b := c.raw(8 * min(len(dst)-i, c.br.Size()/8))
 		for j := 0; j+8 <= len(b); i, j = i+1, j+8 {
 			dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[j:]))
+		}
+	}
+}
+
+// u16s fills dst with the next len(dst) uint16s, a window of bytes at a
+// time.
+func (c *snapCursor) u16s(dst []uint16) {
+	for i := 0; i < len(dst) && c.err == nil; {
+		b := c.raw(2 * min(len(dst)-i, c.br.Size()/2))
+		for j := 0; j+2 <= len(b); i, j = i+1, j+2 {
+			dst[i] = binary.BigEndian.Uint16(b[j:])
 		}
 	}
 }

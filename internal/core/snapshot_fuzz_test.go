@@ -54,15 +54,20 @@ func FuzzReadProviderSet(f *testing.F) {
 	lying := append([]byte(nil), valid...)
 	lying[25] = 0x7F // high byte of the first section's length
 	f.Add(lying)
-	// HYP with full rows, intact and with one value one ulp off under a
-	// recomputed checksum: the rows load as trees, and that one has none.
+	// HYP with full rows, intact and with a two-node parent cycle in its
+	// first tree under a recomputed checksum: the trees load as they are
+	// stored, and that one fold could not walk.
 	owner, hyp := updatedHYPWorld(f, 60, 80)
 	var buf bytes.Buffer
 	if _, err := owner.WriteSnapshot(&buf, hyp); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add(untightHYP(f, buf.Bytes(), owner.Graph(), hyp.hyper.Borders[0]))
+	x, y := innerNeighbours(f, hyp.hyper, owner.Graph())
+	f.Add(resealed(f, buf.Bytes(), func(p []byte) []byte {
+		_, tree := hypSection(p)
+		return cyclicTree(p, tree, owner.Graph(), hyp.ads.ord.Pos, x, y)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := ReadProviderSet(bytes.NewReader(data), int64(len(data)))

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/hiti"
 	"github.com/authhints/spv/internal/netgen"
 	"github.com/authhints/spv/internal/snapshot"
 	"github.com/authhints/spv/internal/sp"
@@ -230,9 +233,12 @@ func TestSnapshotRejectsStaleProvider(t *testing.T) {
 
 // TestSnapshotCorruption flips bytes across the snapshot body and checks
 // the loader errors (container CRC or semantic validation) without
-// panicking. Exhaustive flipping is the fuzzer's job; this samples.
+// panicking. Exhaustive flipping is the fuzzer's job; this samples. Under
+// a re-sealed checksum, HYP's stored trees must be ones fold and Repair
+// can walk, and a W* value — trusted at load — is caught by the audit and
+// by client verification.
 func TestSnapshotCorruption(t *testing.T) {
-	owner, dij, _, ldm, _ := snapshotWorld(t, 100, 140)
+	owner, dij, _, ldm, hyp := snapshotWorld(t, 100, 140)
 	var buf bytes.Buffer
 	if _, err := owner.WriteSnapshot(&buf, dij, ldm); err != nil {
 		t.Fatal(err)
@@ -252,20 +258,98 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 	}
 
-	// HYP's full rows load as trees of tight edges: a value one ulp off,
-	// under an intact checksum, has none and fails the load as corrupt.
-	owner, hyp := updatedHYPWorld(t, 100, 140)
-	buf.Reset()
-	if _, err := owner.WriteSnapshot(&buf, hyp); err != nil {
+	// W*(B0, B1) lives at column 1 of row 0, the lower-ID border's row;
+	// flipping a high mantissa bit moves it far past the audit's float
+	// tolerance.
+	c, err := owner.Certify(hyp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadProviderSet(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+	buf.Reset()
+	if _, err := owner.WriteSnapshotCert(&buf, c, hyp); err != nil {
+		t.Fatal(err)
+	}
+	set, err := readSet(resealed(t, buf.Bytes(), func(p []byte) []byte {
+		w, _ := hypSection(p)
+		p[w+8*1+2] ^= 0x80
+		return p
+	}))
+	if err != nil {
+		t.Fatalf("W* values are trusted at load: %v", err)
+	}
+	b0, b1 := hyp.hyper.Borders[0], hyp.hyper.Borders[1]
+	pr, err := set.Provider(HYP).QueryProof(b0, b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyProof(set.Verifier, HYP, b0, b1, pr); err == nil {
+		t.Fatalf("a proof carrying an altered W*(%d, %d) client-verified", b0, b1)
+	}
+	rep, err := set.AuditCertificate(set.Verifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); !errors.Is(err, cert.ErrDistance) {
+		t.Fatalf("altered W*: audit gave %v, want ErrDistance", err)
+	}
+
+	// Full rows load as their trees, checked in one pass: a parent slot
+	// past its node's degree, two non-borders each other's parent, and a
+	// tree block cut short all fail the load as a bad section.
+	owner, hyp = updatedHYPWorld(t, 100, 140)
+	if c, err = owner.Certify(hyp); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := owner.WriteSnapshotCert(&buf, c, hyp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSet(buf.Bytes()); err != nil {
 		t.Fatalf("the intact full-row snapshot: %v", err)
 	}
-	bad := untightHYP(t, buf.Bytes(), owner.Graph(), hyp.hyper.Borders[0])
-	if _, err := ReadProviderSet(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "tight") {
-		t.Fatalf("a full HYP row one ulp off: %v, want a corrupt section", err)
+	net, pos := owner.Graph(), hyp.ads.ord.Pos
+	x, y := innerNeighbours(t, hyp.hyper, net)
+	for _, tc := range []struct {
+		name, msg string
+		edit      func(p []byte, tree int) []byte
+	}{
+		{"a parent slot past the degree", "parent slot", func(p []byte, tree int) []byte {
+			binary.BigEndian.PutUint16(p[tree+2*pos[x]:], uint16(net.Degree(x)))
+			return p
+		}},
+		{"a two-node parent cycle", "cycle", func(p []byte, tree int) []byte { return cyclicTree(p, tree, net, pos, x, y) }},
+		{"a truncated tree block", "truncated", func(p []byte, tree int) []byte { return p[:tree+net.NumNodes()+1] }},
+	} {
+		bad := resealed(t, buf.Bytes(), func(p []byte) []byte {
+			_, tree := hypSection(p)
+			return tc.edit(p, tree)
+		})
+		if _, err := readSet(bad); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s: %v, want a bad section (%s)", tc.name, err, tc.msg)
+		}
 	}
+
+	// A loose tree — one node's parent moved to a neighbour whose edge is
+	// not tight, no cycle closed — loads, since queries and proofs read
+	// W*, never a tree, and folds to a value the audit rejects.
+	set, err = readSet(resealed(t, buf.Bytes(), func(p []byte) []byte {
+		_, tree := hypSection(p)
+		return looseTree(t, p, tree, hyp.hyper, net, pos)
+	}))
+	if err != nil {
+		t.Fatalf("a loose tree: %v, want a clean load", err)
+	}
+	if rep, err = set.AuditCertificate(set.Verifier); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); !errors.Is(err, cert.ErrDistance) {
+		t.Fatalf("a loose tree: audit gave %v, want ErrDistance", err)
+	}
+}
+
+// readSet is ReadProviderSet over data.
+func readSet(data []byte) (*ProviderSet, error) {
+	return ReadProviderSet(bytes.NewReader(data), int64(len(data)))
 }
 
 // updatedHYPWorld is a HYP provider patched through one update, so its
@@ -292,11 +376,10 @@ func updatedHYPWorld(tb testing.TB, nodes, edges int) (*Owner, *HYPProvider) {
 	return owner, hyp
 }
 
-// untightHYP returns snapshot data with one value of the HYP section's
-// first full row, from border src over net, one ulp high — at a node no
-// neighbour's edge reaches exactly, so the row has no tree of tight edges
-// — under a recomputed checksum.
-func untightHYP(tb testing.TB, data []byte, net *graph.CSR, src graph.NodeID) []byte {
+// resealed returns the snapshot data with the HYP section's payload passed
+// through edit, written anew through the container writer: every section
+// and index checksum holds, so only the payload's meaning is changed.
+func resealed(tb testing.TB, data []byte, edit func(payload []byte) []byte) []byte {
 	tb.Helper()
 	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
@@ -308,37 +391,14 @@ func untightHYP(tb testing.TB, data []byte, net *graph.CSR, src graph.NodeID) []
 		tb.Fatal(err)
 	}
 	for _, e := range f.Sections() {
-		p, err := f.Section(e.Kind)
+		payload, err := f.Section(e.Kind)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if e.Kind == snapKindHYP {
-			p = bytes.Clone(p)
-			off := 0
-			for range 2 { // the two root signatures
-				off += 4 + int(binary.BigEndian.Uint32(p[off:]))
-			}
-			if p[off] != 1 {
-				tb.Fatal("the HYP section holds no full rows")
-			}
-			row := p[off+1+4+4:]
-			at := func(x graph.NodeID) float64 { return math.Float64frombits(binary.BigEndian.Uint64(row[8*x:])) }
-			x := graph.NodeID(0)
-			for ; int(x) < net.NumNodes(); x++ {
-				up, tight := math.Nextafter(at(x), math.Inf(1)), false
-				for _, e := range net.Neighbors(x) {
-					tight = tight || at(e.To)+e.W == up
-				}
-				if x != src && at(x) != sp.Unreachable && !tight {
-					binary.BigEndian.PutUint64(row[8*x:], math.Float64bits(up))
-					break
-				}
-			}
-			if int(x) == net.NumNodes() {
-				tb.Fatal("no value of the first row can be put out of tightness")
-			}
+			payload = edit(bytes.Clone(payload))
 		}
-		if err := w.Section(e.Kind, p); err != nil {
+		if err := w.Section(e.Kind, payload); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -346,6 +406,74 @@ func untightHYP(tb testing.TB, data []byte, net *graph.CSR, src graph.NodeID) []
 		tb.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// hypSection locates, in a HYP section payload (layout at
+// hypImpl.StreamSnapshot), the first W* value and the first tree slot (of
+// a full-row section).
+func hypSection(payload []byte) (w, tree int) {
+	u32 := func(off int) int { return int(binary.BigEndian.Uint32(payload[off:])) }
+	off := 4 + u32(0)   // netSig
+	off += 4 + u32(off) // distSig
+	off++               // full-rows flag
+	borders := u32(off)
+	return off + 4, off + 4 + 8*borders*borders
+}
+
+// innerNeighbours returns two neighbouring nodes of net, neither a border
+// of hy: a parent cycle between them is one no border breaks.
+func innerNeighbours(tb testing.TB, hy *hiti.Hyper, net *graph.CSR) (graph.NodeID, graph.NodeID) {
+	tb.Helper()
+	for x := graph.NodeID(0); int(x) < net.NumNodes(); x++ {
+		for _, e := range net.Neighbors(x) {
+			if !hy.IsBorder[x] && !hy.IsBorder[e.To] {
+				return x, e.To
+			}
+		}
+	}
+	tb.Fatal("no two non-borders are neighbours")
+	return 0, 0
+}
+
+// looseTree gives a non-border x of the first tree of a full-row HYP
+// payload, whose tree slots start at tree, a parent y whose edge is not
+// tight in that row and whose own chain does not pass x.
+func looseTree(tb testing.TB, p []byte, tree int, hy *hiti.Hyper, net *graph.CSR, pos []int) []byte {
+	tb.Helper()
+	d := sp.NewWorkspace(net.NumNodes()).DijkstraRow(net, hy.Borders[0], nil)
+	passes := func(y, x graph.NodeID) bool {
+		for !hy.IsBorder[y] && y != x {
+			k := binary.BigEndian.Uint16(p[tree+2*pos[y]:])
+			if k == math.MaxUint16 {
+				return false
+			}
+			y = net.Neighbors(y)[k].To
+		}
+		return y == x
+	}
+	for x := graph.NodeID(0); int(x) < net.NumNodes(); x++ {
+		if hy.IsBorder[x] || d[x] == sp.Unreachable {
+			continue
+		}
+		for k, e := range net.Neighbors(x) {
+			if d[e.To] != sp.Unreachable && math.Abs(d[e.To]+e.W-d[x]) > 1e-6*(1+d[x]) && !passes(e.To, x) {
+				binary.BigEndian.PutUint16(p[tree+2*pos[x]:], uint16(k))
+				return p
+			}
+		}
+	}
+	tb.Fatal("no node of the first tree can take a loose parent")
+	return nil
+}
+
+// cyclicTree makes x and y, neighbours in net, each other's parent in the
+// first tree of a full-row HYP payload whose tree slots start at tree.
+func cyclicTree(p []byte, tree int, net *graph.CSR, pos []int, x, y graph.NodeID) []byte {
+	for _, e := range [][2]graph.NodeID{{x, y}, {y, x}} {
+		k := slices.IndexFunc(net.Neighbors(e[0]), func(n graph.Edge) bool { return n.To == e[1] })
+		binary.BigEndian.PutUint16(p[tree+2*pos[e[0]]:], uint16(k))
+	}
+	return p
 }
 
 // resection rewrites a snapshot through the container writer, emitting
@@ -396,8 +524,9 @@ func TestSnapshotLoadRefusals(t *testing.T) {
 	_, data := writeSnapshotFile(t, owner, dij, ldm)
 	once := func(uint32) int { return 1 }
 
-	v1 := bytes.Clone(data)
+	v1, v2 := bytes.Clone(data), bytes.Clone(data)
 	binary.BigEndian.PutUint32(v1[8:], 1)
+	binary.BigEndian.PutUint32(v2[8:], 2)
 
 	for _, c := range []struct {
 		name string
@@ -406,6 +535,7 @@ func TestSnapshotLoadRefusals(t *testing.T) {
 		msg  string
 	}{
 		{"version-1 header", v1, snapshot.ErrCorrupt, "unsupported version"},
+		{"version-2 header", v2, snapshot.ErrCorrupt, "unsupported version 2"},
 		{"duplicate section", resection(t, data, func(k uint32) int {
 			if k == snapKindLDM {
 				return 2

@@ -14,7 +14,6 @@ package hiti
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -109,10 +108,6 @@ const (
 	noParent = math.MaxUint16
 )
 
-// rowScratch pools the node-indexed rows searches write before they are
-// planted as trees.
-var rowScratch = sync.Pool{New: func() any { return new([]float64) }}
-
 // Build partitions net into approximately p grid cells and materializes
 // all border-pair distances (one bounded Dijkstra per border node;
 // parallelized).
@@ -125,7 +120,7 @@ func Build(net *graph.CSR, p int) (*Hyper, error) {
 	// borders as targets, early-terminating once they settle. Workers
 	// search the network with a pooled workspace each.
 	var rows [][]float64
-	h.wb, rows = staticRows(len(h.Borders), len(h.Borders))
+	h.wb, rows = staticRows(len(h.Borders))
 	par.Work(len(h.Borders), func(i int) {
 		ws := sp.AcquireWorkspace(net.NumNodes())
 		defer sp.ReleaseWorkspace(ws)
@@ -196,17 +191,13 @@ func partition(g *graph.CSR, p int) (*Hyper, error) {
 	return h, nil
 }
 
-// AppendRow appends stored row i to dst in its storage form — node-indexed
+// AppendRow appends stored row i to dst as values — node-indexed
 // (W*(Borders[i], x) at x, folded from the tree) for full rows,
-// border-indexed for the static form — and returns the extended slice. It
-// is how whole rows leave the Hyper: snapshot streaming and the
-// certificate audit. Pair with Rehydrate.
+// border-indexed (AppendW) for the static form — and returns the extended
+// slice. It is how the certificate audit reads the rows.
 func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
 	if h.tree == nil {
-		for k, p := range h.wb[i] {
-			dst = append(dst, p[:min(WPageLen, len(h.Borders)-k*WPageLen)]...)
-		}
-		return dst
+		return h.AppendW(dst, i)
 	}
 	n := len(h.seq)
 	dst = slices.Grow(dst, n)[:len(dst)+n]
@@ -219,53 +210,141 @@ func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
 	return dst
 }
 
-// Rehydrate reconstructs a Hyper over net from previously materialized rows
-// without running a single search: the partition (grid, cells, borders) is
-// recomputed — it is cheap and deterministic in net and p — and numRows
-// rows of rowLen values, in the storage form AppendRow exported them in,
-// are installed, read calling fill once per row in order. A full row is
-// planted as its tree (under ord, the network's leaf ordering) as it
-// arrives, so no full copy is ever held, and a full row that is not a
-// tree of tight edges from its border — a value off by one ulp, say —
-// fails the load. Row dimensions are validated against the recomputed
-// border set before fill is first called, so a snapshot from a different
-// graph or cell count fails loudly here rather than as a root mismatch
-// downstream.
-func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, rowLen int, fill func(row []float64)) (*Hyper, error) {
+// AppendW appends W* row i — dist(Borders[i], Borders[j]) at j — to dst
+// and returns the extended slice: the W* half of a snapshot, in either
+// storage form.
+func (h *Hyper) AppendW(dst []float64, i int) []float64 {
+	for k, p := range h.wb[i] {
+		dst = append(dst, p[:min(WPageLen, len(h.Borders)-k*WPageLen)]...)
+	}
+	return dst
+}
+
+// AppendTree appends full row i's tree — one parent slot per node, in the
+// network's leaf order — to dst and returns the extended slice: the tree
+// half of a full-row snapshot.
+func (h *Hyper) AppendTree(dst []uint16, i int) []uint16 {
+	for k, p := range h.tree[i] {
+		dst = append(dst, p[:min(PageLen, len(h.seq)-k*PageLen)]...)
+	}
+	return dst
+}
+
+// Rehydrate reconstructs a Hyper over net from a saved one without running
+// a single search: the partition (grid, cells, borders) is recomputed — it
+// is cheap and deterministic in net and p — and the stored rows are read
+// into the Hyper's own pages as they were saved: numBorders W* rows
+// (AppendW) through w, then, for full rows, numBorders trees of |V| slots
+// in ord's leaf order (AppendTree) through tree. Each reader is called
+// with a run of one row to fill, rows in order. The row count is
+// validated against the recomputed border set before the first read, so a
+// snapshot from a different graph or cell count fails loudly here rather
+// than as a root mismatch downstream; a tree that fold or Repair could not
+// walk — a slot past its node's degree, a parent cycle — fails the load.
+func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numBorders int, w func([]float64), tree func([]uint16)) (*Hyper, error) {
 	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
-	if numRows != len(h.Borders) {
-		return nil, fmt.Errorf("hiti: %d rows for %d borders", numRows, len(h.Borders))
-	}
-	want := len(h.Borders)
-	if full {
-		want = net.NumNodes()
-	}
-	if numRows > 0 && rowLen != want {
-		return nil, fmt.Errorf("hiti: rows have %d values, want %d", rowLen, want)
+	b := len(h.Borders)
+	if numBorders != b {
+		return nil, fmt.Errorf("hiti: %d rows for %d borders", numBorders, b)
 	}
 	if !full {
 		var rows [][]float64
-		h.wb, rows = staticRows(numRows, rowLen)
+		h.wb, rows = staticRows(b)
 		for _, row := range rows {
-			fill(row)
+			w(row)
 		}
 		return h, nil
 	}
-	h.wb = make([][]*wpage, numRows)
-	row := make([]float64, rowLen)
-	if err := h.growTrees(net, ord); err != nil {
+	if err := h.fullOver(net, ord); err != nil {
 		return nil, err
 	}
+	// A full row's W* lives on pages of its own: patches replace them.
+	for i := range h.wb {
+		h.wb[i] = newW(b)
+		for k, pg := range h.wb[i] {
+			w(pg[:min(WPageLen, b-k*WPageLen)])
+		}
+	}
+	n := net.NumNodes()
 	for i := range h.tree {
-		fill(row)
-		if err := h.plant(row, i); err != nil {
+		h.tree[i] = newTree(n)
+		for k, pg := range h.tree[i] {
+			tree(pg[:min(PageLen, n-k*PageLen)])
+		}
+	}
+	a, errs := h.leafAdjOf(), make([]error, len(h.tree))
+	par.Chunks(len(h.tree), 1, func(lo, hi int) {
+		walk := make([]int32, n)
+		for i := lo; i < hi; i++ {
+			if err := a.checkTree(h.tree[i], walk); err != nil {
+				errs[i] = fmt.Errorf("hiti: row %d: %w", i, err)
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
+}
+
+// leafAdj is the network in leaf order, what checkTree walks: slot s's
+// neighbours, in adjacency order, are the slots adj[first[s]:first[s+1]],
+// and border[s] tells whether s holds a border.
+type leafAdj struct {
+	first, adj []int32
+	border     []bool
+}
+
+// leafAdjOf lays h.net out in h's leaf order.
+func (h *Hyper) leafAdjOf() *leafAdj {
+	n := len(h.seq)
+	a := &leafAdj{first: make([]int32, n+1), adj: make([]int32, 0, 2*h.net.NumEdges()), border: make([]bool, n)}
+	for s, x := range h.seq {
+		for _, e := range h.net.Neighbors(x) {
+			a.adj = append(a.adj, int32(h.pos[e.To]))
+		}
+		a.first[s+1] = int32(len(a.adj))
+		a.border[s] = h.row[x] >= 0
+	}
+	return a
+}
+
+// checkTree holds tree, in one pass over its slots, to what fold and Repair
+// walk: every slot is noParent or an index into its node's adjacency, and
+// no parent chain closes a cycle before it reaches a border or noParent.
+// walk is |V| scratch. Whether the tree's edges are tight is not checked:
+// queries and proofs read W*, never a tree, and a loose tree folds to
+// values the certificate audit rejects.
+func (a *leafAdj) checkTree(tree []*page, walk []int32) error {
+	// walk[s] is 1 + the slot whose chain first passed s: a chain that
+	// meets its own mark closes a cycle, one that meets an earlier chain's
+	// ends where that chain did.
+	clear(walk)
+	for s0 := range walk {
+		mark := int32(s0) + 1
+		for s := s0; ; {
+			k := tree[s/PageLen][s%PageLen]
+			if k != noParent && int32(k) >= a.first[s+1]-a.first[s] {
+				return fmt.Errorf("parent slot %d of %d at leaf %d", k, a.first[s+1]-a.first[s], s)
+			}
+			if a.border[s] || k == noParent {
+				break
+			}
+			walk[s] = mark
+			if s = int(a.adj[a.first[s]+int32(k)]); walk[s] != 0 {
+				if walk[s] == mark {
+					return fmt.Errorf("parents close a cycle through leaf %d", s)
+				}
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // HasFullRows reports whether full distance rows have been materialized
@@ -273,36 +352,40 @@ func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numRows, r
 func (h *Hyper) HasFullRows() bool { return h.tree != nil }
 
 // WithFullRows returns a Hyper carrying full distance rows computed over
-// net and paged under ord, the network's leaf ordering, with W* re-read
-// from them. The update pipeline upgrades a static Hyper with this exactly
-// once (cost: one row rebuild), after which updates repair the trees.
-// DijkstraRow settles the border targets with the same relaxations
-// DijkstraToTargets performs before its early stop, so W* is bitwise what
-// Build computes over net.
+// net and paged under ord, the network's leaf ordering. The update
+// pipeline upgrades a static Hyper with this exactly once (cost: one
+// search per border), after which updates repair the trees. Each tree is
+// its search's parent labels, tight bit for bit by construction: a node's
+// label is fl(d + w) over the settled parent's d. The search relaxes the
+// border targets as DijkstraToTargets does before its early stop, so W* is
+// bitwise what Build computes over net.
 func (h *Hyper) WithFullRows(net *graph.CSR, ord *order.Ordering) (*Hyper, error) {
 	nh := *h
-	if err := nh.growTrees(net, ord); err != nil {
+	if err := nh.fullOver(net, ord); err != nil {
 		return nil, err
 	}
-	nh.wb = make([][]*wpage, len(h.Borders))
-	errs := make([]error, len(h.Borders))
-	par.Work(len(h.Borders), func(i int) {
-		ws := sp.AcquireWorkspace(net.NumNodes())
-		buf := rowScratch.Get().(*[]float64)
-		*buf = ws.DijkstraRow(net, h.Borders[i], *buf)
-		sp.ReleaseWorkspace(ws)
-		errs[i] = nh.plant(*buf, i) // a search's row is its own tight tree
-		rowScratch.Put(buf)
+	n, b := net.NumNodes(), len(h.Borders)
+	par.Work(b, func(i int) {
+		ws := sp.AcquireWorkspace(n)
+		defer sp.ReleaseWorkspace(ws)
+		tree, w := newTree(n), newW(b)
+		for _, x := range ws.DijkstraBounded(net, h.Borders[i], sp.Unreachable) {
+			if p := ws.ParentOf(x); p != graph.Invalid {
+				sl := nh.pos[x]
+				tree[sl/PageLen][sl%PageLen] = adjIndex(net, x, p)
+			}
+		}
+		for j, v := range h.Borders {
+			w[j/WPageLen][j%WPageLen] = ws.DistOf(v)
+		}
+		nh.tree[i], nh.wb[i] = tree, w
 	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
 	return &nh, nil
 }
 
-// growTrees readies the receiver for full rows over net in ord's leaf
-// order: the trees are yet to be planted.
-func (h *Hyper) growTrees(net *graph.CSR, ord *order.Ordering) error {
+// fullOver readies the receiver for full rows over net in ord's leaf
+// order, the rows yet to be filled.
+func (h *Hyper) fullOver(net *graph.CSR, ord *order.Ordering) error {
 	for v := 0; v < net.NumNodes(); v++ {
 		if d := net.Degree(graph.NodeID(v)); d > noParent {
 			return fmt.Errorf("hiti: node %d has %d neighbours, a tree addresses at most %d", v, d, noParent)
@@ -310,101 +393,50 @@ func (h *Hyper) growTrees(net *graph.CSR, ord *order.Ordering) error {
 	}
 	h.net, h.pos, h.seq = net, ord.Pos, ord.Seq
 	h.tree = make([][]*page, len(h.Borders))
+	h.wb = make([][]*wpage, len(h.Borders))
 	return nil
 }
 
-// plant stores row, border i's node-indexed distances over h.net, as a
-// tree of tight edges — each node's parent p has row[x] = fl(row[p] +
-// w(p, x)) bit for bit — and W* row i as the row's border values. It fails
-// unless row is such a tree: 0 at the border, every other value reached by
-// a chain of tight edges, the rest exactly Unreachable.
-//
-// A parent of strictly smaller value can never close a cycle, so most
-// nodes take the first such tight neighbour. The rest sit on plateaus —
-// zero weights, or weights the sum rounds away — where only a tight
-// neighbour of equal value is left; those take one that already has its
-// parent, breadth-first from the nodes that do, so a cycle cannot close
-// there either.
-func (h *Hyper) plant(row []float64, i int) error {
-	src := h.Borders[i]
-	if math.Float64bits(row[src]) != 0 {
-		return fmt.Errorf("hiti: row %d starts at %v, not 0", i, row[src])
-	}
-	tree := make([]*page, (len(row)+PageLen-1)/PageLen)
-	for k := range tree {
+// newTree returns the pages of a tree over n nodes, every slot noParent.
+func newTree(n int) []*page {
+	out := make([]*page, (n+PageLen-1)/PageLen)
+	for k := range out {
 		p := new(page)
 		for j := range p {
 			p[j] = noParent
 		}
-		tree[k] = p
+		out[k] = p
 	}
-	slot := func(x graph.NodeID) *uint16 { sl := h.pos[x]; return &tree[sl/PageLen][sl%PageLen] }
-	// adopt gives x the first tight neighbour ok accepts as its parent.
-	adopt := func(x graph.NodeID, ok func(p graph.NodeID) bool) bool {
-		for k, e := range h.net.Neighbors(x) {
-			if math.Float64bits(row[e.To]+e.W) == math.Float64bits(row[x]) && ok(e.To) {
-				*slot(x) = uint16(k)
-				return true
-			}
-		}
-		return false
-	}
-	orphan := func(x graph.NodeID) bool { return x != src && row[x] != sp.Unreachable && *slot(x) == noParent }
-	var plateau []graph.NodeID
-	for x := range row {
-		y := graph.NodeID(x)
-		if orphan(y) && !adopt(y, func(p graph.NodeID) bool { return row[p] < row[y] }) {
-			plateau = append(plateau, y)
-		}
-	}
-	settled := func(p graph.NodeID) bool { return !orphan(p) }
-	var q []graph.NodeID
-	for _, y := range plateau {
-		if adopt(y, settled) {
-			q = append(q, y)
-		}
-	}
-	for ; len(q) > 0; q = q[1:] {
-		for _, e := range h.net.Neighbors(q[0]) {
-			if orphan(e.To) && adopt(e.To, settled) {
-				q = append(q, e.To)
-			}
-		}
-	}
-	for _, y := range plateau {
-		if orphan(y) {
-			return fmt.Errorf("hiti: row %d value %v at node %d has no tight edge back to border %d", i, row[y], y, src)
-		}
-	}
-	w := make([]*wpage, (len(h.Borders)+WPageLen-1)/WPageLen)
-	for k := range w {
-		w[k] = new(wpage)
-	}
-	for j, b := range h.Borders {
-		w[j/WPageLen][j%WPageLen] = row[b]
-	}
-	h.tree[i], h.wb[i] = tree, w
-	return nil
+	return out
 }
 
-// staticRows lays rows W* rows of cols values out in one slab, as pages
-// and as the plain row slices to fill them through. Row i starts at value
-// i·cols, so its last page runs on into the next row (or into the slack
-// after the last): pages overlap, which is sound because nothing reads a
-// page past its row's last column and nothing writes a static page once
-// built — the upgrade plants full rows on pages of their own, so the slab
-// pins nothing a patch frees.
-func staticRows(rows, cols int) ([][]*wpage, [][]float64) {
-	per := (cols + WPageLen - 1) / WPageLen
-	slab := make([]float64, rows*cols+WPageLen)
-	pages := make([]*wpage, rows*per)
-	wb, flat := make([][]*wpage, rows), make([][]float64, rows)
+// newW returns the pages of a full row's W* row of b values.
+func newW(b int) []*wpage {
+	out := make([]*wpage, (b+WPageLen-1)/WPageLen)
+	for k := range out {
+		out[k] = new(wpage)
+	}
+	return out
+}
+
+// staticRows lays the b W* rows of b values out in one slab, as pages and
+// as the plain row slices to fill them through. Row i starts at value i·b,
+// so its last page runs on into the next row (or into the slack after the
+// last): pages overlap, which is sound because nothing reads a page past
+// its row's last column and nothing writes a static page once built — full
+// rows keep W* on pages of their own, so the slab pins nothing a patch
+// frees.
+func staticRows(b int) ([][]*wpage, [][]float64) {
+	per := (b + WPageLen - 1) / WPageLen
+	slab := make([]float64, b*b+WPageLen)
+	pages := make([]*wpage, b*per)
+	wb, flat := make([][]*wpage, b), make([][]float64, b)
 	for i := range wb {
 		row := pages[i*per : (i+1)*per : (i+1)*per]
 		for k := range row {
-			row[k] = (*wpage)(slab[i*cols+k*WPageLen:])
+			row[k] = (*wpage)(slab[i*b+k*WPageLen:])
 		}
-		wb[i], flat[i] = row, slab[i*cols:(i+1)*cols:(i+1)*cols]
+		wb[i], flat[i] = row, slab[i*b:(i+1)*b:(i+1)*b]
 	}
 	return wb, flat
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -620,6 +621,59 @@ func rowsOf(h *Hyper) [][]float64 {
 	return rows
 }
 
+// saved is a Hyper as a snapshot stores it: every W* row (AppendW), then
+// every tree (AppendTree) when its rows are full.
+type saved struct {
+	full    bool
+	borders int
+	w       []float64
+	tree    []uint16
+}
+
+func save(h *Hyper) saved {
+	s := saved{full: h.HasFullRows(), borders: h.NumBorders()}
+	for i := range s.borders {
+		s.w = h.AppendW(s.w, i)
+		if s.full {
+			s.tree = h.AppendTree(s.tree, i)
+		}
+	}
+	return s
+}
+
+// load rehydrates s over net, cut into p cells, in ord's leaf order.
+func (s saved) load(net *graph.CSR, p int, ord *order.Ordering) (*Hyper, error) {
+	w, tree := s.w, s.tree
+	return Rehydrate(net, p, ord, s.full, s.borders, func(dst []float64) {
+		w = w[copy(dst, w):]
+	}, func(dst []uint16) {
+		tree = tree[copy(dst, tree):]
+	})
+}
+
+// sameTrees fails unless a and b hold the same tree slots and W* values,
+// page for page.
+func sameTrees(t *testing.T, a, b *Hyper, what string) {
+	t.Helper()
+	if len(a.tree) != len(b.tree) {
+		t.Fatalf("%s: %d trees, want %d", what, len(b.tree), len(a.tree))
+	}
+	for i := range a.wb {
+		for k := range a.wb[i] {
+			if *a.wb[i][k] != *b.wb[i][k] {
+				t.Fatalf("%s: row %d W* page %d differs", what, i, k)
+			}
+		}
+	}
+	for i := range a.tree {
+		for k := range a.tree[i] {
+			if *a.tree[i][k] != *b.tree[i][k] {
+				t.Fatalf("%s: row %d tree page %d differs", what, i, k)
+			}
+		}
+	}
+}
+
 // rowSetBytes is what one full row set of h occupies: every tree page and
 // every W* page.
 func rowSetBytes(h *Hyper) int {
@@ -672,9 +726,9 @@ func checkExact(t *testing.T, h *Hyper, net *graph.CSR, cells int, what string) 
 // contract on rows that span several pages: a repair copies exactly the
 // tree and W* pages whose contents change and shares the rest, a step that
 // moves nothing copies nothing, repaired rows fold bitwise to a fresh
-// search's, and AppendRow and Rehydrate round-trip both storage forms
-// value for value — while a full row that is not a tree of tight edges,
-// one value one ulp off, fails Rehydrate.
+// search's, and AppendW/AppendTree and Rehydrate round-trip both storage
+// forms page for page — while a tree with a parent slot past its node's
+// degree, or a parent cycle, fails Rehydrate.
 func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := spatialGraph(rng, 3*PageLen+17) // four pages per row, the last short
@@ -757,58 +811,58 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 		hy  *Hyper
 		net *graph.CSR
 	}{{h, net}, {patched, patched.net}} {
-		rows := rowsOf(c.hy)
-		k := 0
-		back, err := Rehydrate(c.net, 16, ord, c.hy.HasFullRows(), len(rows), len(rows[0]), func(row []float64) {
-			copy(row, rows[k])
-			k++
-		})
+		back, err := save(c.hy).load(c.net, 16, ord)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.EqualFunc(rows, rowsOf(back), slices.Equal) {
+		if !slices.EqualFunc(rowsOf(c.hy), rowsOf(back), slices.Equal) {
 			t.Fatal("rehydrated rows differ from the saved ones")
 		}
 		if a, b := allEntries(back), allEntries(c.hy); !slices.Equal(a, b) {
 			t.Fatal("rehydrated rows carry different entries")
 		}
+		sameTrees(t, c.hy, back, "rehydrated")
 	}
-	if _, err := Rehydrate(net, 16, ord, true, h.NumBorders(), h.NumBorders(), nil); err == nil {
-		t.Fatal("full rows of border length accepted")
+	if _, err := Rehydrate(net, 16, ord, true, h.NumBorders()+1, nil, nil); err == nil {
+		t.Fatal("a row per border and one more accepted")
 	}
 
-	// One value one ulp high, at a node no neighbour's edge reaches it
-	// exactly, has no tight chain back to the border.
-	saved := rowsOf(full)
-	row, src := saved[0], full.Borders[0]
-	bad := -1
-	for x := range row {
-		if graph.NodeID(x) == src || row[x] == sp.Unreachable {
-			continue
-		}
-		up, tight := math.Nextafter(row[x], math.Inf(1)), false
-		for _, e := range net.Neighbors(graph.NodeID(x)) {
-			tight = tight || row[e.To]+e.W == up
-		}
-		if !tight {
-			row[x], bad = up, x
-			break
+	// Trees fold and Repair cannot walk fail the load: a parent slot past
+	// its node's degree, and two non-borders each other's parent.
+	var x, y graph.NodeID
+	for x = 0; int(x) < net.NumNodes(); x++ {
+		if !full.IsBorder[x] {
+			if k := slices.IndexFunc(net.Neighbors(x), func(e graph.Edge) bool { return !full.IsBorder[e.To] }); k >= 0 {
+				y = net.Neighbors(x)[k].To
+				break
+			}
 		}
 	}
-	k := 0
-	if _, err := Rehydrate(net, 16, ord, true, len(saved), len(row), func(r []float64) {
-		copy(r, saved[k])
-		k++
-	}); err == nil || bad < 0 {
-		t.Fatalf("a full row one ulp off at node %d loaded", bad)
+	if int(x) == net.NumNodes() {
+		t.Fatal("no two non-borders are neighbours")
+	}
+	for want, edit := range map[string]func(tree []uint16){
+		"parent slot": func(tree []uint16) { tree[full.pos[x]] = uint16(net.Degree(x)) },
+		"cycle": func(tree []uint16) {
+			tree[full.pos[x]] = adjIndex(net, x, y)
+			tree[full.pos[y]] = adjIndex(net, y, x)
+		},
+	} {
+		bad := save(full)
+		bad.tree = slices.Clone(bad.tree)
+		edit(bad.tree[net.NumNodes():]) // row 1's tree
+		if _, err := bad.load(net, 16, ord); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a bad tree: %v, want a %q error", err, want)
+		}
 	}
 }
 
-// TestPlantAcrossPlateaus plants full rows where tight parents of equal
+// TestPlantAcrossPlateaus grows full rows where tight parents of equal
 // value abound — zero weights, and 1e-12 edges that vanish into 1e12
-// distances — so a tree built from values alone could close a cycle: the
-// upgrade's trees must still fold bitwise to fresh searches, and a saved
-// row set must plant back to the same rows.
+// distances — so a tree chosen from values alone could close a cycle: the
+// upgrade's trees, its searches' own parents, must fold bitwise to fresh
+// searches, and a saved row set must load back to the same trees, page
+// for page.
 func TestPlantAcrossPlateaus(t *testing.T) {
 	palette := []float64{0, 0, 1, 1e-12, 1e12, 3}
 	for seed := int64(0); seed < 12; seed++ {
@@ -831,18 +885,12 @@ func TestPlantAcrossPlateaus(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := fullRows(t, g, h)
-		checkExact(t, full, full.net, 9, fmt.Sprintf("seed %d", seed))
-		rows := rowsOf(full)
-		k := 0
-		back, err := Rehydrate(full.net, 9, &order.Ordering{Pos: full.pos, Seq: full.seq}, true, len(rows), len(rows[0]), func(row []float64) {
-			copy(row, rows[k])
-			k++
-		})
+		what := fmt.Sprintf("seed %d", seed)
+		checkExact(t, full, full.net, 9, what)
+		back, err := save(full).load(full.net, 9, &order.Ordering{Pos: full.pos, Seq: full.seq})
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", what, err)
 		}
-		if !slices.EqualFunc(rows, rowsOf(back), slices.Equal) {
-			t.Fatalf("seed %d: replanted rows differ from the saved ones", seed)
-		}
+		sameTrees(t, full, back, what)
 	}
 }

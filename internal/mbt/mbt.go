@@ -83,8 +83,8 @@ type Source func(dst []Entry, lo, hi int) []Entry
 // GroupLeaves leaves or more (mht.Top): the entries have one home, the
 // caller's Source — HYP's are a function of hiti's border rows — and the
 // leaf digests and lower levels are a function of the entries, so every
-// proof, patch, level write and audit re-hashes the groups it needs from
-// the Source, the way Forest regenerates rows.
+// proof, patch and audit re-hashes the groups it needs from the Source,
+// the way Forest regenerates rows.
 type Tree struct {
 	top *mht.Top
 	src Source
@@ -165,22 +165,14 @@ func (t *Tree) UpdateValues(src Source, moved []ProvenEntry) (*Tree, error) {
 	return &Tree{top: top, src: src}, nil
 }
 
-// Cut returns the lowest level a tree over n entries under fanout stores:
-// what a snapshot reader keeps from (0 for shapes no tree has).
-func Cut(n, fanout int) int { return mht.TopCut(n, fanout, GroupLeaves) }
-
-// RehydrateTree reconstructs a tree from the level widths of the whole
-// Merkle tree and its stored levels, Cut and above — the snapshot load
-// path, which hashes nothing and touches no entry. n is the entry count
-// the caller's key layout implies and must be the widths' leaf count.
-// Digest values are trusted (see mht.Rehydrate): a lying snapshot produces
-// proofs that fail client verification, nothing worse, and the
-// certificate audit finds it.
-func RehydrateTree(alg digest.Alg, fanout, n int, widths []int, stored [][]byte, src Source) (*Tree, error) {
-	if len(widths) == 0 || widths[0] != n {
-		return nil, fmt.Errorf("mbt: level widths do not describe %d entries", n)
-	}
-	top, err := mht.RehydrateTop(alg, fanout, GroupLeaves, widths, stored)
+// RehydrateTree reconstructs a tree over n entries from its stored levels
+// (Stored) — the snapshot load path, which hashes nothing and touches no
+// entry. n is the entry count the caller's key layout implies; stored must
+// be the tree over the cut level of an n-leaf tree. Digest values are
+// trusted (see mht.Rehydrate): a lying snapshot produces proofs that fail
+// client verification, nothing worse, and the certificate audit finds it.
+func RehydrateTree(n int, stored *mht.Tree, src Source) (*Tree, error) {
+	top, err := mht.RehydrateTop(n, GroupLeaves, stored)
 	if err != nil {
 		return nil, err
 	}
@@ -199,14 +191,9 @@ func (t *Tree) Alg() digest.Alg { return t.top.Alg() }
 // Fanout returns the tree's fanout.
 func (t *Tree) Fanout() int { return t.top.Fanout() }
 
-// Widths returns the width of every level of the Merkle tree, leaves
-// first. Read-only.
-func (t *Tree) Widths() []int { return t.top.Widths() }
-
-// EachLevel calls emit with every level of the Merkle tree in order, in
-// pieces valid only during the call (see mht.Top.EachLevel): how a
-// snapshot writes every level, the ones the tree does not store included.
-func (t *Tree) EachLevel(emit func(l int, digests []byte)) { t.top.EachLevel(t.leaves, emit) }
+// Stored returns the Merkle levels the tree keeps, as the mht.Tree over
+// the cut level (mht.Top.Stored): what a snapshot writes. Read-only.
+func (t *Tree) Stored() *mht.Tree { return t.top.Stored() }
 
 // Audit re-hashes every entry the Source holds, group by group, and folds
 // the groups into the stored levels (mht.Top.Audit): a pass and a root

@@ -25,21 +25,6 @@ func build(alg digest.Alg, fanout int, entries []Entry) (*Tree, error) {
 	return Build(alg, fanout, len(entries), sliceSource(entries))
 }
 
-// levels returns every level of tr's Merkle tree, as a snapshot writes
-// them.
-func levels(tr *Tree) [][]byte {
-	out := make([][]byte, len(tr.Widths()))
-	tr.EachLevel(func(l int, b []byte) { out[l] = append(out[l], b...) })
-	return out
-}
-
-// stored returns copies of the levels tr keeps, the ones a snapshot
-// reader hands RehydrateTree.
-func stored(tr *Tree) [][]byte {
-	out := levels(tr)
-	return out[Cut(tr.Len(), tr.Fanout()):]
-}
-
 func testEntries(n int) []Entry {
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
@@ -101,15 +86,15 @@ func TestBuildRejectsBadInput(t *testing.T) {
 // TestLeafOrderIsTheCallers pins the ordering contract: Build takes entries
 // strictly increasing by key and rejects anything else — a duplicate or a
 // descent, near the front, at the back or in between — instead of sorting
-// behind the caller's back; RehydrateTree holds the level widths to the
-// shape of their leaf count, and the stored levels to the cut.
+// behind the caller's back; RehydrateTree holds the stored levels to the
+// cut of their entry count.
 func TestLeafOrderIsTheCallers(t *testing.T) {
 	good := testEntries(40)
 	tr, err := build(digest.SHA1, 4, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re, err := RehydrateTree(digest.SHA1, 4, 40, tr.Widths(), stored(tr), sliceSource(good)); err != nil || re.Len() != 40 || !bytes.Equal(re.Root(), tr.Root()) {
+	if re, err := RehydrateTree(40, tr.Stored(), sliceSource(good)); err != nil || re.Len() != 40 || !bytes.Equal(re.Root(), tr.Root()) {
 		t.Fatalf("matching leaf count rejected on rehydrate: %v", err)
 	}
 	for _, at := range []int{2, 20, 39} {
@@ -121,17 +106,17 @@ func TestLeafOrderIsTheCallers(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RehydrateTree(digest.SHA1, 4, 39, tr.Widths(), stored(tr), sliceSource(good)); err == nil {
-		t.Error("RehydrateTree accepted fewer entries than leaves")
+	for _, n := range []int{20, 160} {
+		if _, err := RehydrateTree(n, tr.Stored(), sliceSource(good)); err == nil {
+			t.Errorf("RehydrateTree accepted a 40-entry tree's top for %d entries", n)
+		}
 	}
-	if _, err := RehydrateTree(digest.SHA1, 4, 40, []int{40, 11, 3, 1}, stored(tr), sliceSource(good)); err == nil {
-		t.Error("RehydrateTree accepted widths no 40-leaf tree has")
+	short, err := mht.Rehydrate(digest.SHA1, 4, tr.Stored().Levels()[1:])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RehydrateTree(digest.SHA1, 4, 40, tr.Widths(), stored(tr)[1:], sliceSource(good)); err == nil {
+	if _, err := RehydrateTree(40, short, sliceSource(good)); err == nil {
 		t.Error("RehydrateTree accepted a stored level short")
-	}
-	if _, err := RehydrateTree(digest.SHA1, 4, 40, nil, nil, sliceSource(good)); err == nil {
-		t.Error("RehydrateTree accepted no levels")
 	}
 }
 
@@ -528,18 +513,24 @@ func fullTree(t testing.TB, alg digest.Alg, fanout int, entries []Entry) *mht.Tr
 	return mt
 }
 
-// sameAsFull holds tr to the whole tree over entries: the root, every
-// level byte for byte, and the proof of each index set.
+// sameAsFull holds tr to the whole tree over entries: the root, the
+// stored levels byte for byte — from the lowest level with at most
+// ⌈n/GroupLeaves⌉ nodes up — and the proof of each index set, which
+// carries digests of the levels below.
 func sameAsFull(t *testing.T, tr *Tree, entries []Entry, sets [][]int) {
 	t.Helper()
 	full := fullTree(t, tr.Alg(), tr.Fanout(), entries)
 	if !bytes.Equal(tr.Root(), full.Root()) {
 		t.Fatalf("%d entries, fanout %d: root differs from the whole tree's", len(entries), tr.Fanout())
 	}
-	got := levels(tr)
-	for l, want := range full.Levels() {
+	all, got := full.Levels(), tr.Stored().Levels()
+	cut, size, limit := len(all)-len(got), tr.Alg().Size(), (len(entries)+GroupLeaves-1)/GroupLeaves
+	if cut < 0 || len(all[cut]) > limit*size || cut > 0 && len(all[cut-1]) <= limit*size {
+		t.Fatalf("%d entries, fanout %d: stores %d of %d levels", len(entries), tr.Fanout(), len(got), len(all))
+	}
+	for l, want := range all[cut:] {
 		if !bytes.Equal(got[l], want) {
-			t.Fatalf("%d entries, fanout %d: level %d differs from the whole tree's", len(entries), tr.Fanout(), l)
+			t.Fatalf("%d entries, fanout %d: level %d differs from the whole tree's", len(entries), tr.Fanout(), cut+l)
 		}
 	}
 	var s mht.ProveScratch
@@ -621,7 +612,7 @@ func TestTreeAuditFindsTheGroup(t *testing.T) {
 	}
 	bad := slices.Clone(entries)
 	bad[517].Value++
-	re, err := RehydrateTree(digest.SHA1, 2, len(bad), tr.Widths(), stored(tr), sliceSource(bad))
+	re, err := RehydrateTree(len(bad), tr.Stored(), sliceSource(bad))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,24 +209,6 @@ func (t *Tree) UpdateLeaves(dirty map[int][]byte) (*Tree, error) {
 // the tree's own storage: read-only.
 func (t *Tree) Levels() [][]byte { return t.levels }
 
-// Widths returns every level's width, leaves first.
-func (t *Tree) Widths() []int {
-	w := make([]int, len(t.levels))
-	for l := range t.levels {
-		w[l] = t.width(l)
-	}
-	return w
-}
-
-// EachLevel calls emit with every level's slab in order, leaves first —
-// the counterpart of Top.EachLevel, so a snapshot writes either kind of
-// tree the same way.
-func (t *Tree) EachLevel(emit func(l int, digests []byte)) {
-	for l, lvl := range t.levels {
-		emit(l, lvl)
-	}
-}
-
 // Rehydrate reconstructs a Tree from previously exported level slabs without
 // recomputing a single hash — the snapshot load path, where interior
 // digests were already paid for at outsourcing time. The level shape is

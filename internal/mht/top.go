@@ -36,10 +36,10 @@ type Top struct {
 	upper  *Tree // levels cut and above
 }
 
-// TopCut returns the level a Top over an n-leaf tree under fanout stores
+// topCut returns the level a Top over an n-leaf tree under fanout stores
 // from: the lowest level with at most ⌈n/g⌉ nodes (0 for parameters no
 // tree has).
-func TopCut(n, fanout, g int) int {
+func topCut(n, fanout, g int) int {
 	if n < 1 || fanout < 2 || fanout > MaxFanout || g < 1 {
 		return 0
 	}
@@ -52,7 +52,7 @@ func TopCut(n, fanout, g int) int {
 
 // newTop lays out the shape of an n-leaf Top; the parameters are valid.
 func newTop(alg digest.Alg, fanout, n, g int) *Top {
-	t := &Top{alg: alg, fanout: fanout, widths: []int{n}, cut: TopCut(n, fanout, g)}
+	t := &Top{alg: alg, fanout: fanout, widths: []int{n}, cut: topCut(n, fanout, g)}
 	for w := n; w > 1; {
 		grp := groupLevel(w, fanout)
 		if len(t.widths) <= t.cut {
@@ -91,40 +91,26 @@ func BuildTop(alg digest.Alg, fanout, n, g int, leaves LeafFn) (*Top, error) {
 	return t, nil
 }
 
-// RehydrateTop reconstructs a Top from the level widths of the whole tree
-// and the stored levels, cut and above — the snapshot load path, which
-// hashes nothing. The widths must be exactly the shape an n = widths[0]
-// leaf tree has; digest values are trusted, as Rehydrate's are. The slabs
-// are retained, not copied.
-func RehydrateTop(alg digest.Alg, fanout, g int, widths []int, upper [][]byte) (*Top, error) {
-	if len(widths) == 0 {
-		return nil, errors.New("mht: no levels")
-	}
-	if err := checkTop(alg, fanout, widths[0]); err != nil {
+// RehydrateTop reconstructs an n-leaf Top from its stored levels, cut and
+// above, as one Tree (Stored) — the snapshot load path, which hashes
+// nothing. upper must be exactly the tree over the cut level of an n-leaf
+// tree under its fanout; digest values are trusted, as Rehydrate's are.
+func RehydrateTop(n, g int, upper *Tree) (*Top, error) {
+	if err := checkTop(upper.alg, upper.fanout, n); err != nil {
 		return nil, err
 	}
-	t := newTop(alg, fanout, widths[0], g)
-	if len(widths) != len(t.widths) {
-		return nil, fmt.Errorf("mht: %d levels over %d leaves, want %d", len(widths), widths[0], len(t.widths))
+	t := newTop(upper.alg, upper.fanout, n, g)
+	if upper.NumLeaves() != t.widths[t.cut] {
+		return nil, fmt.Errorf("mht: stored level %d has %d digests, want %d", t.cut, upper.NumLeaves(), t.widths[t.cut])
 	}
-	for l, w := range widths {
-		if w != t.widths[l] {
-			return nil, fmt.Errorf("mht: level %d has %d digests, want %d", l, w, t.widths[l])
-		}
-	}
-	if len(upper) != len(t.widths)-t.cut {
-		return nil, fmt.Errorf("mht: %d stored levels, want %d", len(upper), len(t.widths)-t.cut)
-	}
-	up, err := Rehydrate(alg, fanout, upper)
-	if err != nil {
-		return nil, err
-	}
-	if up.NumLeaves() != t.widths[t.cut] {
-		return nil, fmt.Errorf("mht: stored level %d has %d digests, want %d", t.cut, up.NumLeaves(), t.widths[t.cut])
-	}
-	t.upper = up
+	t.upper = upper
 	return t, nil
 }
+
+// Stored returns the levels the Top keeps, cut and above, as the Tree over
+// the cut level's digests: what a snapshot writes and RehydrateTop takes
+// back. Read-only.
+func (t *Top) Stored() *Tree { return t.upper }
 
 // Root returns the root digest, aliasing the stored top level.
 func (t *Top) Root() []byte { return t.upper.Root() }
@@ -137,9 +123,6 @@ func (t *Top) Alg() digest.Alg { return t.alg }
 
 // Fanout returns the tree fanout.
 func (t *Top) Fanout() int { return t.fanout }
-
-// Widths returns every level's width, leaves first. Read-only.
-func (t *Top) Widths() []int { return t.widths }
 
 // span is the subtree under one cut-level node: r[l] the index range of
 // its descendants on level l (on the cut, the node itself).
@@ -322,60 +305,6 @@ func (t *Top) UpdateLeaves(dirty []int, leaves LeafFn) (*Top, error) {
 	nt := *t
 	nt.upper = up
 	return &nt, nil
-}
-
-// levelBatch is the number of groups whose leaf digests EachLevel emits
-// at a time.
-const levelBatch = 1024
-
-// EachLevel calls emit with every level's digests in order, leaves first,
-// a level in one or more pieces valid only during the call; the pieces of
-// a level concatenate to that level of Build's tree. The levels below the
-// cut are regenerated in one pass over the groups: the leaves go out
-// levelBatch groups at a time through a reused buffer, and levels 1 to
-// cut-1 — together less than the leaf level — are collected and go out
-// after them. The stored levels go out as they are.
-func (t *Top) EachLevel(leaves LeafFn, emit func(l int, digests []byte)) {
-	if t.cut > 0 {
-		t.eachLower(leaves, emit)
-	}
-	for l, lvl := range t.upper.levels {
-		emit(t.cut+l, lvl)
-	}
-}
-
-// eachLower is EachLevel below the cut.
-func (t *Top) eachLower(leaves LeafFn, emit func(l int, digests []byte)) {
-	size, groups := t.alg.Size(), t.widths[t.cut]
-	mid := make([][]byte, t.cut)
-	for l := 1; l < t.cut; l++ {
-		mid[l] = make([]byte, t.widths[l]*size)
-	}
-	var buf []byte
-	for g0 := 0; g0 < groups; g0 += levelBatch {
-		g1 := min(g0+levelBatch, groups)
-		base, end := t.span(g0)[0][0], t.span(g1 - 1)[0][1]
-		buf = slices.Grow(buf[:0], (end-base)*size)[:(end-base)*size]
-		par.Chunks(g1-g0, groupThreshold, func(lo, hi int) {
-			var sub []byte
-			for g := g0 + lo; g < g0+hi; g++ {
-				r := t.span(g)
-				sub = t.fold(sub[:0], &r, t.cut-1, leaves)
-				for l := range t.cut {
-					dst := buf[(r[0][0]-base)*size:]
-					if l > 0 {
-						dst = mid[l][r[l][0]*size:]
-					}
-					off := t.levelOff(&r, l)
-					copy(dst, sub[off:off+(r[l][1]-r[l][0])*size])
-				}
-			}
-		})
-		emit(0, buf)
-	}
-	for l := 1; l < t.cut; l++ {
-		emit(l, mid[l])
-	}
 }
 
 // Audit re-derives the cut level from leaves, group by group, compares it

@@ -41,7 +41,9 @@
 // Version is bumped whenever any payload encoding changes shape — the
 // format carries precomputed Merkle digests, so there is no such thing as
 // a tolerant re-interpretation: a reader either understands a version
-// exactly or refuses it. Unknown section kinds within a known version are
+// exactly or refuses it. Version 1 had no index; version 2 added it;
+// version 3 stores HYP's sections as the provider holds them (the distance
+// tree's stored levels only, full rows as parent trees). Unknown section kinds within a known version are
 // listed by File (inspection) but are an error for semantic loaders,
 // which must not silently drop state they do not understand.
 //
@@ -67,7 +69,7 @@ import (
 
 // Version is the snapshot format version writers emit and the only one
 // readers accept.
-const Version = 2
+const Version = 3
 
 // magic identifies snapshot files; the trailing "1" is a human-visible
 // format generation, distinct from the finer-grained version field.

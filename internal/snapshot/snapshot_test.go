@@ -137,9 +137,10 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if err := strict(bad); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("bad magic: %v", err)
 	}
-	// Version 2 is the only dialect: the pre-index version 1 is refused
-	// like a future one.
-	for _, v := range []uint32{1, Version + 1} {
+	// Version 3 is the only dialect: the pre-index version 1 and version 2,
+	// whose HYP sections carried every distance-tree level and full rows
+	// as values, are refused like a future one.
+	for _, v := range []uint32{1, 2, Version + 1} {
 		if err := strict(withVersion(data, v)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
 			t.Fatalf("version %d: %v", v, err)
 		}
