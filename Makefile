@@ -97,9 +97,11 @@ bench:
 #   sp      Ball, one single search;
 #   core    UpdateStream: one applied churn update (ApplyUpdates plus the
 #           DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
-#           allocs/op and the HYP row bytes it copies; FullRowUpgrade: HYP's
-#           one-time static → full-row upgrade on that world (one search
-#           per border, each tree its search's parents);
+#           allocs/op and the HYP row bytes it copies; the two producers of
+#           HYP's border rows on that world, which run the same searches
+#           (one per border): HYPBuild, hiti.Build's static W*, and
+#           FullRowUpgrade, the one-time static → full-row upgrade, each
+#           tree its search's parents;
 #   cert    AuditRow: one HYP border's labelling row of that world checked;
 #   serve   HTTPQueryHit and HTTPQueryMiss: a GET /query through the
 #           handler, JSON and binary, answered from the proof cache's pages
@@ -111,7 +113,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkTree(Prove|UpdateValues)$$' -benchtime 1x -benchmem ./internal/mbt
 	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
-	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|FullRowUpgrade)$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|HYPBuild|FullRowUpgrade)$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPQuery(Hit|Miss)$$' -benchtime 1x -benchmem ./internal/serve
 

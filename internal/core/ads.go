@@ -153,9 +153,6 @@ func (a *networkADS) Root() []byte { return a.tree.Root() }
 // Pos returns the leaf position of node v.
 func (a *networkADS) Pos(v graph.NodeID) int { return a.ord.Pos[v] }
 
-// TupleBytes returns the canonical encoding of node v's tuple.
-func (a *networkADS) TupleBytes(v graph.NodeID) []byte { return a.msg(a.ord.Pos[v]) }
-
 // Records assembles the wire records (position + bytes) for a node set, in
 // the set's order.
 func (a *networkADS) Records(nodes []graph.NodeID) []tupleRecord {

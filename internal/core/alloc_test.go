@@ -117,6 +117,33 @@ func TestHYPQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// snapSaveAllocBudget bounds the allocations of saving an LDM-only
+// snapshot: the writer's buffers and section headers, a fixed count
+// whatever the landmark rows hold. The test world's 16 rows of 400 nodes
+// are 6,400 distances, and writing each through its own heap-escaping
+// array cost an allocation apiece.
+const snapSaveAllocBudget = 200
+
+// TestSnapshotSaveAllocBudget: a snapshot save encodes its values through
+// the stream's own scratch, so what it allocates does not grow with c·|V|.
+func TestSnapshotSaveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	w := world(t)
+	save := func() {
+		if _, err := w.owner.WriteSnapshot(io.Discard, w.ldm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	got := testing.AllocsPerRun(5, save)
+	t.Logf("an LDM-only save of %d landmark rows over %d nodes allocates %.0f times", w.ldm.hints.C(), w.g.NumNodes(), got)
+	if got > snapSaveAllocBudget {
+		t.Errorf("an LDM-only save allocates %.0f times, budget %d", got, snapSaveAllocBudget)
+	}
+}
+
 // TestSnapTreeDecodeAllocBudget: loading a Merkle tree from a section costs
 // its levels — one copy each — not its digests, and never more bytes than
 // the payload holds, whatever widths the payload claims.

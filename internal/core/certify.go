@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -357,9 +356,6 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 // post-update form) rather than the compact border-to-border matrix.
 const hypAuxFull = 1
 
-// auditRows pools the stored W* rows the HYP audit reads, one per worker.
-var auditRows = sync.Pool{New: func() any { return new([]float64) }}
-
 // planCert for HYP: both roots plus one full labelling row per border
 // node. The stored rows — W* border-to-border or full — are the values at
 // the corresponding positions of these rows, so one triangle pass per
@@ -388,9 +384,8 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 		return err
 	}
 	hy := hp.hyper
-	full := hy.HasFullRows()
 	wantAux := byte(0)
-	if full {
+	if hy.HasFullRows() {
 		wantAux = hypAuxFull
 	}
 	if len(mc.Aux) != 1 || mc.Aux[0] != wantAux {
@@ -416,21 +411,17 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 		if row.N() != n {
 			return fmt.Errorf("%w: HYP row %d has %d dists, want %d", cert.ErrEncoding, i, row.N(), n)
 		}
-		// Stored hyper-rows against the certified labelling: every stored
-		// value must be the certified distance at its position — column x
-		// is node x in a full row, border x in a static one.
-		buf := auditRows.Get().(*[]float64)
-		defer auditRows.Put(buf)
-		*buf = hy.AppendRow((*buf)[:0], i)
-		for x, got := range *buf {
-			node := x
-			if !full {
-				node = int(hy.Borders[x])
-			}
-			if d := row.Dist(node); got != d && !distEqual(got, d) {
+		// Stored hyper-rows against the certified labelling: every value
+		// hiti stores, in either form, must be the certified distance at
+		// its node.
+		if err := hy.WalkRow(i, func(x graph.NodeID, got float64) error {
+			if d := row.Dist(int(x)); got != d && !distEqual(got, d) {
 				return fmt.Errorf("%w: stored HYP row %d differs from certificate at node %d (%g vs %g)",
-					cert.ErrDistance, i, node, got, d)
+					cert.ErrDistance, i, x, got, d)
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 
 	"github.com/authhints/spv/internal/graph"
@@ -36,9 +35,6 @@ func (ldmImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 		return err
 	}
 	h := lp.hints
-	if h.Dists == nil {
-		return errors.New("core: LDM provider retains no distance rows; cannot snapshot")
-	}
 	size := snapBytesSize(lp.rootSig) + 4 + 8 + 4 + 4*uint64(len(h.Landmarks)) +
 		snapTreeSize(lp.ads.tree)
 	for _, row := range h.Dists {
@@ -53,9 +49,7 @@ func (ldmImpl) StreamSnapshot(sw *snapshot.Writer, p Provider) error {
 			s.u32(uint32(l))
 		}
 		for _, row := range h.Dists {
-			for _, d := range row {
-				s.f64(d)
-			}
+			s.f64s(row)
 		}
 		s.tree(lp.ads.tree)
 	})

@@ -116,7 +116,7 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 		var prevRows [][]float64
 		if k > 0 {
 			for i := range prev.hyper.Borders {
-				prevRows = append(prevRows, prev.hyper.AppendRow(nil, i))
+				prevRows = append(prevRows, storedRow(prev.hyper, i))
 			}
 		}
 		next, st := patch(t, batch, prev)
@@ -132,7 +132,7 @@ func TestUpdateStreamSharesPages(t *testing.T) {
 			st.RowsRecomputed, st.NodesResettled, st.DistLeavesPatched)
 		if k > 0 {
 			for i, row := range prevRows {
-				if !slices.Equal(row, prev.hyper.AppendRow(nil, i)) {
+				if !slices.Equal(row, storedRow(prev.hyper, i)) {
 					t.Fatalf("patching update %d changed row %d of the provider before it", k, i)
 				}
 			}
@@ -246,10 +246,40 @@ func BenchmarkUpdateStream(b *testing.B) {
 	b.ReportMetric(float64(rowBytes)/float64(b.N), "row-B/op")
 }
 
+// storedRow is row i as hy stores it, in hiti.Hyper.WalkRow's order: a
+// full row's value at every node, or a static row's W*.
+func storedRow(hy *hiti.Hyper, i int) []float64 {
+	var row []float64
+	hy.WalkRow(i, func(_ graph.NodeID, d float64) error {
+		row = append(row, d)
+		return nil
+	})
+	return row
+}
+
+// BenchmarkHYPBuild measures hiti.Build on the benchmark world: the
+// partition, then one full search per border, W* its distances at the
+// borders — the searches BenchmarkFullRowUpgrade runs too.
+func BenchmarkHYPBuild(b *testing.B) {
+	g, _ := updateStream(b, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hiti.Build(owner.Graph(), owner.cfg.Cells); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFullRowUpgrade measures HYP's one-time static → full-row
-// upgrade (hiti.WithFullRows), which the first update of a deployment
-// pays on its critical path, on the benchmark world: one search per
-// border, each row's tree its search's parents.
+// upgrade (hiti.Hyper.Updated on a static Hyper), which the first update
+// of a deployment pays on its critical path, on the benchmark world: one
+// search per border, the same searches hiti.Build runs, each row's tree
+// its search's parents.
 func BenchmarkFullRowUpgrade(b *testing.B) {
 	g, _ := updateStream(b, 0)
 	owner, err := NewOwner(g, DefaultConfig())
@@ -260,7 +290,7 @@ func BenchmarkFullRowUpgrade(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hyp.hyper.WithFullRows(owner.Graph(), hyp.ads.ord); err != nil {
+		if _, _, _, err := hyp.hyper.Updated(owner.Graph(), hyp.ads.ord, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,10 +302,9 @@ func BenchmarkFullRowUpgrade(b *testing.B) {
 // its tree, is bitwise a fresh DijkstraRow on the owner's current network,
 // W* bitwise those rows' border values, and the distance tree the whole
 // tree over them (checkDistTree, on 512 benchmark-range queries). Every
-// eighth update W* is also held to hiti.Build there, whose border searches
-// stop early but settle the borders as a full search does (hiti's
-// checkExact pins that on every repair it tests), so the full W* rebuild
-// is not paid 32 times.
+// eighth update W* is also held to hiti.Build there, which runs the same
+// full border searches (hiti's checkExact pins that on every repair it
+// tests), so the full W* rebuild is not paid 32 times.
 func TestUpdateStreamRowsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32 row sets of fresh searches on the benchmark world")
@@ -306,7 +335,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 			ws := sp.AcquireWorkspace(net.NumNodes())
 			defer sp.ReleaseWorkspace(ws)
 			want := ws.DijkstraRow(net, hy.Borders[i], nil)
-			for x, d := range hy.AppendRow(nil, i) {
+			for x, d := range storedRow(hy, i) {
 				if math.Float64bits(d) != math.Float64bits(want[x]) {
 					bad[i] = fmt.Sprintf("row %d holds %v at node %d, a fresh search gives %v", i, d, x, want[x])
 					return

@@ -330,7 +330,10 @@ func (s *ProviderSet) WriteTo(w io.Writer) (int64, error) {
 type snapStream struct {
 	bw  *bufio.Writer
 	err error
-	buf [512]byte // f64s's and u16s's encoding scratch
+	// buf is every writer's encoding scratch. It lives in the stream, not
+	// on each call's stack: a slice passed to the writer escapes, so a
+	// local array would be one allocation per value.
+	buf [512]byte
 }
 
 func newSnapStream(w io.Writer) *snapStream {
@@ -344,24 +347,14 @@ func (s *snapStream) write(p []byte) {
 	_, s.err = s.bw.Write(p)
 }
 
-func (s *snapStream) u8(v byte) { s.write([]byte{v}) }
+func (s *snapStream) u8(v byte) { s.write(append(s.buf[:0], v)) }
 
-func (s *snapStream) u16(v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	s.write(b[:])
-}
+func (s *snapStream) u16(v uint16) { s.write(binary.BigEndian.AppendUint16(s.buf[:0], v)) }
 
-func (s *snapStream) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	s.write(b[:])
-}
+func (s *snapStream) u32(v uint32) { s.write(binary.BigEndian.AppendUint32(s.buf[:0], v)) }
 
 func (s *snapStream) f64(v float64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	s.write(b[:])
+	s.write(binary.BigEndian.AppendUint64(s.buf[:0], math.Float64bits(v)))
 }
 
 func (s *snapStream) bytes(b []byte) {

@@ -313,9 +313,6 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 	}
 	st := &PatchStats{Method: LDM}
 	h := p.hints
-	if h.Dists == nil {
-		return nil, nil, fmt.Errorf("core: LDM provider predates row retention; re-outsource instead")
-	}
 	rows := make([]cowRow, len(h.Dists))
 	var settled atomic.Int64
 	par.Work(len(rows), func(i int) {
@@ -403,30 +400,24 @@ func (ldmImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, erro
 }
 
 // Patch derives an updated HYP provider: the grid partition and border
-// sets never change under re-weighting, so the patch repairs every border
-// row's shortest-path tree, copy-on-write by page; re-hashes the distance
-// tree's groups holding a hyper-edge entry whose value moved, read off the
-// W* pages the new Hyper does not share with the old (hiti holds the
-// values' one home); and patches the endpoints' tuples.
+// sets never change under re-weighting, so the patch takes the border rows
+// from hiti's one update entry (the first update upgrades them to full
+// rows, later ones repair each row's shortest-path tree, copy-on-write by
+// page); re-hashes the distance tree's groups holding a hyper-edge entry
+// whose value moved, read off the W* pages the new Hyper does not share
+// with the old (hiti holds the values' one home); and patches the
+// endpoints' tuples.
 func (hypImpl) Patch(b *UpdateBatch, prov Provider) (Provider, *PatchStats, error) {
 	p, err := providerAs[*HYPProvider](HYP, prov)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := &PatchStats{Method: HYP}
-	hyper := p.hyper
-	switch {
-	case !hyper.HasFullRows():
-		// First update against this provider: materialize full rows on the
-		// post-update network (one row rebuild — static deployments never
-		// pay the B·|V| form). Updates from here on are repaired.
-		if hyper, err = hyper.WithFullRows(b.newView, p.ads.ord); err != nil {
-			return nil, nil, err
-		}
-		st.RowsRecomputed = len(hyper.Borders)
-	case len(b.steps) > 0:
-		hyper, st.RowsRecomputed, st.NodesResettled = hyper.WithRepairedRows(b.steps)
+	hyper, rows, resettled, err := p.hyper.Updated(b.newView, p.ads.ord, b.steps)
+	if err != nil {
+		return nil, nil, err
 	}
+	st.RowsRecomputed, st.NodesResettled = rows, resettled
 
 	dirtyMsgs := b.dirtyTupleMsgs(p.ads, hyper.Extra)
 	ads, k, err := p.ads.patched(dirtyMsgs)

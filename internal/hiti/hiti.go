@@ -3,7 +3,12 @@
 // cells, border-node detection, and materialized hyper-edge weights
 // W*(u, v) = dist(u, v) between *all* pairs of border nodes (the paper's
 // footnote 1 departs from [28] exactly here: hyper-edges exist for any pair
-// of border nodes, not just borders of the same cell).
+// of border nodes, not just borders of the same cell). W* comes from one
+// full Dijkstra per border; the first update upgrades the rows to full
+// rows — the same searches, each kept as its shortest-path tree — which
+// later updates repair in place. Which form a Hyper holds is this
+// package's alone: callers update through Updated and read stored values
+// through WalkRow.
 //
 // The per-node cell identifier and border flag become part of the
 // authenticated extended-tuple Φ(v) (Eq. 7); the hyper-edge weights go into
@@ -109,23 +114,15 @@ const (
 )
 
 // Build partitions net into approximately p grid cells and materializes
-// all border-pair distances (one bounded Dijkstra per border node;
-// parallelized).
+// all border-pair distances: one full search per border (searchRows,
+// parallelized), W* its distances at the borders.
 func Build(net *graph.CSR, p int) (*Hyper, error) {
 	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
-	// Materialize W* border-indexed: one Dijkstra per border node, all
-	// borders as targets, early-terminating once they settle. Workers
-	// search the network with a pooled workspace each.
-	var rows [][]float64
-	h.wb, rows = staticRows(len(h.Borders))
-	par.Work(len(h.Borders), func(i int) {
-		ws := sp.AcquireWorkspace(net.NumNodes())
-		defer sp.ReleaseWorkspace(ws)
-		ws.DijkstraToTargets(net, h.Borders[i], h.Borders, rows[i])
-	})
+	h.wb = staticRows(len(h.Borders))
+	h.searchRows(net)
 	return h, nil
 }
 
@@ -191,23 +188,28 @@ func partition(g *graph.CSR, p int) (*Hyper, error) {
 	return h, nil
 }
 
-// AppendRow appends stored row i to dst as values — node-indexed
-// (W*(Borders[i], x) at x, folded from the tree) for full rows,
-// border-indexed (AppendW) for the static form — and returns the extended
-// slice. It is how the certificate audit reads the rows.
-func (h *Hyper) AppendRow(dst []float64, i int) []float64 {
+// WalkRow calls f with each value stored row i holds, in node order, and
+// returns f's first error, where the walk stops: W*(Borders[i], v) at each
+// border v for the static form, and for full rows W*(Borders[i], x) at
+// every node x, folded from the tree. It is how the certificate audit holds
+// what the provider stores to the certified distances.
+func (h *Hyper) WalkRow(i int, f func(x graph.NodeID, d float64) error) error {
 	if h.tree == nil {
-		return h.AppendW(dst, i)
+		for j, v := range h.Borders {
+			if err := f(v, h.wb[i][j/WPageLen][j%WPageLen]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	n := len(h.seq)
-	dst = slices.Grow(dst, n)[:len(dst)+n]
-	row := dst[len(dst)-n:]
-	s := acquireScratch(n)
-	for x := range row {
-		row[x] = h.fold(s, h.net, h.tree[i], h.wb[i], graph.NodeID(x))
+	s := acquireScratch(len(h.seq))
+	defer releaseScratch(s)
+	for x := range h.seq {
+		if err := f(graph.NodeID(x), h.fold(s, h.net, h.tree[i], h.wb[i], graph.NodeID(x))); err != nil {
+			return err
+		}
 	}
-	releaseScratch(s)
-	return dst
+	return nil
 }
 
 // AppendW appends W* row i — dist(Borders[i], Borders[j]) at j — to dst
@@ -236,7 +238,7 @@ func (h *Hyper) AppendTree(dst []uint16, i int) []uint16 {
 // into the Hyper's own pages as they were saved: numBorders W* rows
 // (AppendW) through w, then, for full rows, numBorders trees of |V| slots
 // in ord's leaf order (AppendTree) through tree. Each reader is called
-// with a run of one row to fill, rows in order. The row count is
+// with a run of one row's page to fill, rows in order. The row count is
 // validated against the recomputed border set before the first read, so a
 // snapshot from a different graph or cell count fails loudly here rather
 // than as a root mismatch downstream; a tree that fold or Repair could not
@@ -250,27 +252,24 @@ func Rehydrate(net *graph.CSR, p int, ord *order.Ordering, full bool, numBorders
 	if numBorders != b {
 		return nil, fmt.Errorf("hiti: %d rows for %d borders", numBorders, b)
 	}
-	if !full {
-		var rows [][]float64
-		h.wb, rows = staticRows(b)
-		for _, row := range rows {
-			w(row)
+	if full {
+		// A full row's W* lives on pages of its own: patches replace them.
+		if err := h.fullOver(net, ord); err != nil {
+			return nil, err
 		}
-		return h, nil
+	} else {
+		h.wb = staticRows(b)
 	}
-	if err := h.fullOver(net, ord); err != nil {
-		return nil, err
-	}
-	// A full row's W* lives on pages of its own: patches replace them.
 	for i := range h.wb {
-		h.wb[i] = newW(b)
 		for k, pg := range h.wb[i] {
 			w(pg[:min(WPageLen, b-k*WPageLen)])
 		}
 	}
+	if !full {
+		return h, nil
+	}
 	n := net.NumNodes()
 	for i := range h.tree {
-		h.tree[i] = newTree(n)
 		for k, pg := range h.tree[i] {
 			tree(pg[:min(PageLen, n-k*PageLen)])
 		}
@@ -351,40 +350,75 @@ func (a *leafAdj) checkTree(tree []*page, walk []int32) error {
 // (the update pipeline's storage form).
 func (h *Hyper) HasFullRows() bool { return h.tree != nil }
 
+// Updated is the update pipeline's one entry: it returns a Hyper with full
+// rows over net, the batch's network, paged under ord, the network's leaf
+// ordering, together with the number of rows whose values were recomputed
+// or moved and the nodes repair re-settled. A static receiver is upgraded
+// (WithFullRows: every row recomputed, static deployments never pay the
+// B·|V| form); a full one has its rows repaired through steps, the batch's
+// real re-weightings (WithRepairedRows), and is returned as it is when
+// there are none.
+func (h *Hyper) Updated(net *graph.CSR, ord *order.Ordering, steps []sp.Step) (*Hyper, int, int, error) {
+	switch {
+	case h.tree == nil:
+		nh, err := h.WithFullRows(net, ord)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return nh, len(h.Borders), 0, nil
+	case len(steps) == 0:
+		return h, 0, 0, nil
+	}
+	nh, rows, resettled := h.WithRepairedRows(steps)
+	return nh, rows, resettled, nil
+}
+
 // WithFullRows returns a Hyper carrying full distance rows computed over
-// net and paged under ord, the network's leaf ordering. The update
-// pipeline upgrades a static Hyper with this exactly once (cost: one
-// search per border), after which updates repair the trees. Each tree is
-// its search's parent labels, tight bit for bit by construction: a node's
-// label is fl(d + w) over the settled parent's d. The search relaxes the
-// border targets as DijkstraToTargets does before its early stop, so W* is
-// bitwise what Build computes over net.
+// net and paged under ord, the network's leaf ordering: the same searches
+// Build runs (searchRows), each tree its search's parent labels, so W* is
+// bitwise what Build computes over net. Updates from here on repair the
+// trees.
 func (h *Hyper) WithFullRows(net *graph.CSR, ord *order.Ordering) (*Hyper, error) {
 	nh := *h
 	if err := nh.fullOver(net, ord); err != nil {
 		return nil, err
 	}
-	n, b := net.NumNodes(), len(h.Borders)
-	par.Work(b, func(i int) {
-		ws := sp.AcquireWorkspace(n)
-		defer sp.ReleaseWorkspace(ws)
-		tree, w := newTree(n), newW(b)
-		for _, x := range ws.DijkstraBounded(net, h.Borders[i], sp.Unreachable) {
-			if p := ws.ParentOf(x); p != graph.Invalid {
-				sl := nh.pos[x]
-				tree[sl/PageLen][sl%PageLen] = adjIndex(net, x, p)
-			}
-		}
-		for j, v := range h.Borders {
-			w[j/WPageLen][j%WPageLen] = ws.DistOf(v)
-		}
-		nh.tree[i], nh.wb[i] = tree, w
-	})
+	nh.searchRows(net)
 	return &nh, nil
 }
 
+// searchRows fills the receiver's rows, W* pages and, for full rows,
+// trees laid out beforehand, with one full search per border over net,
+// workers in parallel: W* row i is search i's distances at the borders and
+// tree i its parent labels, tight bit for bit by construction — a node's
+// label is fl(d + w) over the settled parent's d. It is the one producer of
+// both row forms.
+func (h *Hyper) searchRows(net *graph.CSR) {
+	n := net.NumNodes()
+	par.Work(len(h.Borders), func(i int) {
+		ws := sp.AcquireWorkspace(n)
+		defer sp.ReleaseWorkspace(ws)
+		settled := ws.DijkstraBounded(net, h.Borders[i], sp.Unreachable)
+		w := h.wb[i]
+		for j, v := range h.Borders {
+			w[j/WPageLen][j%WPageLen] = ws.DistOf(v)
+		}
+		if h.tree == nil {
+			return
+		}
+		tree := h.tree[i]
+		for _, x := range settled {
+			if p := ws.ParentOf(x); p != graph.Invalid {
+				sl := h.pos[x]
+				tree[sl/PageLen][sl%PageLen] = adjIndex(net, x, p)
+			}
+		}
+	})
+}
+
 // fullOver readies the receiver for full rows over net in ord's leaf
-// order, the rows yet to be filled.
+// order: every row's W* and tree pages, the trees' slots noParent, yet to
+// be filled.
 func (h *Hyper) fullOver(net *graph.CSR, ord *order.Ordering) error {
 	for v := 0; v < net.NumNodes(); v++ {
 		if d := net.Degree(graph.NodeID(v)); d > noParent {
@@ -392,8 +426,12 @@ func (h *Hyper) fullOver(net *graph.CSR, ord *order.Ordering) error {
 		}
 	}
 	h.net, h.pos, h.seq = net, ord.Pos, ord.Seq
-	h.tree = make([][]*page, len(h.Borders))
-	h.wb = make([][]*wpage, len(h.Borders))
+	b := len(h.Borders)
+	h.tree = make([][]*page, b)
+	h.wb = make([][]*wpage, b)
+	for i := range b {
+		h.tree[i], h.wb[i] = newTree(net.NumNodes()), newW(b)
+	}
 	return nil
 }
 
@@ -419,26 +457,25 @@ func newW(b int) []*wpage {
 	return out
 }
 
-// staticRows lays the b W* rows of b values out in one slab, as pages and
-// as the plain row slices to fill them through. Row i starts at value i·b,
-// so its last page runs on into the next row (or into the slack after the
-// last): pages overlap, which is sound because nothing reads a page past
-// its row's last column and nothing writes a static page once built — full
-// rows keep W* on pages of their own, so the slab pins nothing a patch
-// frees.
-func staticRows(b int) ([][]*wpage, [][]float64) {
+// staticRows lays the b W* rows of b values out in one slab, as pages.
+// Row i starts at value i·b, so its last page runs on into the next row (or
+// into the slack after the last): pages overlap, which is sound because
+// nothing reads or writes a page past its row's last column, and nothing
+// writes a static page once built or loaded — full rows keep W* on pages
+// of their own, so the slab pins nothing a patch frees.
+func staticRows(b int) [][]*wpage {
 	per := (b + WPageLen - 1) / WPageLen
 	slab := make([]float64, b*b+WPageLen)
 	pages := make([]*wpage, b*per)
-	wb, flat := make([][]*wpage, b), make([][]float64, b)
+	wb := make([][]*wpage, b)
 	for i := range wb {
 		row := pages[i*per : (i+1)*per : (i+1)*per]
 		for k := range row {
 			row[k] = (*wpage)(slab[i*b+k*WPageLen:])
 		}
-		wb[i], flat[i] = row, slab[i*b:(i+1)*b:(i+1)*b]
+		wb[i] = row
 	}
-	return wb, flat
+	return wb
 }
 
 // cow returns row with page k its own: row is old until its first page is

@@ -612,11 +612,14 @@ func reweight(t *testing.T, net *graph.CSR, u, v graph.NodeID, w float64) sp.Ste
 	return sp.Step{G: next, U: u, V: v, Old: old, New: w}
 }
 
-// rowsOf is every stored row of h, in storage form.
+// rowsOf is every stored row of h, as WalkRow walks it.
 func rowsOf(h *Hyper) [][]float64 {
 	rows := make([][]float64, h.NumBorders())
 	for i := range rows {
-		rows[i] = h.AppendRow(nil, i)
+		h.WalkRow(i, func(_ graph.NodeID, d float64) error {
+			rows[i] = append(rows[i], d)
+			return nil
+		})
 	}
 	return rows
 }
@@ -705,10 +708,13 @@ func checkExact(t *testing.T, h *Hyper, net *graph.CSR, cells int, what string) 
 	ws := sp.NewWorkspace(net.NumNodes())
 	for i, b := range h.Borders {
 		want := ws.DijkstraRow(net, b, nil)
-		for x, d := range h.AppendRow(nil, i) {
+		if err := h.WalkRow(i, func(x graph.NodeID, d float64) error {
 			if math.Float64bits(d) != math.Float64bits(want[x]) {
-				t.Fatalf("%s: row %d folds to %v at node %d, a fresh search gives %v", what, i, d, x, want[x])
+				return fmt.Errorf("row %d folds to %v at node %d, a fresh search gives %v", i, d, x, want[x])
 			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 	fresh, err := Build(net, cells)
@@ -861,32 +867,75 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 // value abound — zero weights, and 1e-12 edges that vanish into 1e12
 // distances — so a tree chosen from values alone could close a cycle: the
 // upgrade's trees, its searches' own parents, must fold bitwise to fresh
-// searches, and a saved row set must load back to the same trees, page
-// for page.
+// searches, its W* must be bitwise Build's, and a saved row set must load
+// back to the same trees, page for page. The last world is two copies of
+// one such network side by side with no edge between them, so borders
+// across the gap cannot reach each other: Build's W* between them is
+// sp.Unreachable, and the far copy's nodes have no parent in either
+// copy's rows.
 func TestPlantAcrossPlateaus(t *testing.T) {
 	palette := []float64{0, 0, 1, 1e-12, 1e12, 3}
-	for seed := int64(0); seed < 12; seed++ {
+	const worlds = 13
+	for seed := int64(0); seed < worlds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shape := spatialGraph(rng, 40+rng.Intn(200))
-		g := graph.New(shape.NumNodes())
-		for v := 0; v < shape.NumNodes(); v++ {
-			g.AddNode(shape.X(graph.NodeID(v)), shape.Y(graph.NodeID(v)))
+		copies := 1
+		if seed == worlds-1 {
+			copies = 2
 		}
-		for v := 0; v < shape.NumNodes(); v++ {
+		n := shape.NumNodes()
+		g := graph.New(copies * n)
+		for c := range copies {
+			for v := 0; v < n; v++ {
+				g.AddNode(shape.X(graph.NodeID(v))+float64(c)*10000, shape.Y(graph.NodeID(v)))
+			}
+		}
+		for v := 0; v < n; v++ {
 			for _, e := range shape.Neighbors(graph.NodeID(v)) {
 				if graph.NodeID(v) < e.To {
-					g.MustAddEdge(graph.NodeID(v), e.To, palette[rng.Intn(len(palette))])
+					w := palette[rng.Intn(len(palette))]
+					for c := range copies {
+						g.MustAddEdge(graph.NodeID(c*n+v), graph.NodeID(c*n)+e.To, w)
+					}
 				}
 			}
 		}
+		// Node x lies in copy x/n; a single copy is connected.
+		apart := func(x, y graph.NodeID) bool { return int(x)/n != int(y)/n }
 		net := g.Freeze()
 		h, err := Build(net, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := fullRows(t, g, h)
 		what := fmt.Sprintf("seed %d", seed)
+		cross := 0
+		for _, u := range h.Borders {
+			for _, v := range h.Borders {
+				if d, _ := h.HyperEdge(u, v); (d == sp.Unreachable) != apart(u, v) {
+					t.Fatalf("%s: Build's W*(%d, %d) = %v", what, u, v, d)
+				}
+				if apart(u, v) {
+					cross++
+				}
+			}
+		}
+		if copies == 2 && cross == 0 {
+			t.Fatalf("%s: no border pair lies across the gap", what)
+		}
+		full := fullRows(t, g, h)
+		for i, b := range full.Borders {
+			for x := range graph.NodeID(net.NumNodes()) {
+				if sl := full.pos[x]; apart(b, x) && full.tree[i][sl/PageLen][sl%PageLen] != noParent {
+					t.Fatalf("%s: row %d gives node %d, out of its reach, a parent", what, i, x)
+				}
+			}
+		}
 		checkExact(t, full, full.net, 9, what)
+		if a, b := allEntries(full), allEntries(h); !slices.EqualFunc(a, b, func(x, y mbt.Entry) bool {
+			return x.Key == y.Key && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+		}) {
+			t.Fatalf("%s: the upgrade's W* differs from Build's", what)
+		}
 		back, err := save(full).load(full.net, 9, &order.Ordering{Pos: full.pos, Seq: full.seq})
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)

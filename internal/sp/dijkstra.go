@@ -71,14 +71,3 @@ func DijkstraBounded(g graph.View, src graph.NodeID, bound float64) (*Tree, []gr
 	// only) erases them so callers cannot mistake them for exact values.
 	return w.tree(src, true), append([]graph.NodeID(nil), settled...)
 }
-
-// DijkstraToTargets runs Dijkstra from src until every node in targets is
-// settled (or the graph is exhausted), returning the distances to the
-// targets in the same order as given (Unreachable for unreached). It is used
-// to materialize HiTi hyper-edge weights, where only border-node distances
-// matter.
-func DijkstraToTargets(g graph.View, src graph.NodeID, targets []graph.NodeID) []float64 {
-	w := AcquireWorkspace(g.NumNodes())
-	defer ReleaseWorkspace(w)
-	return w.DijkstraToTargets(g, src, targets, nil)
-}

@@ -117,30 +117,6 @@ func TestDijkstraBoundedSettlesExactlyWithinBound(t *testing.T) {
 	}
 }
 
-func TestDijkstraToTargets(t *testing.T) {
-	g := fig1(t)
-	targets := []graph.NodeID{3, 6, 0}
-	d := DijkstraToTargets(g, 0, targets)
-	want := []float64{8, 3, 0}
-	for i := range targets {
-		if d[i] != want[i] {
-			t.Errorf("dist to %d = %v, want %v", targets[i], d[i], want[i])
-		}
-	}
-}
-
-func TestDijkstraToTargetsUnreachable(t *testing.T) {
-	g := graph.New(3)
-	g.AddNode(0, 0)
-	g.AddNode(1, 0)
-	g.AddNode(2, 0)
-	g.MustAddEdge(0, 1, 1)
-	d := DijkstraToTargets(g, 0, []graph.NodeID{1, 2})
-	if d[0] != 1 || d[1] != Unreachable {
-		t.Errorf("got %v, want [1, Unreachable]", d)
-	}
-}
-
 func TestFloydWarshallFig1(t *testing.T) {
 	g := fig1(t)
 	d := FloydWarshall(g)

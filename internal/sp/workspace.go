@@ -33,7 +33,7 @@ type Workspace struct {
 
 	heap Heap
 
-	want []uint32 // target-set stamps for DijkstraToTargets
+	want []uint32 // Repair's closure stamps: want[v]==epoch ⇒ v is in C (join)
 }
 
 // NewWorkspace returns a workspace sized for graphs of up to n nodes; it
@@ -98,7 +98,8 @@ func AcquireWorkspace(n int) *Workspace {
 func ReleaseWorkspace(w *Workspace) { workspacePool.Put(w) }
 
 // DistOf returns the exact shortest path distance of a node settled by the
-// last bounded/targeted search, or Unreachable for unsettled nodes.
+// last search, or Unreachable for unsettled nodes: after a full
+// DijkstraBounded (bound Unreachable), the source's whole distance row.
 func (w *Workspace) DistOf(v graph.NodeID) float64 {
 	if int(v) < len(w.done) && w.done[v] == w.epoch {
 		return w.dist[v]
@@ -207,53 +208,6 @@ func (w *Workspace) DijkstraTo(g graph.View, src, dst graph.NodeID) (float64, gr
 func (w *Workspace) DijkstraBounded(g graph.View, src graph.NodeID, bound float64) []graph.NodeID {
 	w.dijkstra(g, src, graph.Invalid, bound, true, 0)
 	return w.settled
-}
-
-// DijkstraToTargets runs Dijkstra from src until every target is settled
-// (or the graph is exhausted) and returns the targets' distances in the
-// given order, Unreachable for unreached ones. The result is written into
-// out when it has capacity; otherwise a fresh slice is allocated.
-func (w *Workspace) DijkstraToTargets(g graph.View, src graph.NodeID, targets []graph.NodeID, out []float64) []float64 {
-	w.Reset(g.NumNodes())
-	remaining := 0
-	for _, v := range targets {
-		if w.want[v] != w.epoch {
-			w.want[v] = w.epoch
-			remaining++
-		}
-	}
-	w.label(src, 0, graph.Invalid)
-	w.heap.Push(src, 0)
-	for w.heap.Len() > 0 && remaining > 0 {
-		v, d := w.heap.Pop()
-		w.done[v] = w.epoch
-		if w.want[v] == w.epoch {
-			w.want[v] = 0 // epoch is never 0, so this unmarks
-			remaining--
-		}
-		for _, e := range g.Neighbors(v) {
-			if w.done[e.To] == w.epoch {
-				continue
-			}
-			nd := d + e.W
-			if w.seen[e.To] != w.epoch {
-				w.label(e.To, nd, v)
-				w.heap.Push(e.To, nd)
-			} else if nd < w.dist[e.To] {
-				w.label(e.To, nd, v)
-				w.heap.DecreaseKey(e.To, nd)
-			}
-		}
-	}
-	if cap(out) < len(targets) {
-		out = make([]float64, len(targets))
-	} else {
-		out = out[:len(targets)]
-	}
-	for i, v := range targets {
-		out[i] = w.DistOf(v)
-	}
-	return out
 }
 
 // DijkstraRow runs a full Dijkstra from src and returns the complete |V|

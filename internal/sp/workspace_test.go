@@ -82,35 +82,6 @@ func TestWorkspaceMatchesFreshSearch(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDijkstraToTargets checks target-set searches against full
-// Dijkstra rows, including duplicate targets and reuse across calls.
-func TestWorkspaceDijkstraToTargets(t *testing.T) {
-	g := randomWorkspaceGraph(t, 150, 80, 5)
-	view := g.Freeze()
-	w := NewWorkspace(view.NumNodes())
-	rng := rand.New(rand.NewSource(3))
-
-	for i := 0; i < 20; i++ {
-		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		targets := make([]graph.NodeID, 0, 12)
-		for j := 0; j < 10; j++ {
-			targets = append(targets, graph.NodeID(rng.Intn(g.NumNodes())))
-		}
-		targets = append(targets, targets[0], targets[1]) // duplicates
-
-		want := Dijkstra(g, src)
-		got := w.DijkstraToTargets(view, src, targets, nil)
-		if len(got) != len(targets) {
-			t.Fatalf("got %d distances for %d targets", len(got), len(targets))
-		}
-		for j, v := range targets {
-			if got[j] != want.Dist[v] {
-				t.Fatalf("target %d (node %d): %g, want %g", j, v, got[j], want.Dist[v])
-			}
-		}
-	}
-}
-
 // TestWorkspaceRow checks full-row extraction, including row reuse.
 func TestWorkspaceRow(t *testing.T) {
 	g := randomWorkspaceGraph(t, 120, 60, 9)
