@@ -50,8 +50,10 @@ purego:
 # Fuzz smoke: every fuzz target for FUZZTIME apiece (go test takes one
 # package and one target per run) — the decoders of everything that
 # arrives as untrusted bytes; FuzzVerifyProof, which carries accepted
-# decodes on through client verification; and FuzzRepair, which holds
-# update-time row repair bitwise to a fresh Dijkstra. Minimising each new corpus entry
+# decodes on through client verification; FuzzRepair, which holds
+# update-time row repair bitwise to a fresh Dijkstra; and FuzzFullRow,
+# which holds the chain-walking full-row search bitwise to the heap search
+# on small chain-heavy networks. Minimising each new corpus entry
 # is capped so a ten-second lane spends its time fuzzing.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
@@ -69,6 +71,7 @@ FUZZ_TARGETS = \
 	./internal/cert:FuzzDecodeCertificate \
 	./internal/cert:FuzzAuditRow \
 	./internal/sp:FuzzRepair \
+	./internal/sp:FuzzFullRow \
 	./internal/snapshot:FuzzReader \
 	./internal/snapshot:FuzzScan \
 	./internal/snapshot:FuzzFile
@@ -94,14 +97,17 @@ bench:
 #   mbt     TreeProve and TreeUpdateValues: that shape kept as HYP keeps
 #           it, its top levels stored and the leaf groups re-hashed from
 #           the entries;
-#   sp      Ball, one single search;
+#   sp      Ball, one single search; FullRow, one border's full row on
+#           the benchmark's world, with the heap search over every node
+#           beside it for reference;
 #   core    UpdateStream: one applied churn update (ApplyUpdates plus the
 #           DIJ, LDM and HYP patches) on the benchmark's world, with B/op,
 #           allocs/op and the HYP row bytes it copies; the two producers of
 #           HYP's border rows on that world, which run the same searches
-#           (one per border): HYPBuild, hiti.Build's static W*, and
+#           (one full row per border): HYPBuild, hiti.Build's static W*, and
 #           FullRowUpgrade, the one-time static → full-row upgrade, each
-#           tree its search's parents;
+#           tree its search's parents; Certify, the DIJ+LDM+HYP certificate
+#           an origin issues before its first save;
 #   cert    AuditRow: one HYP border's labelling row of that world checked;
 #   serve   HTTPQueryHit and HTTPQueryMiss: a GET /query through the
 #           handler, JSON and binary, answered from the proof cache's pages
@@ -112,8 +118,8 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendBase64$$' -benchtime 1x -benchmem ./internal/b64
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkTree(Prove|UpdateValues)$$' -benchtime 1x -benchmem ./internal/mbt
-	$(GO) test -run '^$$' -bench '^BenchmarkBall$$' -benchtime 1x -benchmem ./internal/sp
-	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|HYPBuild|FullRowUpgrade)$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(Ball|FullRow)$$' -benchtime 1x -benchmem ./internal/sp
+	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|HYPBuild|FullRowUpgrade|Certify)$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPQuery(Hit|Miss)$$' -benchtime 1x -benchmem ./internal/serve
 

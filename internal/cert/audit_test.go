@@ -706,7 +706,7 @@ func FuzzAuditRow(f *testing.F) {
 			_ = b.AddEdge(graph.NodeID(u), graph.NodeID(v), w) // duplicates refused
 		}
 		g := b.Freeze()
-		tree := sp.Dijkstra(g, src)
+		tree, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
 		d, p := tree.Dist, tree.Parent
 		values := []float64{0, 1, 2, 0.5, -1, math.NaN(), math.MaxFloat64, math.Inf(1)}
 		for k := 0; k < 2 && len(data) >= 3; k++ {
@@ -753,7 +753,7 @@ func BenchmarkAuditRow(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := hy.Borders[len(hy.Borders)/2]
-	tree := sp.Dijkstra(g, src)
+	tree, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
 	row := labelRow(b, src, tree.Dist, tree.Parent)
 	var sc cert.Scratch
 	if err := cert.AuditRow(g, row, &sc); err != nil {

@@ -95,7 +95,7 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 		par.Work(len(plan.Srcs), func(i int) {
 			row := c.Methods[m].Row(i)
 			ws := sp.AcquireWorkspace(n)
-			ws.DijkstraBounded(net, plan.Srcs[i], sp.Unreachable) // every reachable node settles
+			ws.FullRow(net, plan.Srcs[i])
 			for v := 0; v < n; v++ {
 				d := ws.DistOf(graph.NodeID(v))
 				if plan.dists != nil {

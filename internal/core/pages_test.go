@@ -296,6 +296,31 @@ func BenchmarkFullRowUpgrade(b *testing.B) {
 	}
 }
 
+// BenchmarkCertify measures Owner.Certify for DIJ, LDM and HYP on the
+// benchmark world, as an origin booting with -save issues it: one full
+// search per certified source (DIJ's one, LDM's landmarks, HYP's borders),
+// each row's distances and parents written and digested in its slot, then
+// the signature.
+func BenchmarkCertify(b *testing.B) {
+	g, _ := updateStream(b, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	provs := []Provider{
+		outsource[*DIJProvider](b, owner, DIJ),
+		outsource[*LDMProvider](b, owner, LDM),
+		outsource[*HYPProvider](b, owner, HYP),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := owner.Certify(provs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestUpdateStreamRowsExact holds HYP's row store to a from-scratch build
 // across the whole churn stream — 16 perturbing updates and the 16 that
 // restore them: after each patch, every border's stored row, folded from

@@ -127,7 +127,7 @@ func TestTupleAStarWithInconsistentAdmissibleLB(t *testing.T) {
 	// re-opening A* must still land on the oracle optimum.
 	for seed := int64(0); seed < 8; seed++ {
 		g, vs, vt, want := searchFixture(t, seed)
-		toT := sp.Dijkstra(g, vt)
+		toT, _ := sp.DijkstraBounded(g, vt, sp.Unreachable)
 		rng := rand.New(rand.NewSource(seed * 31))
 		scale := make([]float64, g.NumNodes())
 		for i := range scale {

@@ -118,7 +118,7 @@ type Stats struct {
 // is inherently sequential (each pick depends on the previous row's
 // distances), so only its derivation stages parallelize. Either way the
 // resulting hints are byte-identical to a single-threaded build.
-func Build(view graph.View, opts Options) (*Hints, Stats, error) {
+func Build(view *graph.CSR, opts Options) (*Hints, Stats, error) {
 	var stats Stats
 	if err := opts.Validate(); err != nil {
 		return nil, stats, err
@@ -255,7 +255,7 @@ func (h *Hints) WithRows(dists [][]float64) *Hints {
 // parallelRows computes every landmark's full distance row concurrently,
 // one pooled workspace per worker. Rows are independent, so the output
 // matches a sequential run bit for bit.
-func parallelRows(g graph.View, landmarks []graph.NodeID) [][]float64 {
+func parallelRows(g *graph.CSR, landmarks []graph.NodeID) [][]float64 {
 	dists := make([][]float64, len(landmarks))
 	par.Work(len(landmarks), func(i int) {
 		w := sp.AcquireWorkspace(g.NumNodes())
@@ -266,7 +266,7 @@ func parallelRows(g graph.View, landmarks []graph.NodeID) [][]float64 {
 }
 
 // selectLandmarks returns c landmarks and their exact distance vectors.
-func selectLandmarks(g graph.View, c int, strat Strategy, seed int64) ([]graph.NodeID, [][]float64) {
+func selectLandmarks(g *graph.CSR, c int, strat Strategy, seed int64) ([]graph.NodeID, [][]float64) {
 	n := g.NumNodes()
 	rng := rand.New(rand.NewSource(seed))
 	landmarks := make([]graph.NodeID, 0, c)

@@ -15,7 +15,7 @@ func defaultOpts() Options {
 }
 
 // randomRoadGraph builds a connected random graph with spatial coordinates.
-func randomRoadGraph(rng *rand.Rand, n int) *graph.Graph {
+func randomRoadGraph(rng *rand.Rand, n int) *graph.CSR {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
 		g.AddNode(rng.Float64()*10000, rng.Float64()*10000)
@@ -31,7 +31,7 @@ func randomRoadGraph(rng *rand.Rand, n int) *graph.Graph {
 			g.MustAddEdge(u, v, g.Euclid(u, v)+1)
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 func TestOptionsValidation(t *testing.T) {
@@ -118,7 +118,7 @@ func TestLemma3QuantizedAdmissibility(t *testing.T) {
 			return false
 		}
 		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		tr := sp.Dijkstra(g, src)
+		tr, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
 		for v := 0; v < g.NumNodes(); v++ {
 			lb := h.LooseLB(src, graph.NodeID(v))
 			if lb > tr.Dist[v]+1e-9 {
@@ -147,7 +147,7 @@ func TestLemma4CompressedAdmissibility(t *testing.T) {
 			return false
 		}
 		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		tr := sp.Dijkstra(g, src)
+		tr, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
 		for v := 0; v < g.NumNodes(); v++ {
 			lb := h.LB(src, graph.NodeID(v))
 			loose := h.LooseLB(src, graph.NodeID(v))
@@ -439,7 +439,7 @@ func TestFarthestSpreadsLandmarks(t *testing.T) {
 		}
 		total, count := 0.0, 0
 		for i, a := range h.Landmarks {
-			tr := sp.Dijkstra(g, a)
+			tr, _ := sp.DijkstraBounded(g, a, sp.Unreachable)
 			for _, b := range h.Landmarks[i+1:] {
 				total += tr.Dist[b]
 				count++
@@ -453,7 +453,7 @@ func TestFarthestSpreadsLandmarks(t *testing.T) {
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, _, err := Build(graph.New(0), defaultOpts()); err == nil {
+	if _, _, err := Build(graph.New(0).Freeze(), defaultOpts()); err == nil {
 		t.Error("empty graph accepted")
 	}
 }

@@ -388,17 +388,17 @@ func (h *Hyper) WithFullRows(net *graph.CSR, ord *order.Ordering) (*Hyper, error
 }
 
 // searchRows fills the receiver's rows, W* pages and, for full rows,
-// trees laid out beforehand, with one full search per border over net,
-// workers in parallel: W* row i is search i's distances at the borders and
-// tree i its parent labels, tight bit for bit by construction — a node's
-// label is fl(d + w) over the settled parent's d. It is the one producer of
-// both row forms.
+// trees laid out beforehand, with one full search (sp.Workspace.FullRow)
+// per border over net, workers in parallel: W* row i is search i's
+// distances at the borders and tree i its parent labels, tight bit for bit
+// by construction — a node's label is fl(d + w) over its parent's d. It is
+// the one producer of both row forms.
 func (h *Hyper) searchRows(net *graph.CSR) {
 	n := net.NumNodes()
 	par.Work(len(h.Borders), func(i int) {
 		ws := sp.AcquireWorkspace(n)
 		defer sp.ReleaseWorkspace(ws)
-		settled := ws.DijkstraBounded(net, h.Borders[i], sp.Unreachable)
+		ws.FullRow(net, h.Borders[i])
 		w := h.wb[i]
 		for j, v := range h.Borders {
 			w[j/WPageLen][j%WPageLen] = ws.DistOf(v)
@@ -407,7 +407,7 @@ func (h *Hyper) searchRows(net *graph.CSR) {
 			return
 		}
 		tree := h.tree[i]
-		for _, x := range settled {
+		for x := range graph.NodeID(n) {
 			if p := ws.ParentOf(x); p != graph.Invalid {
 				sl := h.pos[x]
 				tree[sl/PageLen][sl%PageLen] = adjIndex(net, x, p)

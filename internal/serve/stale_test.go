@@ -94,7 +94,9 @@ func TestNoStaleAnswerSurvivesSwap(t *testing.T) {
 	shortcut := func() edge {
 		for _, q := range qs {
 			lo, hi := span(core.HYP, q.S, q.T)
-			ds, dt := sp.Dijkstra(net, q.S).Dist, sp.Dijkstra(net, q.T).Dist
+			fromS, _ := sp.DijkstraBounded(net, q.S, sp.Unreachable)
+			fromT, _ := sp.DijkstraBounded(net, q.T, sp.Unreachable)
+			ds, dt := fromS.Dist, fromT.Dist
 			for u := range graph.NodeID(net.NumNodes()) {
 				for _, e := range net.Neighbors(u) {
 					if ds[u]+dt[e.To] >= ds[q.T]*(1-1e-6) {

@@ -48,20 +48,20 @@ func FloydWarshall(g graph.View) [][]float64 {
 }
 
 // AllPairsRows streams all-pairs shortest path distances one source row at a
-// time, computed by repeated Dijkstra — the appropriate algorithm for sparse
-// road networks, O(|V|·(|E|+|V|) log |V|) total instead of Floyd–Warshall's
-// O(|V|³). sink is called concurrently from worker goroutines, in whatever
-// order rows complete, and owns the row slice; sinks that fold each row
-// into an independent slot (FULL's per-row subtree roots) keep that fold on
-// the worker instead of serializing O(|V|²) post-processing behind a
-// reordering channel. sink must be safe for concurrent calls with distinct
-// sources.
+// time, computed by repeated Dijkstra (FullRow) — the appropriate algorithm
+// for sparse road networks, O(|V|·(|E|+|V|) log |V|) total instead of
+// Floyd–Warshall's O(|V|³). sink is called concurrently from worker
+// goroutines, in whatever order rows complete, and owns the row slice;
+// sinks that fold each row into an independent slot (FULL's per-row
+// subtree roots) keep that fold on the worker instead of serializing
+// O(|V|²) post-processing behind a reordering channel. sink must be safe
+// for concurrent calls with distinct sources.
 //
 // This is the substitution documented in DESIGN.md §3: identical output to
 // Floyd–Warshall (property-tested), feasible at road-network scale, and it
 // preserves FULL's construction-cost blow-up relative to LDM/HYP because the
 // output is still quadratic.
-func AllPairsRows(view graph.View, sink func(src graph.NodeID, dist []float64)) {
+func AllPairsRows(view *graph.CSR, sink func(src graph.NodeID, dist []float64)) {
 	n := view.NumNodes()
 	par.Work(n, func(s int) {
 		w := AcquireWorkspace(n)

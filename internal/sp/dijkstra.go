@@ -42,14 +42,6 @@ func (t *Tree) PathTo(v graph.NodeID) graph.Path {
 // Workspace and call its methods directly, which reuses all per-search
 // state; these wrappers pay only the result materialization.
 
-// Dijkstra computes the full shortest path tree from src (paper §II-C).
-func Dijkstra(g graph.View, src graph.NodeID) *Tree {
-	w := AcquireWorkspace(g.NumNodes())
-	defer ReleaseWorkspace(w)
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
-	return w.tree(src, false)
-}
-
 // DijkstraTo runs Dijkstra from src with early termination once dst is
 // settled. It returns the distance and one shortest path; the path is nil
 // and the distance Unreachable when dst cannot be reached.
@@ -67,7 +59,11 @@ func DijkstraBounded(g graph.View, src graph.NodeID, bound float64) (*Tree, []gr
 	w := AcquireWorkspace(g.NumNodes())
 	defer ReleaseWorkspace(w)
 	settled := w.DijkstraBounded(g, src, bound)
-	// Distances beyond the bound are tentative, not settled; tree(settled
-	// only) erases them so callers cannot mistake them for exact values.
-	return w.tree(src, true), append([]graph.NodeID(nil), settled...)
+	// DistOf and ParentOf read settled labels only: a tentative label
+	// beyond the bound is not exact, so the tree never carries one.
+	t := &Tree{Source: src, Dist: make([]float64, w.n), Parent: make([]graph.NodeID, w.n)}
+	for v := range graph.NodeID(w.n) {
+		t.Dist[v], t.Parent[v] = w.DistOf(v), w.ParentOf(v)
+	}
+	return t, append([]graph.NodeID(nil), settled...)
 }

@@ -1,13 +1,16 @@
 // Package sp implements the shortest path searches the owner and the
-// provider run (paper §II-C): Dijkstra's algorithm — bounded, targeted and
-// full-row, on a reusable Workspace — repeated-Dijkstra all-pairs rows,
-// with Floyd–Warshall kept as their oracle, and Repair, which carries a
-// stored row across one edge re-weighting by re-settling only the nodes
-// whose distance moves, bitwise what a fresh search would give (the
-// owner's incremental updates keep LDM's and HYP's rows current with it
-// alone). The client's A* runs over a proof's own tuples (core's
-// tupleAStar) on this package's Heap. All searches require non-negative
-// edge weights, which the graph substrate enforces.
+// provider run (paper §II-C): Dijkstra's algorithm on a reusable
+// Workspace — the bounded, ball and targeted searches that serve queries,
+// and FullRow, the one search behind every full distance row, whose heap
+// holds only branch nodes while degree-2 chains are walked in place —
+// all-pairs rows as repeated full rows, with Floyd–Warshall kept as their
+// oracle, and Repair, which carries a stored row across one edge
+// re-weighting by re-settling only the nodes whose distance moves, bitwise
+// what a fresh search would give (the owner's incremental updates keep
+// LDM's and HYP's rows current with it alone). The client's A* runs over a
+// proof's own tuples (core's tupleAStar) on this package's Heap. All
+// searches require non-negative edge weights, which the graph substrate
+// enforces.
 package sp
 
 import "github.com/authhints/spv/internal/graph"

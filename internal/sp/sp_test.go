@@ -32,14 +32,15 @@ func fig1(t testing.TB) *graph.Graph {
 
 func TestDijkstraFig1(t *testing.T) {
 	g := fig1(t)
-	tr := Dijkstra(g, 0)
+	w := NewWorkspace(g.NumNodes())
+	w.FullRow(g.Freeze(), 0)
 	want := []float64{0, 1, 2, 8, 5, 7, 3}
-	for v, d := range tr.Dist {
-		if d != want[v] {
+	for v := range want {
+		if d := w.DistOf(graph.NodeID(v)); d != want[v] {
 			t.Errorf("dist(v1, v%d) = %v, want %v", v+1, d, want[v])
 		}
 	}
-	p := tr.PathTo(3)
+	p := w.PathTo(3)
 	wantPath := graph.Path{0, 2, 4, 5, 3}
 	if len(p) != len(wantPath) {
 		t.Fatalf("path %v, want %v", p, wantPath)
@@ -75,19 +76,20 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if d != Unreachable || p != nil {
 		t.Errorf("expected unreachable, got %v %v", d, p)
 	}
-	tr := Dijkstra(g, 0)
-	if tr.PathTo(2) != nil {
+	w := NewWorkspace(g.NumNodes())
+	w.FullRow(g.Freeze(), 0)
+	if w.PathTo(2) != nil {
 		t.Error("PathTo unreachable node should be nil")
 	}
 }
 
 func TestDijkstraBoundedSettlesExactlyWithinBound(t *testing.T) {
 	g := fig1(t)
-	full := Dijkstra(g, 0)
+	full := NewWorkspace(g.NumNodes()).DijkstraRow(g.Freeze(), 0, nil)
 	for _, bound := range []float64{0, 2, 3, 5, 7, 8, 100} {
 		tr, settled := DijkstraBounded(g, 0, bound)
 		want := map[graph.NodeID]bool{}
-		for v, d := range full.Dist {
+		for v, d := range full {
 			if d <= bound {
 				want[graph.NodeID(v)] = true
 			}
@@ -100,8 +102,8 @@ func TestDijkstraBoundedSettlesExactlyWithinBound(t *testing.T) {
 			if !want[v] {
 				t.Errorf("bound %v: settled %d outside bound", bound, v)
 			}
-			if tr.Dist[v] != full.Dist[v] {
-				t.Errorf("bound %v: dist[%d] = %v, want %v", bound, v, tr.Dist[v], full.Dist[v])
+			if tr.Dist[v] != full[v] {
+				t.Errorf("bound %v: dist[%d] = %v, want %v", bound, v, tr.Dist[v], full[v])
 			}
 			if tr.Dist[v] < prev {
 				t.Errorf("bound %v: settled order not monotone", bound)
@@ -165,7 +167,7 @@ func TestAllPairsAgainstFloydWarshall(t *testing.T) {
 		fw := FloydWarshall(g)
 		dj := make([][]float64, g.NumNodes())
 		// Rows arrive concurrently, each into its own slot.
-		AllPairsRows(g, func(src graph.NodeID, dist []float64) { dj[src] = dist })
+		AllPairsRows(g.Freeze(), func(src graph.NodeID, dist []float64) { dj[src] = dist })
 		for i := range fw {
 			for j := range fw {
 				a, b := fw[i][j], dj[i][j]

@@ -8,6 +8,11 @@ import (
 
 // Workspace is the reusable, allocation-free state of one graph search: the
 // distance/parent labels, the settled set, and the dense indexed min-heap.
+// The searches that serve queries (DijkstraTo, DijkstraBall,
+// DijkstraBounded) settle every node through the heap, in distance order;
+// FullRow, the search of every full row, puts only branch nodes through it
+// and walks degree-2 chains in place — its distances bitwise theirs by the
+// uniqueness argument in Repair's doc.
 //
 // All per-node arrays are cleared lazily via epoch stamps: each search bumps
 // the workspace epoch, and a label is valid only when its stamp equals the
@@ -98,8 +103,8 @@ func AcquireWorkspace(n int) *Workspace {
 func ReleaseWorkspace(w *Workspace) { workspacePool.Put(w) }
 
 // DistOf returns the exact shortest path distance of a node settled by the
-// last search, or Unreachable for unsettled nodes: after a full
-// DijkstraBounded (bound Unreachable), the source's whole distance row.
+// last search, or Unreachable for unsettled nodes: after FullRow, the
+// source's whole distance row.
 func (w *Workspace) DistOf(v graph.NodeID) float64 {
 	if int(v) < len(w.done) && w.done[v] == w.epoch {
 		return w.dist[v]
@@ -210,51 +215,98 @@ func (w *Workspace) DijkstraBounded(g graph.View, src graph.NodeID, bound float6
 	return w.settled
 }
 
-// DijkstraRow runs a full Dijkstra from src and returns the complete |V|
-// distance row (Unreachable for unreached nodes), reusing row's backing
-// array when it has capacity. Unlike the workspace labels, the returned row
-// is caller-owned — the shape hint-construction and all-pairs pipelines
-// need, since they retain rows beyond the next search.
-func (w *Workspace) DijkstraRow(g graph.View, src graph.NodeID, row []float64) []float64 {
-	w.dijkstra(g, src, graph.Invalid, Unreachable, false, 0)
+// FullRow searches from src over the whole of g; DistOf and ParentOf then
+// read src's distance row and its shortest-path tree. Every full distance
+// row is this search, and in it only branch nodes — degree ≠ 2 — pass
+// through the heap. An edge a popped node sends into a chain of
+// degree-2 nodes is walked in place: each chain node's candidate is
+// fl(previous + w) in walk order, written only where it strictly improves
+// the node's label, and the walk stops at the first node it does not
+// improve or relaxes the branch node at the chain's far end through the
+// heap. A chain node is left by the half-edge that does not point back,
+// which is the other one: a network has no self-loops or duplicate edges.
+//
+// The distances are bitwise those of the heap search (DijkstraBounded with
+// bound Unreachable): both are the unique fixed point Repair's doc
+// describes. The parents agree wherever a node's tight predecessors lie at
+// different distances — on an exact tie the nearer predecessor takes the
+// node, the order the heap settles them in — and between equally near
+// ones the first offered keeps it; the source is never re-parented.
+func (w *Workspace) FullRow(g *graph.CSR, src graph.NodeID) {
+	w.Reset(g.NumNodes())
+	w.label(src, 0, graph.Invalid)
+	w.heap.Push(src, 0)
+	for w.heap.Len() > 0 {
+		u, d := w.heap.Pop()
+		w.done[u] = w.epoch
+		for _, e := range g.Neighbors(u) {
+			w.walk(g, u, e.To, d+e.W)
+		}
+	}
+}
+
+// walk offers x the candidate d through p and carries it on down x's
+// chain, then relaxes the branch node the chain ends in. Chain nodes are
+// stamped done as they are labelled: they never enter the heap, and once
+// the heap is empty every label stands. A popped branch node is skipped at
+// a chain's end, as the heap search skips it; a candidate cannot beat it.
+func (w *Workspace) walk(g *graph.CSR, p, x graph.NodeID, d float64) {
+	for g.Degree(x) == 2 {
+		if !w.offer(x, d, p) {
+			return
+		}
+		w.done[x] = w.epoch
+		nb := g.Neighbors(x)
+		next := nb[0]
+		if next.To == p {
+			next = nb[1]
+		}
+		p, x, d = x, next.To, d+next.W
+	}
+	if w.done[x] == w.epoch {
+		return
+	}
+	queued := w.seen[x] == w.epoch
+	if w.offer(x, d, p) {
+		if queued {
+			w.heap.DecreaseKey(x, d)
+		} else {
+			w.heap.Push(x, d)
+		}
+	}
+}
+
+// offer gives x the candidate d through p. On a strict improvement it
+// labels x and reports true; on an exact tie it re-parents x, but only to
+// a predecessor nearer the source than x's current one — never the source
+// itself, the one labelled node without a parent (a degree-2 source is
+// offered candidates like any chain node).
+func (w *Workspace) offer(x graph.NodeID, d float64, p graph.NodeID) bool {
+	if w.seen[x] == w.epoch && d >= w.dist[x] {
+		if q := w.parent[x]; d == w.dist[x] && q != graph.Invalid && w.dist[p] < w.dist[q] {
+			w.parent[x] = p
+		}
+		return false
+	}
+	w.label(x, d, p)
+	return true
+}
+
+// DijkstraRow runs FullRow from src and returns the complete |V| distance
+// row (Unreachable for unreached nodes), reusing row's backing array when
+// it has capacity. Unlike the workspace labels, the returned row is
+// caller-owned — the shape hint-construction and all-pairs pipelines need,
+// since they retain rows beyond the next search.
+func (w *Workspace) DijkstraRow(g *graph.CSR, src graph.NodeID, row []float64) []float64 {
+	w.FullRow(g, src)
 	n := w.n
 	if cap(row) < n {
 		row = make([]float64, n)
 	} else {
 		row = row[:n]
 	}
-	for v := 0; v < n; v++ {
-		if w.seen[v] == w.epoch {
-			row[v] = w.dist[v]
-		} else {
-			row[v] = Unreachable
-		}
+	for v := range row {
+		row[v] = w.DistOf(graph.NodeID(v))
 	}
 	return row
-}
-
-// tree materializes the workspace labels as a full Tree — the compatibility
-// bridge for callers that retain whole trees. When settledOnly is set, only
-// settled nodes get values (matching DijkstraBounded's erase-tentative
-// contract).
-func (w *Workspace) tree(src graph.NodeID, settledOnly bool) *Tree {
-	t := &Tree{
-		Source: src,
-		Dist:   make([]float64, w.n),
-		Parent: make([]graph.NodeID, w.n),
-	}
-	for v := 0; v < w.n; v++ {
-		valid := w.seen[v] == w.epoch
-		if settledOnly {
-			valid = w.done[v] == w.epoch
-		}
-		if valid {
-			t.Dist[v] = w.dist[v]
-			t.Parent[v] = w.parent[v]
-		} else {
-			t.Dist[v] = Unreachable
-			t.Parent[v] = graph.Invalid
-		}
-	}
-	return t
 }

@@ -90,7 +90,7 @@ func TestWorkspaceRow(t *testing.T) {
 	var row []float64
 	for i := 0; i < 5; i++ {
 		src := graph.NodeID(i * 7 % g.NumNodes())
-		want := Dijkstra(g, src)
+		want, _ := DijkstraBounded(g, src, Unreachable) // the heap search
 		row = w.DijkstraRow(view, src, row)
 		for v := range row {
 			if row[v] != want.Dist[v] {
