@@ -84,7 +84,7 @@ func TestAuditOnLoadRefusals(t *testing.T) {
 	// the signature frame begins.
 	last := c.Methods[len(c.Methods)-1]
 	r := last.Row(0)
-	slot := 8 + 12*r.N() + 4 + len(r.Digest())
+	slot := 8 + 2*r.N() + 4 + len(r.Digest())
 	countAt := len(c.Bytes()) - 4 - len(c.Sig()) - last.NumRows()*slot - 4
 
 	for name, edit := range map[string]func(w []byte){
@@ -93,9 +93,12 @@ func TestAuditOnLoadRefusals(t *testing.T) {
 			at := len(w) - 4 - len(c.Sig())
 			binary.BigEndian.PutUint32(w[at:], uint32(len(c.Sig())+1))
 		},
+		"version-1": func(w []byte) { w[4] = 1 }, // the version byte, after the magic
 	} {
 		if err := boot(write(name+".spv", edit)); err == nil || !strings.Contains(err.Error(), "reading certificate") {
 			t.Fatalf("%s: boot error %v, want a refusal reading the certificate", name, err)
+		} else if name == "version-1" && !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("%s: boot error %v, want it to name the version", name, err)
 		}
 	}
 

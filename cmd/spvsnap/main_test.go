@@ -14,6 +14,7 @@ import (
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/core"
+	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/netgen"
 	"github.com/authhints/spv/internal/snapshot"
 )
@@ -80,14 +81,13 @@ func TestRunAuditExitCodes(t *testing.T) {
 	})
 
 	t.Run("rejected", func(t *testing.T) {
-		// A certificate whose rows lie about a distance: the container is
-		// intact (CRCs pass), so only the audit itself can catch it.
+		// A certificate whose tree names an edge no node has: the container
+		// is intact (CRCs pass), so only the audit itself can catch it.
 		bad, err := cert.DecodeCertificate(bytes.Clone(c.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := bad.Methods[0].Row(0)
-		row.SetDist(row.N()-1, 2*row.Dist(row.N()-1))
+		bad.Methods[0].Row(0).SetSlot(0, graph.NoParent-1)
 		path := write("tampered.spv", bad)
 		code, err := runAudit([]string{path}, io.Discard)
 		if code != auditExitRejected || err == nil {

@@ -16,7 +16,7 @@ import (
 	"github.com/authhints/spv/internal/mht"
 )
 
-// unreachable mirrors sp.Unreachable: the distance label stored for nodes
+// unreachable mirrors sp.Unreachable: the distance label folded for nodes
 // a source cannot reach. Anything at or above it is treated as +∞.
 const unreachable = math.MaxFloat64
 
@@ -37,56 +37,115 @@ func distEqual(a, b float64) bool {
 	return diff <= limit
 }
 
-// Scratch is one audit worker's pooled working memory: a row's distances
-// decoded once, and the parent-forest walk's states for the rare row that
-// needs it. Reuse across rows never re-allocates once grown to the node
-// count.
+// Scratch is one audit worker's pooled working memory: the distances a
+// row's tree folds to, the tree read out of the row, and the parent chain
+// being folded. Reuse across rows never re-allocates once grown to the
+// node count.
 type Scratch struct {
-	dists []float64 // the row's distances, decoded by AuditRow
-	state []uint8   // parent-forest walk: 0 unvisited, 1 on path, 2 done
+	dists []float64      // the row's distances, folded by AuditRow
+	up    []link         // each node's parent and the weight of its parent edge
+	walk  []graph.NodeID // the chain fold climbs before folding it back down
+}
+
+// link is a node's parent edge, graph.Invalid at none.
+type link struct {
+	p graph.NodeID
+	w float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// decode reads row's n distances into the scratch.
-func (s *Scratch) decode(row Row, n int) {
-	if cap(s.dists) < n {
-		s.dists = make([]float64, n)
-	}
-	s.dists = s.dists[:n]
-	d := row.dists()
-	for v := range s.dists {
-		s.dists[v] = distAt(d, v)
-	}
-}
-
-// Dists returns the distances the last successful AuditRow decoded; they
+// Dists returns the distances the last successful AuditRow folded; they
 // are valid until the scratch's next row.
 func (s *Scratch) Dists() []float64 { return s.dists }
 
-// AuditRow checks that row is the true shortest-path labelling from its
-// source over g (O(V+E), no Dijkstra): the row's distances are decoded
-// once into the worker's scratch, then one sweep over the nodes judges
-// each node v from its own adjacency. Every network is undirected with
-// mirrored half-edges, so adj(v) is exactly v's in-edges, and at v:
+// onChain marks a node whose chain fold is climbing: no folded distance is
+// negative, so meeting the mark again closes a cycle.
+const onChain = -1
+
+// fold derives row's distances over g from its parent slots: d[src] = 0, a
+// parentless node is unreachable, and any other node is fl(d[parent] + w),
+// the addition the search that chose the parent made. The slots are
+// resolved to parent edges in one pass over the nodes, so the chains,
+// climbed in no particular order, touch two small arrays per node rather
+// than the row and the adjacency; each chain is climbed up to a node
+// already folded and folded back down, so every node is folded once. A
+// slot that names no edge, a cycle, or a parented node whose parent folds
+// to unreachable is ErrParent.
+func (s *Scratch) fold(g *graph.CSR, row Row, src graph.NodeID) error {
+	n := g.NumNodes()
+	if cap(s.dists) < n {
+		s.dists = make([]float64, n)
+	}
+	d := s.dists[:n]
+	s.dists = d
+	for v := range d {
+		d[v] = math.NaN()
+	}
+	d[src] = 0
+	if cap(s.up) < n {
+		s.up = make([]link, n)
+	}
+	up := s.up[:n]
+	for v := range up {
+		k := row.Slot(v)
+		if k == graph.NoParent {
+			up[v].p = graph.Invalid
+			continue
+		}
+		adj := g.Neighbors(graph.NodeID(v))
+		if int(k) >= len(adj) {
+			return fmt.Errorf("%w: node %d parent slot %d, degree %d", ErrParent, v, k, len(adj))
+		}
+		up[v] = link{adj[k].To, adj[k].W}
+	}
+	for v := range d {
+		walk := s.walk[:0]
+		x := graph.NodeID(v)
+		for math.IsNaN(d[x]) {
+			p := up[x].p
+			if p == graph.Invalid {
+				d[x] = unreachable
+				break
+			}
+			d[x] = onChain
+			walk = append(walk, x)
+			x = p
+		}
+		if d[x] == onChain {
+			return fmt.Errorf("%w: parent cycle through node %d", ErrParent, x)
+		}
+		for j := len(walk) - 1; j >= 0; j-- {
+			y := walk[j]
+			if d[y] = d[x] + up[y].w; d[y] >= unreachable {
+				return fmt.Errorf("%w: node %d parented to %d, which src %d does not reach", ErrParent, y, x, src)
+			}
+			x = y
+		}
+		s.walk = walk
+	}
+	return nil
+}
+
+// AuditRow checks that row is a true shortest-path tree from its source
+// over g (O(V+E), no Dijkstra). The source must have no parent. Its
+// distances are folded from the tree into the worker's scratch (Dists),
+// which makes every parent edge tight (d[v] = d[p] + w) and rejects a
+// cycle, a slot at or past its node's degree, or a parented node whose
+// chain does not reach the source, as ErrParent. Then one sweep over the
+// nodes judges each node v from its own adjacency — every network is
+// undirected with mirrored half-edges, so adj(v) is exactly v's in-edges:
 //
-//  1. d[v] is finite-or-∞, never negative or NaN; d[src] = 0 and the
-//     source has no parent; a reachable non-source has an in-range
-//     parent, an unreachable node has none.
-//  2. For every (u, w) in adj(v) with u reachable: d[v] ≤ d[u] + w
-//     (triangle) — so an unreachable v has no reachable neighbour.
-//  3. The parent p[v] is one of those u, reachable, and its edge is tight
-//     (d[v] = d[u] + w); within an edge the triangle check runs first.
+//   - a reachable v: d[v] ≤ d[u] + w for every (u, w) in adj(v)
+//     (triangle; an unreachable u never violates it), else ErrDistance;
+//   - an unreachable v has no reachable neighbour, else it is a node the
+//     tree leaves out (ErrParent).
 //
-// The sweep also notes whether every parent edge strictly decreases d
-// (d[p[v]] < d[v], exact). If one does not — a zero-weight edge, or one
-// inside the float tolerance — a parent cycle is possible, and an O(n)
-// walk of the parent forest rules it out.
-//
-// Soundness: (2) makes every d[v] a lower bound on every path's length
-// and the acyclic tight parent chain realizes it, so with (1) d equals the
-// true distance labelling exactly (up to the shared float tolerance). A
-// row with several violations names the first one the sweep meets.
+// Soundness: the triangle makes every d[v] a lower bound on every path's
+// length, and the tight parent chain back to the source realizes it, so d
+// equals the true distance labelling (up to the shared float tolerance of
+// the triangle check). A row with several violations names the first one
+// the fold or the sweep meets.
 func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 	n := g.NumNodes()
 	if row.N() != n {
@@ -96,106 +155,27 @@ func AuditRow(g *graph.CSR, row Row, s *Scratch) error {
 	if src < 0 || int(src) >= n {
 		return fmt.Errorf("%w: row source %d out of range", ErrEncoding, src)
 	}
-	s.decode(row, n)
-	d, p := s.dists, row.parents()
-	if d0 := d[src]; d0 != 0 {
-		return fmt.Errorf("%w: d[src=%d] = %g, want 0", ErrDistance, src, d0)
+	if k := row.Slot(int(src)); k != graph.NoParent {
+		return fmt.Errorf("%w: source %d has parent slot %d", ErrParent, src, k)
 	}
-	if p0 := parentAt(p, int(src)); p0 != graph.Invalid {
-		return fmt.Errorf("%w: source %d has parent %d", ErrParent, src, p0)
+	if err := s.fold(g, row, src); err != nil {
+		return err
 	}
-	walk := false // some parent edge does not strictly decrease d
+	d := s.dists
 	for v, dv := range d {
-		if math.IsNaN(dv) || dv < 0 {
-			return fmt.Errorf("%w: d[%d] = %g", ErrDistance, v, dv)
-		}
-		pv := parentAt(p, v)
 		adj := g.Neighbors(graph.NodeID(v))
 		if dv >= unreachable {
-			if pv != graph.Invalid {
-				return fmt.Errorf("%w: unreachable node %d has parent %d", ErrParent, v, pv)
-			}
 			for _, e := range adj {
-				if du := d[e.To]; du < unreachable {
-					if duw := du + e.W; dv > duw && !distEqual(dv, duw) {
-						return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
-							ErrDistance, v, dv, e.To, duw)
-					}
+				if d[e.To] < unreachable {
+					return fmt.Errorf("%w: node %d has no parent, but its neighbour %d is reachable", ErrParent, v, e.To)
 				}
 			}
 			continue
 		}
-		if graph.NodeID(v) == src {
-			continue // d[src] = 0 is at most any d[u] + w
-		}
-		if pv == graph.Invalid {
-			return fmt.Errorf("%w: reachable node %d has no parent", ErrParent, v)
-		}
-		if pv < 0 || int(pv) >= n {
-			return fmt.Errorf("%w: node %d parent %d out of range", ErrParent, v, pv)
-		}
-		// v is reachable, so an unreachable u (d[u]+w ≥ MaxFloat64 > d[v])
-		// never violates the triangle: only the parent edge must exclude it.
-		found := false
 		for _, e := range adj {
-			du := d[e.To]
-			duw := du + e.W
-			if dv > duw && !distEqual(dv, duw) {
+			if duw := d[e.To] + e.W; dv > duw && !distEqual(dv, duw) {
 				return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
 					ErrDistance, v, dv, e.To, duw)
-			}
-			if e.To != pv {
-				continue
-			}
-			if du >= unreachable {
-				return fmt.Errorf("%w: node %d parented to unreachable %d", ErrParent, v, pv)
-			}
-			if dv != duw && !distEqual(dv, duw) {
-				return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
-					ErrParent, pv, v, v, dv, pv, duw)
-			}
-			found = true
-			walk = walk || !(du < dv)
-		}
-		if !found {
-			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", ErrParent, pv, v)
-		}
-	}
-	if walk {
-		return s.acyclic(p, n)
-	}
-	return nil
-}
-
-// acyclic walks the parent forest p of n nodes, following each chain once,
-// marking the path in-progress (1) and finalizing it (2) — O(n) total.
-func (s *Scratch) acyclic(p []byte, n int) error {
-	if cap(s.state) < n {
-		s.state = make([]uint8, n)
-	}
-	s.state = s.state[:n]
-	clear(s.state)
-	for v := range s.state {
-		if s.state[v] != 0 {
-			continue
-		}
-		x := graph.NodeID(v)
-		for {
-			s.state[x] = 1
-			nxt := parentAt(p, int(x))
-			if nxt == graph.Invalid || s.state[nxt] == 2 {
-				break
-			}
-			if s.state[nxt] == 1 {
-				return fmt.Errorf("%w: parent cycle through node %d", ErrParent, nxt)
-			}
-			x = nxt
-		}
-		x = graph.NodeID(v)
-		for s.state[x] == 1 {
-			s.state[x] = 2
-			if x = parentAt(p, int(x)); x == graph.Invalid {
-				break
 			}
 		}
 	}

@@ -74,42 +74,66 @@ func reDecode(t *testing.T, c *cert.Certificate) *cert.Certificate {
 	return c2
 }
 
-// tamperIndex picks a reachable non-source LEAF of the parent forest —
-// finite nonzero distance, parent set, no children. A flipped source
-// distance could alias -0, an unreachable node has no parent edge to
-// falsify, and inflating an interior node's distance would trip the
-// tightness check at its children (ErrParent) before any triangle check,
-// blurring the distance class.
-func tamperIndex(t *testing.T, r cert.Row) int {
-	t.Helper()
-	isParent := make([]bool, r.N())
-	for v := range isParent {
-		if p := r.Parent(v); p != graph.Invalid {
-			isParent[p] = true
-		}
-	}
-	for v := range isParent {
-		if graph.NodeID(v) != r.Src() && r.Parent(v) != graph.Invalid &&
-			!isParent[v] && r.Dist(v) > 0 && r.Dist(v) < math.MaxFloat64 {
-			return v
-		}
-	}
-	t.Fatal("row has no tamperable node")
-	return -1
+// rowTree is what a tamper needs of one clean certificate row over g: each
+// node's parent (graph.Invalid at none), the distances the tree folds to,
+// and which nodes parent another.
+type rowTree struct {
+	g      *graph.CSR
+	src    graph.NodeID
+	parent []graph.NodeID
+	dist   []float64
+	inner  []bool
 }
 
-// inflate flips one clear exponent bit of the distance's IEEE-754 wire
-// encoding — a single-bit corruption of one on-wire byte that strictly
-// increases the value, so the triangle check (not the parent-tightness
-// check) is deterministically the first to fire.
-func inflate(d float64) float64 {
-	bits := math.Float64bits(d)
-	for b := 62; b >= 52; b-- {
-		if bits&(1<<b) == 0 {
-			return math.Float64frombits(bits | 1<<b)
+func readTree(t *testing.T, g *graph.CSR, r cert.Row) rowTree {
+	t.Helper()
+	var sc cert.Scratch
+	if err := cert.AuditRow(g, r, &sc); err != nil {
+		t.Fatalf("clean row rejected: %v", err)
+	}
+	rt := rowTree{g, r.Src(), make([]graph.NodeID, r.N()), slices.Clone(sc.Dists()), make([]bool, r.N())}
+	for v := range rt.parent {
+		rt.parent[v] = graph.Invalid
+		if k := r.Slot(v); k != graph.NoParent {
+			p := g.Neighbors(graph.NodeID(v))[k].To
+			rt.parent[v], rt.inner[p] = p, true
 		}
 	}
-	return math.Float64frombits(bits &^ (1 << 52))
+	return rt
+}
+
+// node returns the first node the tree reaches, other than its source,
+// that parents another node (inner) or none, and passes keep.
+func (rt rowTree) node(t *testing.T, inner bool, keep func(graph.NodeID) bool) graph.NodeID {
+	t.Helper()
+	for v, p := range rt.parent {
+		if x := graph.NodeID(v); p != graph.Invalid && rt.inner[v] == inner && keep(x) {
+			return x
+		}
+	}
+	t.Fatal("row has no node to tamper with")
+	return graph.Invalid
+}
+
+func anyNode(graph.NodeID) bool { return true }
+
+// nonTight gives a leaf of the tree that no HYP border is (so HYP's stored
+// W* values still match the fold) a neighbour as its parent whose edge is
+// far from tight: the fold then raises that leaf's distance alone, and only
+// the triangle check can tell.
+func nonTight(t *testing.T, rt rowTree, r cert.Row, border []bool) {
+	t.Helper()
+	var y graph.NodeID
+	x := rt.node(t, false, func(x graph.NodeID) bool {
+		for _, e := range rt.g.Neighbors(x) {
+			if rt.dist[e.To]+e.W > rt.dist[x]*(1+1e-6)+1e-6 {
+				y = e.To
+				return !border[x]
+			}
+		}
+		return false
+	})
+	r.SetSlot(int(x), rt.g.ParentSlot(x, y))
 }
 
 func TestCertifyAuditClean(t *testing.T) {
@@ -145,15 +169,53 @@ func TestCertifyAuditClean(t *testing.T) {
 // specific class always surfaces.
 func TestAuditTamperMatrix(t *testing.T) {
 	_, set, c := certWorld(t)
+	g := set.Graph
+	hy, err := hiti.Build(g, 9) // certWorld's partition
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Each tree case edits the slots of row 0 of a method's slice:
+	// "distance" a non-tight tree, "parent" a parent cycle. The world is
+	// connected, so "across components" cuts an inner node loose: its
+	// children's parent then lies in a tree the source does not reach.
 	classes := []struct {
 		name   string
-		tamper func(r cert.Row, idx int)
+		tamper func(t *testing.T, rt rowTree, r cert.Row)
 		want   error
+		msg    string
 	}{
-		{"distance", func(r cert.Row, idx int) { r.SetDist(idx, inflate(r.Dist(idx))) }, cert.ErrDistance},
-		{"parent", func(r cert.Row, idx int) { r.SetParent(idx, r.Parent(idx)^0x40000000) }, cert.ErrParent},
-		{"rowdigest", func(r cert.Row, idx int) { r.Digest()[0] ^= 0x01 }, cert.ErrRowDigest},
+		{"distance", func(t *testing.T, rt rowTree, r cert.Row) {
+			nonTight(t, rt, r, hy.IsBorder)
+		}, cert.ErrDistance, "triangle"},
+		{"parent", func(t *testing.T, rt rowTree, r cert.Row) {
+			var y graph.NodeID
+			x := rt.node(t, false, func(x graph.NodeID) bool {
+				for _, e := range g.Neighbors(x) {
+					if e.To != rt.src {
+						y = e.To
+						return true
+					}
+				}
+				return false
+			})
+			r.SetSlot(int(x), g.ParentSlot(x, y))
+			r.SetSlot(int(y), g.ParentSlot(y, x))
+		}, cert.ErrParent, "cycle"},
+		{"slot past the degree", func(t *testing.T, rt rowTree, r cert.Row) {
+			x := rt.node(t, false, anyNode)
+			r.SetSlot(int(x), uint16(g.Degree(x)))
+		}, cert.ErrParent, "parent slot"},
+		{"parented source", func(t *testing.T, rt rowTree, r cert.Row) {
+			r.SetSlot(int(rt.src), 0)
+		}, cert.ErrParent, "source"},
+		{"reachable without parent", func(t *testing.T, rt rowTree, r cert.Row) {
+			r.SetSlot(int(rt.node(t, false, anyNode)), graph.NoParent)
+		}, cert.ErrParent, "has no parent"},
+		{"parent across components", func(t *testing.T, rt rowTree, r cert.Row) {
+			r.SetSlot(int(rt.node(t, true, anyNode)), graph.NoParent)
+		}, cert.ErrParent, "does not reach"},
+		{"rowdigest", func(t *testing.T, rt rowTree, r cert.Row) { r.Digest()[0] ^= 0x01 }, cert.ErrRowDigest, "digest"},
 	}
 	for _, m := range core.RegisteredMethods() {
 		for _, tc := range classes {
@@ -164,14 +226,14 @@ func TestAuditTamperMatrix(t *testing.T) {
 					t.Fatalf("certificate has no %s rows", m)
 				}
 				row := mc.Row(0)
-				tc.tamper(row, tamperIndex(t, row))
+				tc.tamper(t, readTree(t, g, row), row)
 				rep := cert.Audit(set, c2, set.Verifier)
 				err := rep.Err()
 				if err == nil {
 					t.Fatalf("audit accepted a tampered %s %s", m, tc.name)
 				}
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("tampered %s %s: got %v, want class %v", m, tc.name, err, tc.want)
+				if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("tampered %s %s: got %v, want class %v saying %q", m, tc.name, err, tc.want, tc.msg)
 				}
 				if !errors.Is(err, cert.ErrAudit) {
 					t.Fatalf("rejection does not wrap ErrAudit: %v", err)
@@ -205,8 +267,7 @@ func TestAuditTamperMatrix(t *testing.T) {
 	t.Run("row+signature", func(t *testing.T) {
 		c2 := reDecode(t, c)
 		row := c2.Method(string(core.DIJ)).Row(0)
-		idx := tamperIndex(t, row)
-		row.SetDist(idx, inflate(row.Dist(idx)))
+		nonTight(t, readTree(t, g, row), row, hy.IsBorder)
 		c2.Sig()[0] ^= 0x01
 		rep := cert.Audit(set, c2, set.Verifier)
 		if err := rep.Err(); !errors.Is(err, cert.ErrDistance) || errors.Is(err, cert.ErrSignature) {
@@ -316,6 +377,43 @@ func TestAuditSectionCRCTamper(t *testing.T) {
 	}
 }
 
+// TestAuditRefusesVersion1 writes a snapshot (version 3) whose certificate
+// says it is a version-1 wire, the layout with distance and parent-ID
+// columns, and whose CRCs hold: the streamed audit of a lazy set refuses
+// it, and an eager open, which reads the certificate, fails, each with an
+// error that names the version.
+func TestAuditRefusesVersion1(t *testing.T) {
+	ow, provs := rebuildWorld(t)
+	c, err := ow.Certify(provs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := reDecode(t, c)
+	old.Bytes()[4] = 1 // the version byte, after the magic
+	path := filepath.Join(t.TempDir(), "v1.spv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ow.WriteSnapshotCert(f, old, provs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := core.OpenProviderSetLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lazy.Close()
+	if rep, err := lazy.AuditCertificate(lazy.Verifier); rep != nil || !errors.Is(err, cert.ErrEncoding) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("streamed audit: report %v, err %v; want none, an ErrEncoding naming version 1", rep, err)
+	}
+	if _, err := core.OpenProviderSet(path); !errors.Is(err, cert.ErrEncoding) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("eager open: %v, want an ErrEncoding naming version 1", err)
+	}
+}
+
 // sliceAt is where one method slice's name field, row count and rows start
 // in a certificate wire, its rows' slot size and their count.
 type sliceAt struct {
@@ -339,7 +437,7 @@ func walkSlices(t *testing.T, c *cert.Certificate) []sliceAt {
 		off += 2 + nr*(4+size)
 		s.numRows, s.count = off, u32(off)
 		off += 4
-		s.rows, s.slot = off, 8+12*u32(off+4)+4+size
+		s.rows, s.slot = off, 8+2*u32(off+4)+4+size
 		off += s.count * s.slot
 		out = append(out, s)
 	}
@@ -361,6 +459,11 @@ func TestAuditReaderRejectsMalformed(t *testing.T) {
 	_, set, c := certWorld(t)
 	wire := c.Bytes()
 	sl := walkSlices(t, c)
+	// What the method audits allocate for their own working state: a clean
+	// stream of the same wire.
+	stream := func() { cert.AuditReader(set, bytes.NewReader(wire), int64(len(wire)), set.Verifier) }
+	stream() // warm the pools
+	clean := totalAlloc(stream)
 	last := sl[len(sl)-1]
 	edit := func(f func(w []byte)) []byte {
 		w := bytes.Clone(wire)
@@ -421,9 +524,10 @@ func TestAuditReaderRejectsMalformed(t *testing.T) {
 				t.Fatalf("stream: %v, want it to say %q", err, tc.want)
 			}
 			// A lying count claims gigabytes; the method audits that run
-			// before the stream breaks allocate about the wire's size here.
-			if grew > 4*uint64(len(wire)) {
-				t.Fatalf("stream rejection allocated %d bytes for a %d-byte certificate", grew, len(wire))
+			// before the stream breaks allocate at most what a clean pass
+			// does.
+			if grew > 2*clean {
+				t.Fatalf("stream rejection allocated %d bytes, a clean stream %d", grew, clean)
 			}
 			// The same bytes, decoded whole and then edited in place, as
 			// the tamper matrix edits them.
@@ -485,111 +589,72 @@ func rebuildWorld(t testing.TB) (*core.Owner, []core.Provider) {
 	return owner, provs
 }
 
-// refAuditRow is the multi-pass AuditRow the one-sweep version replaced,
-// kept as the differential reference: node checks over every label, then
-// one pass over every directed edge (triangle, and tightness where
-// parent[v] = u), then a parent-coverage pass and an unconditional
-// parent-forest walk. Same error classes and messages.
-func refAuditRow(g *graph.CSR, row cert.Row) error {
+// refAuditRow is the audit's rule restated without its fold, as the
+// differential reference: slot checks over every node, then distances
+// derived by repeated relaxation passes down the parent edges until
+// nothing moves (at most n passes), then one pass over every directed edge.
+// A parented node that no pass gives a finite distance sits on a cycle or
+// below a node the source does not reach. Same error classes; it returns
+// the distances of a row it accepts.
+func refAuditRow(g *graph.CSR, row cert.Row) ([]float64, error) {
 	const unreachable = math.MaxFloat64
 	n := g.NumNodes()
 	if row.N() != n {
-		return fmt.Errorf("%w: row labels %d nodes, want %d", cert.ErrEncoding, row.N(), n)
+		return nil, fmt.Errorf("%w: row labels %d nodes, want %d", cert.ErrEncoding, row.N(), n)
 	}
 	src := row.Src()
 	if src < 0 || int(src) >= n {
-		return fmt.Errorf("%w: row source %d out of range", cert.ErrEncoding, src)
+		return nil, fmt.Errorf("%w: row source %d out of range", cert.ErrEncoding, src)
 	}
-	d, p := make([]float64, n), make([]graph.NodeID, n)
-	for v := range d {
-		d[v], p[v] = row.Dist(v), row.Parent(v)
+	if row.Slot(int(src)) != graph.NoParent {
+		return nil, fmt.Errorf("%w: source %d has a parent", cert.ErrParent, src)
 	}
-	if d0 := d[src]; d0 != 0 {
-		return fmt.Errorf("%w: d[src=%d] = %g, want 0", cert.ErrDistance, src, d0)
-	}
-	if p0 := p[src]; p0 != graph.Invalid {
-		return fmt.Errorf("%w: source %d has parent %d", cert.ErrParent, src, p0)
-	}
-	for v, dv := range d {
-		if math.IsNaN(dv) || dv < 0 {
-			return fmt.Errorf("%w: d[%d] = %g", cert.ErrDistance, v, dv)
+	parent := make([]graph.Edge, n) // the parent edge, To = Invalid at none
+	for v := range parent {
+		parent[v].To = graph.Invalid
+		k, adj := row.Slot(v), g.Neighbors(graph.NodeID(v))
+		switch {
+		case k == graph.NoParent:
+		case int(k) >= len(adj):
+			return nil, fmt.Errorf("%w: node %d parent slot %d, degree %d", cert.ErrParent, v, k, len(adj))
+		default:
+			parent[v] = adj[k]
 		}
-		pv := p[v]
-		if dv >= unreachable {
-			if pv != graph.Invalid {
-				return fmt.Errorf("%w: unreachable node %d has parent %d", cert.ErrParent, v, pv)
+	}
+	d, known := make([]float64, n), make([]bool, n)
+	d[src], known[src] = 0, true
+	for moved := true; moved; {
+		moved = false
+		for v, e := range parent {
+			if e.To != graph.Invalid && known[e.To] && (!known[v] || d[v] != d[e.To]+e.W) {
+				d[v], known[v], moved = d[e.To]+e.W, true, true
 			}
-			continue
-		}
-		if graph.NodeID(v) == src {
-			continue
-		}
-		if pv == graph.Invalid {
-			return fmt.Errorf("%w: reachable node %d has no parent", cert.ErrParent, v)
-		}
-		if pv < 0 || int(pv) >= n {
-			return fmt.Errorf("%w: node %d parent %d out of range", cert.ErrParent, v, pv)
 		}
 	}
-	seen := make([]bool, n)
+	for v, e := range parent {
+		switch {
+		case e.To != graph.Invalid && (!known[v] || d[v] >= unreachable):
+			return nil, fmt.Errorf("%w: node %d never reaches the source up its parents", cert.ErrParent, v)
+		case !known[v]:
+			d[v] = unreachable
+		}
+	}
 	for u, du := range d {
-		uReach := du < unreachable
+		if du >= unreachable {
+			continue
+		}
 		for _, e := range g.Neighbors(graph.NodeID(u)) {
-			v := int(e.To)
-			dv := d[v]
-			if uReach {
-				duw := du + e.W
-				if dv > duw && !refDistEqual(dv, duw) {
-					return fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
-						cert.ErrDistance, v, dv, u, duw)
-				}
+			v, dv := int(e.To), d[e.To]
+			if dv >= unreachable {
+				return nil, fmt.Errorf("%w: reachable node %d has no parent", cert.ErrParent, v)
 			}
-			if p[v] == graph.NodeID(u) {
-				if !uReach {
-					return fmt.Errorf("%w: node %d parented to unreachable %d", cert.ErrParent, v, u)
-				}
-				if !refDistEqual(dv, du+e.W) {
-					return fmt.Errorf("%w: parent edge (%d,%d) not tight: d[%d]=%g, d[%d]+w=%g",
-						cert.ErrParent, u, v, v, dv, u, du+e.W)
-				}
-				seen[v] = true
+			if duw := du + e.W; dv > duw && !refDistEqual(dv, duw) {
+				return nil, fmt.Errorf("%w: triangle violation d[%d]=%g > d[%d]+w=%g",
+					cert.ErrDistance, v, dv, u, duw)
 			}
 		}
 	}
-	for v, dv := range d {
-		if graph.NodeID(v) == src || dv >= unreachable {
-			continue
-		}
-		if !seen[v] {
-			return fmt.Errorf("%w: parent edge (%d,%d) is not in the graph", cert.ErrParent, p[v], v)
-		}
-	}
-	state := make([]uint8, n) // 0 unvisited, 1 on path, 2 done
-	for v := range p {
-		if state[v] != 0 {
-			continue
-		}
-		x := graph.NodeID(v)
-		for {
-			state[x] = 1
-			nxt := p[x]
-			if nxt == graph.Invalid || state[nxt] == 2 {
-				break
-			}
-			if state[nxt] == 1 {
-				return fmt.Errorf("%w: parent cycle through node %d", cert.ErrParent, nxt)
-			}
-			x = nxt
-		}
-		x = graph.NodeID(v)
-		for state[x] == 1 {
-			state[x] = 2
-			if x = p[x]; x == graph.Invalid {
-				break
-			}
-		}
-	}
-	return nil
+	return d, nil
 }
 
 // refDistEqual is cert's float tolerance, restated for the reference.
@@ -597,76 +662,90 @@ func refDistEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+max(a, b))
 }
 
-// labelRow lays out a one-row certificate over n nodes from src and fills
-// it with dist and parent.
-func labelRow(tb testing.TB, src graph.NodeID, dist []float64, parent []graph.NodeID) cert.Row {
+// slotsOf encodes parents over g as parent slots.
+func slotsOf(g *graph.CSR, parent []graph.NodeID) []uint16 {
+	slots := make([]uint16, len(parent))
+	for v, p := range parent {
+		slots[v] = g.ParentSlot(graph.NodeID(v), p)
+	}
+	return slots
+}
+
+// labelRow lays out a one-row certificate over len(slots) nodes from src
+// and fills its tree with slots.
+func labelRow(tb testing.TB, src graph.NodeID, slots []uint16) cert.Row {
 	tb.Helper()
-	c, err := cert.New(digest.SHA1, 1, make([]byte, digest.SHA1.Size()), len(dist), 0, []cert.Spec{{Method: "DIJ", Srcs: []graph.NodeID{src}}})
+	c, err := cert.New(digest.SHA1, 1, make([]byte, digest.SHA1.Size()), len(slots), 0, []cert.Spec{{Method: "DIJ", Srcs: []graph.NodeID{src}}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	row := c.Methods[0].Row(0)
-	for v := range dist {
-		row.SetDist(v, dist[v])
-		row.SetParent(v, parent[v])
+	for v, k := range slots {
+		row.SetSlot(v, k)
 	}
 	return row
 }
 
-// TestAuditRowRejects edits one clean labelling of a hand-built graph per
-// case and names the class the audit must reject it with — the one-sweep
-// AuditRow and the multi-pass reference alike. The clean row's parent
-// chain 2 → 3 → 4 → 6 runs over two zero-weight edges, so it takes the
-// parent-forest walk; node 5 is isolated, hence unreachable.
+// TestAuditRowRejects edits one clean tree of a hand-built graph per case
+// and names the class the audit must reject it with — AuditRow and the
+// relaxation reference alike. The clean tree's chain 2 → 3 → 4 → 6 runs
+// over two zero-weight edges; node 5 is isolated and the edge 7–8 is a
+// second component, so all three are unreachable. A slot only ever names
+// an edge of its node, so a parent that is no neighbour or out of range
+// is a slot at or past the degree, and every parent edge is tight by
+// construction: a tree through a longer edge is a triangle violation.
 func TestAuditRowRejects(t *testing.T) {
-	b := graph.New(7)
-	for range 7 {
+	b := graph.New(9)
+	for range 9 {
 		b.AddNode(0, 0)
 	}
 	for _, e := range []struct {
 		u, v graph.NodeID
 		w    float64
-	}{{0, 1, 1}, {1, 2, 2}, {0, 2, 4}, {2, 3, 1}, {3, 4, 0}, {4, 6, 0}} {
+	}{{0, 1, 1}, {1, 2, 2}, {0, 2, 4}, {2, 3, 1}, {1, 3, 5}, {3, 4, 0}, {4, 6, 0}, {7, 8, 1}} {
 		b.MustAddEdge(e.u, e.v, e.w)
 	}
 	g := b.Freeze()
-	inf := math.MaxFloat64
-	clean := func() ([]float64, []graph.NodeID) {
-		return []float64{0, 1, 3, 4, 4, inf, 4},
-			[]graph.NodeID{graph.Invalid, 0, 1, 2, 3, graph.Invalid, 4}
+	none := graph.Invalid
+	clean := func() []uint16 {
+		return slotsOf(g, []graph.NodeID{none, 0, 1, 2, 3, none, 4, none, none})
 	}
-	if d, p := clean(); cert.AuditRow(g, labelRow(t, 0, d, p), new(cert.Scratch)) != nil ||
-		refAuditRow(g, labelRow(t, 0, d, p)) != nil {
-		t.Fatal("clean row rejected")
+	want := []float64{0, 1, 3, 4, 4, math.MaxFloat64, 4, math.MaxFloat64, math.MaxFloat64}
+	var sc cert.Scratch
+	if err := cert.AuditRow(g, labelRow(t, 0, clean()), &sc); err != nil || !slices.Equal(sc.Dists(), want) {
+		t.Fatalf("clean row: %v, folded to %v, want %v", err, sc.Dists(), want)
 	}
+	if d, err := refAuditRow(g, labelRow(t, 0, clean())); err != nil || !slices.Equal(d, want) {
+		t.Fatalf("clean row, reference: %v, distances %v", err, d)
+	}
+	// set makes p x's parent.
+	set := func(s []uint16, x, p graph.NodeID) { s[x] = g.ParentSlot(x, p) }
 	cases := []struct {
 		name string
-		edit func(d []float64, p []graph.NodeID)
+		edit func(s []uint16)
 		want error
 	}{
-		{"source distance", func(d []float64, p []graph.NodeID) { d[0] = 0.5 }, cert.ErrDistance},
-		{"parented source", func(d []float64, p []graph.NodeID) { p[0] = 1 }, cert.ErrParent},
-		{"NaN distance", func(d []float64, p []graph.NodeID) { d[2] = math.NaN() }, cert.ErrDistance},
-		{"negative distance", func(d []float64, p []graph.NodeID) { d[3] = -1 }, cert.ErrDistance},
-		{"unreachable with parent", func(d []float64, p []graph.NodeID) { p[5] = 4 }, cert.ErrParent},
-		{"unreachable next to reachable", func(d []float64, p []graph.NodeID) {
-			d[6], p[6] = inf, graph.Invalid
-		}, cert.ErrDistance},
-		{"reachable without parent", func(d []float64, p []graph.NodeID) { p[4] = graph.Invalid }, cert.ErrParent},
-		{"parent out of range", func(d []float64, p []graph.NodeID) { p[4] = 99 }, cert.ErrParent},
-		{"parent not adjacent", func(d []float64, p []graph.NodeID) { p[4] = 1 }, cert.ErrParent},
-		{"parent edge not tight", func(d []float64, p []graph.NodeID) { p[2] = 0 }, cert.ErrParent},
-		{"triangle violation", func(d []float64, p []graph.NodeID) { d[2] = 3.5 }, cert.ErrDistance},
-		{"zero-weight parent cycle", func(d []float64, p []graph.NodeID) { p[4] = 6 }, cert.ErrParent},
+		{"parented source", func(s []uint16) { set(s, 0, 1) }, cert.ErrParent},
+		{"unreachable with parent", func(s []uint16) { s[5] = 0 }, cert.ErrParent},
+		{"unreachable next to reachable", func(s []uint16) { s[6] = graph.NoParent }, cert.ErrParent},
+		{"reachable without parent", func(s []uint16) { s[4] = graph.NoParent }, cert.ErrParent},
+		{"parent out of range", func(s []uint16) { s[4] = graph.NoParent - 1 }, cert.ErrParent},
+		{"parent not adjacent", func(s []uint16) { s[4] = uint16(g.Degree(4)) }, cert.ErrParent},
+		{"two-node parent cycle", func(s []uint16) { set(s, 2, 3) }, cert.ErrParent},
+		{"zero-weight parent cycle", func(s []uint16) { set(s, 4, 6) }, cert.ErrParent},
+		{"parent across components", func(s []uint16) { set(s, 7, 8) }, cert.ErrParent},
+		{"parent edge not tight", func(s []uint16) { set(s, 2, 0) }, cert.ErrDistance},
+		{"triangle violation", func(s []uint16) { set(s, 3, 1) }, cert.ErrDistance},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, p := clean()
-			tc.edit(d, p)
-			row := labelRow(t, 0, d, p)
+			s := clean()
+			tc.edit(s)
+			row := labelRow(t, 0, s)
+			_, ref := refAuditRow(g, row)
 			for name, err := range map[string]error{
 				"AuditRow":    cert.AuditRow(g, row, new(cert.Scratch)),
-				"refAuditRow": refAuditRow(g, row),
+				"refAuditRow": ref,
 			} {
 				if !errors.Is(err, tc.want) {
 					t.Errorf("%s: got %v, want class %v", name, err, tc.want)
@@ -676,10 +755,12 @@ func TestAuditRowRejects(t *testing.T) {
 	}
 }
 
-// FuzzAuditRow holds the one-sweep AuditRow to the multi-pass reference:
-// on small random graphs — zero weights and exact ties included — labelled
-// by Dijkstra and then edited once or twice, both must give the same
-// accept/reject verdict.
+// FuzzAuditRow holds AuditRow to the relaxation reference: on small random
+// graphs — zero weights and exact ties included — the parents of a
+// Dijkstra tree, then one or two slots edited (dropped, moved to another
+// neighbour, set at or past the degree, or to any value), must get the
+// same verdict from both, and an accepted row the same distances, bit for
+// bit.
 func FuzzAuditRow(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 1, 0, 1, 2, 1, 2, 3, 2, 0, 3, 0})
 	f.Add([]byte{6, 1, 0, 1, 0, 1, 2, 0, 2, 0, 0, 3, 4, 3, 1, 2, 7, 9})
@@ -707,41 +788,40 @@ func FuzzAuditRow(f *testing.F) {
 		}
 		g := b.Freeze()
 		tree, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
-		d, p := tree.Dist, tree.Parent
-		values := []float64{0, 1, 2, 0.5, -1, math.NaN(), math.MaxFloat64, math.Inf(1)}
+		s := slotsOf(g, tree.Parent)
 		for k := 0; k < 2 && len(data) >= 3; k++ {
 			v, what, arg := int(data[0])%n, data[1]%4, int(data[2])
 			data = data[3:]
 			switch what {
-			case 0: // another node's distance
-				d[v] = d[arg%n]
-			case 1:
-				d[v] = values[arg%len(values)]
-			case 2: // any node, none, or out of range
-				p[v] = graph.NodeID(arg%(n+2)) - 1
-				if int(p[v]) == n {
-					p[v] = graph.NodeID(n + arg)
-				}
-			case 3: // a neighbour as parent, distance made tight
+			case 0:
+				s[v] = graph.NoParent
+			case 1: // a neighbour, or at or just past the degree
+				s[v] = uint16(arg % (g.Degree(graph.NodeID(v)) + 2))
+			case 2:
+				s[v] = uint16(arg * 257)
+			case 3: // v and a neighbour each other's parent
 				if adj := g.Neighbors(graph.NodeID(v)); len(adj) > 0 {
-					e := adj[arg%len(adj)]
-					p[v], d[v] = e.To, d[e.To]+e.W
+					u := adj[arg%len(adj)].To
+					s[v], s[u] = g.ParentSlot(graph.NodeID(v), u), g.ParentSlot(u, graph.NodeID(v))
 				}
 			}
 		}
-		row := labelRow(t, src, d, p)
-		got := cert.AuditRow(g, row, new(cert.Scratch))
-		want := refAuditRow(g, row)
+		row := labelRow(t, src, s)
+		var sc cert.Scratch
+		got := cert.AuditRow(g, row, &sc)
+		d, want := refAuditRow(g, row)
 		if (got == nil) != (want == nil) {
-			t.Fatalf("AuditRow: %v, reference: %v (d %v, p %v)", got, want, d, p)
+			t.Fatalf("AuditRow: %v, reference: %v (slots %v)", got, want, s)
+		}
+		if got == nil && !slices.EqualFunc(sc.Dists(), d, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("AuditRow folded %v, reference %v (slots %v)", sc.Dists(), d, s)
 		}
 	})
 }
 
-// BenchmarkAuditRow audits one HYP border's labelling row of the
-// repository benchmark's world (DE at scale 0.25, 7,217 nodes, the default
-// 100 cells): the unit of an audited replica's boot, 663 of which it
-// checks.
+// BenchmarkAuditRow audits one HYP border's tree row of the repository
+// benchmark's world (DE at scale 0.25, 7,217 nodes, the default 100
+// cells): the unit of an audited replica's boot, 663 of which it checks.
 func BenchmarkAuditRow(b *testing.B) {
 	bg, err := netgen.Generate(netgen.DE, netgen.Config{Scale: 0.25, Seed: 1})
 	if err != nil {
@@ -754,7 +834,7 @@ func BenchmarkAuditRow(b *testing.B) {
 	}
 	src := hy.Borders[len(hy.Borders)/2]
 	tree, _ := sp.DijkstraBounded(g, src, sp.Unreachable)
-	row := labelRow(b, src, tree.Dist, tree.Parent)
+	row := labelRow(b, src, slotsOf(g, tree.Parent))
 	var sc cert.Scratch
 	if err := cert.AuditRow(g, row, &sc); err != nil {
 		b.Fatal(err)

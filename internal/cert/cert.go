@@ -1,6 +1,6 @@
 // Package cert implements whole-snapshot certificates: a compact, signed
 // statement by the data owner of everything a replica must hold for one
-// epoch — per-method shortest-path labellings (distance + parent rows) and
+// epoch — per-method shortest-path trees (one parent slot per node) and
 // the Merkle roots the stored structures must hash to — plus a linear-time
 // audit that checks a freshly loaded snapshot against it in one pass, as
 // the certificate streams past row by row: a process that only audits never
@@ -8,16 +8,18 @@
 //
 // The certificate complements the paper's per-query authenticated hints
 // with whole-labelling assurance, after the linear-time shortest-path
-// certification of Shokry et al.: a distance labelling d with parent
-// pointers p is the true SSSP labelling from src iff d[src]=0, no edge
-// violates the triangle inequality (d[v] ≤ d[u] + w(u,v)), every parent
-// edge is tight (d[v] = d[p[v]] + w(p[v],v)), every reachable node is
-// parented, and the parent forest is acyclic. The network is undirected,
-// so one sweep over the nodes checks all of it, each node against its own
-// adjacency — O(V+E) with O(1) work per edge, no Dijkstra re-runs — and
-// acyclicity comes free unless some parent edge fails to decrease d. That
-// sweep (AuditRow) is what Audit performs for every row the certificate
-// carries.
+// certification of Shokry et al. A row stores only the parents p of a
+// tree from src; the audit derives the distances by folding d down the
+// tree (d[src] = 0, d[v] = d[p[v]] + w(p[v], v)), so every parent edge is
+// tight by construction and a cycle, a slot that names no edge, or a
+// parented node whose chain never reaches src is refused while folding.
+// What is left is the triangle inequality (d[v] ≤ d[u] + w(u,v) for every
+// edge, and no reachable node left without a parent): a tight tree rooted
+// at src that no edge improves on is the true SSSP labelling. The network
+// is undirected, so one sweep over the nodes checks it, each node against
+// its own adjacency — O(V+E) with O(1) work per edge, no Dijkstra re-runs.
+// The fold and that sweep (AuditRow) are what Audit performs for every row
+// the certificate carries.
 //
 // Stored Merkle structures are audited by folding: every level a replica
 // holds is recomputed from the level below it and the root compared to
@@ -39,7 +41,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"math"
 
 	"github.com/authhints/spv/internal/digest"
 	"github.com/authhints/spv/internal/graph"
@@ -51,12 +52,12 @@ import (
 var (
 	// ErrAudit is the root class: every audit rejection wraps it.
 	ErrAudit = errors.New("cert: audit rejected")
-	// ErrDistance: a distance label violates the shortest-path conditions
-	// (triangle inequality, d[src]=0, negative/NaN, or a stored row
-	// disagreeing with the certified one).
+	// ErrDistance: the distances a row's tree folds to violate the
+	// triangle inequality, or a stored row disagrees with them.
 	ErrDistance = fmt.Errorf("%w: distance label", ErrAudit)
-	// ErrParent: a parent pointer is missing, out of range, not a tight
-	// graph edge, or the parent forest has a cycle.
+	// ErrParent: a parent slot names no edge, the source has a parent,
+	// the parents close a cycle, a parented node's chain does not reach
+	// the source, or a node the source reaches has no parent.
 	ErrParent = fmt.Errorf("%w: parent pointer", ErrAudit)
 	// ErrRowDigest: a digest commitment mismatch — a row digest, a stored
 	// Merkle level that does not fold, a root differing from the
@@ -87,15 +88,16 @@ var SigContext = []byte("spv/CERT/v1\x00")
 //	"SPVC" | version u8 | alg u8 | epoch u64 | coreDigest bytes |
 //	numMethods u16 | methods × (
 //	  method str | aux bytes | numRoots u16 | roots × bytes |
-//	  numRows u32 | rows × (src u32 | n u32 | n×f64 | n×u32 | digest bytes)
+//	  numRows u32 | rows × (src u32 | n u32 | n×u16 parent slot | digest bytes)
 //	) | sig bytes
 //
-// (`bytes`/`str` are u32-length-prefixed, integers big-endian, parents
-// encode graph.Invalid as 0xFFFFFFFF) — plus an index of where each method
-// slice lies. Nothing is decoded beside it: accessors read the wire, the
-// slices they return alias it, and saving writes it. CoreDigest binds the
-// snapshot's core sections (config, graph, leaf ordering), so a
-// certificate cannot be replayed against a different world.
+// (`bytes`/`str` are u32-length-prefixed, integers big-endian, a slot is
+// an index into the node's adjacency list or graph.NoParent, 0xFFFF) —
+// plus an index of where each method slice lies. Nothing is decoded
+// beside it: accessors read the wire, the slices they return alias it,
+// and saving writes it. CoreDigest binds the snapshot's core sections
+// (config, graph, leaf ordering), so a certificate cannot be replayed
+// against a different world.
 //
 // A process that only audits never needs one: AuditReader checks the wire
 // as it streams past, one row at a time, and Audit is that same pass over
@@ -166,15 +168,17 @@ func (m *MethodCert) Row(i int) Row {
 	return Row{m.rows[i*s : (i+1)*s : (i+1)*s]}
 }
 
-// Row is one certified shortest-path labelling where it lies in the wire:
-// src, the node count n, n distances and n parent pointers from src over
-// the whole node set, then the digest of all of that (the per-row
-// integrity handle the tamper matrix targets independently of the
-// certificate signature). The setters write the wire.
+// Row is one certified shortest-path tree where it lies in the wire: src,
+// the node count n, n parent slots — node v's is the index of its parent
+// edge in v's adjacency list, graph.NoParent at src and at the nodes src
+// does not reach — then the digest of all of that (the per-row integrity
+// handle the tamper matrix targets independently of the certificate
+// signature). The distances are not stored: AuditRow folds them from the
+// tree. SetSlot writes the wire.
 type Row struct{ slot []byte }
 
 // slotSize is the wire size of a row over n nodes under a size-byte digest.
-func slotSize(n, size int) int { return 8 + 12*n + 4 + size }
+func slotSize(n, size int) int { return 8 + 2*n + 4 + size }
 
 // Src returns the labelling's source node.
 func (r Row) Src() graph.NodeID { return graph.NodeID(int32(binary.BigEndian.Uint32(r.slot))) }
@@ -182,43 +186,22 @@ func (r Row) Src() graph.NodeID { return graph.NodeID(int32(binary.BigEndian.Uin
 // N returns the number of nodes the row labels.
 func (r Row) N() int { return int(binary.BigEndian.Uint32(r.slot[4:])) }
 
-func (r Row) dists() []byte   { return r.slot[8 : 8+8*r.N()] }
-func (r Row) parents() []byte { return r.slot[8+8*r.N() : 8+12*r.N()] }
-
 // body is the digest preimage: everything but the digest frame.
-func (r Row) body() []byte { return r.slot[:8+12*r.N()] }
+func (r Row) body() []byte { return r.slot[:8+2*r.N()] }
 
 // Digest returns the digest the row carries.
-func (r Row) Digest() []byte { return r.slot[8+12*r.N()+4:] }
+func (r Row) Digest() []byte { return r.slot[8+2*r.N()+4:] }
 
-// Dist returns the certified distance of node v.
-func (r Row) Dist(v int) float64 { return distAt(r.dists(), v) }
+// Slot returns node v's parent slot.
+func (r Row) Slot(v int) uint16 { return binary.BigEndian.Uint16(r.slot[8+2*v:]) }
 
-// Parent returns the certified shortest-path-tree parent of node v.
-func (r Row) Parent(v int) graph.NodeID { return parentAt(r.parents(), v) }
-
-// SetDist writes node v's distance.
-func (r Row) SetDist(v int, d float64) {
-	binary.BigEndian.PutUint64(r.dists()[8*v:], math.Float64bits(d))
-}
-
-// SetParent writes node v's parent.
-func (r Row) SetParent(v int, p graph.NodeID) {
-	binary.BigEndian.PutUint32(r.parents()[4*v:], uint32(p))
-}
+// SetSlot writes node v's parent slot.
+func (r Row) SetSlot(v int, k uint16) { binary.BigEndian.PutUint16(r.slot[8+2*v:], k) }
 
 // Seal hashes the row's body where it lies into its digest frame.
 func (r Row) Seal(alg digest.Alg) { alg.AppendSum(r.Digest()[:0], r.body()) }
 
-func distAt(b []byte, v int) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(b[8*v:]))
-}
-
-func parentAt(b []byte, v int) graph.NodeID {
-	return graph.NodeID(int32(binary.BigEndian.Uint32(b[4*v:])))
-}
-
-// Spec declares one method slice to New: everything but the labellings.
+// Spec declares one method slice to New: everything but the trees.
 type Spec struct {
 	Method string
 	Aux    []byte
@@ -228,9 +211,9 @@ type Spec struct {
 
 // New lays out the wire of a certificate over the given slices, every row
 // sized for n nodes and the signature frame for sigSize bytes: framing,
-// roots and row sources in place, labellings, row digests and signature
+// roots and row sources in place, parent slots, row digests and signature
 // still zero. Slots are disjoint, so rows can be filled concurrently
-// (SetDist/SetParent, then Seal) before Sign completes the certificate.
+// (SetSlot, then Seal) before Sign completes the certificate.
 func New(alg digest.Alg, epoch int64, coreDigest []byte, n, sigSize int, specs []Spec) (*Certificate, error) {
 	if !alg.Valid() {
 		return nil, fmt.Errorf("%w: bad digest algorithm %d", ErrEncoding, alg)
@@ -260,7 +243,7 @@ func New(alg digest.Alg, epoch int64, coreDigest []byte, n, sigSize int, specs [
 		for _, src := range s.Srcs {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(src))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-			buf = buf[:len(buf)+12*n]
+			buf = buf[:len(buf)+2*n]
 			buf = binary.BigEndian.AppendUint32(buf, uint32(size))
 			buf = buf[:len(buf)+size]
 		}
@@ -287,7 +270,9 @@ func (c *Certificate) Sign(sign func(parts ...[]byte) ([]byte, error)) error {
 // certMagic guards against feeding arbitrary sections to the decoder.
 var certMagic = []byte("SPVC")
 
-const certVersion = 1
+// certVersion 2 carries parent slots only; version 1's distance and
+// parent-ID columns are refused.
+const certVersion = 2
 
 // maxCertMethods bounds the index; the registry caps out far below this.
 const maxCertMethods = 64
@@ -485,7 +470,7 @@ func (d *wireCursor) rows(run *rowRun, digestSize int) {
 	} else if left >= 8 {
 		n = int(binary.BigEndian.Uint32(d.next(8, d.head[:])[4:]))
 	}
-	if n > left/12 {
+	if n > left/2 {
 		d.fail("row length exceeds input")
 		return
 	}
@@ -518,7 +503,7 @@ func (r *rowRun) take(dst []byte) Row {
 	row := Row{b}
 	if row.N() != r.n {
 		d.fail(fmt.Sprintf("row %d covers %d nodes, row 0 covers %d", i, row.N(), r.n))
-	} else if got := binary.BigEndian.Uint32(b[8+12*r.n:]); int(got) != r.digestSize {
+	} else if got := binary.BigEndian.Uint32(b[8+2*r.n:]); int(got) != r.digestSize {
 		d.fail(fmt.Sprintf("field is %d bytes, want %d", got, r.digestSize))
 	}
 	return row

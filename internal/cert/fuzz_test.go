@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -32,9 +31,8 @@ func corpusCert(method string) *cert.Certificate {
 		panic(err)
 	}
 	r := c.Methods[0].Row(0)
-	for v, p := range []graph.NodeID{graph.Invalid, 0, 1} {
-		r.SetDist(v, float64(v))
-		r.SetParent(v, p)
+	for v, k := range []uint16{graph.NoParent, 0, 0} { // the path 0-1-2 from 0
+		r.SetSlot(v, k)
 	}
 	r.Seal(alg)
 	if err := c.Sign(func(...[]byte) ([]byte, error) { return sig, nil }); err != nil {
@@ -98,7 +96,7 @@ func FuzzDecodeCertificate(f *testing.F) {
 				if r.N() != m.Row(0).N() || len(r.Digest()) != size {
 					t.Fatalf("%s row %d: %d nodes, %d-byte digest", m.Method, j, r.N(), len(r.Digest()))
 				}
-				tiled += 8 + 12*r.N() + 4 + size
+				tiled += 8 + 2*r.N() + 4 + size
 				views = append(views, r.Digest())
 			}
 		}
@@ -154,7 +152,7 @@ func (v streamView) AuditMethod(mc *cert.MethodCert, _ cert.SigVerifier) error {
 			return fmt.Errorf("%s row %d differs", mc.Method, i)
 		}
 		for x := 0; x < row.N(); x++ {
-			if math.Float64bits(row.Dist(x)) != math.Float64bits(w.Dist(x)) || row.Parent(x) != w.Parent(x) {
+			if row.Slot(x) != w.Slot(x) {
 				return fmt.Errorf("%s row %d differs at %d", mc.Method, i, x)
 			}
 		}
@@ -268,4 +266,31 @@ func TestDecodeCertificateLyingLengths(t *testing.T) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrEncoding", n, err)
 		}
 	}
+}
+
+// TestDecodeOneLongRow pins the node-count bound to the row layout: a row
+// needs two bytes a node, so a one-row certificate whose row covers more
+// nodes than a twelfth of what follows its count (the bound of a layout
+// with twelve bytes a node) decodes, from a held wire and from a stream.
+func TestDecodeOneLongRow(t *testing.T) {
+	const n = 1000
+	alg := digest.SHA1
+	c, err := cert.New(alg, 1, make([]byte, alg.Size()), n, 0, []cert.Spec{{Method: "DIJ", Srcs: []graph.NodeID{0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Methods[0].Row(0).Seal(alg)
+	wire := c.Bytes()
+	numRowsOff, _ := wireOffsets(c)
+	if left := len(wire) - numRowsOff - 4; n <= left/12 {
+		t.Fatalf("%d nodes in %d bytes: not past the old bound", n, left)
+	}
+	dc, err := cert.DecodeCertificate(wire)
+	if err != nil {
+		t.Fatalf("held wire: %v", err)
+	}
+	if got := dc.Methods[0].Row(0).N(); got != n {
+		t.Fatalf("decoded row covers %d nodes, want %d", got, n)
+	}
+	checkStream(t, wire, dc, nil)
 }

@@ -16,23 +16,16 @@ import (
 	"github.com/authhints/spv/internal/sp"
 )
 
-// certPlan is one method's slice before its rows are computed: the framing
-// cert.New lays out (row i is a Dijkstra from Srcs[i] over the owner's
-// network) and — for methods whose stored hint rows are the certified
-// distances (LDM) — those rows, which then pair with the search's parents.
-type certPlan struct {
-	cert.Spec
-	dists [][]float64
-}
-
 // Certify issues a snapshot certificate for the given outsourced
-// providers at the owner's current epoch: per-method labelling rows and
-// Merkle roots, a digest binding the core sections (config, graph, leaf
+// providers at the owner's current epoch: per-method shortest-path trees
+// and Merkle roots, a digest binding the core sections (config, graph, leaf
 // ordering), and the owner's signature over the canonical wire. The wire
-// is laid out first (row slots are fixed-size), then each row is searched,
-// written big-endian into its own slot and digested there by whichever
-// worker claims it — the bytes are the same at any GOMAXPROCS — and the
-// signature hashes the finished wire where it lies.
+// is laid out first (row slots are fixed-size), then each row is searched
+// and its tree's parent slots written big-endian into its own slot and
+// digested there by whichever worker claims it — the bytes are the same at
+// any GOMAXPROCS — and the signature hashes the finished wire where it
+// lies. A network with a node of more than graph.NoParent neighbours,
+// which a slot cannot address, is refused.
 // The same ownership and staleness guards as WriteSnapshot apply — a
 // certificate must describe exactly the state a snapshot of these
 // providers would carry. Attach the result via ProviderSet.SetCertificate
@@ -45,6 +38,9 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	provs, err := currentProviders(net, provs, "certifying")
 	if err != nil {
 		return nil, err
+	}
+	if err := net.CheckSlots(); err != nil {
+		return nil, fmt.Errorf("core: certify: %w", err)
 	}
 	byMethod := make(map[Method]Provider, len(provs))
 	for _, p := range provs {
@@ -59,7 +55,6 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	}
 	var (
 		ord   *order.Ordering
-		plans []certPlan
 		specs []cert.Spec
 	)
 	for _, impl := range defaultRegistry.Impls() {
@@ -72,12 +67,11 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 				ord = a.ord
 			}
 		}
-		plan, err := impl.planCert(p)
+		spec, err := impl.planCert(p)
 		if err != nil {
 			return nil, err
 		}
-		plans = append(plans, plan)
-		specs = append(specs, plan.Spec)
+		specs = append(specs, spec)
 	}
 	if ord == nil {
 		return nil, errors.New("core: certify needs a provider with a leaf ordering")
@@ -91,18 +85,13 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	for m, plan := range plans {
-		par.Work(len(plan.Srcs), func(i int) {
+	for m, spec := range specs {
+		par.Work(len(spec.Srcs), func(i int) {
 			row := c.Methods[m].Row(i)
 			ws := sp.AcquireWorkspace(n)
-			ws.FullRow(net, plan.Srcs[i])
-			for v := 0; v < n; v++ {
-				d := ws.DistOf(graph.NodeID(v))
-				if plan.dists != nil {
-					d = plan.dists[i][v]
-				}
-				row.SetDist(v, d)
-				row.SetParent(v, ws.ParentOf(graph.NodeID(v)))
+			ws.FullRow(net, spec.Srcs[i])
+			for x := range graph.NodeID(n) {
+				row.SetSlot(int(x), net.ParentSlot(x, ws.ParentOf(x)))
 			}
 			row.Seal(o.cfg.Hash)
 			sp.ReleaseWorkspace(ws)
@@ -249,19 +238,19 @@ func certProvider[T Provider](s *ProviderSet, m Method) (T, error) {
 
 // --- DIJ ---
 
-// planCert for DIJ: the network root plus one canonical labelling row
-// (from the ordering's first leaf), giving DIJ — which stores no hint
-// rows — a certified distance/parent witness over the published graph.
-func (dijImpl) planCert(p Provider) (certPlan, error) {
+// planCert for DIJ: the network root plus one canonical shortest-path
+// tree (from the ordering's first leaf), giving DIJ — which stores no hint
+// rows — a certified witness over the published graph.
+func (dijImpl) planCert(p Provider) (cert.Spec, error) {
 	dp, err := providerAs[*DIJProvider](DIJ, p)
 	if err != nil {
-		return certPlan{}, err
+		return cert.Spec{}, err
 	}
-	return certPlan{Spec: cert.Spec{
+	return cert.Spec{
 		Method: string(DIJ),
 		Roots:  [][]byte{dp.ads.Root()},
 		Srcs:   dp.ads.ord.Seq[:1],
-	}}, nil
+	}, nil
 }
 
 func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
@@ -292,20 +281,21 @@ func (dijImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 
 // --- LDM ---
 
-// planCert for LDM: the network root plus one row per landmark — the
-// stored exact distance rows (the hints' source of truth) paired with
-// freshly derived shortest-path-tree parents, so the audit can certify
-// every stored row without a Dijkstra of its own.
-func (ldmImpl) planCert(p Provider) (certPlan, error) {
+// planCert for LDM: the network root plus one shortest-path tree per
+// landmark. The audit folds each tree to its distances — the additions
+// the search that built the stored exact row made — and holds the stored
+// row (the hints' source of truth) to them bit for bit, without a
+// Dijkstra of its own.
+func (ldmImpl) planCert(p Provider) (cert.Spec, error) {
 	lp, err := providerAs[*LDMProvider](LDM, p)
 	if err != nil {
-		return certPlan{}, err
+		return cert.Spec{}, err
 	}
-	return certPlan{dists: lp.hints.Dists, Spec: cert.Spec{
+	return cert.Spec{
 		Method: string(LDM),
 		Roots:  [][]byte{lp.ads.Root()},
 		Srcs:   lp.hints.Landmarks,
-	}}, nil
+	}, nil
 }
 
 func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
@@ -320,24 +310,24 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	if mc.NumRows() != h.C() {
 		return fmt.Errorf("%w: LDM slice has %d rows, hints have %d landmarks", cert.ErrEncoding, mc.NumRows(), h.C())
 	}
-	// The landmark rows are independent, so the expensive part — the
-	// linear pass and the digest re-hash — fans out across workers.
+	// The landmark rows are independent, so the expensive part — the fold,
+	// the linear pass and the digest re-hash — fans out across workers.
 	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
 		if row.Src() != h.Landmarks[i] {
 			return fmt.Errorf("%w: LDM row %d source %d, want landmark %d", cert.ErrEncoding, i, row.Src(), h.Landmarks[i])
 		}
-		stored := h.Dists[i]
-		if row.N() != len(stored) {
-			return fmt.Errorf("%w: LDM row %d has %d dists, stored row has %d", cert.ErrEncoding, i, row.N(), len(stored))
+		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
+			return err
 		}
-		for x := range stored {
-			if d := row.Dist(x); stored[x] != d && !distEqual(stored[x], d) {
+		stored := h.Dists[i]
+		if len(stored) != row.N() {
+			return fmt.Errorf("%w: LDM row %d has %d nodes, stored row has %d", cert.ErrEncoding, i, row.N(), len(stored))
+		}
+		for x, d := range sc.Dists() {
+			if stored[x] != d {
 				return fmt.Errorf("%w: stored landmark row %d differs from certificate at node %d (%g vs %g)",
 					cert.ErrDistance, i, x, stored[x], d)
 			}
-		}
-		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
-			return err
 		}
 		return cert.CheckRowDigest(s.Cfg.Hash, row)
 	}); err != nil {
@@ -356,14 +346,14 @@ func (ldmImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 // post-update form) rather than the compact border-to-border matrix.
 const hypAuxFull = 1
 
-// planCert for HYP: both roots plus one full labelling row per border
-// node. The stored rows — W* border-to-border or full — are the values at
-// the corresponding positions of these rows, so one triangle pass per
+// planCert for HYP: both roots plus one shortest-path tree per border
+// node. The stored rows — W* border-to-border or full — are the values its
+// fold gives at the corresponding nodes, so one fold and triangle pass per
 // border certifies every stored hyper-distance.
-func (hypImpl) planCert(p Provider) (certPlan, error) {
+func (hypImpl) planCert(p Provider) (cert.Spec, error) {
 	hp, err := providerAs[*HYPProvider](HYP, p)
 	if err != nil {
-		return certPlan{}, err
+		return cert.Spec{}, err
 	}
 	aux := []byte{0}
 	if hp.hyper.HasFullRows() {
@@ -373,9 +363,9 @@ func (hypImpl) planCert(p Provider) (certPlan, error) {
 	if hp.distMBT != nil {
 		roots = append(roots, hp.distMBT.Root())
 	}
-	return certPlan{Spec: cert.Spec{
+	return cert.Spec{
 		Method: string(HYP), Aux: aux, Roots: roots, Srcs: hp.hyper.Borders,
-	}}, nil
+	}, nil
 }
 
 func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {
@@ -401,29 +391,26 @@ func (hypImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier
 	if len(mc.Roots) != wantRoots {
 		return fmt.Errorf("%w: HYP slice has %d roots, want %d", cert.ErrEncoding, len(mc.Roots), wantRoots)
 	}
-	n := s.Graph.NumNodes()
 	// One border row per worker slot: with B ≈ √(n·cells) borders this is
 	// the audit's widest fan-out.
 	if err := mc.Rows(func(i int, row cert.Row, sc *cert.Scratch) error {
 		if row.Src() != hy.Borders[i] {
 			return fmt.Errorf("%w: HYP row %d source %d, want border %d", cert.ErrEncoding, i, row.Src(), hy.Borders[i])
 		}
-		if row.N() != n {
-			return fmt.Errorf("%w: HYP row %d has %d dists, want %d", cert.ErrEncoding, i, row.N(), n)
+		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
+			return err
 		}
 		// Stored hyper-rows against the certified labelling: every value
-		// hiti stores, in either form, must be the certified distance at
-		// its node.
+		// hiti stores, in either form, must be the folded distance at its
+		// node, bit for bit.
+		dist := sc.Dists()
 		if err := hy.WalkRow(i, func(x graph.NodeID, got float64) error {
-			if d := row.Dist(int(x)); got != d && !distEqual(got, d) {
+			if d := dist[x]; got != d {
 				return fmt.Errorf("%w: stored HYP row %d differs from certificate at node %d (%g vs %g)",
 					cert.ErrDistance, i, x, got, d)
 			}
 			return nil
 		}); err != nil {
-			return err
-		}
-		if err := cert.AuditRow(s.Graph, row, sc); err != nil {
 			return err
 		}
 		return cert.CheckRowDigest(s.Cfg.Hash, row)
@@ -477,16 +464,16 @@ func certSampleSources(seq []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-func (fullImpl) planCert(p Provider) (certPlan, error) {
+func (fullImpl) planCert(p Provider) (cert.Spec, error) {
 	fp, err := providerAs[*FULLProvider](FULL, p)
 	if err != nil {
-		return certPlan{}, err
+		return cert.Spec{}, err
 	}
-	return certPlan{Spec: cert.Spec{
+	return cert.Spec{
 		Method: string(FULL),
 		Roots:  [][]byte{fp.ads.Root(), fp.forest.Top().Root()},
 		Srcs:   certSampleSources(fp.ads.ord.Seq),
-	}}, nil
+	}, nil
 }
 
 func (fullImpl) auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error {

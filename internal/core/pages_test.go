@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -299,8 +301,8 @@ func BenchmarkFullRowUpgrade(b *testing.B) {
 // BenchmarkCertify measures Owner.Certify for DIJ, LDM and HYP on the
 // benchmark world, as an origin booting with -save issues it: one full
 // search per certified source (DIJ's one, LDM's landmarks, HYP's borders),
-// each row's distances and parents written and digested in its slot, then
-// the signature.
+// each row's parent slots written and digested in its slot, then the
+// signature.
 func BenchmarkCertify(b *testing.B) {
 	g, _ := updateStream(b, 0)
 	owner, err := NewOwner(g, DefaultConfig())
@@ -316,6 +318,56 @@ func BenchmarkCertify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := owner.Certify(provs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAuditCertificate measures the audit an -audit-on-load replica of
+// the benchmark world runs: the DIJ, LDM and HYP certificate streamed from
+// its snapshot file's CERT section through ProviderSet.AuditCertificate, on
+// a lazily opened set whose sections are already hydrated.
+func BenchmarkAuditCertificate(b *testing.B) {
+	g, _ := updateStream(b, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	provs := []Provider{
+		outsource[*DIJProvider](b, owner, DIJ),
+		outsource[*LDMProvider](b, owner, LDM),
+		outsource[*HYPProvider](b, owner, HYP),
+	}
+	c, err := owner.Certify(provs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "world.spv")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := owner.WriteSnapshotCert(f, c, provs...); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	set, err := OpenProviderSetLazy(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer set.Close()
+	set.Warm()
+	b.SetBytes(int64(len(c.Bytes())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := set.AuditCertificate(set.Verifier)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,7 +134,7 @@ type MethodImpl interface {
 	// issue time; auditCert checks a loaded provider against that slice in
 	// linear time (certify.go). Unexported, like Provider's hooks: a method
 	// lives in this package, and none passes an audit it did not implement.
-	planCert(p Provider) (certPlan, error)
+	planCert(p Provider) (cert.Spec, error)
 	auditCert(s *ProviderSet, mc *cert.MethodCert, v cert.SigVerifier) error
 }
 

@@ -64,7 +64,7 @@ func FuzzReadProviderSet(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	x, y := innerNeighbours(f, hyp.hyper, owner.Graph())
-	f.Add(resealed(f, buf.Bytes(), func(p []byte) []byte {
+	f.Add(resealed(f, buf.Bytes(), snapKindHYP, func(p []byte) []byte {
 		_, tree := hypSection(p)
 		return cyclicTree(p, tree, owner.Graph(), hyp.ads.ord.Pos, x, y)
 	}))

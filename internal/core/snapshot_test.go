@@ -235,8 +235,9 @@ func TestSnapshotRejectsStaleProvider(t *testing.T) {
 // the loader errors (container CRC or semantic validation) without
 // panicking. Exhaustive flipping is the fuzzer's job; this samples. Under
 // a re-sealed checksum, HYP's stored trees must be ones fold and Repair
-// can walk, and a W* value — trusted at load — is caught by the audit and
-// by client verification.
+// can walk, a W* value — trusted at load — is caught by the audit and by
+// client verification, and so is a certified tree that is no shortest-path
+// tree.
 func TestSnapshotCorruption(t *testing.T) {
 	owner, dij, _, ldm, hyp := snapshotWorld(t, 100, 140)
 	var buf bytes.Buffer
@@ -269,7 +270,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	if _, err := owner.WriteSnapshotCert(&buf, c, hyp); err != nil {
 		t.Fatal(err)
 	}
-	set, err := readSet(resealed(t, buf.Bytes(), func(p []byte) []byte {
+	set, err := readSet(resealed(t, buf.Bytes(), snapKindHYP, func(p []byte) []byte {
 		w, _ := hypSection(p)
 		p[w+8*1+2] ^= 0x80
 		return p
@@ -293,6 +294,43 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatalf("altered W*: audit gave %v, want ErrDistance", err)
 	}
 
+	// The certificate's HYP trees, edited in its section: a parent cycle
+	// and a slot past the degree fail the fold, and a non-border leaf
+	// moved to a neighbour whose edge is not tight still folds to every
+	// stored W* value, so only the triangle check can tell.
+	net, hy := owner.Graph(), hyp.hyper
+	x, y := innerNeighbours(t, hy, net)
+	for _, tc := range []struct {
+		name string
+		edit func(row cert.Row)
+		want error
+	}{
+		{"a certified parent cycle", func(row cert.Row) {
+			row.SetSlot(int(x), net.ParentSlot(x, y))
+			row.SetSlot(int(y), net.ParentSlot(y, x))
+		}, cert.ErrParent},
+		{"a certified slot past the degree", func(row cert.Row) { row.SetSlot(int(x), uint16(net.Degree(x))) }, cert.ErrParent},
+		{"a non-tight certified tree", func(row cert.Row) { looseCertTree(t, row, hy, net) }, cert.ErrDistance},
+	} {
+		set, err := readSet(resealed(t, buf.Bytes(), snapKindCert, func(p []byte) []byte {
+			c, err := cert.DecodeCertificate(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(c.Method(string(HYP)).Row(0))
+			return p
+		}))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep, err = set.AuditCertificate(set.Verifier); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Err(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: audit gave %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
 	// Full rows load as their trees, checked in one pass: a parent slot
 	// past its node's degree, two non-borders each other's parent, and a
 	// tree block cut short all fail the load as a bad section.
@@ -308,7 +346,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatalf("the intact full-row snapshot: %v", err)
 	}
 	net, pos := owner.Graph(), hyp.ads.ord.Pos
-	x, y := innerNeighbours(t, hyp.hyper, net)
+	x, y = innerNeighbours(t, hyp.hyper, net)
 	for _, tc := range []struct {
 		name, msg string
 		edit      func(p []byte, tree int) []byte
@@ -320,7 +358,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		{"a two-node parent cycle", "cycle", func(p []byte, tree int) []byte { return cyclicTree(p, tree, net, pos, x, y) }},
 		{"a truncated tree block", "truncated", func(p []byte, tree int) []byte { return p[:tree+net.NumNodes()+1] }},
 	} {
-		bad := resealed(t, buf.Bytes(), func(p []byte) []byte {
+		bad := resealed(t, buf.Bytes(), snapKindHYP, func(p []byte) []byte {
 			_, tree := hypSection(p)
 			return tc.edit(p, tree)
 		})
@@ -332,7 +370,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	// A loose tree — one node's parent moved to a neighbour whose edge is
 	// not tight, no cycle closed — loads, since queries and proofs read
 	// W*, never a tree, and folds to a value the audit rejects.
-	set, err = readSet(resealed(t, buf.Bytes(), func(p []byte) []byte {
+	set, err = readSet(resealed(t, buf.Bytes(), snapKindHYP, func(p []byte) []byte {
 		_, tree := hypSection(p)
 		return looseTree(t, p, tree, hyp.hyper, net, pos)
 	}))
@@ -376,10 +414,11 @@ func updatedHYPWorld(tb testing.TB, nodes, edges int) (*Owner, *HYPProvider) {
 	return owner, hyp
 }
 
-// resealed returns the snapshot data with the HYP section's payload passed
-// through edit, written anew through the container writer: every section
-// and index checksum holds, so only the payload's meaning is changed.
-func resealed(tb testing.TB, data []byte, edit func(payload []byte) []byte) []byte {
+// resealed returns the snapshot data with the payload of its section of
+// the given kind passed through edit, written anew through the container
+// writer: every section and index checksum holds, so only the payload's
+// meaning is changed.
+func resealed(tb testing.TB, data []byte, kind uint32, edit func(payload []byte) []byte) []byte {
 	tb.Helper()
 	f, err := snapshot.NewFile(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
@@ -395,7 +434,7 @@ func resealed(tb testing.TB, data []byte, edit func(payload []byte) []byte) []by
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if e.Kind == snapKindHYP {
+		if e.Kind == kind {
 			payload = edit(bytes.Clone(payload))
 		}
 		if err := w.Section(e.Kind, payload); err != nil {
@@ -464,6 +503,32 @@ func looseTree(tb testing.TB, p []byte, tree int, hy *hiti.Hyper, net *graph.CSR
 	}
 	tb.Fatal("no node of the first tree can take a loose parent")
 	return nil
+}
+
+// looseCertTree gives a non-border leaf x of row, a certificate tree from
+// a border of hy, a parent whose edge is far from tight: the fold raises
+// d[x] alone, and every border keeps its distance.
+func looseCertTree(tb testing.TB, row cert.Row, hy *hiti.Hyper, net *graph.CSR) {
+	tb.Helper()
+	d := sp.NewWorkspace(net.NumNodes()).DijkstraRow(net, row.Src(), nil)
+	inner := make([]bool, net.NumNodes())
+	for v := range inner {
+		if k := row.Slot(v); k != graph.NoParent {
+			inner[net.Neighbors(graph.NodeID(v))[k].To] = true
+		}
+	}
+	for x := graph.NodeID(0); int(x) < net.NumNodes(); x++ {
+		if hy.IsBorder[x] || inner[x] || d[x] == sp.Unreachable {
+			continue
+		}
+		for k, e := range net.Neighbors(x) {
+			if d[e.To]+e.W > d[x]*(1+1e-6)+1e-6 {
+				row.SetSlot(int(x), uint16(k))
+				return
+			}
+		}
+	}
+	tb.Fatal("no leaf of the certified tree can take a loose parent")
 }
 
 // cyclicTree makes x and y, neighbours in net, each other's parent in the

@@ -124,6 +124,38 @@ func (c *CSR) Neighbors(v NodeID) []Edge { return c.edges[c.offs[v]:c.offs[v+1]]
 // Degree returns the number of edges incident to v.
 func (c *CSR) Degree(v NodeID) int { return int(c.offs[v+1] - c.offs[v]) }
 
+// NoParent is the parent slot of a shortest-path tree's root and of the
+// nodes the tree does not reach. Any other slot k of node x names x's
+// parent edge by its index in x's adjacency list, Neighbors(x)[k], so a
+// tree can address every neighbour of a node of degree at most NoParent.
+const NoParent = math.MaxUint16
+
+// ParentSlot returns the slot that names p as x's parent: p's index in
+// x's adjacency list (the lists hold no duplicate edges, so the neighbour
+// names the edge), or NoParent when p is Invalid. It panics if p is no
+// neighbour of x.
+func (c *CSR) ParentSlot(x, p NodeID) uint16 {
+	if p == Invalid {
+		return NoParent
+	}
+	k, ok := searchAdj(c.Neighbors(x), p)
+	if !ok {
+		panic(fmt.Sprintf("graph: %d is no neighbour of %d", p, x))
+	}
+	return uint16(k)
+}
+
+// CheckSlots returns an error naming the first node whose neighbours a
+// parent slot cannot address: one of degree above NoParent.
+func (c *CSR) CheckSlots() error {
+	for v := range NodeID(c.NumNodes()) {
+		if d := c.Degree(v); d > NoParent {
+			return fmt.Errorf("graph: node %d has %d neighbours, a parent slot addresses at most %d", v, d, NoParent)
+		}
+	}
+	return nil
+}
+
 // X returns the x coordinate of v.
 func (c *CSR) X(v NodeID) float64 { return c.xs[v] }
 

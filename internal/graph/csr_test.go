@@ -4,8 +4,44 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
+
+// TestParentSlots pins the one slot encoding: a parent's index in the
+// child's adjacency list, NoParent for none, and CheckSlots refusing, by
+// name, a node whose degree a slot cannot address.
+func TestParentSlots(t *testing.T) {
+	g := New(4)
+	for range 4 {
+		g.AddNode(0, 0)
+	}
+	g.MustAddEdge(2, 3, 1)
+	g.MustAddEdge(2, 0, 1)
+	g.MustAddEdge(2, 1, 1)
+	c := g.Freeze()
+	for k, e := range c.Neighbors(2) {
+		if got := c.ParentSlot(2, e.To); int(got) != k {
+			t.Fatalf("slot of parent %d is %d, want its index %d", e.To, got, k)
+		}
+	}
+	if got := c.ParentSlot(2, Invalid); got != NoParent {
+		t.Fatalf("no parent: slot %d, want NoParent", got)
+	}
+	if err := c.CheckSlots(); err != nil {
+		t.Fatal(err)
+	}
+	star := New(NoParent + 2)
+	for range NoParent + 2 {
+		star.AddNode(0, 0)
+	}
+	for v := range NodeID(NoParent + 1) {
+		star.MustAddEdge(v, NoParent+1, 1)
+	}
+	if err := star.Freeze().CheckSlots(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("node %d has %d neighbours", NoParent+1, NoParent+1)) {
+		t.Fatalf("a node of degree %d: %v, want a refusal naming it", NoParent+1, err)
+	}
+}
 
 // TestFreezeMatchesGraph pins the CSR snapshot to the mutable graph:
 // identical node count, degrees, adjacency contents and order, coordinates.

@@ -65,10 +65,11 @@ type Hyper struct {
 	//
 	// A full row is stored as its shortest-path tree. tree[i] gives each
 	// node x the index, in net's adjacency list of x, of a tight parent p:
-	// dist(Borders[i], x) = fl(dist(Borders[i], p) + w(p, x)) in net, bit for
-	// bit — noParent at the border itself and at unreachable nodes. Folding
-	// the tree from the border down repeats the additions Dijkstra made, so
-	// it reproduces the row exactly at two bytes a node instead of eight.
+	// dist(Borders[i], x) = fl(dist(Borders[i], p) + w(p, x)) in net, bit
+	// for bit — graph.NoParent at the border itself and at unreachable
+	// nodes. Folding the tree from the border down repeats the additions
+	// Dijkstra made, so it reproduces the row exactly at two bytes a node
+	// instead of eight.
 	// Repair (sp.Workspace.Repair) keeps it a tree: a node repair leaves
 	// alone keeps a tight parent, and a node it re-settles gets a parent
 	// settled before it.
@@ -108,9 +109,6 @@ type wpage [WPageLen]float64
 const (
 	pageBytes  = PageLen * 2
 	wpageBytes = WPageLen * 8
-	// noParent marks a tree's root and its unreachable nodes; any other
-	// slot is an adjacency index, so a degree may be noParent at most.
-	noParent = math.MaxUint16
 )
 
 // Build partitions net into approximately p grid cells and materializes
@@ -314,8 +312,9 @@ func (h *Hyper) leafAdjOf() *leafAdj {
 }
 
 // checkTree holds tree, in one pass over its slots, to what fold and Repair
-// walk: every slot is noParent or an index into its node's adjacency, and
-// no parent chain closes a cycle before it reaches a border or noParent.
+// walk: every slot is graph.NoParent or an index into its node's
+// adjacency, and no parent chain closes a cycle before it reaches a border
+// or graph.NoParent.
 // walk is |V| scratch. Whether the tree's edges are tight is not checked:
 // queries and proofs read W*, never a tree, and a loose tree folds to
 // values the certificate audit rejects.
@@ -328,10 +327,10 @@ func (a *leafAdj) checkTree(tree []*page, walk []int32) error {
 		mark := int32(s0) + 1
 		for s := s0; ; {
 			k := tree[s/PageLen][s%PageLen]
-			if k != noParent && int32(k) >= a.first[s+1]-a.first[s] {
+			if k != graph.NoParent && int32(k) >= a.first[s+1]-a.first[s] {
 				return fmt.Errorf("parent slot %d of %d at leaf %d", k, a.first[s+1]-a.first[s], s)
 			}
-			if a.border[s] || k == noParent {
+			if a.border[s] || k == graph.NoParent {
 				break
 			}
 			walk[s] = mark
@@ -408,22 +407,18 @@ func (h *Hyper) searchRows(net *graph.CSR) {
 		}
 		tree := h.tree[i]
 		for x := range graph.NodeID(n) {
-			if p := ws.ParentOf(x); p != graph.Invalid {
-				sl := h.pos[x]
-				tree[sl/PageLen][sl%PageLen] = adjIndex(net, x, p)
-			}
+			sl := h.pos[x]
+			tree[sl/PageLen][sl%PageLen] = net.ParentSlot(x, ws.ParentOf(x))
 		}
 	})
 }
 
 // fullOver readies the receiver for full rows over net in ord's leaf
-// order: every row's W* and tree pages, the trees' slots noParent, yet to
-// be filled.
+// order: every row's W* and tree pages, the trees' slots graph.NoParent,
+// yet to be filled.
 func (h *Hyper) fullOver(net *graph.CSR, ord *order.Ordering) error {
-	for v := 0; v < net.NumNodes(); v++ {
-		if d := net.Degree(graph.NodeID(v)); d > noParent {
-			return fmt.Errorf("hiti: node %d has %d neighbours, a tree addresses at most %d", v, d, noParent)
-		}
+	if err := net.CheckSlots(); err != nil {
+		return err
 	}
 	h.net, h.pos, h.seq = net, ord.Pos, ord.Seq
 	b := len(h.Borders)
@@ -435,13 +430,14 @@ func (h *Hyper) fullOver(net *graph.CSR, ord *order.Ordering) error {
 	return nil
 }
 
-// newTree returns the pages of a tree over n nodes, every slot noParent.
+// newTree returns the pages of a tree over n nodes, every slot
+// graph.NoParent.
 func newTree(n int) []*page {
 	out := make([]*page, (n+PageLen-1)/PageLen)
 	for k := range out {
 		p := new(page)
 		for j := range p {
-			p[j] = noParent
+			p[j] = graph.NoParent
 		}
 		out[k] = p
 	}
@@ -567,10 +563,7 @@ func (r *treeRow) flush() {
 		r.s.mark(c.x, c.d)
 		s := uint(h.pos[c.x])
 		if k := r.tree[s/PageLen][s%PageLen]; !h.isParent(c.x, k, c.p) {
-			k = noParent
-			if c.p != graph.Invalid {
-				k = adjIndex(h.net, c.x, c.p)
-			}
+			k = h.net.ParentSlot(c.x, c.p)
 			r.tree = cow(r.tree, h.tree[r.i], int(s/PageLen))
 			r.tree[s/PageLen][s%PageLen] = k
 		}
@@ -598,7 +591,7 @@ func (h *Hyper) fold(s *treeScratch, net *graph.CSR, tree []*page, w []*wpage, x
 		}
 		sl := uint(h.pos[y])
 		k := tree[sl/PageLen][sl%PageLen]
-		if k == noParent {
+		if k == graph.NoParent {
 			s.mark(y, sp.Unreachable)
 			break
 		}
@@ -617,21 +610,10 @@ func (h *Hyper) fold(s *treeScratch, net *graph.CSR, tree []*page, w []*wpage, x
 
 // isParent reports whether slot k names p as x's parent.
 func (h *Hyper) isParent(x graph.NodeID, k uint16, p graph.NodeID) bool {
-	if k == noParent {
+	if k == graph.NoParent {
 		return p == graph.Invalid
 	}
 	return p != graph.Invalid && h.net.Neighbors(x)[k].To == p
-}
-
-// adjIndex is p's index in x's adjacency list (the lists hold no
-// duplicate edges, so the neighbour names the edge).
-func adjIndex(net *graph.CSR, x, p graph.NodeID) uint16 {
-	for k, e := range net.Neighbors(x) {
-		if e.To == p {
-			return uint16(k)
-		}
-	}
-	panic(fmt.Sprintf("hiti: %d is no neighbour of %d", p, x))
 }
 
 // treeScratch is one worker's scratch over a row: memo[x] holds x's

@@ -850,8 +850,8 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	for want, edit := range map[string]func(tree []uint16){
 		"parent slot": func(tree []uint16) { tree[full.pos[x]] = uint16(net.Degree(x)) },
 		"cycle": func(tree []uint16) {
-			tree[full.pos[x]] = adjIndex(net, x, y)
-			tree[full.pos[y]] = adjIndex(net, y, x)
+			tree[full.pos[x]] = net.ParentSlot(x, y)
+			tree[full.pos[y]] = net.ParentSlot(y, x)
 		},
 	} {
 		bad := save(full)
@@ -925,7 +925,7 @@ func TestPlantAcrossPlateaus(t *testing.T) {
 		full := fullRows(t, g, h)
 		for i, b := range full.Borders {
 			for x := range graph.NodeID(net.NumNodes()) {
-				if sl := full.pos[x]; apart(b, x) && full.tree[i][sl/PageLen][sl%PageLen] != noParent {
+				if sl := full.pos[x]; apart(b, x) && full.tree[i][sl/PageLen][sl%PageLen] != graph.NoParent {
 					t.Fatalf("%s: row %d gives node %d, out of its reach, a parent", what, i, x)
 				}
 			}

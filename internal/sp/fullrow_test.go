@@ -10,29 +10,35 @@ import (
 	"github.com/authhints/spv/internal/graph"
 )
 
-// auditLabels runs cert.AuditRow — the one oracle of a labelling: every
-// distance a true shortest-path distance, every parent tight, the parents
-// acyclic — over the labelling src's last search left in w.
-func auditLabels(g *graph.CSR, src graph.NodeID, w *Workspace) error {
+// auditLabels runs cert.AuditRow — the one oracle of a labelling: the
+// parents a tree, every distance a true shortest-path distance — over the
+// parents src's last search left in w, and returns the distances the audit
+// folded from them.
+func auditLabels(g *graph.CSR, src graph.NodeID, w *Workspace) ([]float64, error) {
 	n := g.NumNodes()
 	c, err := cert.New(digest.SHA1, 1, make([]byte, digest.SHA1.Size()), n, 0,
 		[]cert.Spec{{Method: "DIJ", Srcs: []graph.NodeID{src}}})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	row := c.Methods[0].Row(0)
 	for v := range graph.NodeID(n) {
-		row.SetDist(int(v), w.DistOf(v))
-		row.SetParent(int(v), w.ParentOf(v))
+		row.SetSlot(int(v), g.ParentSlot(v, w.ParentOf(v)))
 	}
-	return cert.AuditRow(g, row, new(cert.Scratch))
+	var sc cert.Scratch
+	if err := cert.AuditRow(g, row, &sc); err != nil {
+		return nil, err
+	}
+	return sc.Dists(), nil
 }
 
 // checkFullRow holds FullRow from every source of g to the heap search
 // (DijkstraBounded with bound Unreachable), every distance bitwise, and
-// its labelling to cert.AuditRow; with fw set, also to Floyd–Warshall
-// within the float tolerance its different summation order needs. With
-// sameParents set, the parents must be the heap search's too.
+// its parents to cert.AuditRow, their fold bitwise its distances (what
+// the certificate audit's exact stored-row checks rely on); with fw set,
+// also to Floyd–Warshall within the float tolerance its different
+// summation order needs. With sameParents set, the parents must be the
+// heap search's too.
 func checkFullRow(t *testing.T, name string, g *graph.CSR, fw, sameParents bool) {
 	t.Helper()
 	n := g.NumNodes()
@@ -58,8 +64,14 @@ func checkFullRow(t *testing.T, name string, g *graph.CSR, fw, sameParents bool)
 				}
 			}
 		}
-		if err := auditLabels(g, s, kernel); err != nil {
+		folded, err := auditLabels(g, s, kernel)
+		if err != nil {
 			t.Fatalf("%s: the row from %d fails the audit: %v", name, s, err)
+		}
+		for v, d := range folded {
+			if got := kernel.DistOf(graph.NodeID(v)); math.Float64bits(d) != math.Float64bits(got) {
+				t.Fatalf("%s: the parents from %d fold to %v at %d, the search gives %v", name, s, d, v, got)
+			}
 		}
 	}
 }
@@ -182,7 +194,8 @@ func chainWorld(data []byte) *graph.CSR {
 }
 
 // FuzzFullRow holds FullRow, from every source of a small chain-heavy
-// network, to the heap search bitwise, to Floyd–Warshall, and to the audit.
+// network, to the heap search bitwise, to Floyd–Warshall, and to the
+// audit, whose fold of its parents must give its distances bitwise.
 func FuzzFullRow(f *testing.F) {
 	// Two hubs joined by three chains, one of zero weights, plus a loop.
 	f.Add([]byte{2, 0, 1, 3, 1, 1, 1, 1, 0, 1, 2, 0, 0, 0, 0, 1, 2, 4, 5, 4, 0, 0, 2, 3, 2, 1})
