@@ -119,7 +119,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench '^Benchmark(Build|Prove|Rehydrate|UpdateLeaves)$$' -benchtime 1x -benchmem ./internal/mht
 	$(GO) test -run '^$$' -bench '^BenchmarkTree(Prove|UpdateValues)$$' -benchtime 1x -benchmem ./internal/mbt
 	$(GO) test -run '^$$' -bench '^Benchmark(Ball|FullRow)$$' -benchtime 1x -benchmem ./internal/sp
-	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|HYPBuild|FullRowUpgrade|Certify|AuditCertificate)$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark(UpdateStream|HYPBuild|FullRowUpgrade|Certify|CertifiedDeployment|AuditCertificate)$$' -benchtime 1x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkAuditRow$$' -benchtime 1x -benchmem ./internal/cert
 	$(GO) test -run '^$$' -bench '^BenchmarkHTTPQuery(Hit|Miss)$$' -benchtime 1x -benchmem ./internal/serve
 

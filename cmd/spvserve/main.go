@@ -202,7 +202,12 @@ func run(fl serveFlags) error {
 			mode, fl.snapFile, time.Since(start).Round(time.Millisecond),
 			set.Epoch, set.Graph.NumNodes(), engine.Methods())
 	default:
-		if dep, err = buildDeployment(fl, serveOpts); err != nil {
+		// An origin that saves certifies at boot, so the snapshot can boot
+		// an -audit-on-load replica: the certificate is issued with the
+		// providers, its rows taken from their searches.
+		opts := serveOpts
+		opts.Certify = fl.saveFile != ""
+		if dep, err = buildDeployment(fl, opts); err != nil {
 			return err
 		}
 		engine, verifier = dep.Engine(), dep.Owner().Verifier()
@@ -218,13 +223,23 @@ func run(fl serveFlags) error {
 		endpoints += " /update"
 	}
 	if fl.saveFile != "" && dep != nil {
-		// Certify before the first save so the snapshot can boot an
-		// -audit-on-load replica. The deployment retains the certificate:
-		// every later POST /snapshot embeds it, and ApplyUpdates re-issues
-		// it per epoch, so saved files stay audit-ready for the daemon's
-		// whole lifetime.
-		if _, err := dep.Certify(); err != nil {
-			return fmt.Errorf("certify for snapshot: %w", err)
+		// A resumed owner adopts its snapshot's certificate, and one whose
+		// snapshot carried none issues it now. The deployment retains it:
+		// every later POST /snapshot embeds it, and after updates it is
+		// re-issued for the served epoch, so saved files stay audit-ready
+		// for the daemon's whole lifetime.
+		if dep.Certificate() == nil {
+			if _, err := dep.Certify(); err != nil {
+				return fmt.Errorf("certify for snapshot: %w", err)
+			}
+		}
+		if took := dep.IssueTime(); took > 0 {
+			c := dep.Certificate()
+			rows := 0
+			for i := range c.Methods {
+				rows += c.Methods[i].NumRows()
+			}
+			log.Printf("certificate issued: epoch %d, %d rows in %v", c.Epoch(), rows, took.Round(time.Millisecond))
 		}
 		snapFn := spv.FileSnapshot(dep, fl.saveFile)
 		if res, err := snapFn(); err != nil {

@@ -99,14 +99,9 @@ func runMake(args []string) error {
 	if err != nil {
 		return err
 	}
-	dep, err := spv.NewDeployment(owner, spv.ServeOptions{}, ms...)
+	dep, err := spv.NewDeployment(owner, spv.ServeOptions{Certify: *certify}, ms...)
 	if err != nil {
 		return err
-	}
-	if *certify {
-		if _, err := dep.Certify(); err != nil {
-			return err
-		}
 	}
 	n, err := spv.SaveSnapshot(*out, dep)
 	if err != nil {

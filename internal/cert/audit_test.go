@@ -170,7 +170,7 @@ func TestCertifyAuditClean(t *testing.T) {
 func TestAuditTamperMatrix(t *testing.T) {
 	_, set, c := certWorld(t)
 	g := set.Graph
-	hy, err := hiti.Build(g, 9) // certWorld's partition
+	hy, err := hiti.Build(g, 9, nil) // certWorld's partition
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +828,7 @@ func BenchmarkAuditRow(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := bg.Freeze()
-	hy, err := hiti.Build(g, core.DefaultConfig().Cells)
+	hy, err := hiti.Build(g, core.DefaultConfig().Cells, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -195,6 +195,10 @@ func (r Row) Digest() []byte { return r.slot[8+2*r.N()+4:] }
 // Slot returns node v's parent slot.
 func (r Row) Slot(v int) uint16 { return binary.BigEndian.Uint16(r.slot[8+2*v:]) }
 
+// Slots returns the row's slot column where it lies: node v's parent slot,
+// big-endian, at [2v, 2v+2).
+func (r Row) Slots() []byte { return r.slot[8 : 8+2*r.N()] }
+
 // SetSlot writes node v's parent slot.
 func (r Row) SetSlot(v int, k uint16) { binary.BigEndian.PutUint16(r.slot[8+2*v:], k) }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/digest"
@@ -21,7 +22,7 @@ import (
 // and Merkle roots, a digest binding the core sections (config, graph, leaf
 // ordering), and the owner's signature over the canonical wire. The wire
 // is laid out first (row slots are fixed-size), then each row is searched
-// and its tree's parent slots written big-endian into its own slot and
+// and its tree's parent slots written into its own slot (putTree) and
 // digested there by whichever worker claims it — the bytes are the same at
 // any GOMAXPROCS — and the signature hashes the finished wire where it
 // lies. A network with a node of more than graph.NoParent neighbours,
@@ -30,8 +31,64 @@ import (
 // certificate must describe exactly the state a snapshot of these
 // providers would carry. Attach the result via ProviderSet.SetCertificate
 // (or hold it in a serve.Deployment, which re-issues per epoch) so it rides
-// along in the snapshot's CERT section.
+// along in the snapshot's CERT section. A certificate wanted at boot is
+// cheaper issued with the providers: OutsourceCertified.
 func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
+	return o.certify(nil, provs)
+}
+
+// OutsourceCertified outsources each of methods as Outsource does and
+// issues their certificate as Certify does, but searches no source twice:
+// every row whose source an outsourcing pass already searched — HYP's
+// borders, LDM's landmarks — is written from that search, which the pass
+// hands over (sp.TreeSink) before it reuses the workspace. Only DIJ's
+// canonical row and FULL's sampled rows are searched at issue. The bytes
+// are Certify's over the same providers. It returns the providers in
+// methods' order, the certificate, and how long the issue took once the
+// last provider was built.
+func (o *Owner) OutsourceCertified(methods ...Method) ([]Provider, *cert.Certificate, time.Duration, error) {
+	held := make(heldTrees, o.Graph().NumNodes())
+	provs := make([]Provider, len(methods))
+	for i, m := range methods {
+		p, err := o.outsource(m, held.put)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("core: outsource %s: %w", m, err)
+		}
+		provs[i] = p
+	}
+	start := time.Now()
+	c, err := o.certify(held, provs)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return provs, c, time.Since(start), nil
+}
+
+// heldTrees holds, by source, the parent slots of the full-row searches an
+// outsourcing pass ran, each as a certificate row's slot column (putTree):
+// nil where no search ran. Distinct sources fill distinct entries, so the
+// pass's workers share it without a lock.
+type heldTrees [][]byte
+
+func (t heldTrees) put(src graph.NodeID, ws *sp.Workspace) {
+	b := make([]byte, 2*len(t))
+	putTree(b, ws)
+	t[src] = b
+}
+
+// putTree writes the tree of ws's last FullRow into dst as a certificate
+// row's slot column (cert.Row.Slots): node x's parent slot, big-endian,
+// at dst[2x:]. It is the one writer of a certificate row, whether the
+// issue runs the search or an outsourcing pass ran it (heldTrees).
+func putTree(dst []byte, ws *sp.Workspace) {
+	for x := range graph.NodeID(len(dst) / 2) {
+		binary.BigEndian.PutUint16(dst[2*x:], ws.SlotOf(x))
+	}
+}
+
+// certify is Certify, each row copied from held where held has its
+// source's tree and searched otherwise.
+func (o *Owner) certify(held heldTrees, provs []Provider) (*cert.Certificate, error) {
 	o.mu.Lock()
 	net, epoch := o.net, o.epoch
 	o.mu.Unlock()
@@ -87,14 +144,16 @@ func (o *Owner) Certify(provs ...Provider) (*cert.Certificate, error) {
 	}
 	for m, spec := range specs {
 		par.Work(len(spec.Srcs), func(i int) {
-			row := c.Methods[m].Row(i)
-			ws := sp.AcquireWorkspace(n)
-			ws.FullRow(net, spec.Srcs[i])
-			for x := range graph.NodeID(n) {
-				row.SetSlot(int(x), net.ParentSlot(x, ws.ParentOf(x)))
+			row, src := c.Methods[m].Row(i), spec.Srcs[i]
+			if held != nil && held[src] != nil {
+				copy(row.Slots(), held[src])
+			} else {
+				ws := sp.AcquireWorkspace(n)
+				ws.FullRow(net, src)
+				putTree(row.Slots(), ws)
+				sp.ReleaseWorkspace(ws)
 			}
 			row.Seal(o.cfg.Hash)
-			sp.ReleaseWorkspace(ws)
 		})
 	}
 	if err := c.Sign(o.signer.Sign); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/authhints/spv/internal/cert"
 	"github.com/authhints/spv/internal/graph"
+	"github.com/authhints/spv/internal/sp"
 )
 
 // TestLDMRowOneUlpRejected holds a stored landmark row to the distances
@@ -62,5 +63,101 @@ func TestCertifyRefusesUnaddressableDegree(t *testing.T) {
 	}
 	if _, err := owner.Certify(dij); err == nil || !strings.Contains(err.Error(), "node 0 has 65536 neighbours") {
 		t.Fatalf("certify over a node of degree %d: %v, want a refusal naming node 0", graph.NoParent+1, err)
+	}
+}
+
+// certifiedWorlds are the worlds a certificate issued with its providers
+// is held to Certify on: the golden fixtures' world and, unless -short,
+// the benchmark's (the churn stream's network before any update).
+func certifiedWorlds(t *testing.T) map[string]*Owner {
+	golden, _, _ := goldenWorld(t)
+	worlds := map[string]*Owner{"golden": golden}
+	if !testing.Short() {
+		g, _ := updateStream(t, 0)
+		owner, err := NewOwner(g, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds["benchmark"] = owner
+	}
+	return worlds
+}
+
+// TestOutsourceCertifiedMatchesCertify: a certificate issued with the
+// providers, its landmark and border rows written from the outsourcing
+// searches, is byte for byte the one Certify issues over the same
+// providers — for DIJ, LDM and HYP together and each alone.
+func TestOutsourceCertifiedMatchesCertify(t *testing.T) {
+	for name, owner := range certifiedWorlds(t) {
+		for _, ms := range [][]Method{{DIJ, LDM, HYP}, {DIJ}, {LDM}, {HYP}} {
+			provs, c, _, err := owner.OutsourceCertified(ms...)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, ms, err)
+			}
+			want, err := owner.Certify(provs...)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, ms, err)
+			}
+			if !bytes.Equal(c.Bytes(), want.Bytes()) {
+				t.Fatalf("%s %v: the certificate issued with the providers differs from Certify's over them", name, ms)
+			}
+		}
+	}
+}
+
+// TestOutsourceCertifiedSearchesEachSourceOnce counts full-row searches
+// (sp.FullRows): a certificate issued with HYP's provider costs one
+// search per border, the build's — outsourcing and then Certify cost two
+// — and one issued with DIJ, LDM and HYP searches only DIJ's canonical
+// source (unless a landmark or border is that source) beyond the builds'
+// landmark and border searches.
+func TestOutsourceCertifiedSearchesEachSourceOnce(t *testing.T) {
+	owner, _, _ := goldenWorld(t)
+	searches := func(f func()) int64 {
+		before := sp.FullRows()
+		f()
+		return sp.FullRows() - before
+	}
+	var c *cert.Certificate
+	var err error
+	got := searches(func() { _, c, _, err = owner.OutsourceCertified(HYP) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	borders := c.Method(string(HYP)).NumRows()
+	if got != int64(borders) {
+		t.Fatalf("issued with HYP's provider: %d full-row searches for %d borders", got, borders)
+	}
+	got = searches(func() {
+		var hyp Provider
+		if hyp, err = owner.Outsource(HYP); err == nil {
+			_, err = owner.Certify(hyp)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2*int64(borders) {
+		t.Fatalf("HYP outsourced, then certified: %d full-row searches, want %d", got, 2*borders)
+	}
+
+	got = searches(func() { _, c, _, err = owner.OutsourceCertified(DIJ, LDM, HYP) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[graph.NodeID]bool{}
+	want := int64(0)
+	for _, m := range []Method{LDM, HYP} {
+		mc := c.Method(string(m))
+		for i := range mc.NumRows() {
+			built[mc.Row(i).Src()] = true
+			want++
+		}
+	}
+	if !built[c.Method(string(DIJ)).Row(0).Src()] {
+		want++
+	}
+	if got != want {
+		t.Fatalf("issued with DIJ, LDM and HYP: %d full-row searches, want %d", got, want)
 	}
 }

@@ -33,7 +33,7 @@ type DIJProvider struct {
 // Outsource builds the DIJ provider bundle: the network Merkle tree over
 // plain extended-tuples plus the signed root. DIJ needs no authenticated
 // hints, so this is the cheapest possible outsourcing.
-func (dijImpl) Outsource(o *Owner) (Provider, error) {
+func (dijImpl) Outsource(o *Owner, _ sp.TreeSink) (Provider, error) {
 	net := o.Graph()
 	ads, err := buildNetworkADS(net, o.cfg, nil)
 	if err != nil {

@@ -55,7 +55,7 @@ type FULLProvider struct {
 // serializes behind a reorder buffer. Row roots land in dense source order
 // regardless of completion order, keeping the forest root byte-identical
 // to a serial build.
-func (fullImpl) Outsource(o *Owner) (Provider, error) {
+func (fullImpl) Outsource(o *Owner, _ sp.TreeSink) (Provider, error) {
 	net := o.Graph()
 	ads, err := buildNetworkADS(net, o.cfg, nil)
 	if err != nil {

@@ -40,9 +40,9 @@ type HYPProvider struct {
 // Outsource builds the HiTi hyper-graph (one Dijkstra per border node), the
 // hyper-edge distance Merkle B-tree and the annotated network tree, and
 // signs both roots.
-func (hypImpl) Outsource(o *Owner) (Provider, error) {
+func (hypImpl) Outsource(o *Owner, trees sp.TreeSink) (Provider, error) {
 	net := o.Graph()
-	hyper, err := hiti.Build(net, o.cfg.Cells)
+	hyper, err := hiti.Build(net, o.cfg.Cells, trees)
 	if err != nil {
 		return nil, err
 	}

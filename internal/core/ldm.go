@@ -7,6 +7,7 @@ import (
 
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/hints/landmark"
+	"github.com/authhints/spv/internal/sp"
 )
 
 // This file implements LDM, landmark-based verification (paper §V-A): the
@@ -42,7 +43,7 @@ type LDMProvider struct {
 // compression), embeds each node's payload into its extended-tuple, builds
 // the network Merkle tree and signs its root together with the hint
 // parameters.
-func (ldmImpl) Outsource(o *Owner) (Provider, error) {
+func (ldmImpl) Outsource(o *Owner, trees sp.TreeSink) (Provider, error) {
 	net := o.Graph()
 	h, _, err := landmark.Build(net, landmark.Options{
 		C:           o.cfg.Landmarks,
@@ -52,6 +53,7 @@ func (ldmImpl) Outsource(o *Owner) (Provider, error) {
 		Seed:        o.cfg.HintSeed,
 		Fixed:       o.cfg.PinnedLandmarks,
 		FixedLambda: o.cfg.PinnedLambda,
+		Trees:       trees,
 	})
 	if err != nil {
 		return nil, err

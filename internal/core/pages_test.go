@@ -271,7 +271,7 @@ func BenchmarkHYPBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hiti.Build(owner.Graph(), owner.cfg.Cells); err != nil {
+		if _, err := hiti.Build(owner.Graph(), owner.cfg.Cells, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,10 +299,12 @@ func BenchmarkFullRowUpgrade(b *testing.B) {
 }
 
 // BenchmarkCertify measures Owner.Certify for DIJ, LDM and HYP on the
-// benchmark world, as an origin booting with -save issues it: one full
-// search per certified source (DIJ's one, LDM's landmarks, HYP's borders),
-// each row's parent slots written and digested in its slot, then the
-// signature.
+// benchmark world, the re-issue path (a deployment after updates, the
+// benchmark's cert.issue_ms): one full search per certified source (DIJ's
+// one, LDM's landmarks, HYP's borders), each search's parent slots written
+// into its row's slot and digested there, then the signature. An origin
+// booting with -save issues through OutsourceCertified instead
+// (BenchmarkCertifiedDeployment).
 func BenchmarkCertify(b *testing.B) {
 	g, _ := updateStream(b, 0)
 	owner, err := NewOwner(g, DefaultConfig())
@@ -318,6 +320,26 @@ func BenchmarkCertify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := owner.Certify(provs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCertifiedDeployment measures what an origin booting with -save
+// does between building its network and writing the snapshot:
+// OutsourceCertified for DIJ, LDM and HYP on the benchmark world — the
+// three outsourcing passes, then the certificate, its landmark and border
+// rows taken from those passes' searches.
+func BenchmarkCertifiedDeployment(b *testing.B) {
+	g, _ := updateStream(b, 0)
+	owner, err := NewOwner(g, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := owner.OutsourceCertified(DIJ, LDM, HYP); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,6 +404,12 @@ func BenchmarkAuditCertificate(b *testing.B) {
 // eighth update W* is also held to hiti.Build there, which runs the same
 // full border searches (hiti's checkExact pins that on every repair it
 // tests), so the full W* rebuild is not paid 32 times.
+//
+// It also reports, without failing, how many repaired trees hold a parent
+// slot other than a fresh search's (sp.Workspace.SlotOf): both are tight
+// trees of the same row, so they can differ only where a node has two
+// tight parents. Zero on the whole stream means a certificate re-issued
+// after these updates could take HYP's rows from the held trees.
 func TestUpdateStreamRowsExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32 row sets of fresh searches on the benchmark world")
@@ -398,6 +426,8 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 			return x.Key == y.Key && math.Float64bits(x.Value) == math.Float64bits(y.Value)
 		})
 	}
+	diverged := 0 // repaired trees, summed over the updates, unlike a fresh search's
+	defer func() { t.Logf("over %d updates: %d repaired trees differ from a fresh search's", len(ups), diverged) }()
 	for k, up := range ups {
 		batch, err := owner.ApplyUpdates([]EdgeUpdate{up})
 		if err != nil {
@@ -408,6 +438,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 		net, hy := owner.Graph(), hyp.hyper
 		bad := make([]string, len(hy.Borders))
 		wstar := make([][]float64, len(hy.Borders)) // border-indexed
+		tied := make([]int, len(hy.Borders))        // slots unlike a fresh search's
 		par.Work(len(hy.Borders), func(i int) {
 			ws := sp.AcquireWorkspace(net.NumNodes())
 			defer sp.ReleaseWorkspace(ws)
@@ -416,6 +447,12 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 				if math.Float64bits(d) != math.Float64bits(want[x]) {
 					bad[i] = fmt.Sprintf("row %d holds %v at node %d, a fresh search gives %v", i, d, x, want[x])
 					return
+				}
+			}
+			tree := hy.AppendTree(nil, i)
+			for x, pos := range hyp.ads.ord.Pos {
+				if tree[pos] != ws.SlotOf(graph.NodeID(x)) {
+					tied[i]++
 				}
 			}
 			wstar[i] = make([]float64, len(hy.Borders))
@@ -428,6 +465,14 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 				t.Fatalf("update %d (%d→%d): %s", k, up.U, up.V, msg)
 			}
 		}
+		rows, nodes := 0, 0
+		for _, c := range tied {
+			if c > 0 {
+				rows, nodes = rows+1, nodes+c
+			}
+		}
+		diverged += rows
+		t.Logf("update %d (%d→%d): %d of %d repaired trees differ from a fresh search's, at %d nodes", k, up.U, up.V, rows, len(tied), nodes)
 		entries := hy.AppendEntries(nil, 0, hy.NumHyperEdges())
 		for i, u := range hy.Borders {
 			for j, v := range hy.Borders[i:] {
@@ -437,7 +482,7 @@ func TestUpdateStreamRowsExact(t *testing.T) {
 			}
 		}
 		if k%8 == 7 {
-			fresh, err := hiti.Build(net, owner.cfg.Cells)
+			fresh, err := hiti.Build(net, owner.cfg.Cells, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"github.com/authhints/spv/internal/graph"
 	"github.com/authhints/spv/internal/order"
 	"github.com/authhints/spv/internal/snapshot"
+	"github.com/authhints/spv/internal/sp"
 )
 
 // This file is the method dispatch spine: one MethodImpl per verification
@@ -102,8 +103,10 @@ type MethodImpl interface {
 	Method() Method
 	// Outsource builds the provider bundle (ADS construction, hint rows,
 	// signed roots) from the owner's current network. Row builds must be
-	// byte-deterministic under parallel execution.
-	Outsource(o *Owner) (Provider, error)
+	// byte-deterministic under parallel execution. A method whose build
+	// runs full-row searches from its certificate rows' sources hands each
+	// to trees when that is not nil (OutsourceCertified).
+	Outsource(o *Owner, trees sp.TreeSink) (Provider, error)
 	// DecodeProof parses a proof wire encoding, returning the proof and
 	// the bytes consumed. Decoders must bound allocations by the bytes
 	// actually present, never by counts the (untrusted) encoding claims.
@@ -230,12 +233,16 @@ func LookupMethod(m Method) (MethodImpl, bool) { return defaultRegistry.Lookup(m
 func RegisteredMethods() []Method { return defaultRegistry.Methods() }
 
 // Outsource builds the provider bundle for method m via the registry.
-func (o *Owner) Outsource(m Method) (Provider, error) {
+func (o *Owner) Outsource(m Method) (Provider, error) { return o.outsource(m, nil) }
+
+// outsource is Outsource, the build's searches handed to trees when that
+// is not nil.
+func (o *Owner) outsource(m Method, trees sp.TreeSink) (Provider, error) {
 	impl, ok := LookupMethod(m)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, m)
 	}
-	return impl.Outsource(o)
+	return impl.Outsource(o, trees)
 }
 
 // Patch derives an updated provider for p's method from this batch via

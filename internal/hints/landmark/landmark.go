@@ -56,6 +56,12 @@ type Options struct {
 	// pinned scale saturate at the top unit, which only loosens lower
 	// bounds (Lemma 3 keeps holding); zero derives λ as usual.
 	FixedLambda float64
+
+	// Trees, when not nil, is handed each landmark's search as Build runs
+	// it, in whichever selection made the landmark: how a certificate
+	// issued with the hints takes the landmarks' trees without searching
+	// again.
+	Trees sp.TreeSink
 }
 
 // Validate checks option ranges.
@@ -137,13 +143,13 @@ func Build(view *graph.CSR, opts Options) (*Hints, Stats, error) {
 			}
 		}
 		landmarks = append([]graph.NodeID(nil), opts.Fixed...)
-		dists = parallelRows(view, landmarks)
+		dists = parallelRows(view, landmarks, opts.Trees)
 	} else {
 		c := opts.C
 		if c > n {
 			c = n
 		}
-		landmarks, dists = selectLandmarks(view, c, opts.Strategy, opts.Seed)
+		landmarks, dists = selectLandmarks(view, c, opts.Strategy, opts.Seed, opts.Trees)
 	}
 	h, stats := FromRows(landmarks, dists, opts)
 	return h, stats, nil
@@ -253,20 +259,25 @@ func (h *Hints) WithRows(dists [][]float64) *Hints {
 }
 
 // parallelRows computes every landmark's full distance row concurrently,
-// one pooled workspace per worker. Rows are independent, so the output
-// matches a sequential run bit for bit.
-func parallelRows(g *graph.CSR, landmarks []graph.NodeID) [][]float64 {
+// one pooled workspace per worker, handing each search to trees when that
+// is not nil. Rows are independent, so the output matches a sequential run
+// bit for bit.
+func parallelRows(g *graph.CSR, landmarks []graph.NodeID, trees sp.TreeSink) [][]float64 {
 	dists := make([][]float64, len(landmarks))
 	par.Work(len(landmarks), func(i int) {
 		w := sp.AcquireWorkspace(g.NumNodes())
 		defer sp.ReleaseWorkspace(w)
 		dists[i] = w.DijkstraRow(g, landmarks[i], nil)
+		if trees != nil {
+			trees(landmarks[i], w)
+		}
 	})
 	return dists
 }
 
-// selectLandmarks returns c landmarks and their exact distance vectors.
-func selectLandmarks(g *graph.CSR, c int, strat Strategy, seed int64) ([]graph.NodeID, [][]float64) {
+// selectLandmarks returns c landmarks and their exact distance vectors,
+// handing each landmark's search to trees when that is not nil.
+func selectLandmarks(g *graph.CSR, c int, strat Strategy, seed int64, trees sp.TreeSink) ([]graph.NodeID, [][]float64) {
 	n := g.NumNodes()
 	rng := rand.New(rand.NewSource(seed))
 	landmarks := make([]graph.NodeID, 0, c)
@@ -291,7 +302,7 @@ func selectLandmarks(g *graph.CSR, c int, strat Strategy, seed int64) ([]graph.N
 			}
 			landmarks = append(landmarks, graph.NodeID(vj))
 		}
-		return landmarks, parallelRows(g, landmarks)
+		return landmarks, parallelRows(g, landmarks, trees)
 	default: // Farthest
 		dists := make([][]float64, 0, c)
 		w := sp.AcquireWorkspace(n)
@@ -305,6 +316,9 @@ func selectLandmarks(g *graph.CSR, c int, strat Strategy, seed int64) ([]graph.N
 			landmarks = append(landmarks, cur)
 			row := w.DijkstraRow(g, cur, nil)
 			dists = append(dists, row)
+			if trees != nil {
+				trees(cur, w)
+			}
 			var next graph.NodeID
 			far := -1.0
 			for v := 0; v < n; v++ {

@@ -113,14 +113,17 @@ const (
 
 // Build partitions net into approximately p grid cells and materializes
 // all border-pair distances: one full search per border (searchRows,
-// parallelized), W* its distances at the borders.
-func Build(net *graph.CSR, p int) (*Hyper, error) {
+// parallelized), W* its distances at the borders. Each search is also
+// handed to trees, when it is not nil, before its workspace is reused —
+// how a certificate issued with the build takes the borders' trees
+// without searching again.
+func Build(net *graph.CSR, p int, trees sp.TreeSink) (*Hyper, error) {
 	h, err := partition(net, p)
 	if err != nil {
 		return nil, err
 	}
 	h.wb = staticRows(len(h.Borders))
-	h.searchRows(net)
+	h.searchRows(net, trees)
 	return h, nil
 }
 
@@ -382,17 +385,18 @@ func (h *Hyper) WithFullRows(net *graph.CSR, ord *order.Ordering) (*Hyper, error
 	if err := nh.fullOver(net, ord); err != nil {
 		return nil, err
 	}
-	nh.searchRows(net)
+	nh.searchRows(net, nil)
 	return &nh, nil
 }
 
 // searchRows fills the receiver's rows, W* pages and, for full rows,
 // trees laid out beforehand, with one full search (sp.Workspace.FullRow)
 // per border over net, workers in parallel: W* row i is search i's
-// distances at the borders and tree i its parent labels, tight bit for bit
+// distances at the borders and tree i its parent slots, tight bit for bit
 // by construction — a node's label is fl(d + w) over its parent's d. It is
-// the one producer of both row forms.
-func (h *Hyper) searchRows(net *graph.CSR) {
+// the one producer of both row forms, and hands each search to trees when
+// that is not nil.
+func (h *Hyper) searchRows(net *graph.CSR, trees sp.TreeSink) {
 	n := net.NumNodes()
 	par.Work(len(h.Borders), func(i int) {
 		ws := sp.AcquireWorkspace(n)
@@ -402,13 +406,16 @@ func (h *Hyper) searchRows(net *graph.CSR) {
 		for j, v := range h.Borders {
 			w[j/WPageLen][j%WPageLen] = ws.DistOf(v)
 		}
+		if trees != nil {
+			trees(h.Borders[i], ws)
+		}
 		if h.tree == nil {
 			return
 		}
 		tree := h.tree[i]
 		for x := range graph.NodeID(n) {
 			sl := h.pos[x]
-			tree[sl/PageLen][sl%PageLen] = net.ParentSlot(x, ws.ParentOf(x))
+			tree[sl/PageLen][sl%PageLen] = ws.SlotOf(x)
 		}
 	})
 }

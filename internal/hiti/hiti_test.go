@@ -47,7 +47,7 @@ func spatialGraph(rng *rand.Rand, n int) *graph.Graph {
 func TestBuildBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := spatialGraph(rng, 200)
-	h, err := Build(g.Freeze(), 25)
+	h, err := Build(g.Freeze(), 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, err := Build(graph.New(0).Freeze(), 25); err == nil {
+	if _, err := Build(graph.New(0).Freeze(), 25, nil); err == nil {
 		t.Error("empty graph accepted")
 	}
 	g := graph.New(1)
 	g.AddNode(1, 1)
-	if _, err := Build(g.Freeze(), 0); err == nil {
+	if _, err := Build(g.Freeze(), 0, nil); err == nil {
 		t.Error("p=0 accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestEmptyGraphRejected(t *testing.T) {
 func TestHyperEdgeWeightsAreExactDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := spatialGraph(rng, 150)
-	h, err := Build(g.Freeze(), 16)
+	h, err := Build(g.Freeze(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTheorem2BorderPassage(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := spatialGraph(rng, 60+rng.Intn(100))
-		h, err := Build(g.Freeze(), 9+rng.Intn(3)*8)
+		h, err := Build(g.Freeze(), 9+rng.Intn(3)*8, nil)
 		if err != nil {
 			return false
 		}
@@ -230,7 +230,7 @@ func TestAppendEntriesRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, cells := range []int{4, 16, 64} {
 		g := spatialGraph(rng, 120)
-		h, err := Build(g.Freeze(), cells)
+		h, err := Build(g.Freeze(), cells, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestAppendEntriesRanges(t *testing.T) {
 func TestEntriesCoverAllPairsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := spatialGraph(rng, 80)
-	h, err := Build(g.Freeze(), 16)
+	h, err := Build(g.Freeze(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestHyperKeyCanonical(t *testing.T) {
 func TestExtraRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := spatialGraph(rng, 60)
-	h, err := Build(g.Freeze(), 25)
+	h, err := Build(g.Freeze(), 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestMoreCellsMoreBorders(t *testing.T) {
 	g := spatialGraph(rng, 300)
 	prev := 0
 	for _, p := range []int{4, 25, 100, 400} {
-		h, err := Build(g.Freeze(), p)
+		h, err := Build(g.Freeze(), p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestMoreCellsMoreBorders(t *testing.T) {
 func TestSingleCellNoBorders(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := spatialGraph(rng, 40)
-	h, err := Build(g.Freeze(), 1)
+	h, err := Build(g.Freeze(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestSingleCellNoBorders(t *testing.T) {
 func TestNodesOfPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := spatialGraph(rng, 120)
-	h, err := Build(g.Freeze(), 16)
+	h, err := Build(g.Freeze(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 		g := spatialGraph(rng, 2+rng.Intn(140))
 		p := []int{1, 2, 4, 9, 16, 49, 100, 400}[seed%8]
 		net := g.Freeze()
-		h, err := Build(net, p)
+		h, err := Build(net, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,7 +510,7 @@ func TestLeafOrderClosedForm(t *testing.T) {
 func TestCellPairAndMovedEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := spatialGraph(rng, 120)
-	h, err := Build(g.Freeze(), 16)
+	h, err := Build(g.Freeze(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,7 +717,7 @@ func checkExact(t *testing.T, h *Hyper, net *graph.CSR, cells int, what string) 
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	fresh, err := Build(net, cells)
+	fresh, err := Build(net, cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,7 +739,7 @@ func TestPagedRowsShareUnchangedPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := spatialGraph(rng, 3*PageLen+17) // four pages per row, the last short
 	net := g.Freeze()
-	h, err := Build(net, 16)
+	h, err := Build(net, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -903,7 +903,7 @@ func TestPlantAcrossPlateaus(t *testing.T) {
 		// Node x lies in copy x/n; a single copy is connected.
 		apart := func(x, y graph.NodeID) bool { return int(x)/n != int(y)/n }
 		net := g.Freeze()
-		h, err := Build(net, 9)
+		h, err := Build(net, 9, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,12 +34,16 @@ type Deployment struct {
 	// matches the served epoch.
 	cert      *cert.Certificate
 	certStale bool
+	issued    time.Duration // how long cert took to issue
 }
 
 // NewDeployment outsources each requested method from the owner, registers
 // the providers on a fresh engine, and returns the update-capable bundle.
 // With no methods given it serves every registered method (note FULL's
-// quadratic pre-computation).
+// quadratic pre-computation). With opts.Certify it also holds the
+// certificate, issued with the providers (core.Owner.OutsourceCertified):
+// the same bytes as a Certify call after construction, without a second
+// search per certified source.
 func NewDeployment(o *core.Owner, opts Options, methods ...core.Method) (*Deployment, error) {
 	if len(methods) == 0 {
 		methods = core.RegisteredMethods()
@@ -49,13 +53,24 @@ func NewDeployment(o *core.Owner, opts Options, methods ...core.Method) (*Deploy
 		engine: NewEngine(opts),
 		provs:  make(map[core.Method]core.Provider, len(methods)),
 	}
-	for _, m := range methods {
-		p, err := o.Outsource(m)
-		if err != nil {
-			return nil, fmt.Errorf("serve: outsource %s: %w", m, err)
+	var provs []core.Provider
+	if opts.Certify {
+		var err error
+		if provs, d.cert, d.issued, err = o.OutsourceCertified(methods...); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-		d.provs[m] = p
-		d.engine.Register(p)
+	} else {
+		for _, m := range methods {
+			p, err := o.Outsource(m)
+			if err != nil {
+				return nil, fmt.Errorf("serve: outsource %s: %w", m, err)
+			}
+			provs = append(provs, p)
+		}
+	}
+	for i, m := range methods {
+		d.provs[m] = provs[i]
+		d.engine.Register(provs[i])
 	}
 	return d, nil
 }
@@ -100,13 +115,23 @@ func (d *Deployment) certifyLocked() (*cert.Certificate, error) {
 	for _, m := range d.methodsLocked() {
 		provs = append(provs, d.provs[m])
 	}
+	start := time.Now()
 	c, err := d.owner.Certify(provs...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: certify: %w", err)
 	}
-	d.cert = c
+	d.cert, d.issued = c, time.Since(start)
 	d.certStale = false
 	return c, nil
+}
+
+// IssueTime returns how long the certificate last issued took: for one
+// issued with construction (Options.Certify), the issue after the last
+// provider was built. Zero before the first issue.
+func (d *Deployment) IssueTime() time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.issued
 }
 
 // freshCertLocked returns the held certificate, re-issuing it first when

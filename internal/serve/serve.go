@@ -96,6 +96,11 @@ type Options struct {
 	// switched is gone, and benchmark/trace.go:126 (which this repository's
 	// benchmark rules freeze) still sets it.
 	Coalesce bool
+	// Certify is read by NewDeployment alone: issue the snapshot
+	// certificate as part of construction, its rows written from the
+	// outsourcing searches (core.Owner.OutsourceCertified) instead of
+	// searched again by a Certify call after it. An engine ignores it.
+	Certify bool
 }
 
 // DefaultCacheBytes is the proof-cache byte budget when Options leaves

@@ -196,7 +196,7 @@ func TestNoStaleAnswerSurvivesSwap(t *testing.T) {
 // deployment's, and its W* bitwise the patched providers'.
 func wstarOf(t *testing.T, net *graph.CSR, cells int) *hiti.Hyper {
 	t.Helper()
-	h, err := hiti.Build(net, cells)
+	h, err := hiti.Build(net, cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

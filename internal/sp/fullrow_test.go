@@ -23,7 +23,7 @@ func auditLabels(g *graph.CSR, src graph.NodeID, w *Workspace) ([]float64, error
 	}
 	row := c.Methods[0].Row(0)
 	for v := range graph.NodeID(n) {
-		row.SetSlot(int(v), g.ParentSlot(v, w.ParentOf(v)))
+		row.SetSlot(int(v), w.SlotOf(v))
 	}
 	var sc cert.Scratch
 	if err := cert.AuditRow(g, row, &sc); err != nil {
@@ -33,9 +33,11 @@ func auditLabels(g *graph.CSR, src graph.NodeID, w *Workspace) ([]float64, error
 }
 
 // checkFullRow holds FullRow from every source of g to the heap search
-// (DijkstraBounded with bound Unreachable), every distance bitwise, and
-// its parents to cert.AuditRow, their fold bitwise its distances (what
-// the certificate audit's exact stored-row checks rely on); with fw set,
+// (DijkstraBounded with bound Unreachable), every distance bitwise, its
+// parent slots to its parents (graph.CSR.ParentSlot, graph.NoParent at the
+// source and at unreached nodes), and its slots to cert.AuditRow, their
+// fold bitwise its distances (what the certificate audit's exact
+// stored-row checks rely on); with fw set,
 // also to Floyd–Warshall within the float tolerance its different
 // summation order needs. With sameParents set, the parents must be the
 // heap search's too.
@@ -54,6 +56,12 @@ func checkFullRow(t *testing.T, name string, g *graph.CSR, fw, sameParents bool)
 			got, want := kernel.DistOf(v), heap.DistOf(v)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: dist(%d, %d) = %v, the heap search gives %v", name, s, v, got, want)
+			}
+			if k, want := kernel.SlotOf(v), g.ParentSlot(v, kernel.ParentOf(v)); k != want {
+				t.Fatalf("%s: slot of %d from %d is %d, its parent %d sits at slot %d", name, v, s, k, kernel.ParentOf(v), want)
+			}
+			if (v == s || got == Unreachable) && kernel.SlotOf(v) != graph.NoParent {
+				t.Fatalf("%s: %d from %d has slot %d, want none", name, v, s, kernel.SlotOf(v))
 			}
 			if sameParents && kernel.ParentOf(v) != heap.ParentOf(v) {
 				t.Fatalf("%s: parent of %d from %d is %d, the heap search's is %d", name, v, s, kernel.ParentOf(v), heap.ParentOf(v))

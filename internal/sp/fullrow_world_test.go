@@ -22,7 +22,7 @@ func benchWorld(tb testing.TB) (*graph.CSR, []graph.NodeID) {
 		tb.Fatal(err)
 	}
 	g := bg.Freeze()
-	hy, err := hiti.Build(g, core.DefaultConfig().Cells)
+	hy, err := hiti.Build(g, core.DefaultConfig().Cells, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sp
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/authhints/spv/internal/graph"
 )
@@ -23,8 +24,8 @@ import (
 //
 // A workspace is not safe for concurrent use; acquire one per goroutine
 // (AcquireWorkspace/ReleaseWorkspace pool them) or give each worker its
-// own. Results read through DistOf/ParentOf/PathTo are valid until the next
-// search on the same workspace.
+// own. Results read through DistOf/ParentOf/SlotOf/PathTo are valid until
+// the next search on the same workspace.
 type Workspace struct {
 	epoch uint32
 	n     int // nodes of the current search's graph
@@ -33,6 +34,7 @@ type Workspace struct {
 	done   []uint32 // done[v]==epoch ⇒ v settled (exact distance)
 	dist   []float64
 	parent []graph.NodeID
+	slot   []uint16 // FullRow only: parent's index in v's adjacency
 
 	settled []graph.NodeID // settle-order scratch for bounded searches
 
@@ -62,6 +64,7 @@ func (w *Workspace) Reset(n int) {
 		w.want = make([]uint32, n)
 		w.dist = make([]float64, n)
 		w.parent = make([]graph.NodeID, n)
+		w.slot = make([]uint16, n)
 	}
 	w.n = n
 	w.heap.Reset(n)
@@ -119,6 +122,17 @@ func (w *Workspace) ParentOf(v graph.NodeID) graph.NodeID {
 		return w.parent[v]
 	}
 	return graph.Invalid
+}
+
+// SlotOf returns, after FullRow, the parent slot of a settled node: the
+// index of ParentOf(v) in v's adjacency list (graph.CSR.ParentSlot's
+// encoding), graph.NoParent for the source and unsettled nodes. FullRow
+// records it while it labels; the other searches do not.
+func (w *Workspace) SlotOf(v graph.NodeID) uint16 {
+	if int(v) < len(w.done) && w.done[v] == w.epoch {
+		return w.slot[v]
+	}
+	return graph.NoParent
 }
 
 // PathTo reconstructs the path from the last search's source to v, or nil
@@ -215,16 +229,21 @@ func (w *Workspace) DijkstraBounded(g graph.View, src graph.NodeID, bound float6
 	return w.settled
 }
 
-// FullRow searches from src over the whole of g; DistOf and ParentOf then
-// read src's distance row and its shortest-path tree. Every full distance
-// row is this search, and in it only branch nodes — degree ≠ 2 — pass
-// through the heap. An edge a popped node sends into a chain of
+// FullRow searches from src over the whole of g; DistOf, ParentOf and
+// SlotOf then read src's distance row and its shortest-path tree. Every
+// full distance row is this search, and in it only branch nodes — degree
+// ≠ 2 — pass through the heap. An edge a popped node sends into a chain of
 // degree-2 nodes is walked in place: each chain node's candidate is
 // fl(previous + w) in walk order, written only where it strictly improves
 // the node's label, and the walk stops at the first node it does not
 // improve or relaxes the branch node at the chain's far end through the
 // heap. A chain node is left by the half-edge that does not point back,
 // which is the other one: a network has no self-loops or duplicate edges.
+//
+// The parent slot comes with the label. A chain node's is the half-edge
+// the walk entered by, the one it does not leave by; a branch node's
+// parent is final once it is popped, and the loop over its adjacency that
+// relaxes its edges passes the parent's index on the way.
 //
 // The distances are bitwise those of the heap search (DijkstraBounded with
 // bound Unreachable): both are the unique fixed point Repair's doc
@@ -233,17 +252,37 @@ func (w *Workspace) DijkstraBounded(g graph.View, src graph.NodeID, bound float6
 // node, the order the heap settles them in — and between equally near
 // ones the first offered keeps it; the source is never re-parented.
 func (w *Workspace) FullRow(g *graph.CSR, src graph.NodeID) {
+	fullRows.Add(1)
 	w.Reset(g.NumNodes())
 	w.label(src, 0, graph.Invalid)
+	w.slot[src] = graph.NoParent
 	w.heap.Push(src, 0)
 	for w.heap.Len() > 0 {
 		u, d := w.heap.Pop()
 		w.done[u] = w.epoch
-		for _, e := range g.Neighbors(u) {
+		p := w.parent[u]
+		for k, e := range g.Neighbors(u) {
+			if e.To == p {
+				w.slot[u] = uint16(k)
+			}
 			w.walk(g, u, e.To, d+e.W)
 		}
 	}
 }
+
+// fullRows counts FullRow searches (FullRows).
+var fullRows atomic.Int64
+
+// FullRows returns how many FullRow searches the process has run: a
+// deterministic count of the search work a construction did, which tests
+// hold constructions to.
+func FullRows() int64 { return fullRows.Load() }
+
+// TreeSink receives a full-row search from the construction that ran it:
+// src is the search's source, and ws holds its labels (DistOf, ParentOf,
+// SlotOf) until the call returns. A construction calls it from its search
+// workers, concurrently for distinct sources.
+type TreeSink func(src graph.NodeID, ws *Workspace)
 
 // walk offers x the candidate d through p and carries it on down x's
 // chain, then relaxes the branch node the chain ends in. Chain nodes are
@@ -253,15 +292,16 @@ func (w *Workspace) FullRow(g *graph.CSR, src graph.NodeID) {
 func (w *Workspace) walk(g *graph.CSR, p, x graph.NodeID, d float64) {
 	for g.Degree(x) == 2 {
 		if !w.offer(x, d, p) {
+			if w.parent[x] == p { // p took x on a tie, or already had it
+				w.slot[x] = backSlot(g.Neighbors(x), p)
+			}
 			return
 		}
 		w.done[x] = w.epoch
 		nb := g.Neighbors(x)
-		next := nb[0]
-		if next.To == p {
-			next = nb[1]
-		}
-		p, x, d = x, next.To, d+next.W
+		k := backSlot(nb, p)
+		w.slot[x] = k
+		p, x, d = x, nb[1-k].To, d+nb[1-k].W
 	}
 	if w.done[x] == w.epoch {
 		return
@@ -274,6 +314,14 @@ func (w *Workspace) walk(g *graph.CSR, p, x graph.NodeID, d float64) {
 			w.heap.Push(x, d)
 		}
 	}
+}
+
+// backSlot returns which of a chain node's two half-edges, nb, leads to p.
+func backSlot(nb []graph.Edge, p graph.NodeID) uint16 {
+	if nb[0].To == p {
+		return 0
+	}
+	return 1
 }
 
 // offer gives x the candidate d through p. On a strict improvement it
